@@ -8,7 +8,8 @@ use crate::error::AlgError;
 use crate::expr::{AlgExpr, SelFormula, SelTerm};
 use crate::typing::infer_type;
 use itq_object::govern::POLL_MASK;
-use itq_object::{Database, Instance, Interrupt, Schema, Value};
+use itq_object::{Database, ExecCtx, Instance, Interrupt, Schema, Value};
+use itq_trace::Span;
 
 /// Budgets for algebra evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,30 +45,38 @@ impl AlgExpr {
         schema: &Schema,
         config: &EvalConfig,
     ) -> Result<Instance, AlgError> {
-        self.eval_governed(db, schema, config, Interrupt::disarmed())
+        Ok(self.eval_ctx(db, schema, config, &ExecCtx::default())?.0)
     }
 
-    /// [`AlgExpr::eval`] under a resource governor: the evaluator polls
-    /// `interrupt` once on entry and then at per-row granularity, surfacing
-    /// deadline expiry, cancellation, and injected faults as
+    /// [`AlgExpr::eval`] under an execution context: the evaluator polls
+    /// `ctx.interrupt` once on entry and then at per-row granularity,
+    /// surfacing deadline expiry, cancellation, and injected faults as
     /// [`AlgError::Resource`].  This backend never interns, so its memory
-    /// footprint reported to the governor is always 0.
-    pub fn eval_governed(
+    /// footprint reported to the governor is always 0, and it runs
+    /// sequentially at any `ctx.workers`.  When `ctx.traced` it returns one
+    /// whole-evaluation span (it has no per-operator hooks).
+    pub fn eval_ctx(
         &self,
         db: &Database,
         schema: &Schema,
         config: &EvalConfig,
-        interrupt: &Interrupt,
-    ) -> Result<Instance, AlgError> {
+        ctx: &ExecCtx,
+    ) -> Result<(Instance, Option<Span>), AlgError> {
         infer_type(self, schema)?;
         // Poll once before any work so a deadline of 0 ms (or a pre-set
         // cancel flag) trips even on expressions that would finish instantly.
-        interrupt.check(0)?;
+        ctx.interrupt.check(0)?;
         let mut gov = Gov {
-            interrupt,
+            interrupt: ctx.interrupt,
             ticks: 0,
         };
-        eval_unchecked(self, db, config, &mut gov)
+        let result = eval_unchecked(self, db, config, &mut gov)?;
+        let span = ctx.traced.then(|| {
+            let mut root = Span::new("tuple-algebra");
+            root.push_field("rows_out", result.len() as u64);
+            root
+        });
+        Ok((result, span))
     }
 }
 

@@ -22,11 +22,9 @@ use crate::eval::EvalConfig;
 use crate::expr::{SelFormula, SelTerm};
 use crate::plan::{JoinStrategy, PhysNode, PhysicalPlan};
 use itq_object::govern::POLL_MASK;
-use itq_object::pool::{partition_ranges, run_partitions};
-use itq_object::{Atom, Database, Instance, Interrupt, ValueId, ValueStore};
+use itq_object::{Atom, Database, ExecCtx, Instance, Interrupt, ValueId, ValueStore};
 use itq_trace::Span;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Counters accumulated while executing a physical plan.
@@ -41,12 +39,6 @@ pub struct PlanStats {
     pub tuples_materialised: u64,
     /// Distinct values interned in the execution's value store.
     pub interned_values: u64,
-    /// Number of parallel probe partitions this execution split join work
-    /// into, summed over every parallelised join (0 when the whole plan ran
-    /// sequentially).  Partition worker wall-clocks overlap, so downstream
-    /// aggregation must never sum them — see
-    /// [`PhysicalPlan::execute_governed_parallel`].
-    pub partitions: u64,
 }
 
 impl PhysicalPlan {
@@ -77,127 +69,55 @@ impl PhysicalPlan {
         db: &Database,
         config: &EvalConfig,
     ) -> Result<(Instance, PlanStats), AlgError> {
-        let (result, stats, _) = self.run(db, config, Interrupt::disarmed(), false, 1)?;
+        let (result, stats, _) = self.execute_ctx(db, config, &ExecCtx::default())?;
         Ok((result, stats))
     }
 
-    /// [`PhysicalPlan::execute`] under a resource governor: the executor
-    /// polls `interrupt` once on entry and then at join-probe /
-    /// row-materialisation granularity, surfacing deadline expiry,
-    /// cancellation, injected faults, and memory-ceiling breaches (against
-    /// the interner's deterministic byte estimate) as [`AlgError::Resource`].
-    pub fn execute_governed(
+    /// [`PhysicalPlan::execute`] under an execution context.
+    ///
+    /// The executor polls `ctx.interrupt` once on entry and then at
+    /// join-probe / row-materialisation granularity, surfacing deadline
+    /// expiry, cancellation, injected faults, and memory-ceiling breaches
+    /// (against the interner's deterministic byte estimate) as
+    /// [`AlgError::Resource`].  It runs sequentially at any `ctx.workers`:
+    /// partitioning the hash-join probe did not beat the sequential probe on
+    /// the measured joins.
+    ///
+    /// When `ctx.traced` the returned [`Span`] tree is isomorphic to the plan
+    /// (one span per operator, named by [`PhysNode::label`]) and carries
+    /// `rows_in` / `rows_out`, the operator's *own* `join_probes` /
+    /// `tuples_materialised` (children excluded, so [`Span::subtree_total`]
+    /// reproduces the [`PlanStats`] totals), and inclusive wall time.
+    /// Answers, statistics, and errors never depend on `ctx.traced`.
+    pub fn execute_ctx(
         &self,
         db: &Database,
         config: &EvalConfig,
-        interrupt: &Interrupt,
-    ) -> Result<(Instance, PlanStats), AlgError> {
-        let (result, stats, _) = self.run(db, config, interrupt, false, 1)?;
-        Ok((result, stats))
-    }
-
-    /// [`PhysicalPlan::execute_governed`] with the hash-join probe loop
-    /// partitioned across `workers` scoped threads (see
-    /// [`ValueStore::overlay`]): each worker probes a contiguous chunk of the
-    /// build side's counterpart over its own interner overlay, and the
-    /// coordinator folds the worker arenas back **in partition order**, so
-    /// answers, first-seen dedup order, `interned_values`, and error choice
-    /// are byte-identical to the sequential run.  `workers <= 1` *is* the
-    /// sequential run.
-    pub fn execute_governed_parallel(
-        &self,
-        db: &Database,
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-        workers: usize,
-    ) -> Result<(Instance, PlanStats), AlgError> {
-        let (result, stats, _) = self.run(db, config, interrupt, false, workers)?;
-        Ok((result, stats))
-    }
-
-    /// [`PhysicalPlan::execute_traced_governed`] with a partitioned hash-join
-    /// probe: each parallelised join's span gains one `probe partition {i}`
-    /// child carrying that partition's `join_probes` / `tuples_materialised`
-    /// and its worker's wall-clock, alongside the operand children.
-    pub fn execute_traced_governed_parallel(
-        &self,
-        db: &Database,
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-        workers: usize,
-    ) -> Result<(Instance, PlanStats, Span), AlgError> {
-        let (result, stats, trace) = self.run(db, config, interrupt, true, workers)?;
-        Ok((
-            result,
-            stats,
-            trace.expect("traced run produces a root span"),
-        ))
-    }
-
-    /// [`PhysicalPlan::execute`] with per-operator tracing: the returned
-    /// [`Span`] tree is isomorphic to the plan (one span per operator, named
-    /// by [`PhysNode::label`]) and carries `rows_in` / `rows_out`, the
-    /// operator's *own* `join_probes` / `tuples_materialised` (children
-    /// excluded, so [`Span::subtree_total`] reproduces the [`PlanStats`]
-    /// totals), and inclusive wall time.  Answers, statistics, and errors are
-    /// byte-identical to the untraced path.
-    pub fn execute_traced(
-        &self,
-        db: &Database,
-        config: &EvalConfig,
-    ) -> Result<(Instance, PlanStats, Span), AlgError> {
-        self.execute_traced_governed(db, config, Interrupt::disarmed())
-    }
-
-    /// [`PhysicalPlan::execute_traced`] under a resource governor (see
-    /// [`PhysicalPlan::execute_governed`]); the trace remains byte-identical
-    /// to the ungoverned one whenever the interrupt never trips.
-    pub fn execute_traced_governed(
-        &self,
-        db: &Database,
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-    ) -> Result<(Instance, PlanStats, Span), AlgError> {
-        let (result, stats, trace) = self.run(db, config, interrupt, true, 1)?;
-        Ok((
-            result,
-            stats,
-            trace.expect("traced run produces a root span"),
-        ))
-    }
-
-    fn run(
-        &self,
-        db: &Database,
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-        traced: bool,
-        workers: usize,
+        ctx: &ExecCtx,
     ) -> Result<(Instance, PlanStats, Option<Span>), AlgError> {
         // Poll once before any work so a deadline of 0 ms (or a pre-set
         // cancel flag) trips even on plans that would finish instantly.
-        interrupt.check(0)?;
-        let mut ctx = Ctx {
+        ctx.interrupt.check(0)?;
+        let mut exec = Ctx {
             db,
             config,
             store: ValueStore::new(),
             scans: HashMap::new(),
             consts: HashMap::new(),
             stats: PlanStats::default(),
-            interrupt,
+            interrupt: ctx.interrupt,
             ticks: 0,
-            workers: workers.max(1),
-            trace: traced.then(Vec::new),
+            trace: ctx.traced.then(Vec::new),
         };
         for atom in self.constants() {
-            let id = ctx.store.intern_atom(atom);
-            ctx.consts.insert(atom, id);
+            let id = exec.store.intern_atom(atom);
+            exec.consts.insert(atom, id);
         }
-        let rows = ctx.eval(self.root())?;
-        let result = Instance::from_values(rows.iter().map(|&id| ctx.store.resolve(id)));
-        ctx.stats.interned_values = ctx.store.len() as u64;
-        let root = ctx.trace.and_then(|mut spans| spans.pop());
-        Ok((result, ctx.stats, root))
+        let rows = exec.eval(self.root())?;
+        let result = Instance::from_values(rows.iter().map(|&id| exec.store.resolve(id)));
+        exec.stats.interned_values = exec.store.len() as u64;
+        let root = exec.trace.and_then(|mut spans| spans.pop());
+        Ok((result, exec.stats, root))
     }
 }
 
@@ -216,9 +136,6 @@ struct Ctx<'a> {
     /// materialised or filtered, and per operator entered — the plan
     /// executor's analogue of the calculus evaluators' step counter.
     ticks: u64,
-    /// Worker count for partitionable operators (hash-join probes); `1` is
-    /// the sequential ablation and spawns nothing.
-    workers: usize,
     /// Completed spans of already-evaluated siblings, innermost last; `None`
     /// on the untraced path, which therefore pays one branch per operator.
     trace: Option<Vec<Span>>,
@@ -519,27 +436,15 @@ impl Ctx<'_> {
                     let key = select_coords(keys.iter().map(|&(_, rc)| rc), comps)?;
                     index.entry(key).or_default().push(j);
                 }
-                if self.workers > 1 && left_rows.len() > 1 {
-                    self.parallel_hash_probe(
-                        &index,
-                        keys,
-                        &left_rows,
-                        &right_rows,
-                        residual,
-                        project,
-                        &mut out,
-                    )?;
-                } else {
-                    for lcomps in &left_rows {
-                        let key = select_coords(keys.iter().map(|&(lc, _)| lc), lcomps)?;
-                        self.stats.join_probes += 1;
-                        self.tick()?;
-                        if let Some(matches) = index.get(&key) {
-                            for &j in matches {
-                                self.stats.join_probes += 1;
-                                self.tick()?;
-                                self.emit(lcomps, &right_rows[j], residual, project, &mut out)?;
-                            }
+                for lcomps in &left_rows {
+                    let key = select_coords(keys.iter().map(|&(lc, _)| lc), lcomps)?;
+                    self.stats.join_probes += 1;
+                    self.tick()?;
+                    if let Some(matches) = index.get(&key) {
+                        for &j in matches {
+                            self.stats.join_probes += 1;
+                            self.tick()?;
+                            self.emit(lcomps, &right_rows[j], residual, project, &mut out)?;
                         }
                     }
                 }
@@ -595,140 +500,6 @@ impl Ctx<'_> {
         Ok(out.rows)
     }
 
-    /// Partitioned hash-join probe: freeze the interner, give each worker a
-    /// contiguous chunk of the probe side and a private overlay, then fold
-    /// the worker arenas back in partition order.
-    ///
-    /// Determinism: probing a row is a pure function of the frozen inputs, so
-    /// the concatenation of the partitions' emission sequences *is* the
-    /// sequential emission sequence; absorbing in partition order therefore
-    /// reproduces the sequential first-seen dedup order, the sequential
-    /// `interned_values` count (absorption deduplicates across workers), and
-    /// the sequential choice of first error.
-    #[allow(clippy::too_many_arguments)]
-    fn parallel_hash_probe(
-        &mut self,
-        index: &HashMap<Vec<ValueId>, Vec<usize>>,
-        keys: &[(usize, usize)],
-        left_rows: &[Vec<ValueId>],
-        right_rows: &[Vec<ValueId>],
-        residual: &[SelFormula],
-        project: &Option<Vec<usize>>,
-        out: &mut RowSet,
-    ) -> Result<(), AlgError> {
-        let frozen = std::mem::take(&mut self.store).freeze();
-        let base_len = frozen.len();
-        let consts = &self.consts;
-        let interrupt = self.interrupt;
-        let ranges = partition_ranges(left_rows.len(), self.workers);
-        let outcomes = run_partitions(ranges, |_, (start, end)| {
-            let begun = Instant::now();
-            let mut store = ValueStore::overlay(Arc::clone(&frozen));
-            let mut local = RowSet::default();
-            let mut probes: u64 = 0;
-            let mut materialised: u64 = 0;
-            let mut ticks: u64 = 0;
-            let mut error: Option<AlgError> = None;
-            'probe: for lcomps in &left_rows[start..end] {
-                let key = match select_coords(keys.iter().map(|&(lc, _)| lc), lcomps) {
-                    Ok(key) => key,
-                    Err(e) => {
-                        error = Some(e);
-                        break;
-                    }
-                };
-                probes += 1;
-                ticks += 1;
-                if ticks & POLL_MASK == 0 {
-                    if let Err(e) = interrupt.check(store.approx_bytes()) {
-                        error = Some(e.into());
-                        break;
-                    }
-                }
-                if let Some(matches) = index.get(&key) {
-                    for &j in matches {
-                        probes += 1;
-                        ticks += 1;
-                        if ticks & POLL_MASK == 0 {
-                            if let Err(e) = interrupt.check(store.approx_bytes()) {
-                                error = Some(e.into());
-                                break 'probe;
-                            }
-                        }
-                        match emit_pair(
-                            &mut store,
-                            consts,
-                            lcomps,
-                            &right_rows[j],
-                            residual,
-                            project,
-                        ) {
-                            Ok(Some(tid)) => {
-                                materialised += 1;
-                                local.push(tid);
-                            }
-                            Ok(None) => {}
-                            Err(e) => {
-                                error = Some(e);
-                                break 'probe;
-                            }
-                        }
-                    }
-                }
-            }
-            JoinPartition {
-                store,
-                rows: local.rows,
-                probed: (end - start) as u64,
-                join_probes: probes,
-                tuples_materialised: materialised,
-                ticks,
-                error,
-                wall_micros: begun.elapsed().as_micros() as u64,
-            }
-        });
-
-        // Fold the workers back deterministically: first error in partition
-        // order wins (that is the row the sequential probe would have
-        // reached first), then arenas and emissions merge in partition
-        // order.
-        self.stats.partitions = self.stats.partitions.saturating_add(outcomes.len() as u64);
-        let mut merged = ValueStore::overlay(Arc::clone(&frozen));
-        for outcome in &outcomes {
-            if let Some(error) = &outcome.error {
-                self.store = merged;
-                return Err(error.clone());
-            }
-        }
-        for (i, outcome) in outcomes.iter().enumerate() {
-            let mapping = merged.absorb(&outcome.store);
-            for &id in &outcome.rows {
-                let gid = if id.index() < base_len {
-                    id
-                } else {
-                    mapping[id.index() - base_len]
-                };
-                out.push(gid);
-            }
-            self.stats.join_probes = self.stats.join_probes.saturating_add(outcome.join_probes);
-            self.stats.tuples_materialised = self
-                .stats
-                .tuples_materialised
-                .saturating_add(outcome.tuples_materialised);
-            self.ticks = self.ticks.saturating_add(outcome.ticks);
-            if let Some(trace) = self.trace.as_mut() {
-                let mut span = Span::new(format!("probe partition {i}"));
-                span.push_field("left_rows", outcome.probed);
-                span.push_field("join_probes", outcome.join_probes);
-                span.push_field("tuples_materialised", outcome.tuples_materialised);
-                span.wall_micros = outcome.wall_micros;
-                trace.push(span);
-            }
-        }
-        self.store = merged;
-        Ok(())
-    }
-
     /// Materialise one candidate pair: concatenate the (already flattened)
     /// sides, test the residual, apply the fused projection, intern.
     fn emit(
@@ -739,18 +510,22 @@ impl Ctx<'_> {
         project: &Option<Vec<usize>>,
         out: &mut RowSet,
     ) -> Result<(), AlgError> {
-        if let Some(tid) = emit_pair(
-            &mut self.store,
-            &self.consts,
-            left,
-            right,
-            residual,
-            project,
-        )? {
-            self.stats.tuples_materialised += 1;
-            self.tick()?;
-            out.push(tid);
+        let mut comps = Vec::with_capacity(left.len() + right.len());
+        comps.extend_from_slice(left);
+        comps.extend_from_slice(right);
+        if !residual.is_empty() && !self.passes(residual, &comps)? {
+            return Ok(());
         }
+        let tid = match project {
+            Some(coords) => {
+                let selected = select_coords(coords.iter().copied(), &comps)?;
+                self.store.intern_tuple(selected)
+            }
+            None => self.store.intern_tuple(comps),
+        };
+        self.stats.tuples_materialised += 1;
+        self.tick()?;
+        out.push(tid);
         Ok(())
     }
 
@@ -784,49 +559,6 @@ impl Ctx<'_> {
     fn passes(&self, conjuncts: &[SelFormula], comps: &[ValueId]) -> Result<bool, AlgError> {
         sel_passes(&self.store, &self.consts, conjuncts, comps)
     }
-}
-
-/// What one hash-probe worker hands back to the coordinator: its private
-/// arena, its emitted rows (worker-local ids, deduplicated first-seen within
-/// the partition), its counters, and its first error if it stopped early.
-struct JoinPartition {
-    store: ValueStore,
-    rows: Vec<ValueId>,
-    /// Probe-side rows this partition owned.
-    probed: u64,
-    join_probes: u64,
-    tuples_materialised: u64,
-    ticks: u64,
-    error: Option<AlgError>,
-    wall_micros: u64,
-}
-
-/// Materialise one candidate pair against an explicit interner: concatenate
-/// the flattened sides, test the residual, apply the fused projection, and
-/// intern — returning `None` when the residual rejects the pair.  Factored
-/// out of [`Ctx`] so hash-probe workers can emit into their private overlays.
-fn emit_pair(
-    store: &mut ValueStore,
-    consts: &HashMap<Atom, ValueId>,
-    left: &[ValueId],
-    right: &[ValueId],
-    residual: &[SelFormula],
-    project: &Option<Vec<usize>>,
-) -> Result<Option<ValueId>, AlgError> {
-    let mut comps = Vec::with_capacity(left.len() + right.len());
-    comps.extend_from_slice(left);
-    comps.extend_from_slice(right);
-    if !residual.is_empty() && !sel_passes(store, consts, residual, &comps)? {
-        return Ok(None);
-    }
-    let tid = match project {
-        Some(coords) => {
-            let selected = select_coords(coords.iter().copied(), &comps)?;
-            store.intern_tuple(selected)
-        }
-        None => store.intern_tuple(comps),
-    };
-    Ok(Some(tid))
 }
 
 fn sel_passes(
@@ -960,10 +692,15 @@ mod tests {
             .select(SelFormula::coords_eq(2, 3))
             .project(vec![1, 4]);
         let physical = plan(&expr, &schema()).unwrap();
+        let traced = ExecCtx {
+            traced: true,
+            ..ExecCtx::default()
+        };
         let (plain_answer, plain_stats) = physical.execute(&db(), &EvalConfig::default()).unwrap();
         let (answer, stats, trace) = physical
-            .execute_traced(&db(), &EvalConfig::default())
+            .execute_ctx(&db(), &EvalConfig::default(), &traced)
             .unwrap();
+        let trace = trace.expect("traced runs return a span");
         assert_eq!(answer, plain_answer);
         assert_eq!(stats, plain_stats);
         // One span per operator: the fused hash-join root over two scans.
@@ -983,7 +720,7 @@ mod tests {
         let wide = AlgExpr::pred("PERSON").product(AlgExpr::pred("PERSON"));
         let physical = plan(&wide, &schema()).unwrap();
         assert_eq!(
-            physical.execute_traced(&db(), &tiny).unwrap_err(),
+            physical.execute_ctx(&db(), &tiny, &traced).unwrap_err(),
             physical.execute(&db(), &tiny).unwrap_err()
         );
     }
@@ -1092,122 +829,6 @@ mod tests {
             let direct = expr.eval(&db(), &schema(), &EvalConfig::default()).unwrap();
             assert_eq!(answer, direct, "{expr}");
         }
-    }
-
-    #[test]
-    fn parallel_hash_probe_matches_the_sequential_run_exactly() {
-        // A join wide enough that every worker count below gets real chunks.
-        let pairs: Vec<(Atom, Atom)> = (0..40u32).map(|i| (Atom(i), Atom(i + 1))).collect();
-        let wide_db = Database::single("PAR", Instance::from_pairs(pairs))
-            .with("PERSON", Instance::from_atoms(vec![Atom(0)]));
-        let expr = AlgExpr::pred("PAR")
-            .product(AlgExpr::pred("PAR"))
-            .select(SelFormula::coords_eq(2, 3))
-            .project(vec![1, 4]);
-        let physical = plan(&expr, &schema()).unwrap();
-        let (seq_answer, seq_stats) = physical.execute(&wide_db, &EvalConfig::default()).unwrap();
-        for workers in [1, 2, 3, 8, 64] {
-            let (answer, stats) = physical
-                .execute_governed_parallel(
-                    &wide_db,
-                    &EvalConfig::default(),
-                    Interrupt::disarmed(),
-                    workers,
-                )
-                .unwrap();
-            assert_eq!(seq_answer, answer, "workers {workers}");
-            assert_eq!(seq_stats.join_probes, stats.join_probes);
-            assert_eq!(seq_stats.tuples_materialised, stats.tuples_materialised);
-            // Partition-order absorption deduplicates across workers, so the
-            // interner ends with exactly the sequential value set.
-            assert_eq!(seq_stats.interned_values, stats.interned_values);
-            // The probe side has 40 rows; `workers <= 1` stays sequential.
-            let expected = if workers == 1 {
-                0
-            } else {
-                workers.min(40) as u64
-            };
-            assert_eq!(stats.partitions, expected, "workers {workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_probe_preserves_budget_errors_and_trip_messages() {
-        use itq_object::CancelFlag;
-        let pairs: Vec<(Atom, Atom)> = (0..30u32).map(|i| (Atom(i), Atom(i + 1))).collect();
-        let wide_db = Database::single("PAR", Instance::from_pairs(pairs))
-            .with("PERSON", Instance::from_atoms(vec![Atom(0)]));
-        let expr = AlgExpr::pred("PAR")
-            .product(AlgExpr::pred("PAR"))
-            .select(SelFormula::coords_eq(2, 3));
-        let physical = plan(&expr, &schema()).unwrap();
-        // The Product budget fires before any partitioning, byte-identically.
-        let tiny = EvalConfig { max_instance: 100 };
-        let sequential = physical.execute(&wide_db, &tiny).unwrap_err();
-        let parallel = physical
-            .execute_governed_parallel(&wide_db, &tiny, Interrupt::disarmed(), 4)
-            .unwrap_err();
-        assert_eq!(sequential, parallel);
-        // A pre-raised cancel flag surfaces the canonical message from
-        // whichever worker polls first.
-        let flag = CancelFlag::new();
-        flag.cancel();
-        let cancelled = Interrupt::new().with_cancel(flag);
-        let err = physical
-            .execute_governed_parallel(&wide_db, &EvalConfig::default(), &cancelled, 4)
-            .unwrap_err();
-        assert_eq!(err.to_string(), "execution cancelled");
-    }
-
-    #[test]
-    fn parallel_traced_probe_reports_partition_children() {
-        let pairs: Vec<(Atom, Atom)> = (0..20u32).map(|i| (Atom(i), Atom(i + 1))).collect();
-        let wide_db = Database::single("PAR", Instance::from_pairs(pairs))
-            .with("PERSON", Instance::from_atoms(vec![Atom(0)]));
-        let expr = AlgExpr::pred("PAR")
-            .product(AlgExpr::pred("PAR"))
-            .select(SelFormula::coords_eq(2, 3))
-            .project(vec![1, 4]);
-        let physical = plan(&expr, &schema()).unwrap();
-        let (seq_answer, seq_stats) = physical.execute(&wide_db, &EvalConfig::default()).unwrap();
-        let (answer, stats, trace) = physical
-            .execute_traced_governed_parallel(
-                &wide_db,
-                &EvalConfig::default(),
-                Interrupt::disarmed(),
-                4,
-            )
-            .unwrap();
-        assert_eq!(seq_answer, answer);
-        assert_eq!(stats.partitions, 4);
-        assert_eq!(
-            PlanStats {
-                partitions: 0,
-                ..stats
-            },
-            seq_stats
-        );
-        assert!(trace.name.starts_with("hash-join"));
-        let partitions: Vec<_> = trace
-            .children
-            .iter()
-            .filter(|c| c.name.starts_with("probe partition"))
-            .collect();
-        assert_eq!(partitions.len(), 4);
-        assert_eq!(
-            partitions
-                .iter()
-                .map(|c| c.field("left_rows").unwrap())
-                .sum::<u64>(),
-            20
-        );
-        // The partition children own the probe counters; subtree totals still
-        // reproduce the PlanStats figures.
-        assert_eq!(trace.subtree_total("join_probes"), stats.join_probes);
-        assert_eq!(
-            trace.subtree_total("tuples_materialised"),
-            stats.tuples_materialised
-        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! E16 — in-query parallelism: speedup vs worker count.
 //!
 //! The `parallelism(n)` knob partitions the compiled backend's top-level
-//! quantifier domain and the planned executor's hash-join probe across a
-//! small worker pool; everything else — answers, error strings, the
-//! deterministic counters — is required byte-identical by
+//! candidate loop across a small worker pool; everything else — answers,
+//! error strings, the deterministic counters — is required byte-identical by
 //! `tests/parallel_equivalence.rs`.  This bench measures the only thing the
 //! knob is *allowed* to change: wall-clock time, on the grid shared with
 //! `report --parallel-json` (`itq_bench::parallel_scaling_workloads`).
@@ -16,20 +15,15 @@
 //! parallel code path without asserting a speedup it cannot see.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use itq_bench::{parallel_scaling_workloads, ParallelWorkload};
+use itq_bench::parallel_scaling_workloads;
 use itq_core::prelude::*;
 
 fn bench_parallel_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("E16/parallel-scaling");
     group.sample_size(10);
     let engine = Engine::builder().parallelism(1).build();
-    for (name, workload) in parallel_scaling_workloads() {
-        let (prepared, db) = match workload {
-            ParallelWorkload::Calculus(query, db) => (engine.prepare(&query).unwrap(), db),
-            ParallelWorkload::Algebra(expr, schema, db) => {
-                (engine.prepare_algebra(&expr, &schema).unwrap(), db)
-            }
-        };
+    for (name, query, db) in parallel_scaling_workloads() {
+        let prepared = engine.prepare(&query).unwrap();
         // The answers are identical by the parallel-equivalence contract;
         // assert it here too so a bench run can never record a lie.
         let baseline = prepared.execute(&db, Semantics::Limited).unwrap();

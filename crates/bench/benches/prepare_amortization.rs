@@ -1,13 +1,11 @@
 //! E12 — prepare-once/execute-many amortization: executing a cached
-//! [`Prepared`] handle N times versus N legacy `eval_calculus` calls (each of
+//! [`Prepared`] handle N times versus N prepare-plus-execute calls (each of
 //! which re-does the static work: typing, classification, normal forms) on
 //! the genealogy workload.
 //!
-//! The answers are identical by construction (the legacy path is a shim over
-//! the pipeline); the difference is purely the amortized static work, which
-//! is what this bench makes visible.
-
-#![allow(deprecated)] // the legacy arm of the comparison is the point
+//! The answers are identical by construction (both arms run the same
+//! pipeline); the difference is purely the amortized static work, which is
+//! what this bench makes visible.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use itq_core::prelude::*;
@@ -52,7 +50,13 @@ fn bench_prepare_amortization(c: &mut Criterion) {
                 b.iter(|| {
                     let mut total = 0usize;
                     for _ in 0..execs {
-                        total += engine.eval_calculus(&query, &db).unwrap().result.len();
+                        total += engine
+                            .prepare(&query)
+                            .unwrap()
+                            .execute(&db, Semantics::Limited)
+                            .unwrap()
+                            .result
+                            .len();
                     }
                     total
                 })

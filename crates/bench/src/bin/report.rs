@@ -696,21 +696,13 @@ fn emit_governor_overhead_json(target: &str) {
 /// byte-identical at every worker count before anything is recorded, and the
 /// speedups are serialized as a JSON array (`BENCH_parallel_scaling.json` in
 /// CI).  On a machine with ≥ 4 available cores the E16 acceptance bar is
-/// asserted too: at least two workloads must reach ≥ 2× at 4 workers (the
-/// calculus workloads are the designed exemplars; the probe-partitioned
-/// algebra workloads are expected to gain less).
+/// asserted too: both workloads must reach ≥ 2× at 4 workers.
 fn emit_parallel_json(target: &str) {
     const WORKERS: [usize; 3] = [1, 2, 4];
     let engine = Engine::builder().parallelism(1).build();
     let mut prepared_grid = Vec::new();
-    for (name, workload) in itq_bench::parallel_scaling_workloads() {
-        let (prepared, db) = match workload {
-            itq_bench::ParallelWorkload::Calculus(query, db) => (engine.prepare(&query), db),
-            itq_bench::ParallelWorkload::Algebra(expr, schema, db) => {
-                (engine.prepare_algebra(&expr, &schema), db)
-            }
-        };
-        match prepared {
+    for (name, query, db) in itq_bench::parallel_scaling_workloads() {
+        match engine.prepare(&query) {
             Ok(prepared) => prepared_grid.push((name, prepared, db)),
             Err(e) => {
                 eprintln!("error: prepare `{name}`: {e}");

@@ -67,63 +67,28 @@ pub fn algebra_exec_workloads() -> Vec<(&'static str, AlgExpr, Schema, Database)
     ]
 }
 
-/// One E16 workload: either a calculus query for the compiled backend (whose
-/// top-level quantifier domain is partitioned across the workers) or an
-/// algebra expression for the planned executor (whose hash-join probe is).
-pub enum ParallelWorkload {
-    /// Run through [`itq_core::engine::Engine::prepare`].
-    Calculus(Query, Database),
-    /// Run through [`itq_core::engine::Engine::prepare_algebra`].
-    Algebra(AlgExpr, Schema, Database),
-}
-
 /// The E16 workload grid: the report-grid queries scaled until a sequential
 /// execution takes long enough (hundreds of milliseconds) for the
 /// `parallelism(n)` partitioning to amortise its merge cost.  Shared between
 /// the `parallel_scaling` bench and `report --parallel-json`, so the recorded
 /// speedup trajectory describes exactly the workloads the bench tracks.
 ///
-/// The two calculus workloads are the designated ≥2×-at-4-threads exemplars:
-/// their cost is pure quantifier enumeration (2·|adom|⁶ evaluation steps on
-/// an n-atom chain) with answer-sized merges.  The algebra workloads track
-/// the partitioned probe, whose per-row work is a hash lookup — parallelism
-/// helps less there, which is exactly what the trajectory should show.
-pub fn parallel_scaling_workloads() -> Vec<(&'static str, ParallelWorkload)> {
+/// Both workloads run the compiled calculus backend, the only one that
+/// partitions: their cost is pure quantifier enumeration (2·|adom|⁶
+/// evaluation steps on an n-atom chain) with answer-sized merges.
+pub fn parallel_scaling_workloads() -> Vec<(&'static str, Query, Database)> {
     // 16 atoms → a 256-tuple [U, U] domain → ≈ 3.4e7 steps sequentially.
     let chain_db = queries::parent_database(&chain_edges(15));
-
-    let grandparent_join = AlgExpr::pred("PAR")
-        .product(AlgExpr::pred("PAR"))
-        .select(SelFormula::coords_eq(2, 3))
-        .project(vec![1, 4]);
-    let parent_schema = Schema::single("PAR", Type::flat_tuple(2));
-    // 2000 × 2000 keeps the unfiltered product inside the default algebra
-    // budget (the planned path checks |A|·|B| before joining).
-    let long_chain: Vec<(Atom, Atom)> = (0..2000).map(|i| (Atom(i), Atom(i + 1))).collect();
-    let long_chain_db = Database::single("PAR", Instance::from_pairs(long_chain));
-
-    let self_pairs = AlgExpr::pred("PERSON")
-        .product(AlgExpr::pred("PERSON"))
-        .select(SelFormula::coords_eq(1, 2));
-    let person_schema = Schema::single("PERSON", Type::Atomic);
-    let people_db = Database::single("PERSON", Instance::from_atoms((0..2000).map(Atom)));
-
     vec![
         (
             "parallel/grandparent-chain16",
-            ParallelWorkload::Calculus(queries::grandparent_query(), chain_db.clone()),
+            queries::grandparent_query(),
+            chain_db.clone(),
         ),
         (
             "parallel/sibling-chain16",
-            ParallelWorkload::Calculus(queries::sibling_query(), chain_db),
-        ),
-        (
-            "parallel/grandparent-join-2k",
-            ParallelWorkload::Algebra(grandparent_join, parent_schema, long_chain_db),
-        ),
-        (
-            "parallel/self-pairs-2k",
-            ParallelWorkload::Algebra(self_pairs, person_schema, people_db),
+            queries::sibling_query(),
+            chain_db,
         ),
     ]
 }

@@ -18,7 +18,7 @@
 //!   per-execution [`DomainCache`], so each `cons_X(T)` is materialised
 //!   exactly once per execution and shared by every enclosing iteration.
 //!
-//! The dynamic half, [`CompiledQuery::eval_with_extra`], mirrors the tree
+//! The dynamic half, [`Evaluable::eval_ctx`], mirrors the tree
 //! walker *bit for bit*: same enumeration (rank) order, same step counting,
 //! same short-circuit decisions, and same budget-error classification — the
 //! property suite pins `eval_compiled == evaluate` on answers, shared
@@ -33,7 +33,7 @@ use itq_object::cons::cons_cardinality;
 use itq_object::govern::POLL_MASK;
 use itq_object::pool::{partition_ranges, run_partitions};
 use itq_object::store::{DomainCache, DomainHandle, ValueId, ValueStore};
-use itq_object::{Atom, Database, Instance, Interrupt, PredName, Type, Value};
+use itq_object::{Atom, Database, ExecCtx, Instance, Interrupt, PredName, Type, Value};
 use itq_trace::Span;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
@@ -100,8 +100,8 @@ pub enum CFormula {
 /// invention semantics, by every invention level).
 ///
 /// Produced by [`compile`]; executed by [`CompiledQuery::eval_full`] /
-/// [`CompiledQuery::eval_with_extra`], which return the same
-/// [`Evaluation`] shape as the tree walker.
+/// [`Evaluable::eval_ctx`], which return the same [`Evaluation`] shape as
+/// the tree walker.
 ///
 /// ```
 /// use itq_calculus::compile::compile;
@@ -175,65 +175,36 @@ impl CompiledQuery {
 
     /// Evaluate under the limited interpretation (`Y = ∅`).
     pub fn eval_full(&self, db: &Database, config: &EvalConfig) -> Result<Evaluation, CalcError> {
-        Evaluable::eval_with_extra(self, db, &[], config)
+        Ok(self.eval_ctx(db, &[], config, &ExecCtx::default())?.0)
     }
 
-    /// [`Evaluable::eval_with_extra`] with quantifier-nest tracing: the
-    /// returned [`Span`] carries the whole-evaluation counters as fields and
-    /// one child span per environment slot recording how many values that
-    /// slot's quantifier nest drew (sibling quantifiers share a slot, so the
-    /// per-slot counts are per nesting depth), plus the domain-cache
-    /// activity.  The evaluation itself — answers, statistics, errors — is
-    /// byte-identical to the untraced path: the tracer is a monomorphized
-    /// type parameter whose untraced instantiation compiles to nothing.
-    pub fn eval_traced(
+    /// The atoms `Y ∪ adom(d) ∪ adom(Q)` every variable ranges over, and the
+    /// size of the candidate domain `cons_X(T)` once it passed its budget.
+    fn candidate_domain(
         &self,
         db: &Database,
         extra: &[Atom],
         config: &EvalConfig,
-    ) -> Result<(Evaluation, Span), CalcError> {
-        self.eval_traced_governed(db, extra, config, Interrupt::disarmed())
-    }
-
-    /// [`CompiledQuery::eval_traced`] under a resource governor (see
-    /// [`Evaluable::eval_governed`]); the trace remains byte-identical to the
-    /// ungoverned one whenever the interrupt never trips.
-    pub fn eval_traced_governed(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-    ) -> Result<(Evaluation, Span), CalcError> {
-        let start = Instant::now();
-        let (evaluation, tracer) = self.eval_inner(
-            db,
-            extra,
-            config,
-            interrupt,
-            SlotDraws {
-                draws: vec![0; self.slot_count],
-            },
-        )?;
-        let stats = &evaluation.stats;
-        let mut span = Span::new("compiled-eval");
-        span.push_field("candidates_checked", stats.candidates_checked);
-        span.push_field("quantifier_values", stats.quantifier_values);
-        span.push_field("steps", stats.steps);
-        span.push_field("max_domain_seen", stats.max_domain_seen);
-        span.push_field("domain_cache_hits", stats.domain_cache_hits);
-        span.push_field("domain_cache_misses", stats.domain_cache_misses);
-        span.push_field("interned_values", stats.interned_values);
-        for (slot, &draws) in tracer.draws.iter().enumerate().skip(1) {
-            let mut child = Span::new(format!("quantifier slot {slot}"));
-            child.push_field("draws", draws);
-            span.push_child(child);
+    ) -> Result<(Vec<Atom>, u64), CalcError> {
+        let mut atom_set = Evaluable::evaluation_domain(self, db);
+        atom_set.extend(extra.iter().copied());
+        let atoms: Vec<Atom> = atom_set.into_iter().collect();
+        let target_card = cons_cardinality(&self.target_type, atoms.len());
+        if !target_card.fits_within(config.max_candidates) {
+            return Err(CalcError::Budget {
+                what: format!(
+                    "candidate domain cons_X({}) of size {target_card}",
+                    self.target_type
+                ),
+                limit: config.max_candidates,
+            });
         }
-        span.wall_micros = start.elapsed().as_micros() as u64;
-        Ok((evaluation, span))
+        Ok((atoms, target_card.saturating_u64()))
     }
 
-    fn eval_inner<T: QuantTracer>(
+    /// The sequential evaluator, generic over its quantifier hook so the
+    /// untraced instantiation compiles the hook away.
+    fn eval_sequential<T: QuantTracer>(
         &self,
         db: &Database,
         extra: &[Atom],
@@ -246,20 +217,7 @@ impl CompiledQuery {
         // mirrored by the tree walker so both backends always poll at least
         // once per execution.
         interrupt.check(0)?;
-        let mut atom_set = Evaluable::evaluation_domain(self, db);
-        atom_set.extend(extra.iter().copied());
-        let atoms: Vec<Atom> = atom_set.into_iter().collect();
-
-        let target_card = cons_cardinality(&self.target_type, atoms.len());
-        if !target_card.fits_within(config.max_candidates) {
-            return Err(CalcError::Budget {
-                what: format!(
-                    "candidate domain cons_X({}) of size {target_card}",
-                    self.target_type
-                ),
-                limit: config.max_candidates,
-            });
-        }
+        let (atoms, total_candidates) = self.candidate_domain(db, extra, config)?;
 
         let mut exec = Exec {
             db,
@@ -286,7 +244,6 @@ impl CompiledQuery {
             exec.const_ids.push(id);
         }
 
-        let total_candidates = target_card.saturating_u64();
         let candidate_handle = exec.domain_handles[0];
         let mut satisfied: Vec<ValueId> = Vec::new();
         for rank in 0..total_candidates {
@@ -308,6 +265,7 @@ impl CompiledQuery {
             Evaluation {
                 result,
                 stats: exec.stats,
+                partitions: 0,
             },
             exec.tracer,
         ))
@@ -346,32 +304,25 @@ impl CompiledQuery {
     /// keep their meaning but not their exact values at `workers > 1`:
     /// per-worker overlays may duplicate inner-quantifier materialisation the
     /// sequential memo would have shared.
-    pub fn eval_governed_parallel(
+    ///
+    /// Traced, the span carries the merged counters plus one child per
+    /// partition (rank range, local counters, worker wall-clock) in place of
+    /// the sequential trace's per-slot children — under partitioning the
+    /// interesting breakdown is *where the work went*, not which nesting
+    /// depth drew it.
+    fn eval_partitioned(
         &self,
         db: &Database,
         extra: &[Atom],
         config: &EvalConfig,
-        interrupt: &Interrupt,
-        workers: usize,
-    ) -> Result<ParallelEvaluation, CalcError> {
+        ctx: &ExecCtx,
+    ) -> Result<(Evaluation, Option<Span>), CalcError> {
+        let start = Instant::now();
+        let interrupt = ctx.interrupt;
         // Entry poll, mirroring the sequential evaluator: a 0 ms deadline or
         // a pre-raised cancel flag trips before any work.
         interrupt.check(0)?;
-        let mut atom_set = Evaluable::evaluation_domain(self, db);
-        atom_set.extend(extra.iter().copied());
-        let atoms: Vec<Atom> = atom_set.into_iter().collect();
-
-        let target_card = cons_cardinality(&self.target_type, atoms.len());
-        if !target_card.fits_within(config.max_candidates) {
-            return Err(CalcError::Budget {
-                what: format!(
-                    "candidate domain cons_X({}) of size {target_card}",
-                    self.target_type
-                ),
-                limit: config.max_candidates,
-            });
-        }
-        let total = target_card.saturating_u64();
+        let (atoms, total) = self.candidate_domain(db, extra, config)?;
 
         // Coordinator phase: build the shared base — constants interned,
         // every candidate rank materialised — then freeze it for the workers.
@@ -402,7 +353,7 @@ impl CompiledQuery {
         let frozen_store = store.freeze();
         let frozen_domains = domains.freeze();
 
-        let ranges = partition_ranges(total as usize, workers.max(1));
+        let ranges = partition_ranges(total as usize, ctx.workers.max(1));
         let outcomes = run_partitions(ranges, |_, (start, end)| {
             let begun = Instant::now();
             let mut exec = Exec {
@@ -484,172 +435,98 @@ impl CompiledQuery {
         }
 
         let mut stats = base_stats;
-        let mut partitions = Vec::with_capacity(outcomes.len());
-        let mut values: Vec<Value> = Vec::new();
-        for outcome in outcomes {
+        for outcome in &outcomes {
             stats.merge(&outcome.stats);
-            values.extend(outcome.satisfied);
-            partitions.push(PartitionStats {
-                ranks: outcome.ranks,
-                stats: outcome.stats,
-                wall_micros: outcome.wall_micros,
-            });
         }
-        Ok(ParallelEvaluation {
-            evaluation: Evaluation {
-                result: Instance::from_values(values),
-                stats,
-            },
+        let partitions = outcomes.len() as u64;
+        let span = ctx.traced.then(|| {
+            let mut span = eval_span(&stats);
+            span.push_field("partitions", partitions);
+            for (i, outcome) in outcomes.iter().enumerate() {
+                let mut child = Span::new(format!("partition {i}"));
+                child.push_field("rank_start", outcome.ranks.0);
+                child.push_field("rank_end", outcome.ranks.1);
+                child.push_field("candidates_checked", outcome.stats.candidates_checked);
+                child.push_field("steps", outcome.stats.steps);
+                child.push_field("quantifier_values", outcome.stats.quantifier_values);
+                child.wall_micros = outcome.wall_micros;
+                span.push_child(child);
+            }
+            span.wall_micros = start.elapsed().as_micros() as u64;
+            span
+        });
+        let values = outcomes.into_iter().flat_map(|outcome| outcome.satisfied);
+        let evaluation = Evaluation {
+            result: Instance::from_values(values),
+            stats,
             partitions,
-        })
-    }
-
-    /// [`CompiledQuery::eval_governed_parallel`] with per-partition tracing:
-    /// the returned [`Span`] carries the merged whole-evaluation counters
-    /// plus one child span per partition (rank range, local counters, worker
-    /// wall-clock).  The partition children replace the sequential trace's
-    /// per-slot quantifier children — under partitioning the interesting
-    /// breakdown is *where the work went*, not which nesting depth drew it.
-    pub fn eval_traced_governed_parallel(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-        workers: usize,
-    ) -> Result<(Evaluation, Span), CalcError> {
-        let start = Instant::now();
-        let parallel = self.eval_governed_parallel(db, extra, config, interrupt, workers)?;
-        let stats = &parallel.evaluation.stats;
-        let mut span = Span::new("compiled-eval");
-        span.push_field("candidates_checked", stats.candidates_checked);
-        span.push_field("quantifier_values", stats.quantifier_values);
-        span.push_field("steps", stats.steps);
-        span.push_field("max_domain_seen", stats.max_domain_seen);
-        span.push_field("domain_cache_hits", stats.domain_cache_hits);
-        span.push_field("domain_cache_misses", stats.domain_cache_misses);
-        span.push_field("interned_values", stats.interned_values);
-        span.push_field("partitions", parallel.partitions.len() as u64);
-        for (i, partition) in parallel.partitions.iter().enumerate() {
-            let mut child = Span::new(format!("partition {i}"));
-            child.push_field("rank_start", partition.ranks.0);
-            child.push_field("rank_end", partition.ranks.1);
-            child.push_field("candidates_checked", partition.stats.candidates_checked);
-            child.push_field("steps", partition.stats.steps);
-            child.push_field("quantifier_values", partition.stats.quantifier_values);
-            child.wall_micros = partition.wall_micros;
-            span.push_child(child);
-        }
-        span.wall_micros = start.elapsed().as_micros() as u64;
-        Ok((parallel.evaluation, span))
+        };
+        Ok((evaluation, span))
     }
 }
 
-/// The per-partition slice of a partitioned evaluation: the candidate-rank
-/// range the partition owned, its local counters (steps and draws counted
-/// from zero), and its worker's wall-clock.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionStats {
-    /// Half-open candidate-rank range `[start, end)` this partition evaluated.
-    pub ranks: (u64, u64),
-    /// The partition's local counters.
-    pub stats: EvalStats,
-    /// Wall-clock this partition's worker spent, in microseconds.  Partitions
-    /// overlap in time, so these must **not** be summed into an execution
-    /// wall-clock — the slowest partition bounds the parallel span.
-    pub wall_micros: u64,
-}
-
-/// A partitioned evaluation: the merged [`Evaluation`] (byte-identical
-/// answers, deterministic shared counters) plus the per-partition breakdown
-/// used by stats and trace reporting.
-#[derive(Debug, Clone)]
-pub struct ParallelEvaluation {
-    /// The merged evaluation, shaped exactly like a sequential one.
-    pub evaluation: Evaluation,
-    /// Per-partition statistics, in partition (rank) order.
-    pub partitions: Vec<PartitionStats>,
+/// The root span of a compiled evaluation: the whole-evaluation counters.
+fn eval_span(stats: &EvalStats) -> Span {
+    let mut span = Span::new("compiled-eval");
+    span.push_field("candidates_checked", stats.candidates_checked);
+    span.push_field("quantifier_values", stats.quantifier_values);
+    span.push_field("steps", stats.steps);
+    span.push_field("max_domain_seen", stats.max_domain_seen);
+    span.push_field("domain_cache_hits", stats.domain_cache_hits);
+    span.push_field("domain_cache_misses", stats.domain_cache_misses);
+    span.push_field("interned_values", stats.interned_values);
+    span
 }
 
 /// What one worker hands back to the coordinator.
 struct PartitionOutcome {
+    /// Half-open candidate-rank range `[start, end)` this partition evaluated.
     ranks: (u64, u64),
     /// Satisfied candidates resolved to structural [`Value`]s by the worker —
     /// worker-local [`ValueId`]s are meaningless outside their overlay.
     satisfied: Vec<Value>,
+    /// The partition's local counters (steps and draws counted from zero).
     stats: EvalStats,
     error: Option<CalcError>,
+    /// Wall-clock this partition's worker spent.  Partitions overlap in
+    /// time, so these are never summed into an execution wall-clock.
     wall_micros: u64,
 }
 
-/// A [`CompiledQuery`] bound to a worker count, standing wherever an
-/// [`Evaluable`] backend is expected: the invention-semantics drivers take
-/// `&dyn Evaluable`, so wrapping the compiled query in `ParallelCompiled`
-/// parallelises every invention level's candidate loop without the drivers
-/// knowing about partitioning.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelCompiled<'a> {
-    compiled: &'a CompiledQuery,
-    workers: usize,
-}
-
-impl<'a> ParallelCompiled<'a> {
-    /// Bind `compiled` to a worker count (`workers <= 1` degenerates to an
-    /// inline single partition — the sequential ablation spawns no threads).
-    pub fn new(compiled: &'a CompiledQuery, workers: usize) -> ParallelCompiled<'a> {
-        ParallelCompiled { compiled, workers }
-    }
-}
-
-impl Evaluable for ParallelCompiled<'_> {
-    fn eval_with_extra(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-    ) -> Result<Evaluation, CalcError> {
-        self.compiled
-            .eval_governed_parallel(db, extra, config, Interrupt::disarmed(), self.workers)
-            .map(|parallel| parallel.evaluation)
-    }
-
-    fn eval_governed(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-    ) -> Result<Evaluation, CalcError> {
-        self.compiled
-            .eval_governed_parallel(db, extra, config, interrupt, self.workers)
-            .map(|parallel| parallel.evaluation)
-    }
-
-    fn evaluation_domain(&self, db: &Database) -> BTreeSet<Atom> {
-        Evaluable::evaluation_domain(self.compiled, db)
-    }
-}
-
+/// The compiled backend: `ctx.workers > 1` partitions the candidate loop
+/// (see [`CompiledQuery`]'s partitioned evaluator); sequentially, a traced
+/// run counts the values each quantifier slot drew.
 impl Evaluable for CompiledQuery {
-    fn eval_with_extra(
+    fn eval_ctx(
         &self,
         db: &Database,
         extra: &[Atom],
         config: &EvalConfig,
-    ) -> Result<Evaluation, CalcError> {
-        self.eval_inner(db, extra, config, Interrupt::disarmed(), NoTrace)
-            .map(|(evaluation, NoTrace)| evaluation)
-    }
-
-    fn eval_governed(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-    ) -> Result<Evaluation, CalcError> {
-        self.eval_inner(db, extra, config, interrupt, NoTrace)
-            .map(|(evaluation, NoTrace)| evaluation)
+        ctx: &ExecCtx,
+    ) -> Result<(Evaluation, Option<Span>), CalcError> {
+        if ctx.workers > 1 {
+            return self.eval_partitioned(db, extra, config, ctx);
+        }
+        if !ctx.traced {
+            let (evaluation, NoTrace) =
+                self.eval_sequential(db, extra, config, ctx.interrupt, NoTrace)?;
+            return Ok((evaluation, None));
+        }
+        let start = Instant::now();
+        let draws = SlotDraws {
+            draws: vec![0; self.slot_count],
+        };
+        let (evaluation, tracer) = self.eval_sequential(db, extra, config, ctx.interrupt, draws)?;
+        // One child per environment slot: sibling quantifiers share a slot,
+        // so the per-slot counts are per nesting depth.
+        let mut span = eval_span(&evaluation.stats);
+        for (slot, &draws) in tracer.draws.iter().enumerate().skip(1) {
+            let mut child = Span::new(format!("quantifier slot {slot}"));
+            child.push_field("draws", draws);
+            span.push_child(child);
+        }
+        span.wall_micros = start.elapsed().as_micros() as u64;
+        Ok((evaluation, Some(span)))
     }
 
     fn evaluation_domain(&self, db: &Database) -> BTreeSet<Atom> {
@@ -1277,6 +1154,15 @@ mod tests {
         assert_eq!(slow.stats.interned_values, 0);
     }
 
+    /// A disarmed context with `workers` workers, traced or not.
+    fn ctx(workers: usize, traced: bool) -> ExecCtx<'static> {
+        ExecCtx {
+            workers,
+            traced,
+            ..ExecCtx::default()
+        }
+    }
+
     #[test]
     fn traced_evaluation_is_identical_and_counts_per_slot_draws() {
         let mut u = Universe::new();
@@ -1285,10 +1171,10 @@ mod tests {
         let compiled = compile(&q).unwrap();
         let plain = compiled.eval_full(&db, &EvalConfig::default()).unwrap();
         let (traced, span) = compiled
-            .eval_traced(&db, &[], &EvalConfig::default())
+            .eval_ctx(&db, &[], &EvalConfig::default(), &ctx(1, true))
             .unwrap();
-        assert_eq!(plain.result, traced.result);
-        assert_eq!(plain.stats, traced.stats);
+        let span = span.expect("traced runs return a span");
+        assert_eq!(plain, traced);
         assert_eq!(span.name, "compiled-eval");
         assert_eq!(
             span.field("candidates_checked"),
@@ -1305,7 +1191,9 @@ mod tests {
             ..EvalConfig::default()
         };
         assert_eq!(
-            compiled.eval_traced(&db, &[], &starved).unwrap_err(),
+            compiled
+                .eval_ctx(&db, &[], &starved, &ctx(1, true))
+                .unwrap_err(),
             compiled.eval_full(&db, &starved).unwrap_err()
         );
     }
@@ -1318,21 +1206,24 @@ mod tests {
         let compiled = compile(&q).unwrap();
         for config in [EvalConfig::default(), EvalConfig::naive()] {
             let sequential = compiled.eval_full(&db, &config).unwrap();
-            for workers in [1, 2, 3, 8, 64] {
-                let parallel = compiled
-                    .eval_governed_parallel(&db, &[], &config, Interrupt::disarmed(), workers)
+            assert_eq!(sequential.partitions, 0);
+            for workers in [2, 3, 8, 64] {
+                let (parallel, span) = compiled
+                    .eval_ctx(&db, &[], &config, &ctx(workers, true))
                     .unwrap();
-                assert_eq!(sequential.result, parallel.evaluation.result);
-                let (s, p) = (&sequential.stats, &parallel.evaluation.stats);
+                assert_eq!(sequential.result, parallel.result);
+                let (s, p) = (&sequential.stats, &parallel.stats);
                 assert_eq!(s.steps, p.steps, "workers {workers}");
                 assert_eq!(s.quantifier_values, p.quantifier_values);
                 assert_eq!(s.candidates_checked, p.candidates_checked);
                 assert_eq!(s.max_domain_seen, p.max_domain_seen);
                 // Partition ranges tile the candidate space exactly once.
+                let span = span.expect("traced runs return a span");
+                assert_eq!(span.children.len() as u64, parallel.partitions);
                 let mut covered = 0;
-                for part in &parallel.partitions {
-                    assert_eq!(part.ranks.0, covered);
-                    covered = part.ranks.1;
+                for part in &span.children {
+                    assert_eq!(part.field("rank_start"), Some(covered));
+                    covered = part.field("rank_end").unwrap();
                 }
                 assert_eq!(covered, s.candidates_checked);
             }
@@ -1351,9 +1242,9 @@ mod tests {
             ..EvalConfig::default()
         };
         let sequential = compiled.eval_full(&db, &starved).unwrap_err();
-        for workers in [1, 2, 8] {
+        for workers in [2, 3, 8] {
             let parallel = compiled
-                .eval_governed_parallel(&db, &[], &starved, Interrupt::disarmed(), workers)
+                .eval_ctx(&db, &[], &starved, &ctx(workers, false))
                 .unwrap_err();
             assert_eq!(sequential, parallel, "workers {workers}");
             assert_eq!(sequential.to_string(), parallel.to_string());
@@ -1375,7 +1266,7 @@ mod tests {
         let sequential = compiled_big.eval_full(&db, &tiny).unwrap_err();
         for workers in [2, 8] {
             let parallel = compiled_big
-                .eval_governed_parallel(&db, &[], &tiny, Interrupt::disarmed(), workers)
+                .eval_ctx(&db, &[], &tiny, &ctx(workers, false))
                 .unwrap_err();
             assert_eq!(sequential, parallel);
         }
@@ -1390,15 +1281,20 @@ mod tests {
         let flag = CancelFlag::new();
         flag.cancel();
         let cancelled = Interrupt::new().with_cancel(flag);
-        let err = compiled
-            .eval_governed_parallel(&db, &[], &EvalConfig::default(), &cancelled, 4)
-            .unwrap_err();
-        assert_eq!(err.to_string(), "execution cancelled");
         let expired = Interrupt::new().with_deadline_millis(0);
-        let err = compiled
-            .eval_governed_parallel(&db, &[], &EvalConfig::default(), &expired, 4)
-            .unwrap_err();
-        assert_eq!(err.to_string(), "execution deadline of 0 ms exceeded");
+        for (interrupt, message) in [
+            (&cancelled, "execution cancelled"),
+            (&expired, "execution deadline of 0 ms exceeded"),
+        ] {
+            let governed = ExecCtx {
+                interrupt,
+                ..ctx(4, false)
+            };
+            let err = compiled
+                .eval_ctx(&db, &[], &EvalConfig::default(), &governed)
+                .unwrap_err();
+            assert_eq!(err.to_string(), message);
+        }
     }
 
     #[test]
@@ -1406,43 +1302,48 @@ mod tests {
         let mut u = Universe::new();
         let db = par_db(&mut u, &[("Tom", "Mary"), ("Mary", "Sue")]);
         let compiled = compile(&grandparent_query()).unwrap();
-        let (evaluation, span) = compiled
-            .eval_traced_governed_parallel(
-                &db,
-                &[],
-                &EvalConfig::default(),
-                Interrupt::disarmed(),
-                3,
-            )
-            .unwrap();
+        let config = EvalConfig::default();
+        let (evaluation, span) = compiled.eval_ctx(&db, &[], &config, &ctx(3, true)).unwrap();
+        let span = span.expect("traced runs return a span");
         assert_eq!(span.name, "compiled-eval");
         assert_eq!(span.field("partitions"), Some(3));
+        assert_eq!(evaluation.partitions, 3);
         assert_eq!(span.children.len(), 3);
         assert_eq!(
             span.subtree_total("candidates_checked"),
             2 * evaluation.stats.candidates_checked,
             "root field plus the partition children summing to the same total"
         );
-        let plain = compiled.eval_full(&db, &EvalConfig::default()).unwrap();
+        let plain = compiled.eval_full(&db, &config).unwrap();
         assert_eq!(plain.result, evaluation.result);
+        // Untraced, the same partitioned run reports the same evaluation.
+        let (untraced, none) = compiled
+            .eval_ctx(&db, &[], &config, &ctx(3, false))
+            .unwrap();
+        assert!(none.is_none());
+        assert_eq!(untraced.result, evaluation.result);
+        assert_eq!(untraced.partitions, 3);
     }
 
     #[test]
     fn parallel_compiled_is_a_drop_in_evaluable_backend() {
         let mut u = Universe::new();
         let db = par_db(&mut u, &[("Tom", "Mary"), ("Mary", "Sue")]);
-        let q = grandparent_query();
-        let compiled = compile(&q).unwrap();
-        let wrapper = ParallelCompiled::new(&compiled, 4);
-        let via_wrapper =
-            Evaluable::eval_with_extra(&wrapper, &db, &[], &EvalConfig::default()).unwrap();
+        let compiled = compile(&grandparent_query()).unwrap();
+        // The invention drivers see backends only through `&dyn Evaluable`;
+        // the worker count reaches the partitioned loop through the context.
+        let backend: &dyn Evaluable = &compiled;
+        let ctx = ExecCtx {
+            workers: 4,
+            ..ExecCtx::default()
+        };
+        let (partitioned, _) = backend
+            .eval_ctx(&db, &[], &EvalConfig::default(), &ctx)
+            .unwrap();
         let sequential = compiled.eval_full(&db, &EvalConfig::default()).unwrap();
-        assert_eq!(via_wrapper.result, sequential.result);
-        assert_eq!(via_wrapper.stats.steps, sequential.stats.steps);
-        assert_eq!(
-            Evaluable::evaluation_domain(&wrapper, &db),
-            Evaluable::evaluation_domain(&compiled, &db)
-        );
+        assert_eq!(partitioned.result, sequential.result);
+        assert_eq!(partitioned.stats.steps, sequential.stats.steps);
+        assert_eq!(partitioned.partitions, 4);
     }
 
     #[test]
@@ -1458,13 +1359,14 @@ mod tests {
         let compiled = compile(&q).unwrap();
         let plain = compiled.eval_full(&db, &EvalConfig::default()).unwrap();
         assert_eq!(plain.result.len(), 1);
-        let extended = Evaluable::eval_with_extra(
-            &compiled,
-            &db,
-            &[Atom(100), Atom(101)],
-            &EvalConfig::default(),
-        )
-        .unwrap();
+        let (extended, _) = compiled
+            .eval_ctx(
+                &db,
+                &[Atom(100), Atom(101)],
+                &EvalConfig::default(),
+                &ExecCtx::default(),
+            )
+            .unwrap();
         assert_eq!(extended.result.len(), 3);
         // The evaluation domain itself matches the source query's.
         assert_eq!(

@@ -16,7 +16,8 @@ use crate::query::Query;
 use crate::term::{Term, Var};
 use itq_object::cons::{cons_cardinality, ConsIter};
 use itq_object::govern::POLL_MASK;
-use itq_object::{Atom, Database, Instance, Interrupt, Value};
+use itq_object::{Atom, Database, ExecCtx, Instance, Interrupt, Value};
+use itq_trace::Span;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -133,6 +134,9 @@ pub struct Evaluation {
     pub result: Instance,
     /// Evaluation statistics.
     pub stats: EvalStats,
+    /// Number of candidate-rank partitions the evaluation split its top-level
+    /// loop into (0 when it ran sequentially).
+    pub partitions: u64,
 }
 
 /// A value assignment ρ from variables to objects.
@@ -348,60 +352,7 @@ pub fn evaluate_with_extra(
     extra: &[Atom],
     config: &EvalConfig,
 ) -> Result<Evaluation, CalcError> {
-    evaluate_governed(query, db, extra, config, Interrupt::disarmed())
-}
-
-/// [`evaluate_with_extra`] under a resource governor: the evaluator polls
-/// `interrupt` once on entry and then every [`POLL_MASK`]+1 formula-node
-/// evaluations, surfacing deadline expiry, cancellation, and injected faults
-/// as [`CalcError::Resource`].
-pub fn evaluate_governed(
-    query: &Query,
-    db: &Database,
-    extra: &[Atom],
-    config: &EvalConfig,
-    interrupt: &Interrupt,
-) -> Result<Evaluation, CalcError> {
-    // Poll once before any work so a deadline of 0 ms (or a pre-set cancel
-    // flag) trips even on queries whose evaluation would finish instantly.
-    interrupt.check(0)?;
-    let mut atom_set = query.evaluation_domain(db);
-    atom_set.extend(extra.iter().copied());
-    let atoms: Vec<Atom> = atom_set.into_iter().collect();
-
-    let target_card = cons_cardinality(query.target_type(), atoms.len());
-    if !target_card.fits_within(config.max_candidates) {
-        return Err(CalcError::Budget {
-            what: format!(
-                "candidate domain cons_X({}) of size {target_card}",
-                query.target_type()
-            ),
-            limit: config.max_candidates,
-        });
-    }
-
-    let mut evaluator = Evaluator {
-        db,
-        atoms: atoms.clone(),
-        config,
-        stats: EvalStats::default(),
-        interrupt,
-    };
-
-    let mut result = Instance::empty();
-    for candidate in ConsIter::new(query.target_type(), &atoms) {
-        evaluator.stats.candidates_checked += 1;
-        let mut rho: Assignment = BTreeMap::new();
-        rho.insert(query.target().to_string(), candidate.clone());
-        if evaluator.satisfies(query.body(), &mut rho)? {
-            result.insert(candidate);
-        }
-    }
-
-    Ok(Evaluation {
-        result,
-        stats: evaluator.stats,
-    })
+    Ok(query.eval_ctx(db, extra, config, &ExecCtx::default())?.0)
 }
 
 /// A query form that can be evaluated under the generalised `Q|^Y` semantics.
@@ -416,52 +367,88 @@ pub trait Evaluable {
     /// Evaluate `Q|^Y` where `Y` is given by `extra`: every variable
     /// (including the target) ranges over objects constructed from
     /// `Y ∪ adom(d) ∪ adom(Q)`.
-    fn eval_with_extra(
+    ///
+    /// The backend polls `ctx.interrupt` once on entry and then every
+    /// [`POLL_MASK`]+1 formula-node evaluations, surfacing deadline expiry,
+    /// cancellation, and injected faults as [`CalcError::Resource`]; it
+    /// partitions its candidate loop across `ctx.workers` when it can; and
+    /// when `ctx.traced` it returns a [`Span`] describing the evaluation.
+    /// Answers, statistics, and errors never depend on `ctx.traced`.
+    fn eval_ctx(
         &self,
         db: &Database,
         extra: &[Atom],
         config: &EvalConfig,
-    ) -> Result<Evaluation, CalcError>;
-
-    /// [`Evaluable::eval_with_extra`] under a resource governor: the backend
-    /// polls `interrupt` once on entry and then at quantifier-iteration
-    /// granularity.  The default implementation polls only on entry and
-    /// otherwise runs ungoverned; both built-in backends override it with
-    /// full-granularity polling.
-    fn eval_governed(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-    ) -> Result<Evaluation, CalcError> {
-        interrupt.check(0)?;
-        self.eval_with_extra(db, extra, config)
-    }
+        ctx: &ExecCtx,
+    ) -> Result<(Evaluation, Option<Span>), CalcError>;
 
     /// The atoms over which evaluation of this query on `db` ranges:
     /// `adom(d) ∪ adom(Q)`.
     fn evaluation_domain(&self, db: &Database) -> BTreeSet<Atom>;
 }
 
+/// The tree walker: sequential at any `ctx.workers`, and traced as one
+/// whole-evaluation span (it has no per-slot hooks).
 impl Evaluable for Query {
-    fn eval_with_extra(
+    fn eval_ctx(
         &self,
         db: &Database,
         extra: &[Atom],
         config: &EvalConfig,
-    ) -> Result<Evaluation, CalcError> {
-        evaluate_with_extra(self, db, extra, config)
-    }
+        ctx: &ExecCtx,
+    ) -> Result<(Evaluation, Option<Span>), CalcError> {
+        // Poll once before any work so a deadline of 0 ms (or a pre-set
+        // cancel flag) trips even on queries whose evaluation would finish
+        // instantly.
+        ctx.interrupt.check(0)?;
+        let mut atom_set = self.evaluation_domain(db);
+        atom_set.extend(extra.iter().copied());
+        let atoms: Vec<Atom> = atom_set.into_iter().collect();
 
-    fn eval_governed(
-        &self,
-        db: &Database,
-        extra: &[Atom],
-        config: &EvalConfig,
-        interrupt: &Interrupt,
-    ) -> Result<Evaluation, CalcError> {
-        evaluate_governed(self, db, extra, config, interrupt)
+        let target_card = cons_cardinality(self.target_type(), atoms.len());
+        if !target_card.fits_within(config.max_candidates) {
+            return Err(CalcError::Budget {
+                what: format!(
+                    "candidate domain cons_X({}) of size {target_card}",
+                    self.target_type()
+                ),
+                limit: config.max_candidates,
+            });
+        }
+
+        let mut evaluator = Evaluator {
+            db,
+            atoms: atoms.clone(),
+            config,
+            stats: EvalStats::default(),
+            interrupt: ctx.interrupt,
+        };
+
+        let mut result = Instance::empty();
+        for candidate in ConsIter::new(self.target_type(), &atoms) {
+            evaluator.stats.candidates_checked += 1;
+            let mut rho: Assignment = BTreeMap::new();
+            rho.insert(self.target().to_string(), candidate.clone());
+            if evaluator.satisfies(self.body(), &mut rho)? {
+                result.insert(candidate);
+            }
+        }
+
+        let stats = evaluator.stats;
+        let span = ctx.traced.then(|| {
+            let mut root = Span::new("tree-walk");
+            root.push_field("rows_out", result.len() as u64);
+            root.push_field("steps", stats.steps);
+            root.push_field("quantifier_values", stats.quantifier_values);
+            root.push_field("candidates_checked", stats.candidates_checked);
+            root
+        });
+        let evaluation = Evaluation {
+            result,
+            stats,
+            partitions: 0,
+        };
+        Ok((evaluation, span))
     }
 
     fn evaluation_domain(&self, db: &Database) -> BTreeSet<Atom> {

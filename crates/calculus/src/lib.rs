@@ -71,7 +71,7 @@ pub mod term;
 pub mod typing;
 
 pub use classify::{CalcClass, QueryClassification};
-pub use compile::{compile, CompiledQuery, ParallelCompiled, ParallelEvaluation, PartitionStats};
+pub use compile::{compile, CompiledQuery};
 pub use error::CalcError;
 pub use eval::{EvalConfig, EvalStats, Evaluable, Evaluation};
 pub use formula::Formula;

@@ -2,15 +2,10 @@
 //! the paper considers, with uniform configuration and error reporting.
 
 use itq_algebra::{AlgError, AlgExpr, EvalConfig as AlgConfig};
-use itq_calculus::eval::{EvalConfig, Evaluation};
+use itq_calculus::eval::EvalConfig;
 use itq_calculus::{CalcError, Query, QueryClassification};
-use itq_invention::{
-    finite_invention, terminal_invention, FiniteInventionReport, InventionConfig, InventionError,
-    TerminalOutcome,
-};
-use itq_object::{
-    CancelFlag, Database, Instance, Interrupt, ResourceError, Schema, TripKind, Universe,
-};
+use itq_invention::{InventionConfig, InventionError};
+use itq_object::{CancelFlag, Interrupt, ResourceError, Schema, TripKind, Universe};
 use std::fmt;
 
 /// Which semantics to evaluate a calculus query under.
@@ -207,20 +202,6 @@ impl GovernorConfig {
     }
 }
 
-/// The result of evaluating a query under an invention-aware semantics.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified `QueryOutcome` returned by `Prepared::execute` instead"
-)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SemanticAnswer {
-    /// The answer instance.
-    pub result: Instance,
-    /// True if the semantics was only decided up to its bound (finite invention)
-    /// or came back undefined within the bound (terminal invention).
-    pub bounded_approximation: bool,
-}
-
 /// The evaluation facade.
 ///
 /// An `Engine` is an immutable bundle of evaluation configuration (budgets,
@@ -252,10 +233,9 @@ pub struct Engine {
     /// fault injection); disarmed by default.
     pub(crate) governor: GovernorConfig,
     /// Worker count for in-query parallelism: the compiled evaluator's
-    /// candidate loop and the planner's hash-join probes partition across
-    /// this many scoped threads.  `1` (the default) is the sequential
-    /// ablation; the `ITQ_PARALLELISM` environment variable overrides the
-    /// default at engine construction.
+    /// candidate loop partitions across this many scoped threads.  `1` (the
+    /// default) is the sequential ablation; the `ITQ_PARALLELISM` environment
+    /// variable overrides the default at engine construction.
     pub(crate) parallelism: usize,
     pub(crate) universe: Universe,
 }
@@ -345,18 +325,6 @@ impl Engine {
         &mut self.governor
     }
 
-    /// An engine with custom calculus budgets.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Engine::builder().calc_config(..).build()` instead"
-    )]
-    pub fn with_calc_config(calc_config: EvalConfig) -> Engine {
-        Engine {
-            calc_config,
-            ..Engine::new()
-        }
-    }
-
     /// Access the engine's universe (used to intern workload atoms by name).
     pub fn universe_mut(&mut self) -> &mut Universe {
         &mut self.universe
@@ -378,139 +346,45 @@ impl Engine {
     pub fn classify(&self, query: &Query) -> QueryClassification {
         query.classification()
     }
-
-    /// Evaluate a calculus query under the limited interpretation.
-    ///
-    /// Legacy shim: prepares the query and executes it once, re-doing the
-    /// static work on every call.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `engine.prepare(query)?.execute(db, Semantics::Limited)` and reuse the handle"
-    )]
-    pub fn eval_calculus(&self, query: &Query, db: &Database) -> Result<Evaluation, EngineError> {
-        let outcome = self.prepare(query)?.execute(db, Semantics::Limited)?;
-        Ok(Evaluation {
-            result: outcome.result,
-            stats: outcome.stats.eval_stats(),
-        })
-    }
-
-    /// Evaluate an algebra expression.
-    ///
-    /// Legacy shim: compiles and prepares the expression on every call.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `engine.prepare_algebra(expr, schema)?.execute(db, Semantics::Limited)` and \
-                reuse the handle"
-    )]
-    pub fn eval_algebra(
-        &self,
-        expr: &AlgExpr,
-        schema: &Schema,
-        db: &Database,
-    ) -> Result<Instance, EngineError> {
-        let outcome = self
-            .prepare_algebra(expr, schema)?
-            .execute(db, Semantics::Limited)?;
-        Ok(outcome.result)
-    }
-
-    /// Evaluate a calculus query under finite invention, returning the full
-    /// per-level report.
-    ///
-    /// Invention draws its scratch atoms from a clone of the engine's universe,
-    /// so this takes `&self` (the engine is never mutated by evaluation).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `engine.prepare(query)?.execute(db, Semantics::FiniteInvention)`; the \
-                per-level trace is in `itq_invention::finite_invention` if needed"
-    )]
-    pub fn eval_finite_invention(
-        &self,
-        query: &Query,
-        db: &Database,
-    ) -> Result<FiniteInventionReport, EngineError> {
-        let mut scratch = self.universe.clone();
-        Ok(finite_invention(
-            query,
-            db,
-            &mut scratch,
-            &self.invention_config,
-        )?)
-    }
-
-    /// Evaluate a calculus query under terminal invention.
-    ///
-    /// Invention draws its scratch atoms from a clone of the engine's universe,
-    /// so this takes `&self` (the engine is never mutated by evaluation).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `engine.prepare(query)?.execute(db, Semantics::TerminalInvention)`"
-    )]
-    pub fn eval_terminal_invention(
-        &self,
-        query: &Query,
-        db: &Database,
-    ) -> Result<TerminalOutcome, EngineError> {
-        let mut scratch = self.universe.clone();
-        Ok(terminal_invention(
-            query,
-            db,
-            &mut scratch,
-            &self.invention_config,
-        )?)
-    }
-
-    /// Evaluate a query under the chosen [`Semantics`], reducing every outcome to
-    /// a [`SemanticAnswer`].
-    ///
-    /// Legacy shim over the prepared-query pipeline; note it now takes `&self`
-    /// for every semantics (invention scratch atoms come from an interior
-    /// clone of the universe, never from mutating the engine).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `engine.prepare(query)?.execute(db, semantics)` and reuse the handle"
-    )]
-    #[allow(deprecated)] // constructs the deprecated legacy result shape
-    pub fn eval_with_semantics(
-        &self,
-        query: &Query,
-        db: &Database,
-        semantics: Semantics,
-    ) -> Result<SemanticAnswer, EngineError> {
-        let outcome = self.prepare(query)?.execute(db, semantics)?;
-        Ok(SemanticAnswer {
-            result: outcome.result,
-            bounded_approximation: outcome.bounded_approximation,
-        })
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shims stay covered until they are removed
 mod tests {
     use super::*;
+    use crate::pipeline::QueryOutcome;
     use crate::queries::{grandparent_query, parent_database, parent_schema};
     use itq_algebra::SelFormula;
     use itq_calculus::{CalcClass, Formula, Term};
-    use itq_object::{Atom, Type};
+    use itq_invention::{terminal_invention, TerminalOutcome};
+    use itq_object::{Atom, Database, Type};
 
     fn db() -> Database {
         parent_database(&[(Atom(0), Atom(1)), (Atom(1), Atom(2))])
     }
 
+    /// Prepare and execute once.
+    fn run(engine: &Engine, query: &Query, semantics: Semantics) -> QueryOutcome {
+        engine
+            .prepare(query)
+            .unwrap()
+            .execute(&db(), semantics)
+            .unwrap()
+    }
+
     #[test]
     fn calculus_and_algebra_agree_through_the_engine() {
         let engine = Engine::new();
-        let calc = engine.eval_calculus(&grandparent_query(), &db()).unwrap();
+        let calc = run(&engine, &grandparent_query(), Semantics::Limited);
         let alg_expr = AlgExpr::pred("PAR")
             .product(AlgExpr::pred("PAR"))
             .select(SelFormula::coords_eq(2, 3))
             .project(vec![1, 4]);
         let alg = engine
-            .eval_algebra(&alg_expr, &parent_schema(), &db())
+            .prepare_algebra(&alg_expr, &parent_schema())
+            .unwrap()
+            .execute(&db(), Semantics::Limited)
             .unwrap();
-        assert_eq!(calc.result, alg);
+        assert_eq!(calc.result, alg.result);
         assert_eq!(
             engine.classify(&grandparent_query()).minimal_class,
             CalcClass::relational()
@@ -546,14 +420,10 @@ mod tests {
         )
         .unwrap();
         let engine = Engine::new();
-        let limited = engine
-            .eval_with_semantics(&q, &db(), Semantics::Limited)
-            .unwrap();
+        let limited = run(&engine, &q, Semantics::Limited);
         assert!(limited.result.is_empty());
         assert!(!limited.bounded_approximation);
-        let invented = engine
-            .eval_with_semantics(&q, &db(), Semantics::FiniteInvention)
-            .unwrap();
+        let invented = run(&engine, &q, Semantics::FiniteInvention);
         assert_eq!(invented.result.len(), 2);
     }
 
@@ -567,13 +437,12 @@ mod tests {
         )
         .unwrap();
         let engine = Engine::new();
-        let outcome = engine
-            .eval_with_semantics(&q, &db(), Semantics::TerminalInvention)
-            .unwrap();
+        let outcome = run(&engine, &q, Semantics::TerminalInvention);
         assert!(outcome.bounded_approximation);
         assert!(outcome.result.is_empty());
-        // And the raw API exposes the undefined outcome directly.
-        match engine.eval_terminal_invention(&q, &db()).unwrap() {
+        // And the invention driver exposes the undefined outcome directly.
+        let mut scratch = engine.universe().clone();
+        match terminal_invention(&q, &db(), &mut scratch, engine.invention_config()).unwrap() {
             TerminalOutcome::UndefinedWithinBound { tried } => assert!(tried > 0),
             other => panic!("unexpected outcome {other:?}"),
         }
@@ -620,9 +489,13 @@ mod tests {
             .select(SelFormula::coords_eq(2, 3))
             .project(vec![1, 4]);
         let compiled = engine.compile_algebra(&expr, &parent_schema()).unwrap();
-        let direct = engine.eval_calculus(&compiled, &db()).unwrap();
-        let alg = engine.eval_algebra(&expr, &parent_schema(), &db()).unwrap();
-        assert_eq!(direct.result, alg);
+        let direct = run(&engine, &compiled, Semantics::Limited);
+        let alg = engine
+            .prepare_algebra(&expr, &parent_schema())
+            .unwrap()
+            .execute(&db(), Semantics::Limited)
+            .unwrap();
+        assert_eq!(direct.result, alg.result);
         // The read-only universe accessor observes interned atoms.
         let mut engine = Engine::new();
         engine.universe_mut().atom("Tom");

@@ -72,8 +72,8 @@ pub mod prelude {
     pub use itq_calculus::{CalcClass, CompiledQuery, EvalConfig, Evaluable, Formula, Query, Term};
     pub use itq_invention::{InventionConfig, TerminalOutcome, UniversalCodec};
     pub use itq_object::{
-        Atom, CancelFlag, Database, Instance, Interrupt, ResourceError, Schema, TripKind, Type,
-        Universe, Value,
+        Atom, CancelFlag, Database, ExecCtx, Instance, Interrupt, ResourceError, Schema, TripKind,
+        Type, Universe, Value,
     };
     pub use itq_relational::Relation;
 }

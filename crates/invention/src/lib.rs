@@ -28,12 +28,9 @@ pub mod universal;
 
 pub use error::InventionError;
 pub use semantics::{
-    bounded_invention, eval_with_invented, eval_with_invented_governed, finite_invention,
-    finite_invention_governed_traced, finite_invention_governed_with_stats,
-    finite_invention_traced, finite_invention_with_stats, terminal_invention,
-    terminal_invention_governed_traced, terminal_invention_governed_with_stats,
-    terminal_invention_traced, terminal_invention_with_stats, FiniteInventionReport,
-    InventionConfig, TerminalOutcome,
+    bounded_invention, eval_with_invented, finite_invention, finite_invention_ctx,
+    terminal_invention, terminal_invention_ctx, FiniteInventionReport, InventionConfig,
+    TerminalOutcome,
 };
 pub use universal::{EncodedObject, UniversalCodec};
 

@@ -20,7 +20,7 @@
 
 use crate::error::InventionError;
 use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable, Evaluation};
-use itq_object::{Atom, Database, Instance, Interrupt, Universe, Value};
+use itq_object::{Atom, Database, ExecCtx, Instance, Universe, Value};
 use itq_trace::Span;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -30,6 +30,7 @@ use std::time::Instant;
 trait LevelHook {
     const ENABLED: bool;
     fn level(&mut self, n: usize, restricted: &Instance, unrestricted: &Evaluation, micros: u64);
+    fn into_spans(self) -> Option<Vec<Span>>;
 }
 
 /// The untraced instantiation.
@@ -39,6 +40,9 @@ impl LevelHook for NoHook {
     const ENABLED: bool = false;
     #[inline(always)]
     fn level(&mut self, _n: usize, _r: &Instance, _u: &Evaluation, _micros: u64) {}
+    fn into_spans(self) -> Option<Vec<Span>> {
+        None
+    }
 }
 
 /// The traced instantiation: one span per `Q|_n[d]` level.
@@ -59,6 +63,10 @@ impl LevelHook for SpanHook {
         span.push_field("candidates_checked", unrestricted.stats.candidates_checked);
         span.wall_micros = micros;
         self.spans.push(span);
+    }
+
+    fn into_spans(self) -> Option<Vec<Span>> {
+        Some(self.spans)
     }
 }
 
@@ -99,19 +107,19 @@ pub fn eval_with_invented<Q: Evaluable + ?Sized>(
     n: usize,
     config: &EvalConfig,
 ) -> Result<(Instance, Evaluation), InventionError> {
-    eval_with_invented_governed(query, db, universe, n, config, Interrupt::disarmed())
+    invent_level(query, db, universe, n, config, &ExecCtx::default())
 }
 
-/// [`eval_with_invented`] under a resource governor: the underlying calculus
-/// evaluation polls `interrupt` at its usual step granularity, so a deadline or
-/// cancellation fires mid-level rather than only between levels.
-pub fn eval_with_invented_governed<Q: Evaluable + ?Sized>(
+/// [`eval_with_invented`] under an execution context, which the level's
+/// evaluation polls and partitions by.  The evaluation itself is never
+/// traced: the drivers record one span per level from its statistics.
+fn invent_level<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
     universe: &mut Universe,
     n: usize,
     config: &EvalConfig,
-    interrupt: &Interrupt,
+    ctx: &ExecCtx,
 ) -> Result<(Instance, Evaluation), InventionError> {
     let original_domain: BTreeSet<Atom> = query.evaluation_domain(db);
     // Draw atoms from the universe until we have `n` that are genuinely outside
@@ -124,7 +132,11 @@ pub fn eval_with_invented_governed<Q: Evaluable + ?Sized>(
             invented.push(candidate);
         }
     }
-    let evaluation = query.eval_governed(db, &invented, config, interrupt)?;
+    let untraced = ExecCtx {
+        traced: false,
+        ..*ctx
+    };
+    let (evaluation, _) = query.eval_ctx(db, &invented, config, &untraced)?;
     let restricted = Instance::from_values(
         evaluation
             .result
@@ -175,137 +187,95 @@ pub fn finite_invention<Q: Evaluable + ?Sized>(
     universe: &mut Universe,
     config: &InventionConfig,
 ) -> Result<FiniteInventionReport, InventionError> {
-    Ok(finite_invention_with_stats(query, db, universe, config)?.0)
+    Ok(finite_invention_ctx(query, db, universe, config, &ExecCtx::default(), false)?.0)
 }
 
-/// [`finite_invention`] plus the aggregated [`EvalStats`] of every per-level
-/// evaluation — the variant the prepared-query pipeline uses to fill its
-/// execution-statistics block.
+/// [`finite_invention`] under an execution context, plus the aggregated
+/// [`EvalStats`] of every per-level evaluation and, when `ctx.traced`, one
+/// [`Span`] per `Q|_n[d]` level carrying the level's answer sizes and
+/// evaluation counters.  The report and statistics never depend on
+/// `ctx.traced`.
+///
+/// Every per-level evaluation polls `ctx.interrupt` and partitions across
+/// `ctx.workers`.  When `degrade` is `true` and a resource limit trips after
+/// at least the level-0 evaluation started, the error is converted into a
+/// partial report with [`FiniteInventionReport::interrupted_at`] set — the
+/// union of the completed levels, which is a sound under-approximation of the
+/// bounded answer.  When `degrade` is `false` the resource error propagates
+/// unchanged.
 ///
 /// ```
 /// use itq_calculus::{Formula, Query};
-/// use itq_invention::{finite_invention_with_stats, InventionConfig};
-/// use itq_object::{Atom, Database, Instance, Schema, Type, Universe};
+/// use itq_invention::{finite_invention_ctx, InventionConfig};
+/// use itq_object::{Atom, Database, ExecCtx, Instance, Schema, Type, Universe};
 ///
 /// let q = Query::new("t", Type::Atomic, Formula::pred("R", itq_calculus::Term::var("t")),
 ///                    Schema::single("R", Type::Atomic)).unwrap();
 /// let db = Database::single("R", Instance::from_atoms(vec![Atom(0)]));
 /// let mut universe = Universe::new();
-/// let (report, stats) =
-///     finite_invention_with_stats(&q, &db, &mut universe, &InventionConfig::default()).unwrap();
+/// let ctx = ExecCtx { traced: true, ..ExecCtx::default() };
+/// let (report, stats, levels) =
+///     finite_invention_ctx(&q, &db, &mut universe, &InventionConfig::default(), &ctx, false)
+///         .unwrap();
 /// assert_eq!(report.union.len(), 1);
 /// assert!(stats.steps > 0, "one evaluation per invention level was counted");
+/// assert_eq!(levels.unwrap().len(), report.levels());
 /// ```
-pub fn finite_invention_with_stats<Q: Evaluable + ?Sized>(
+pub fn finite_invention_ctx<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
     universe: &mut Universe,
     config: &InventionConfig,
-) -> Result<(FiniteInventionReport, EvalStats), InventionError> {
-    finite_invention_inner(
-        query,
-        db,
-        universe,
-        config,
-        Interrupt::disarmed(),
-        false,
-        &mut NoHook,
-    )
-}
-
-/// [`finite_invention_with_stats`] under a resource governor.
-///
-/// Every per-level evaluation polls `interrupt`.  When `degrade` is `true` and
-/// a resource limit trips after at least the level-0 evaluation started, the
-/// error is converted into a partial report with
-/// [`FiniteInventionReport::interrupted_at`] set — the union of the completed
-/// levels, which is a sound under-approximation of the bounded answer.  When
-/// `degrade` is `false` the resource error propagates unchanged.
-pub fn finite_invention_governed_with_stats<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-    interrupt: &Interrupt,
+    ctx: &ExecCtx,
     degrade: bool,
-) -> Result<(FiniteInventionReport, EvalStats), InventionError> {
-    finite_invention_inner(query, db, universe, config, interrupt, degrade, &mut NoHook)
+) -> Result<(FiniteInventionReport, EvalStats, Option<Vec<Span>>), InventionError> {
+    if ctx.traced {
+        finite_invention_inner(
+            query,
+            db,
+            universe,
+            config,
+            ctx,
+            degrade,
+            SpanHook::default(),
+        )
+    } else {
+        finite_invention_inner(query, db, universe, config, ctx, degrade, NoHook)
+    }
 }
 
-/// [`finite_invention_traced`] under a resource governor; see
-/// [`finite_invention_governed_with_stats`] for the degradation contract.
-pub fn finite_invention_governed_traced<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-    interrupt: &Interrupt,
-    degrade: bool,
-) -> Result<(FiniteInventionReport, EvalStats, Vec<Span>), InventionError> {
-    let mut hook = SpanHook::default();
-    let (report, stats) =
-        finite_invention_inner(query, db, universe, config, interrupt, degrade, &mut hook)?;
-    Ok((report, stats, hook.spans))
-}
-
-/// [`finite_invention_with_stats`] with per-level tracing: one [`Span`] per
-/// `Q|_n[d]` level, carrying the level's answer sizes and evaluation
-/// counters.  The report and statistics are byte-identical to the untraced
-/// variant.
-pub fn finite_invention_traced<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-) -> Result<(FiniteInventionReport, EvalStats, Vec<Span>), InventionError> {
-    let mut hook = SpanHook::default();
-    let (report, stats) = finite_invention_inner(
-        query,
-        db,
-        universe,
-        config,
-        Interrupt::disarmed(),
-        false,
-        &mut hook,
-    )?;
-    Ok((report, stats, hook.spans))
-}
-
-#[allow(clippy::too_many_arguments)]
 fn finite_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
     query: &Q,
     db: &Database,
     universe: &mut Universe,
     config: &InventionConfig,
-    interrupt: &Interrupt,
+    ctx: &ExecCtx,
     degrade: bool,
-    hook: &mut H,
-) -> Result<(FiniteInventionReport, EvalStats), InventionError> {
+    mut hook: H,
+) -> Result<(FiniteInventionReport, EvalStats, Option<Vec<Span>>), InventionError> {
     let mut answers = Vec::new();
     let mut union = Instance::empty();
     let mut stabilised_at = None;
     let mut stats = EvalStats::default();
     for n in 0..=config.max_invented {
         let start = H::ENABLED.then(Instant::now);
-        let (restricted, evaluation) =
-            match eval_with_invented_governed(query, db, universe, n, &config.eval, interrupt) {
-                Ok(level) => level,
-                Err(InventionError::Resource(_)) if degrade => {
-                    // Sound under-approximation: every completed level is a
-                    // subset of the bounded union, so returning what finished
-                    // can omit answers but never invent wrong ones.
-                    return Ok((
-                        FiniteInventionReport {
-                            answers,
-                            union,
-                            stabilised_at: None,
-                            interrupted_at: Some(n),
-                        },
-                        stats,
-                    ));
-                }
-                Err(e) => return Err(e),
-            };
+        let (restricted, evaluation) = match invent_level(query, db, universe, n, &config.eval, ctx)
+        {
+            Ok(level) => level,
+            Err(InventionError::Resource(_)) if degrade => {
+                // Sound under-approximation: every completed level is a
+                // subset of the bounded union, so returning what finished
+                // can omit answers but never invent wrong ones.
+                let report = FiniteInventionReport {
+                    answers,
+                    union,
+                    stabilised_at: None,
+                    interrupted_at: Some(n),
+                };
+                return Ok((report, stats, hook.into_spans()));
+            }
+            Err(e) => return Err(e),
+        };
         if let Some(start) = start {
             hook.level(
                 n,
@@ -326,15 +296,13 @@ fn finite_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
         }
         answers.push(restricted);
     }
-    Ok((
-        FiniteInventionReport {
-            answers,
-            union,
-            stabilised_at,
-            interrupted_at: None,
-        },
-        stats,
-    ))
+    let report = FiniteInventionReport {
+        answers,
+        union,
+        stabilised_at,
+        interrupted_at: None,
+    };
+    Ok((report, stats, hook.into_spans()))
 }
 
 /// Bounded invention `Q|_f[d]` for a bound function `f` of the active-domain
@@ -385,95 +353,50 @@ pub fn terminal_invention<Q: Evaluable + ?Sized>(
     universe: &mut Universe,
     config: &InventionConfig,
 ) -> Result<TerminalOutcome, InventionError> {
-    Ok(terminal_invention_with_stats(query, db, universe, config)?.0)
+    Ok(terminal_invention_ctx(query, db, universe, config, &ExecCtx::default())?.0)
 }
 
-/// [`terminal_invention`] plus the aggregated [`EvalStats`] of every level
-/// searched — the variant the prepared-query pipeline uses to fill its
-/// execution-statistics block.
+/// [`terminal_invention`] under an execution context, plus the aggregated
+/// [`EvalStats`] of every level searched and, when `ctx.traced`, one
+/// [`Span`] per `Q|_n[d]` level searched (the search stops at the defining
+/// level, so a defined outcome at `n` yields `n + 1` spans).  The outcome and
+/// statistics never depend on `ctx.traced`.
+///
+/// Terminal invention returns the answer at the *least* inventing level, so a
+/// partially completed search carries no sound answer — unlike finite
+/// invention there is no degraded mode, and a resource limit always surfaces
+/// as an error.
 ///
 /// ```
 /// use itq_calculus::{Formula, Query};
-/// use itq_invention::{terminal_invention_with_stats, InventionConfig, TerminalOutcome};
-/// use itq_object::{Atom, Database, Instance, Schema, Type, Universe};
+/// use itq_invention::{terminal_invention_ctx, InventionConfig, TerminalOutcome};
+/// use itq_object::{Atom, Database, ExecCtx, Instance, Schema, Type, Universe};
 ///
 /// // {t/U | ⊤} surfaces an invented value at n = 1.
 /// let q = Query::new("t", Type::Atomic, Formula::truth(),
 ///                    Schema::single("R", Type::Atomic)).unwrap();
 /// let db = Database::single("R", Instance::from_atoms(vec![Atom(0)]));
 /// let mut universe = Universe::new();
-/// let (outcome, stats) =
-///     terminal_invention_with_stats(&q, &db, &mut universe, &InventionConfig::default()).unwrap();
+/// let (outcome, stats, levels) = terminal_invention_ctx(
+///     &q, &db, &mut universe, &InventionConfig::default(), &ExecCtx::default(),
+/// )
+/// .unwrap();
 /// assert!(matches!(outcome, TerminalOutcome::Defined { n: 1, .. }));
 /// assert!(stats.candidates_checked > 0);
+/// assert!(levels.is_none(), "untraced runs record no level spans");
 /// ```
-pub fn terminal_invention_with_stats<Q: Evaluable + ?Sized>(
+pub fn terminal_invention_ctx<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
     universe: &mut Universe,
     config: &InventionConfig,
-) -> Result<(TerminalOutcome, EvalStats), InventionError> {
-    terminal_invention_inner(
-        query,
-        db,
-        universe,
-        config,
-        Interrupt::disarmed(),
-        &mut NoHook,
-    )
-}
-
-/// [`terminal_invention_with_stats`] under a resource governor.
-///
-/// Terminal invention returns the answer at the *least* inventing level, so a
-/// partially completed search carries no sound answer — unlike finite
-/// invention there is no degraded mode, and a resource limit always surfaces
-/// as an error.
-pub fn terminal_invention_governed_with_stats<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-    interrupt: &Interrupt,
-) -> Result<(TerminalOutcome, EvalStats), InventionError> {
-    terminal_invention_inner(query, db, universe, config, interrupt, &mut NoHook)
-}
-
-/// [`terminal_invention_traced`] under a resource governor; see
-/// [`terminal_invention_governed_with_stats`].
-pub fn terminal_invention_governed_traced<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-    interrupt: &Interrupt,
-) -> Result<(TerminalOutcome, EvalStats, Vec<Span>), InventionError> {
-    let mut hook = SpanHook::default();
-    let (outcome, stats) =
-        terminal_invention_inner(query, db, universe, config, interrupt, &mut hook)?;
-    Ok((outcome, stats, hook.spans))
-}
-
-/// [`terminal_invention_with_stats`] with per-level tracing: one [`Span`] per
-/// `Q|_n[d]` level searched (the search stops at the defining level, so a
-/// defined outcome at `n` yields `n + 1` spans).  The outcome and statistics
-/// are byte-identical to the untraced variant.
-pub fn terminal_invention_traced<Q: Evaluable + ?Sized>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-) -> Result<(TerminalOutcome, EvalStats, Vec<Span>), InventionError> {
-    let mut hook = SpanHook::default();
-    let (outcome, stats) = terminal_invention_inner(
-        query,
-        db,
-        universe,
-        config,
-        Interrupt::disarmed(),
-        &mut hook,
-    )?;
-    Ok((outcome, stats, hook.spans))
+    ctx: &ExecCtx,
+) -> Result<(TerminalOutcome, EvalStats, Option<Vec<Span>>), InventionError> {
+    if ctx.traced {
+        terminal_invention_inner(query, db, universe, config, ctx, SpanHook::default())
+    } else {
+        terminal_invention_inner(query, db, universe, config, ctx, NoHook)
+    }
 }
 
 fn terminal_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
@@ -481,15 +404,14 @@ fn terminal_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
     db: &Database,
     universe: &mut Universe,
     config: &InventionConfig,
-    interrupt: &Interrupt,
-    hook: &mut H,
-) -> Result<(TerminalOutcome, EvalStats), InventionError> {
+    ctx: &ExecCtx,
+    mut hook: H,
+) -> Result<(TerminalOutcome, EvalStats, Option<Vec<Span>>), InventionError> {
     let original_domain: BTreeSet<Atom> = query.evaluation_domain(db);
     let mut stats = EvalStats::default();
     for n in 0..=config.max_invented {
         let start = H::ENABLED.then(Instant::now);
-        let (restricted, unrestricted) =
-            eval_with_invented_governed(query, db, universe, n, &config.eval, interrupt)?;
+        let (restricted, unrestricted) = invent_level(query, db, universe, n, &config.eval, ctx)?;
         if let Some(start) = start {
             hook.level(
                 n,
@@ -505,21 +427,17 @@ fn terminal_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
                 .any(|a| !original_domain.contains(a))
         });
         if contains_invented {
-            return Ok((
-                TerminalOutcome::Defined {
-                    n,
-                    answer: restricted,
-                },
-                stats,
-            ));
+            let outcome = TerminalOutcome::Defined {
+                n,
+                answer: restricted,
+            };
+            return Ok((outcome, stats, hook.into_spans()));
         }
     }
-    Ok((
-        TerminalOutcome::UndefinedWithinBound {
-            tried: config.max_invented + 1,
-        },
-        stats,
-    ))
+    let outcome = TerminalOutcome::UndefinedWithinBound {
+        tried: config.max_invented + 1,
+    };
+    Ok((outcome, stats, hook.into_spans()))
 }
 
 #[cfg(test)]
@@ -712,15 +630,23 @@ mod tests {
             max_invented: 3,
             ..Default::default()
         };
+        let plain = ExecCtx::default();
+        let traced = ExecCtx {
+            traced: true,
+            ..plain
+        };
+        let universe = || {
+            let mut u = Universe::new();
+            u.atoms(["a", "b"]);
+            u
+        };
 
-        let mut u1 = Universe::new();
-        u1.atoms(["a", "b"]);
-        let (plain_report, plain_stats) =
-            finite_invention_with_stats(&q, &db, &mut u1, &config).unwrap();
-        let mut u2 = Universe::new();
-        u2.atoms(["a", "b"]);
+        let (plain_report, plain_stats, none) =
+            finite_invention_ctx(&q, &db, &mut universe(), &config, &plain, false).unwrap();
+        assert!(none.is_none());
         let (traced_report, traced_stats, spans) =
-            finite_invention_traced(&q, &db, &mut u2, &config).unwrap();
+            finite_invention_ctx(&q, &db, &mut universe(), &config, &traced, false).unwrap();
+        let spans = spans.expect("traced runs record level spans");
         assert_eq!(plain_report, traced_report);
         assert_eq!(plain_stats, traced_stats);
         assert_eq!(spans.len(), 4, "one span per level 0..=3");
@@ -734,16 +660,16 @@ mod tests {
             "level spans cover all steps"
         );
 
-        let mut u3 = Universe::new();
-        u3.atoms(["a", "b"]);
-        let (plain_outcome, plain_term_stats) =
-            terminal_invention_with_stats(&q, &db, &mut u3, &config).unwrap();
-        let mut u4 = Universe::new();
-        u4.atoms(["a", "b"]);
+        let (plain_outcome, plain_term_stats, _) =
+            terminal_invention_ctx(&q, &db, &mut universe(), &config, &plain).unwrap();
         let (traced_outcome, traced_term_stats, term_spans) =
-            terminal_invention_traced(&q, &db, &mut u4, &config).unwrap();
+            terminal_invention_ctx(&q, &db, &mut universe(), &config, &traced).unwrap();
         assert_eq!(plain_outcome, traced_outcome);
         assert_eq!(plain_term_stats, traced_term_stats);
-        assert_eq!(term_spans.len(), 4, "undefined search visits every level");
+        assert_eq!(
+            term_spans.map(|spans| spans.len()),
+            Some(4),
+            "undefined search visits every level"
+        );
     }
 }

@@ -20,10 +20,10 @@
 //!   interruption produces a byte-identical message on every backend.
 //!
 //! Polling is explicit and coarse (quantifier iterations, join probes,
-//! fixpoint rounds, invention levels — masked to roughly one check per 256
-//! units of work), so a disarmed interrupt costs a single branch on the
-//! off path and an armed-but-untripped one stays within the same < 2%
-//! envelope the tracing seam is held to.
+//! invention levels — masked to roughly one check per 256 units of work), so
+//! a disarmed interrupt costs a single branch on the off path and an
+//! armed-but-untripped one stays within the same < 2% envelope the tracing
+//! seam is held to.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -208,7 +208,7 @@ impl Interrupt {
     }
 
     /// A shared reference to a permanently disarmed interrupt — what the
-    /// ungoverned legacy entry points thread through the backends.
+    /// default [`ExecCtx`] threads through the backends.
     pub fn disarmed() -> &'static Interrupt {
         &DISARMED
     }
@@ -302,6 +302,43 @@ impl Interrupt {
             }
         }
         Ok(())
+    }
+}
+
+/// How one execution runs, handed by shared reference to each backend's
+/// single entry point: the governor it polls, how many workers may
+/// partition its top-level work, and whether it records a trace.
+///
+/// The default is the plain context — disarmed, sequential, untraced —
+/// which is what the backends' plain convenience wrappers pass.
+///
+/// ```
+/// use itq_object::govern::{ExecCtx, Interrupt};
+///
+/// let plain = ExecCtx::default();
+/// assert!(!plain.interrupt.is_armed() && plain.workers == 1 && !plain.traced);
+/// let deadline = Interrupt::new().with_deadline_millis(50);
+/// let traced = ExecCtx { interrupt: &deadline, traced: true, ..plain };
+/// assert!(traced.interrupt.is_armed());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct ExecCtx<'a> {
+    /// The execution's resource governor.
+    pub interrupt: &'a Interrupt,
+    /// Worker count for backends that can partition their top-level work;
+    /// `1` runs sequentially and spawns nothing.
+    pub workers: usize,
+    /// Whether the backend builds a trace span alongside its answer.
+    pub traced: bool,
+}
+
+impl Default for ExecCtx<'_> {
+    fn default() -> Self {
+        ExecCtx {
+            interrupt: Interrupt::disarmed(),
+            workers: 1,
+            traced: false,
+        }
     }
 }
 

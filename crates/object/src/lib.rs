@@ -61,7 +61,7 @@ pub use atom::{Atom, Universe};
 pub use card::{hyp, Cardinality};
 pub use cons::{cons_cardinality, enumerate_cons, ConsIter};
 pub use error::ObjectError;
-pub use govern::{CancelFlag, Interrupt, ResourceError, TripKind};
+pub use govern::{CancelFlag, ExecCtx, Interrupt, ResourceError, TripKind};
 pub use instance::{Database, Instance, PredName, Schema};
 pub use store::{DomainCache, DomainHandle, ValueId, ValueStore};
 pub use types::Type;

@@ -8,8 +8,8 @@
 //!
 //! Scoped threads (`std::thread::scope`) let the closures borrow the shared
 //! read-only context (frozen [`ValueStore`](crate::store::ValueStore)
-//! prefixes, interrupt handles, relation indexes) without `Arc`-wrapping every
-//! borrow, and the scope guarantees every worker has exited before the
+//! prefixes, interrupt handles, the compiled query) without `Arc`-wrapping
+//! every borrow, and the scope guarantees every worker has exited before the
 //! coordinator resumes.
 //!
 //! Partition counts are small (the engine clamps `parallelism(n)` well below

@@ -49,14 +49,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ValueId(u32);
 
-impl ValueId {
-    /// The raw index of this id inside its store.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// The interned shape of one value: children are ids, so a node is small and
 /// hashing/equality never recurse into subtrees.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -86,8 +78,7 @@ enum Node {
 /// the overlay's own arena.  Partitioned executions hand each worker an
 /// overlay over one frozen base, so the workers never serialize on a shared
 /// `&mut` arena, yet all agree on the ids of the pre-interned prefix
-/// (relations, constants, pre-enumerated candidate domains).  A coordinator
-/// can fold a worker's private arena back in with [`ValueStore::absorb`].
+/// (relations, constants, pre-enumerated candidate domains).
 ///
 /// ```
 /// use itq_object::store::ValueStore;
@@ -202,44 +193,6 @@ impl ValueStore {
         self.index.insert(node.clone(), id);
         self.nodes.push(node);
         id
-    }
-
-    /// Fold a worker overlay's private arena into this store, returning the
-    /// id translation for the overlay's local ids: the overlay's id
-    /// `base_len + i` maps to `mapping[i]` here.  Both stores must be
-    /// overlays of the **same** frozen base (ids below the shared prefix are
-    /// translated identically); nodes already known here deduplicate instead
-    /// of reallocating, so absorbing every worker of a partitioned execution
-    /// yields exactly the set of values a sequential run would have interned.
-    pub fn absorb(&mut self, overlay: &ValueStore) -> Vec<ValueId> {
-        debug_assert_eq!(
-            self.base_len, overlay.base_len,
-            "absorb requires overlays of the same frozen base"
-        );
-        let mut mapping = Vec::with_capacity(overlay.nodes.len());
-        for node in &overlay.nodes {
-            let remap = |id: ValueId, mapping: &Vec<ValueId>| -> ValueId {
-                if id.0 < overlay.base_len {
-                    id
-                } else {
-                    mapping[(id.0 - overlay.base_len) as usize]
-                }
-            };
-            let translated = match node {
-                Node::Atom(a) => Node::Atom(*a),
-                Node::Tuple(ids) => Node::Tuple(ids.iter().map(|&c| remap(c, &mapping)).collect()),
-                Node::Set(ids) => {
-                    // Set nodes are canonical by *local* id order; translation
-                    // can reorder, so re-canonicalize in this store's space.
-                    let mut elements: Vec<ValueId> =
-                        ids.iter().map(|&e| remap(e, &mapping)).collect();
-                    elements.sort_unstable();
-                    Node::Set(elements.into_boxed_slice())
-                }
-            };
-            mapping.push(self.intern_node(translated));
-        }
-        mapping
     }
 
     /// Intern an atom.
@@ -855,59 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_translates_and_deduplicates_worker_arenas() {
-        let mut root = ValueStore::new();
-        let a = atoms(4);
-        root.intern(&Value::Atom(a[0]));
-        let base = root.freeze();
-        let mut coordinator = ValueStore::overlay(Arc::clone(&base));
-        let mut worker = ValueStore::overlay(Arc::clone(&base));
-        // The worker builds a set over ids the coordinator has never seen;
-        // the coordinator interns an overlapping value of its own first, so
-        // the same structural value gets *different* ids in the two overlays.
-        let dup = coordinator.intern(&Value::pair(a[1], a[2]));
-        let w_dup = worker.intern(&Value::pair(a[1], a[2]));
-        let w_set = worker.intern(&Value::set(vec![
-            Value::pair(a[1], a[2]),
-            Value::pair(a[2], a[3]),
-        ]));
-        assert_eq!(
-            dup, w_dup,
-            "same base, same interning order for the first value"
-        );
-        let mapping = worker.nodes.len();
-        let translation = coordinator.absorb(&worker);
-        assert_eq!(translation.len(), mapping);
-        // The worker's set survives translation with structural identity.
-        let translated = translation[(w_set.0 - worker.base_len) as usize];
-        assert_eq!(
-            coordinator.resolve(translated),
-            Value::set(vec![Value::pair(a[1], a[2]), Value::pair(a[2], a[3])])
-        );
-        // The duplicated pair deduplicated onto the coordinator's id.
-        assert_eq!(translation[(w_dup.0 - worker.base_len) as usize], dup);
-    }
-
-    #[test]
-    fn absorb_recanonicalizes_sets_whose_element_order_flips() {
-        // In the worker, element X interns *after* Y, so the set node is
-        // ordered [Y, X] by local ids; in the coordinator X interns first.
-        // Absorb must re-sort, or the same structural set would get two ids.
-        let base = ValueStore::new().freeze();
-        let a = atoms(4);
-        let mut coordinator = ValueStore::overlay(Arc::clone(&base));
-        let x = Value::pair(a[0], a[1]);
-        let y = Value::pair(a[2], a[3]);
-        coordinator.intern(&x);
-        let c_set = coordinator.intern(&Value::set(vec![x.clone(), y.clone()]));
-        let mut worker = ValueStore::overlay(Arc::clone(&base));
-        worker.intern(&y);
-        let w_set = worker.intern(&Value::set(vec![x.clone(), y.clone()]));
-        let translation = coordinator.absorb(&worker);
-        assert_eq!(translation[(w_set.0 - worker.base_len) as usize], c_set);
-    }
-
-    #[test]
     fn domain_cache_overlays_replay_the_shared_prefix() {
         let mut store = ValueStore::new();
         let mut root = DomainCache::new(atoms(3));
@@ -966,8 +866,7 @@ mod tests {
     /// that ranks the constructive domain), never the [`ValueId`] allocation
     /// order — sharded/parallel interning assigns ids in whatever order the
     /// workers happen to run.  Interning the same answer set through two
-    /// opposite id orders, and through two overlays absorbed in opposite
-    /// orders, must render byte-identically.
+    /// opposite id orders must render byte-identically.
     #[test]
     fn answer_order_is_structural_not_interning_order() {
         use crate::instance::Instance;
@@ -1004,43 +903,6 @@ mod tests {
             from_forward.iter().collect::<Vec<_>>(),
             from_backward.iter().collect::<Vec<_>>(),
             "iteration (rendering) order is structural, id-order independent"
-        );
-
-        // The parallel shape proper: two worker overlays intern disjoint
-        // halves over a shared frozen base, and two coordinators absorb them
-        // in opposite orders — the merged answers still canonicalise.
-        let mut base = ValueStore::new();
-        base.intern(&Value::atom(9));
-        let frozen = base.freeze();
-        let mut worker_a = ValueStore::overlay(Arc::clone(&frozen));
-        let ids_a: Vec<ValueId> = answers[..2].iter().map(|v| worker_a.intern(v)).collect();
-        let mut worker_b = ValueStore::overlay(Arc::clone(&frozen));
-        let ids_b: Vec<ValueId> = answers[2..].iter().map(|v| worker_b.intern(v)).collect();
-
-        let merge = |first: (&ValueStore, &[ValueId]), second: (&ValueStore, &[ValueId])| {
-            let mut coordinator = ValueStore::overlay(Arc::clone(&frozen));
-            let mut merged: Vec<Value> = Vec::new();
-            for (overlay, ids) in [first, second] {
-                let mapping = coordinator.absorb(overlay);
-                let base_len = frozen.len();
-                for id in ids {
-                    let mapped = if id.index() < base_len {
-                        *id
-                    } else {
-                        mapping[id.index() - base_len]
-                    };
-                    merged.push(coordinator.resolve(mapped));
-                }
-            }
-            Instance::from_values(merged)
-        };
-        let ab = merge((&worker_a, &ids_a), (&worker_b, &ids_b));
-        let ba = merge((&worker_b, &ids_b), (&worker_a, &ids_a));
-        assert_eq!(ab, from_forward);
-        assert_eq!(
-            ab.iter().collect::<Vec<_>>(),
-            ba.iter().collect::<Vec<_>>(),
-            "absorb order must not leak into answer order"
         );
     }
 }

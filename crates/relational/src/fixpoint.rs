@@ -18,7 +18,6 @@
 //!   `while` statements.
 
 use crate::relation::Relation;
-use itq_object::{Interrupt, ResourceError};
 use std::collections::BTreeMap;
 
 /// Run a semi-naive fixpoint from scratch: `total` and `delta` both start at
@@ -41,40 +40,21 @@ pub fn seminaive(seed: &Relation, step: impl FnMut(&Relation, &Relation) -> Rela
 /// fixpoint — for an inflationary operator the iteration can only ever add
 /// facts that the from-scratch run would also derive.
 pub fn seminaive_from(
-    total: Relation,
-    delta_seed: &Relation,
-    step: impl FnMut(&Relation, &Relation) -> Relation,
-) -> (Relation, u64) {
-    seminaive_from_governed(total, delta_seed, step, Interrupt::disarmed())
-        .unwrap_or_else(|_| unreachable!("a disarmed interrupt never reports a resource error"))
-}
-
-/// [`seminaive_from`] under a resource governor: the interrupt is polled once
-/// before the loop and once per fixpoint round, so a deadline or cancellation
-/// stops a diverging (or merely large) closure between rounds.
-///
-/// On an error the partially-built total is discarded — fixpoint state is
-/// only ever published to callers on success.
-pub fn seminaive_from_governed(
-    total: Relation,
+    mut total: Relation,
     delta_seed: &Relation,
     mut step: impl FnMut(&Relation, &Relation) -> Relation,
-    interrupt: &Interrupt,
-) -> Result<(Relation, u64), ResourceError> {
-    interrupt.check(0)?;
-    let mut total = total;
+) -> (Relation, u64) {
     total.absorb(delta_seed);
     let mut delta = delta_seed.clone();
     let mut rounds = 0;
     while !delta.is_empty() {
         rounds += 1;
-        interrupt.check(0)?;
         let candidate = step(&total, &delta);
         let new = candidate.difference(&total);
         total.absorb(&new);
         delta = new;
     }
-    Ok((total, rounds))
+    (total, rounds)
 }
 
 /// A named family of relations — the store a Datalog program evaluates over.
@@ -94,24 +74,8 @@ pub type RelationStore = BTreeMap<String, Relation>;
 pub fn seminaive_store(
     total: &mut RelationStore,
     seed: RelationStore,
-    step: impl FnMut(&RelationStore, &RelationStore) -> RelationStore,
-) -> u64 {
-    seminaive_store_governed(total, seed, step, Interrupt::disarmed())
-        .unwrap_or_else(|_| unreachable!("a disarmed interrupt never reports a resource error"))
-}
-
-/// [`seminaive_store`] under a resource governor, polled once per round.
-///
-/// On an error `total` may already hold a prefix of the derivation; callers
-/// that need transactional behaviour (the incremental engine does) must run
-/// against a scratch copy and swap on success.
-pub fn seminaive_store_governed(
-    total: &mut RelationStore,
-    seed: RelationStore,
     mut step: impl FnMut(&RelationStore, &RelationStore) -> RelationStore,
-    interrupt: &Interrupt,
-) -> Result<u64, ResourceError> {
-    interrupt.check(0)?;
+) -> u64 {
     let mut delta = seed;
     for (pred, rel) in &delta {
         total
@@ -122,7 +86,6 @@ pub fn seminaive_store_governed(
     delta.retain(|_, rel| !rel.is_empty());
     let mut rounds = 0;
     while !delta.is_empty() {
-        interrupt.check(0)?;
         let derived = step(total, &delta);
         let mut fresh = RelationStore::new();
         for (pred, rel) in derived {
@@ -136,12 +99,12 @@ pub fn seminaive_store_governed(
             }
         }
         if fresh.is_empty() {
-            return Ok(rounds);
+            return rounds;
         }
         rounds += 1;
         delta = fresh;
     }
-    Ok(rounds)
+    rounds
 }
 
 /// Drive a loop under an iteration budget: `round` runs once per iteration

@@ -32,10 +32,7 @@ pub mod tc;
 pub mod while_loop;
 
 pub use datalog::{Atom as DatalogAtom, Program, Rule, TermPattern};
-pub use fixpoint::{
-    bounded_loop, seminaive, seminaive_from, seminaive_from_governed, seminaive_store,
-    seminaive_store_governed, RelationStore,
-};
+pub use fixpoint::{bounded_loop, seminaive, seminaive_from, seminaive_store, RelationStore};
 pub use relation::Relation;
 pub use tc::{transitive_closure_naive, transitive_closure_seminaive, transitive_closure_warshall};
 pub use while_loop::{RaExpr, Statement, WhileProgram};

@@ -4,12 +4,14 @@
 //! counter payloads, pluggable [`TraceSink`]s, and a session-wide
 //! [`MetricsRegistry`] of monotonic counters.
 //!
-//! The design contract is *zero cost when off*: every instrumented layer
-//! keeps its untraced execution path byte-for-byte unchanged and only builds
-//! spans on an explicitly traced variant (`execute_traced`, `eval_traced`,
-//! …).  A sink whose [`TraceSink::is_enabled`] returns `false` — the
-//! [`NoopSink`] — short-circuits the traced entry points straight back onto
-//! the untraced path, so attaching it costs one virtual call per execution.
+//! The design contract is *zero cost when off*: each backend has one entry
+//! point taking an execution context (`itq_object::ExecCtx`), and only a
+//! context with `traced` set builds spans — the entry point turns the flag
+//! into a statically dispatched hook once per call, so the untraced hot
+//! loops compile as if tracing did not exist.  A sink whose
+//! [`TraceSink::is_enabled`] returns `false` — the [`NoopSink`] —
+//! short-circuits `Prepared::execute_with_sink` straight back onto the
+//! untraced path, so attaching it costs one virtual call per execution.
 //!
 //! Spans are plain owned data (no thread-locals, no global registry): the
 //! producer builds the tree bottom-up and hands the root to a sink.  This

@@ -1,15 +1,14 @@
 //! Integration suite for the prepare-once / execute-many pipeline: on the
 //! genealogy, parity, and exponent workloads, [`Prepared::execute`] must be
-//! bit-identical to the legacy per-call `eval_*` API under all three
+//! bit-identical to the per-semantics reference drivers under all three
 //! semantics, a single handle must survive many executions, and the static
 //! artifacts cached at prepare time must equal what the underlying crates
 //! compute directly (property-tested over generated queries).
 
-#![allow(deprecated)] // half of this suite *is* the legacy API, for comparison
-
 use itq_calculus::{Formula, Query};
 use itq_core::prelude::*;
 use itq_core::queries;
+use itq_invention::{finite_invention, terminal_invention};
 use proptest::prelude::*;
 
 /// The exemplar queries of the three workloads named by the acceptance
@@ -30,60 +29,51 @@ fn prepared_execute_is_bit_identical_to_the_legacy_api_under_all_semantics() {
     let engine = engine();
     for (name, query, db) in workloads() {
         let prepared = engine.prepare(&query).unwrap();
-        for semantics in Semantics::ALL {
-            let outcome = prepared.execute(&db, semantics).unwrap();
-            let legacy = engine.eval_with_semantics(&query, &db, semantics).unwrap();
-            assert_eq!(outcome.result, legacy.result, "{name} under {semantics}");
-            assert_eq!(
-                outcome.bounded_approximation, legacy.bounded_approximation,
-                "{name} under {semantics}"
-            );
-        }
-        // The richer legacy shapes agree with the unified outcome too.
-        let evaluation = engine.eval_calculus(&query, &db).unwrap();
+        // Limited: the tree walker over the source query is the reference.
+        let evaluation = query.eval_full(&db, engine.calc_config()).unwrap();
         let limited = prepared.execute(&db, Semantics::Limited).unwrap();
         assert_eq!(evaluation.result, limited.result, "{name}");
+        assert!(!limited.bounded_approximation, "{name}");
+        let (reference, stats) = (&evaluation.stats, &limited.stats);
+        assert_eq!(reference.steps, stats.steps, "{name}");
         assert_eq!(
-            evaluation.stats,
-            limited.stats.eval_stats_for_tests(),
+            reference.quantifier_values, stats.quantifier_values,
             "{name}"
         );
-        let report = engine.eval_finite_invention(&query, &db).unwrap();
+        assert_eq!(
+            reference.candidates_checked, stats.candidates_checked,
+            "{name}"
+        );
+        assert_eq!(reference.max_domain_seen, stats.max_domain_seen, "{name}");
+        // Invention: the drivers over the source query, drawing fresh atoms
+        // from a clone of the engine's universe.
+        let mut scratch = engine.universe().clone();
+        let report =
+            finite_invention(&query, &db, &mut scratch, engine.invention_config()).unwrap();
         let finite = prepared.execute(&db, Semantics::FiniteInvention).unwrap();
         assert_eq!(report.union, finite.result, "{name}");
         assert_eq!(report.stabilised_at, finite.stabilised_at, "{name}");
-        match engine.eval_terminal_invention(&query, &db).unwrap() {
+        assert_eq!(
+            report.stabilised_at.is_none(),
+            finite.bounded_approximation,
+            "{name}"
+        );
+        let mut scratch = engine.universe().clone();
+        let outcome =
+            terminal_invention(&query, &db, &mut scratch, engine.invention_config()).unwrap();
+        let terminal = prepared.execute(&db, Semantics::TerminalInvention).unwrap();
+        match outcome {
             TerminalOutcome::Defined { n, answer } => {
-                let terminal = prepared.execute(&db, Semantics::TerminalInvention).unwrap();
                 assert_eq!(terminal.defined_at, Some(n), "{name}");
                 assert_eq!(terminal.result, answer, "{name}");
+                assert!(!terminal.bounded_approximation, "{name}");
             }
             TerminalOutcome::UndefinedWithinBound { tried } => {
-                let terminal = prepared.execute(&db, Semantics::TerminalInvention).unwrap();
                 assert_eq!(terminal.defined_at, None, "{name}");
                 assert!(terminal.result.is_empty(), "{name}");
+                assert!(terminal.bounded_approximation, "{name}");
                 assert_eq!(terminal.stats.invention_levels as usize, tried, "{name}");
             }
-        }
-    }
-}
-
-/// Hack-free stats comparison: `ExecStats` and `EvalStats` share their
-/// evaluator counters; compare through the shared struct.
-trait EvalStatsView {
-    fn eval_stats_for_tests(&self) -> itq_calculus::eval::EvalStats;
-}
-
-impl EvalStatsView for ExecStats {
-    fn eval_stats_for_tests(&self) -> itq_calculus::eval::EvalStats {
-        itq_calculus::eval::EvalStats {
-            steps: self.steps,
-            quantifier_values: self.quantifier_values,
-            candidates_checked: self.candidates_checked,
-            max_domain_seen: self.max_domain_seen,
-            domain_cache_hits: self.domain_cache_hits,
-            domain_cache_misses: self.domain_cache_misses,
-            interned_values: self.interned_values,
         }
     }
 }

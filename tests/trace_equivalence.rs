@@ -36,13 +36,12 @@ fn query() -> BoxedStrategy<itq_calculus::Query> {
 
 /// The compiled slot evaluator (default) and the legacy tree walker, both
 /// with a tight invention bound and a capped step budget so pathological
-/// draws die on a classified error instead of burning minutes.  Pinned to
-/// `parallelism(1)`: the span-shape assertions below describe the sequential
-/// compiled tree (per-slot children carrying `draws`), which an
-/// `ITQ_PARALLELISM` override would replace with partition spans.  The
-/// partition grammar is pinned separately in
-/// [`recorded_spans_render_with_the_pinned_grammar`].
-fn engines() -> [(&'static str, Engine); 2] {
+/// draws die on a classified error instead of burning minutes.  The worker
+/// count is explicit, so an `ITQ_PARALLELISM` override cannot change which
+/// span shape a run is checked against: sequential compiled trees carry
+/// per-slot children with `draws`, partitioned ones one child per
+/// candidate-rank partition.
+fn engines(workers: usize) -> [(&'static str, Engine); 2] {
     let capped = EvalConfig {
         max_steps: 500_000,
         ..EvalConfig::default()
@@ -55,7 +54,7 @@ fn engines() -> [(&'static str, Engine); 2] {
         (
             "compiled",
             Engine::builder()
-                .parallelism(1)
+                .parallelism(workers)
                 .calc_config(capped)
                 .invention_config(invention)
                 .build(),
@@ -63,7 +62,7 @@ fn engines() -> [(&'static str, Engine); 2] {
         (
             "tree-walk",
             Engine::builder()
-                .parallelism(1)
+                .parallelism(workers)
                 .calc_config(capped)
                 .invention_config(invention)
                 .use_compiled(false)
@@ -130,11 +129,31 @@ fn execute_three_ways(
 }
 
 /// The span tree must agree with the stats block it annotates.
-fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, label: &str) {
+fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, workers: usize, label: &str) {
     let stats = &outcome.stats;
     assert_eq!(span.wall_micros, stats.wall_micros, "{label}: root wall");
     match span.name.as_str() {
+        "compiled-eval" if workers > 1 => {
+            assert_eq!(
+                span.field("partitions"),
+                Some(stats.partitions),
+                "{label}: the root's partitions field is the stats counter"
+            );
+            assert_eq!(span.children.len() as u64, stats.partitions, "{label}");
+            let tiled: u64 = span
+                .children
+                .iter()
+                .map(|c| c.field("candidates_checked").unwrap())
+                .sum();
+            assert_eq!(
+                Some(tiled),
+                span.field("candidates_checked"),
+                "{label}: partition children tile the root's candidates"
+            );
+            assert_eq!(span.field("steps"), Some(stats.steps), "{label}");
+        }
         "compiled-eval" => {
+            assert_eq!(span.field("partitions"), None, "{label}");
             assert_eq!(
                 span.subtree_total("draws"),
                 stats.quantifier_values,
@@ -169,24 +188,31 @@ fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, label: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Collecting vs Noop vs plain on both calculus backends, all semantics.
+    /// Collecting vs Noop vs plain on both calculus backends, all semantics,
+    /// sequential and partitioned.
     #[test]
     fn tracing_never_changes_calculus_outcomes(q in query(), db in small_db()) {
-        for (label, engine) in engines() {
-            let prepared = engine.prepare(&q).unwrap();
-            for semantics in Semantics::ALL {
-                if let Some((outcome, span)) = execute_three_ways(&prepared, &db, semantics, label) {
-                    assert_span_matches_stats(&outcome, &span, label);
+        for workers in [1, 4] {
+            for (backend, engine) in engines(workers) {
+                let label = format!("{backend}/workers={workers}");
+                let prepared = engine.prepare(&q).unwrap();
+                for semantics in Semantics::ALL {
+                    if let Some((outcome, span)) =
+                        execute_three_ways(&prepared, &db, semantics, &label)
+                    {
+                        assert_span_matches_stats(&outcome, &span, workers, &label);
+                    }
                 }
             }
         }
     }
 }
 
-/// The algebra backends through the same three-way harness: the planned
-/// executor's operator tree and the tuple-at-a-time root span both annotate
-/// the identical answer, and the planned tree's counter fields tile the
-/// planner stats.
+/// The algebra backends through the same three-way harness, at one and at
+/// four workers (both run sequentially at any count): the planned executor's
+/// operator tree and the tuple-at-a-time root span both annotate the
+/// identical answer, and the planned tree's counter fields tile the planner
+/// stats.
 #[test]
 fn tracing_never_changes_algebra_outcomes() {
     let expr = itq_algebra::AlgExpr::pred("PAR")
@@ -196,16 +222,25 @@ fn tracing_never_changes_algebra_outcomes() {
     let schema = queries::parent_schema();
     let edges: Vec<(Atom, Atom)> = (0..12).map(|i| (Atom(i), Atom(i + 1))).collect();
     let db = queries::parent_database(&edges);
-    for (label, engine) in [
-        ("planner", Engine::new()),
-        (
-            "tuple",
-            Engine::builder().use_algebra_planner(false).build(),
-        ),
-    ] {
+    let engines = [1, 4].into_iter().flat_map(|workers| {
+        [
+            (
+                format!("planner/workers={workers}"),
+                Engine::builder().parallelism(workers).build(),
+            ),
+            (
+                format!("tuple/workers={workers}"),
+                Engine::builder()
+                    .parallelism(workers)
+                    .use_algebra_planner(false)
+                    .build(),
+            ),
+        ]
+    });
+    for (label, engine) in engines {
         let prepared = engine.prepare_algebra(&expr, &schema).unwrap();
         let (outcome, span) =
-            execute_three_ways(&prepared, &db, Semantics::Limited, label).expect("in budget");
+            execute_three_ways(&prepared, &db, Semantics::Limited, &label).expect("in budget");
         assert_eq!(outcome.result.len(), 11, "{label}");
         assert_eq!(
             span.field("rows_out"),
