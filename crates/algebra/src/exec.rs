@@ -75,13 +75,13 @@ impl PhysicalPlan {
 
     /// [`PhysicalPlan::execute`] under an execution context.
     ///
-    /// The executor polls `ctx.interrupt` once on entry and then at
-    /// join-probe / row-materialisation granularity, surfacing deadline
-    /// expiry, cancellation, injected faults, and memory-ceiling breaches
-    /// (against the interner's deterministic byte estimate) as
-    /// [`AlgError::Resource`].  It runs sequentially at any `ctx.workers`:
-    /// partitioning the hash-join probe did not beat the sequential probe on
-    /// the measured joins.
+    /// The executor polls `ctx.interrupt` once on entry, then at
+    /// join-probe / row-materialisation granularity, and once more on exit,
+    /// surfacing deadline expiry, cancellation, injected faults, and
+    /// memory-ceiling breaches (against the interner's deterministic byte
+    /// estimate) as [`AlgError::Resource`].  It runs sequentially at any
+    /// `ctx.workers`: partitioning the hash-join probe did not beat the
+    /// sequential probe on the measured joins.
     ///
     /// When `ctx.traced` the returned [`Span`] tree is isomorphic to the plan
     /// (one span per operator, named by [`PhysNode::label`]) and carries
@@ -114,6 +114,9 @@ impl PhysicalPlan {
             exec.consts.insert(atom, id);
         }
         let rows = exec.eval(self.root())?;
+        // A plan of fewer than 256 work units never reaches a masked poll, so
+        // without this one its interner would escape the memory ceiling.
+        ctx.interrupt.check(exec.store.approx_bytes())?;
         let result = Instance::from_values(rows.iter().map(|&id| exec.store.resolve(id)));
         exec.stats.interned_values = exec.store.len() as u64;
         let root = exec.trace.and_then(|mut spans| spans.pop());

@@ -9,7 +9,7 @@
 //!   quantifier domain;
 //! * **genealogy** (grandparent, sibling): the conjunctive bodies lower to
 //!   single Datalog rules and refresh by firing the rule at delta positions
-//!   only.
+//!   only; from scratch they run as hash joins through the same rule's plan.
 //!
 //! Each delta iteration is an insert+delete round trip so the database (and
 //! therefore the measured work) is identical across iterations.  Answers are

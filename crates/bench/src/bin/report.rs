@@ -217,9 +217,10 @@ fn emit_stats_json(target: &str) {
 /// `--compiled-json [FILE|-]`: run the canonical workloads (plus the
 /// transitive-closure query, the paper's heaviest nested-quantifier exemplar)
 /// through the prepared pipeline under the limited interpretation with both
-/// evaluation backends — the compiled slot-based evaluator and the legacy
-/// tree walker — verify the answers are identical, and serialize the timing
-/// comparison as a JSON array (`BENCH_compiled_eval.json` in CI).
+/// evaluation backends — the compiled default (slot-based evaluator, or the
+/// physical plan of a conjunctive query) and the legacy tree walker — verify
+/// the answers are identical, and serialize the timing comparison as a JSON
+/// array (`BENCH_compiled_eval.json` in CI).
 fn emit_compiled_json(target: &str) {
     let compiled_engine = Engine::new();
     let legacy_engine = Engine::builder().use_compiled(false).build();

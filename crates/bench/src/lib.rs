@@ -75,19 +75,22 @@ pub fn algebra_exec_workloads() -> Vec<(&'static str, AlgExpr, Schema, Database)
 ///
 /// Both workloads run the compiled calculus backend, the only one that
 /// partitions: their cost is pure quantifier enumeration (2·|adom|⁶
-/// evaluation steps on an n-atom chain) with answer-sized merges.
+/// evaluation steps on an n-atom chain) with answer-sized merges.  The
+/// queries are grandparent and sibling with a negated `PAR(t)` conjunct
+/// ([`queries::excluding_parent_pairs`], which removes no answer on a
+/// chain): conjunctive queries would run as hash joins instead.
 pub fn parallel_scaling_workloads() -> Vec<(&'static str, Query, Database)> {
     // 16 atoms → a 256-tuple [U, U] domain → ≈ 3.4e7 steps sequentially.
     let chain_db = queries::parent_database(&chain_edges(15));
     vec![
         (
-            "parallel/grandparent-chain16",
-            queries::grandparent_query(),
+            "parallel/grandparent-not-par-chain16",
+            queries::excluding_parent_pairs(&queries::grandparent_query()),
             chain_db.clone(),
         ),
         (
-            "parallel/sibling-chain16",
-            queries::sibling_query(),
+            "parallel/sibling-not-par-chain16",
+            queries::excluding_parent_pairs(&queries::sibling_query()),
             chain_db,
         ),
     ]

@@ -12,14 +12,16 @@
 //!
 //! Watched queries ([`IncrementalDb::watch`]) keep their [`Prepared`] handle
 //! warm and refresh after every commit.  The refresh strategy is chosen once,
-//! at watch time, by *recognising* the query:
+//! at watch time, by *recognising* the query with the same prepare-time
+//! lowering [`Engine::prepare`](crate::engine::Engine::prepare) uses:
 //!
 //! * the Example 3.1 transitive-closure shape is maintained by re-seeding the
 //!   shared semi-naive driver ([`itq_relational::fixpoint::seminaive_from`])
 //!   from the warm closure with only the inserted edges as the delta;
 //! * conjunctive bodies (an ∃-prefix of flat variables over a conjunction of
-//!   predicate, equality, and disequality atoms) are lowered to a single
-//!   Datalog rule and maintained by [`itq_relational::Program::evaluate_delta`];
+//!   predicate, equality, and disequality atoms) lower to the single Datalog
+//!   rule whose σ/π/× plan prepare already runs them through, and are
+//!   maintained by [`itq_relational::Program::evaluate_delta`];
 //! * everything else — higher-order quantifiers, invention semantics, algebra
 //!   handles whose translation is not conjunctive — falls back to
 //!   re-execution, guarded so that views whose input relations (and active
@@ -46,21 +48,16 @@
 //! answer, marked [`WatchedView::is_stale`], instead of discarding it.
 
 use crate::engine::{EngineError, Semantics};
+use crate::lowering::{flat_width, lower_to_datalog, recognize_transitive_closure, VIEW_PRED};
 use crate::pipeline::{ExecStats, Prepared};
-use itq_calculus::{Formula, Query, Term};
 use itq_object::{Atom, Database, Instance, Schema, Type, Value, ValueId, ValueStore};
 use itq_relational::fixpoint::{seminaive_from, RelationStore};
 use itq_relational::ops::compose;
-use itq_relational::{
-    transitive_closure_seminaive, DatalogAtom, Program, Relation, Rule, TermPattern,
-};
+use itq_relational::{transitive_closure_seminaive, Program, Relation};
 use itq_trace::Span;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::Instant;
-
-/// The reserved head predicate of lowered view rules.
-const VIEW_PRED: &str = "__view__";
 
 /// Errors raised by mutations on an [`IncrementalDb`].
 #[derive(Debug, Clone, PartialEq)]
@@ -570,7 +567,8 @@ impl IncrementalDb {
                 }
             }
         }
-        if let Some(program) = lower_to_datalog(prepared.query()) {
+        if let Some(rule) = lower_to_datalog(prepared.query()) {
+            let program = Program::new(vec![rule]);
             if let Some(seed) = self.edb_for(&program) {
                 // Warm totals: the head relation at declared arity, plus the
                 // EDB absorbed by the seeding pass of the delta driver.
@@ -741,17 +739,6 @@ impl IncrementalDb {
     }
 }
 
-/// The width of a flat type: 1 for `U`, `n` for `[U,…,U]`, `None` otherwise.
-fn flat_width(ty: &Type) -> Option<usize> {
-    match ty {
-        Type::Atomic => Some(1),
-        Type::Tuple(components) if components.iter().all(|c| matches!(c, Type::Atomic)) => {
-            Some(components.len())
-        }
-        _ => None,
-    }
-}
-
 /// A flat value as an atom tuple: `a ↦ [a]`, `[a1,…,an] ↦ [a1,…,an]`.
 fn flat_tuple_of(value: &Value) -> Option<Vec<Atom>> {
     match value {
@@ -759,322 +746,6 @@ fn flat_tuple_of(value: &Value) -> Option<Vec<Atom>> {
         Value::Tuple(components) => components.iter().map(Value::as_atom).collect(),
         Value::Set(_) => None,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Recognisers
-// ---------------------------------------------------------------------------
-
-/// Recognise the Example 3.1 transitive-closure query over some binary
-/// predicate: the body must alpha-match the canonical
-/// [`crate::queries::transitive_closure_query`] with its predicate renamed.
-/// Returns the edge predicate.
-fn recognize_transitive_closure(query: &Query) -> Option<String> {
-    if *query.target_type() != Type::flat_tuple(2) {
-        return None;
-    }
-    let preds: Vec<String> = query.body().predicates().into_iter().collect();
-    let [pred] = preds.as_slice() else {
-        return None;
-    };
-    if query.schema().type_of(pred) != Some(&Type::flat_tuple(2)) {
-        return None;
-    }
-    let reference = crate::queries::transitive_closure_query();
-    let lhs = alpha_canonical(reference.body(), reference.target(), "PAR");
-    let rhs = alpha_canonical(query.body(), query.target(), pred);
-    (lhs == rhs).then(|| pred.clone())
-}
-
-/// Rename the target variable to `t#`, the edge predicate to `P#`, and every
-/// bound variable to `q0, q1, …` in pre-order (scoped, so shadowing is
-/// handled) — two formulas are alpha-equivalent modulo the predicate name
-/// exactly when their canonical forms are equal.
-fn alpha_canonical(formula: &Formula, target: &str, pred: &str) -> Formula {
-    fn lookup(v: &str, target: &str, scope: &[(String, String)]) -> String {
-        for (orig, fresh) in scope.iter().rev() {
-            if orig == v {
-                return fresh.clone();
-            }
-        }
-        if v == target {
-            "t#".to_string()
-        } else {
-            format!("free#{v}")
-        }
-    }
-    fn term(t: &Term, target: &str, scope: &[(String, String)]) -> Term {
-        match t {
-            Term::Const(a) => Term::Const(*a),
-            Term::Var(v) => Term::Var(lookup(v, target, scope)),
-            Term::Proj(v, i) => Term::Proj(lookup(v, target, scope), *i),
-        }
-    }
-    fn go(
-        f: &Formula,
-        target: &str,
-        pred: &str,
-        scope: &mut Vec<(String, String)>,
-        counter: &mut usize,
-    ) -> Formula {
-        match f {
-            Formula::Eq(a, b) => Formula::Eq(term(a, target, scope), term(b, target, scope)),
-            Formula::Member(a, b) => {
-                Formula::Member(term(a, target, scope), term(b, target, scope))
-            }
-            Formula::Pred(name, t) => Formula::Pred(
-                if name == pred {
-                    "P#".to_string()
-                } else {
-                    name.clone()
-                },
-                term(t, target, scope),
-            ),
-            Formula::Not(inner) => Formula::not(go(inner, target, pred, scope, counter)),
-            Formula::And(fs) => Formula::And(
-                fs.iter()
-                    .map(|g| go(g, target, pred, scope, counter))
-                    .collect(),
-            ),
-            Formula::Or(fs) => Formula::Or(
-                fs.iter()
-                    .map(|g| go(g, target, pred, scope, counter))
-                    .collect(),
-            ),
-            Formula::Implies(a, b) => Formula::implies(
-                go(a, target, pred, scope, counter),
-                go(b, target, pred, scope, counter),
-            ),
-            Formula::Iff(a, b) => Formula::iff(
-                go(a, target, pred, scope, counter),
-                go(b, target, pred, scope, counter),
-            ),
-            Formula::Exists(v, ty, body) | Formula::Forall(v, ty, body) => {
-                let fresh = format!("q{counter}");
-                *counter += 1;
-                scope.push((v.clone(), fresh.clone()));
-                let inner = go(body, target, pred, scope, counter);
-                scope.pop();
-                match f {
-                    Formula::Exists(..) => Formula::Exists(fresh, ty.clone(), Box::new(inner)),
-                    _ => Formula::Forall(fresh, ty.clone(), Box::new(inner)),
-                }
-            }
-        }
-    }
-    go(formula, target, pred, &mut Vec::new(), &mut 0)
-}
-
-/// A coordinate of a flat variable, or a constant — the nodes the equality
-/// conjuncts of a conjunctive body merge into classes.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum ClassKey {
-    Coord(String, usize),
-    Const(Atom),
-}
-
-#[derive(Default)]
-struct Classes {
-    index: BTreeMap<ClassKey, usize>,
-    parent: Vec<usize>,
-}
-
-impl Classes {
-    fn node(&mut self, key: ClassKey) -> usize {
-        if let Some(&i) = self.index.get(&key) {
-            return i;
-        }
-        let i = self.parent.len();
-        self.parent.push(i);
-        self.index.insert(key, i);
-        i
-    }
-
-    fn find(&mut self, mut i: usize) -> usize {
-        while self.parent[i] != i {
-            self.parent[i] = self.parent[self.parent[i]];
-            i = self.parent[i];
-        }
-        i
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra.max(rb)] = ra.min(rb);
-        }
-    }
-}
-
-/// Lower a conjunctive calculus body to a single safe Datalog rule with head
-/// [`VIEW_PRED`], or `None` when the query falls outside the fragment:
-///
-/// * the target type is `U` or `[U,…,U]` with width ≥ 2 (width-1 tuples
-///   cannot round-trip through [`Relation::to_instance`]);
-/// * the body is an ∃-prefix of flat-typed variables over a conjunction of
-///   `P(x)`, `s ≈ t`, and `¬(s ≈ t)` conjuncts;
-/// * the resulting rule has at least one body literal and is range
-///   restricted (so the Datalog answer matches the limited interpretation).
-fn lower_to_datalog(query: &Query) -> Option<Program> {
-    let target = query.target().to_string();
-    let width = flat_width(query.target_type())?;
-    if matches!(query.target_type(), Type::Tuple(c) if c.len() == 1) {
-        return None;
-    }
-    let mut widths: BTreeMap<String, usize> = BTreeMap::new();
-    widths.insert(target.clone(), width);
-
-    let mut body = query.body();
-    while let Formula::Exists(v, ty, inner) = body {
-        if widths.contains_key(v) {
-            return None; // shadowing — stay out of the fragment
-        }
-        widths.insert(v.clone(), flat_width(ty)?);
-        body = inner;
-    }
-    let conjuncts: Vec<&Formula> = match body {
-        Formula::And(fs) => fs.iter().collect(),
-        other => vec![other],
-    };
-
-    let mut classes = Classes::default();
-    // A wide variable (width > 1) only participates through projections or
-    // whole-tuple equality with an equally wide variable.
-    let wide = |t: &Term, widths: &BTreeMap<String, usize>| match t {
-        Term::Var(v) => widths
-            .get(v)
-            .copied()
-            .filter(|&w| w > 1)
-            .map(|w| (v.clone(), w)),
-        _ => None,
-    };
-    let key_of = |t: &Term, widths: &BTreeMap<String, usize>| -> Option<ClassKey> {
-        match t {
-            Term::Const(a) => Some(ClassKey::Const(*a)),
-            Term::Var(v) => (*widths.get(v)? == 1).then(|| ClassKey::Coord(v.clone(), 1)),
-            Term::Proj(v, i) => {
-                (*i >= 1 && *i <= *widths.get(v)?).then(|| ClassKey::Coord(v.clone(), *i))
-            }
-        }
-    };
-
-    let mut literals: Vec<(String, Vec<usize>)> = Vec::new();
-    let mut neqs: Vec<(usize, usize)> = Vec::new();
-    for conjunct in conjuncts {
-        match conjunct {
-            Formula::Pred(name, t) => {
-                let pred_width = flat_width(query.schema().type_of(name)?)?;
-                let keys: Vec<ClassKey> = match t {
-                    Term::Var(v) => {
-                        if widths.get(v) != Some(&pred_width) {
-                            return None;
-                        }
-                        (1..=pred_width)
-                            .map(|i| ClassKey::Coord(v.clone(), i))
-                            .collect()
-                    }
-                    Term::Proj(..) | Term::Const(_) => {
-                        if pred_width != 1 {
-                            return None;
-                        }
-                        vec![key_of(t, &widths)?]
-                    }
-                };
-                let nodes = keys.into_iter().map(|k| classes.node(k)).collect();
-                literals.push((name.clone(), nodes));
-            }
-            Formula::Eq(a, b) => match (wide(a, &widths), wide(b, &widths)) {
-                (Some((va, wa)), Some((vb, wb))) if wa == wb => {
-                    for i in 1..=wa {
-                        let na = classes.node(ClassKey::Coord(va.clone(), i));
-                        let nb = classes.node(ClassKey::Coord(vb.clone(), i));
-                        classes.union(na, nb);
-                    }
-                }
-                (None, None) => {
-                    let na = classes.node(key_of(a, &widths)?);
-                    let nb = classes.node(key_of(b, &widths)?);
-                    classes.union(na, nb);
-                }
-                _ => return None,
-            },
-            Formula::Not(inner) => match inner.as_ref() {
-                Formula::Eq(a, b) => {
-                    let na = classes.node(key_of(a, &widths)?);
-                    let nb = classes.node(key_of(b, &widths)?);
-                    neqs.push((na, nb));
-                }
-                _ => return None,
-            },
-            _ => return None,
-        }
-    }
-    if literals.is_empty() {
-        return None;
-    }
-
-    // Map each class to its datalog term: the class constant if one exists
-    // (two distinct constants make the body unsatisfiable — out of fragment),
-    // a canonical variable otherwise.
-    let mut class_const: BTreeMap<usize, Atom> = BTreeMap::new();
-    let keyed: Vec<(ClassKey, usize)> =
-        classes.index.iter().map(|(k, &i)| (k.clone(), i)).collect();
-    for (key, node) in &keyed {
-        if let ClassKey::Const(a) = key {
-            let root = classes.find(*node);
-            match class_const.get(&root) {
-                Some(existing) if existing != a => return None,
-                _ => {
-                    class_const.insert(root, *a);
-                }
-            }
-        }
-    }
-    let term_for = |classes: &mut Classes, node: usize| -> TermPattern {
-        let root = classes.find(node);
-        match class_const.get(&root) {
-            Some(a) => TermPattern::Const(*a),
-            None => TermPattern::Var(format!("v{root}")),
-        }
-    };
-
-    let mut head_terms = Vec::with_capacity(width);
-    for i in 1..=width {
-        let key = ClassKey::Coord(target.clone(), i);
-        let &node = classes.index.get(&key)?; // unmentioned output coordinate — unsafe
-        head_terms.push(term_for(&mut classes, node));
-    }
-    let body_atoms: Vec<DatalogAtom> = literals
-        .into_iter()
-        .map(|(name, nodes)| {
-            DatalogAtom::new(
-                &name,
-                nodes
-                    .into_iter()
-                    .map(|n| term_for(&mut classes, n))
-                    .collect(),
-            )
-        })
-        .collect();
-    let mut rule = Rule::new(DatalogAtom::new(VIEW_PRED, head_terms), body_atoms);
-    for (a, b) in neqs {
-        let (ta, tb) = (term_for(&mut classes, a), term_for(&mut classes, b));
-        match (ta, tb) {
-            (TermPattern::Var(va), TermPattern::Var(vb)) => {
-                if va == vb {
-                    return None; // ¬(x ≈ x) — never satisfiable
-                }
-                rule = rule.with_neq(&va, &vb);
-            }
-            // A disequality against a constant (or between two constants)
-            // falls outside the Rule::neq fragment.
-            _ => return None,
-        }
-    }
-    if !rule.is_range_restricted() {
-        return None;
-    }
-    Some(Program::new(vec![rule]))
 }
 
 #[cfg(test)]
@@ -1361,21 +1032,6 @@ mod tests {
     }
 
     #[test]
-    fn lowering_covers_the_genealogy_shapes_and_rejects_the_rest() {
-        let gp = lower_to_datalog(&queries::grandparent_query()).unwrap();
-        assert!(gp.is_safe());
-        assert_eq!(gp.rules.len(), 1);
-        assert_eq!(gp.rules[0].head.pred, VIEW_PRED);
-        assert_eq!(gp.rules[0].body.len(), 2);
-
-        let sib = lower_to_datalog(&queries::sibling_query()).unwrap();
-        assert_eq!(sib.rules[0].neq.len(), 1);
-
-        // The TC query quantifies over a set type — out of the fragment.
-        assert!(lower_to_datalog(&queries::transitive_closure_query()).is_none());
-    }
-
-    #[test]
     fn refreshes_record_their_cost_and_epochs_render_as_spans() {
         let mut inc = db(&[(a(0), a(1))]);
         let engine = Engine::new();
@@ -1414,19 +1070,6 @@ mod tests {
         assert_eq!(
             span.wall_micros,
             out.refreshed.iter().map(|r| r.wall_micros).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn tc_recognition_is_alpha_and_predicate_insensitive() {
-        assert_eq!(
-            recognize_transitive_closure(&queries::transitive_closure_query()),
-            Some("PAR".to_string())
-        );
-        // The grandparent query is not the TC shape.
-        assert_eq!(
-            recognize_transitive_closure(&queries::grandparent_query()),
-            None
         );
     }
 }

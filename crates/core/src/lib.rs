@@ -56,6 +56,7 @@ pub mod complexity;
 pub mod engine;
 pub mod hierarchy;
 pub mod incremental;
+mod lowering;
 pub mod pipeline;
 pub mod queries;
 pub mod report;

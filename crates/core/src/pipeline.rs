@@ -19,6 +19,14 @@
 //! scratch clone of the engine's universe, so executing never mutates shared
 //! state (Proposition 6.1 makes the choice of fresh atoms irrelevant).
 //!
+//! A calculus query in the conjunctive fragment of `CALC_{0,0}` needs no
+//! quantifier enumeration at all: prepare lowers it to one Datalog rule,
+//! turns the rule into a σ/π/× expression and plans that once, and the
+//! limited interpretation then runs as hash joins (root span
+//! `planned-calculus`).  Only the compiled backend under default budgets
+//! takes that route, so the tree walker stays the reference oracle and
+//! budget errors keep their enumeration text.
+//!
 //! ```
 //! use itq_core::prelude::*;
 //! use itq_core::queries;
@@ -36,7 +44,8 @@
 //! ```
 
 use crate::engine::{Engine, EngineError, GovernorConfig, Semantics};
-use itq_algebra::{to_calculus_query, AlgExpr, EvalConfig as AlgConfig, PhysicalPlan};
+use crate::lowering;
+use itq_algebra::{to_calculus_query, AlgError, AlgExpr, EvalConfig as AlgConfig, PhysicalPlan};
 use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable};
 use itq_calculus::normal::{sf_classification, to_prenex, PrenexForm, SfClassification};
 use itq_calculus::{CompiledQuery, Query, QueryClassification};
@@ -183,9 +192,12 @@ impl EngineBuilder {
 
     /// Select the evaluation backend for prepared handles: `true` (the
     /// default) runs the compiled slot-based evaluator with interned values
-    /// and memoized constructive domains; `false` runs the legacy
-    /// tree-walking evaluator — kept so the compiled/legacy speedup can be
-    /// measured as an ablation rather than taken on faith.
+    /// and memoized constructive domains — and, under default budgets, runs
+    /// a conjunctive query's limited interpretation through its physical
+    /// plan (see [`Prepared::physical_plan`]); `false` runs the legacy
+    /// tree-walking evaluator everywhere — kept so the speedups can be
+    /// measured as an ablation rather than taken on faith, and as the
+    /// reference the differential suites check both against.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -373,9 +385,11 @@ impl EngineBuilder {
 /// use itq_core::prelude::*;
 /// use itq_core::queries;
 ///
-/// let prepared = Engine::new().prepare(&queries::grandparent_query()).unwrap();
+/// let query = queries::excluding_parent_pairs(&queries::grandparent_query());
+/// let prepared = Engine::new().prepare(&query).unwrap();
 /// let stats = prepared.prepare_stats();
-/// // Calculus handles are never planned; every other phase ran exactly once.
+/// // Calculus handles outside the conjunctive fragment are never planned;
+/// // every other phase ran exactly once.
 /// assert_eq!(stats.plan_micros, 0);
 /// let span = stats.to_span();
 /// assert_eq!(span.name, "prepare");
@@ -387,14 +401,16 @@ pub struct PrepareStats {
     /// Semantic re-validation of the query body (for algebra handles: type
     /// inference plus the Theorem 3.8 translation into the calculus).
     pub typecheck_micros: u64,
-    /// Algebra handles only: building the set-at-a-time physical plan
-    /// (join extraction, selection pushdown, projection fusion).  Always 0
-    /// for calculus handles.
+    /// Building the set-at-a-time physical plan (join extraction, selection
+    /// pushdown, projection fusion): for every algebra handle, and for a
+    /// calculus handle whose query lowered to a conjunctive rule.  0 for
+    /// every other calculus handle.
     pub plan_micros: u64,
     /// The `CALC_{k,i}` classification (Section 3).
     pub classify_micros: u64,
     /// Normal forms: the existential-fragment analysis and the prenex form
-    /// (Section 4).
+    /// (Section 4), plus, for a calculus handle on the compiled backend
+    /// under default budgets, the attempt to lower it to a conjunctive rule.
     pub normalize_micros: u64,
     /// Lowering into the slot-based compiled evaluator.
     pub compile_micros: u64,
@@ -446,7 +462,8 @@ impl PrepareStats {
 /// use itq_core::queries;
 ///
 /// let engine = Engine::new();
-/// let prepared = engine.prepare(&queries::grandparent_query()).unwrap();
+/// let query = queries::excluding_parent_pairs(&queries::grandparent_query());
+/// let prepared = engine.prepare(&query).unwrap();
 /// let db = queries::parent_database(&[(Atom(0), Atom(1)), (Atom(1), Atom(2))]);
 /// let outcome = prepared.execute(&db, Semantics::Limited).unwrap();
 /// assert!(outcome.stats.steps > 0);
@@ -474,16 +491,18 @@ pub struct ExecStats {
     /// Compiled backend only: constructive-domain lookups that had to
     /// materialise a new domain (0 for the legacy tree walker).
     pub domain_cache_misses: u64,
-    /// Compiled and planned-algebra backends: distinct values interned in the
+    /// Compiled and planned backends: distinct values interned in the
     /// execution's value store (0 for the tree walker and the tuple-at-a-time
     /// algebra evaluator, which never intern).
     pub interned_values: u64,
-    /// Planned-algebra backend only: hash/member index probes plus candidate
-    /// pairs examined by join operators (0 for every other backend).
-    /// Comparable with the |A|·|B| pairs a tuple-at-a-time product walks.
+    /// Planned executions only (algebra plans, and conjunctive calculus
+    /// queries run through their plan): hash/member index probes plus
+    /// candidate pairs examined by join operators (0 for every other
+    /// backend).  Comparable with the |A|·|B| pairs a tuple-at-a-time
+    /// product walks.
     pub join_probes: u64,
-    /// Planned-algebra backend only: objects constructed by plan operators
-    /// before deduplication (0 for every other backend).
+    /// Planned executions only: objects constructed by plan operators before
+    /// deduplication (0 for every other backend).
     pub tuples_materialised: u64,
     /// Number of candidate-rank partitions the compiled-calculus path split
     /// its top-level loop into under the limited interpretation.  `0` when
@@ -523,9 +542,9 @@ impl ExecStats {
         }
     }
 
-    /// Fold planned-algebra executor counters into an `ExecStats` block (wall
-    /// time is stamped by the caller; the calculus counters stay zero — no
-    /// formula is evaluated on this path).
+    /// Fold plan executor counters into an `ExecStats` block (wall time is
+    /// stamped by the caller; the calculus counters stay zero — no formula is
+    /// evaluated on this path).
     fn from_plan(stats: itq_algebra::PlanStats) -> ExecStats {
         ExecStats {
             interned_values: stats.interned_values,
@@ -636,8 +655,11 @@ pub struct QueryOutcome {
 /// Which language the handle was prepared from.
 #[derive(Debug, Clone)]
 enum PreparedSource {
-    /// A calculus query, evaluated directly.
-    Calculus,
+    /// A calculus query, evaluated directly — under the limited
+    /// interpretation through `planned` when the query lowered to a
+    /// conjunctive rule (compiled backend and default budgets only, so the
+    /// tree walker stays the reference and budget errors keep their text).
+    Calculus { planned: Option<Box<PhysicalPlan>> },
     /// An algebra expression: kept for direct limited evaluation together
     /// with its set-at-a-time physical plan (planned once, at prepare time),
     /// alongside the calculus compilation used by classification and
@@ -721,7 +743,12 @@ impl Engine {
         let typecheck = Instant::now();
         let validated = query.with_body(query.body().clone())?;
         let typecheck_micros = typecheck.elapsed().as_micros() as u64;
-        Ok(self.prepared_from(PreparedSource::Calculus, validated, typecheck_micros, 0))
+        Ok(self.prepared_from(
+            PreparedSource::Calculus { planned: None },
+            validated,
+            typecheck_micros,
+            0,
+        ))
     }
 
     /// Prepare an algebra expression: infer its output type, compile it into
@@ -769,12 +796,14 @@ impl Engine {
     }
 
     /// Cache the static artifacts and configuration snapshot into a handle.
+    /// A calculus query in the conjunctive fragment is also lowered to its
+    /// Datalog rule (a normal form) and, from that, planned set-at-a-time.
     fn prepared_from(
         &self,
-        source: PreparedSource,
+        mut source: PreparedSource,
         query: Query,
         typecheck_micros: u64,
-        plan_micros: u64,
+        mut plan_micros: u64,
     ) -> Prepared {
         let phase = Instant::now();
         let classification = query.classification();
@@ -782,7 +811,21 @@ impl Engine {
         let phase = Instant::now();
         let sf = sf_classification(&query);
         let prenex = to_prenex(query.body());
+        let rule = match source {
+            PreparedSource::Calculus { .. }
+                if self.use_compiled && default_budgets(&self.calc_config, &self.alg_config) =>
+            {
+                lowering::lower_to_datalog(&query)
+            }
+            _ => None,
+        };
         let normalize_micros = phase.elapsed().as_micros() as u64;
+        if let Some(rule) = rule {
+            let phase = Instant::now();
+            let planned = lowering::plan_rule(&rule, &query).map(Box::new);
+            source = PreparedSource::Calculus { planned };
+            plan_micros = phase.elapsed().as_micros() as u64;
+        }
         let phase = Instant::now();
         let compiled = itq_calculus::compile::compile(&query)
             .expect("a validated query always lowers to its compiled form");
@@ -793,7 +836,7 @@ impl Engine {
             max_instance: self.alg_config.max_instance,
         };
         let diagnostics = match &source {
-            PreparedSource::Calculus => itq_analyze::analyze_query(&query, &budgets),
+            PreparedSource::Calculus { .. } => itq_analyze::analyze_query(&query, &budgets),
             PreparedSource::Algebra { expr, schema, .. } => {
                 itq_analyze::analyze_algebra(expr, schema, &budgets)
             }
@@ -852,8 +895,9 @@ impl Prepared {
     /// let engine = Engine::new();
     /// let expr = AlgExpr::pred("PAR").powerset();
     /// let algebra = engine.prepare_algebra(&expr, &queries::parent_schema()).unwrap();
-    /// let calculus = engine.prepare(&queries::grandparent_query()).unwrap();
-    /// // Only algebra handles go through the planner.
+    /// let query = queries::excluding_parent_pairs(&queries::grandparent_query());
+    /// let calculus = engine.prepare(&query).unwrap();
+    /// // Calculus queries outside the conjunctive fragment skip the planner.
     /// assert_eq!(calculus.prepare_stats().plan_micros, 0);
     /// assert_eq!(algebra.prepare_stats().to_span().children.len(), 6);
     /// ```
@@ -881,11 +925,12 @@ impl Prepared {
 
     /// True when the execution budgets snapshotted into this handle are all
     /// at their defaults.  The incremental engine only trusts a delta
-    /// strategy under default budgets: a handle with tightened budgets must
-    /// keep *failing* exactly as a from-scratch execution would, so its
-    /// watched views always re-execute.
+    /// strategy under default budgets, as prepare only plans a conjunctive
+    /// calculus query under them: a handle with tightened budgets must keep
+    /// *failing* exactly as a from-scratch execution would, so its watched
+    /// views always re-execute.
     pub(crate) fn budgets_are_default(&self) -> bool {
-        self.calc_config == EvalConfig::default() && self.alg_config == AlgConfig::default()
+        default_budgets(&self.calc_config, &self.alg_config)
     }
 
     /// The resource-governance snapshot this handle executes under (taken
@@ -1017,14 +1062,17 @@ impl Prepared {
     /// ```
     pub fn algebra_expr(&self) -> Option<&AlgExpr> {
         match &self.source {
-            PreparedSource::Calculus => None,
+            PreparedSource::Calculus { .. } => None,
             PreparedSource::Algebra { expr, .. } => Some(expr),
         }
     }
 
-    /// The set-at-a-time physical plan, if this handle was prepared from an
-    /// algebra expression (planned once at prepare time; the surface
-    /// language's `plan <name>;` statement pretty-prints it).
+    /// The set-at-a-time physical plan this handle runs under the limited
+    /// interpretation, planned once at prepare time: always for an algebra
+    /// expression, and for a calculus query in the conjunctive fragment (an
+    /// ∃-prefix of flat variables over predicate, `≈` and `¬≈` atoms) when
+    /// the compiled backend runs under default budgets.  The surface
+    /// language's `plan <name>;` statement pretty-prints it.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1038,23 +1086,25 @@ impl Prepared {
     ///     .unwrap();
     /// let plan = prepared.physical_plan().unwrap();
     /// assert!(plan.render().contains("hash-join"));
-    /// assert!(Engine::new()
-    ///     .prepare(&queries::grandparent_query())
-    ///     .unwrap()
-    ///     .physical_plan()
-    ///     .is_none());
+    /// // The calculus grandparent is conjunctive: it plans to the same join.
+    /// let calculus = Engine::new().prepare(&queries::grandparent_query()).unwrap();
+    /// assert_eq!(calculus.physical_plan().unwrap().render(), plan.render());
+    /// // A negated atom leaves the fragment: the compiled slots run it.
+    /// let query = queries::excluding_parent_pairs(&queries::grandparent_query());
+    /// assert!(Engine::new().prepare(&query).unwrap().physical_plan().is_none());
     /// ```
     pub fn physical_plan(&self) -> Option<&PhysicalPlan> {
         match &self.source {
-            PreparedSource::Calculus => None,
+            PreparedSource::Calculus { planned } => planned.as_deref(),
             PreparedSource::Algebra { plan, .. } => Some(plan),
         }
     }
 
     /// The slot-based compiled form of the query, lowered once at prepare
-    /// time.  This is what [`Prepared::execute`] runs by default; the legacy
-    /// tree walker remains reachable via
-    /// [`EngineBuilder::use_compiled`]`(false)`.
+    /// time.  This is what [`Prepared::execute`] runs by default (except a
+    /// conjunctive query's limited interpretation, which runs
+    /// [`Prepared::physical_plan`]); the legacy tree walker remains reachable
+    /// via [`EngineBuilder::use_compiled`]`(false)`.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1133,11 +1183,11 @@ impl Prepared {
 
     /// [`Prepared::execute`] plus a trace: the identical [`QueryOutcome`]
     /// together with a [`Span`] tree describing where the execution spent its
-    /// work — one operator span per physical-plan node on the planned-algebra
-    /// path, per-quantifier-slot draw counts on the compiled-calculus path,
-    /// and one `Q|_n[d]` span per level under the invention semantics.  The
-    /// root span's `wall_micros` equals the outcome's
-    /// [`ExecStats::wall_micros`].
+    /// work — one operator span per physical-plan node on the planned paths
+    /// (under a `planned-algebra` or `planned-calculus` root),
+    /// per-quantifier-slot draw counts on the compiled-calculus path, and one
+    /// `Q|_n[d]` span per level under the invention semantics.  The root
+    /// span's `wall_micros` equals the outcome's [`ExecStats::wall_micros`].
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1146,7 +1196,8 @@ impl Prepared {
     /// // parallelism(1) pins the sequential per-slot span tree; partitioned
     /// // runs replace the slot children with one span per partition.
     /// let engine = Engine::builder().parallelism(1).build();
-    /// let prepared = engine.prepare(&queries::grandparent_query()).unwrap();
+    /// let query = queries::excluding_parent_pairs(&queries::grandparent_query());
+    /// let prepared = engine.prepare(&query).unwrap();
     /// let db = queries::parent_database(&[(Atom(0), Atom(1)), (Atom(1), Atom(2))]);
     /// let (outcome, span) = prepared.execute_traced(&db, Semantics::Limited).unwrap();
     /// assert_eq!(span.name, "compiled-eval");
@@ -1273,32 +1324,52 @@ impl Prepared {
             stabilised_at: None,
             stats,
         };
+        let run_plan = |root: &str, plan: &PhysicalPlan| {
+            plan.execute_ctx(db, &self.alg_config, ctx)
+                .map(|(result, stats, op)| {
+                    let span = op.map(|op| {
+                        let mut span = Span::new(root);
+                        span.push_field("rows_out", result.len() as u64);
+                        span.push_child(op);
+                        span
+                    });
+                    (limited(result, ExecStats::from_plan(stats)), span)
+                })
+        };
+        let enumerated = || -> Result<(QueryOutcome, Option<Span>), EngineError> {
+            let (evaluation, span) = self.backend().eval_ctx(db, &[], &self.calc_config, ctx)?;
+            let stats = ExecStats {
+                partitions: evaluation.partitions,
+                ..ExecStats::from_eval(evaluation.stats, 0)
+            };
+            Ok((limited(evaluation.result, stats), span))
+        };
         match (semantics, &self.source) {
             (Semantics::Limited, PreparedSource::Algebra { plan, .. })
                 if self.use_algebra_planner =>
             {
-                let (result, stats, op) = plan.execute_ctx(db, &self.alg_config, ctx)?;
-                let span = op.map(|op| {
-                    let mut root = Span::new("planned-algebra");
-                    root.push_field("rows_out", result.len() as u64);
-                    root.push_child(op);
-                    root
-                });
-                Ok((limited(result, ExecStats::from_plan(stats)), span))
+                Ok(run_plan("planned-algebra", plan)?)
             }
             (Semantics::Limited, PreparedSource::Algebra { expr, schema, .. }) => {
                 let (result, span) = expr.eval_ctx(db, schema, &self.alg_config, ctx)?;
                 Ok((limited(result, ExecStats::default()), span))
             }
-            (Semantics::Limited, PreparedSource::Calculus) => {
-                let (evaluation, span) =
-                    self.backend().eval_ctx(db, &[], &self.calc_config, ctx)?;
-                let stats = ExecStats {
-                    partitions: evaluation.partitions,
-                    ..ExecStats::from_eval(evaluation.stats, 0)
-                };
-                Ok((limited(evaluation.result, stats), span))
-            }
+            // The conjunctive route reads relations positionally, so a
+            // database holding ill-typed values takes the enumeration, which
+            // never matches them.  A governor trip is final; any other planner
+            // error (a product over its budget, a relation missing from the
+            // database) is the route's own limit, and the enumeration then
+            // reproduces the handle's outcome.
+            (Semantics::Limited, PreparedSource::Calculus { planned }) => match planned {
+                Some(plan) if conforms(db, self.query.schema()) => {
+                    match run_plan("planned-calculus", plan) {
+                        Ok(outcome) => Ok(outcome),
+                        Err(err @ AlgError::Resource(_)) => Err(err.into()),
+                        Err(_) => enumerated(),
+                    }
+                }
+                _ => enumerated(),
+            },
             (Semantics::FiniteInvention, _) => {
                 let mut scratch = self.universe_seed.clone();
                 let (report, stats, levels) = finite_invention_ctx(
@@ -1364,6 +1435,22 @@ impl Prepared {
     }
 }
 
+/// True when the execution budgets are all at their defaults — the condition
+/// for a calculus handle's set-at-a-time route and for an incremental view's
+/// delta strategy.  A handle with tightened budgets must keep *failing*
+/// exactly as the enumeration would.
+fn default_budgets(calc: &EvalConfig, alg: &AlgConfig) -> bool {
+    *calc == EvalConfig::default() && *alg == AlgConfig::default()
+}
+
+/// True when every relation `db` stores under a schema predicate holds only
+/// values of the declared type.
+fn conforms(db: &Database, schema: &Schema) -> bool {
+    schema
+        .iter()
+        .all(|(name, ty)| db.relation(name).map_or(true, |r| r.conforms_to(ty)))
+}
+
 /// The root span of an invention-semantics execution: one child per
 /// `Q|_n[d]` level.
 fn invention_span(name: &str, levels_run: u64, rows_out: usize, levels: Vec<Span>) -> Span {
@@ -1380,14 +1467,21 @@ fn invention_span(name: &str, levels_run: u64, rows_out: usize, levels: Vec<Span
 mod tests {
     use super::*;
     use crate::queries::{
-        grandparent_query, parent_database, parent_schema, transitive_closure_query,
+        excluding_parent_pairs, grandparent_query, parent_database, parent_schema,
+        transitive_closure_query,
     };
     use itq_algebra::SelFormula;
     use itq_calculus::{Formula, Term};
-    use itq_object::{Atom, Type};
+    use itq_object::{Atom, Type, Value};
 
     fn db() -> Database {
         parent_database(&[(Atom(0), Atom(1)), (Atom(1), Atom(2))])
+    }
+
+    /// Grandparent outside the conjunctive fragment: the compiled slot
+    /// evaluator runs it under every semantics.
+    fn enumerated_grandparent() -> Query {
+        excluding_parent_pairs(&grandparent_query())
     }
 
     /// A query whose answer differs between the limited interpretation and
@@ -1480,7 +1574,7 @@ mod tests {
     fn outcome_carries_semantics_flags_and_stats() {
         let engine = Engine::new();
         let db = db();
-        let prepared = engine.prepare(&grandparent_query()).unwrap();
+        let prepared = engine.prepare(&enumerated_grandparent()).unwrap();
 
         let limited = prepared.execute(&db, Semantics::Limited).unwrap();
         assert_eq!(limited.semantics, Semantics::Limited);
@@ -1594,7 +1688,7 @@ mod tests {
         let sequential = Engine::builder().parallelism(1).build();
         let parallel = Engine::builder().parallelism(4).build();
         assert_eq!(parallel.parallelism(), 4);
-        for query in [grandparent_query(), witness_query()] {
+        for query in [enumerated_grandparent(), witness_query()] {
             let seq = sequential.prepare(&query).unwrap();
             let par = parallel.prepare(&query).unwrap();
             assert_eq!(par.parallelism(), 4);
@@ -1623,7 +1717,7 @@ mod tests {
     fn parallel_traced_execution_reports_partition_children() {
         let db = db();
         let engine = Engine::builder().parallelism(4).build();
-        let prepared = engine.prepare(&grandparent_query()).unwrap();
+        let prepared = engine.prepare(&enumerated_grandparent()).unwrap();
         let (outcome, span) = prepared.execute_traced(&db, Semantics::Limited).unwrap();
         assert_eq!(span.name, "compiled-eval");
         assert_eq!(span.field("partitions"), Some(outcome.stats.partitions));
@@ -1780,7 +1874,7 @@ mod tests {
         let engine = Engine::builder().parallelism(1).build();
 
         // Compiled calculus: root span with per-slot children.
-        let prepared = engine.prepare(&grandparent_query()).unwrap();
+        let prepared = engine.prepare(&enumerated_grandparent()).unwrap();
         for semantics in Semantics::ALL {
             let plain = prepared.execute(&db, semantics).unwrap();
             let (traced, span) = prepared.execute_traced(&db, semantics).unwrap();
@@ -1801,6 +1895,18 @@ mod tests {
         assert_eq!(span.name, "finite-invention");
         assert_eq!(span.children.len(), finite.stats.invention_levels as usize);
         assert_eq!(span.children[0].name, "Q|_0[d]");
+
+        // Planned calculus: the conjunctive grandparent's join under its own
+        // root, with the same operator grammar as planned algebra.
+        let routed = engine.prepare(&grandparent_query()).unwrap();
+        let plain = routed.execute(&db, Semantics::Limited).unwrap();
+        let (traced, span) = routed.execute_traced(&db, Semantics::Limited).unwrap();
+        assert_eq!(plain.result, traced.result);
+        assert_eq!(plain.stats.deterministic(), traced.stats.deterministic());
+        assert_eq!(span.name, "planned-calculus");
+        assert!(span.children[0].name.starts_with("hash-join"));
+        assert_eq!(span.subtree_total("join_probes"), traced.stats.join_probes);
+        assert_eq!(traced.stats.steps, 0);
 
         // Planned algebra: the operator tree hangs off the root span, and the
         // span subtree totals reproduce the ExecStats counters.
@@ -1846,7 +1952,7 @@ mod tests {
     fn execute_with_sink_short_circuits_when_disabled() {
         use itq_trace::{CollectingSink, NoopSink, TraceSink};
         let engine = Engine::new();
-        let prepared = engine.prepare(&grandparent_query()).unwrap();
+        let prepared = engine.prepare(&enumerated_grandparent()).unwrap();
         let db = db();
 
         let noop = NoopSink;
@@ -1869,7 +1975,7 @@ mod tests {
     #[test]
     fn prepare_stats_time_every_phase() {
         let engine = Engine::new();
-        let calculus = engine.prepare(&grandparent_query()).unwrap();
+        let calculus = engine.prepare(&enumerated_grandparent()).unwrap();
         assert_eq!(calculus.prepare_stats().plan_micros, 0);
         let expr = AlgExpr::pred("PAR")
             .product(AlgExpr::pred("PAR"))
@@ -2027,6 +2133,21 @@ mod tests {
             err.to_string(),
             "interned values exceeded the configured memory ceiling of 1 bytes"
         );
+        // A planned algebra join too small to reach a masked poll still
+        // meets the ceiling at its exit poll, with the same message.
+        let expr = AlgExpr::pred("PAR")
+            .product(AlgExpr::pred("PAR"))
+            .select(SelFormula::coords_eq(2, 3))
+            .project(vec![1, 4]);
+        let (result, stats) = tight
+            .prepare_algebra(&expr, &parent_schema())
+            .unwrap()
+            .try_execute(&db, Semantics::Limited);
+        assert_eq!(
+            result.unwrap_err().to_string(),
+            "interned values exceeded the configured memory ceiling of 1 bytes"
+        );
+        assert_eq!(stats.interrupt_polls, 2, "entry and exit polls only");
         // The tree walker never interns, so the same ceiling never trips.
         let legacy = Engine::builder()
             .memory_ceiling(1)
@@ -2038,6 +2159,54 @@ mod tests {
             .execute(&db, Semantics::Limited)
             .unwrap();
         assert_eq!(ok.result.len(), 1);
+    }
+
+    #[test]
+    fn the_route_falls_back_to_the_enumeration_on_its_own_limits() {
+        let routed = Engine::new().prepare(&grandparent_query()).unwrap();
+        assert!(routed.physical_plan().is_some());
+        let walker = Engine::builder()
+            .use_compiled(false)
+            .build()
+            .prepare(&grandparent_query())
+            .unwrap();
+        let chain: Vec<(Atom, Atom)> = (0..2049).map(|i| (Atom(i), Atom(i + 1))).collect();
+        let ill_typed = Database::single(
+            "PAR",
+            Instance::from_values(vec![
+                Value::atom_tuple([Atom(0), Atom(1), Atom(2)]),
+                Value::pair(Atom(1), Atom(5)),
+            ]),
+        );
+        for (label, db) in [
+            // |PAR|² exceeds the product budget: the enumeration then meets
+            // its own candidate budget, with the tree walker's message.
+            ("product budget", parent_database(&chain)),
+            // The plan cannot scan a relation the database lacks.
+            (
+                "missing relation",
+                Database::single("OTHER", Instance::empty()),
+            ),
+            // The plan would read the triple's coordinates as a pair's and
+            // join it into the answer [a0, a1]; the enumeration never
+            // matches it, and there is no grandparent pair.
+            ("ill-typed relation", ill_typed),
+        ] {
+            let (fast, slow) = (
+                routed.execute(&db, Semantics::Limited),
+                walker.execute(&db, Semantics::Limited),
+            );
+            match (fast, slow) {
+                (Ok(fast), Ok(slow)) => {
+                    assert_eq!(fast.result, slow.result, "{label}");
+                    assert_eq!(fast.stats.join_probes, 0, "{label}: enumerated");
+                }
+                (Err(fast), Err(slow)) => {
+                    assert_eq!(fast.to_string(), slow.to_string(), "{label}")
+                }
+                (fast, slow) => panic!("{label}: {fast:?} vs {slow:?}"),
+            }
+        }
     }
 
     #[test]

@@ -63,6 +63,22 @@ pub fn sibling_query() -> Query {
     Query::new("t", t_pair, body, parent_schema()).expect("sibling query is well-typed")
 }
 
+/// `Q ∧ ¬PAR(t)` for a `[U,U]`-targeted PAR query `Q`: its answers that are
+/// not themselves parent pairs.  The negated atom keeps the query in
+/// `CALC_{0,0}` but outside the conjunctive fragment that prepares into a
+/// set-at-a-time plan, so it always runs the compiled slot evaluator; on a
+/// forest (a chain, a tree) the extra conjunct removes nothing from
+/// [`grandparent_query`] or [`sibling_query`].
+pub fn excluding_parent_pairs(query: &Query) -> Query {
+    let body = Formula::and(vec![
+        query.body().clone(),
+        Formula::not(Formula::pred("PAR", Term::var(query.target()))),
+    ]);
+    query
+        .with_body(body)
+        .expect("a [U,U] target over PAR may be negated against PAR")
+}
+
 /// The formula `φ(x)` of Examples 2.4/3.1: `x` (of type `{[U,U]}`) is a binary
 /// relation over the atoms appearing in `PAR`, contains `PAR`, and is transitive.
 pub fn transitive_superset_formula(x: &str) -> Formula {
@@ -193,6 +209,23 @@ mod tests {
         let out = sibling_query().eval(&db, &EvalConfig::default()).unwrap();
         assert_eq!(out.len(), 2); // (1,2) and (2,1)
         assert!(out.contains(&Value::pair(a(1), a(2))));
+    }
+
+    #[test]
+    fn excluding_parent_pairs_keeps_forest_answers_and_leaves_the_fragment() {
+        let db = parent_database(&[(a(0), a(1)), (a(1), a(2)), (a(1), a(3)), (a(0), a(2))]);
+        let gp = excluding_parent_pairs(&grandparent_query())
+            .eval(&db, &EvalConfig::default())
+            .unwrap();
+        // (0,2) is both a grandparent pair and a parent pair.
+        assert_eq!(gp, Instance::from_pairs(vec![(a(0), a(3))]));
+        let query = excluding_parent_pairs(&sibling_query());
+        assert_eq!(
+            query.classification().minimal_class,
+            CalcClass::relational()
+        );
+        let prepared = crate::engine::Engine::new().prepare(&query).unwrap();
+        assert!(prepared.physical_plan().is_none());
     }
 
     #[test]

@@ -19,8 +19,8 @@ pub mod parity;
 
 pub use exponent::{exponent_equation_witness, perfect_square_query, perfect_square_reference};
 pub use genealogy::{
-    grandparent_query, parent_database, parent_schema, powerset_of_parents, sibling_query,
-    transitive_closure_query,
+    excluding_parent_pairs, grandparent_query, parent_database, parent_schema, powerset_of_parents,
+    sibling_query, transitive_closure_query,
 };
 pub use orders::{total_orders_query, unary_schema};
 pub use parity::{even_cardinality_query, parity_reference, person_schema};

@@ -177,19 +177,13 @@ pub fn check_script(src: &str, budgets: &Budgets) -> ScriptCheck {
                     || format!("unknown database `{database}`"),
                 );
             }
-            Stmt::Classify { name } | Stmt::Typecheck { name } | Stmt::Check { name } => {
+            Stmt::Classify { name }
+            | Stmt::Typecheck { name }
+            | Stmt::Check { name }
+            | Stmt::Plan { name } => {
                 require(&mut check, defined.is_evaluable(&name), base, src, || {
                     format!("no query or algebra expression named `{name}`")
                 });
-            }
-            Stmt::Plan { name } => {
-                require(
-                    &mut check,
-                    defined.algebras.contains(&name),
-                    base,
-                    src,
-                    || format!("no algebra expression named `{name}`"),
-                );
             }
             Stmt::Show { name } => {
                 require(&mut check, defined.is_anything(&name), base, src, || {
@@ -319,10 +313,11 @@ mod tests {
              eval q on nowhere;\n\
              eval nope on nowhere;\n\
              plan q;\n\
+             plan missing;\n\
              show mystery;\n\
              insert into ghost.P {[Tom, Mary]};",
         );
-        // nowhere ×2, nope, plan-on-query, mystery, ghost.
+        // nowhere ×2, nope, missing, mystery, ghost (`plan` takes queries too).
         assert_eq!(check.errors, 6, "{:?}", check.lines);
         assert!(check
             .lines
@@ -332,7 +327,8 @@ mod tests {
         assert!(check
             .lines
             .iter()
-            .any(|l| l.contains("no algebra expression named `q`")));
+            .any(|l| l.contains("no query or algebra expression named `missing`")));
+        assert!(!check.lines.iter().any(|l| l.contains("`q`")));
         assert!(check
             .lines
             .iter()

@@ -111,10 +111,10 @@ pub enum Stmt {
         name: String,
     },
     /// `plan NAME;` — pretty-print the physical plan of an algebra
-    /// expression (joins extracted, selections pushed down, projections
-    /// fused).
+    /// expression or a conjunctive calculus query (joins extracted,
+    /// selections pushed down, projections fused).
     Plan {
-        /// An algebra expression name.
+        /// A query or algebra name.
         name: String,
     },
     /// `eval NAME on DB [with SEMANTICS];`

@@ -550,27 +550,36 @@ impl Session {
     }
 
     /// `plan NAME;` — pretty-print the set-at-a-time physical plan the
-    /// prepare step built for a named algebra expression (the same plan
-    /// `eval` executes under the limited interpretation).
+    /// prepare step built (the same plan `eval` executes under the limited
+    /// interpretation): every algebra expression has one, and so does a
+    /// calculus query in the conjunctive fragment.  Any other calculus query
+    /// is reported as running on the evaluator that enumerates it.
     fn plan(&mut self, name: &str) -> Result<Vec<String>, SessionError> {
-        if self.queries.contains_key(name) {
+        if !self.queries.contains_key(name) && !self.algebras.contains_key(name) {
             return Err(SessionError::Exec(format!(
-                "`{name}` is a calculus query; physical plans exist for algebra \
-                 expressions (calculus queries run the compiled slot evaluator)"
-            )));
-        }
-        if !self.algebras.contains_key(name) {
-            return Err(SessionError::Exec(format!(
-                "no algebra expression named `{name}`"
+                "no query or algebra expression named `{name}`"
             )));
         }
         let mut lines = self.ensure_prepared(name)?;
         let prepared = &self.prepared[name];
-        let plan = prepared
-            .physical_plan()
-            .expect("algebra handles always carry a physical plan");
-        lines.push(format!("plan {name}: {}", prepared.algebra_expr().unwrap()));
-        lines.extend(plan.render_lines().into_iter().map(|l| format!("  {l}")));
+        match prepared.physical_plan() {
+            Some(plan) => {
+                let source = match prepared.algebra_expr() {
+                    Some(expr) => expr.to_string(),
+                    None => prepared.query().to_string(),
+                };
+                lines.push(format!("plan {name}: {source}"));
+                lines.extend(plan.render_lines().into_iter().map(|l| format!("  {l}")));
+            }
+            None => lines.push(format!(
+                "plan {name}: none — this calculus query runs the {}",
+                if self.engine.use_compiled() {
+                    "compiled slot evaluator"
+                } else {
+                    "tree walker"
+                }
+            )),
+        }
         Ok(lines)
     }
 
@@ -1073,7 +1082,7 @@ fn help_text() -> Vec<String> {
         "  typecheck NAME                       re-check and print the typing",
         "  classify NAME                        minimal CALC_{k,i} / ALG_{k,i} class",
         "  check NAME                           static analysis: diagnostics with caret snippets",
-        "  plan NAME                            print an algebra expression's physical plan",
+        "  plan NAME                            print the physical plan eval runs (if any)",
         "  eval NAME on DB [with SEMANTICS]     semantics: limited (default),",
         "    (`under` ≡ `with`)                 finite-invention (fi), terminal-invention (ti)",
         "  explain analyze NAME on DB [...]     execute + print the trace tree (actual rows, µs)",
@@ -1174,7 +1183,6 @@ mod tests {
             "compile gp;",
             "eval gp on d with naive;",
             "database b : Missing {X = {}};",
-            "plan gp;",
             "plan nope;",
         ] {
             assert!(s.run_source(bad).is_err(), "`{bad}` should fail");
@@ -1206,6 +1214,48 @@ mod tests {
         let out = run(&mut s, "eval ga on d;");
         assert!(out.iter().any(|l| l == "eval ga on d: 1 object"), "{out:?}");
         assert!(out.iter().any(|l| l.ends_with("[Tom, Sue]")), "{out:?}");
+    }
+
+    /// A calculus query outside the conjunctive fragment: the negated atom
+    /// keeps it on the compiled slot evaluator.
+    fn strict_grandparent(session: &mut Session) {
+        run(
+            session,
+            "query strict : Gen {t/[U, U] | ∃x/[U, U] ∃y/[U, U] \
+             (PAR(x) ∧ PAR(y) ∧ x.2 ≈ y.1 ∧ t.1 ≈ x.1 ∧ t.2 ≈ y.2) ∧ ¬PAR(t)};",
+        );
+    }
+
+    #[test]
+    fn plan_statement_covers_calculus_queries() {
+        let mut s = Session::new();
+        genealogy(&mut s);
+        strict_grandparent(&mut s);
+        // Grandparent is conjunctive: prepare planned it into the same join
+        // as the algebra exemplar, and `eval` runs that plan.
+        let out = run(&mut s, "plan gp;");
+        assert!(
+            out.iter().any(|l| l.starts_with("plan gp: {t/[U, U] |")),
+            "{out:?}"
+        );
+        assert!(
+            out.iter()
+                .any(|l| l.contains("hash-join [$2 = $1'] project π_{1,4}")),
+            "{out:?}"
+        );
+        assert_eq!(out.iter().filter(|l| l.contains("scan PAR")).count(), 2);
+        let out = run(&mut s, "plan strict;");
+        assert_eq!(
+            out,
+            ["plan strict: none — this calculus query runs the compiled slot evaluator"]
+        );
+        let mut walker = Session::with_engine(Engine::builder().use_compiled(false).build());
+        genealogy(&mut walker);
+        let out = run(&mut walker, "plan gp;");
+        assert_eq!(
+            out,
+            ["plan gp: none — this calculus query runs the tree walker"]
+        );
     }
 
     #[test]
@@ -1409,8 +1459,17 @@ mod tests {
         }
         assert_eq!(out.iter().filter(|l| l.contains("scan PAR")).count(), 2);
 
-        // Compiled calculus: per-quantifier-slot draw counts.
+        // Planned calculus: the conjunctive query's join, annotated alike.
         let out = run(&mut s, "explain analyze gp on d;");
+        assert!(
+            out.iter().any(|l| l.contains("planned-calculus")),
+            "{out:?}"
+        );
+        assert!(out.iter().any(|l| l.contains("hash-join")), "{out:?}");
+
+        // Compiled calculus: per-quantifier-slot draw counts.
+        strict_grandparent(&mut s);
+        let out = run(&mut s, "explain analyze strict on d;");
         assert!(out.iter().any(|l| l.contains("compiled-eval")), "{out:?}");
         assert!(out.iter().any(|l| l.contains("quantifier slot")), "{out:?}");
 
@@ -1432,12 +1491,13 @@ mod tests {
         use std::sync::Arc;
         let mut s = Session::new();
         genealogy(&mut s);
+        strict_grandparent(&mut s);
         // With the default NoopSink nothing is recorded and eval output is
         // unchanged.
-        let plain = run(&mut s, "eval gp on d;");
+        let plain = run(&mut s, "eval strict on d;");
         let sink = Arc::new(itq_trace::CollectingSink::new());
         s.set_trace_sink(Box::new(Arc::clone(&sink)));
-        let traced = run(&mut s, "eval gp on d;");
+        let traced = run(&mut s, "eval strict on d;");
         assert_eq!(plain, traced, "tracing must not change output");
         let spans = sink.take();
         assert_eq!(spans.len(), 1);

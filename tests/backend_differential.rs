@@ -27,9 +27,15 @@
 //!   planner-off, and tree-walker engines for every semantics, and each
 //!   backend's statistics keep their shape (planner counters zero off the
 //!   planned path, calculus counters zero on the algebra paths).
+//!
+//! A fourth path is checked on recipe-generated *conjunctive calculus*
+//! queries: the default engine runs each one in the conjunctive fragment
+//! through a physical plan, and its answers and error strings must equal the
+//! tree walker's.
 
+use itq::fault::FaultRng;
 use itq_algebra::EvalConfig as AlgConfig;
-use itq_algebra::{plan, to_calculus_query, AlgExpr, SelFormula, SelTerm};
+use itq_algebra::{plan, to_calculus_query, AlgExpr, PhysNode, SelFormula, SelTerm};
 use itq_calculus::compile::compile;
 use itq_core::prelude::*;
 use proptest::prelude::*;
@@ -569,27 +575,17 @@ fn resource_errors_are_byte_identical_across_the_trio() {
     }
 
     // The memory ceiling governs interned values, so it only trips the
-    // interning backends — but trips them with the identical message.  The
-    // planned path observes its value store at the masked poll cadence
-    // (every `POLL_MASK`+1 work units), so its database must be large enough
-    // to reach a poll after interning — *per partition*, since an
-    // `ITQ_PARALLELISM` override splits the probe across workers that each
-    // poll on their own cadence.
+    // interning backends — but trips them with the identical message.
     let ceiling = GovernorConfig {
         memory_ceiling: Some(1),
         ..GovernorConfig::default()
     };
     let expected = "interned values exceeded the configured memory ceiling of 1 bytes";
     let [(_, planner), (_, tuple), (_, tree)] = trio(&ceiling);
-    let big_db = Database::single(
-        "PAR",
-        Instance::from_pairs((0..1200).map(|i| (Atom(i), Atom(i + 1)))),
-    )
-    .with("PERSON", Instance::empty());
     let planner_err = planner
         .prepare_algebra(&expr, &schema())
         .unwrap()
-        .execute(&big_db, Semantics::Limited)
+        .execute(&db, Semantics::Limited)
         .unwrap_err();
     assert_eq!(planner_err.to_string(), expected);
     // The compiled calculus route interns through its value store too.
@@ -617,4 +613,173 @@ fn resource_errors_are_byte_identical_across_the_trio() {
             .unwrap();
         assert_eq!(outcome.result, baseline.result, "{label}");
     }
+}
+
+/// A recipe-generated conjunctive calculus query over [`schema`]: a `U` or
+/// `[U,U]` target `t` under an ∃-prefix of one to three `U` / `[U,U]`
+/// variables, over a conjunction of `PAR` / `PERSON` literals, `≈` between
+/// coordinates or against a constant, and `¬≈`.  Each variable is bound by
+/// a literal of its own type with probability ¾, then one to four random
+/// conjuncts follow.  Most draws land in the conjunctive fragment; the rest
+/// (a disequality against a constant, an answer coordinate no literal binds,
+/// …) probe its edges.
+fn conjunctive_query(rng: &mut FaultRng) -> Query {
+    let pick = |rng: &mut FaultRng, n: usize| (rng.next_u64() % n as u64) as usize;
+    let ty = |pair: bool| {
+        if pair {
+            Type::flat_tuple(2)
+        } else {
+            Type::Atomic
+        }
+    };
+    let vars: Vec<(String, bool)> = (0..=rng.one_to(3))
+        .map(|i| match i {
+            0 => "t".to_string(),
+            _ => format!("x{i}"),
+        })
+        .map(|name| (name, pick(rng, 2) == 0))
+        .collect();
+    let pairs: Vec<&str> = vars
+        .iter()
+        .filter(|(_, pair)| *pair)
+        .map(|(name, _)| name.as_str())
+        .collect();
+    let coord = |rng: &mut FaultRng| {
+        let (name, pair) = &vars[pick(rng, vars.len())];
+        if *pair {
+            Term::proj(name, 1 + pick(rng, 2))
+        } else {
+            Term::var(name)
+        }
+    };
+    let constant = |rng: &mut FaultRng| Term::Const(Atom(pick(rng, 3) as u32));
+    let mut conjuncts: Vec<Formula> = vars
+        .iter()
+        .filter(|_| pick(rng, 4) != 0)
+        .map(|(name, pair)| match pair {
+            true => Formula::pred("PAR", Term::var(name)),
+            false => Formula::pred("PERSON", Term::var(name)),
+        })
+        .collect();
+    conjuncts.extend((0..rng.one_to(4)).map(|_| match pick(rng, 6) {
+        0 | 1 if !pairs.is_empty() => {
+            Formula::pred("PAR", Term::var(pairs[pick(rng, pairs.len())]))
+        }
+        0..=2 => Formula::pred("PERSON", coord(rng)),
+        3 => Formula::eq(coord(rng), coord(rng)),
+        4 => Formula::eq(coord(rng), constant(rng)),
+        _ if pick(rng, 4) == 0 => Formula::not(Formula::eq(coord(rng), constant(rng))),
+        _ => Formula::not(Formula::eq(coord(rng), coord(rng))),
+    }));
+    let body = vars[1..]
+        .iter()
+        .rev()
+        .fold(Formula::and(conjuncts), |body, (name, pair)| {
+            Formula::exists(name, ty(*pair), body)
+        });
+    Query::new("t", ty(vars[0].1), body, schema()).expect("recipes are well-typed")
+}
+
+/// A database over at most three atoms, like [`small_db`].
+fn conjunctive_db(rng: &mut FaultRng) -> Database {
+    let mut atom = || Atom((rng.next_u64() % 3) as u32);
+    let edges: Vec<(Atom, Atom)> = (0..5).map(|_| (atom(), atom())).collect();
+    let people: Vec<Atom> = (0..3).map(|_| atom()).collect();
+    let edges = &edges[..(rng.next_u64() % 6) as usize];
+    let people = &people[..(rng.next_u64() % 4) as usize];
+    Database::single("PAR", Instance::from_pairs(edges.iter().copied()))
+        .with("PERSON", Instance::from_atoms(people.iter().copied()))
+}
+
+/// The conjunctive route against its oracle: the default engine (which plans
+/// every query in the fragment) against the tree walker, on recipe-generated
+/// queries over random small databases.  Answers and error strings are
+/// identical; a routed run evaluates no formula and, when it answers
+/// through a join, probes it; under tightened budgets both engines enumerate
+/// and fail identically.  The share of queries that took the route is
+/// asserted, so the generator cannot drift out of the fragment unnoticed.
+#[test]
+fn conjunctive_calculus_route_agrees_with_the_tree_walker() {
+    const CASES: usize = 300;
+    let mut rng = FaultRng::new(14);
+    let default = Engine::new();
+    let walker = Engine::builder().use_compiled(false).build();
+    let tiny = Engine::builder().calc_config(EvalConfig::tiny()).build();
+    let tiny_walker = Engine::builder()
+        .calc_config(EvalConfig::tiny())
+        .use_compiled(false)
+        .build();
+    let agree =
+        |here: &str, a: Result<QueryOutcome, EngineError>, b: Result<QueryOutcome, EngineError>| {
+            match (a, b) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.result, b.result, "{here}");
+                    assert_eq!(a.bounded_approximation, b.bounded_approximation, "{here}");
+                    Some(a)
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.to_string(), b.to_string(), "{here}");
+                    None
+                }
+                (a, b) => panic!("{here}: route {a:?} vs tree walker {b:?}"),
+            }
+        };
+    let (mut routed, mut joined, mut starved) = (0, 0, 0);
+    for case in 0..CASES {
+        let query = conjunctive_query(&mut rng);
+        let db = conjunctive_db(&mut rng);
+        let here = format!("case {case}: {query} on {db:?}");
+        let prepared = default.prepare(&query).unwrap();
+        let outcome = agree(
+            &here,
+            prepared.execute(&db, Semantics::Limited),
+            walker
+                .prepare(&query)
+                .unwrap()
+                .execute(&db, Semantics::Limited),
+        );
+        if let (Some(plan), Some(outcome)) = (prepared.physical_plan(), outcome) {
+            routed += 1;
+            let stats = outcome.stats;
+            assert_eq!(
+                (
+                    stats.steps,
+                    stats.quantifier_values,
+                    stats.candidates_checked
+                ),
+                (0, 0, 0),
+                "{here}: a routed run evaluates no formula"
+            );
+            let mut joins = false;
+            plan.root()
+                .visit(&mut |node| joins |= matches!(node, PhysNode::Join { .. }));
+            if joins && !outcome.result.is_empty() {
+                assert!(stats.join_probes > 0, "{here}: answers come from probes");
+                joined += 1;
+            }
+        }
+        let capped = tiny.prepare(&query).unwrap();
+        assert!(
+            capped.physical_plan().is_none(),
+            "{here}: tight budgets enumerate"
+        );
+        let tight = agree(
+            &here,
+            capped.execute(&db, Semantics::Limited),
+            tiny_walker
+                .prepare(&query)
+                .unwrap()
+                .execute(&db, Semantics::Limited),
+        );
+        starved += usize::from(tight.is_none());
+    }
+    println!(
+        "conjunctive route: {routed} of {CASES} generated queries planned, \
+         {joined} answered through a join; {starved} starved under tiny budgets"
+    );
+    assert!(
+        routed * 2 >= CASES && joined * 4 >= routed && starved > 0,
+        "only {routed} of {CASES} generated queries took the conjunctive route \
+         ({joined} answered through a join, {starved} starved)"
+    );
 }

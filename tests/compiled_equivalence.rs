@@ -6,6 +6,13 @@
 //! through the compiled backend (the default) or the legacy tree walker
 //! (`EngineBuilder::use_compiled(false)`), under all three semantics.
 //!
+//! A conjunctive query prepared by the default engine runs its limited
+//! interpretation through a physical plan instead of the slots; on those
+//! rows the pipeline-level comparison pins the route's contract (identical
+//! answers, flags and errors; calculus counters zero; joins probed), while
+//! [`assert_backends_agree`] keeps pinning the slot evaluator's counters on
+//! the same queries.
+//!
 //! The suite also pins the domain-cache invalidation contract: the invention
 //! semantics extend the atom set per level, and a domain memoized over `X`
 //! must never be reused for `X ∪ {fresh}` (changed atom set ⇒ changed
@@ -59,6 +66,16 @@ fn engine_pair() -> (Engine, Engine) {
     (compiled, legacy)
 }
 
+/// The contract of a conjunctive query run through its physical plan: no
+/// formula is evaluated, and its joins probe.
+fn assert_planned_route(stats: &ExecStats, context: &str) {
+    assert_eq!(stats.steps, 0, "{context}: routed runs evaluate no formula");
+    assert_eq!(stats.quantifier_values, 0, "{context}");
+    assert_eq!(stats.candidates_checked, 0, "{context}");
+    assert_eq!(stats.max_domain_seen, 0, "{context}");
+    assert!(stats.join_probes > 0, "{context}: routed runs join");
+}
+
 /// Compare a `Prepared::execute` outcome between two backend-ablated engines.
 fn assert_outcomes_agree_on(
     engines: &(Engine, Engine),
@@ -67,7 +84,9 @@ fn assert_outcomes_agree_on(
     semantics: Semantics,
 ) {
     let (compiled, legacy) = engines;
-    let fast = compiled.prepare(query).unwrap().execute(db, semantics);
+    let prepared = compiled.prepare(query).unwrap();
+    let routed = semantics == Semantics::Limited && prepared.physical_plan().is_some();
+    let fast = prepared.execute(db, semantics);
     let slow = legacy.prepare(query).unwrap().execute(db, semantics);
     match (slow, fast) {
         (Ok(slow), Ok(fast)) => {
@@ -79,6 +98,10 @@ fn assert_outcomes_agree_on(
             );
             assert_eq!(slow.defined_at, fast.defined_at, "{semantics}");
             assert_eq!(slow.stabilised_at, fast.stabilised_at, "{semantics}");
+            if routed {
+                assert_planned_route(&fast.stats, &format!("{semantics}: {query}"));
+                return;
+            }
             assert_eq!(slow.stats.steps, fast.stats.steps, "{semantics}");
             assert_eq!(
                 slow.stats.quantifier_values, fast.stats.quantifier_values,
@@ -180,8 +203,10 @@ fn invention_invalidates_the_domain_cache_when_scratch_atoms_arrive() {
 fn compiled_outcomes_expose_the_cache_counters() {
     let engine = Engine::new();
     let db = queries::parent_database(&[(Atom(0), Atom(1)), (Atom(1), Atom(2))]);
+    // Outside the conjunctive fragment, so the compiled slots run it.
+    let enumerated = queries::excluding_parent_pairs(&queries::grandparent_query());
     let outcome = engine
-        .prepare(&queries::grandparent_query())
+        .prepare(&enumerated)
         .unwrap()
         .execute(&db, Semantics::Limited)
         .unwrap();
@@ -201,6 +226,18 @@ fn compiled_outcomes_expose_the_cache_counters() {
     assert_eq!(slow.stats.domain_cache_hits, 0);
     assert_eq!(slow.stats.domain_cache_misses, 0);
     assert_eq!(slow.stats.interned_values, 0);
+    // The conjunctive grandparent runs its plan: it joins instead of
+    // drawing from domains, and interns only the relations it reads.
+    let routed = engine
+        .prepare(&queries::grandparent_query())
+        .unwrap()
+        .execute(&db, Semantics::Limited)
+        .unwrap();
+    assert_eq!(routed.result, slow.result);
+    assert_planned_route(&routed.stats, "grandparent");
+    assert_eq!(routed.stats.domain_cache_hits, 0);
+    assert_eq!(routed.stats.domain_cache_misses, 0);
+    assert!(routed.stats.interned_values > 0);
 }
 
 /// Random well-typed queries: one of the repo's canonical PAR-schema queries

@@ -7,9 +7,10 @@
 //! function of the query, database, and backend, so "trip at the nth poll"
 //! names an exactly reproducible logical instant.
 //!
-//! The contract, checked across all four execution backends (compiled slots,
-//! tree walker, planned algebra, tuple-at-a-time algebra) and all three
-//! semantics (limited, finite-invention, terminal-invention):
+//! The contract, checked across all five execution backends (compiled slots,
+//! tree walker, planned algebra, tuple-at-a-time algebra, and the planned
+//! route of a conjunctive calculus query) and all three semantics (limited,
+//! finite-invention, terminal-invention):
 //!
 //! * an execution interrupted at *any* point returns either a typed
 //!   [`EngineError::Resource`] / contained [`EngineError::Internal`] or the
@@ -40,7 +41,8 @@ fn family_db() -> Database {
 }
 
 /// The grandparent join as an algebra expression, for the two algebra
-/// backends (the calculus backends run [`queries::grandparent_query`]).
+/// backends (the calculus backends run [`queries::grandparent_query`], the
+/// compiled slots with a negated atom that keeps it off the planned route).
 fn grandparent_algebra() -> AlgExpr {
     AlgExpr::pred("PAR")
         .product(AlgExpr::pred("PAR"))
@@ -48,7 +50,7 @@ fn grandparent_algebra() -> AlgExpr {
         .project(vec![1, 4])
 }
 
-const BACKENDS: [&str; 4] = ["compiled", "tree-walk", "planned", "tuple"];
+const BACKENDS: [&str; 5] = ["compiled", "tree-walk", "planned", "tuple", "routed"];
 
 /// A fresh prepared handle for one backend under one governor.  Prepared
 /// handles snapshot the governor, so every run arms its own engine.
@@ -66,8 +68,18 @@ fn prepare(backend: &str, governor: GovernorConfig) -> Prepared {
     match backend {
         "compiled" => builder
             .build()
-            .prepare(&queries::grandparent_query())
+            .prepare(&queries::excluding_parent_pairs(
+                &queries::grandparent_query(),
+            ))
             .unwrap(),
+        "routed" => {
+            let prepared = builder
+                .build()
+                .prepare(&queries::grandparent_query())
+                .unwrap();
+            assert!(prepared.physical_plan().is_some(), "conjunctive route");
+            prepared
+        }
         "tree-walk" => builder
             .use_compiled(false)
             .build()
@@ -218,26 +230,33 @@ fn engines_recover_after_every_fault_kind() {
 }
 
 /// Shrinking ceilings cross the interning watermark monotonically: exact
-/// answers above, the canonical error below, nothing in between.
+/// answers above, the canonical error below, nothing in between — on both
+/// interning calculus paths.
 #[test]
 fn shrinking_memory_ceilings_are_exact_or_error_at_every_rung() {
     let db = family_db();
-    let baseline = prepare("compiled", GovernorConfig::default())
-        .try_execute(&db, Semantics::Limited)
+    for backend in ["compiled", "routed"] {
+        assert_ceilings_are_monotone(backend, &db);
+    }
+}
+
+fn assert_ceilings_are_monotone(backend: &str, db: &Database) {
+    let baseline = prepare(backend, GovernorConfig::default())
+        .try_execute(db, Semantics::Limited)
         .0
         .unwrap();
     let mut tripped = false;
     for ceiling in shrinking_ceilings(1 << 20, 24) {
-        let outcome = prepare("compiled", Fault::MemoryCeiling(ceiling).governor())
-            .try_execute(&db, Semantics::Limited)
+        let outcome = prepare(backend, Fault::MemoryCeiling(ceiling).governor())
+            .try_execute(db, Semantics::Limited)
             .0;
         match outcome {
             Ok(out) => {
                 assert!(
                     !tripped,
-                    "ceiling {ceiling}: succeeded below a ceiling that already tripped"
+                    "{backend} ceiling {ceiling}: succeeded below a ceiling that already tripped"
                 );
-                assert_eq!(out.result, baseline.result, "ceiling {ceiling}");
+                assert_eq!(out.result, baseline.result, "{backend} ceiling {ceiling}");
             }
             Err(e) => {
                 tripped = true;
@@ -253,7 +272,7 @@ fn shrinking_memory_ceilings_are_exact_or_error_at_every_rung() {
     }
     assert!(
         tripped,
-        "the one-byte ceiling must trip the interning backend"
+        "{backend}: the one-byte ceiling must trip the interning backend"
     );
 }
 

@@ -9,10 +9,11 @@
 //! * across the delta strategies (semi-naive closure maintenance for the
 //!   Example 3.1 transitive-closure shape, single-rule Datalog delta firing
 //!   for conjunctive bodies) and the guarded re-execution fallback;
-//! * across the engine's execution backends: the compiled slot evaluator,
-//!   the legacy tree walker (`use_compiled(false)`), and — via a watched
-//!   *algebra* handle — the set-at-a-time planner and the tuple-at-a-time
-//!   evaluator (`use_algebra_planner(false)`);
+//! * across the engine's execution backends: the compiled default (which
+//!   runs the conjunctive views' limited interpretation through their
+//!   planned route), the legacy tree walker (`use_compiled(false)`), and —
+//!   via a watched *algebra* handle — the set-at-a-time planner and the
+//!   tuple-at-a-time evaluator (`use_algebra_planner(false)`);
 //! * across all three semantics of the prepared pipeline (limited, finite
 //!   invention, terminal invention — the invention semantics take the
 //!   re-execution path by construction);

@@ -161,6 +161,24 @@ fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, workers: usize
             );
             assert_eq!(span.field("steps"), Some(stats.steps), "{label}");
         }
+        "planned-calculus" => {
+            assert_eq!(
+                span.subtree_total("join_probes"),
+                stats.join_probes,
+                "{label}: per-operator probes tile the planner total"
+            );
+            assert_eq!(
+                span.subtree_total("tuples_materialised"),
+                stats.tuples_materialised,
+                "{label}"
+            );
+            assert_eq!(
+                span.field("rows_out"),
+                Some(outcome.result.len() as u64),
+                "{label}"
+            );
+            assert_eq!(stats.steps, 0, "{label}: no formula is evaluated");
+        }
         "tree-walk" => {
             assert_eq!(span.field("steps"), Some(stats.steps), "{label}");
             assert_eq!(
@@ -204,6 +222,23 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// The conjunctive genealogy queries on the default engine run their
+    /// physical plan under a `planned-calculus` root: the same three-way
+    /// harness, with the operator tree's counters tiling the stats.
+    #[test]
+    fn tracing_never_changes_planned_calculus_outcomes(pick in 0usize..2, db in small_db()) {
+        let q = [queries::grandparent_query(), queries::sibling_query()][pick].clone();
+        for workers in [1, 4] {
+            let label = format!("routed/workers={workers}");
+            let prepared = Engine::builder().parallelism(workers).build().prepare(&q).unwrap();
+            prop_assert!(prepared.physical_plan().is_some());
+            let (outcome, span) = execute_three_ways(&prepared, &db, Semantics::Limited, &label)
+                .expect("default budgets");
+            prop_assert_eq!(span.name.as_str(), "planned-calculus");
+            assert_span_matches_stats(&outcome, &span, workers, &label);
         }
     }
 }
@@ -278,9 +313,11 @@ fn tracing_never_changes_algebra_outcomes() {
 fn recorded_spans_render_with_the_pinned_grammar() {
     let db = queries::parent_database(&[(Atom(0), Atom(1)), (Atom(1), Atom(2))]);
 
-    // Sequential compiled tree: per-slot children.
+    // Sequential compiled tree: per-slot children.  The negated atom keeps
+    // the query off the conjunctive route, so the compiled slots run it.
+    let query = queries::excluding_parent_pairs(&queries::grandparent_query());
     let engine = Engine::builder().parallelism(1).build();
-    let prepared = engine.prepare(&queries::grandparent_query()).unwrap();
+    let prepared = engine.prepare(&query).unwrap();
     let sink = CollectingSink::new();
     assert!(sink.is_enabled());
     let _ = prepared
@@ -298,7 +335,7 @@ fn recorded_spans_render_with_the_pinned_grammar() {
     // Parallel compiled tree: the slot children give way to one child span
     // per partition, each carrying its rank tile — same root grammar.
     let engine = Engine::builder().parallelism(4).build();
-    let prepared = engine.prepare(&queries::grandparent_query()).unwrap();
+    let prepared = engine.prepare(&query).unwrap();
     let sink = CollectingSink::new();
     let outcome = prepared
         .execute_with_sink(&db, Semantics::Limited, &sink)
