@@ -7,9 +7,9 @@
 //!   recognised semi-naive closure strategy, so an insert costs one warm
 //!   delta loop while the from-scratch arm re-walks the `2^(n²)` powerset
 //!   quantifier domain;
-//! * **genealogy** (grandparent, sibling): the conjunctive bodies lower to
-//!   single Datalog rules and refresh by firing the rule at delta positions
-//!   only; from scratch they run as hash joins through the same rule's plan.
+//! * **genealogy** (grandparent, sibling): conjunctive bodies have no delta
+//!   path, so each refresh re-executes the watched `Prepared` handle through
+//!   the hash-join plan prepare built — the plan the from-scratch arm runs.
 //!
 //! Each delta iteration is an insert+delete round trip so the database (and
 //! therefore the measured work) is identical across iterations.  Answers are

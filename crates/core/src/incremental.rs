@@ -1,45 +1,41 @@
-//! A mutable, versioned database with watched queries and delta-driven
-//! refresh — the serving-oriented incremental engine of the ROADMAP.
+//! A mutable, versioned database with watched queries — the
+//! serving-oriented incremental engine of the ROADMAP.
 //!
-//! [`IncrementalDb`] keeps each relation as datafrog-style tiers in the
-//! [`ValueId`]-interned space of [`itq_object::ValueStore`]:
-//!
-//! * `stable` — facts that have survived at least one full epoch;
-//! * `recent` — facts added by the latest committed epoch;
-//! * `to_add` / `to_remove` — staged mutations, folded in when the epoch
-//!   commits (every [`IncrementalDb::insert`] / [`IncrementalDb::delete`]
-//!   call commits one epoch and bumps the version).
+//! [`IncrementalDb`] holds one plain [`Database`], every schema predicate
+//! present, and mutates it in place: each [`IncrementalDb::insert`] /
+//! [`IncrementalDb::delete`] call validates its whole batch, applies it,
+//! commits one epoch and bumps the version.  Watched views execute against
+//! that same database ([`IncrementalDb::database`]), so refreshing one never
+//! copies it.
 //!
 //! Watched queries ([`IncrementalDb::watch`]) keep their [`Prepared`] handle
 //! warm and refresh after every commit.  The refresh strategy is chosen once,
-//! at watch time, by *recognising* the query with the same prepare-time
-//! lowering [`Engine::prepare`](crate::engine::Engine::prepare) uses:
+//! at watch time:
 //!
-//! * the Example 3.1 transitive-closure shape is maintained by re-seeding the
-//!   shared semi-naive driver ([`itq_relational::fixpoint::seminaive_from`])
-//!   from the warm closure with only the inserted edges as the delta;
-//! * conjunctive bodies (an ∃-prefix of flat variables over a conjunction of
-//!   predicate, equality, and disequality atoms) lower to the single Datalog
-//!   rule whose σ/π/× plan prepare already runs them through, and are
-//!   maintained by [`itq_relational::Program::evaluate_delta`];
-//! * everything else — higher-order quantifiers, invention semantics, algebra
-//!   handles whose translation is not conjunctive — falls back to
-//!   re-execution, guarded so that views whose input relations (and active
-//!   domain) did not change are skipped.
+//! * the Example 3.1 transitive-closure shape, recognised by the prepare-time
+//!   lowering [`Engine::prepare`](crate::engine::Engine::prepare) uses, is
+//!   maintained by re-seeding the shared semi-naive driver
+//!   ([`itq_relational::fixpoint::seminaive_from`]) from the warm closure with
+//!   only the inserted edges as the delta — its re-execution walks a
+//!   `2^(n²)` quantifier domain;
+//! * everything else re-executes its `Prepared` handle, guarded so that views
+//!   whose input relations (and active domain) did not change are skipped.
+//!   A conjunctive view's limited interpretation re-executes through the
+//!   physical plan prepare built for it (`planned-calculus` or
+//!   `planned-algebra`), so its refresh is a few hash joins.
 //!
-//! Both delta strategies are *verified at watch time*: the recogniser's
-//! answer is compared against the `Prepared` handle's own full execution, and
-//! on any disagreement the view silently falls back to re-execution.  A
-//! deletion on a delta-maintained view recomputes the relational fixpoint
-//! from the tiers (still polynomial, against the calculus' hyper-exponential
-//! re-execution); positive fixpoints are monotone, so only insertions can be
-//! maintained differentially.
+//! The closure strategy is *verified at watch time*: the recogniser's answer
+//! is compared against the `Prepared` handle's own full execution, and on any
+//! disagreement the view silently falls back to re-execution.  A deletion
+//! recomputes the closure from the relation (still polynomial, against the
+//! calculus' hyper-exponential re-execution); positive fixpoints are
+//! monotone, so only insertions can be maintained differentially.
 //!
 //! ## Resource governance and transactionality
 //!
 //! Mutations are transactional: a rejected [`IncrementalDb::insert`] /
 //! [`IncrementalDb::delete`] (unknown relation, ill-typed value anywhere in
-//! the batch) stages nothing, so the version and every relation's contents
+//! the batch) touches nothing, so the version and every relation's contents
 //! are exactly as before the call.  Watched views under an armed resource
 //! governor (see [`crate::engine::GovernorConfig`]) always take the
 //! re-execution path — a delta refresh would stop polling the conditions a
@@ -48,12 +44,12 @@
 //! answer, marked [`WatchedView::is_stale`], instead of discarding it.
 
 use crate::engine::{EngineError, Semantics};
-use crate::lowering::{flat_width, lower_to_datalog, recognize_transitive_closure, VIEW_PRED};
+use crate::lowering::{flat_width, recognize_transitive_closure};
 use crate::pipeline::{ExecStats, Prepared};
-use itq_object::{Atom, Database, Instance, Schema, Type, Value, ValueId, ValueStore};
-use itq_relational::fixpoint::{seminaive_from, RelationStore};
+use itq_object::{Atom, Database, Instance, Schema, Type, Value};
+use itq_relational::fixpoint::seminaive_from;
 use itq_relational::ops::compose;
-use itq_relational::{transitive_closure_seminaive, Program, Relation};
+use itq_relational::{transitive_closure_seminaive, Relation};
 use itq_trace::Span;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -93,46 +89,6 @@ impl fmt::Display for IncrementalError {
 
 impl std::error::Error for IncrementalError {}
 
-/// Per-relation instance tiers in interned-id space.
-#[derive(Debug, Clone, Default)]
-struct RelationTiers {
-    /// Facts known for more than one epoch.
-    stable: BTreeSet<ValueId>,
-    /// Facts added by the latest committed epoch.
-    recent: BTreeSet<ValueId>,
-    /// Staged insertions for the next commit.
-    to_add: Vec<ValueId>,
-    /// Staged deletions for the next commit.
-    to_remove: Vec<ValueId>,
-}
-
-impl RelationTiers {
-    fn ids(&self) -> impl Iterator<Item = ValueId> + '_ {
-        self.stable.iter().chain(self.recent.iter()).copied()
-    }
-
-    /// Fold the staged mutations in: `recent` ages into `stable`, removals
-    /// apply, and the staged additions not already present become the new
-    /// `recent`.  Returns the ids actually added and actually removed.
-    fn commit(&mut self) -> (Vec<ValueId>, Vec<ValueId>) {
-        let aged = std::mem::take(&mut self.recent);
-        self.stable.extend(aged);
-        let mut removed = Vec::new();
-        for id in self.to_remove.drain(..) {
-            if self.stable.remove(&id) {
-                removed.push(id);
-            }
-        }
-        let mut added = Vec::new();
-        for id in self.to_add.drain(..) {
-            if !self.stable.contains(&id) && self.recent.insert(id) {
-                added.push(id);
-            }
-        }
-        (added, removed)
-    }
-}
-
 /// How a watched view was brought up to date after one mutation epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefreshPath {
@@ -141,9 +97,7 @@ pub enum RefreshPath {
     SkippedUnchangedSupport,
     /// The warm transitive closure was extended semi-naively from the delta.
     DeltaSeminaive,
-    /// The lowered Datalog rule fired on the delta against warm totals.
-    DeltaRules,
-    /// The relational fixpoint was recomputed from the tiers (deletions).
+    /// The closure was recomputed from its edge relation (deletions).
     Recomputed,
     /// The `Prepared` handle re-executed from scratch.
     Reexecuted,
@@ -154,7 +108,6 @@ impl fmt::Display for RefreshPath {
         let s = match self {
             RefreshPath::SkippedUnchangedSupport => "skipped (support unchanged)",
             RefreshPath::DeltaSeminaive => "delta (semi-naive closure)",
-            RefreshPath::DeltaRules => "delta (datalog rule)",
             RefreshPath::Recomputed => "recomputed (relational fixpoint)",
             RefreshPath::Reexecuted => "re-executed",
         };
@@ -237,12 +190,6 @@ enum RefreshStrategy {
     /// The Example 3.1 transitive-closure query over `pred`; `closure` is the
     /// warm fixpoint, extended in place on insertions.
     TransitiveClosure { pred: String, closure: Relation },
-    /// A conjunctive body lowered to one Datalog rule with head
-    /// [`VIEW_PRED`]; `totals` holds the warm EDB + view fixpoint.
-    DeltaRules {
-        program: Program,
-        totals: RelationStore,
-    },
     /// Re-execute the `Prepared` handle (with the changed-support guard).
     Reexecute,
 }
@@ -308,7 +255,6 @@ impl WatchedView {
     pub fn strategy_name(&self) -> &'static str {
         match self.strategy {
             RefreshStrategy::TransitiveClosure { .. } => "seminaive-closure",
-            RefreshStrategy::DeltaRules { .. } => "delta-rules",
             RefreshStrategy::Reexecute => "re-execute",
         }
     }
@@ -318,51 +264,29 @@ impl WatchedView {
 #[derive(Debug, Clone)]
 pub struct IncrementalDb {
     schema: Schema,
-    store: ValueStore,
-    tiers: BTreeMap<String, RelationTiers>,
+    /// The current contents; every schema predicate has a relation.
+    db: Database,
     version: u64,
     views: BTreeMap<String, WatchedView>,
 }
 
 impl IncrementalDb {
-    /// Build an incremental database over `schema`, seeded from `db` (values
-    /// land directly in the `stable` tier; version starts at 1).
+    /// Build an incremental database over `schema`, seeded from `db` (a
+    /// predicate the seed omits starts empty; version starts at 1).
     pub fn new(schema: Schema, db: &Database) -> Result<IncrementalDb, IncrementalError> {
-        let mut this = IncrementalDb {
-            tiers: schema
-                .iter()
-                .map(|(name, _)| (name.to_string(), RelationTiers::default()))
-                .collect(),
+        for (name, instance) in db.iter() {
+            check_batch(&schema, name, instance.iter())?;
+        }
+        let mut db = db.clone();
+        for (name, _) in schema.iter() {
+            db.relation_mut(name);
+        }
+        Ok(IncrementalDb {
             schema,
-            store: ValueStore::new(),
+            db,
             version: 1,
             views: BTreeMap::new(),
-        };
-        for (name, instance) in db.iter() {
-            let ty = this
-                .schema
-                .type_of(name)
-                .ok_or_else(|| IncrementalError::UnknownRelation {
-                    pred: name.to_string(),
-                })?
-                .clone();
-            for value in instance.iter() {
-                if !value.has_type(&ty) {
-                    return Err(IncrementalError::TypeMismatch {
-                        pred: name.to_string(),
-                        expected: ty,
-                        value: value.clone(),
-                    });
-                }
-                let id = this.store.intern(value);
-                this.tiers
-                    .get_mut(name)
-                    .expect("tier exists for every schema predicate")
-                    .stable
-                    .insert(id);
-            }
-        }
-        Ok(this)
+        })
     }
 
     /// The schema the database conforms to.
@@ -377,30 +301,17 @@ impl IncrementalDb {
 
     /// The number of tuples currently in `pred`, if declared.
     pub fn relation_len(&self, pred: &str) -> Option<usize> {
-        self.tiers
-            .get(pred)
-            .map(|t| t.stable.len() + t.recent.len())
+        self.db.relation(pred).map(Instance::len)
     }
 
-    /// Materialise the current state as a plain [`Database`].
+    /// The current state, with every schema predicate present.
+    pub fn database(&self) -> &Database {
+        &self.db
+    }
+
+    /// A copy of the current state as a plain [`Database`].
     pub fn snapshot(&self) -> Database {
-        Database::new(self.tiers.iter().map(|(name, tiers)| {
-            (
-                name.clone(),
-                Instance::from_values(tiers.ids().map(|id| self.store.resolve(id))),
-            )
-        }))
-    }
-
-    /// The active domain of the current state.
-    pub fn active_domain(&self) -> BTreeSet<Atom> {
-        let mut out = BTreeSet::new();
-        for tiers in self.tiers.values() {
-            for id in tiers.ids() {
-                self.store.resolve(id).collect_atoms(&mut out);
-            }
-        }
-        out
+        self.db.clone()
     }
 
     /// Insert `values` into `pred`, commit the epoch, and refresh every
@@ -410,13 +321,14 @@ impl IncrementalDb {
         pred: &str,
         values: Vec<Value>,
     ) -> Result<MutationOutcome, IncrementalError> {
-        let ids = self.check_and_intern(pred, values)?;
-        self.tiers
-            .get_mut(pred)
-            .expect("checked by check_and_intern")
-            .to_add
-            .extend(ids);
-        Ok(self.commit_epoch(pred))
+        check_batch(&self.schema, pred, &values)?;
+        Ok(self.commit_epoch(pred, |relation| {
+            let added = values
+                .into_iter()
+                .filter(|v| relation.insert(v.clone()))
+                .collect();
+            (added, 0)
+        }))
     }
 
     /// Delete `values` from `pred`, commit the epoch, and refresh every
@@ -426,54 +338,32 @@ impl IncrementalDb {
         pred: &str,
         values: Vec<Value>,
     ) -> Result<MutationOutcome, IncrementalError> {
-        let ids = self.check_and_intern(pred, values)?;
-        self.tiers
-            .get_mut(pred)
-            .expect("checked by check_and_intern")
-            .to_remove
-            .extend(ids);
-        Ok(self.commit_epoch(pred))
+        check_batch(&self.schema, pred, &values)?;
+        Ok(self.commit_epoch(pred, |relation| {
+            (
+                Vec::new(),
+                values.iter().filter(|v| relation.remove(v)).count(),
+            )
+        }))
     }
 
-    fn check_and_intern(
+    /// Apply a validated mutation to `pred` (`apply` returns the values
+    /// actually added and the number actually removed), bump the version,
+    /// and refresh every watched view.
+    fn commit_epoch(
         &mut self,
         pred: &str,
-        values: Vec<Value>,
-    ) -> Result<Vec<ValueId>, IncrementalError> {
-        let ty = self
-            .schema
-            .type_of(pred)
-            .ok_or_else(|| IncrementalError::UnknownRelation {
-                pred: pred.to_string(),
-            })?
-            .clone();
-        for value in &values {
-            if !value.has_type(&ty) {
-                return Err(IncrementalError::TypeMismatch {
-                    pred: pred.to_string(),
-                    expected: ty,
-                    value: value.clone(),
-                });
-            }
-        }
-        Ok(values.iter().map(|v| self.store.intern(v)).collect())
-    }
-
-    fn commit_epoch(&mut self, pred: &str) -> MutationOutcome {
-        let adom_before = self.active_domain();
-        let (added_ids, removed_ids) = self
-            .tiers
-            .get_mut(pred)
-            .expect("commit_epoch only runs on checked predicates")
-            .commit();
+        apply: impl FnOnce(&mut Instance) -> (Vec<Value>, usize),
+    ) -> MutationOutcome {
+        let adom_before = self.db.active_domain();
+        let (added, removed) = apply(self.db.relation_mut(pred));
         self.version += 1;
-        let adom_changed = adom_before != self.active_domain();
-        let added: Vec<Value> = added_ids.iter().map(|&id| self.store.resolve(id)).collect();
-        let refreshed = self.refresh_views(pred, &added, removed_ids.len(), adom_changed);
+        let adom_changed = adom_before != self.db.active_domain();
+        let refreshed = self.refresh_views(pred, &added, removed, adom_changed);
         MutationOutcome {
             pred: pred.to_string(),
-            added: added_ids.len(),
-            removed: removed_ids.len(),
+            added: added.len(),
+            removed,
             version: self.version,
             refreshed,
         }
@@ -483,8 +373,7 @@ impl IncrementalDb {
     /// and verify a maintenance strategy, and keep it warm.  Returns the
     /// initial refresh report.
     pub fn watch(&mut self, name: &str, prepared: Prepared, semantics: Semantics) -> ViewRefresh {
-        let snapshot = self.snapshot();
-        let (result, stats) = prepared.try_execute(&snapshot, semantics);
+        let (result, stats) = prepared.try_execute(&self.db, semantics);
         let outcome = result.map(|outcome| outcome.result);
         let support = prepared.query().body().predicates();
         let strategy = self.choose_strategy(&prepared, semantics, &outcome);
@@ -540,9 +429,6 @@ impl IncrementalDb {
         let (Semantics::Limited, Ok(answer)) = (semantics, outcome) else {
             return RefreshStrategy::Reexecute;
         };
-        if self.schema.contains(VIEW_PRED) {
-            return RefreshStrategy::Reexecute;
-        }
         // A tightened budget may succeed on today's database and starve on
         // tomorrow's; a delta refresh would mask that.  Only handles whose
         // budgets are at the (effectively unreachable) defaults may skip the
@@ -567,51 +453,16 @@ impl IncrementalDb {
                 }
             }
         }
-        if let Some(rule) = lower_to_datalog(prepared.query()) {
-            let program = Program::new(vec![rule]);
-            if let Some(seed) = self.edb_for(&program) {
-                // Warm totals: the head relation at declared arity, plus the
-                // EDB absorbed by the seeding pass of the delta driver.
-                let mut totals: RelationStore = program
-                    .rules
-                    .iter()
-                    .map(|r| (r.head.pred.clone(), Relation::empty(r.head.terms.len())))
-                    .collect();
-                program.evaluate_delta(&mut totals, seed);
-                let view = totals
-                    .get(VIEW_PRED)
-                    .cloned()
-                    .unwrap_or_else(|| Relation::empty(1));
-                if view.to_instance() == *answer {
-                    return RefreshStrategy::DeltaRules { program, totals };
-                }
-            }
-        }
         RefreshStrategy::Reexecute
-    }
-
-    /// The EDB a lowered program reads, from the current tiers; `None` if any
-    /// referenced relation is not flat.
-    fn edb_for(&self, program: &Program) -> Option<RelationStore> {
-        let mut edb = RelationStore::new();
-        for rule in &program.rules {
-            for literal in &rule.body {
-                if !edb.contains_key(&literal.pred) {
-                    edb.insert(literal.pred.clone(), self.relation_as_flat(&literal.pred)?);
-                }
-            }
-        }
-        Some(edb)
     }
 
     /// The current contents of `pred` as a flat [`Relation`], if its declared
     /// type is flat.
     pub fn relation_as_flat(&self, pred: &str) -> Option<Relation> {
         let width = flat_width(self.schema.type_of(pred)?)?;
-        let tiers = self.tiers.get(pred)?;
         let mut out = Relation::empty(width);
-        for id in tiers.ids() {
-            out.insert(flat_tuple_of(&self.store.resolve(id))?);
+        for value in self.db.relation(pred)?.iter() {
+            out.insert(flat_tuple_of(value)?);
         }
         Some(out)
     }
@@ -625,7 +476,6 @@ impl IncrementalDb {
         adom_changed: bool,
     ) -> Vec<ViewRefresh> {
         let mut views = std::mem::take(&mut self.views);
-        let mut snapshot: Option<Database> = None;
         let mut reports = Vec::with_capacity(views.len());
         for (name, view) in views.iter_mut() {
             let touched = view.support.contains(pred);
@@ -635,9 +485,9 @@ impl IncrementalDb {
             // measured wall time below.
             let mut exec_stats: Option<ExecStats> = None;
             let (path, rounds) = match &mut view.strategy {
-                // The delta strategies maintain answers that depend only on
-                // the view's own relations, so an untouched support set means
-                // an unchanged answer even if the active domain moved.
+                // The closure depends only on its own edge relation, so an
+                // untouched support set means an unchanged answer even if the
+                // active domain moved.
                 RefreshStrategy::TransitiveClosure { pred: p, closure } if touched && p == pred => {
                     if removed == 0 {
                         let delta = added
@@ -665,33 +515,8 @@ impl IncrementalDb {
                         (RefreshPath::Recomputed, 0)
                     }
                 }
-                RefreshStrategy::DeltaRules { program, totals } if touched => {
-                    if removed == 0 {
-                        let width = totals
-                            .get(pred)
-                            .map(Relation::arity)
-                            .expect("support relations are in the totals");
-                        let mut delta_rel = Relation::empty(width);
-                        for v in added {
-                            delta_rel.insert(flat_tuple_of(v).expect("typed flat tuples"));
-                        }
-                        let mut seed = RelationStore::new();
-                        seed.insert(pred.to_string(), delta_rel);
-                        let rounds = program.evaluate_delta(totals, seed);
-                        view.outcome = Ok(totals[VIEW_PRED].to_instance());
-                        (RefreshPath::DeltaRules, rounds)
-                    } else {
-                        let edb = self
-                            .edb_for(program)
-                            .expect("strategy only chosen over flat relations");
-                        *totals = program.evaluate(&edb);
-                        view.outcome = Ok(totals[VIEW_PRED].to_instance());
-                        (RefreshPath::Recomputed, 0)
-                    }
-                }
                 RefreshStrategy::Reexecute if touched || adom_changed => {
-                    let db = snapshot.get_or_insert_with(|| self.snapshot());
-                    let (result, stats) = view.prepared.try_execute(db, view.semantics);
+                    let (result, stats) = view.prepared.try_execute(&self.db, view.semantics);
                     exec_stats = Some(stats);
                     match result {
                         Ok(outcome) => {
@@ -703,8 +528,8 @@ impl IncrementalDb {
                         // answer is held, keep serving it, marked stale,
                         // rather than replacing it with the error.  Query
                         // errors (budgets, typing) are deterministic facts
-                        // about the new snapshot, so they are stored — the
-                        // view must match a from-scratch execution exactly.
+                        // about the new state, so they are stored — the view
+                        // must match a from-scratch execution exactly.
                         Err(err) => {
                             let transient = matches!(
                                 err,
@@ -739,6 +564,29 @@ impl IncrementalDb {
     }
 }
 
+/// Validate a mutation batch (or a seed relation) before anything is
+/// touched: `pred` must be declared, and every value must conform to its
+/// type.  The first offending value is reported.
+fn check_batch<'a>(
+    schema: &Schema,
+    pred: &str,
+    values: impl IntoIterator<Item = &'a Value>,
+) -> Result<(), IncrementalError> {
+    let ty = schema
+        .type_of(pred)
+        .ok_or_else(|| IncrementalError::UnknownRelation {
+            pred: pred.to_string(),
+        })?;
+    match values.into_iter().find(|value| !value.has_type(ty)) {
+        Some(value) => Err(IncrementalError::TypeMismatch {
+            pred: pred.to_string(),
+            expected: ty.clone(),
+            value: value.clone(),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// A flat value as an atom tuple: `a ↦ [a]`, `[a1,…,an] ↦ [a1,…,an]`.
 fn flat_tuple_of(value: &Value) -> Option<Vec<Atom>> {
     match value {
@@ -764,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn tiers_commit_and_version() {
+    fn mutations_commit_epochs_and_bump_the_version() {
         let mut inc = db(&[(a(0), a(1))]);
         assert_eq!(inc.version(), 1);
         assert_eq!(inc.relation_len("PAR"), Some(1));
@@ -811,6 +659,50 @@ mod tests {
     }
 
     #[test]
+    fn seeds_that_omit_a_predicate_snapshot_it_empty() {
+        let schema = Schema::single("PAR", Type::flat_tuple(2)).with("OTHER", Type::Atomic);
+        let seed = queries::parent_database(&[(a(0), a(1))]);
+        let inc = IncrementalDb::new(schema, &seed).unwrap();
+        let expected = seed.with("OTHER", Instance::empty());
+        assert_eq!(inc.snapshot(), expected);
+        assert_eq!(inc.database(), &expected);
+        assert_eq!(inc.relation_len("OTHER"), Some(0));
+    }
+
+    #[test]
+    fn seed_relations_outside_the_schema_are_unknown() {
+        let seed = queries::parent_database(&[(a(0), a(1))])
+            .with("NOPE", Instance::from_atoms(vec![a(0)]));
+        let err = IncrementalDb::new(queries::parent_schema(), &seed).unwrap_err();
+        assert_eq!(
+            err,
+            IncrementalError::UnknownRelation {
+                pred: "NOPE".to_string()
+            }
+        );
+    }
+
+    #[test]
+    fn a_batch_holding_a_value_twice_adds_it_once() {
+        let mut inc = db(&[]);
+        let twice = vec![Value::pair(a(0), a(1)), Value::pair(a(0), a(1))];
+        let out = inc.insert("PAR", twice).unwrap();
+        assert_eq!((out.added, out.removed), (1, 0));
+        assert_eq!(inc.relation_len("PAR"), Some(1));
+    }
+
+    #[test]
+    fn deleting_an_absent_value_still_commits_an_epoch() {
+        let mut inc = db(&[(a(0), a(1))]);
+        let before = inc.snapshot();
+        let out = inc.delete("PAR", vec![Value::pair(a(7), a(8))]).unwrap();
+        assert_eq!(out.removed, 0);
+        assert_eq!(out.version, 2);
+        assert_eq!(inc.version(), 2);
+        assert_eq!(inc.snapshot(), before);
+    }
+
+    #[test]
     fn transitive_closure_is_recognised_and_delta_maintained() {
         let mut inc = db(&[(a(0), a(1)), (a(1), a(2))]);
         let engine = Engine::new();
@@ -838,39 +730,51 @@ mod tests {
     }
 
     #[test]
-    fn conjunctive_views_are_lowered_to_delta_rules() {
-        let mut inc = db(&[(a(0), a(1)), (a(1), a(2))]);
-        let engine = Engine::new();
-        for (name, query) in [
-            ("gp", queries::grandparent_query()),
-            ("sib", queries::sibling_query()),
+    fn conjunctive_views_reexecute_through_their_plans_under_any_governor() {
+        use itq_algebra::{AlgExpr, SelFormula};
+        let grandparent_algebra = AlgExpr::pred("PAR")
+            .product(AlgExpr::pred("PAR"))
+            .select(SelFormula::coords_eq(2, 3))
+            .project(vec![1, 4]);
+        // A plain engine, and one with a linked Ctrl-C flag (an armed
+        // governor) as `itq serve` builds it: both refresh the same way.
+        for engine in [
+            Engine::new(),
+            Engine::builder().cancel_flag(CancelFlag::new()).build(),
         ] {
-            let prepared = engine.prepare(&query).unwrap();
-            inc.watch(name, prepared, Semantics::Limited);
-            assert_eq!(
-                inc.view(name).unwrap().strategy_name(),
-                "delta-rules",
-                "{name}"
-            );
-        }
-        let out = inc.insert("PAR", vec![Value::pair(a(0), a(2))]).unwrap();
-        for refresh in &out.refreshed {
-            assert_eq!(refresh.path, RefreshPath::DeltaRules, "{}", refresh.name);
-        }
-        for (name, query) in [
-            ("gp", queries::grandparent_query()),
-            ("sib", queries::sibling_query()),
-        ] {
-            let scratch = engine
-                .prepare(&query)
-                .unwrap()
-                .execute(&inc.snapshot(), Semantics::Limited)
-                .unwrap();
-            assert_eq!(
-                inc.view(name).unwrap().outcome(),
-                &Ok(scratch.result),
-                "{name}"
-            );
+            let mut inc = db(&[(a(0), a(1)), (a(0), a(2)), (a(1), a(3))]);
+            let views = [
+                ("gp", engine.prepare(&queries::grandparent_query()).unwrap()),
+                ("sib", engine.prepare(&queries::sibling_query()).unwrap()),
+                (
+                    "ga",
+                    engine
+                        .prepare_algebra(&grandparent_algebra, &queries::parent_schema())
+                        .unwrap(),
+                ),
+            ];
+            for (name, prepared) in &views {
+                inc.watch(name, prepared.clone(), Semantics::Limited);
+                assert_eq!(
+                    inc.view(name).unwrap().strategy_name(),
+                    "re-execute",
+                    "{name}"
+                );
+            }
+            let out = inc.insert("PAR", vec![Value::pair(a(2), a(4))]).unwrap();
+            for refresh in &out.refreshed {
+                assert_eq!(refresh.path, RefreshPath::Reexecuted, "{}", refresh.name);
+            }
+            for (name, prepared) in &views {
+                let view = inc.view(name).unwrap();
+                // Planned joins, not quantifier enumeration.
+                assert_eq!(view.stats().steps, 0, "{name}");
+                assert!(view.stats().join_probes > 0, "{name}");
+                let scratch = prepared
+                    .execute(&inc.snapshot(), Semantics::Limited)
+                    .unwrap();
+                assert_eq!(view.outcome(), &Ok(scratch.result), "{name}");
+            }
         }
     }
 
@@ -1060,8 +964,8 @@ mod tests {
         // the measured refresh wall time is stamped.
         assert_eq!(tc_view.stats().steps, 0);
         assert_eq!(tc_view.stats().deterministic(), ExecStats::default());
-        // The grandparent view re-executed (delta-rules path also possible
-        // depending on recognition) — either way its stats were refreshed.
+        // The grandparent view re-executed through its planned join, so its
+        // stats are that execution's counters.
         let span = out.to_span();
         assert_eq!(span.name, "epoch v2");
         assert_eq!(span.field("added"), Some(1));

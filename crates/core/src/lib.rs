@@ -25,10 +25,11 @@
 //!   invented-value semantics of Section 6, returning one unified
 //!   [`QueryOutcome`](pipeline::QueryOutcome) with execution statistics;
 //! * a **mutable, versioned database** with watched queries ([`incremental`]):
-//!   inserts and deletes commit datafrog-style stable/recent/to-add tiers in
-//!   interned-value space, and registered views stay warm — refreshed by
-//!   semi-naive delta rules where the query shape allows, by guarded
-//!   re-execution elsewhere.
+//!   inserts and deletes mutate one plain database in place, one versioned
+//!   epoch per call, and registered views stay warm — the Example 3.1
+//!   closure extended semi-naively from the delta, every other view
+//!   re-executed behind a changed-support guard (a conjunctive one through
+//!   its planned hash joins).
 //!
 //! ## Quickstart
 //!

@@ -16,8 +16,9 @@
 //! rule into a σ/π/× expression and plans it once ([`plan_rule`]), so the
 //! limited interpretation of a conjunctive query runs as set-at-a-time hash
 //! joins instead of enumerating its quantifier domains.
-//! [`IncrementalDb`](crate::incremental::IncrementalDb) maintains the same
-//! rule differentially, and the closure semi-naively.
+//! [`IncrementalDb`](crate::incremental::IncrementalDb) re-executes a
+//! watched conjunctive view through that plan, and maintains only the
+//! closure differentially (semi-naively).
 //!
 //! Why the rule's answer is the limited interpretation's: range restriction
 //! puts every answer coordinate and every disequality variable in a body

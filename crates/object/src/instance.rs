@@ -50,6 +50,11 @@ impl Instance {
         self.values.insert(value)
     }
 
+    /// Remove a value, returning whether it was present.
+    pub fn remove(&mut self, value: &Value) -> bool {
+        self.values.remove(value)
+    }
+
     /// Membership test.
     pub fn contains(&self, value: &Value) -> bool {
         self.values.contains(value)
@@ -339,6 +344,9 @@ mod tests {
         assert_eq!(inst.len(), 2);
         assert!(inst.contains(&Value::pair(a[0], a[1])));
         assert!(!inst.contains(&Value::pair(a[2], a[0])));
+        assert!(inst.remove(&Value::pair(a[1], a[2])));
+        assert!(!inst.remove(&Value::pair(a[1], a[2])));
+        assert!(inst.insert(Value::pair(a[1], a[2])));
         assert_eq!(inst.active_domain().len(), 3);
         assert!(inst.conforms_to(&Type::flat_tuple(2)));
         assert!(!inst.conforms_to(&Type::Atomic));

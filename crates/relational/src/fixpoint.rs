@@ -12,8 +12,7 @@
 //!   maintenance possible: after an insertion, re-seed the loop with the old
 //!   fixpoint as `total` and only the inserted tuples as `delta`;
 //! * [`seminaive_store`]: the same iteration over a named family of relations
-//!   (the Datalog IDB/EDB store), used by [`crate::datalog::Program::evaluate`]
-//!   and by the incremental view-refresh path in the engine;
+//!   (the Datalog IDB/EDB store), used by [`crate::datalog::Program::evaluate`];
 //! * [`bounded_loop`]: the budget-guarded generic loop driver behind the
 //!   `while` statements.
 

@@ -18,9 +18,9 @@ use itq_algebra::{classify_expr, infer_type, AlgExpr};
 use itq_analyze::{analyze_algebra, analyze_query, render_snippet, Budgets, Severity};
 use itq_calculus::Query;
 use itq_core::engine::{Engine, Semantics};
-use itq_core::incremental::{IncrementalDb, ViewRefresh};
+use itq_core::incremental::{IncrementalDb, IncrementalError, ViewRefresh};
 use itq_core::pipeline::Prepared;
-use itq_object::{Database, Instance, Schema, Value};
+use itq_object::{Instance, Schema, Value};
 use itq_trace::{MetricsRegistry, NoopSink, TraceSink};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -166,16 +166,17 @@ impl PlanCache {
 pub struct Session {
     engine: Engine,
     schemas: BTreeMap<String, Schema>,
-    databases: BTreeMap<String, (String, Database)>,
+    /// Each database's schema name and its one copy of the contents, with
+    /// its watched views: built when the `database` statement runs, against
+    /// the schema as declared then, and mutated in place by `insert` and
+    /// `delete`.
+    databases: BTreeMap<String, (String, IncrementalDb)>,
     queries: BTreeMap<String, (String, Query)>,
     algebras: BTreeMap<String, (String, AlgExpr)>,
     /// Statement source text and node spans for each named query and algebra
     /// expression, kept so `check NAME;` can render caret snippets.
     sources: BTreeMap<String, (String, SpanTable)>,
     prepared: BTreeMap<String, Prepared>,
-    /// Per-database incremental state, created lazily by the first mutation
-    /// or `watch` on a database; holds that database's watched views.
-    incremental: BTreeMap<String, IncrementalDb>,
     /// Where execution and epoch spans go; [`NoopSink`] (tracing off) by
     /// default, so plain sessions never build a span.
     sink: Box<dyn TraceSink>,
@@ -207,7 +208,6 @@ impl Session {
             algebras: BTreeMap::new(),
             sources: BTreeMap::new(),
             prepared: BTreeMap::new(),
-            incremental: BTreeMap::new(),
             sink: Box::new(NoopSink),
             metrics: MetricsRegistry::new(),
             quiet: false,
@@ -338,10 +338,11 @@ impl Session {
                     plural(database.len()),
                     database.active_domain().len(),
                 ));
-                self.databases.insert(name.clone(), (schema, database));
-                // A redefined database restarts its incremental state; views
-                // watched on the old contents re-register against the new.
-                if let Some(old) = self.incremental.remove(&name) {
+                let inc = IncrementalDb::new(self.schema_or_err(&schema)?.clone(), &database)
+                    .map_err(|e| SessionError::Exec(format!("database `{name}`: {e}")))?;
+                // A redefined database starts over from its new contents;
+                // views watched on the old contents re-register against them.
+                if let Some((_, old)) = self.databases.insert(name.clone(), (schema, inc)) {
                     let watched: Vec<(String, Semantics)> = old
                         .views()
                         .map(|(view_name, view)| (view_name.to_string(), view.semantics()))
@@ -439,9 +440,9 @@ impl Session {
         if let Some(schema) = self.schemas.get(name) {
             return Ok(vec![format!("schema {name} = {}", render_schema(schema))]);
         }
-        if let Some((schema, db)) = self.databases.get(name) {
+        if let Some((schema, inc)) = self.databases.get(name) {
             let mut lines = vec![format!("database {name} : {schema}")];
-            for (pred, instance) in db.iter() {
+            for (pred, instance) in inc.database().iter() {
                 lines.push(format!("  {pred} = {}", self.render_instance(instance),));
             }
             return Ok(lines);
@@ -476,9 +477,9 @@ impl Session {
             }
         }
         let watches: Vec<String> = self
-            .incremental
+            .databases
             .iter()
-            .flat_map(|(db, inc)| {
+            .flat_map(|(db, (_, inc))| {
                 inc.views()
                     .map(move |(view_name, _)| format!("{view_name} on {db}"))
             })
@@ -722,13 +723,11 @@ impl Session {
         database: &str,
         semantics: Semantics,
     ) -> Result<Vec<String>, SessionError> {
-        let (_, db) = self
-            .databases
-            .get(database)
-            .ok_or_else(|| SessionError::Exec(format!("unknown database `{database}`")))?
-            .clone();
+        // An unknown database is reported before anything is prepared.
+        self.database_or_err(database)?;
         let mut lines = self.ensure_prepared(name)?;
         let prepared = &self.prepared[name];
+        let db = self.database_or_err(database)?.database();
         // Algebra expressions keep their historical header under the limited
         // interpretation (no semantics qualifier); everything else names the
         // semantics it ran under.
@@ -738,7 +737,7 @@ impl Session {
             format!("eval {name} on {database} with {semantics}")
         };
         let outcome = prepared
-            .execute_with_sink(&db, semantics, self.sink.as_ref())
+            .execute_with_sink(db, semantics, self.sink.as_ref())
             .map_err(|e| SessionError::Exec(format!("{header}: {e}")))?;
         self.metrics.incr("evals", 1);
         self.metrics
@@ -778,26 +777,17 @@ impl Session {
         Ok(lines)
     }
 
-    /// Get-or-create the incremental state for a named database, seeded from
-    /// its current contents.
-    fn incremental_for(&mut self, database: &str) -> Result<(), SessionError> {
-        if !self.incremental.contains_key(database) {
-            let (schema_name, db) = self
-                .databases
-                .get(database)
-                .ok_or_else(|| SessionError::Exec(format!("unknown database `{database}`")))?
-                .clone();
-            let schema = self.schema_or_err(&schema_name)?.clone();
-            let inc = IncrementalDb::new(schema, &db)
-                .map_err(|e| SessionError::Exec(format!("database `{database}`: {e}")))?;
-            self.incremental.insert(database.to_string(), inc);
-        }
-        Ok(())
+    /// A declared database: its contents and watched views.
+    fn database_or_err(&self, name: &str) -> Result<&IncrementalDb, SessionError> {
+        self.databases
+            .get(name)
+            .map(|(_, inc)| inc)
+            .ok_or_else(|| SessionError::Exec(format!("unknown database `{name}`")))
     }
 
-    /// `insert into DB.P {…};` / `delete from DB.P {…};` — mutate through the
-    /// incremental state, refresh its watched views, and write the snapshot
-    /// back so `eval`/`show` on the database name see the new contents.
+    /// `insert into DB.P {…};` / `delete from DB.P {…};` — mutate the
+    /// database in place and refresh its watched views; `eval` and `show`
+    /// on the database name read the same contents.
     fn mutate(
         &mut self,
         database: &str,
@@ -805,23 +795,34 @@ impl Session {
         values: Vec<Value>,
         inserting: bool,
     ) -> Result<Vec<String>, SessionError> {
-        self.incremental_for(database)?;
         let verb = if inserting {
             "insert into"
         } else {
             "delete from"
         };
-        let inc = self
-            .incremental
+        let (_, inc) = self
+            .databases
             .get_mut(database)
-            .expect("incremental_for just created it");
+            .ok_or_else(|| SessionError::Exec(format!("unknown database `{database}`")))?;
         let outcome = if inserting {
             inc.insert(pred, values)
         } else {
             inc.delete(pred, values)
         }
-        .map_err(|e| SessionError::Exec(format!("{verb} {database}.{pred}: {e}")))?;
-        let snapshot = inc.snapshot();
+        .map_err(|e| {
+            let detail = match e {
+                IncrementalError::TypeMismatch {
+                    pred,
+                    expected,
+                    value,
+                } => format!(
+                    "value {} does not conform to {pred} : {expected}",
+                    value.display_with(self.engine.universe())
+                ),
+                other => other.to_string(),
+            };
+            SessionError::Exec(format!("{verb} {database}.{pred}: {detail}"))
+        })?;
         let changed = if inserting {
             format!("{} added", outcome.added)
         } else {
@@ -835,9 +836,6 @@ impl Session {
         self.metrics.incr("epochs_committed", 1);
         if self.sink.is_enabled() {
             self.sink.record(outcome.to_span());
-        }
-        if let Some((_, db)) = self.databases.get_mut(database) {
-            *db = snapshot;
         }
         Ok(lines)
     }
@@ -853,16 +851,14 @@ impl Session {
         database: &str,
         semantics: Semantics,
     ) -> Result<Vec<String>, SessionError> {
-        let (_, db) = self
-            .databases
-            .get(database)
-            .ok_or_else(|| SessionError::Exec(format!("unknown database `{database}`")))?
-            .clone();
+        // An unknown database is reported before anything is prepared.
+        self.database_or_err(database)?;
         let mut lines = self.ensure_prepared(name)?;
         let prepared = &self.prepared[name];
+        let db = self.database_or_err(database)?.database();
         let header = format!("explain analyze {name} on {database} with {semantics}");
         let (outcome, span) = prepared
-            .execute_traced(&db, semantics)
+            .execute_traced(db, semantics)
             .map_err(|e| SessionError::Exec(format!("{header}: {e}")))?;
         self.metrics.incr("evals", 1);
         self.metrics
@@ -895,11 +891,10 @@ impl Session {
     ) -> Result<Vec<String>, SessionError> {
         let mut lines = self.ensure_prepared(name)?;
         let prepared = self.prepared[name].clone();
-        self.incremental_for(database)?;
-        let inc = self
-            .incremental
+        let (_, inc) = self
+            .databases
             .get_mut(database)
-            .expect("incremental_for just created it");
+            .ok_or_else(|| SessionError::Exec(format!("unknown database `{database}`")))?;
         inc.watch(name, prepared, semantics);
         let view = inc.view(name).expect("watch registers the view");
         let header = format!("watch {name} on {database} with {semantics}");
@@ -921,14 +916,14 @@ impl Session {
         let mut dropped = Vec::new();
         match database {
             Some(db) => {
-                if let Some(inc) = self.incremental.get_mut(db) {
+                if let Some((_, inc)) = self.databases.get_mut(db) {
                     if inc.unwatch(name) {
                         dropped.push(db.to_string());
                     }
                 }
             }
             None => {
-                for (db, inc) in self.incremental.iter_mut() {
+                for (db, (_, inc)) in self.databases.iter_mut() {
                     if inc.unwatch(name) {
                         dropped.push(db.clone());
                     }
@@ -947,8 +942,8 @@ impl Session {
             .collect())
     }
 
-    /// Re-register the given views on a database whose incremental state was
-    /// rebuilt; a view whose query no longer prepares is dropped with a note.
+    /// Re-register the given views on a database that was redeclared; a view
+    /// whose query no longer prepares is dropped with a note.
     fn rewatch(
         &mut self,
         database: &str,
@@ -967,9 +962,9 @@ impl Session {
     /// redefinition), so no view keeps serving answers of the old definition.
     fn rewatch_by_name(&mut self, name: &str, lines: &mut Vec<String>) {
         let affected: Vec<(String, Semantics)> = self
-            .incremental
+            .databases
             .iter()
-            .filter_map(|(db, inc)| inc.view(name).map(|v| (db.clone(), v.semantics())))
+            .filter_map(|(db, (_, inc))| inc.view(name).map(|v| (db.clone(), v.semantics())))
             .collect();
         for (db, semantics) in affected {
             self.rewatch(&db, vec![(name.to_string(), semantics)], lines);
@@ -1289,12 +1284,12 @@ mod tests {
         let out = run(&mut s, "watch gp on d;");
         assert_eq!(
             out[0],
-            "watch gp on d with limited: 1 answer, strategy delta-rules"
+            "watch gp on d with limited: 1 answer, strategy re-execute"
         );
         // An insert refreshes the view and updates what `eval` sees.
         let out = run(&mut s, "insert into d.PAR {[Sue, Ann]};");
         assert_eq!(out[0], "insert into d.PAR: 1 added (version 2)");
-        assert_eq!(out[1], "  watch gp: 2 answers via delta (datalog rule)");
+        assert_eq!(out[1], "  watch gp: 2 answers via re-executed");
         let out = run(&mut s, "eval gp on d;");
         assert_eq!(out[0], "eval gp on d with limited: 2 objects");
         // The watched answer matches a from-scratch eval after a delete too.
@@ -1341,7 +1336,7 @@ mod tests {
         let out = run(&mut s, "query gp : Gen {t/[U, U] | PAR(t)};");
         assert!(
             out.iter()
-                .any(|l| l == "watch gp on d with limited: 2 answers, strategy delta-rules"),
+                .any(|l| l == "watch gp on d with limited: 2 answers, strategy re-execute"),
             "{out:?}"
         );
         // Redefining the database restarts its incremental state and
@@ -1349,11 +1344,45 @@ mod tests {
         let out = run(&mut s, "database d : Gen {PAR = {[Tom, Mary]}};");
         assert!(
             out.iter()
-                .any(|l| l == "watch gp on d with limited: 1 answer, strategy delta-rules"),
+                .any(|l| l == "watch gp on d with limited: 1 answer, strategy re-execute"),
             "{out:?}"
         );
         let out = run(&mut s, "insert into d.PAR {[Mary, Sue]};");
         assert!(out.iter().any(|l| l.contains("2 answers")), "{out:?}");
+    }
+
+    #[test]
+    fn mutation_type_errors_name_atoms_as_written() {
+        let mut s = Session::new();
+        genealogy(&mut s);
+        let err = s.run_source("insert into d.PAR {Tom};").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "error: insert into d.PAR: value Tom does not conform to PAR : [U, U]"
+        );
+    }
+
+    #[test]
+    fn a_database_keeps_the_schema_it_was_declared_against() {
+        // Redefining the schema after the declaration, with or without a
+        // mutation in between: inserts still validate against the binary
+        // `PAR` the database was declared with.
+        for mutate_first in [false, true] {
+            let mut s = Session::new();
+            run(
+                &mut s,
+                "schema Gen {PAR : [U, U]};\n\
+                 database d2 : Gen {PAR = {[Tom, Mary]}};",
+            );
+            if mutate_first {
+                run(&mut s, "insert into d2.PAR {[Mary, Ann]};");
+            }
+            run(&mut s, "schema Gen {PAR : [U, U, U]};");
+            let out = run(&mut s, "insert into d2.PAR {[Mary, Sue]};");
+            assert!(out[0].starts_with("insert into d2.PAR: 1 added"), "{out:?}");
+            let err = s.run_source("insert into d2.PAR {[Mary, Sue, Tom]};");
+            assert!(err.is_err(), "mutate_first = {mutate_first}");
+        }
     }
 
     #[test]

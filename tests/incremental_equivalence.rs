@@ -6,9 +6,9 @@
 //! handle from scratch on a snapshot of the mutated database.  Random
 //! mutation sequences drive the check:
 //!
-//! * across the delta strategies (semi-naive closure maintenance for the
-//!   Example 3.1 transitive-closure shape, single-rule Datalog delta firing
-//!   for conjunctive bodies) and the guarded re-execution fallback;
+//! * across both refresh strategies: semi-naive closure maintenance for the
+//!   Example 3.1 transitive-closure shape, and guarded re-execution for
+//!   everything else (conjunctive views included);
 //! * across the engine's execution backends: the compiled default (which
 //!   runs the conjunctive views' limited interpretation through their
 //!   planned route), the legacy tree walker (`use_compiled(false)`), and —
@@ -87,9 +87,10 @@ fn incremental_db(seed: &[(u32, u32)]) -> IncrementalDb {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Limited interpretation, all four backends: the conjunctive views ride
-    /// the Datalog delta rules; the algebra handles (planner on and off) ride
-    /// the same lowering through their translated queries.
+    /// Limited interpretation, all four backends: every conjunctive view
+    /// re-executes its handle — planned joins for the compiled calculus and
+    /// the planner-on algebra handle, enumeration for the tree walker,
+    /// tuple-at-a-time for the planner-off algebra handle.
     #[test]
     fn conjunctive_views_track_mutations(
         seed in seed_db(5),
