@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use itq_calculus::eval::EvalConfig;
 use itq_core::queries::{parent_database, transitive_closure_query};
+use itq_object::Interrupt;
 use itq_relational::datalog::{Atom as DatalogAtom, Program, Rule};
 use itq_relational::{transitive_closure_seminaive, transitive_closure_warshall, Relation};
 use itq_workloads::graphs::chain_edges;
@@ -71,7 +72,7 @@ fn bench_baselines(c: &mut Criterion) {
             b.iter(|| {
                 let mut edb = BTreeMap::new();
                 edb.insert("E".to_string(), edges.clone());
-                program.evaluate(&edb)["T"].len()
+                program.evaluate(&edb, Interrupt::disarmed()).unwrap()["T"].len()
             })
         });
     }

@@ -26,6 +26,7 @@
 
 use itq_calculus::eval::EvalConfig;
 use itq_calculus::normal::sf_classification;
+use itq_calculus::Query;
 use itq_core::complexity::{growth_table, theorem_4_4_bounds, variable_space_bound};
 use itq_core::engine::{Engine, Semantics};
 use itq_core::hierarchy::{hierarchy_table, level_zero_one_witnesses};
@@ -364,13 +365,16 @@ fn emit_algebra_json(target: &str) {
 /// is recorded, and the transitive-closure row must clear a 10× speedup (the
 /// E15 acceptance bar).  Serialized as a JSON array
 /// (`BENCH_incremental_delta.json` in CI).
+///
+/// Both arms of the closure row run its least-fixpoint route, on a chain of
+/// [`itq_bench::E15_TC_CHAIN`] atoms.
 fn emit_incremental_json(target: &str) {
     let engine = Engine::new();
     let grid = vec![
         (
             "genealogy/transitive-closure",
             queries::transitive_closure_query(),
-            chain_edges(3),
+            chain_edges(itq_bench::E15_TC_CHAIN),
         ),
         (
             "genealogy/grandparent",
@@ -496,6 +500,27 @@ fn emit_trace_json(target: &str) {
     }
 }
 
+/// The calculus half of the two overhead grids: the E13 workloads, the
+/// transitive-closure chain (which runs as a least fixpoint), and the same
+/// closure with its parent pairs excluded, whose negated atom keeps it on the
+/// compiled enumeration — so the grids' aggregates keep weighing the
+/// enumeration's poll and sink seams.
+fn overhead_calculus_grid() -> Vec<(&'static str, Query, Database)> {
+    let mut grid = queries::exemplar_workloads();
+    let chain = queries::parent_database(&chain_edges(3));
+    grid.push((
+        "genealogy/transitive-closure",
+        queries::transitive_closure_query(),
+        chain.clone(),
+    ));
+    grid.push((
+        "genealogy/transitive-closure-not-par",
+        queries::excluding_parent_pairs(&queries::transitive_closure_query()),
+        chain,
+    ));
+    grid
+}
+
 /// `--trace-overhead-json [FILE|-]`: measure the cost of the
 /// zero-cost-when-off tracing seam.  Every workload in the E13 calculus grid
 /// and the E14 algebra grid is executed both through the plain
@@ -510,14 +535,8 @@ fn emit_trace_overhead_json(target: &str) {
     let mut records: Vec<String> = Vec::new();
     let mut plain_total: u64 = 0;
     let mut noop_total: u64 = 0;
-    let mut calculus_grid = queries::exemplar_workloads();
-    calculus_grid.push((
-        "genealogy/transitive-closure",
-        queries::transitive_closure_query(),
-        queries::parent_database(&chain_edges(3)),
-    ));
     let mut prepared_grid = Vec::new();
-    for (name, query, db) in calculus_grid {
+    for (name, query, db) in overhead_calculus_grid() {
         let prepared = engine.prepare(&query).unwrap_or_else(|e| {
             eprintln!("error: prepare `{name}`: {e}");
             std::process::exit(1);
@@ -604,14 +623,8 @@ fn emit_governor_overhead_json(target: &str) {
     let mut records: Vec<String> = Vec::new();
     let mut plain_total: u64 = 0;
     let mut governed_total: u64 = 0;
-    let mut calculus_grid = queries::exemplar_workloads();
-    calculus_grid.push((
-        "genealogy/transitive-closure",
-        queries::transitive_closure_query(),
-        queries::parent_database(&chain_edges(3)),
-    ));
     let mut prepared_grid = Vec::new();
-    for (name, query, db) in calculus_grid {
+    for (name, query, db) in overhead_calculus_grid() {
         let plain = plain_engine.prepare(&query).unwrap_or_else(|e| {
             eprintln!("error: prepare `{name}`: {e}");
             std::process::exit(1);

@@ -17,6 +17,13 @@ use itq_workloads::graphs::chain_edges;
 /// Width of the printed report tables.
 pub const REPORT_WIDTH: usize = 100;
 
+/// The chain length (in atoms) of E15's transitive-closure row, shared by the
+/// `incremental_delta` bench and `report --incremental-json`.  Both arms run
+/// the closure's least-fixpoint route, so the chain is long enough for their
+/// ratio to follow from the work: appending one edge to an n-atom chain derives n
+/// new pairs, a scratch run all n(n+1)/2.
+pub const E15_TC_CHAIN: u32 = 48;
+
 /// The E14 workload grid: product-heavy algebra expressions whose
 /// tuple-at-a-time evaluation materialises the full Cartesian product, paired
 /// with databases big enough for the planner's set-at-a-time win to be

@@ -483,6 +483,54 @@ pub fn satisfies_sentence(
     evaluator.satisfies(sentence, &mut rho)
 }
 
+/// Decide `formula`, whose only free variable is `var`, with `var` bound to
+/// each of `values` in turn, over the atom set `atoms` (for a query's guard,
+/// `adom(d) ∪ adom(Q)`).  Stops at the first value on which the formula is
+/// false.  Polls `interrupt` like the tree walker (every [`POLL_MASK`]+1
+/// formula nodes); `candidates_checked` counts the values checked.
+///
+/// ```
+/// use itq_calculus::eval::{holds_for_each, EvalConfig};
+/// use itq_calculus::{Formula, Term};
+/// use itq_object::{Atom, Database, Instance, Interrupt, Value};
+///
+/// let db = Database::single("P", Instance::from_atoms(vec![Atom(0), Atom(1)]));
+/// let in_p = Formula::pred("P", Term::var("y"));
+/// let check = |values: &[Value]| {
+///     holds_for_each(&in_p, "y", values, &db, &[Atom(0), Atom(1)],
+///                    &EvalConfig::default(), Interrupt::disarmed()).unwrap()
+/// };
+/// let (holds, stats) = check(&[Value::atom(Atom(0)), Value::atom(Atom(1))]);
+/// assert!(holds && stats.candidates_checked == 2);
+/// assert!(!check(&[Value::atom(Atom(2))]).0);
+/// ```
+pub fn holds_for_each<'v>(
+    formula: &Formula,
+    var: &str,
+    values: impl IntoIterator<Item = &'v Value>,
+    db: &Database,
+    atoms: &[Atom],
+    config: &EvalConfig,
+    interrupt: &Interrupt,
+) -> Result<(bool, EvalStats), CalcError> {
+    let mut evaluator = Evaluator {
+        db,
+        atoms: atoms.to_vec(),
+        config,
+        stats: EvalStats::default(),
+        interrupt,
+    };
+    let mut rho = BTreeMap::new();
+    for value in values {
+        evaluator.stats.candidates_checked += 1;
+        bind(&mut rho, var, value.clone());
+        if !evaluator.satisfies(formula, &mut rho)? {
+            return Ok((false, evaluator.stats));
+        }
+    }
+    Ok((true, evaluator.stats))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

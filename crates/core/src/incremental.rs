@@ -12,47 +12,42 @@
 //! warm and refresh after every commit.  The refresh strategy is chosen once,
 //! at watch time:
 //!
-//! * the Example 3.1 transitive-closure shape, recognised by the prepare-time
-//!   lowering [`Engine::prepare`](crate::engine::Engine::prepare) uses, is
-//!   maintained by re-seeding the shared semi-naive driver
-//!   ([`itq_relational::fixpoint::seminaive_from`]) from the warm closure with
-//!   only the inserted edges as the delta — its re-execution walks a
-//!   `2^(n²)` quantifier domain;
+//! * a least-fixpoint query whose handle took the route prepare lowered it to
+//!   (the Example 3.1 closure among them; see
+//!   [`Prepared::least_fixpoint`]) keeps the route's least model warm.  An
+//!   insertion into a relation it reads extends the model semi-naively
+//!   ([`itq_relational::Program::evaluate_delta`]) and checks the guards on
+//!   the new elements only, which is sound because both the rules and the
+//!   positive-existential guards are monotone under insertion.  A deletion
+//!   that touches the view's support or changes the active domain, a guard
+//!   that fails, a delta refresh that trips, and an inserted value that is
+//!   ill-typed for the query's schema all re-execute the handle, through the
+//!   route;
 //! * everything else re-executes its `Prepared` handle, guarded so that views
 //!   whose input relations (and active domain) did not change are skipped.
 //!   A conjunctive view's limited interpretation re-executes through the
 //!   physical plan prepare built for it (`planned-calculus` or
 //!   `planned-algebra`), so its refresh is a few hash joins.
 //!
-//! The closure strategy is *verified at watch time*: the recogniser's answer
-//! is compared against the `Prepared` handle's own full execution, and on any
-//! disagreement the view silently falls back to re-execution.  A deletion
-//! recomputes the closure from the relation (still polynomial, against the
-//! calculus' hyper-exponential re-execution); positive fixpoints are
-//! monotone, so only insertions can be maintained differentially.
-//!
 //! ## Resource governance and transactionality
 //!
 //! Mutations are transactional: a rejected [`IncrementalDb::insert`] /
 //! [`IncrementalDb::delete`] (unknown relation, ill-typed value anywhere in
 //! the batch) touches nothing, so the version and every relation's contents
-//! are exactly as before the call.  Watched views under an armed resource
-//! governor (see [`crate::engine::GovernorConfig`]) always take the
-//! re-execution path — a delta refresh would stop polling the conditions a
-//! from-scratch execution is bound by — and a refresh stopped by the
-//! governor (or any other execution error) keeps the view's last-good
-//! answer, marked [`WatchedView::is_stale`], instead of discarding it.
+//! are exactly as before the call.  Every refresh runs under the view's own
+//! resource governor (see [`crate::engine::GovernorConfig`]): a delta refresh
+//! polls it once per semi-naive round and through the guard check, exactly as
+//! the route does from scratch.  A refresh stopped by the governor (or any
+//! other execution error) keeps the view's last-good answer, marked
+//! [`WatchedView::is_stale`], instead of discarding it.
 
 use crate::engine::{EngineError, Semantics};
-use crate::lowering::{flat_width, recognize_transitive_closure};
 use crate::pipeline::{ExecStats, Prepared};
-use itq_object::{Atom, Database, Instance, Schema, Type, Value};
-use itq_relational::fixpoint::seminaive_from;
-use itq_relational::ops::compose;
-use itq_relational::{transitive_closure_seminaive, Relation};
+use itq_object::{Database, Instance, Schema, Type, Value};
 use itq_trace::Span;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// Errors raised by mutations on an [`IncrementalDb`].
@@ -95,10 +90,8 @@ pub enum RefreshPath {
     /// The mutation could not affect the view (unchanged support relations
     /// and, for re-executing views, unchanged active domain).
     SkippedUnchangedSupport,
-    /// The warm transitive closure was extended semi-naively from the delta.
+    /// The warm least model was extended semi-naively from the delta.
     DeltaSeminaive,
-    /// The closure was recomputed from its edge relation (deletions).
-    Recomputed,
     /// The `Prepared` handle re-executed from scratch.
     Reexecuted,
 }
@@ -107,8 +100,7 @@ impl fmt::Display for RefreshPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             RefreshPath::SkippedUnchangedSupport => "skipped (support unchanged)",
-            RefreshPath::DeltaSeminaive => "delta (semi-naive closure)",
-            RefreshPath::Recomputed => "recomputed (relational fixpoint)",
+            RefreshPath::DeltaSeminaive => "delta (semi-naive fixpoint)",
             RefreshPath::Reexecuted => "re-executed",
         };
         f.write_str(s)
@@ -164,7 +156,7 @@ impl MutationOutcome {
     /// let span = outcome.to_span();
     /// assert_eq!(span.name, "epoch v2");
     /// assert_eq!(span.field("added"), Some(1));
-    /// assert_eq!(span.children[0].name, "view tc: delta (semi-naive closure)");
+    /// assert_eq!(span.children[0].name, "view tc: delta (semi-naive fixpoint)");
     /// ```
     pub fn to_span(&self) -> Span {
         let mut root = Span::new(format!("epoch v{}", self.version));
@@ -187,9 +179,10 @@ impl MutationOutcome {
 /// The maintenance strategy chosen for a watched view at watch time.
 #[derive(Debug, Clone)]
 enum RefreshStrategy {
-    /// The Example 3.1 transitive-closure query over `pred`; `closure` is the
-    /// warm fixpoint, extended in place on insertions.
-    TransitiveClosure { pred: String, closure: Relation },
+    /// The handle's least-fixpoint route.  `warm` is true while the view's
+    /// answer is the route's least model, which insertions extend; a failed
+    /// guard or a failed refresh clears it, and the next refresh re-executes.
+    LeastFixpoint { warm: bool },
     /// Re-execute the `Prepared` handle (with the changed-support guard).
     Reexecute,
 }
@@ -210,8 +203,8 @@ pub struct WatchedView {
     /// successful refresh clears it.
     stale: bool,
     /// Cost of the most recent execution or refresh of this view.  Delta and
-    /// skipped refreshes never run the calculus, so only `wall_micros` is
-    /// meaningful there; a re-executed view carries the full counters.
+    /// skipped refreshes stamp only `wall_micros`; a re-executed view carries
+    /// the full counters.
     stats: ExecStats,
 }
 
@@ -246,7 +239,7 @@ impl WatchedView {
 
     /// Execution statistics of the most recent refresh: full counters after a
     /// re-execution, just the measured `wall_micros` after a delta or skipped
-    /// refresh (no formula is evaluated on those paths).
+    /// refresh.
     pub fn stats(&self) -> &ExecStats {
         &self.stats
     }
@@ -254,7 +247,7 @@ impl WatchedView {
     /// A short label for the chosen maintenance strategy.
     pub fn strategy_name(&self) -> &'static str {
         match self.strategy {
-            RefreshStrategy::TransitiveClosure { .. } => "seminaive-closure",
+            RefreshStrategy::LeastFixpoint { .. } => "least-fixpoint",
             RefreshStrategy::Reexecute => "re-execute",
         }
     }
@@ -370,13 +363,19 @@ impl IncrementalDb {
     }
 
     /// Register (or replace) a watched view: execute it once in full, choose
-    /// and verify a maintenance strategy, and keep it warm.  Returns the
-    /// initial refresh report.
+    /// a maintenance strategy, and keep it warm.  Returns the initial
+    /// refresh report.
     pub fn watch(&mut self, name: &str, prepared: Prepared, semantics: Semantics) -> ViewRefresh {
         let (result, stats) = prepared.try_execute(&self.db, semantics);
+        let warm = matches!(&result, Ok(outcome) if outcome.least_model);
         let outcome = result.map(|outcome| outcome.result);
         let support = prepared.query().body().predicates();
-        let strategy = self.choose_strategy(&prepared, semantics, &outcome);
+        // Only the limited interpretation runs the route: invention
+        // semantics re-run their level loop.
+        let strategy = match (semantics, prepared.fixpoint_route()) {
+            (Semantics::Limited, Some(_)) => RefreshStrategy::LeastFixpoint { warm },
+            _ => RefreshStrategy::Reexecute,
+        };
         let report = ViewRefresh {
             name: name.to_string(),
             path: RefreshPath::Reexecuted,
@@ -414,59 +413,6 @@ impl IncrementalDb {
         self.views.iter().map(|(name, view)| (name.as_str(), view))
     }
 
-    /// Choose a delta strategy for a freshly watched view, verifying the
-    /// recognised form against the full execution before trusting it.
-    fn choose_strategy(
-        &self,
-        prepared: &Prepared,
-        semantics: Semantics,
-        outcome: &Result<Instance, EngineError>,
-    ) -> RefreshStrategy {
-        // Delta maintenance is only meaningful for the limited interpretation
-        // of a calculus query that executed cleanly: invention semantics
-        // re-run their level loop, and a failed execution (budget error) must
-        // keep failing identically until the database changes.
-        let (Semantics::Limited, Ok(answer)) = (semantics, outcome) else {
-            return RefreshStrategy::Reexecute;
-        };
-        // A tightened budget may succeed on today's database and starve on
-        // tomorrow's; a delta refresh would mask that.  Only handles whose
-        // budgets are at the (effectively unreachable) defaults may skip the
-        // budgeted execution.
-        if !prepared.budgets_are_default() {
-            return RefreshStrategy::Reexecute;
-        }
-        // The same holds for an armed resource governor: a delta refresh
-        // would stop polling the deadline/ceiling/cancel conditions a
-        // from-scratch execution is bound by, so governed views always
-        // re-execute (and go stale on a trip instead of silently diverging).
-        if !prepared.governor().is_disarmed() {
-            return RefreshStrategy::Reexecute;
-        }
-        if let Some(pred) = recognize_transitive_closure(prepared.query()) {
-            if let Some(edges) = self.relation_as_flat(&pred) {
-                if edges.arity() == 2 {
-                    let closure = transitive_closure_seminaive(&edges);
-                    if closure.to_instance() == *answer {
-                        return RefreshStrategy::TransitiveClosure { pred, closure };
-                    }
-                }
-            }
-        }
-        RefreshStrategy::Reexecute
-    }
-
-    /// The current contents of `pred` as a flat [`Relation`], if its declared
-    /// type is flat.
-    pub fn relation_as_flat(&self, pred: &str) -> Option<Relation> {
-        let width = flat_width(self.schema.type_of(pred)?)?;
-        let mut out = Relation::empty(width);
-        for value in self.db.relation(pred)?.iter() {
-            out.insert(flat_tuple_of(value)?);
-        }
-        Some(out)
-    }
-
     /// Refresh every watched view after a committed epoch on `pred`.
     fn refresh_views(
         &mut self,
@@ -481,68 +427,26 @@ impl IncrementalDb {
             let touched = view.support.contains(pred);
             let refresh_start = Instant::now();
             // Full counters when the refresh actually re-executes; the delta
-            // and skip paths never run the calculus, so they stamp only the
-            // measured wall time below.
+            // and skip paths stamp only the measured wall time below.
             let mut exec_stats: Option<ExecStats> = None;
-            let (path, rounds) = match &mut view.strategy {
-                // The closure depends only on its own edge relation, so an
-                // untouched support set means an unchanged answer even if the
-                // active domain moved.
-                RefreshStrategy::TransitiveClosure { pred: p, closure } if touched && p == pred => {
-                    if removed == 0 {
-                        let delta = added
-                            .iter()
-                            .map(|v| flat_tuple_of(v).expect("typed pairs are flat"))
-                            .fold(Relation::empty(2), |mut rel, t| {
-                                rel.insert(t);
-                                rel
-                            });
-                        let (next, rounds) =
-                            seminaive_from(closure.clone(), &delta, |total, delta| {
-                                let mut out = compose(delta, total);
-                                out.absorb(&compose(total, delta));
-                                out
-                            });
-                        *closure = next;
-                        view.outcome = Ok(closure.to_instance());
-                        (RefreshPath::DeltaSeminaive, rounds)
-                    } else {
-                        let edges = self
-                            .relation_as_flat(p)
-                            .expect("strategy only chosen over flat relations");
-                        *closure = transitive_closure_seminaive(&edges);
-                        view.outcome = Ok(closure.to_instance());
-                        (RefreshPath::Recomputed, 0)
+            let (path, rounds) = match view.strategy {
+                // The least model and the positive guards only grow under
+                // insertion, so an untouched support set means an unchanged
+                // answer even if the active domain moved.
+                RefreshStrategy::LeastFixpoint { warm: true } if removed == 0 && !touched => {
+                    (RefreshPath::SkippedUnchangedSupport, 0)
+                }
+                RefreshStrategy::LeastFixpoint { warm: true } if removed == 0 => {
+                    match view.extend(&self.db, pred, added) {
+                        Some(rounds) => (RefreshPath::DeltaSeminaive, rounds),
+                        None => {
+                            exec_stats = Some(view.reexecute(&self.db));
+                            (RefreshPath::Reexecuted, 0)
+                        }
                     }
                 }
-                RefreshStrategy::Reexecute if touched || adom_changed => {
-                    let (result, stats) = view.prepared.try_execute(&self.db, view.semantics);
-                    exec_stats = Some(stats);
-                    match result {
-                        Ok(outcome) => {
-                            view.outcome = Ok(outcome.result);
-                            view.stale = false;
-                        }
-                        // A refresh stopped by the governor (or a contained
-                        // panic) is transactional for the view: if an earlier
-                        // answer is held, keep serving it, marked stale,
-                        // rather than replacing it with the error.  Query
-                        // errors (budgets, typing) are deterministic facts
-                        // about the new state, so they are stored — the view
-                        // must match a from-scratch execution exactly.
-                        Err(err) => {
-                            let transient = matches!(
-                                err,
-                                EngineError::Resource(_) | EngineError::Internal { .. }
-                            );
-                            if transient && view.outcome.is_ok() {
-                                view.stale = true;
-                            } else {
-                                view.outcome = Err(err);
-                                view.stale = false;
-                            }
-                        }
-                    }
+                _ if touched || adom_changed => {
+                    exec_stats = Some(view.reexecute(&self.db));
                     (RefreshPath::Reexecuted, 0)
                 }
                 _ => (RefreshPath::SkippedUnchangedSupport, 0),
@@ -561,6 +465,64 @@ impl IncrementalDb {
         }
         self.views = views;
         reports
+    }
+}
+
+impl WatchedView {
+    /// Re-execute the handle on `db` (a least-fixpoint view through its
+    /// route, warm again when the route answers) and return the execution's
+    /// counters.
+    fn reexecute(&mut self, db: &Database) -> ExecStats {
+        let (result, stats) = self.prepared.try_execute(db, self.semantics);
+        if let RefreshStrategy::LeastFixpoint { warm } = &mut self.strategy {
+            *warm = matches!(&result, Ok(outcome) if outcome.least_model);
+        }
+        match result {
+            Ok(outcome) => {
+                self.outcome = Ok(outcome.result);
+                self.stale = false;
+            }
+            // A refresh stopped by the governor (or a contained panic) is
+            // transactional for the view: if an earlier answer is held, keep
+            // serving it, marked stale, rather than replacing it with the
+            // error.  Query errors (budgets, typing) are deterministic facts
+            // about the new state, so they are stored — the view must match a
+            // from-scratch execution exactly.
+            Err(err) => {
+                let transient =
+                    matches!(err, EngineError::Resource(_) | EngineError::Internal { .. });
+                if transient && self.outcome.is_ok() {
+                    self.stale = true;
+                } else {
+                    self.outcome = Err(err);
+                    self.stale = false;
+                }
+            }
+        }
+        stats
+    }
+
+    /// Extend a warm least-fixpoint view's answer by the values just
+    /// inserted into `pred`, under the view's own governor.  Returns the
+    /// rounds run, or `None` when the view must re-execute: a guard fails on
+    /// a new element, a value is ill-typed for the query, or the refresh
+    /// trips.  A panic (an injected [`itq_object::TripKind::Panic`]) is
+    /// contained here as [`Prepared::execute`] contains it.
+    fn extend(&mut self, db: &Database, pred: &str, added: &[Value]) -> Option<u64> {
+        let fixpoint = self.prepared.fixpoint_route()?;
+        let Ok(model) = self.outcome.as_mut() else {
+            return None;
+        };
+        let interrupt = self.prepared.governor().interrupt();
+        let (fresh, rounds) = catch_unwind(AssertUnwindSafe(|| {
+            fixpoint.extend(self.prepared.query(), model, db, pred, added, &interrupt)
+        }))
+        .ok()?
+        .ok()??;
+        for value in fresh.iter() {
+            model.insert(value.clone());
+        }
+        Some(rounds)
     }
 }
 
@@ -587,21 +549,13 @@ fn check_batch<'a>(
     }
 }
 
-/// A flat value as an atom tuple: `a ↦ [a]`, `[a1,…,an] ↦ [a1,…,an]`.
-fn flat_tuple_of(value: &Value) -> Option<Vec<Atom>> {
-    match value {
-        Value::Atom(a) => Some(vec![*a]),
-        Value::Tuple(components) => components.iter().map(Value::as_atom).collect(),
-        Value::Set(_) => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
+    use crate::engine::{Engine, GovernorConfig};
     use crate::queries;
-    use itq_object::CancelFlag;
+    use itq_calculus::{Formula, Query, Term};
+    use itq_object::{Atom, CancelFlag};
 
     fn a(n: u32) -> Atom {
         Atom(n)
@@ -710,7 +664,7 @@ mod tests {
             .prepare(&queries::transitive_closure_query())
             .unwrap();
         inc.watch("tc", prepared.clone(), Semantics::Limited);
-        assert_eq!(inc.view("tc").unwrap().strategy_name(), "seminaive-closure");
+        assert_eq!(inc.view("tc").unwrap().strategy_name(), "least-fixpoint");
 
         let out = inc.insert("PAR", vec![Value::pair(a(2), a(0))]).unwrap();
         let refresh = &out.refreshed[0];
@@ -720,13 +674,99 @@ mod tests {
             .unwrap();
         assert_eq!(inc.view("tc").unwrap().outcome(), &Ok(scratch.result));
 
-        // Deletions recompute the relational fixpoint.
+        // Deletions re-execute through the route, which keeps the model
+        // warm for the next insertion.
         let out = inc.delete("PAR", vec![Value::pair(a(1), a(2))]).unwrap();
-        assert_eq!(out.refreshed[0].path, RefreshPath::Recomputed);
+        assert_eq!(out.refreshed[0].path, RefreshPath::Reexecuted);
+        // Only the guard's pair quantifier is drawn, never the 2^9 sets.
+        assert_eq!(inc.view("tc").unwrap().stats().max_domain_seen, 9);
         let scratch = prepared
             .execute(&inc.snapshot(), Semantics::Limited)
             .unwrap();
         assert_eq!(inc.view("tc").unwrap().outcome(), &Ok(scratch.result));
+        let out = inc.insert("PAR", vec![Value::pair(a(1), a(3))]).unwrap();
+        assert_eq!(out.refreshed[0].path, RefreshPath::DeltaSeminaive);
+        let scratch = prepared
+            .execute(&inc.snapshot(), Semantics::Limited)
+            .unwrap();
+        assert_eq!(inc.view("tc").unwrap().outcome(), &Ok(scratch.result));
+    }
+
+    #[test]
+    fn a_failing_guard_reexecutes_through_the_enumeration() {
+        // {t/U | ∀x/{U} (∀y/U (PERSON(y) → y ∈ x) ∧
+        //                  ∀y/U (y ∈ x → LIKED(y)) → t ∈ x)}:
+        // PERSON ⊆ x, guarded by LIKED(y).  While every person is liked the
+        // answer is PERSON; once one is not, no X satisfies φ and every atom
+        // of the range answers.
+        let schema = Schema::single("PERSON", Type::Atomic).with("LIKED", Type::Atomic);
+        let body = Formula::forall(
+            "x",
+            Type::set(Type::Atomic),
+            Formula::implies(
+                Formula::and(vec![
+                    Formula::forall(
+                        "y",
+                        Type::Atomic,
+                        Formula::implies(
+                            Formula::pred("PERSON", Term::var("y")),
+                            Formula::member(Term::var("y"), Term::var("x")),
+                        ),
+                    ),
+                    Formula::forall(
+                        "y",
+                        Type::Atomic,
+                        Formula::implies(
+                            Formula::member(Term::var("y"), Term::var("x")),
+                            Formula::pred("LIKED", Term::var("y")),
+                        ),
+                    ),
+                ]),
+                Formula::member(Term::var("t"), Term::var("x")),
+            ),
+        );
+        let query = Query::new("t", Type::Atomic, body, schema.clone()).unwrap();
+        let prepared = Engine::new().prepare(&query).unwrap();
+        assert_eq!(
+            prepared.least_fixpoint().map(|(p, g)| (p.rules.len(), g)),
+            Some((1, 1))
+        );
+        let seed = Database::single("PERSON", Instance::from_atoms(vec![a(0)]))
+            .with("LIKED", Instance::from_atoms(vec![a(0), a(1)]));
+        let mut inc = IncrementalDb::new(schema, &seed).unwrap();
+        inc.watch("q", prepared.clone(), Semantics::Limited);
+        let exact = |inc: &IncrementalDb| {
+            Ok(prepared
+                .execute(inc.database(), Semantics::Limited)
+                .unwrap()
+                .result)
+        };
+        assert_eq!(inc.view("q").unwrap().outcome(), &exact(&inc));
+        assert_eq!(inc.view("q").unwrap().outcome().as_ref().unwrap().len(), 1);
+        // A liked person: the guard holds on the new element, by delta.
+        let out = inc.insert("PERSON", vec![Value::atom(a(1))]).unwrap();
+        assert_eq!(out.refreshed[0].path, RefreshPath::DeltaSeminaive);
+        assert_eq!(inc.view("q").unwrap().outcome(), &exact(&inc));
+        // Only the guard reads LIKED: the model gains nothing, in no round.
+        let out = inc.insert("LIKED", vec![Value::atom(a(3))]).unwrap();
+        assert_eq!(
+            (out.refreshed[0].path, out.refreshed[0].rounds),
+            (RefreshPath::DeltaSeminaive, 0)
+        );
+        assert_eq!(inc.view("q").unwrap().outcome(), &exact(&inc));
+        // An unliked one fails the guard: the refresh re-executes, and the
+        // route leaves the answer to the enumeration — the whole range
+        // a0…a3.
+        let out = inc.insert("PERSON", vec![Value::atom(a(2))]).unwrap();
+        assert_eq!(out.refreshed[0].path, RefreshPath::Reexecuted);
+        assert_eq!(inc.view("q").unwrap().outcome(), &exact(&inc));
+        assert_eq!(inc.view("q").unwrap().outcome().as_ref().unwrap().len(), 4);
+        // Liking them later restores the least model, through the route.
+        let out = inc.insert("LIKED", vec![Value::atom(a(2))]).unwrap();
+        assert_eq!(out.refreshed[0].path, RefreshPath::Reexecuted);
+        assert_eq!(inc.view("q").unwrap().outcome(), &exact(&inc));
+        assert!(inc.view("q").unwrap().stats().steps > 0);
+        assert_eq!(inc.view("q").unwrap().outcome().as_ref().unwrap().len(), 3);
     }
 
     #[test]
@@ -866,24 +906,51 @@ mod tests {
     }
 
     #[test]
-    fn armed_governors_force_the_reexecution_strategy() {
-        // Generous deadline: every execution succeeds, but a delta refresh
-        // would stop polling the governor, so the view must re-execute.
+    fn armed_governors_keep_the_delta_path_and_recover_from_a_cancel() {
+        // A linked Ctrl-C flag, as `itq` and `itq serve` arm every session:
+        // the delta refresh polls it, so the view keeps the delta path.
         let mut inc = db(&[(a(0), a(1)), (a(1), a(2))]);
-        let governed = Engine::builder().deadline_millis(60_000).build();
+        let flag = CancelFlag::new();
+        let governed = Engine::builder().cancel_flag(flag.clone()).build();
         let prepared = governed
             .prepare(&queries::transitive_closure_query())
             .unwrap();
         inc.watch("tc", prepared.clone(), Semantics::Limited);
         let view = inc.view("tc").unwrap();
         assert!(view.outcome().is_ok());
-        assert_eq!(view.strategy_name(), "re-execute");
+        assert_eq!(view.strategy_name(), "least-fixpoint");
         let out = inc.insert("PAR", vec![Value::pair(a(2), a(3))]).unwrap();
+        assert_eq!(out.refreshed[0].path, RefreshPath::DeltaSeminaive);
+        let exact = |inc: &IncrementalDb| {
+            Ok(prepared
+                .with_governor(GovernorConfig::default())
+                .execute(inc.database(), Semantics::Limited)
+                .unwrap()
+                .result)
+        };
+        assert_eq!(inc.view("tc").unwrap().outcome(), &exact(&inc));
+        let good = inc.view("tc").unwrap().outcome().clone();
+
+        // A cancel raised during the delta refresh trips it, and the
+        // re-execution through the route trips too: the view keeps its
+        // last-good answer, marked stale.
+        flag.cancel();
+        let out = inc.insert("PAR", vec![Value::pair(a(3), a(4))]).unwrap();
         assert_eq!(out.refreshed[0].path, RefreshPath::Reexecuted);
-        let scratch = prepared
-            .execute(&inc.snapshot(), Semantics::Limited)
-            .unwrap();
-        assert_eq!(inc.view("tc").unwrap().outcome(), &Ok(scratch.result));
+        let view = inc.view("tc").unwrap();
+        assert!(view.is_stale());
+        assert_eq!(view.outcome(), &good);
+
+        // Once the flag is lowered, the next epoch recovers through the
+        // route, and the one after that takes the delta path again.
+        flag.reset();
+        let out = inc.insert("PAR", vec![Value::pair(a(4), a(5))]).unwrap();
+        assert_eq!(out.refreshed[0].path, RefreshPath::Reexecuted);
+        assert!(!inc.view("tc").unwrap().is_stale());
+        assert_eq!(inc.view("tc").unwrap().outcome(), &exact(&inc));
+        let out = inc.insert("PAR", vec![Value::pair(a(5), a(6))]).unwrap();
+        assert_eq!(out.refreshed[0].path, RefreshPath::DeltaSeminaive);
+        assert_eq!(inc.view("tc").unwrap().outcome(), &exact(&inc));
     }
 
     #[test]

@@ -9,16 +9,23 @@
 //!   rule.  These are the conjunctive queries with disequalities, the target
 //!   class of the semijoin-query analysis of Leinders, Tyszkiewicz and Van
 //!   den Bussche.
-//! * [`recognize_transitive_closure`] — the Example 3.1 closure, up to
-//!   alpha-renaming and the name of its edge predicate.
+//! * [`lower_least_fixpoint`] — the least-fixpoint fragment of `CALC_{0,1}`:
+//!   `{t/T | ∀X/{T} (φ → t ∈ X)}` for a flat `T`, where each conjunct of `φ`
+//!   is a Horn closure condition on `X` (lowered to one rule deriving `X`,
+//!   through the same class machinery) or an element-wise guard
+//!   `∀y/T (y ∈ X → ψ(y))` with `ψ` positive existential.  Example 3.1's
+//!   closure is two rules and one guard.
 //!
-//! [`Engine::prepare`](crate::engine::Engine::prepare) turns a recognised
+//! [`Engine::prepare`](crate::engine::Engine::prepare) turns a conjunctive
 //! rule into a σ/π/× expression and plans it once ([`plan_rule`]), so the
 //! limited interpretation of a conjunctive query runs as set-at-a-time hash
-//! joins instead of enumerating its quantifier domains.
+//! joins instead of enumerating its quantifier domains; a least-fixpoint
+//! query runs its rules semi-naively and checks its guards on the least
+//! model ([`LeastFixpoint::run`]).
 //! [`IncrementalDb`](crate::incremental::IncrementalDb) re-executes a
-//! watched conjunctive view through that plan, and maintains only the
-//! closure differentially (semi-naively).
+//! watched conjunctive view through that plan, and keeps a least-fixpoint
+//! view's least model warm, extending it on insertions
+//! ([`LeastFixpoint::extend`]).
 //!
 //! Why the rule's answer is the limited interpretation's: range restriction
 //! puts every answer coordinate and every disequality variable in a body
@@ -26,18 +33,33 @@
 //! equated coordinates is witnessed by its constant (in `adom(Q)`) or, having
 //! none, by any atom of the range `adom(d) ∪ adom(Q)`, which a matched
 //! literal makes non-empty.
+//!
+//! Why a least-fixpoint query's answer is the least model `LM` of its rules
+//! `H` when its guards `G` hold on `LM`: `X` ranges over subsets of
+//! `cons_X(T)` for the range `adom(d) ∪ adom(Q)`, and `LM` is built from the
+//! same atoms.  Horn models are closed under intersection, so every model of
+//! `H` contains `LM`; if `G(LM)` holds, `LM` is itself a model of `φ`, and the
+//! intersection of all of them is `LM`.  A Horn condition's conclusion may
+//! only equate its fresh `w` with premise terms or constants, never two of
+//! those with each other, so a rule fires exactly when the condition demands
+//! a member of `X`.  Guards are closed under subsets, so when one fails on
+//! `LM` no model exists; the pipeline then leaves the answer to the
+//! enumeration.
 
+use crate::engine::EngineError;
 use itq_algebra::{AlgExpr, PhysicalPlan, SelFormula};
-use itq_calculus::{Formula, Query, Term};
-use itq_object::{Atom, Type};
-use itq_relational::{DatalogAtom, Rule, TermPattern};
+use itq_calculus::eval::{holds_for_each, EvalConfig, EvalStats};
+use itq_calculus::{CalcError, Formula, Query, Term};
+use itq_object::{Atom, Database, Instance, Interrupt, Schema, Type, Value};
+use itq_relational::{DatalogAtom, Program, Relation, RelationStore, Rule, TermPattern};
 use std::collections::BTreeMap;
 
-/// The reserved head predicate of lowered rules.
+/// The reserved head predicate of lowered rules (for a least-fixpoint query,
+/// the set variable `X`).
 pub(crate) const VIEW_PRED: &str = "__view__";
 
 /// The width of a flat type: 1 for `U`, `n` for `[U,…,U]`, `None` otherwise.
-pub(crate) fn flat_width(ty: &Type) -> Option<usize> {
+fn flat_width(ty: &Type) -> Option<usize> {
     match ty {
         Type::Atomic => Some(1),
         Type::Tuple(components) if components.iter().all(|c| matches!(c, Type::Atomic)) => {
@@ -47,104 +69,30 @@ pub(crate) fn flat_width(ty: &Type) -> Option<usize> {
     }
 }
 
-/// Recognise the Example 3.1 transitive-closure query over some binary
-/// predicate: the body must alpha-match the canonical
-/// [`crate::queries::transitive_closure_query`] with its predicate renamed.
-/// Returns the edge predicate.
-pub(crate) fn recognize_transitive_closure(query: &Query) -> Option<String> {
-    if *query.target_type() != Type::flat_tuple(2) {
-        return None;
+/// The width of a flat answer type: width-1 tuples are excluded, as they
+/// cannot round-trip through [`Relation::to_instance`].
+fn answer_width(ty: &Type) -> Option<usize> {
+    match ty {
+        Type::Tuple(c) if c.len() == 1 => None,
+        _ => flat_width(ty),
     }
-    let preds: Vec<String> = query.body().predicates().into_iter().collect();
-    let [pred] = preds.as_slice() else {
-        return None;
-    };
-    if query.schema().type_of(pred) != Some(&Type::flat_tuple(2)) {
-        return None;
-    }
-    let reference = crate::queries::transitive_closure_query();
-    let lhs = alpha_canonical(reference.body(), reference.target(), "PAR");
-    let rhs = alpha_canonical(query.body(), query.target(), pred);
-    (lhs == rhs).then(|| pred.clone())
 }
 
-/// Rename the target variable to `t#`, the edge predicate to `P#`, and every
-/// bound variable to `q0, q1, …` in pre-order (scoped, so shadowing is
-/// handled) — two formulas are alpha-equivalent modulo the predicate name
-/// exactly when their canonical forms are equal.
-fn alpha_canonical(formula: &Formula, target: &str, pred: &str) -> Formula {
-    fn lookup(v: &str, target: &str, scope: &[(String, String)]) -> String {
-        for (orig, fresh) in scope.iter().rev() {
-            if orig == v {
-                return fresh.clone();
-            }
-        }
-        if v == target {
-            "t#".to_string()
-        } else {
-            format!("free#{v}")
-        }
+/// A flat value as an atom tuple: `a ↦ [a]`, `[a1,…,an] ↦ [a1,…,an]`.
+fn flat_tuple_of(value: &Value) -> Option<Vec<Atom>> {
+    match value {
+        Value::Atom(a) => Some(vec![*a]),
+        Value::Tuple(components) => components.iter().map(Value::as_atom).collect(),
+        Value::Set(_) => None,
     }
-    fn term(t: &Term, target: &str, scope: &[(String, String)]) -> Term {
-        match t {
-            Term::Const(a) => Term::Const(*a),
-            Term::Var(v) => Term::Var(lookup(v, target, scope)),
-            Term::Proj(v, i) => Term::Proj(lookup(v, target, scope), *i),
-        }
+}
+
+/// The conjuncts of a formula: the members of a top-level `∧`, or itself.
+fn conjuncts(formula: &Formula) -> &[Formula] {
+    match formula {
+        Formula::And(fs) => fs,
+        other => std::slice::from_ref(other),
     }
-    fn go(
-        f: &Formula,
-        target: &str,
-        pred: &str,
-        scope: &mut Vec<(String, String)>,
-        counter: &mut usize,
-    ) -> Formula {
-        match f {
-            Formula::Eq(a, b) => Formula::Eq(term(a, target, scope), term(b, target, scope)),
-            Formula::Member(a, b) => {
-                Formula::Member(term(a, target, scope), term(b, target, scope))
-            }
-            Formula::Pred(name, t) => Formula::Pred(
-                if name == pred {
-                    "P#".to_string()
-                } else {
-                    name.clone()
-                },
-                term(t, target, scope),
-            ),
-            Formula::Not(inner) => Formula::not(go(inner, target, pred, scope, counter)),
-            Formula::And(fs) => Formula::And(
-                fs.iter()
-                    .map(|g| go(g, target, pred, scope, counter))
-                    .collect(),
-            ),
-            Formula::Or(fs) => Formula::Or(
-                fs.iter()
-                    .map(|g| go(g, target, pred, scope, counter))
-                    .collect(),
-            ),
-            Formula::Implies(a, b) => Formula::implies(
-                go(a, target, pred, scope, counter),
-                go(b, target, pred, scope, counter),
-            ),
-            Formula::Iff(a, b) => Formula::iff(
-                go(a, target, pred, scope, counter),
-                go(b, target, pred, scope, counter),
-            ),
-            Formula::Exists(v, ty, body) | Formula::Forall(v, ty, body) => {
-                let fresh = format!("q{counter}");
-                *counter += 1;
-                scope.push((v.clone(), fresh.clone()));
-                let inner = go(body, target, pred, scope, counter);
-                scope.pop();
-                match f {
-                    Formula::Exists(..) => Formula::Exists(fresh, ty.clone(), Box::new(inner)),
-                    _ => Formula::Forall(fresh, ty.clone(), Box::new(inner)),
-                }
-            }
-        }
-    }
-    go(formula, target, pred, &mut Vec::new(), &mut 0)
 }
 
 /// A coordinate of a flat variable, or a constant — the nodes the equality
@@ -172,9 +120,8 @@ impl Classes {
         i
     }
 
-    fn find(&mut self, mut i: usize) -> usize {
+    fn find(&self, mut i: usize) -> usize {
         while self.parent[i] != i {
-            self.parent[i] = self.parent[self.parent[i]];
             i = self.parent[i];
         }
         i
@@ -188,6 +135,188 @@ impl Classes {
     }
 }
 
+/// One conjunction being lowered to one rule: the flat variables in scope,
+/// their coordinates and the constants merged into classes by `≈` atoms,
+/// the body literals over class nodes, and the `¬≈` pairs.
+struct Lowering<'q> {
+    schema: &'q Schema,
+    /// The set variable of a least-fixpoint body and its element width: a
+    /// `s ∈ X` atom is a literal of [`VIEW_PRED`].
+    set: Option<(&'q str, usize)>,
+    widths: BTreeMap<String, usize>,
+    classes: Classes,
+    literals: Vec<(String, Vec<usize>)>,
+    neqs: Vec<(usize, usize)>,
+}
+
+impl<'q> Lowering<'q> {
+    fn new(schema: &'q Schema, set: Option<(&'q str, usize)>) -> Lowering<'q> {
+        Lowering {
+            schema,
+            set,
+            widths: BTreeMap::new(),
+            classes: Classes::default(),
+            literals: Vec::new(),
+            neqs: Vec::new(),
+        }
+    }
+
+    /// Bring a flat variable into scope; shadowing stays out of the fragment.
+    fn bind(&mut self, var: &str, ty: &Type) -> Option<()> {
+        if self.widths.contains_key(var) || self.set.is_some_and(|(set, _)| set == var) {
+            return None;
+        }
+        self.widths.insert(var.to_string(), flat_width(ty)?);
+        Some(())
+    }
+
+    /// The class key of an atomic term: a constant, a `U` variable, or a
+    /// projection of a wide variable.
+    fn key(&self, t: &Term) -> Option<ClassKey> {
+        match t {
+            Term::Const(a) => Some(ClassKey::Const(*a)),
+            Term::Var(v) => (*self.widths.get(v)? == 1).then(|| ClassKey::Coord(v.clone(), 1)),
+            Term::Proj(v, i) => {
+                (*i >= 1 && *i <= *self.widths.get(v)?).then(|| ClassKey::Coord(v.clone(), *i))
+            }
+        }
+    }
+
+    /// The class keys of a term read at `width`: every coordinate of an
+    /// equally wide variable, or the one key of an atomic term.
+    fn coords(&self, t: &Term, width: usize) -> Option<Vec<ClassKey>> {
+        match t {
+            Term::Var(v) if width > 1 => (self.widths.get(v) == Some(&width))
+                .then(|| (1..=width).map(|i| ClassKey::Coord(v.clone(), i)).collect()),
+            _ if width == 1 => Some(vec![self.key(t)?]),
+            _ => None,
+        }
+    }
+
+    /// The node pairs an equality `a ≈ b` merges: whole equally wide
+    /// variables coordinate-wise, atomic terms directly.
+    fn equated(&mut self, a: &Term, b: &Term) -> Option<Vec<(usize, usize)>> {
+        let wide = |t: &Term| match t {
+            Term::Var(v) => self.widths.get(v).copied().filter(|&w| w > 1),
+            _ => None,
+        };
+        let width = match (wide(a), wide(b)) {
+            (Some(wa), Some(wb)) if wa == wb => wa,
+            (None, None) => 1,
+            _ => return None,
+        };
+        let (ka, kb) = (self.coords(a, width)?, self.coords(b, width)?);
+        Some(
+            ka.into_iter()
+                .zip(kb)
+                .map(|(ka, kb)| (self.classes.node(ka), self.classes.node(kb)))
+                .collect(),
+        )
+    }
+
+    /// Lower one conjunct: a predicate or `X`-membership literal, `≈`, or
+    /// `¬≈`.
+    fn conjunct(&mut self, conjunct: &Formula) -> Option<()> {
+        let (name, width, t) = match conjunct {
+            Formula::Pred(name, t) => (name.as_str(), flat_width(self.schema.type_of(name)?)?, t),
+            Formula::Member(t, Term::Var(x)) => match self.set {
+                Some((set, width)) if set == x => (VIEW_PRED, width, t),
+                _ => return None,
+            },
+            Formula::Eq(a, b) => {
+                for (na, nb) in self.equated(a, b)? {
+                    self.classes.union(na, nb);
+                }
+                return Some(());
+            }
+            Formula::Not(inner) => {
+                let Formula::Eq(a, b) = inner.as_ref() else {
+                    return None;
+                };
+                let (na, nb) = (self.key(a)?, self.key(b)?);
+                let pair = (self.classes.node(na), self.classes.node(nb));
+                self.neqs.push(pair);
+                return Some(());
+            }
+            _ => return None,
+        };
+        let keys = self.coords(t, width)?;
+        let nodes = keys.into_iter().map(|k| self.classes.node(k)).collect();
+        self.literals.push((name.to_string(), nodes));
+        Some(())
+    }
+
+    /// Lower a conclusion's `≈` atom, which may only tie the fresh variable
+    /// `w` to premise terms or constants: merging two classes that each hold
+    /// a constant or a coordinate of another variable would turn a demand of
+    /// the conclusion into a condition of the premise.
+    fn conclusion_eq(&mut self, a: &Term, b: &Term, w: &str) -> Option<()> {
+        for (na, nb) in self.equated(a, b)? {
+            let (ra, rb) = (self.classes.find(na), self.classes.find(nb));
+            if ra != rb && self.anchored(ra, w) && self.anchored(rb, w) {
+                return None;
+            }
+            self.classes.union(ra, rb);
+        }
+        Some(())
+    }
+
+    /// True when the class rooted at `root` holds a constant or a coordinate
+    /// of a variable other than `w`.
+    fn anchored(&self, root: usize, w: &str) -> bool {
+        self.classes.index.iter().any(|(key, &node)| {
+            self.classes.find(node) == root && !matches!(key, ClassKey::Coord(v, _) if v == w)
+        })
+    }
+
+    /// The rule `VIEW_PRED(head) :- literals, ¬≈ pairs`, or `None` when it
+    /// has no body literal, equates two distinct constants, or is not range
+    /// restricted.  Each class becomes its constant or a variable `v<root>`.
+    fn finish(mut self, head: Vec<ClassKey>) -> Option<Rule> {
+        if self.literals.is_empty() {
+            return None;
+        }
+        let head: Vec<usize> = head.into_iter().map(|k| self.classes.node(k)).collect();
+        let classes = &self.classes;
+        let mut class_const: BTreeMap<usize, Atom> = BTreeMap::new();
+        for (key, &node) in &classes.index {
+            if let ClassKey::Const(a) = key {
+                let root = classes.find(node);
+                if *class_const.entry(root).or_insert(*a) != *a {
+                    return None;
+                }
+            }
+        }
+        let term_for = |node: usize| -> TermPattern {
+            let root = classes.find(node);
+            match class_const.get(&root) {
+                Some(a) => TermPattern::Const(*a),
+                None => TermPattern::Var(format!("v{root}")),
+            }
+        };
+        let head_terms = head.into_iter().map(term_for).collect();
+        let body_atoms = self
+            .literals
+            .iter()
+            .map(|(name, nodes)| {
+                DatalogAtom::new(name, nodes.iter().map(|&n| term_for(n)).collect())
+            })
+            .collect();
+        let mut rule = Rule::new(DatalogAtom::new(VIEW_PRED, head_terms), body_atoms);
+        for &(a, b) in &self.neqs {
+            match (term_for(a), term_for(b)) {
+                (TermPattern::Var(va), TermPattern::Var(vb)) if va != vb => {
+                    rule = rule.with_neq(&va, &vb);
+                }
+                // ¬(x ≈ x) is never satisfiable, and a disequality against a
+                // constant falls outside the Rule::neq fragment.
+                _ => return None,
+            }
+        }
+        rule.is_range_restricted().then_some(rule)
+    }
+}
+
 /// Lower a conjunctive calculus query to a single safe Datalog rule with head
 /// [`VIEW_PRED`], or `None` when the query falls outside the fragment:
 ///
@@ -198,162 +327,279 @@ impl Classes {
 /// * the resulting rule has at least one body literal and is range
 ///   restricted (so the Datalog answer matches the limited interpretation).
 pub(crate) fn lower_to_datalog(query: &Query) -> Option<Rule> {
-    let target = query.target().to_string();
-    let width = flat_width(query.target_type())?;
-    if matches!(query.target_type(), Type::Tuple(c) if c.len() == 1) {
-        return None;
-    }
-    let mut widths: BTreeMap<String, usize> = BTreeMap::new();
-    widths.insert(target.clone(), width);
-
+    let target = query.target();
+    let width = answer_width(query.target_type())?;
+    let mut lowering = Lowering::new(query.schema(), None);
+    lowering.bind(target, query.target_type())?;
     let mut body = query.body();
     while let Formula::Exists(v, ty, inner) = body {
-        if widths.contains_key(v) {
-            return None; // shadowing — stay out of the fragment
-        }
-        widths.insert(v.clone(), flat_width(ty)?);
+        lowering.bind(v, ty)?;
         body = inner;
     }
-    let conjuncts: Vec<&Formula> = match body {
-        Formula::And(fs) => fs.iter().collect(),
-        other => vec![other],
-    };
-
-    let mut classes = Classes::default();
-    // A wide variable (width > 1) only participates through projections or
-    // whole-tuple equality with an equally wide variable.
-    let wide = |t: &Term, widths: &BTreeMap<String, usize>| match t {
-        Term::Var(v) => widths
-            .get(v)
-            .copied()
-            .filter(|&w| w > 1)
-            .map(|w| (v.clone(), w)),
-        _ => None,
-    };
-    let key_of = |t: &Term, widths: &BTreeMap<String, usize>| -> Option<ClassKey> {
-        match t {
-            Term::Const(a) => Some(ClassKey::Const(*a)),
-            Term::Var(v) => (*widths.get(v)? == 1).then(|| ClassKey::Coord(v.clone(), 1)),
-            Term::Proj(v, i) => {
-                (*i >= 1 && *i <= *widths.get(v)?).then(|| ClassKey::Coord(v.clone(), *i))
-            }
-        }
-    };
-
-    let mut literals: Vec<(String, Vec<usize>)> = Vec::new();
-    let mut neqs: Vec<(usize, usize)> = Vec::new();
-    for conjunct in conjuncts {
-        match conjunct {
-            Formula::Pred(name, t) => {
-                let pred_width = flat_width(query.schema().type_of(name)?)?;
-                let keys: Vec<ClassKey> = match t {
-                    Term::Var(v) => {
-                        if widths.get(v) != Some(&pred_width) {
-                            return None;
-                        }
-                        (1..=pred_width)
-                            .map(|i| ClassKey::Coord(v.clone(), i))
-                            .collect()
-                    }
-                    Term::Proj(..) | Term::Const(_) => {
-                        if pred_width != 1 {
-                            return None;
-                        }
-                        vec![key_of(t, &widths)?]
-                    }
-                };
-                let nodes = keys.into_iter().map(|k| classes.node(k)).collect();
-                literals.push((name.clone(), nodes));
-            }
-            Formula::Eq(a, b) => match (wide(a, &widths), wide(b, &widths)) {
-                (Some((va, wa)), Some((vb, wb))) if wa == wb => {
-                    for i in 1..=wa {
-                        let na = classes.node(ClassKey::Coord(va.clone(), i));
-                        let nb = classes.node(ClassKey::Coord(vb.clone(), i));
-                        classes.union(na, nb);
-                    }
-                }
-                (None, None) => {
-                    let na = classes.node(key_of(a, &widths)?);
-                    let nb = classes.node(key_of(b, &widths)?);
-                    classes.union(na, nb);
-                }
-                _ => return None,
-            },
-            Formula::Not(inner) => match inner.as_ref() {
-                Formula::Eq(a, b) => {
-                    let na = classes.node(key_of(a, &widths)?);
-                    let nb = classes.node(key_of(b, &widths)?);
-                    neqs.push((na, nb));
-                }
-                _ => return None,
-            },
-            _ => return None,
-        }
+    for conjunct in conjuncts(body) {
+        lowering.conjunct(conjunct)?;
     }
-    if literals.is_empty() {
+    let head = lowering.coords(&Term::var(target), width)?;
+    lowering.finish(head)
+}
+
+/// A least-fixpoint query lowered to Datalog: its Horn conditions as rules
+/// deriving [`VIEW_PRED`] (the set variable `X`), and its element-wise
+/// guards.  The answer is the least model of the rules when every guard holds
+/// on each of its elements.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LeastFixpoint {
+    /// One rule per Horn condition, in conjunct order.
+    pub(crate) program: Program,
+    /// Each guard `∀y/T (y ∈ X → ψ(y))` as `(y, ψ)`.
+    pub(crate) guards: Vec<(String, Formula)>,
+    width: usize,
+}
+
+/// Recognise a least-fixpoint query and lower it, or `None` when the query
+/// falls outside the fragment:
+///
+/// * the body is `∀X/{T} (φ → t ∈ X)` with `T` the target type, `U` or
+///   `[U,…,U]` with width ≠ 1;
+/// * no conjunct of `φ` has `t` free;
+/// * every conjunct is an element-wise guard `∀y/T (y ∈ X → ψ(y))`, where `ψ`
+///   is built from `∃`, `∧`, `∨`, predicate and `≈` atoms and has no free
+///   variable but `y`, or a Horn condition `∀ȳ (B → w ∈ X)` or
+///   `∀ȳ (B → ∃w/T (w ∈ X ∧ E))` over flat `ȳ`, where `B` is a conjunction of
+///   predicate, `s ∈ X` and `≈` atoms and `E` one of `≈` atoms, which lowers
+///   to a range-restricted rule;
+/// * at least one conjunct is a Horn condition;
+/// * the schema has no relation named [`VIEW_PRED`], the name the rules give
+///   `X`.
+///
+/// Prepare runs this on every calculus query, so it returns at the body's
+/// first node unless that node is `∀X/{T}`.
+pub(crate) fn lower_least_fixpoint(query: &Query) -> Option<LeastFixpoint> {
+    let Formula::Forall(set, Type::Set(elem), inner) = query.body() else {
+        return None;
+    };
+    if query.schema().type_of(VIEW_PRED).is_some() {
         return None;
     }
-
-    // Map each class to its datalog term: the class constant if one exists
-    // (two distinct constants make the body unsatisfiable — out of fragment),
-    // a canonical variable otherwise.
-    let mut class_const: BTreeMap<usize, Atom> = BTreeMap::new();
-    let keyed: Vec<(ClassKey, usize)> =
-        classes.index.iter().map(|(k, &i)| (k.clone(), i)).collect();
-    for (key, node) in &keyed {
-        if let ClassKey::Const(a) = key {
-            let root = classes.find(*node);
-            match class_const.get(&root) {
-                Some(existing) if existing != a => return None,
-                _ => {
-                    class_const.insert(root, *a);
-                }
-            }
-        }
-    }
-    let term_for = |classes: &mut Classes, node: usize| -> TermPattern {
-        let root = classes.find(node);
-        match class_const.get(&root) {
-            Some(a) => TermPattern::Const(*a),
-            None => TermPattern::Var(format!("v{root}")),
-        }
+    let target = query.target();
+    let width = answer_width(elem)?;
+    let Formula::Implies(phi, goal) = inner.as_ref() else {
+        return None;
     };
-
-    let mut head_terms = Vec::with_capacity(width);
-    for i in 1..=width {
-        let key = ClassKey::Coord(target.clone(), i);
-        let &node = classes.index.get(&key)?; // unmentioned output coordinate — unsafe
-        head_terms.push(term_for(&mut classes, node));
+    if **elem != *query.target_type()
+        || set == target
+        || **goal != Formula::member(Term::var(target), Term::var(set))
+    {
+        return None;
     }
-    let body_atoms: Vec<DatalogAtom> = literals
-        .into_iter()
-        .map(|(name, nodes)| {
-            DatalogAtom::new(
-                &name,
-                nodes
-                    .into_iter()
-                    .map(|n| term_for(&mut classes, n))
-                    .collect(),
-            )
-        })
-        .collect();
-    let mut rule = Rule::new(DatalogAtom::new(VIEW_PRED, head_terms), body_atoms);
-    for (a, b) in neqs {
-        let (ta, tb) = (term_for(&mut classes, a), term_for(&mut classes, b));
-        match (ta, tb) {
-            (TermPattern::Var(va), TermPattern::Var(vb)) => {
-                if va == vb {
-                    return None; // ¬(x ≈ x) — never satisfiable
-                }
-                rule = rule.with_neq(&va, &vb);
-            }
-            // A disequality against a constant (or between two constants)
-            // falls outside the Rule::neq fragment.
-            _ => return None,
+    let (mut rules, mut guards) = (Vec::new(), Vec::new());
+    for conjunct in conjuncts(phi) {
+        // Free variables, not names: a guard may rebind the target's name.
+        if conjunct.free_vars().contains(target) {
+            return None;
+        }
+        match guard(conjunct, set, elem) {
+            Some(guard) => guards.push(guard),
+            None => rules.push(horn_rule(conjunct, set, width, query.schema())?),
         }
     }
-    rule.is_range_restricted().then_some(rule)
+    (!rules.is_empty()).then(|| LeastFixpoint {
+        program: Program::new(rules),
+        guards,
+        width,
+    })
+}
+
+/// An element-wise guard `∀y/T (y ∈ X → ψ(y))` as `(y, ψ)`.
+fn guard(conjunct: &Formula, set: &str, elem: &Type) -> Option<(String, Formula)> {
+    fn positive_existential(f: &Formula) -> bool {
+        match f {
+            Formula::Pred(..) | Formula::Eq(..) => true,
+            Formula::And(fs) | Formula::Or(fs) => fs.iter().all(positive_existential),
+            Formula::Exists(_, _, body) => positive_existential(body),
+            _ => false,
+        }
+    }
+    let Formula::Forall(y, ty, inner) = conjunct else {
+        return None;
+    };
+    let Formula::Implies(premise, psi) = inner.as_ref() else {
+        return None;
+    };
+    let is_guard = ty == elem
+        && **premise == Formula::member(Term::var(y), Term::var(set))
+        && positive_existential(psi)
+        && psi.free_vars().iter().all(|v| v == y);
+    is_guard.then(|| (y.clone(), (**psi).clone()))
+}
+
+/// A Horn condition on `X` lowered to the rule deriving its conclusion.
+fn horn_rule(conjunct: &Formula, set: &str, width: usize, schema: &Schema) -> Option<Rule> {
+    let mut lowering = Lowering::new(schema, Some((set, width)));
+    let mut body = conjunct;
+    while let Formula::Forall(v, ty, inner) = body {
+        lowering.bind(v, ty)?;
+        body = inner;
+    }
+    let Formula::Implies(premise, conclusion) = body else {
+        return None;
+    };
+    for atom in conjuncts(premise) {
+        if matches!(atom, Formula::Not(_)) {
+            return None;
+        }
+        lowering.conjunct(atom)?;
+    }
+    let head = match conclusion.as_ref() {
+        Formula::Member(w, Term::Var(x)) if x == set => lowering.coords(w, width)?,
+        Formula::Exists(w, ty, demand) => {
+            lowering.bind(w, ty)?;
+            let member = Formula::member(Term::var(w), Term::var(set));
+            let mut members = 0;
+            for atom in conjuncts(demand) {
+                match atom {
+                    Formula::Eq(a, b) => lowering.conclusion_eq(a, b, w)?,
+                    _ if *atom == member => members += 1,
+                    _ => return None,
+                }
+            }
+            if members != 1 {
+                return None;
+            }
+            lowering.coords(&Term::var(w), width)?
+        }
+        _ => return None,
+    };
+    lowering.finish(head)
+}
+
+/// One from-scratch run of the least-fixpoint route that answered.
+pub(crate) struct FixpointRun {
+    /// The least model, as the query's answer.
+    pub(crate) answer: Instance,
+    /// Semi-naive rounds run.
+    pub(crate) rounds: u64,
+    /// The guard check's evaluator counters.
+    pub(crate) stats: EvalStats,
+}
+
+impl LeastFixpoint {
+    /// Run the route for `query` on `db`: poll `interrupt` on entry, compute
+    /// the least model, and check every guard on each of its elements over
+    /// `adom(d) ∪ adom(Q)`, all under `interrupt`.  `Ok(None)` when a guard
+    /// fails, so that no model exists, or when `db` lacks a relation the
+    /// rules read; the enumeration must answer either way.
+    pub(crate) fn run(
+        &self,
+        query: &Query,
+        db: &Database,
+        interrupt: &Interrupt,
+    ) -> Result<Option<FixpointRun>, EngineError> {
+        interrupt.check(0)?;
+        let Some(edb) = self.edb(db) else {
+            return Ok(None);
+        };
+        let mut store = RelationStore::new();
+        store.insert(VIEW_PRED.to_string(), Relation::empty(self.width));
+        let rounds = self.program.evaluate_delta(&mut store, edb, interrupt)?;
+        let answer = store[VIEW_PRED].to_instance();
+        let (holds, stats) = self.check_guards(query, &answer, db, interrupt)?;
+        Ok(holds.then_some(FixpointRun {
+            answer,
+            rounds,
+            stats,
+        }))
+    }
+
+    /// Extend `model`, the route's answer on `db` before `added` was
+    /// inserted into `pred`, to the answer on `db`: seed the rules with the
+    /// inserted facts over the relations they read (rebuilt from `db`) and
+    /// the warm model, then check the guards on the new elements only, all
+    /// under `interrupt`.  Sound because the rules and the guards are
+    /// monotone under insertion.  Returns the new elements and the rounds
+    /// run, or `Ok(None)` when a re-execution must answer: a guard fails, or
+    /// a value is ill-typed for the query's schema (which the database's may
+    /// differ from), as the route reads relations positionally.
+    pub(crate) fn extend(
+        &self,
+        query: &Query,
+        model: &Instance,
+        db: &Database,
+        pred: &str,
+        added: &[Value],
+        interrupt: &Interrupt,
+    ) -> Result<Option<(Instance, u64)>, EngineError> {
+        let ty = query.schema().type_of(pred);
+        if !added.iter().all(|v| ty.is_some_and(|ty| v.has_type(ty))) {
+            return Ok(None);
+        }
+        let Some(mut store) = self.edb(db) else {
+            return Ok(None);
+        };
+        let mut delta = RelationStore::new();
+        if let Some(read) = store.get(pred) {
+            delta.insert(pred.to_string(), flat_relation(added, read.arity()));
+        }
+        let before = flat_relation(model.iter(), self.width);
+        store.insert(VIEW_PRED.to_string(), before.clone());
+        let rounds = self.program.evaluate_delta(&mut store, delta, interrupt)?;
+        let fresh = store[VIEW_PRED].difference(&before).to_instance();
+        let (holds, _) = self.check_guards(query, &fresh, db, interrupt)?;
+        Ok(holds.then_some((fresh, rounds)))
+    }
+
+    /// The relations the rules read, as the Datalog EDB at each literal's
+    /// width, or `None` when `db` lacks one of them.
+    fn edb(&self, db: &Database) -> Option<RelationStore> {
+        let mut edb = RelationStore::new();
+        for literal in self.program.rules.iter().flat_map(|rule| &rule.body) {
+            if literal.pred == VIEW_PRED || edb.contains_key(&literal.pred) {
+                continue;
+            }
+            let instance = db.relation(&literal.pred)?;
+            let relation = flat_relation(instance.iter(), literal.terms.len());
+            edb.insert(literal.pred.clone(), relation);
+        }
+        Some(edb)
+    }
+
+    /// Check every guard on each of `elements` over `adom(d) ∪ adom(Q)`,
+    /// polling `interrupt`.  Returns whether all held, with the evaluator's
+    /// counters.
+    fn check_guards(
+        &self,
+        query: &Query,
+        elements: &Instance,
+        db: &Database,
+        interrupt: &Interrupt,
+    ) -> Result<(bool, EvalStats), CalcError> {
+        let mut total = EvalStats::default();
+        if elements.is_empty() {
+            return Ok((true, total));
+        }
+        let atoms: Vec<Atom> = query.evaluation_domain(db).into_iter().collect();
+        for (var, psi) in &self.guards {
+            let (holds, stats) = holds_for_each(
+                psi,
+                var,
+                elements.iter(),
+                db,
+                &atoms,
+                &EvalConfig::default(),
+                interrupt,
+            )?;
+            total.merge(&stats);
+            if !holds {
+                return Ok((false, total));
+            }
+        }
+        Ok((true, total))
+    }
+}
+
+/// Flat values as a relation of the given width.
+fn flat_relation<'v>(values: impl IntoIterator<Item = &'v Value>, width: usize) -> Relation {
+    Relation::from_tuples(width, values.into_iter().filter_map(flat_tuple_of))
 }
 
 /// The σ/π/× form of a lowered rule, planned once: the body literals'
@@ -453,16 +699,166 @@ mod tests {
     }
 
     #[test]
-    fn tc_recognition_is_alpha_and_predicate_insensitive() {
+    fn example_3_1_lowers_to_two_rules_and_one_guard() {
+        let lfp = lower_least_fixpoint(&queries::transitive_closure_query()).unwrap();
+        assert!(lfp.program.is_safe());
+        let rules: Vec<String> = lfp.program.rules.iter().map(Rule::to_string).collect();
         assert_eq!(
-            recognize_transitive_closure(&queries::transitive_closure_query()),
-            Some("PAR".to_string())
+            rules,
+            [
+                "__view__(v0, v1) :- PAR(v0, v1)",
+                "__view__(v0, v3) :- __view__(v0, v1), __view__(v1, v3)",
+            ]
         );
-        // The grandparent query is not the TC shape.
-        assert_eq!(
-            recognize_transitive_closure(&queries::grandparent_query()),
-            None
+        // The guard rebinds the target's name `z` inside ψ.
+        assert_eq!(lfp.guards.len(), 1);
+        assert_eq!(lfp.guards[0].0, "y");
+        // Neither the conjunctive lowering nor the least-fixpoint one takes
+        // the other's shape.
+        assert!(lower_least_fixpoint(&queries::grandparent_query()).is_none());
+        assert!(lower_to_datalog(&queries::transitive_closure_query()).is_none());
+    }
+
+    #[test]
+    fn least_fixpoint_near_misses_stay_on_the_enumeration() {
+        let tc = queries::transitive_closure_query();
+        let (set, target) = ("x", "z");
+        let pair = Type::flat_tuple(2);
+        let with_phi = |conjuncts: Vec<Formula>| {
+            let body = Formula::forall(
+                set,
+                Type::set(pair.clone()),
+                Formula::implies(
+                    Formula::and(conjuncts),
+                    Formula::member(Term::var(target), Term::var(set)),
+                ),
+            );
+            tc.with_body(body).unwrap()
+        };
+        let par_in_x = |premise: Formula, head: Term| {
+            Formula::forall(
+                "y",
+                pair.clone(),
+                Formula::implies(premise, Formula::member(head, Term::var(set))),
+            )
+        };
+        let base = par_in_x(Formula::pred("PAR", Term::var("y")), Term::var("y"));
+        assert!(lower_least_fixpoint(&with_phi(vec![base.clone()])).is_some());
+        // A negated premise.
+        let negated = par_in_x(
+            Formula::not(Formula::pred("PAR", Term::var("y"))),
+            Term::var("y"),
         );
+        assert!(lower_least_fixpoint(&with_phi(vec![base.clone(), negated])).is_none());
+        // An unbound head coordinate: ∃w (w ∈ X ∧ w.1 ≈ y.1).
+        let unbound = Formula::forall(
+            "y",
+            pair.clone(),
+            Formula::implies(
+                Formula::pred("PAR", Term::var("y")),
+                Formula::exists(
+                    "w",
+                    pair.clone(),
+                    Formula::and(vec![
+                        Formula::member(Term::var("w"), Term::var(set)),
+                        Formula::eq(Term::proj("w", 1), Term::proj("y", 1)),
+                    ]),
+                ),
+            ),
+        );
+        assert!(lower_least_fixpoint(&with_phi(vec![base.clone(), unbound])).is_none());
+        // A conclusion that would equate two premise terms.
+        let conditional = Formula::forall(
+            "y",
+            pair.clone(),
+            Formula::implies(
+                Formula::pred("PAR", Term::var("y")),
+                Formula::exists(
+                    "w",
+                    pair.clone(),
+                    Formula::and(vec![
+                        Formula::member(Term::var("w"), Term::var(set)),
+                        Formula::eq(Term::var("w"), Term::var("y")),
+                        Formula::eq(Term::proj("w", 1), Term::proj("y", 2)),
+                    ]),
+                ),
+            ),
+        );
+        assert!(lower_least_fixpoint(&with_phi(vec![base.clone(), conditional])).is_none());
+        // A conjunct that mentions the target.
+        let mentions_t = par_in_x(
+            Formula::and(vec![
+                Formula::pred("PAR", Term::var("y")),
+                Formula::pred("PAR", Term::var(target)),
+            ]),
+            Term::var("y"),
+        );
+        assert!(lower_least_fixpoint(&with_phi(vec![base.clone(), mentions_t])).is_none());
+        // A guard alone derives nothing: no rule, no route.
+        let guard_only = Formula::forall(
+            "y",
+            pair.clone(),
+            Formula::implies(
+                Formula::member(Term::var("y"), Term::var(set)),
+                Formula::pred("PAR", Term::var("y")),
+            ),
+        );
+        assert!(lower_least_fixpoint(&with_phi(vec![guard_only.clone()])).is_none());
+        let guarded = lower_least_fixpoint(&with_phi(vec![base, guard_only])).unwrap();
+        assert_eq!((guarded.program.rules.len(), guarded.guards.len()), (1, 1));
+    }
+
+    #[test]
+    fn a_schema_relation_named_like_x_keeps_the_query_off_the_route() {
+        // `__view__` would read as `X` in the rules, so the query stays on
+        // the enumeration.
+        let tc = queries::transitive_closure_query();
+        let schema = tc.schema().clone().with(VIEW_PRED, Type::flat_tuple(2));
+        let query = Query::new(
+            tc.target(),
+            tc.target_type().clone(),
+            tc.body().clone(),
+            schema,
+        )
+        .unwrap();
+        assert!(lower_least_fixpoint(&query).is_none());
+    }
+
+    #[test]
+    fn extend_adds_the_new_elements_unless_a_value_is_ill_typed_for_the_query() {
+        let tc = queries::transitive_closure_query();
+        let lfp = lower_least_fixpoint(&tc).unwrap();
+        let edges = |pairs: &[(u32, u32)]| {
+            Instance::from_pairs(pairs.iter().map(|&(a, b)| (Atom(a), Atom(b))))
+        };
+        let db = Database::single("PAR", edges(&[(0, 1), (1, 2)]));
+        let added = [Value::pair(Atom(1), Atom(2))];
+        let (fresh, rounds) = lfp
+            .extend(
+                &tc,
+                &edges(&[(0, 1)]),
+                &db,
+                "PAR",
+                &added,
+                Interrupt::disarmed(),
+            )
+            .unwrap()
+            .unwrap();
+        assert_eq!(fresh, edges(&[(0, 2), (1, 2)]));
+        assert!(rounds >= 1);
+        // A database may keep `PAR : U` while the query reads pairs: the
+        // atom is never read positionally, and a re-execution answers.
+        let db = Database::single("PAR", Instance::from_atoms(vec![Atom(2)]));
+        let added = [Value::atom(Atom(2))];
+        let extended = lfp.extend(
+            &tc,
+            &Instance::empty(),
+            &db,
+            "PAR",
+            &added,
+            Interrupt::disarmed(),
+        );
+        assert!(extended.unwrap().is_none());
     }
 
     fn planned(query: &Query) -> PhysicalPlan {

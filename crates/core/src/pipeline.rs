@@ -23,9 +23,15 @@
 //! quantifier enumeration at all: prepare lowers it to one Datalog rule,
 //! turns the rule into a σ/π/× expression and plans that once, and the
 //! limited interpretation then runs as hash joins (root span
-//! `planned-calculus`).  Only the compiled backend under default budgets
-//! takes that route, so the tree walker stays the reference oracle and
-//! budget errors keep their enumeration text.
+//! `planned-calculus`).  A least-fixpoint query of `CALC_{0,1}` — such as the
+//! Example 3.1 closure, `{t | ∀X/{T} (φ(X) → t ∈ X)}` with `φ` Horn
+//! conditions and element-wise guards — needs no enumeration of its `2^n`
+//! candidate sets either: prepare lowers `φ` to a Datalog program, and the
+//! limited interpretation computes its least model semi-naively, then checks
+//! the guards on each element (root span `least-fixpoint`).  Only the
+//! compiled backend under default budgets takes these routes, so the tree
+//! walker stays the reference oracle and budget errors keep their
+//! enumeration text.
 //!
 //! ```
 //! use itq_core::prelude::*;
@@ -44,8 +50,8 @@
 //! ```
 
 use crate::engine::{Engine, EngineError, GovernorConfig, Semantics};
-use crate::lowering;
-use itq_algebra::{to_calculus_query, AlgError, AlgExpr, EvalConfig as AlgConfig, PhysicalPlan};
+use crate::lowering::{self, LeastFixpoint};
+use itq_algebra::{to_calculus_query, AlgExpr, EvalConfig as AlgConfig, PhysicalPlan};
 use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable};
 use itq_calculus::normal::{sf_classification, to_prenex, PrenexForm, SfClassification};
 use itq_calculus::{CompiledQuery, Query, QueryClassification};
@@ -53,6 +59,7 @@ use itq_invention::{
     finite_invention_ctx, terminal_invention_ctx, InventionConfig, TerminalOutcome,
 };
 use itq_object::{CancelFlag, Database, ExecCtx, Instance, Interrupt, Schema, TripKind, Universe};
+use itq_relational::Program;
 use itq_trace::{Span, TraceSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -410,7 +417,8 @@ pub struct PrepareStats {
     pub classify_micros: u64,
     /// Normal forms: the existential-fragment analysis and the prenex form
     /// (Section 4), plus, for a calculus handle on the compiled backend
-    /// under default budgets, the attempt to lower it to a conjunctive rule.
+    /// under default budgets, the attempts to lower it to a conjunctive rule
+    /// or to a least-fixpoint program.
     pub normalize_micros: u64,
     /// Lowering into the slot-based compiled evaluator.
     pub compile_micros: u64,
@@ -650,16 +658,19 @@ pub struct QueryOutcome {
     pub stabilised_at: Option<usize>,
     /// Execution statistics for this call.
     pub stats: ExecStats,
+    /// True when the least-fixpoint route answered, so that `result` is the
+    /// least model of the handle's rules: what a watched view extends.
+    pub(crate) least_model: bool,
 }
 
 /// Which language the handle was prepared from.
 #[derive(Debug, Clone)]
 enum PreparedSource {
     /// A calculus query, evaluated directly — under the limited
-    /// interpretation through `planned` when the query lowered to a
-    /// conjunctive rule (compiled backend and default budgets only, so the
-    /// tree walker stays the reference and budget errors keep their text).
-    Calculus { planned: Option<Box<PhysicalPlan>> },
+    /// interpretation through `route` when the query lowered to one
+    /// (compiled backend and default budgets only, so the tree walker stays
+    /// the reference and budget errors keep their text).
+    Calculus { route: Option<CalculusRoute> },
     /// An algebra expression: kept for direct limited evaluation together
     /// with its set-at-a-time physical plan (planned once, at prepare time),
     /// alongside the calculus compilation used by classification and
@@ -669,6 +680,16 @@ enum PreparedSource {
         schema: Schema,
         plan: Box<PhysicalPlan>,
     },
+}
+
+/// How a calculus handle's limited interpretation runs without enumerating
+/// its quantifier domains.
+#[derive(Debug, Clone)]
+enum CalculusRoute {
+    /// A conjunctive query's rule, planned into hash joins.
+    Planned(Box<PhysicalPlan>),
+    /// A least-fixpoint query's program and guards.
+    LeastFixpoint(Box<LeastFixpoint>),
 }
 
 /// A query with all its static work done: type-checked, classified,
@@ -744,7 +765,7 @@ impl Engine {
         let validated = query.with_body(query.body().clone())?;
         let typecheck_micros = typecheck.elapsed().as_micros() as u64;
         Ok(self.prepared_from(
-            PreparedSource::Calculus { planned: None },
+            PreparedSource::Calculus { route: None },
             validated,
             typecheck_micros,
             0,
@@ -797,7 +818,8 @@ impl Engine {
 
     /// Cache the static artifacts and configuration snapshot into a handle.
     /// A calculus query in the conjunctive fragment is also lowered to its
-    /// Datalog rule (a normal form) and, from that, planned set-at-a-time.
+    /// Datalog rule (a normal form) and, from that, planned set-at-a-time; a
+    /// least-fixpoint query is lowered to its Datalog program and guards.
     fn prepared_from(
         &self,
         mut source: PreparedSource,
@@ -811,19 +833,25 @@ impl Engine {
         let phase = Instant::now();
         let sf = sf_classification(&query);
         let prenex = to_prenex(query.body());
-        let rule = match source {
-            PreparedSource::Calculus { .. }
-                if self.use_compiled && default_budgets(&self.calc_config, &self.alg_config) =>
-            {
-                lowering::lower_to_datalog(&query)
+        let mut rule = None;
+        if matches!(source, PreparedSource::Calculus { .. })
+            && self.use_compiled
+            && default_budgets(&self.calc_config, &self.alg_config)
+        {
+            match lowering::lower_least_fixpoint(&query) {
+                Some(fixpoint) => {
+                    let route = CalculusRoute::LeastFixpoint(Box::new(fixpoint));
+                    source = PreparedSource::Calculus { route: Some(route) };
+                }
+                None => rule = lowering::lower_to_datalog(&query),
             }
-            _ => None,
-        };
+        }
         let normalize_micros = phase.elapsed().as_micros() as u64;
         if let Some(rule) = rule {
             let phase = Instant::now();
-            let planned = lowering::plan_rule(&rule, &query).map(Box::new);
-            source = PreparedSource::Calculus { planned };
+            let route = lowering::plan_rule(&rule, &query)
+                .map(|plan| CalculusRoute::Planned(Box::new(plan)));
+            source = PreparedSource::Calculus { route };
             plan_micros = phase.elapsed().as_micros() as u64;
         }
         let phase = Instant::now();
@@ -921,16 +949,6 @@ impl Prepared {
     /// ```
     pub fn diagnostics(&self) -> &itq_analyze::Report {
         &self.diagnostics
-    }
-
-    /// True when the execution budgets snapshotted into this handle are all
-    /// at their defaults.  The incremental engine only trusts a delta
-    /// strategy under default budgets, as prepare only plans a conjunctive
-    /// calculus query under them: a handle with tightened budgets must keep
-    /// *failing* exactly as a from-scratch execution would, so its watched
-    /// views always re-execute.
-    pub(crate) fn budgets_are_default(&self) -> bool {
-        default_budgets(&self.calc_config, &self.alg_config)
     }
 
     /// The resource-governance snapshot this handle executes under (taken
@@ -1095,15 +1113,50 @@ impl Prepared {
     /// ```
     pub fn physical_plan(&self) -> Option<&PhysicalPlan> {
         match &self.source {
-            PreparedSource::Calculus { planned } => planned.as_deref(),
-            PreparedSource::Algebra { plan, .. } => Some(plan),
+            PreparedSource::Calculus {
+                route: Some(CalculusRoute::Planned(plan)),
+            }
+            | PreparedSource::Algebra { plan, .. } => Some(plan),
+            PreparedSource::Calculus { .. } => None,
+        }
+    }
+
+    /// The Datalog program and the number of element-wise guards of a
+    /// least-fixpoint query, lowered once at prepare time when the compiled
+    /// backend runs under default budgets: the limited interpretation then
+    /// computes the program's least model semi-naively and answers it when
+    /// every guard holds on each element.  The surface language's
+    /// `plan <name>;` statement prints it.
+    ///
+    /// ```
+    /// use itq_core::prelude::*;
+    /// use itq_core::queries;
+    /// let prepared = Engine::new().prepare(&queries::transitive_closure_query()).unwrap();
+    /// // Example 3.1: `PAR ⊆ X`, `X` transitive, and `X` over PAR's atoms.
+    /// let (program, guards) = prepared.least_fixpoint().unwrap();
+    /// assert_eq!((program.rules.len(), guards), (2, 1));
+    /// assert!(prepared.physical_plan().is_none());
+    /// ```
+    pub fn least_fixpoint(&self) -> Option<(&Program, usize)> {
+        self.fixpoint_route()
+            .map(|fixpoint| (&fixpoint.program, fixpoint.guards.len()))
+    }
+
+    /// The least-fixpoint route, if this handle has one.
+    pub(crate) fn fixpoint_route(&self) -> Option<&LeastFixpoint> {
+        match &self.source {
+            PreparedSource::Calculus {
+                route: Some(CalculusRoute::LeastFixpoint(fixpoint)),
+            } => Some(fixpoint),
+            _ => None,
         }
     }
 
     /// The slot-based compiled form of the query, lowered once at prepare
     /// time.  This is what [`Prepared::execute`] runs by default (except a
     /// conjunctive query's limited interpretation, which runs
-    /// [`Prepared::physical_plan`]); the legacy tree walker remains reachable
+    /// [`Prepared::physical_plan`], and a least-fixpoint query's, which runs
+    /// [`Prepared::least_fixpoint`]); the legacy tree walker remains reachable
     /// via [`EngineBuilder::use_compiled`]`(false)`.
     ///
     /// ```
@@ -1323,6 +1376,7 @@ impl Prepared {
             defined_at: None,
             stabilised_at: None,
             stats,
+            least_model: false,
         };
         let run_plan = |root: &str, plan: &PhysicalPlan| {
             plan.execute_ctx(db, &self.alg_config, ctx)
@@ -1354,18 +1408,43 @@ impl Prepared {
                 let (result, span) = expr.eval_ctx(db, schema, &self.alg_config, ctx)?;
                 Ok((limited(result, ExecStats::default()), span))
             }
-            // The conjunctive route reads relations positionally, so a
-            // database holding ill-typed values takes the enumeration, which
-            // never matches them.  A governor trip is final; any other planner
-            // error (a product over its budget, a relation missing from the
-            // database) is the route's own limit, and the enumeration then
-            // reproduces the handle's outcome.
-            (Semantics::Limited, PreparedSource::Calculus { planned }) => match planned {
-                Some(plan) if conforms(db, self.query.schema()) => {
-                    match run_plan("planned-calculus", plan) {
-                        Ok(outcome) => Ok(outcome),
-                        Err(err @ AlgError::Resource(_)) => Err(err.into()),
-                        Err(_) => enumerated(),
+            // Both routes read relations positionally, so a database holding
+            // ill-typed values takes the enumeration, which never matches
+            // them.  A governor trip is final; any other route error (a
+            // product over its budget, a relation missing from the database,
+            // a guard over its quantifier budget) is the route's own limit,
+            // and the enumeration then reproduces the handle's outcome — as it
+            // does when a guard fails on the least model.
+            (Semantics::Limited, PreparedSource::Calculus { route }) => match route {
+                Some(route) if conforms(db, self.query.schema()) => {
+                    let routed = match route {
+                        CalculusRoute::Planned(plan) => run_plan("planned-calculus", plan)
+                            .map(Some)
+                            .map_err(EngineError::from),
+                        CalculusRoute::LeastFixpoint(fixpoint) => {
+                            match fixpoint.run(&self.query, db, ctx.interrupt) {
+                                Ok(Some(run)) => {
+                                    let span = ctx.traced.then(|| {
+                                        let mut span = Span::new("least-fixpoint");
+                                        span.push_field("rounds", run.rounds);
+                                        span.push_field("rows_out", run.answer.len() as u64);
+                                        span
+                                    });
+                                    let stats = ExecStats::from_eval(run.stats, 0);
+                                    let outcome = QueryOutcome {
+                                        least_model: true,
+                                        ..limited(run.answer, stats)
+                                    };
+                                    Ok(Some((outcome, span)))
+                                }
+                                other => other.map(|_| None),
+                            }
+                        }
+                    };
+                    match routed {
+                        Ok(Some(outcome)) => Ok(outcome),
+                        Err(err @ EngineError::Resource(_)) => Err(err),
+                        Ok(None) | Err(_) => enumerated(),
                     }
                 }
                 _ => enumerated(),
@@ -1391,6 +1470,7 @@ impl Prepared {
                     semantics,
                     stats: ExecStats::from_eval(stats, levels_run),
                     result: report.union,
+                    least_model: false,
                 };
                 Ok((outcome, span))
             }
@@ -1411,6 +1491,7 @@ impl Prepared {
                         defined_at: Some(n),
                         stabilised_at: None,
                         stats: ExecStats::from_eval(stats, (n + 1) as u64),
+                        least_model: false,
                     },
                     TerminalOutcome::UndefinedWithinBound { tried } => QueryOutcome {
                         result: Instance::empty(),
@@ -1419,6 +1500,7 @@ impl Prepared {
                         defined_at: None,
                         stabilised_at: None,
                         stats: ExecStats::from_eval(stats, tried as u64),
+                        least_model: false,
                     },
                 };
                 let span = levels.map(|levels| {
@@ -1436,7 +1518,7 @@ impl Prepared {
 }
 
 /// True when the execution budgets are all at their defaults — the condition
-/// for a calculus handle's set-at-a-time route and for an incremental view's
+/// for a calculus handle's routes, and with them for an incremental view's
 /// delta strategy.  A handle with tightened budgets must keep *failing*
 /// exactly as the enumeration would.
 fn default_budgets(calc: &EvalConfig, alg: &AlgConfig) -> bool {
@@ -2207,6 +2289,20 @@ mod tests {
                 (fast, slow) => panic!("{label}: {fast:?} vs {slow:?}"),
             }
         }
+        // Nor can the least-fixpoint route read a missing relation: the
+        // enumeration reports it.
+        let missing = Database::single("OTHER", Instance::from_atoms(vec![Atom(0)]));
+        let closure_error = |engine: Engine| {
+            let prepared = engine.prepare(&transitive_closure_query()).unwrap();
+            prepared
+                .execute(&missing, Semantics::Limited)
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(
+            closure_error(Engine::new()),
+            closure_error(Engine::builder().use_compiled(false).build())
+        );
     }
 
     #[test]

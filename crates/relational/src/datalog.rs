@@ -7,7 +7,7 @@
 //! newly derived in the previous round.
 
 use crate::relation::Relation;
-use itq_object::Atom as Constant;
+use itq_object::{Atom as Constant, Interrupt, ResourceError};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -155,8 +155,13 @@ impl Program {
     }
 
     /// Evaluate the program bottom-up (semi-naive) over the given EDB relations,
-    /// returning all IDB (and EDB) relations at the least fixpoint.
-    pub fn evaluate(&self, edb: &BTreeMap<String, Relation>) -> BTreeMap<String, Relation> {
+    /// returning all IDB (and EDB) relations at the least fixpoint.  The
+    /// driver polls `interrupt` once per round (see [`crate::fixpoint`]).
+    pub fn evaluate(
+        &self,
+        edb: &BTreeMap<String, Relation>,
+        interrupt: &Interrupt,
+    ) -> Result<BTreeMap<String, Relation>, ResourceError> {
         let mut total: BTreeMap<String, Relation> = BTreeMap::new();
         // Make sure every head predicate exists in the store, with its declared
         // arity, even if no facts are ever derived for it.
@@ -165,8 +170,8 @@ impl Program {
                 .entry(rule.head.pred.clone())
                 .or_insert_with(|| Relation::empty(rule.head.terms.len()));
         }
-        self.evaluate_delta(&mut total, edb.clone());
-        total
+        self.evaluate_delta(&mut total, edb.clone(), interrupt)?;
+        Ok(total)
     }
 
     /// Maintain an existing fixpoint under insertion: `total` holds the current
@@ -176,13 +181,17 @@ impl Program {
     ///
     /// With an empty `total` this *is* from-scratch evaluation; the delta seed
     /// then plays the role of the EDB.  Sound for insertions only — positive
-    /// Datalog is monotone, so deletions require re-evaluation.
+    /// Datalog is monotone, so deletions require re-evaluation.  A tripped
+    /// poll leaves `total` holding a subset of the new fixpoint.
     pub fn evaluate_delta(
         &self,
         total: &mut BTreeMap<String, Relation>,
         delta: BTreeMap<String, Relation>,
-    ) -> u64 {
-        crate::fixpoint::seminaive_store(total, delta, |total, delta| self.fire_all(total, delta))
+        interrupt: &Interrupt,
+    ) -> Result<u64, ResourceError> {
+        crate::fixpoint::seminaive_store(total, delta, interrupt, |total, delta| {
+            self.fire_all(total, delta)
+        })
     }
 
     /// Fire every rule at every delta position once, collecting the derived
@@ -336,7 +345,7 @@ mod tests {
             Relation::from_pairs(vec![(a(0), a(1)), (a(1), a(2)), (a(2), a(3)), (a(3), a(1))]);
         let mut edb = BTreeMap::new();
         edb.insert("E".to_string(), edges.clone());
-        let result = tc_program().evaluate(&edb);
+        let result = tc_program().evaluate(&edb, Interrupt::disarmed()).unwrap();
         assert_eq!(result["T"], transitive_closure_seminaive(&edges));
         // The EDB is untouched.
         assert_eq!(result["E"], edges);
@@ -356,7 +365,7 @@ mod tests {
         let edges = Relation::from_pairs(vec![(a(1), a(0)), (a(2), a(1)), (a(3), a(4))]);
         let mut edb = BTreeMap::new();
         edb.insert("E".to_string(), edges);
-        let result = program.evaluate(&edb);
+        let result = program.evaluate(&edb, Interrupt::disarmed()).unwrap();
         let reaches = &result["Reaches0"];
         assert_eq!(reaches.len(), 2);
         assert!(reaches.contains(&[a(1)]));
@@ -391,7 +400,7 @@ mod tests {
             "down".to_string(),
             Relation::from_pairs(vec![(a(4), a(2)), (a(3), a(1))]),
         );
-        let result = program.evaluate(&edb);
+        let result = program.evaluate(&edb, Interrupt::disarmed()).unwrap();
         let sg = &result["sg"];
         assert!(sg.contains(&[a(3), a(4)]));
         assert!(sg.contains(&[a(1), a(2)]));
@@ -417,7 +426,7 @@ mod tests {
     fn empty_edb_produces_empty_idb() {
         let mut edb = BTreeMap::new();
         edb.insert("E".to_string(), Relation::empty(2));
-        let result = tc_program().evaluate(&edb);
+        let result = tc_program().evaluate(&edb, Interrupt::disarmed()).unwrap();
         assert!(result["T"].is_empty());
     }
 
@@ -433,14 +442,14 @@ mod tests {
         assert!(program.is_safe());
         let mut edb = BTreeMap::new();
         edb.insert("E".to_string(), Relation::from_pairs(vec![(a(0), a(1))]));
-        let result = program.evaluate(&edb);
+        let result = program.evaluate(&edb, Interrupt::disarmed()).unwrap();
         assert_eq!(result["NonEmpty"].arity(), 0);
         assert_eq!(result["NonEmpty"].len(), 1);
         assert!(result["NonEmpty"].contains(&[]));
 
         let mut empty = BTreeMap::new();
         empty.insert("E".to_string(), Relation::empty(2));
-        let result = program.evaluate(&empty);
+        let result = program.evaluate(&empty, Interrupt::disarmed()).unwrap();
         assert!(result["NonEmpty"].is_empty());
     }
 
@@ -460,7 +469,7 @@ mod tests {
             "E".to_string(),
             Relation::from_pairs(vec![(a(0), a(0)), (a(0), a(1))]),
         );
-        let result = program.evaluate(&edb);
+        let result = program.evaluate(&edb, Interrupt::disarmed()).unwrap();
         assert_eq!(result["P"].len(), 1);
         assert!(result["P"].contains(&[a(0), a(1)]));
 
@@ -481,17 +490,42 @@ mod tests {
         total.insert("T".to_string(), Relation::empty(2));
         let mut seed = BTreeMap::new();
         seed.insert("E".to_string(), edges.clone());
-        program.evaluate_delta(&mut total, seed);
+        program
+            .evaluate_delta(&mut total, seed, Interrupt::disarmed())
+            .unwrap();
         assert_eq!(total["T"], transitive_closure_seminaive(&edges));
 
         // Insert one edge and maintain the warm fixpoint instead of rerunning.
         let mut delta = BTreeMap::new();
         delta.insert("E".to_string(), Relation::from_pairs(vec![(a(2), a(3))]));
-        let rounds = program.evaluate_delta(&mut total, delta);
+        let rounds = program
+            .evaluate_delta(&mut total, delta, Interrupt::disarmed())
+            .unwrap();
         assert!(rounds >= 1);
         let mut new_edges = edges.clone();
         new_edges.insert(vec![a(2), a(3)]);
         assert_eq!(total["T"], transitive_closure_seminaive(&new_edges));
+    }
+
+    #[test]
+    fn evaluation_polls_the_interrupt_once_per_round() {
+        use itq_object::TripKind;
+        let mut edb = BTreeMap::new();
+        edb.insert(
+            "E".to_string(),
+            Relation::from_pairs(vec![(a(0), a(1)), (a(1), a(2))]),
+        );
+        let counting = Interrupt::new().with_memory_ceiling(u64::MAX);
+        tc_program().evaluate(&edb, &counting).unwrap();
+        let polls = counting.polls();
+        assert!(polls >= 2, "seed round plus derivation rounds");
+        for nth in 1..=polls {
+            let tripping = Interrupt::new().with_trip_after(nth, TripKind::Cancel);
+            assert_eq!(
+                tc_program().evaluate(&edb, &tripping),
+                Err(ResourceError::Cancelled)
+            );
+        }
     }
 
     #[test]

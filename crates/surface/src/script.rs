@@ -112,7 +112,8 @@ pub enum Stmt {
     },
     /// `plan NAME;` — pretty-print the physical plan of an algebra
     /// expression or a conjunctive calculus query (joins extracted,
-    /// selections pushed down, projections fused).
+    /// selections pushed down, projections fused), or the Datalog rules of a
+    /// least-fixpoint calculus query.
     Plan {
         /// A query or algebra name.
         name: String,

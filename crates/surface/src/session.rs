@@ -553,8 +553,9 @@ impl Session {
     /// `plan NAME;` — pretty-print the set-at-a-time physical plan the
     /// prepare step built (the same plan `eval` executes under the limited
     /// interpretation): every algebra expression has one, and so does a
-    /// calculus query in the conjunctive fragment.  Any other calculus query
-    /// is reported as running on the evaluator that enumerates it.
+    /// calculus query in the conjunctive fragment.  A least-fixpoint query
+    /// prints its Datalog rules instead.  Any other calculus query is
+    /// reported as running on the evaluator that enumerates it.
     fn plan(&mut self, name: &str) -> Result<Vec<String>, SessionError> {
         if !self.queries.contains_key(name) && !self.algebras.contains_key(name) {
             return Err(SessionError::Exec(format!(
@@ -563,8 +564,8 @@ impl Session {
         }
         let mut lines = self.ensure_prepared(name)?;
         let prepared = &self.prepared[name];
-        match prepared.physical_plan() {
-            Some(plan) => {
+        match (prepared.physical_plan(), prepared.least_fixpoint()) {
+            (Some(plan), _) => {
                 let source = match prepared.algebra_expr() {
                     Some(expr) => expr.to_string(),
                     None => prepared.query().to_string(),
@@ -572,7 +573,16 @@ impl Session {
                 lines.push(format!("plan {name}: {source}"));
                 lines.extend(plan.render_lines().into_iter().map(|l| format!("  {l}")));
             }
-            None => lines.push(format!(
+            (None, Some((program, guards))) => {
+                let rules = program.rules.len();
+                lines.push(format!(
+                    "plan {name}: least fixpoint of {rules} rule{}, {guards} guard{}",
+                    plural(rules),
+                    plural(guards)
+                ));
+                lines.extend(program.rules.iter().map(|rule| format!("  {rule}")));
+            }
+            (None, None) => lines.push(format!(
                 "plan {name}: none — this calculus query runs the {}",
                 if self.engine.use_compiled() {
                     "compiled slot evaluator"
@@ -1077,7 +1087,7 @@ fn help_text() -> Vec<String> {
         "  typecheck NAME                       re-check and print the typing",
         "  classify NAME                        minimal CALC_{k,i} / ALG_{k,i} class",
         "  check NAME                           static analysis: diagnostics with caret snippets",
-        "  plan NAME                            print the physical plan eval runs (if any)",
+        "  plan NAME                            print the plan or Datalog rules eval runs",
         "  eval NAME on DB [with SEMANTICS]     semantics: limited (default),",
         "    (`under` ≡ `with`)                 finite-invention (fi), terminal-invention (ti)",
         "  explain analyze NAME on DB [...]     execute + print the trace tree (actual rows, µs)",
@@ -1244,6 +1254,19 @@ mod tests {
             out,
             ["plan strict: none — this calculus query runs the compiled slot evaluator"]
         );
+        // The Example 3.1 closure lowers to its Datalog rules and a guard
+        // (after the fresh prepare's two shadowing warnings).
+        let tc = itq_core::queries::transitive_closure_query();
+        run(&mut s, &format!("query tc : Gen {tc};"));
+        let out = run(&mut s, "plan tc;");
+        assert_eq!(
+            out[2..],
+            [
+                "plan tc: least fixpoint of 2 rules, 1 guard",
+                "  __view__(v0, v1) :- PAR(v0, v1)",
+                "  __view__(v0, v3) :- __view__(v0, v1), __view__(v1, v3)",
+            ]
+        );
         let mut walker = Session::with_engine(Engine::builder().use_compiled(false).build());
         genealogy(&mut walker);
         let out = run(&mut walker, "plan gp;");
@@ -1383,6 +1406,31 @@ mod tests {
             let err = s.run_source("insert into d2.PAR {[Mary, Sue, Tom]};");
             assert!(err.is_err(), "mutate_first = {mutate_first}");
         }
+    }
+
+    #[test]
+    fn a_least_fixpoint_view_reexecutes_inserts_ill_typed_for_its_query() {
+        // `d` keeps `Q : U` while the closure reads `Q` as pairs.  Watched
+        // while `Q` is empty, the view holds the route's least model; an atom
+        // inserted into `d.Q` is ill-typed for the query, so the refresh
+        // re-executes (the enumeration never matches it) instead of reading
+        // it positionally into the model.
+        let mut s = Session::new();
+        run(
+            &mut s,
+            "schema S {Q : U};\ndatabase d : S {Q = {}};\nschema S {Q : [U, U]};\n\
+             query c : S {t/[U, U] | forall x/{[U, U]} \
+             ((forall y/[U, U] (Q(y) -> y in x)) -> t in x)};",
+        );
+        let out = run(&mut s, "watch c on d;");
+        assert_eq!(
+            out[0],
+            "watch c on d with limited: 0 answers, strategy least-fixpoint"
+        );
+        let out = run(&mut s, "insert into d.Q {c};");
+        assert_eq!(out[1], "  watch c: 0 answers via re-executed");
+        let out = run(&mut s, "eval c on d;");
+        assert_eq!(out[0], "eval c on d with limited: 0 objects");
     }
 
     #[test]

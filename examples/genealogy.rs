@@ -1,6 +1,9 @@
 //! Genealogy scenario: answer ancestor queries over a family tree with the
 //! CALC_{0,1} powerset query of Example 3.1 and compare it against the
 //! polynomial-time baselines (semi-naive fixpoint, Datalog, while-program).
+//! The default engine recognises the query as a least fixpoint and runs it
+//! semi-naively; the tree walker, the reference oracle, enumerates its
+//! 2^(n²) candidate relations.
 //!
 //! Run with `cargo run --release --example genealogy`.
 
@@ -16,24 +19,47 @@ use std::time::Instant;
 fn main() {
     println!("ancestors of a family tree: CALC_{{0,1}} query vs polynomial baselines\n");
     println!(
-        "{:>6} {:>10} {:>16} {:>16} {:>16} {:>16}",
-        "people", "ancestors", "calculus (ms)", "semi-naive (ms)", "datalog (ms)", "while (ms)"
+        "{:>6} {:>10} {:>16} {:>16} {:>16} {:>16} {:>16}",
+        "people",
+        "ancestors",
+        "enumerated (ms)",
+        "calculus (ms)",
+        "semi-naive (ms)",
+        "datalog (ms)",
+        "while (ms)"
     );
 
-    // Prepare the CALC_{0,1} query once — classification, typing, and normal
-    // forms are static work — and execute the same handle on every tree size.
-    let engine = Engine::new();
-    let transitive_closure = engine
+    // Prepare the CALC_{0,1} query once — classification, typing, normal
+    // forms and its lowering to a Datalog program are static work — and
+    // execute the same handle on every tree size.
+    let transitive_closure = Engine::new()
+        .prepare(&queries::transitive_closure_query())
+        .unwrap();
+    let enumeration = Engine::builder()
+        .use_compiled(false)
+        .build()
         .prepare(&queries::transitive_closure_query())
         .unwrap();
 
-    for people in [3u32, 4, 5] {
+    for people in [3u32, 5, 16] {
         let edges = tree_edges(people);
         let relation = Relation::from_pairs(edges.iter().copied());
         let db = queries::parent_database(&edges);
 
-        // CALC_{0,1}: quantifies over every binary relation on the active domain —
-        // 2^(n^2) candidate relations, so keep n tiny and watch it explode.
+        // Enumerated, CALC_{0,1} quantifies over every binary relation on the
+        // active domain — 2^(n^2) candidates, so only the smallest tree runs.
+        let enumerated = if people <= 3 {
+            let start = Instant::now();
+            let answer = enumeration.execute(&db, Semantics::Limited).unwrap();
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            let as_relation = Relation::from_instance(&answer.result).unwrap();
+            assert_eq!(as_relation, transitive_closure_seminaive(&relation));
+            format!("{ms:.2}")
+        } else {
+            format!("2^{} sets", people * people)
+        };
+        // The least-fixpoint route: the query's Horn conditions run
+        // semi-naively, and its guard is checked on each answer.
         let calculus_start = Instant::now();
         let calculus_answer = transitive_closure
             .execute(&db, Semantics::Limited)
@@ -66,7 +92,7 @@ fn main() {
         let mut edb = BTreeMap::new();
         edb.insert("E".to_string(), relation.clone());
         let datalog_start = Instant::now();
-        let datalog_result = program.evaluate(&edb);
+        let datalog_result = program.evaluate(&edb, Interrupt::disarmed()).unwrap();
         let datalog_ms = datalog_start.elapsed().as_secs_f64() * 1e3;
 
         // Baseline 3: relational algebra + while.
@@ -85,9 +111,10 @@ fn main() {
         assert_eq!(env["T"], baseline);
 
         println!(
-            "{:>6} {:>10} {:>16.2} {:>16.3} {:>16.3} {:>16.3}",
+            "{:>6} {:>10} {:>16} {:>16.3} {:>16.3} {:>16.3} {:>16.3}",
             people,
             baseline.len(),
+            enumerated,
             calculus_ms,
             baseline_ms,
             datalog_ms,
@@ -96,8 +123,10 @@ fn main() {
     }
 
     println!(
-        "\nThe powerset-based CALC_{{0,1}} query explodes hyper-exponentially (2^(n²) candidate\n\
-         relations) while every baseline stays polynomial — the expressive power the paper buys\n\
-         with intermediate types is paid for in data complexity (Theorem 4.4)."
+        "\nEnumerated, the powerset-based CALC_{{0,1}} query explodes hyper-exponentially\n\
+         (2^(n²) candidate relations) while every baseline stays polynomial — the expressive\n\
+         power the paper buys with intermediate types is paid for in data complexity\n\
+         (Theorem 4.4).  Its set quantifier only asks for the least relation closed under Horn\n\
+         conditions, so the default engine answers it as that least fixpoint, semi-naively."
     );
 }

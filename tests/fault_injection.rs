@@ -7,10 +7,11 @@
 //! function of the query, database, and backend, so "trip at the nth poll"
 //! names an exactly reproducible logical instant.
 //!
-//! The contract, checked across all five execution backends (compiled slots,
-//! tree walker, planned algebra, tuple-at-a-time algebra, and the planned
-//! route of a conjunctive calculus query) and all three semantics (limited,
-//! finite-invention, terminal-invention):
+//! The contract, checked across all six execution backends (compiled slots,
+//! tree walker, planned algebra, tuple-at-a-time algebra, the planned route
+//! of a conjunctive calculus query, and the least-fixpoint route of the
+//! Example 3.1 closure) and all three semantics (limited, finite-invention,
+//! terminal-invention):
 //!
 //! * an execution interrupted at *any* point returns either a typed
 //!   [`EngineError::Resource`] / contained [`EngineError::Internal`] or the
@@ -40,6 +41,16 @@ fn family_db() -> Database {
     queries::parent_database(&[(Atom(0), Atom(1)), (Atom(1), Atom(2))])
 }
 
+/// The database a backend's row runs on.  The closure's invention-semantics
+/// runs enumerate 2^(n²) candidate relations per level, so its row takes a
+/// two-atom cycle, whose closure still needs a second semi-naive round.
+fn db_for(backend: &str) -> Database {
+    match backend {
+        "least-fixpoint" => queries::parent_database(&[(Atom(0), Atom(1)), (Atom(1), Atom(0))]),
+        _ => family_db(),
+    }
+}
+
 /// The grandparent join as an algebra expression, for the two algebra
 /// backends (the calculus backends run [`queries::grandparent_query`], the
 /// compiled slots with a negated atom that keeps it off the planned route).
@@ -50,7 +61,14 @@ fn grandparent_algebra() -> AlgExpr {
         .project(vec![1, 4])
 }
 
-const BACKENDS: [&str; 5] = ["compiled", "tree-walk", "planned", "tuple", "routed"];
+const BACKENDS: [&str; 6] = [
+    "compiled",
+    "tree-walk",
+    "planned",
+    "tuple",
+    "routed",
+    "least-fixpoint",
+];
 
 /// A fresh prepared handle for one backend under one governor.  Prepared
 /// handles snapshot the governor, so every run arms its own engine.
@@ -80,6 +98,14 @@ fn prepare(backend: &str, governor: GovernorConfig) -> Prepared {
             assert!(prepared.physical_plan().is_some(), "conjunctive route");
             prepared
         }
+        "least-fixpoint" => {
+            let prepared = builder
+                .build()
+                .prepare(&queries::transitive_closure_query())
+                .unwrap();
+            assert!(prepared.least_fixpoint().is_some(), "least-fixpoint route");
+            prepared
+        }
         "tree-walk" => builder
             .use_compiled(false)
             .build()
@@ -101,8 +127,8 @@ fn prepare(backend: &str, governor: GovernorConfig) -> Prepared {
 /// The core property: interruption at any sampled point is error-or-exact.
 #[test]
 fn interruption_yields_a_typed_error_or_the_exact_answer() {
-    let db = family_db();
     for (b, backend) in BACKENDS.into_iter().enumerate() {
+        let db = db_for(backend);
         for (s, semantics) in Semantics::ALL.into_iter().enumerate() {
             // Baseline: the observation governor is armed (so polls are
             // counted) but can never trip, so the answer is the exact one.
@@ -157,8 +183,8 @@ fn interruption_yields_a_typed_error_or_the_exact_answer() {
 /// on a reused prepared handle, across every backend and semantics.
 #[test]
 fn identical_faults_reproduce_byte_identical_errors() {
-    let db = family_db();
     for backend in BACKENDS {
+        let db = db_for(backend);
         for semantics in Semantics::ALL {
             // Poll 1 is the entry poll, so these two faults always trip.
             for fault in [Fault::CancelAtPoll(1), Fault::ZeroDeadline] {
@@ -187,8 +213,8 @@ fn identical_faults_reproduce_byte_identical_errors() {
 /// a fresh disarmed engine byte-for-byte: no fault leaves residue.
 #[test]
 fn engines_recover_after_every_fault_kind() {
-    let db = family_db();
     for backend in BACKENDS {
+        let db = db_for(backend);
         let baseline = prepare(backend, GovernorConfig::default())
             .try_execute(&db, Semantics::Limited)
             .0
@@ -231,12 +257,43 @@ fn engines_recover_after_every_fault_kind() {
 
 /// Shrinking ceilings cross the interning watermark monotonically: exact
 /// answers above, the canonical error below, nothing in between — on both
-/// interning calculus paths.
+/// interning calculus paths, and on the least-fixpoint route, whose rounds
+/// report the facts they hold.
 #[test]
 fn shrinking_memory_ceilings_are_exact_or_error_at_every_rung() {
+    for backend in ["compiled", "routed", "least-fixpoint"] {
+        assert_ceilings_are_monotone(backend, &db_for(backend));
+    }
+}
+
+/// The least-fixpoint route polls on entry, once per semi-naive round and
+/// through its guard check: a cancel injected at every one of those polls
+/// trips with the typed error, and the handle stays usable.
+#[test]
+fn every_least_fixpoint_poll_trips_with_a_typed_error() {
     let db = family_db();
-    for backend in ["compiled", "routed"] {
-        assert_ceilings_are_monotone(backend, &db);
+    let (baseline, stats) =
+        prepare("least-fixpoint", observation_governor()).try_execute(&db, Semantics::Limited);
+    let baseline = baseline.unwrap();
+    let polls = stats.interrupt_polls;
+    assert!(polls >= 3, "an entry poll and one per round: {polls}");
+    for nth in 1..=polls {
+        let handle = prepare("least-fixpoint", Fault::CancelAtPoll(nth).governor());
+        let (outcome, stats) = handle.try_execute(&db, Semantics::Limited);
+        assert_eq!(
+            outcome.unwrap_err(),
+            EngineError::Resource(ResourceError::Cancelled),
+            "poll {nth}"
+        );
+        assert_eq!(
+            stats.interrupt_polls, nth,
+            "the trip is final at poll {nth}"
+        );
+        let recovered = handle
+            .with_governor(GovernorConfig::default())
+            .execute(&db, Semantics::Limited)
+            .unwrap();
+        assert_eq!(recovered.result, baseline.result, "poll {nth}");
     }
 }
 

@@ -179,6 +179,15 @@ fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, workers: usize
             );
             assert_eq!(stats.steps, 0, "{label}: no formula is evaluated");
         }
+        "least-fixpoint" => {
+            assert!(span.field("rounds").is_some(), "{label}");
+            assert_eq!(
+                span.field("rows_out"),
+                Some(outcome.result.len() as u64),
+                "{label}"
+            );
+            assert_eq!(stats.join_probes, 0, "{label}: no plan operator runs");
+        }
         "tree-walk" => {
             assert_eq!(span.field("steps"), Some(stats.steps), "{label}");
             assert_eq!(
@@ -238,6 +247,22 @@ proptest! {
             let (outcome, span) = execute_three_ways(&prepared, &db, Semantics::Limited, &label)
                 .expect("default budgets");
             prop_assert_eq!(span.name.as_str(), "planned-calculus");
+            assert_span_matches_stats(&outcome, &span, workers, &label);
+        }
+    }
+
+    /// The Example 3.1 closure on the default engine runs its least-fixpoint
+    /// route under a `least-fixpoint` root: the same three-way harness.
+    #[test]
+    fn tracing_never_changes_least_fixpoint_outcomes(db in small_db()) {
+        let q = queries::transitive_closure_query();
+        for workers in [1, 4] {
+            let label = format!("least-fixpoint/workers={workers}");
+            let prepared = Engine::builder().parallelism(workers).build().prepare(&q).unwrap();
+            prop_assert!(prepared.least_fixpoint().is_some());
+            let (outcome, span) = execute_three_ways(&prepared, &db, Semantics::Limited, &label)
+                .expect("default budgets");
+            prop_assert_eq!(span.name.as_str(), "least-fixpoint");
             assert_span_matches_stats(&outcome, &span, workers, &label);
         }
     }

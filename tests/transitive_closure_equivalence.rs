@@ -1,11 +1,13 @@
 //! Experiment E2's correctness backbone: the CALC_{0,1} transitive-closure query
 //! of Example 3.1 agrees with every polynomial-time baseline (three direct
 //! algorithms, the Datalog program, and the while-program) on a spread of graph
-//! shapes.
+//! shapes.  The prepared query runs as a least fixpoint on the default engine,
+//! so it joins the baselines on graphs its enumeration could never reach.
 
 use itq_calculus::eval::EvalConfig;
-use itq_core::queries::{parent_database, transitive_closure_query};
-use itq_object::Atom;
+use itq_core::prelude::{Engine, Semantics};
+use itq_core::queries::{excluding_parent_pairs, parent_database, transitive_closure_query};
+use itq_object::{Atom, Interrupt};
 use itq_relational::datalog::{Atom as DatalogAtom, Program, Rule};
 use itq_relational::while_loop::transitive_closure_program;
 use itq_relational::{
@@ -30,7 +32,7 @@ fn datalog_tc(edges: &Relation) -> Relation {
     ]);
     let mut edb = BTreeMap::new();
     edb.insert("E".to_string(), edges.clone());
-    program.evaluate(&edb)["T"].clone()
+    program.evaluate(&edb, Interrupt::disarmed()).unwrap()["T"].clone()
 }
 
 fn while_tc(edges: &Relation) -> Relation {
@@ -58,7 +60,9 @@ fn workloads() -> Vec<(&'static str, Vec<(Atom, Atom)>)> {
 #[test]
 fn all_baselines_agree_with_each_other_on_larger_graphs() {
     // The polynomial baselines can be cross-checked on much larger graphs than
-    // the calculus query can reach.
+    // the calculus query's enumeration can reach; its least-fixpoint route
+    // answers them.
+    let prepared = Engine::new().prepare(&transitive_closure_query()).unwrap();
     for (name, edges) in [
         ("chain-40", chain_edges(40)),
         ("cycle-25", cycle_edges(25)),
@@ -66,6 +70,7 @@ fn all_baselines_agree_with_each_other_on_larger_graphs() {
         ("random-15", random_digraph(15, 0.2, 3)),
         ("random-20-dense", random_digraph(20, 0.4, 4)),
     ] {
+        let db = parent_database(&edges);
         let relation = Relation::from_pairs(edges);
         let naive = transitive_closure_naive(&relation);
         let seminaive = transitive_closure_seminaive(&relation);
@@ -76,6 +81,8 @@ fn all_baselines_agree_with_each_other_on_larger_graphs() {
         assert_eq!(seminaive, warshall, "{name}");
         assert_eq!(warshall, datalog, "{name}");
         assert_eq!(datalog, while_result, "{name}");
+        let routed = prepared.execute(&db, Semantics::Limited).unwrap();
+        assert_eq!(routed.result, while_result.to_instance(), "{name}");
     }
 }
 
@@ -123,19 +130,70 @@ fn calculus_query_cost_grows_much_faster_than_the_baseline() {
 fn prepared_pipeline_reports_the_same_cost_model() {
     // The ExecStats carried by a QueryOutcome are the same counters the raw
     // evaluator reports, plus wall time — one prepared handle across sizes.
-    let engine = itq_core::prelude::Engine::new();
-    let prepared = engine.prepare(&transitive_closure_query()).unwrap();
+    // A negated atom keeps the closure on the compiled enumeration.
+    let engine = Engine::new();
+    let enumerated_query = excluding_parent_pairs(&transitive_closure_query());
+    let enumerated = engine.prepare(&enumerated_query).unwrap();
+    let routed = engine.prepare(&transitive_closure_query()).unwrap();
     for n in 2..=3u32 {
         let db = parent_database(&chain_edges(n));
-        let outcome = prepared
-            .execute(&db, itq_core::prelude::Semantics::Limited)
-            .unwrap();
-        let evaluation = transitive_closure_query()
+        let outcome = enumerated.execute(&db, Semantics::Limited).unwrap();
+        let evaluation = enumerated_query
             .eval_full(&db, &EvalConfig::default())
             .unwrap();
         assert_eq!(outcome.result, evaluation.result, "n = {n}");
         assert_eq!(outcome.stats.steps, evaluation.stats.steps, "n = {n}");
         assert_eq!(outcome.stats.max_domain_seen, 1u64 << (n * n));
         assert_eq!(outcome.stats.invention_levels, 0);
+        // The least-fixpoint route answers the same closure without drawing
+        // a single candidate relation: its largest domain is the guard's
+        // pair quantifier.
+        let outcome = routed.execute(&db, Semantics::Limited).unwrap();
+        let evaluation = transitive_closure_query()
+            .eval_full(&db, &EvalConfig::default())
+            .unwrap();
+        assert_eq!(outcome.result, evaluation.result, "n = {n}");
+        assert_eq!(outcome.stats.max_domain_seen, u64::from(n * n), "n = {n}");
+        assert_eq!(outcome.stats.invention_levels, 0);
     }
+}
+
+#[test]
+fn the_route_answers_where_the_enumeration_exceeds_its_budget() {
+    // Under default budgets a 5-atom chain's closure used to fail on its
+    // 2^25-element set quantifier; the route answers it.  Engines that
+    // enumerate keep their error text byte-identical.
+    let db = parent_database(&chain_edges(5));
+    let query = transitive_closure_query();
+    let routed = Engine::new().prepare(&query).unwrap();
+    let answer = routed.execute(&db, Semantics::Limited).unwrap().result;
+    let expected = transitive_closure_seminaive(&Relation::from_pairs(chain_edges(5)));
+    assert_eq!(Relation::from_instance(&answer).unwrap(), expected);
+
+    let error = |engine: Engine| {
+        engine
+            .prepare(&query)
+            .unwrap()
+            .execute(&db, Semantics::Limited)
+            .unwrap_err()
+            .to_string()
+    };
+    let walker = error(Engine::builder().use_compiled(false).build());
+    assert_eq!(
+        walker,
+        "evaluation budget exceeded: quantifier domain cons_X({[U, U]}) of size 33554432 \
+         over 5 atoms (limit 4194304)"
+    );
+    let tiny = error(Engine::builder().calc_config(EvalConfig::tiny()).build());
+    let tiny_walker = error(
+        Engine::builder()
+            .calc_config(EvalConfig::tiny())
+            .use_compiled(false)
+            .build(),
+    );
+    assert_eq!(tiny, tiny_walker);
+    assert!(
+        tiny.contains("of size 33554432 over 5 atoms (limit 64)"),
+        "{tiny}"
+    );
 }
