@@ -73,9 +73,7 @@ fn bench_invention_levels(c: &mut Criterion) {
     for n in [0usize, 1, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
-                let mut universe = Universe::new();
-                universe.atoms(["a", "b", "c", "d"]);
-                eval_with_invented(&query, &db, &mut universe, n, &EvalConfig::default())
+                eval_with_invented(&query, &db, n, &EvalConfig::default())
                     .unwrap()
                     .0
                     .len()

@@ -46,11 +46,7 @@ fn bench_terminal_search(c: &mut Criterion) {
             ..Default::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
-            b.iter(|| {
-                let mut universe = Universe::new();
-                universe.atoms(["a", "b", "c"]);
-                terminal_invention(&query, &db, &mut universe, config).unwrap()
-            })
+            b.iter(|| terminal_invention(&query, &db, config).unwrap())
         });
     }
     group.finish();

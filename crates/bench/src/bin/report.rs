@@ -1199,11 +1199,10 @@ fn experiment_e10() -> String {
     )
     .unwrap();
     let db = Database::single("R", Instance::from_atoms((0..3u32).map(Atom)));
-    let mut universe = Universe::new();
     for (name, q) in [("guarded (R only)", &query), ("unguarded (⊤)", &unguarded)] {
         for n in 0..=3usize {
             let (restricted, unrestricted) =
-                eval_with_invented(q, &db, &mut universe, n, &EvalConfig::default()).unwrap();
+                eval_with_invented(q, &db, n, &EvalConfig::default()).unwrap();
             let original = q.evaluation_domain(&db);
             let surfaced = unrestricted
                 .result

@@ -441,8 +441,7 @@ mod tests {
         assert!(outcome.bounded_approximation);
         assert!(outcome.result.is_empty());
         // And the invention driver exposes the undefined outcome directly.
-        let mut scratch = engine.universe().clone();
-        match terminal_invention(&q, &db(), &mut scratch, engine.invention_config()).unwrap() {
+        match terminal_invention(&q, &db(), engine.invention_config()).unwrap() {
             TerminalOutcome::UndefinedWithinBound { tried } => assert!(tried > 0),
             other => panic!("unexpected outcome {other:?}"),
         }

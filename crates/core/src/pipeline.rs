@@ -15,9 +15,12 @@
 //!   returns one unified [`QueryOutcome`] carrying the answer, the semantics
 //!   used, the boundedness flag, and an [`ExecStats`] block.
 //!
-//! Invention semantics need fresh atoms; they are drawn from an interior
-//! scratch clone of the engine's universe, so executing never mutates shared
-//! state (Proposition 6.1 makes the choice of fresh atoms irrelevant).
+//! A handle's static half is one immutable value behind an `Arc`: copies of
+//! a handle — a session's, a plan cache's, a re-budgeted one — share it, and
+//! differ only in their governor and worker count.  Nothing in it depends on
+//! a universe: invention semantics take their fresh atoms directly above the
+//! largest atom of the evaluation domain (Proposition 6.1 makes the choice of
+//! fresh atoms irrelevant), so executing never mutates shared state.
 //!
 //! A calculus query in the conjunctive fragment of `CALC_{0,0}` needs no
 //! quantifier enumeration at all: prepare lowers it to one Datalog rule,
@@ -62,6 +65,7 @@ use itq_object::{CancelFlag, Database, ExecCtx, Instance, Interrupt, Schema, Tri
 use itq_relational::Program;
 use itq_trace::{Span, TraceSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The default in-query worker count: `1` (sequential) unless the
@@ -664,7 +668,7 @@ pub struct QueryOutcome {
 }
 
 /// Which language the handle was prepared from.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum PreparedSource {
     /// A calculus query, evaluated directly — under the limited
     /// interpretation through `route` when the query lowered to one
@@ -684,7 +688,7 @@ enum PreparedSource {
 
 /// How a calculus handle's limited interpretation runs without enumerating
 /// its quantifier domains.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum CalculusRoute {
     /// A conjunctive query's rule, planned into hash joins.
     Planned(Box<PhysicalPlan>),
@@ -698,7 +702,9 @@ enum CalculusRoute {
 ///
 /// Handles are created by [`Engine::prepare`] and [`Engine::prepare_algebra`];
 /// [`Prepared::execute`] takes `&self`, so one handle can serve concurrent
-/// readers (e.g. a REPL session caching a handle per named query).
+/// readers (e.g. a REPL session caching a handle per named query).  Cloning
+/// a handle copies an `Arc` of its static half plus its governor and worker
+/// count, never the compiled forms.
 ///
 /// ```
 /// use itq_core::prelude::*;
@@ -714,6 +720,19 @@ enum CalculusRoute {
 #[must_use]
 #[derive(Debug, Clone)]
 pub struct Prepared {
+    shared: Arc<StaticHalf>,
+    /// Resource-governance snapshot: each execution arms a fresh
+    /// [`Interrupt`] from it (or threads the shared disarmed one).
+    governor: GovernorConfig,
+    /// In-query worker count snapshot (see [`EngineBuilder::parallelism`]).
+    parallelism: usize,
+}
+
+/// Everything prepare computed for one statement under one engine
+/// configuration: immutable once built and, its timings aside, a function of
+/// that statement and configuration alone.
+#[derive(Debug)]
+struct StaticHalf {
     source: PreparedSource,
     query: Query,
     /// Wall-clock timings of the prepare phases that built this handle.
@@ -725,21 +744,15 @@ pub struct Prepared {
     classification: QueryClassification,
     sf: SfClassification,
     prenex: PrenexForm,
+    /// The static-analysis report computed at prepare time (unused variables,
+    /// foldable subformulas, budget forecasts, stratum report — see
+    /// [`itq_analyze`]).
+    diagnostics: itq_analyze::Report,
     use_compiled: bool,
     use_algebra_planner: bool,
     calc_config: EvalConfig,
     alg_config: AlgConfig,
     invention_config: InventionConfig,
-    /// Resource-governance snapshot: each execution arms a fresh
-    /// [`Interrupt`] from it (or threads the shared disarmed one).
-    governor: GovernorConfig,
-    /// In-query worker count snapshot (see [`EngineBuilder::parallelism`]).
-    parallelism: usize,
-    universe_seed: Universe,
-    /// The static-analysis report computed at prepare time (unused variables,
-    /// foldable subformulas, budget forecasts, stratum report — see
-    /// [`itq_analyze`]).
-    diagnostics: itq_analyze::Report,
 }
 
 impl Engine {
@@ -878,23 +891,25 @@ impl Engine {
             compile_micros,
             analyze_micros,
         };
-        Prepared {
-            prepare_stats,
+        let shared = StaticHalf {
             source,
             query,
+            prepare_stats,
             compiled,
             classification,
             sf,
             prenex,
+            diagnostics,
             use_compiled: self.use_compiled,
             use_algebra_planner: self.use_algebra_planner,
             calc_config: self.calc_config,
             alg_config: self.alg_config,
             invention_config: self.invention_config,
+        };
+        Prepared {
+            shared: Arc::new(shared),
             governor: self.governor.clone(),
             parallelism: self.parallelism,
-            universe_seed: self.universe.clone(),
-            diagnostics,
         }
     }
 }
@@ -911,7 +926,7 @@ impl Prepared {
     /// assert_eq!(prepared.query(), &q);
     /// ```
     pub fn query(&self) -> &Query {
-        &self.query
+        &self.shared.query
     }
 
     /// Wall-clock timings of the static phases that built this handle
@@ -930,7 +945,7 @@ impl Prepared {
     /// assert_eq!(algebra.prepare_stats().to_span().children.len(), 6);
     /// ```
     pub fn prepare_stats(&self) -> &PrepareStats {
-        &self.prepare_stats
+        &self.shared.prepare_stats
     }
 
     /// The static-analysis report computed once at prepare time: unused or
@@ -948,7 +963,7 @@ impl Prepared {
     /// assert_eq!(report.max_severity(), Some(itq_analyze::Severity::Info));
     /// ```
     pub fn diagnostics(&self) -> &itq_analyze::Report {
-        &self.diagnostics
+        &self.shared.diagnostics
     }
 
     /// The resource-governance snapshot this handle executes under (taken
@@ -959,12 +974,12 @@ impl Prepared {
 
     /// A copy of this handle executing under a different resource-governance
     /// configuration — all static artifacts (type-checking, classification,
-    /// the compiled form, the physical plan) are shared work that is *not*
-    /// redone.  This is how a multi-session server re-budgets one cached plan
-    /// per request: the plan is prepared once, and each session's deadline /
-    /// memory ceiling / cancellation flag is applied to its own copy, so one
-    /// session tripping its budget can never affect another session running
-    /// the same plan.
+    /// the compiled form, the physical plan) are shared through the same
+    /// `Arc`, neither redone nor copied.  This is how a multi-session server
+    /// re-budgets one cached plan per request: the plan is prepared once, and
+    /// each session's deadline / memory ceiling / cancellation flag is applied
+    /// to its own copy, so one session tripping its budget can never affect
+    /// another session running the same plan.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -987,7 +1002,7 @@ impl Prepared {
     }
 
     /// A copy of this handle executing with a different in-query worker
-    /// count, sharing every static artifact — how an ablation sweep (or the
+    /// count, sharing its static half — how an ablation sweep (or the
     /// `parallel_scaling` benchmark) varies the thread count without paying
     /// prepare time per point.
     pub fn with_parallelism(&self, workers: usize) -> Prepared {
@@ -1026,7 +1041,7 @@ impl Prepared {
     /// assert_eq!(prepared.classification(), &q.classification());
     /// ```
     pub fn classification(&self) -> &QueryClassification {
-        &self.classification
+        &self.shared.classification
     }
 
     /// The cached existential-fragment analysis (`CALC_{0,1,∃}`, Theorem 4.3).
@@ -1038,7 +1053,7 @@ impl Prepared {
     /// assert!(prepared.sf_classification().is_in_sf());
     /// ```
     pub fn sf_classification(&self) -> &SfClassification {
-        &self.sf
+        &self.shared.sf
     }
 
     /// The cached prenex normal form of the query body.
@@ -1050,7 +1065,7 @@ impl Prepared {
     /// assert_eq!(prepared.prenex().prefix.len(), 2); // ∃x ∃y
     /// ```
     pub fn prenex(&self) -> &PrenexForm {
-        &self.prenex
+        &self.shared.prenex
     }
 
     /// True if this handle was prepared from an algebra expression.
@@ -1064,7 +1079,7 @@ impl Prepared {
     /// assert!(engine.prepare_algebra(&pw, &queries::parent_schema()).unwrap().is_algebra());
     /// ```
     pub fn is_algebra(&self) -> bool {
-        matches!(self.source, PreparedSource::Algebra { .. })
+        matches!(self.shared.source, PreparedSource::Algebra { .. })
     }
 
     /// The original algebra expression, if this handle was prepared from one.
@@ -1079,7 +1094,7 @@ impl Prepared {
     /// assert_eq!(prepared.algebra_expr(), Some(&expr));
     /// ```
     pub fn algebra_expr(&self) -> Option<&AlgExpr> {
-        match &self.source {
+        match &self.shared.source {
             PreparedSource::Calculus { .. } => None,
             PreparedSource::Algebra { expr, .. } => Some(expr),
         }
@@ -1112,7 +1127,7 @@ impl Prepared {
     /// assert!(Engine::new().prepare(&query).unwrap().physical_plan().is_none());
     /// ```
     pub fn physical_plan(&self) -> Option<&PhysicalPlan> {
-        match &self.source {
+        match &self.shared.source {
             PreparedSource::Calculus {
                 route: Some(CalculusRoute::Planned(plan)),
             }
@@ -1144,7 +1159,7 @@ impl Prepared {
 
     /// The least-fixpoint route, if this handle has one.
     pub(crate) fn fixpoint_route(&self) -> Option<&LeastFixpoint> {
-        match &self.source {
+        match &self.shared.source {
             PreparedSource::Calculus {
                 route: Some(CalculusRoute::LeastFixpoint(fixpoint)),
             } => Some(fixpoint),
@@ -1166,26 +1181,26 @@ impl Prepared {
     /// assert_eq!(prepared.compiled().slot_count(), 3); // t, x, y
     /// ```
     pub fn compiled(&self) -> &itq_calculus::CompiledQuery {
-        &self.compiled
+        &self.shared.compiled
     }
 
     /// The evaluation backend this handle executes through: the compiled
     /// slot-based form by default, the legacy tree walker when the engine was
     /// built with `use_compiled(false)`.
     fn backend(&self) -> &dyn Evaluable {
-        if self.use_compiled {
-            &self.compiled
+        if self.shared.use_compiled {
+            &self.shared.compiled
         } else {
-            &self.query
+            &self.shared.query
         }
     }
 
     /// Execute the prepared query on `db` under the chosen semantics.
     ///
     /// Takes `&self`: the limited interpretation is read-only by nature, and
-    /// the invention semantics confine their fresh-atom bookkeeping to an
-    /// interior scratch clone of the universe snapshot, so no exclusive access
-    /// is ever needed — prepare once, execute many, share freely.
+    /// the invention semantics take their fresh atoms directly above the
+    /// largest atom of the evaluation domain, so no exclusive access is ever
+    /// needed — prepare once, execute many, share freely.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1360,15 +1375,16 @@ impl Prepared {
 
     /// The backend dispatch proper, one arm per source × semantics, running
     /// under `run`'s containment seam.  Invention semantics run the calculus
-    /// form of either source, drawing fresh atoms from a scratch clone of the
-    /// universe snapshot; the compiled form is lowered once at prepare time,
-    /// so each invention level only pays for execution.
+    /// form of either source, which takes each level's fresh atoms directly
+    /// above the evaluation domain; the compiled form is lowered once at
+    /// prepare time, so each invention level only pays for execution.
     fn dispatch(
         &self,
         db: &Database,
         semantics: Semantics,
         ctx: &ExecCtx,
     ) -> Result<(QueryOutcome, Option<Span>), EngineError> {
+        let shared = &*self.shared;
         let limited = |result: Instance, stats: ExecStats| QueryOutcome {
             result,
             semantics,
@@ -1379,7 +1395,7 @@ impl Prepared {
             least_model: false,
         };
         let run_plan = |root: &str, plan: &PhysicalPlan| {
-            plan.execute_ctx(db, &self.alg_config, ctx)
+            plan.execute_ctx(db, &shared.alg_config, ctx)
                 .map(|(result, stats, op)| {
                     let span = op.map(|op| {
                         let mut span = Span::new(root);
@@ -1391,21 +1407,21 @@ impl Prepared {
                 })
         };
         let enumerated = || -> Result<(QueryOutcome, Option<Span>), EngineError> {
-            let (evaluation, span) = self.backend().eval_ctx(db, &[], &self.calc_config, ctx)?;
+            let (evaluation, span) = self.backend().eval_ctx(db, &[], &shared.calc_config, ctx)?;
             let stats = ExecStats {
                 partitions: evaluation.partitions,
                 ..ExecStats::from_eval(evaluation.stats, 0)
             };
             Ok((limited(evaluation.result, stats), span))
         };
-        match (semantics, &self.source) {
+        match (semantics, &shared.source) {
             (Semantics::Limited, PreparedSource::Algebra { plan, .. })
-                if self.use_algebra_planner =>
+                if shared.use_algebra_planner =>
             {
                 Ok(run_plan("planned-algebra", plan)?)
             }
             (Semantics::Limited, PreparedSource::Algebra { expr, schema, .. }) => {
-                let (result, span) = expr.eval_ctx(db, schema, &self.alg_config, ctx)?;
+                let (result, span) = expr.eval_ctx(db, schema, &shared.alg_config, ctx)?;
                 Ok((limited(result, ExecStats::default()), span))
             }
             // Both routes read relations positionally, so a database holding
@@ -1416,13 +1432,13 @@ impl Prepared {
             // and the enumeration then reproduces the handle's outcome — as it
             // does when a guard fails on the least model.
             (Semantics::Limited, PreparedSource::Calculus { route }) => match route {
-                Some(route) if conforms(db, self.query.schema()) => {
+                Some(route) if conforms(db, shared.query.schema()) => {
                     let routed = match route {
                         CalculusRoute::Planned(plan) => run_plan("planned-calculus", plan)
                             .map(Some)
                             .map_err(EngineError::from),
                         CalculusRoute::LeastFixpoint(fixpoint) => {
-                            match fixpoint.run(&self.query, db, ctx.interrupt) {
+                            match fixpoint.run(&shared.query, db, ctx.interrupt) {
                                 Ok(Some(run)) => {
                                     let span = ctx.traced.then(|| {
                                         let mut span = Span::new("least-fixpoint");
@@ -1450,12 +1466,10 @@ impl Prepared {
                 _ => enumerated(),
             },
             (Semantics::FiniteInvention, _) => {
-                let mut scratch = self.universe_seed.clone();
                 let (report, stats, levels) = finite_invention_ctx(
                     self.backend(),
                     db,
-                    &mut scratch,
-                    &self.invention_config,
+                    &shared.invention_config,
                     ctx,
                     self.governor.degrade_on_resource,
                 )?;
@@ -1475,14 +1489,8 @@ impl Prepared {
                 Ok((outcome, span))
             }
             (Semantics::TerminalInvention, _) => {
-                let mut scratch = self.universe_seed.clone();
-                let (terminal, stats, levels) = terminal_invention_ctx(
-                    self.backend(),
-                    db,
-                    &mut scratch,
-                    &self.invention_config,
-                    ctx,
-                )?;
+                let (terminal, stats, levels) =
+                    terminal_invention_ctx(self.backend(), db, &shared.invention_config, ctx)?;
                 let outcome = match terminal {
                     TerminalOutcome::Defined { n, answer } => QueryOutcome {
                         result: answer,

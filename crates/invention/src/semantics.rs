@@ -4,7 +4,9 @@
 //! ranges of all variables extended by `n` fresh atoms, then restrict the answer
 //! to objects constructed from the *original* active domain (invented values are
 //! scratch paper, never output).  By Proposition 6.1 the choice of the `n` fresh
-//! atoms is irrelevant, so we simply draw them from a [`Universe`].
+//! atoms is irrelevant, so each level takes the `n` ids directly above the
+//! largest atom of `adom(d) ∪ adom(Q)`: no universe is consulted, and a level's
+//! answer is a function of the query, the database and `n` alone.
 //!
 //! * **Finite invention** `Q^fi[d] = ⋃_{0 ≤ n < ω} Q|_n[d]`.  The exact union is
 //!   not computable in general (Lemma 6.16 shows it is only recursively
@@ -20,54 +22,33 @@
 
 use crate::error::InventionError;
 use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable, Evaluation};
-use itq_object::{Atom, Database, ExecCtx, Instance, Universe, Value};
+use itq_object::{Atom, Database, ExecCtx, Instance, Value};
 use itq_trace::Span;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// A per-level observation hook, monomorphized so the untraced loops pay
-/// nothing — [`NoHook`] skips even the timing call.
-trait LevelHook {
-    const ENABLED: bool;
-    fn level(&mut self, n: usize, restricted: &Instance, unrestricted: &Evaluation, micros: u64);
-    fn into_spans(self) -> Option<Vec<Span>>;
-}
-
-/// The untraced instantiation.
-struct NoHook;
-
-impl LevelHook for NoHook {
-    const ENABLED: bool = false;
-    #[inline(always)]
-    fn level(&mut self, _n: usize, _r: &Instance, _u: &Evaluation, _micros: u64) {}
-    fn into_spans(self) -> Option<Vec<Span>> {
-        None
-    }
-}
-
-/// The traced instantiation: one span per `Q|_n[d]` level.
-#[derive(Default)]
-struct SpanHook {
-    spans: Vec<Span>,
-}
-
-impl LevelHook for SpanHook {
-    const ENABLED: bool = true;
-    fn level(&mut self, n: usize, restricted: &Instance, unrestricted: &Evaluation, micros: u64) {
-        let mut span = Span::new(format!("Q|_{n}[d]"));
-        span.push_field("invented", n as u64);
-        span.push_field("answers", restricted.len() as u64);
-        span.push_field("unrestricted_answers", unrestricted.result.len() as u64);
-        span.push_field("steps", unrestricted.stats.steps);
-        span.push_field("quantifier_values", unrestricted.stats.quantifier_values);
-        span.push_field("candidates_checked", unrestricted.stats.candidates_checked);
-        span.wall_micros = micros;
-        self.spans.push(span);
-    }
-
-    fn into_spans(self) -> Option<Vec<Span>> {
-        Some(self.spans)
-    }
+/// Record the span of level `n`, begun at `start`, when the run is traced
+/// (`spans` is `Some`): its answer sizes and evaluation counters.  Untraced
+/// runs never read the clock.
+fn record_level(
+    spans: &mut Option<Vec<Span>>,
+    n: usize,
+    start: Option<Instant>,
+    restricted: &Instance,
+    unrestricted: &Evaluation,
+) {
+    let (Some(spans), Some(start)) = (spans, start) else {
+        return;
+    };
+    let mut span = Span::new(format!("Q|_{n}[d]"));
+    span.push_field("invented", n as u64);
+    span.push_field("answers", restricted.len() as u64);
+    span.push_field("unrestricted_answers", unrestricted.result.len() as u64);
+    span.push_field("steps", unrestricted.stats.steps);
+    span.push_field("quantifier_values", unrestricted.stats.quantifier_values);
+    span.push_field("candidates_checked", unrestricted.stats.candidates_checked);
+    span.wall_micros = start.elapsed().as_micros() as u64;
+    spans.push(span);
 }
 
 /// Configuration for the bounded searches that approximate the non-recursive
@@ -103,11 +84,10 @@ impl Default for InventionConfig {
 pub fn eval_with_invented<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
-    universe: &mut Universe,
     n: usize,
     config: &EvalConfig,
 ) -> Result<(Instance, Evaluation), InventionError> {
-    invent_level(query, db, universe, n, config, &ExecCtx::default())
+    invent_level(query, db, n, config, &ExecCtx::default())
 }
 
 /// [`eval_with_invented`] under an execution context, which the level's
@@ -116,22 +96,14 @@ pub fn eval_with_invented<Q: Evaluable + ?Sized>(
 fn invent_level<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
-    universe: &mut Universe,
     n: usize,
     config: &EvalConfig,
     ctx: &ExecCtx,
 ) -> Result<(Instance, Evaluation), InventionError> {
     let original_domain: BTreeSet<Atom> = query.evaluation_domain(db);
-    // Draw atoms from the universe until we have `n` that are genuinely outside
-    // the active domain of the database and query — the universe may not have
-    // interned the database's atoms, so plain invention could collide with them.
-    let mut invented: Vec<Atom> = Vec::with_capacity(n);
-    while invented.len() < n {
-        let candidate = universe.invent();
-        if !original_domain.contains(&candidate) {
-            invented.push(candidate);
-        }
-    }
+    // The `n` ids directly above the domain's largest atom lie outside it.
+    let first = original_domain.last().map_or(0, |atom| atom.0 + 1);
+    let invented: Vec<Atom> = (first..).take(n).map(Atom).collect();
     let untraced = ExecCtx {
         traced: false,
         ..*ctx
@@ -184,10 +156,9 @@ impl FiniteInventionReport {
 pub fn finite_invention<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
-    universe: &mut Universe,
     config: &InventionConfig,
 ) -> Result<FiniteInventionReport, InventionError> {
-    Ok(finite_invention_ctx(query, db, universe, config, &ExecCtx::default(), false)?.0)
+    Ok(finite_invention_ctx(query, db, config, &ExecCtx::default(), false)?.0)
 }
 
 /// [`finite_invention`] under an execution context, plus the aggregated
@@ -207,16 +178,14 @@ pub fn finite_invention<Q: Evaluable + ?Sized>(
 /// ```
 /// use itq_calculus::{Formula, Query};
 /// use itq_invention::{finite_invention_ctx, InventionConfig};
-/// use itq_object::{Atom, Database, ExecCtx, Instance, Schema, Type, Universe};
+/// use itq_object::{Atom, Database, ExecCtx, Instance, Schema, Type};
 ///
 /// let q = Query::new("t", Type::Atomic, Formula::pred("R", itq_calculus::Term::var("t")),
 ///                    Schema::single("R", Type::Atomic)).unwrap();
 /// let db = Database::single("R", Instance::from_atoms(vec![Atom(0)]));
-/// let mut universe = Universe::new();
 /// let ctx = ExecCtx { traced: true, ..ExecCtx::default() };
 /// let (report, stats, levels) =
-///     finite_invention_ctx(&q, &db, &mut universe, &InventionConfig::default(), &ctx, false)
-///         .unwrap();
+///     finite_invention_ctx(&q, &db, &InventionConfig::default(), &ctx, false).unwrap();
 /// assert_eq!(report.union.len(), 1);
 /// assert!(stats.steps > 0, "one evaluation per invention level was counted");
 /// assert_eq!(levels.unwrap().len(), report.levels());
@@ -224,43 +193,18 @@ pub fn finite_invention<Q: Evaluable + ?Sized>(
 pub fn finite_invention_ctx<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
-    universe: &mut Universe,
     config: &InventionConfig,
     ctx: &ExecCtx,
     degrade: bool,
-) -> Result<(FiniteInventionReport, EvalStats, Option<Vec<Span>>), InventionError> {
-    if ctx.traced {
-        finite_invention_inner(
-            query,
-            db,
-            universe,
-            config,
-            ctx,
-            degrade,
-            SpanHook::default(),
-        )
-    } else {
-        finite_invention_inner(query, db, universe, config, ctx, degrade, NoHook)
-    }
-}
-
-fn finite_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-    ctx: &ExecCtx,
-    degrade: bool,
-    mut hook: H,
 ) -> Result<(FiniteInventionReport, EvalStats, Option<Vec<Span>>), InventionError> {
     let mut answers = Vec::new();
     let mut union = Instance::empty();
     let mut stabilised_at = None;
     let mut stats = EvalStats::default();
+    let mut spans = ctx.traced.then(Vec::new);
     for n in 0..=config.max_invented {
-        let start = H::ENABLED.then(Instant::now);
-        let (restricted, evaluation) = match invent_level(query, db, universe, n, &config.eval, ctx)
-        {
+        let start = ctx.traced.then(Instant::now);
+        let (restricted, evaluation) = match invent_level(query, db, n, &config.eval, ctx) {
             Ok(level) => level,
             Err(InventionError::Resource(_)) if degrade => {
                 // Sound under-approximation: every completed level is a
@@ -272,18 +216,11 @@ fn finite_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
                     stabilised_at: None,
                     interrupted_at: Some(n),
                 };
-                return Ok((report, stats, hook.into_spans()));
+                return Ok((report, stats, spans));
             }
             Err(e) => return Err(e),
         };
-        if let Some(start) = start {
-            hook.level(
-                n,
-                &restricted,
-                &evaluation,
-                start.elapsed().as_micros() as u64,
-            );
-        }
+        record_level(&mut spans, n, start, &restricted, &evaluation);
         stats.merge(&evaluation.stats);
         let before = union.len();
         for v in restricted.iter() {
@@ -302,7 +239,7 @@ fn finite_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
         stabilised_at,
         interrupted_at: None,
     };
-    Ok((report, stats, hook.into_spans()))
+    Ok((report, stats, spans))
 }
 
 /// Bounded invention `Q|_f[d]` for a bound function `f` of the active-domain
@@ -310,14 +247,13 @@ fn finite_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
 pub fn bounded_invention<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
-    universe: &mut Universe,
     bound: impl Fn(usize) -> usize,
     config: &EvalConfig,
 ) -> Result<Instance, InventionError> {
     let limit = bound(db.active_domain().len());
     let mut union = Instance::empty();
     for n in 0..=limit {
-        let (restricted, _) = eval_with_invented(query, db, universe, n, config)?;
+        let (restricted, _) = eval_with_invented(query, db, n, config)?;
         for v in restricted.iter() {
             union.insert(v.clone());
         }
@@ -350,10 +286,9 @@ pub enum TerminalOutcome {
 pub fn terminal_invention<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
-    universe: &mut Universe,
     config: &InventionConfig,
 ) -> Result<TerminalOutcome, InventionError> {
-    Ok(terminal_invention_ctx(query, db, universe, config, &ExecCtx::default())?.0)
+    Ok(terminal_invention_ctx(query, db, config, &ExecCtx::default())?.0)
 }
 
 /// [`terminal_invention`] under an execution context, plus the aggregated
@@ -370,17 +305,15 @@ pub fn terminal_invention<Q: Evaluable + ?Sized>(
 /// ```
 /// use itq_calculus::{Formula, Query};
 /// use itq_invention::{terminal_invention_ctx, InventionConfig, TerminalOutcome};
-/// use itq_object::{Atom, Database, ExecCtx, Instance, Schema, Type, Universe};
+/// use itq_object::{Atom, Database, ExecCtx, Instance, Schema, Type};
 ///
 /// // {t/U | ⊤} surfaces an invented value at n = 1.
 /// let q = Query::new("t", Type::Atomic, Formula::truth(),
 ///                    Schema::single("R", Type::Atomic)).unwrap();
 /// let db = Database::single("R", Instance::from_atoms(vec![Atom(0)]));
-/// let mut universe = Universe::new();
-/// let (outcome, stats, levels) = terminal_invention_ctx(
-///     &q, &db, &mut universe, &InventionConfig::default(), &ExecCtx::default(),
-/// )
-/// .unwrap();
+/// let (outcome, stats, levels) =
+///     terminal_invention_ctx(&q, &db, &InventionConfig::default(), &ExecCtx::default())
+///         .unwrap();
 /// assert!(matches!(outcome, TerminalOutcome::Defined { n: 1, .. }));
 /// assert!(stats.candidates_checked > 0);
 /// assert!(levels.is_none(), "untraced runs record no level spans");
@@ -388,38 +321,16 @@ pub fn terminal_invention<Q: Evaluable + ?Sized>(
 pub fn terminal_invention_ctx<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
-    universe: &mut Universe,
     config: &InventionConfig,
     ctx: &ExecCtx,
-) -> Result<(TerminalOutcome, EvalStats, Option<Vec<Span>>), InventionError> {
-    if ctx.traced {
-        terminal_invention_inner(query, db, universe, config, ctx, SpanHook::default())
-    } else {
-        terminal_invention_inner(query, db, universe, config, ctx, NoHook)
-    }
-}
-
-fn terminal_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
-    query: &Q,
-    db: &Database,
-    universe: &mut Universe,
-    config: &InventionConfig,
-    ctx: &ExecCtx,
-    mut hook: H,
 ) -> Result<(TerminalOutcome, EvalStats, Option<Vec<Span>>), InventionError> {
     let original_domain: BTreeSet<Atom> = query.evaluation_domain(db);
     let mut stats = EvalStats::default();
+    let mut spans = ctx.traced.then(Vec::new);
     for n in 0..=config.max_invented {
-        let start = H::ENABLED.then(Instant::now);
-        let (restricted, unrestricted) = invent_level(query, db, universe, n, &config.eval, ctx)?;
-        if let Some(start) = start {
-            hook.level(
-                n,
-                &restricted,
-                &unrestricted,
-                start.elapsed().as_micros() as u64,
-            );
-        }
+        let start = ctx.traced.then(Instant::now);
+        let (restricted, unrestricted) = invent_level(query, db, n, &config.eval, ctx)?;
+        record_level(&mut spans, n, start, &restricted, &unrestricted);
         stats.merge(&unrestricted.stats);
         let contains_invented = unrestricted.result.iter().any(|v| {
             v.active_domain()
@@ -431,13 +342,13 @@ fn terminal_invention_inner<Q: Evaluable + ?Sized, H: LevelHook>(
                 n,
                 answer: restricted,
             };
-            return Ok((outcome, stats, hook.into_spans()));
+            return Ok((outcome, stats, spans));
         }
     }
     let outcome = TerminalOutcome::UndefinedWithinBound {
         tried: config.max_invented + 1,
     };
-    Ok((outcome, stats, hook.into_spans()))
+    Ok((outcome, stats, spans))
 }
 
 #[cfg(test)]
@@ -478,12 +389,10 @@ mod tests {
     fn invention_levels_change_answers() {
         let q = needs_external_witness();
         let db = unary_db(3);
-        let mut universe = Universe::new();
-        universe.atoms(["a", "b", "c"]);
         let cfg = EvalConfig::default();
-        let (level0, _) = eval_with_invented(&q, &db, &mut universe, 0, &cfg).unwrap();
+        let (level0, _) = eval_with_invented(&q, &db, 0, &cfg).unwrap();
         assert!(level0.is_empty(), "no witness without invention");
-        let (level1, _) = eval_with_invented(&q, &db, &mut universe, 1, &cfg).unwrap();
+        let (level1, _) = eval_with_invented(&q, &db, 1, &cfg).unwrap();
         assert_eq!(level1.len(), 3, "one invented value provides the witness");
         // The answer never contains an invented value.
         let original = q.evaluation_domain(&db);
@@ -496,9 +405,7 @@ mod tests {
     fn finite_invention_unions_all_levels() {
         let q = needs_external_witness();
         let db = unary_db(2);
-        let mut universe = Universe::new();
-        universe.atoms(["a", "b"]);
-        let report = finite_invention(&q, &db, &mut universe, &InventionConfig::default()).unwrap();
+        let report = finite_invention(&q, &db, &InventionConfig::default()).unwrap();
         assert_eq!(report.levels(), 5);
         assert!(report.answers[0].is_empty());
         assert_eq!(report.answers[1].len(), 2);
@@ -526,12 +433,10 @@ mod tests {
         )
         .unwrap();
         let db = Database::single("PAR", Instance::from_pairs(vec![(Atom(0), Atom(1))]));
-        let mut universe = Universe::new();
-        universe.atoms(["a", "b"]);
         let cfg = EvalConfig::default();
-        let (baseline, _) = eval_with_invented(&q, &db, &mut universe, 0, &cfg).unwrap();
+        let (baseline, _) = eval_with_invented(&q, &db, 0, &cfg).unwrap();
         for n in 1..4 {
-            let (with_invention, _) = eval_with_invented(&q, &db, &mut universe, n, &cfg).unwrap();
+            let (with_invention, _) = eval_with_invented(&q, &db, n, &cfg).unwrap();
             assert_eq!(with_invention, baseline, "n = {n}");
         }
     }
@@ -540,14 +445,12 @@ mod tests {
     fn bounded_invention_respects_the_bound_function() {
         let q = needs_external_witness();
         let db = unary_db(2);
-        let mut universe = Universe::new();
-        universe.atoms(["a", "b"]);
         let cfg = EvalConfig::default();
         // Bound 0: no invention allowed → empty.
-        let zero = bounded_invention(&q, &db, &mut universe, |_| 0, &cfg).unwrap();
+        let zero = bounded_invention(&q, &db, |_| 0, &cfg).unwrap();
         assert!(zero.is_empty());
         // Bound n ↦ n: plenty of invention → full answer.
-        let linear = bounded_invention(&q, &db, &mut universe, |n| n, &cfg).unwrap();
+        let linear = bounded_invention(&q, &db, |n| n, &cfg).unwrap();
         assert_eq!(linear.len(), 2);
     }
 
@@ -557,10 +460,7 @@ mod tests {
         // unrestricted answer already contains an invented atom.
         let q = Query::new("t", Type::Atomic, Formula::truth(), unary_schema()).unwrap();
         let db = unary_db(2);
-        let mut universe = Universe::new();
-        universe.atoms(["a", "b"]);
-        let outcome =
-            terminal_invention(&q, &db, &mut universe, &InventionConfig::default()).unwrap();
+        let outcome = terminal_invention(&q, &db, &InventionConfig::default()).unwrap();
         match outcome {
             TerminalOutcome::Defined { n, answer } => {
                 assert_eq!(n, 1);
@@ -583,13 +483,11 @@ mod tests {
         )
         .unwrap();
         let db = unary_db(2);
-        let mut universe = Universe::new();
-        universe.atoms(["a", "b"]);
         let config = InventionConfig {
             max_invented: 2,
             ..Default::default()
         };
-        let outcome = terminal_invention(&q, &db, &mut universe, &config).unwrap();
+        let outcome = terminal_invention(&q, &db, &config).unwrap();
         assert_eq!(outcome, TerminalOutcome::UndefinedWithinBound { tried: 3 });
     }
 
@@ -602,12 +500,9 @@ mod tests {
         // answers that are always restricted to the original domain.
         let q = needs_external_witness();
         let db = unary_db(4);
-        let mut universe = Universe::new();
-        universe.atoms(["a", "b", "c", "d"]);
         let report = finite_invention(
             &q,
             &db,
-            &mut universe,
             &InventionConfig {
                 max_invented: 2,
                 ..Default::default()
@@ -635,17 +530,12 @@ mod tests {
             traced: true,
             ..plain
         };
-        let universe = || {
-            let mut u = Universe::new();
-            u.atoms(["a", "b"]);
-            u
-        };
 
         let (plain_report, plain_stats, none) =
-            finite_invention_ctx(&q, &db, &mut universe(), &config, &plain, false).unwrap();
+            finite_invention_ctx(&q, &db, &config, &plain, false).unwrap();
         assert!(none.is_none());
         let (traced_report, traced_stats, spans) =
-            finite_invention_ctx(&q, &db, &mut universe(), &config, &traced, false).unwrap();
+            finite_invention_ctx(&q, &db, &config, &traced, false).unwrap();
         let spans = spans.expect("traced runs record level spans");
         assert_eq!(plain_report, traced_report);
         assert_eq!(plain_stats, traced_stats);
@@ -661,9 +551,9 @@ mod tests {
         );
 
         let (plain_outcome, plain_term_stats, _) =
-            terminal_invention_ctx(&q, &db, &mut universe(), &config, &plain).unwrap();
+            terminal_invention_ctx(&q, &db, &config, &plain).unwrap();
         let (traced_outcome, traced_term_stats, term_spans) =
-            terminal_invention_ctx(&q, &db, &mut universe(), &config, &traced).unwrap();
+            terminal_invention_ctx(&q, &db, &config, &traced).unwrap();
         assert_eq!(plain_outcome, traced_outcome);
         assert_eq!(plain_term_stats, traced_term_stats);
         assert_eq!(

@@ -70,8 +70,8 @@ impl std::str::FromStr for Atom {
 /// The universe interns named atoms (so workloads and examples can talk about
 /// `"Tom"` and `"Mary"`), and hands out *fresh* atoms on demand via
 /// [`Universe::invent`].  Fresh atoms are guaranteed to be distinct from every atom
-/// previously returned by this universe, which is exactly the contract needed by
-/// the invented-value semantics (`Q|_n`, finite/countable/terminal invention).
+/// previously returned by this universe, the contract the universal-type codec and
+/// the Turing-machine encodings rely on.
 #[derive(Debug, Clone, Default)]
 pub struct Universe {
     names: Vec<Option<String>>,
@@ -101,9 +101,6 @@ impl Universe {
     }
 
     /// Invent a fresh, anonymous atom distinct from all previously issued atoms.
-    ///
-    /// This is the primitive behind the invented-value semantics of Section 6: the
-    /// evaluator asks the universe for `n` values outside the active domain.
     pub fn invent(&mut self) -> Atom {
         let a = Atom(self.names.len() as u32);
         self.names.push(None);

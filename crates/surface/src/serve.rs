@@ -7,11 +7,13 @@
 //!
 //! * **The prepared-plan cache.**  A [`PlanCache`] is handed to every
 //!   session: the static half of preparing a statement (typing,
-//!   classification, compilation, planning) runs once per distinct
-//!   declaration text, and each session re-budgets the cached handle with its
-//!   own governor ([`itq_core::pipeline::Prepared::with_governor`]) — one
-//!   session tripping its deadline or cancelling mid-query can never affect
-//!   another session running the same plan.
+//!   classification, compilation, planning) runs once per distinct parsed
+//!   statement — constants resolved to the declaring session's atoms, schema
+//!   included — whatever name it is declared under, and each session
+//!   re-budgets the cached handle with its own governor
+//!   ([`itq_core::pipeline::Prepared::with_governor`]) — one session tripping
+//!   its deadline or cancelling mid-query can never affect another session
+//!   running the same plan.
 //! * **The per-request budgets.**  `--deadline-ms` / `--memory-limit` arm
 //!   every connection's governor identically; each *execution* starts its own
 //!   clock and its own interning meter, so a request that trips reports its
@@ -26,7 +28,10 @@
 //! the server replies with the same output lines the REPL would print —
 //! errors included, prefixed `error:` — followed by a single `.` on a line of
 //! its own to mark the end of the response.  `quit;` closes that connection;
-//! the server keeps accepting others.
+//! the server keeps accepting others.  One request — the bytes that arrive
+//! before a newline completes a statement — holds at most
+//! [`MAX_REQUEST_BYTES`]; past that the server answers with an `error:` line
+//! and `.`, and closes the connection.
 //!
 //! Every blocking edge polls: the listener is non-blocking (glibc's
 //! `signal(2)` installs handlers with `SA_RESTART`, so a blocking `accept(2)`
@@ -38,7 +43,7 @@ use crate::script::{split_statements, statement_complete};
 use crate::session::{Control, PlanCache, Session};
 use itq_core::engine::Engine;
 use itq_object::CancelFlag;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,6 +53,9 @@ use std::time::Duration;
 /// How often the blocked loops (accept, connection reads) wake to re-check
 /// the SIGINT latch and the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// The most bytes one request may hold before its statements complete.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Configuration for [`serve`] (the `itq serve` flags).
 #[derive(Debug, Clone)]
@@ -204,7 +212,18 @@ fn handle_connection(
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_until(b'\n', &mut raw) {
+        // Read at most one byte past the cap and refuse the request there, so
+        // a client that never completes a statement cannot grow the buffers.
+        let room = (MAX_REQUEST_BYTES + 1).saturating_sub(pending.len() + raw.len());
+        match (&mut reader).take(room as u64).read_until(b'\n', &mut raw) {
+            Ok(_) if pending.len() + raw.len() > MAX_REQUEST_BYTES => {
+                let _ = writeln!(
+                    writer,
+                    "error: request exceeds {MAX_REQUEST_BYTES} bytes without completing a statement\n."
+                );
+                let _ = writer.flush();
+                return;
+            }
             Ok(0) => return, // client closed its end
             Ok(_) => {
                 pending.push_str(&String::from_utf8_lossy(&raw));

@@ -14,18 +14,20 @@
 use crate::error::{ParseError, Pos};
 use crate::script::{offset_error, parse_stmt, split_statements, SetKnob, Stmt};
 use crate::spans::SpanTable;
-use itq_algebra::{classify_expr, infer_type, AlgExpr};
+use itq_algebra::{classify_expr, infer_type, AlgExpr, EvalConfig as AlgConfig};
 use itq_analyze::{analyze_algebra, analyze_query, render_snippet, Budgets, Severity};
+use itq_calculus::eval::EvalConfig;
 use itq_calculus::Query;
 use itq_core::engine::{Engine, Semantics};
 use itq_core::incremental::{IncrementalDb, IncrementalError, ViewRefresh};
 use itq_core::pipeline::Prepared;
+use itq_core::prelude::InventionConfig;
 use itq_object::{Instance, Schema, Value};
 use itq_trace::{MetricsRegistry, NoopSink, TraceSink};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// An error from running a statement: a parse error (with script-absolute
 /// position) or an execution failure.
@@ -72,27 +74,39 @@ pub struct StmtOutput {
     pub control: Control,
 }
 
+/// How many plans a [`PlanCache`] keeps.  Publishing past it evicts the
+/// least recently used plan.
+const PLAN_CACHE_CAPACITY: usize = 256;
+
 /// A thread-safe prepared-plan cache shared between sessions.
 ///
 /// The static half of a [`Prepared`] handle — type-checking, classification,
-/// normal forms, the Theorem 3.8 compilation, the physical plan — depends
-/// only on the statement text (plus, for algebra expressions, the schema it
-/// was typed against), never on which session asked.  A multi-session server
+/// normal forms, the Theorem 3.8 compilation, the physical plan — is a
+/// function of the parsed statement and of the engine configuration the
+/// handle records, never of which session asked.  A multi-session server
 /// therefore prepares each distinct statement once: sessions that declare the
-/// same text get the cached handle back, *re-budgeted* through
+/// same one get the cached handle back, *re-budgeted* through
 /// [`Prepared::with_governor`] with their own deadline, memory ceiling, and
 /// cancellation flag, so one session tripping its budget can never affect
-/// another session running the same plan.
+/// another session running the same plan.  A hit copies an `Arc`, not the
+/// plan.
 ///
-/// Keys are the declaration source text, prefixed with the statement kind and
-/// (for algebra expressions) a structural fingerprint of the schema — two
-/// sessions whose `R` predicates have different types must not share a plan.
+/// Keys are compared structurally: the statement kind, the parsed value —
+/// a query with the schema it embeds, or an algebra expression with the
+/// schema it is typed against — and the budgets and backend flags.  A parsed
+/// constant is an atom id of the declaring session's universe, so sessions
+/// that intern atoms in different orders get different keys and never share
+/// a plan whose constants mean something else to them.  The declaration text
+/// is not part of the key: the same statement under a fresh name hits.
 ///
-/// Cloning is shallow: every clone shares the same map and counters, which is
-/// how `itq serve` hands one cache to every connection thread.
+/// The cache holds at most a fixed number of plans and evicts the least
+/// recently used; a hit refreshes its entry.  Cloning is shallow: every clone
+/// shares the same entries and counters, which is how `itq serve` hands one
+/// cache to every connection thread.
 #[derive(Clone, Default)]
 pub struct PlanCache {
-    plans: Arc<Mutex<BTreeMap<String, Prepared>>>,
+    /// Least recently used first.
+    plans: Arc<Mutex<Vec<(PlanKey, Prepared)>>>,
     hits: Arc<AtomicU64>,
     misses: Arc<AtomicU64>,
 }
@@ -103,40 +117,44 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// The cached handle for a key, counting the hit or miss.
-    fn lookup(&self, key: &str) -> Option<Prepared> {
-        let found = self
-            .plans
-            .lock()
-            .expect("plan cache poisoned")
-            .get(key)
-            .cloned();
-        match found {
-            Some(handle) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(handle)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// The entries, recovered from a poisoned lock: every update is one
+    /// `push`, `remove` or rotation, so a panicking holder cannot leave them
+    /// torn.
+    fn plans(&self) -> MutexGuard<'_, Vec<(PlanKey, Prepared)>> {
+        self.plans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Publish a freshly prepared handle under its key.  First writer wins:
-    /// if two sessions race to prepare the same text, the loser's (equal)
+    /// The cached handle for a key, counting the hit or miss.  A hit
+    /// becomes the most recently used entry.
+    fn lookup(&self, key: &PlanKey) -> Option<Prepared> {
+        let mut plans = self.plans();
+        let Some(index) = plans.iter().position(|(cached, _)| cached == key) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        plans[index..].rotate_left(1);
+        plans.last().map(|(_, handle)| handle.clone())
+    }
+
+    /// Publish a freshly prepared handle under its key, evicting the least
+    /// recently used plan when the cache is full.  First writer wins: if two
+    /// sessions race to prepare the same statement, the loser's (equal)
     /// handle is dropped so later lookups stay stable.
-    fn publish(&self, key: String, handle: &Prepared) {
-        self.plans
-            .lock()
-            .expect("plan cache poisoned")
-            .entry(key)
-            .or_insert_with(|| handle.clone());
+    fn publish(&self, key: PlanKey, handle: &Prepared) {
+        let mut plans = self.plans();
+        if plans.iter().any(|(cached, _)| *cached == key) {
+            return;
+        }
+        if plans.len() == PLAN_CACHE_CAPACITY {
+            drop(plans.remove(0));
+        }
+        plans.push((key, handle.clone()));
     }
 
     /// Number of distinct plans cached.
     pub fn len(&self) -> usize {
-        self.plans.lock().expect("plan cache poisoned").len()
+        self.plans().len()
     }
 
     /// True when no plan has been cached yet.
@@ -153,6 +171,26 @@ impl PlanCache {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
+}
+
+/// Everything a shared plan depends on (see [`PlanCache`]).
+#[derive(PartialEq)]
+struct PlanKey {
+    statement: PlanStatement,
+    calc_config: EvalConfig,
+    alg_config: AlgConfig,
+    invention_config: InventionConfig,
+    use_compiled: bool,
+    use_algebra_planner: bool,
+}
+
+/// The parsed value a plan is prepared from, constants as atom ids.
+#[derive(PartialEq)]
+enum PlanStatement {
+    /// A calculus query, which embeds its schema.
+    Query(Query),
+    /// An algebra expression and the schema it is typed against.
+    Algebra(AlgExpr, Schema),
 }
 
 /// A named-object session over an [`Engine`].
@@ -259,9 +297,11 @@ impl Session {
     }
 
     /// Join a cross-session [`PlanCache`]: prepares consult (and feed) the
-    /// shared cache before doing static work themselves.  Handles retrieved
-    /// from the cache are re-budgeted with *this* session's governor and
-    /// worker count — see [`PlanCache`] for the isolation contract.
+    /// shared cache before doing static work themselves, keyed on the parsed
+    /// statement — its constants resolved against *this* session's atoms —
+    /// and this session's budgets and backend flags.  Handles retrieved from
+    /// the cache are re-budgeted with this session's governor and worker
+    /// count — see [`PlanCache`] for the key and the isolation contract.
     pub fn set_shared_plans(&mut self, cache: PlanCache) {
         self.shared_plans = Some(cache);
     }
@@ -650,45 +690,30 @@ impl Session {
         if self.prepared.contains_key(name) {
             return Ok(Vec::new());
         }
+        let key = self.plan_key(name)?;
         // `itq serve`: another session may already have done the static work
-        // for this exact declaration text.  A cache hit is re-budgeted with
-        // this session's own governor and worker count, so budget trips and
-        // cancellations stay per-session even though the plan is shared.
-        let shared_key = if self.shared_plans.is_some() {
-            self.shared_plan_key(name)
-        } else {
-            None
-        };
-        if let (Some(cache), Some(key)) = (&self.shared_plans, &shared_key) {
-            if let Some(shared) = cache.lookup(key) {
-                let handle = shared
-                    .with_governor(self.engine.governor().clone())
-                    .with_parallelism(self.engine.parallelism());
-                let warnings = self.prepare_warnings(name, &handle);
-                self.prepared.insert(name.to_string(), handle);
-                return Ok(warnings);
+        // for this statement.  A cache hit is re-budgeted with this session's
+        // own governor and worker count, so budget trips and cancellations
+        // stay per-session even though the plan is shared.
+        let cache = self.shared_plans.as_ref();
+        let handle = match cache.and_then(|cache| cache.lookup(&key)) {
+            Some(shared) => shared
+                .with_governor(self.engine.governor().clone())
+                .with_parallelism(self.engine.parallelism()),
+            None => {
+                let handle = match &key.statement {
+                    PlanStatement::Query(query) => self.engine.prepare(query),
+                    PlanStatement::Algebra(expr, schema) => {
+                        self.engine.prepare_algebra(expr, schema)
+                    }
+                }
+                .map_err(|e| SessionError::Exec(format!("prepare `{name}`: {e}")))?;
+                if let Some(cache) = cache {
+                    cache.publish(key, &handle);
+                }
+                handle
             }
-        }
-        let handle = if let Some((_, query)) = self.queries.get(name) {
-            self.engine
-                .prepare(query)
-                .map_err(|e| SessionError::Exec(format!("prepare `{name}`: {e}")))?
-        } else if let Some((schema_name, expr)) = self.algebras.get(name) {
-            let schema = self
-                .schemas
-                .get(schema_name)
-                .ok_or_else(|| SessionError::Exec(format!("unknown schema `{schema_name}`")))?;
-            self.engine
-                .prepare_algebra(expr, schema)
-                .map_err(|e| SessionError::Exec(format!("prepare `{name}`: {e}")))?
-        } else {
-            return Err(SessionError::Exec(format!(
-                "no query or algebra expression named `{name}`"
-            )));
         };
-        if let (Some(cache), Some(key)) = (&self.shared_plans, shared_key) {
-            cache.publish(key, &handle);
-        }
         let warnings = self.prepare_warnings(name, &handle);
         self.prepared.insert(name.to_string(), handle);
         Ok(warnings)
@@ -709,22 +734,29 @@ impl Session {
         warnings
     }
 
-    /// The cross-session cache key for a named query or algebra expression:
-    /// statement kind, then (for algebra) a structural schema fingerprint,
-    /// then the declaration source text, joined by a separator that cannot
-    /// appear in statement text.  `None` when the declaration has no recorded
-    /// source (never the case for statements that went through
-    /// [`Session::run_statement`]).
-    fn shared_plan_key(&self, name: &str) -> Option<String> {
-        let (src, _) = self.sources.get(name)?;
-        if self.queries.contains_key(name) {
-            Some(format!("query\u{1f}{src}"))
-        } else if let Some((schema_name, _)) = self.algebras.get(name) {
-            let schema = self.schemas.get(schema_name)?;
-            Some(format!("algebra\u{1f}{schema:?}\u{1f}{src}"))
+    /// What preparing a named query or algebra expression reads: its parsed
+    /// value and this engine's budgets and backend flags — the key of the
+    /// cross-session [`PlanCache`].
+    fn plan_key(&self, name: &str) -> Result<PlanKey, SessionError> {
+        let statement = if let Some((_, query)) = self.queries.get(name) {
+            PlanStatement::Query(query.clone())
+        } else if let Some((schema_name, expr)) = self.algebras.get(name) {
+            let schema = self.schema_or_err(schema_name)?.clone();
+            PlanStatement::Algebra(expr.clone(), schema)
         } else {
-            None
-        }
+            return Err(SessionError::Exec(format!(
+                "no query or algebra expression named `{name}`"
+            )));
+        };
+        let engine = &self.engine;
+        Ok(PlanKey {
+            statement,
+            calc_config: *engine.calc_config(),
+            alg_config: *engine.alg_config(),
+            invention_config: *engine.invention_config(),
+            use_compiled: engine.use_compiled(),
+            use_algebra_planner: engine.use_algebra_planner(),
+        })
     }
 
     fn eval(
@@ -1634,6 +1666,50 @@ mod tests {
         run(&mut s, "set memory off;");
         let out = run(&mut s, "eval gp on d;");
         assert_eq!(out[0], "eval gp on d with limited: 1 object");
+    }
+
+    #[test]
+    fn plan_cache_evicts_the_least_recently_used_plan() {
+        let cache = PlanCache::new();
+        let mut s = Session::new();
+        s.set_shared_plans(cache.clone());
+        genealogy(&mut s);
+        // Each constant is a distinct statement.  Every declaration takes a
+        // fresh name, so each `eval` consults the shared cache; it returns
+        // the answer lines.
+        let mut declared = 0;
+        let mut children_of = |s: &mut Session, parent: &str| {
+            declared += 1;
+            let name = format!("e{declared}");
+            let out = run(
+                s,
+                &format!(
+                    "algebra {name} : Gen π_{{2}}(σ_{{$1 = \"{parent}\"}}(PAR));\neval {name} on d;"
+                ),
+            );
+            out[2..].to_vec()
+        };
+        let of_tom = children_of(&mut s, "Tom");
+        assert_eq!(of_tom, ["  [Mary]"]);
+        let of_mary = children_of(&mut s, "Mary");
+        assert_eq!(of_mary, ["  [Sue]"]);
+        for i in 2..PLAN_CACHE_CAPACITY {
+            children_of(&mut s, &format!("c{i}"));
+        }
+        let capacity = PLAN_CACHE_CAPACITY as u64;
+        assert_eq!(cache.len(), PLAN_CACHE_CAPACITY);
+        assert_eq!((cache.hits(), cache.misses()), (0, capacity));
+        // A hit refreshes Tom's plan, so one more plan evicts Mary's, now the
+        // least recently used.
+        assert_eq!(children_of(&mut s, "Tom"), of_tom);
+        children_of(&mut s, "Ann");
+        assert_eq!(cache.len(), PLAN_CACHE_CAPACITY);
+        assert_eq!(children_of(&mut s, "Tom"), of_tom);
+        assert_eq!((cache.hits(), cache.misses()), (2, capacity + 1));
+        // The evicted statement misses and re-prepares to the same answers.
+        assert_eq!(children_of(&mut s, "Mary"), of_mary);
+        assert_eq!((cache.hits(), cache.misses()), (2, capacity + 2));
+        assert_eq!(cache.len(), PLAN_CACHE_CAPACITY);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! End-to-end tests for `itq serve`: concurrent sessions over real TCP
 //! connections against the shipped binary, shared-plan-cache semantics at the
-//! library level, per-session budget isolation, and the SIGINT drain path.
+//! library level, per-session budget isolation, the request cap, and the
+//! SIGINT drain path.
 
 use itq_surface::script::split_statements;
+use itq_surface::serve::MAX_REQUEST_BYTES;
 use itq_surface::{PlanCache, Session};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -276,23 +278,25 @@ fn sigint_cancels_in_flight_queries_and_drains() {
     );
 }
 
+/// Run a script the way the server runs one request: every statement, its
+/// error lines included.
+fn run(session: &mut Session, src: &str) -> Vec<String> {
+    let mut lines = Vec::new();
+    for (chunk, base) in split_statements(src) {
+        match session.run_statement(&chunk, base) {
+            Ok(output) => lines.extend(output.lines),
+            Err(e) => lines.push(e.to_string()),
+        }
+    }
+    lines
+}
+
 /// The [`PlanCache`] contract at the library level: the second session's
 /// identical declaration is a cache hit, and the cached handle is re-budgeted
 /// per session — a zero deadline in one session trips only that session.
 #[test]
 fn plan_cache_is_shared_and_rebudgeted_per_session() {
     let cache = PlanCache::new();
-
-    let run = |session: &mut Session, src: &str| -> Vec<String> {
-        let mut lines = Vec::new();
-        for (chunk, base) in split_statements(src) {
-            match session.run_statement(&chunk, base) {
-                Ok(output) => lines.extend(output.lines),
-                Err(e) => lines.push(e.to_string()),
-            }
-        }
-        lines
-    };
 
     let mut first = Session::new();
     first.set_shared_plans(cache.clone());
@@ -330,4 +334,152 @@ fn plan_cache_is_shared_and_rebudgeted_per_session() {
         "shared plan leaked a governor across sessions: {out:?}"
     );
     assert_eq!(cache.len(), 1, "one distinct declaration, one cached plan");
+
+    // The same declaration under a fresh name is the same statement: it
+    // hits instead of adding an entry.
+    let redeclared = DECLARATIONS.replace("query gp :", "query gp_again :");
+    let out = run(
+        &mut first,
+        &format!("{redeclared}eval gp_again on family;\n"),
+    );
+    assert!(
+        out.iter().any(|l| l.contains("limited: 1 object")),
+        "{out:?}"
+    );
+    assert_eq!((cache.hits(), cache.misses()), (2, 1), "a fresh name hits");
+    assert_eq!(cache.len(), 1);
+}
+
+/// Two sessions intern Tom, Mary, Sue and Ann in opposite orders, so the
+/// constant `Tom` of the same declaration is a different atom id in each:
+/// each session's requests, one statement each.
+fn opposite_interning_orders() -> [Vec<String>; 2] {
+    let evals = [
+        "query kids : Gen {t/U | exists x/[U, U] (PAR(x) and x.1 == 'Tom' and t == x.2)};",
+        "algebra akids : Gen pi_{2}(sigma_{$1 = \"Tom\"}(PAR));",
+        "eval kids on d;",
+        "eval akids on d;",
+        "eval kids on d with finite-invention;",
+        "eval akids on d with finite-invention;",
+        "eval kids on d with terminal-invention;",
+        "eval akids on d with terminal-invention;",
+    ];
+    [
+        "{[Tom, Mary], [Mary, Sue], [Sue, Ann]}",
+        "{[Ann, Sue], [Sue, Mary], [Mary, Tom], [Tom, Ann]}",
+    ]
+    .map(|par| {
+        let mut requests = vec![
+            "schema Gen {PAR : [U, U]};".to_string(),
+            format!("database d : Gen {{PAR = {par}}};"),
+        ];
+        requests.extend(evals.iter().map(|s| s.to_string()));
+        requests
+    })
+}
+
+/// What a standalone session prints for each request.
+fn standalone(requests: &[String]) -> Vec<Vec<String>> {
+    let mut session = Session::new();
+    requests.iter().map(|r| run(&mut session, r)).collect()
+}
+
+/// Sessions that intern atoms in different orders never share a plan whose
+/// constants mean something else to one of them: through one `PlanCache`,
+/// each prints exactly what it prints alone, under every semantics.
+#[test]
+fn sessions_interning_in_different_orders_get_their_own_answers() {
+    let cache = PlanCache::new();
+    for requests in opposite_interning_orders() {
+        let mut session = Session::new();
+        session.set_shared_plans(cache.clone());
+        let served: Vec<Vec<String>> = requests.iter().map(|r| run(&mut session, r)).collect();
+        assert_eq!(served, standalone(&requests));
+    }
+    assert_eq!(cache.hits(), 0, "the two `Tom`s are different atoms");
+}
+
+/// The same over real connections to one `itq serve`.
+#[test]
+fn served_sessions_interning_in_different_orders_get_their_own_answers() {
+    let server = Server::spawn(&[]);
+    let sessions = opposite_interning_orders();
+    let mut clients = [server.connect(), server.connect()];
+    for (client, requests) in clients.iter_mut().zip(&sessions) {
+        let served: Vec<Vec<String>> = requests
+            .iter()
+            .map(|r| client.roundtrip(&format!("{r}\n")))
+            .collect();
+        assert_eq!(served, standalone(requests));
+    }
+}
+
+/// The resident set size of a process, in KiB.
+#[cfg(target_os = "linux")]
+fn rss_kib(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .and_then(|value| value.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("a VmRSS line")
+}
+
+/// Prepared plans hold no copy of the session's atoms: over a 1 000-atom
+/// database, 100 fresh-name re-declarations of one join (hits) and 100 joins
+/// with distinct constants (misses), each planned, grow the server by less
+/// than 16 MB.
+#[cfg(target_os = "linux")]
+#[test]
+fn planning_over_a_large_universe_keeps_the_server_small() {
+    let server = Server::spawn(&[]);
+    let mut client = server.connect();
+    let atoms = 1000;
+    let edges: Vec<String> = (0..atoms)
+        .map(|i| format!("[n{i}, n{}]", (i + 1) % atoms))
+        .collect();
+    let setup = format!(
+        "schema Gen {{PAR : [U, U]}}; database d : Gen {{PAR = {{{}}}}};\n",
+        edges.join(", ")
+    );
+    let ok =
+        |lines: Vec<String>| assert!(lines.iter().all(|l| !l.starts_with("error:")), "{lines:?}");
+    ok(client.roundtrip(&setup));
+    let join = "pi_{1,4}(sigma_{$2 = $3}(PAR * PAR))";
+    ok(client.roundtrip(&format!("algebra warm : Gen {join}; plan warm;\n")));
+    let before = rss_kib(server.child.id());
+    for i in 0..100 {
+        ok(client.roundtrip(&format!("algebra j{i} : Gen {join}; plan j{i};\n")));
+        ok(client.roundtrip(&format!(
+            "algebra c{i} : Gen pi_{{1,4}}(sigma_{{($2 = $3 and $1 = \"n{i}\")}}(PAR * PAR)); \
+             plan c{i};\n"
+        )));
+    }
+    let grown = rss_kib(server.child.id()).saturating_sub(before);
+    assert!(grown < 16 * 1024, "the server grew by {grown} KiB");
+}
+
+/// A request that never completes a statement is cut off at the cap with a
+/// typed error, and the server keeps serving other connections.
+#[test]
+fn an_oversized_request_is_refused_and_the_server_keeps_serving() {
+    let server = Server::spawn(&[]);
+    let mut flooding = server.connect();
+    let mut writer = flooding.stream.try_clone().expect("clone client stream");
+    // 2 MiB without a newline; the write fails once the server hangs up.
+    let flood = thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 * MAX_REQUEST_BYTES]);
+    });
+    assert_eq!(
+        flooding.read_batch(),
+        [format!(
+            "error: request exceeds {MAX_REQUEST_BYTES} bytes without completing a statement"
+        )]
+    );
+    flood.join().expect("flooding thread");
+
+    let mut next = server.connect();
+    next.roundtrip(DECLARATIONS);
+    let eval = next.roundtrip("eval gp on family;\n");
+    assert!(eval.iter().any(|l| l.contains("[Tom, Sue]")), "{eval:?}");
 }

@@ -66,8 +66,8 @@ fn main() {
     let db = Database::single("GUEST", Instance::from_atoms(vec![alice, bob, carol]));
 
     let config = EvalConfig::default();
-    let (limited, _) = eval_with_invented(&query, &db, &mut universe, 0, &config).unwrap();
-    let (with_one, _) = eval_with_invented(&query, &db, &mut universe, 1, &config).unwrap();
+    let (limited, _) = eval_with_invented(&query, &db, 0, &config).unwrap();
+    let (with_one, _) = eval_with_invented(&query, &db, 1, &config).unwrap();
     println!(
         "limited interpretation: {} answers; with one invented value: {} answers",
         limited.len(),

@@ -170,11 +170,10 @@ fn invention_invalidates_the_domain_cache_when_scratch_atoms_arrive() {
     // witness, level 1 must see a quantifier domain that *contains* the fresh
     // atom — which can only happen if cons_X(U) was rebuilt for the extended
     // atom set rather than replayed from a stale memo.
-    let mut universe = Universe::new();
-    let (level0, eval0) = eval_with_invented(&compiled, &db, &mut universe, 0, &config).unwrap();
+    let (level0, eval0) = eval_with_invented(&compiled, &db, 0, &config).unwrap();
     assert!(level0.is_empty(), "no witness without invention");
     assert_eq!(eval0.stats.max_domain_seen, 2);
-    let (level1, eval1) = eval_with_invented(&compiled, &db, &mut universe, 1, &config).unwrap();
+    let (level1, eval1) = eval_with_invented(&compiled, &db, 1, &config).unwrap();
     assert_eq!(level1.len(), 2, "one invented value provides the witness");
     assert_eq!(
         eval1.stats.max_domain_seen, 3,

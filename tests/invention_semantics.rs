@@ -22,12 +22,11 @@ fn relational_queries_are_invention_invariant() {
         (Atom(1), Atom(3)),
         (Atom(3), Atom(4)),
     ]);
-    let mut universe = Universe::new();
     let config = EvalConfig::default();
     for query in queries {
-        let (baseline, _) = eval_with_invented(&query, &db, &mut universe, 0, &config).unwrap();
+        let (baseline, _) = eval_with_invented(&query, &db, 0, &config).unwrap();
         for n in 1..=3 {
-            let (answer, _) = eval_with_invented(&query, &db, &mut universe, n, &config).unwrap();
+            let (answer, _) = eval_with_invented(&query, &db, n, &config).unwrap();
             assert_eq!(answer, baseline, "n = {n}");
         }
     }
@@ -38,12 +37,11 @@ fn relational_queries_are_invention_invariant() {
 #[test]
 fn parity_query_is_invention_invariant_on_small_inputs() {
     let query = queries::even_cardinality_query();
-    let mut universe = Universe::new();
     let config = EvalConfig::default();
     for n in 0..4u32 {
         let db = person_database(n);
-        let (baseline, _) = eval_with_invented(&query, &db, &mut universe, 0, &config).unwrap();
-        let (with_one, _) = eval_with_invented(&query, &db, &mut universe, 1, &config).unwrap();
+        let (baseline, _) = eval_with_invented(&query, &db, 0, &config).unwrap();
+        let (with_one, _) = eval_with_invented(&query, &db, 1, &config).unwrap();
         assert_eq!(baseline, with_one, "n = {n}");
         // Odd committees (and the empty one, which has no persons to return) give
         // an empty answer; non-empty even committees return every person.
@@ -76,20 +74,17 @@ fn needs_invention_query() -> Query {
 fn finite_invention_strictly_extends_the_limited_interpretation() {
     let query = needs_invention_query();
     let db = person_database(3);
-    let mut universe = Universe::new();
-    let report = finite_invention(&query, &db, &mut universe, &InventionConfig::default()).unwrap();
+    let report = finite_invention(&query, &db, &InventionConfig::default()).unwrap();
     assert!(report.answers[0].is_empty());
     assert_eq!(report.answers[1].len(), 3);
     assert_eq!(report.union.len(), 3);
     // Bounded invention with bound 0 coincides with the limited interpretation.
-    let zero =
-        bounded_invention(&query, &db, &mut universe, |_| 0, &EvalConfig::default()).unwrap();
+    let zero = bounded_invention(&query, &db, |_| 0, &EvalConfig::default()).unwrap();
     assert!(zero.is_empty());
 }
 
 #[test]
 fn terminal_invention_is_defined_exactly_when_invented_values_surface() {
-    let mut universe = Universe::new();
     let db = person_database(2);
     // {t/U | ⊤}: defined at n = 1 because the unrestricted answer contains the
     // invented atom.
@@ -100,8 +95,7 @@ fn terminal_invention_is_defined_exactly_when_invented_values_surface() {
         Schema::single("PERSON", Type::Atomic),
     )
     .unwrap();
-    match terminal_invention(&everything, &db, &mut universe, &InventionConfig::default()).unwrap()
-    {
+    match terminal_invention(&everything, &db, &InventionConfig::default()).unwrap() {
         TerminalOutcome::Defined { n, answer } => {
             assert_eq!(n, 1);
             assert_eq!(answer.len(), 2);
@@ -110,7 +104,7 @@ fn terminal_invention_is_defined_exactly_when_invented_values_surface() {
     }
     // The guarded query never outputs invented values → undefined within bound.
     let guarded = needs_invention_query();
-    match terminal_invention(&guarded, &db, &mut universe, &InventionConfig::default()).unwrap() {
+    match terminal_invention(&guarded, &db, &InventionConfig::default()).unwrap() {
         TerminalOutcome::UndefinedWithinBound { tried } => assert!(tried >= 1),
         other => panic!("unexpected {other:?}"),
     }

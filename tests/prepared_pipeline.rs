@@ -54,11 +54,8 @@ fn prepared_execute_is_bit_identical_to_the_legacy_api_under_all_semantics() {
             );
             assert_eq!(reference.max_domain_seen, stats.max_domain_seen, "{name}");
         }
-        // Invention: the drivers over the source query, drawing fresh atoms
-        // from a clone of the engine's universe.
-        let mut scratch = engine.universe().clone();
-        let report =
-            finite_invention(&query, &db, &mut scratch, engine.invention_config()).unwrap();
+        // Invention: the drivers over the source query.
+        let report = finite_invention(&query, &db, engine.invention_config()).unwrap();
         let finite = prepared.execute(&db, Semantics::FiniteInvention).unwrap();
         assert_eq!(report.union, finite.result, "{name}");
         assert_eq!(report.stabilised_at, finite.stabilised_at, "{name}");
@@ -67,9 +64,7 @@ fn prepared_execute_is_bit_identical_to_the_legacy_api_under_all_semantics() {
             finite.bounded_approximation,
             "{name}"
         );
-        let mut scratch = engine.universe().clone();
-        let outcome =
-            terminal_invention(&query, &db, &mut scratch, engine.invention_config()).unwrap();
+        let outcome = terminal_invention(&query, &db, engine.invention_config()).unwrap();
         let terminal = prepared.execute(&db, Semantics::TerminalInvention).unwrap();
         match outcome {
             TerminalOutcome::Defined { n, answer } => {
@@ -150,8 +145,8 @@ fn execute_shares_the_handle_without_exclusive_access() {
             2
         );
     }
-    // Invention semantics also go through `&self`: scratch atoms come from an
-    // interior clone, and the engine's universe is observably untouched.
+    // Invention semantics also go through `&self`: invented atoms are ids
+    // above the evaluation domain, and the engine's universe is untouched.
     let before = engine.universe().len();
     let _ = prepared.execute(&db, Semantics::FiniteInvention).unwrap();
     assert_eq!(engine.universe().len(), before);
