@@ -82,7 +82,6 @@ proptest! {
                     max_quantifier_domain: 4096,
                     max_candidates: 4096,
                     max_steps: 2_000_000,
-                    short_circuit: true,
                 };
                 if let Ok(calc_answer) = query.eval(&db, &calc_config) {
                     prop_assert_eq!(result, calc_answer);

@@ -1,9 +1,10 @@
 //! E13 — compiled slot-based evaluator vs the legacy tree walker.
 //!
-//! The compiled backend (interned values, de-Bruijn slots, memoized
-//! constructive domains — see `itq_calculus::compile`) and the legacy
-//! tree walker produce bit-identical answers; this bench quantifies the gap
-//! on the three workload families the optimisation targets:
+//! The compiled evaluator (interned values, de-Bruijn slots, memoized
+//! constructive domains — see `itq_calculus::compile`) and the tree walker
+//! (`itq_calculus::eval`) produce bit-identical answers; this bench
+//! quantifies the gap on the three workload families the optimisation
+//! targets:
 //!
 //! * **transitive closure** (Example 3.1): a `∀x/{[U,U]}` whose `2^(n²)`
 //!   domain the tree walker re-enumerates for every one of the `n²`
@@ -14,12 +15,15 @@
 //!   candidate space is the set-height-1 fragment of the hyper-exponential
 //!   hierarchy.
 //!
-//! Both engines share one `Prepared` handle per query, so the measured
-//! difference is purely the dynamic (execute) phase.
+//! The compiled arm executes one `Prepared` handle per query (which runs the
+//! transitive closure through its least-fixpoint route); the legacy arm
+//! calls the tree walker directly.  Neither arm repeats static work, so the
+//! measured difference is purely the dynamic (execute) phase.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use itq_core::prelude::*;
 use itq_core::queries;
+use itq_invention::finite_invention;
 use itq_workloads::graphs::chain_edges;
 use itq_workloads::people::person_database;
 
@@ -49,10 +53,8 @@ fn bench_compiled_vs_legacy(c: &mut Criterion) {
     let mut group = c.benchmark_group("E13/compiled-vs-legacy");
     group.sample_size(10);
     let compiled_engine = Engine::new();
-    let legacy_engine = Engine::builder().use_compiled(false).build();
     for (name, query, db) in workloads() {
         let compiled = compiled_engine.prepare(&query).unwrap();
-        let legacy = legacy_engine.prepare(&query).unwrap();
         group.bench_with_input(BenchmarkId::new("compiled", name), &db, |b, db| {
             b.iter(|| {
                 compiled
@@ -63,7 +65,7 @@ fn bench_compiled_vs_legacy(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("legacy", name), &db, |b, db| {
-            b.iter(|| legacy.execute(db, Semantics::Limited).unwrap().result.len())
+            b.iter(|| query.eval(db, &EvalConfig::default()).unwrap().len())
         });
     }
     group.finish();
@@ -75,14 +77,9 @@ fn bench_compiled_invention(c: &mut Criterion) {
     let mut group = c.benchmark_group("E13/finite-invention");
     group.sample_size(10);
     let compiled_engine = Engine::builder().max_invented(1).build();
-    let legacy_engine = Engine::builder()
-        .max_invented(1)
-        .use_compiled(false)
-        .build();
     let query = queries::even_cardinality_query();
     let db = person_database(2);
     let compiled = compiled_engine.prepare(&query).unwrap();
-    let legacy = legacy_engine.prepare(&query).unwrap();
     group.bench_function("compiled", |b| {
         b.iter(|| {
             compiled
@@ -94,10 +91,9 @@ fn bench_compiled_invention(c: &mut Criterion) {
     });
     group.bench_function("legacy", |b| {
         b.iter(|| {
-            legacy
-                .execute(&db, Semantics::FiniteInvention)
+            finite_invention(&query, &db, compiled_engine.invention_config())
                 .unwrap()
-                .result
+                .union
                 .len()
         })
     });

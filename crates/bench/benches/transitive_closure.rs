@@ -1,6 +1,5 @@
 //! E2 (Examples 2.4, 3.1): transitive closure via the CALC_{0,1} powerset query
-//! against the polynomial-time baselines (semi-naive fixpoint, Warshall, Datalog),
-//! and the evaluator-strategy ablation (short-circuit vs naive quantifiers).
+//! against the polynomial-time baselines (semi-naive fixpoint, Warshall, Datalog).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use itq_calculus::eval::EvalConfig;
@@ -43,20 +42,6 @@ fn bench_calculus_query(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_strategy_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E2/ablation-short-circuit");
-    group.sample_size(10);
-    let query = transitive_closure_query();
-    let db = parent_database(&chain_edges(3));
-    group.bench_function("pruned", |b| {
-        b.iter(|| query.eval(&db, &EvalConfig::default()).unwrap().len())
-    });
-    group.bench_function("naive", |b| {
-        b.iter(|| query.eval(&db, &EvalConfig::naive()).unwrap().len())
-    });
-    group.finish();
-}
-
 fn bench_baselines(c: &mut Criterion) {
     let mut group = c.benchmark_group("E2/polynomial-baselines");
     for n in [4u32, 16, 64, 128] {
@@ -79,10 +64,5 @@ fn bench_baselines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_calculus_query,
-    bench_strategy_ablation,
-    bench_baselines
-);
+criterion_group!(benches, bench_calculus_query, bench_baselines);
 criterion_main!(benches);

@@ -852,38 +852,26 @@ impl<T: QuantTracer> Exec<'_, T> {
             }
             CFormula::Not(f) => Ok(!self.satisfies(f)?),
             CFormula::And(fs) => {
-                let mut all = true;
                 for f in fs {
-                    let holds = self.satisfies(f)?;
-                    if !holds {
-                        all = false;
-                        if self.config.short_circuit {
-                            return Ok(false);
-                        }
+                    if !self.satisfies(f)? {
+                        return Ok(false);
                     }
                 }
-                Ok(all)
+                Ok(true)
             }
             CFormula::Or(fs) => {
-                let mut any = false;
                 for f in fs {
-                    let holds = self.satisfies(f)?;
-                    if holds {
-                        any = true;
-                        if self.config.short_circuit {
-                            return Ok(true);
-                        }
+                    if self.satisfies(f)? {
+                        return Ok(true);
                     }
                 }
-                Ok(any)
+                Ok(false)
             }
             CFormula::Implies(f1, f2) => {
-                let antecedent = self.satisfies(f1)?;
-                if !antecedent && self.config.short_circuit {
+                if !self.satisfies(f1)? {
                     return Ok(true);
                 }
-                let consequent = self.satisfies(f2)?;
-                Ok(!antecedent || consequent)
+                self.satisfies(f2)
             }
             CFormula::Iff(f1, f2) => {
                 let a = self.satisfies(f1)?;
@@ -899,12 +887,9 @@ impl<T: QuantTracer> Exec<'_, T> {
                     self.tracer.draw(*slot);
                     let value = self.domains.nth(handle, rank as u128, &mut self.store)?;
                     self.env[*slot as usize] = Some(value);
-                    let holds = self.satisfies(f)?;
-                    if holds {
+                    if self.satisfies(f)? {
                         found = true;
-                        if self.config.short_circuit {
-                            break;
-                        }
+                        break;
                     }
                 }
                 Ok(found)
@@ -918,12 +903,9 @@ impl<T: QuantTracer> Exec<'_, T> {
                     self.tracer.draw(*slot);
                     let value = self.domains.nth(handle, rank as u128, &mut self.store)?;
                     self.env[*slot as usize] = Some(value);
-                    let holds = self.satisfies(f)?;
-                    if !holds {
+                    if !self.satisfies(f)? {
                         all = false;
-                        if self.config.short_circuit {
-                            break;
-                        }
+                        break;
                     }
                 }
                 Ok(all)
@@ -998,7 +980,6 @@ mod tests {
         assert_eq!(compiled.slot_count(), 3); // t, x, y
         assert_eq!(compiled.predicates(), ["PAR".to_string()]);
         assert_backends_agree(&q, &db, &EvalConfig::default());
-        assert_backends_agree(&q, &db, &EvalConfig::naive());
     }
 
     #[test]
@@ -1106,7 +1087,7 @@ mod tests {
     #[test]
     fn missing_relations_error_lazily_like_the_tree_walker() {
         // `R` is declared by the schema but absent from the database; the
-        // short-circuiting ∨ never evaluates it, so neither backend errors.
+        // short-circuiting ∨ never evaluates it, so neither form errors.
         let body = Formula::or(vec![
             Formula::eq(Term::var("t"), Term::var("t")),
             Formula::pred("R", Term::var("t")),
@@ -1124,11 +1105,19 @@ mod tests {
             .unwrap()
             .eval_full(&db, &EvalConfig::default())
             .is_ok());
-        // Under the naive strategy the ∨ is fully enumerated and both
-        // backends surface the same UnknownPredicate error.
-        assert_backends_agree(&q, &db, &EvalConfig::naive());
+        // With the ∨ reordered, `R` is read first and both forms surface
+        // the same UnknownPredicate error.
+        let reordered = q
+            .with_body(Formula::or(vec![
+                Formula::pred("R", Term::var("t")),
+                Formula::eq(Term::var("t"), Term::var("t")),
+            ]))
+            .unwrap();
+        assert_backends_agree(&reordered, &db, &EvalConfig::default());
         assert!(matches!(
-            compile(&q).unwrap().eval_full(&db, &EvalConfig::naive()),
+            compile(&reordered)
+                .unwrap()
+                .eval_full(&db, &EvalConfig::default()),
             Err(CalcError::UnknownPredicate { .. })
         ));
     }
@@ -1204,29 +1193,28 @@ mod tests {
         let db = par_db(&mut u, &[("Tom", "Mary"), ("Mary", "Sue"), ("Sue", "Ann")]);
         let q = grandparent_query();
         let compiled = compile(&q).unwrap();
-        for config in [EvalConfig::default(), EvalConfig::naive()] {
-            let sequential = compiled.eval_full(&db, &config).unwrap();
-            assert_eq!(sequential.partitions, 0);
-            for workers in [2, 3, 8, 64] {
-                let (parallel, span) = compiled
-                    .eval_ctx(&db, &[], &config, &ctx(workers, true))
-                    .unwrap();
-                assert_eq!(sequential.result, parallel.result);
-                let (s, p) = (&sequential.stats, &parallel.stats);
-                assert_eq!(s.steps, p.steps, "workers {workers}");
-                assert_eq!(s.quantifier_values, p.quantifier_values);
-                assert_eq!(s.candidates_checked, p.candidates_checked);
-                assert_eq!(s.max_domain_seen, p.max_domain_seen);
-                // Partition ranges tile the candidate space exactly once.
-                let span = span.expect("traced runs return a span");
-                assert_eq!(span.children.len() as u64, parallel.partitions);
-                let mut covered = 0;
-                for part in &span.children {
-                    assert_eq!(part.field("rank_start"), Some(covered));
-                    covered = part.field("rank_end").unwrap();
-                }
-                assert_eq!(covered, s.candidates_checked);
+        let config = EvalConfig::default();
+        let sequential = compiled.eval_full(&db, &config).unwrap();
+        assert_eq!(sequential.partitions, 0);
+        for workers in [2, 3, 8, 64] {
+            let (parallel, span) = compiled
+                .eval_ctx(&db, &[], &config, &ctx(workers, true))
+                .unwrap();
+            assert_eq!(sequential.result, parallel.result);
+            let (s, p) = (&sequential.stats, &parallel.stats);
+            assert_eq!(s.steps, p.steps, "workers {workers}");
+            assert_eq!(s.quantifier_values, p.quantifier_values);
+            assert_eq!(s.candidates_checked, p.candidates_checked);
+            assert_eq!(s.max_domain_seen, p.max_domain_seen);
+            // Partition ranges tile the candidate space exactly once.
+            let span = span.expect("traced runs return a span");
+            assert_eq!(span.children.len() as u64, parallel.partitions);
+            let mut covered = 0;
+            for part in &span.children {
+                assert_eq!(part.field("rank_start"), Some(covered));
+                covered = part.field("rank_end").unwrap();
             }
+            assert_eq!(covered, s.candidates_checked);
         }
     }
 

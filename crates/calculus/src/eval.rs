@@ -21,7 +21,9 @@ use itq_trace::Span;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Budgets and strategy switches for query evaluation.
+/// Budgets for query evaluation.  Every evaluator short-circuits: `∃` stops
+/// at its first witness, `∀` at its first counterexample, `∧`/`∨`/`→` at the
+/// first operand that decides them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalConfig {
     /// Maximum admissible size of a single quantifier's constructive domain.
@@ -30,10 +32,6 @@ pub struct EvalConfig {
     pub max_candidates: u64,
     /// Maximum total number of formula-node evaluations.
     pub max_steps: u64,
-    /// When true (the default), `∃` stops at the first witness and `∀` stops at
-    /// the first counterexample.  Setting it to false forces full enumeration —
-    /// the "naive" strategy ablated in the benchmark harness.
-    pub short_circuit: bool,
 }
 
 impl Default for EvalConfig {
@@ -42,7 +40,6 @@ impl Default for EvalConfig {
             max_quantifier_domain: 1 << 22,
             max_candidates: 1 << 22,
             max_steps: 200_000_000,
-            short_circuit: true,
         }
     }
 }
@@ -54,15 +51,6 @@ impl EvalConfig {
             max_quantifier_domain: 64,
             max_candidates: 64,
             max_steps: 10_000,
-            short_circuit: true,
-        }
-    }
-
-    /// The naive (no short-circuiting) strategy with default budgets.
-    pub fn naive() -> Self {
-        EvalConfig {
-            short_circuit: false,
-            ..Default::default()
         }
     }
 }
@@ -78,14 +66,14 @@ pub struct EvalStats {
     pub candidates_checked: u64,
     /// The largest single quantifier domain encountered.
     pub max_domain_seen: u64,
-    /// Compiled backend only: constructive-domain lookups answered from the
+    /// Compiled form only: constructive-domain lookups answered from the
     /// per-execution [`DomainCache`](itq_object::DomainCache) memo (always 0
     /// for the tree walker, which re-enumerates domains lazily).
     pub domain_cache_hits: u64,
-    /// Compiled backend only: constructive-domain lookups that had to
+    /// Compiled form only: constructive-domain lookups that had to
     /// materialise a new domain (always 0 for the tree walker).
     pub domain_cache_misses: u64,
-    /// Compiled backend only: number of distinct values interned in the
+    /// Compiled form only: number of distinct values interned in the
     /// execution's [`ValueStore`](itq_object::ValueStore) (always 0 for the
     /// tree walker, which never interns).
     pub interned_values: u64,
@@ -231,38 +219,26 @@ impl<'a> Evaluator<'a> {
             }
             Formula::Not(f) => Ok(!self.satisfies(f, rho)?),
             Formula::And(fs) => {
-                let mut all = true;
                 for f in fs {
-                    let holds = self.satisfies(f, rho)?;
-                    if !holds {
-                        all = false;
-                        if self.config.short_circuit {
-                            return Ok(false);
-                        }
+                    if !self.satisfies(f, rho)? {
+                        return Ok(false);
                     }
                 }
-                Ok(all)
+                Ok(true)
             }
             Formula::Or(fs) => {
-                let mut any = false;
                 for f in fs {
-                    let holds = self.satisfies(f, rho)?;
-                    if holds {
-                        any = true;
-                        if self.config.short_circuit {
-                            return Ok(true);
-                        }
+                    if self.satisfies(f, rho)? {
+                        return Ok(true);
                     }
                 }
-                Ok(any)
+                Ok(false)
             }
             Formula::Implies(f1, f2) => {
-                let antecedent = self.satisfies(f1, rho)?;
-                if !antecedent && self.config.short_circuit {
+                if !self.satisfies(f1, rho)? {
                     return Ok(true);
                 }
-                let consequent = self.satisfies(f2, rho)?;
-                Ok(!antecedent || consequent)
+                self.satisfies(f2, rho)
             }
             Formula::Iff(f1, f2) => {
                 let a = self.satisfies(f1, rho)?;
@@ -280,12 +256,9 @@ impl<'a> Evaluator<'a> {
                 for value in domain {
                     self.stats.quantifier_values += 1;
                     bind(rho, v, value);
-                    let holds = self.satisfies(f, rho)?;
-                    if holds {
+                    if self.satisfies(f, rho)? {
                         found = true;
-                        if self.config.short_circuit {
-                            break;
-                        }
+                        break;
                     }
                 }
                 restore(rho, v, shadowed);
@@ -298,12 +271,9 @@ impl<'a> Evaluator<'a> {
                 for value in domain {
                     self.stats.quantifier_values += 1;
                     bind(rho, v, value);
-                    let holds = self.satisfies(f, rho)?;
-                    if !holds {
+                    if !self.satisfies(f, rho)? {
                         all = false;
-                        if self.config.short_circuit {
-                            break;
-                        }
+                        break;
                     }
                 }
                 restore(rho, v, shadowed);
@@ -357,12 +327,13 @@ pub fn evaluate_with_extra(
 
 /// A query form that can be evaluated under the generalised `Q|^Y` semantics.
 ///
-/// Both the source-level [`Query`] (tree walker) and the lowered
-/// [`CompiledQuery`](crate::compile::CompiledQuery) (slot-based interpreter)
-/// implement this, which lets the invention semantics of Section 6 drive
-/// either backend through one per-level loop — the compiled form in
-/// particular is lowered **once** and re-executed at every invention level
-/// instead of being re-derived.
+/// Both the source-level [`Query`] (the tree walker, the reference the
+/// equivalence suites check against) and the lowered
+/// [`CompiledQuery`](crate::compile::CompiledQuery) (the slot-based
+/// interpreter every prepared handle runs) implement this, which lets the
+/// invention semantics of Section 6 drive either through one per-level loop
+/// — the compiled form in particular is lowered **once** and re-executed at
+/// every invention level instead of being re-derived.
 pub trait Evaluable {
     /// Evaluate `Q|^Y` where `Y` is given by `extra`: every variable
     /// (including the target) ranges over objects constructed from
@@ -372,8 +343,9 @@ pub trait Evaluable {
     /// [`POLL_MASK`]+1 formula-node evaluations, surfacing deadline expiry,
     /// cancellation, and injected faults as [`CalcError::Resource`]; it
     /// partitions its candidate loop across `ctx.workers` when it can; and
-    /// when `ctx.traced` it returns a [`Span`] describing the evaluation.
-    /// Answers, statistics, and errors never depend on `ctx.traced`.
+    /// when `ctx.traced` it may return a [`Span`] describing the evaluation
+    /// (the compiled form does, the tree walker never).  Answers,
+    /// statistics, and errors never depend on `ctx.traced`.
     fn eval_ctx(
         &self,
         db: &Database,
@@ -387,8 +359,8 @@ pub trait Evaluable {
     fn evaluation_domain(&self, db: &Database) -> BTreeSet<Atom>;
 }
 
-/// The tree walker: sequential at any `ctx.workers`, and traced as one
-/// whole-evaluation span (it has no per-slot hooks).
+/// The tree walker: a literal transcription of the limited interpretation,
+/// sequential at any `ctx.workers` and never traced.
 impl Evaluable for Query {
     fn eval_ctx(
         &self,
@@ -434,21 +406,12 @@ impl Evaluable for Query {
             }
         }
 
-        let stats = evaluator.stats;
-        let span = ctx.traced.then(|| {
-            let mut root = Span::new("tree-walk");
-            root.push_field("rows_out", result.len() as u64);
-            root.push_field("steps", stats.steps);
-            root.push_field("quantifier_values", stats.quantifier_values);
-            root.push_field("candidates_checked", stats.candidates_checked);
-            root
-        });
         let evaluation = Evaluation {
             result,
-            stats,
+            stats: evaluator.stats,
             partitions: 0,
         };
-        Ok((evaluation, span))
+        Ok((evaluation, None))
     }
 
     fn evaluation_domain(&self, db: &Database) -> BTreeSet<Atom> {
@@ -581,18 +544,6 @@ mod tests {
             (u.atom("Mary"), u.atom("Ann")),
         ]);
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn naive_and_short_circuit_strategies_agree() {
-        let mut u = Universe::new();
-        let db = par_db(&mut u, &[("a", "b"), ("b", "c")]);
-        let q = grandparent_query();
-        let fast = q.eval_full(&db, &EvalConfig::default()).unwrap();
-        let naive = q.eval_full(&db, &EvalConfig::naive()).unwrap();
-        assert_eq!(fast.result, naive.result);
-        // The naive strategy does at least as much work.
-        assert!(naive.stats.steps >= fast.stats.steps);
     }
 
     #[test]

@@ -129,16 +129,6 @@ proptest! {
         prop_assert_eq!(direct, via_nnf);
     }
 
-    /// The naive (non-short-circuiting) evaluator agrees with the pruned one on
-    /// closed sentences.
-    #[test]
-    fn evaluation_strategies_agree(s in sentence()) {
-        let db = sample_db();
-        let pruned = satisfies_sentence(&s, &db, &[], &EvalConfig::default()).unwrap();
-        let naive = satisfies_sentence(&s, &db, &[], &EvalConfig::naive()).unwrap();
-        prop_assert_eq!(pruned, naive);
-    }
-
     /// Double negation does not change the truth value.
     #[test]
     fn double_negation_is_identity(s in sentence()) {

@@ -205,8 +205,10 @@ impl GovernorConfig {
 /// The evaluation facade.
 ///
 /// An `Engine` is an immutable bundle of evaluation configuration (budgets,
-/// invention bounds, feature toggles, a seeded [`Universe`]) built once via
-/// [`Engine::builder`].  The static work on a query — type-checking,
+/// invention bounds, a resource governor, a worker count, a seeded
+/// [`Universe`]) built once via [`Engine::builder`].  Every calculus handle it
+/// prepares runs the compiled slot evaluator, or the planned join or least
+/// fixpoint its query lowers to.  The static work on a query — type-checking,
 /// `CALC_{k,i}` classification, normal forms, and (for algebra inputs) the
 /// Theorem 3.8 compilation — happens once in [`Engine::prepare`] /
 /// [`Engine::prepare_algebra`], which return a [`crate::pipeline::Prepared`]
@@ -220,10 +222,6 @@ pub struct Engine {
     pub(crate) alg_config: AlgConfig,
     /// Budgets for the invention semantics.
     pub(crate) invention_config: InventionConfig,
-    /// When true (the default), `Prepared::execute` runs the compiled
-    /// slot-based evaluator; when false it runs the legacy tree walker (the
-    /// ablation toggled by `EngineBuilder::use_compiled`).
-    pub(crate) use_compiled: bool,
     /// When true (the default), prepared algebra handles execute their
     /// limited interpretation through the set-at-a-time physical plan; when
     /// false they run the tuple-at-a-time evaluator (the ablation toggled by
@@ -249,16 +247,7 @@ impl Default for Engine {
 impl Engine {
     /// An engine with default budgets.
     pub fn new() -> Engine {
-        Engine {
-            calc_config: EvalConfig::default(),
-            alg_config: AlgConfig::default(),
-            invention_config: InventionConfig::default(),
-            use_compiled: true,
-            use_algebra_planner: true,
-            governor: GovernorConfig::default(),
-            parallelism: crate::pipeline::default_parallelism(),
-            universe: Universe::new(),
-        }
+        Engine::builder().build()
     }
 
     /// Start configuring an engine: budgets, invention bounds, universe
@@ -287,13 +276,6 @@ impl Engine {
     /// The engine's invention-semantics configuration.
     pub fn invention_config(&self) -> &InventionConfig {
         &self.invention_config
-    }
-
-    /// True if handles prepared by this engine execute through the compiled
-    /// slot-based evaluator (the default); false selects the legacy
-    /// tree-walking evaluator, kept for ablation benchmarks.
-    pub fn use_compiled(&self) -> bool {
-        self.use_compiled
     }
 
     /// True if algebra handles prepared by this engine execute their limited

@@ -7,7 +7,7 @@
 //! semantics of Section 6.  This module gives that split an API:
 //!
 //! * [`EngineBuilder`] configures an [`Engine`] once: budgets, invention
-//!   bounds, universe seeding, feature toggles;
+//!   bounds, universe seeding, resource governance, the worker count;
 //! * [`Engine::prepare`] / [`Engine::prepare_algebra`] do *all* static work
 //!   exactly once and cache the derived artifacts in a [`Prepared`] handle;
 //! * [`Prepared::execute`] runs the handle on a database under any
@@ -31,10 +31,10 @@
 //! conditions and element-wise guards — needs no enumeration of its `2^n`
 //! candidate sets either: prepare lowers `φ` to a Datalog program, and the
 //! limited interpretation computes its least model semi-naively, then checks
-//! the guards on each element (root span `least-fixpoint`).  Only the
-//! compiled backend under default budgets takes these routes, so the tree
-//! walker stays the reference oracle and budget errors keep their
-//! enumeration text.
+//! the guards on each element (root span `least-fixpoint`).  Every other
+//! calculus execution — including every invention level — runs the compiled
+//! slot evaluator.  Only handles under default budgets take the routes, so
+//! budget errors keep their enumeration text.
 //!
 //! ```
 //! use itq_core::prelude::*;
@@ -81,7 +81,9 @@ pub(crate) fn default_parallelism() -> usize {
 }
 
 /// Configures and builds an [`Engine`]: evaluation budgets, invention bounds,
-/// universe seeding, and feature toggles.
+/// resource governance, the worker count, and universe seeding.  No option
+/// selects the calculus evaluator: every handle runs the compiled slots, or
+/// the route its query lowers to.
 ///
 /// ```
 /// use itq_core::prelude::*;
@@ -89,7 +91,6 @@ pub(crate) fn default_parallelism() -> usize {
 /// let engine = Engine::builder()
 ///     .calc_config(EvalConfig::default())
 ///     .max_invented(3)
-///     .short_circuit(true)
 ///     .seed_atoms(["Tom", "Mary"])
 ///     .build();
 /// assert_eq!(engine.invention_config().max_invented, 3);
@@ -100,7 +101,6 @@ pub struct EngineBuilder {
     calc_config: EvalConfig,
     alg_config: AlgConfig,
     invention_config: InventionConfig,
-    use_compiled: bool,
     use_algebra_planner: bool,
     universe: Universe,
     governor: GovernorConfig,
@@ -113,7 +113,6 @@ impl Default for EngineBuilder {
             calc_config: EvalConfig::default(),
             alg_config: AlgConfig::default(),
             invention_config: InventionConfig::default(),
-            use_compiled: true,
             use_algebra_planner: true,
             universe: Universe::default(),
             governor: GovernorConfig::default(),
@@ -185,42 +184,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Toggle quantifier short-circuiting for every evaluation path (the
-    /// "naive" full-enumeration strategy is the `false` setting — the ablation
-    /// benchmarked by the harness).
-    ///
-    /// ```
-    /// use itq_core::prelude::*;
-    /// let engine = Engine::builder().short_circuit(false).build();
-    /// assert!(!engine.calc_config().short_circuit);
-    /// assert!(!engine.invention_config().eval.short_circuit);
-    /// ```
-    pub fn short_circuit(mut self, enabled: bool) -> EngineBuilder {
-        self.calc_config.short_circuit = enabled;
-        self.invention_config.eval.short_circuit = enabled;
-        self
-    }
-
-    /// Select the evaluation backend for prepared handles: `true` (the
-    /// default) runs the compiled slot-based evaluator with interned values
-    /// and memoized constructive domains — and, under default budgets, runs
-    /// a conjunctive query's limited interpretation through its physical
-    /// plan (see [`Prepared::physical_plan`]); `false` runs the legacy
-    /// tree-walking evaluator everywhere — kept so the speedups can be
-    /// measured as an ablation rather than taken on faith, and as the
-    /// reference the differential suites check both against.
-    ///
-    /// ```
-    /// use itq_core::prelude::*;
-    /// assert!(Engine::builder().build().use_compiled());
-    /// let legacy = Engine::builder().use_compiled(false).build();
-    /// assert!(!legacy.use_compiled());
-    /// ```
-    pub fn use_compiled(mut self, enabled: bool) -> EngineBuilder {
-        self.use_compiled = enabled;
-        self
-    }
-
     /// Select the execution path for prepared *algebra* handles under the
     /// limited interpretation: `true` (the default) runs the set-at-a-time
     /// physical plan built at prepare time (joins extracted, selections
@@ -284,9 +247,10 @@ impl EngineBuilder {
     }
 
     /// Arm a ceiling (in bytes) over the values interned by one execution's
-    /// value store and domain cache.  Only the interning backends (compiled
-    /// calculus, planned algebra) can trip it; the tree walker and the
-    /// tuple-at-a-time evaluator never intern.
+    /// value store and domain cache.  Every calculus execution (the compiled
+    /// slots and both routes) and the planned algebra meter it; the
+    /// tuple-at-a-time algebra evaluator (`use_algebra_planner(false)`) never
+    /// interns, so it never trips.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -378,7 +342,6 @@ impl EngineBuilder {
             calc_config: self.calc_config,
             alg_config: self.alg_config,
             invention_config: self.invention_config,
-            use_compiled: self.use_compiled,
             use_algebra_planner: self.use_algebra_planner,
             universe: self.universe,
             governor: self.governor,
@@ -420,9 +383,9 @@ pub struct PrepareStats {
     /// The `CALC_{k,i}` classification (Section 3).
     pub classify_micros: u64,
     /// Normal forms: the existential-fragment analysis and the prenex form
-    /// (Section 4), plus, for a calculus handle on the compiled backend
-    /// under default budgets, the attempts to lower it to a conjunctive rule
-    /// or to a least-fixpoint program.
+    /// (Section 4), plus, for a calculus handle under default budgets, the
+    /// attempts to lower it to a conjunctive rule or to a least-fixpoint
+    /// program.
     pub normalize_micros: u64,
     /// Lowering into the slot-based compiled evaluator.
     pub compile_micros: u64,
@@ -496,16 +459,15 @@ pub struct ExecStats {
     /// Number of invention levels `Q|_n[d]` explored (0 under the limited
     /// interpretation, which never invents).
     pub invention_levels: u64,
-    /// Compiled backend only: constructive-domain lookups answered from the
-    /// per-execution memo (0 for the legacy tree walker, which re-enumerates
-    /// every domain lazily).
+    /// Compiled slots only: constructive-domain lookups answered from the
+    /// per-execution memo.
     pub domain_cache_hits: u64,
-    /// Compiled backend only: constructive-domain lookups that had to
-    /// materialise a new domain (0 for the legacy tree walker).
+    /// Compiled slots only: constructive-domain lookups that had to
+    /// materialise a new domain.
     pub domain_cache_misses: u64,
-    /// Compiled and planned backends: distinct values interned in the
-    /// execution's value store (0 for the tree walker and the tuple-at-a-time
-    /// algebra evaluator, which never intern).
+    /// Compiled and planned executions: distinct values interned in the
+    /// execution's value store (0 for the tuple-at-a-time algebra evaluator,
+    /// which never interns).
     pub interned_values: u64,
     /// Planned executions only (algebra plans, and conjunctive calculus
     /// queries run through their plan): hash/member index probes plus
@@ -670,10 +632,9 @@ pub struct QueryOutcome {
 /// Which language the handle was prepared from.
 #[derive(Debug)]
 enum PreparedSource {
-    /// A calculus query, evaluated directly — under the limited
-    /// interpretation through `route` when the query lowered to one
-    /// (compiled backend and default budgets only, so the tree walker stays
-    /// the reference and budget errors keep their text).
+    /// A calculus query, evaluated by the compiled slots — under the limited
+    /// interpretation through `route` when the query lowered to one (default
+    /// budgets only, so budget errors keep their enumeration text).
     Calculus { route: Option<CalculusRoute> },
     /// An algebra expression: kept for direct limited evaluation together
     /// with its set-at-a-time physical plan (planned once, at prepare time),
@@ -737,9 +698,9 @@ struct StaticHalf {
     query: Query,
     /// Wall-clock timings of the prepare phases that built this handle.
     prepare_stats: PrepareStats,
-    /// The slot-based lowering of `query` (the compiled evaluation backend),
-    /// produced once at prepare time and reused by every execution — and,
-    /// under the invention semantics, by every invention level.
+    /// The slot-based lowering of `query`, produced once at prepare time and
+    /// run by every execution the routes do not answer — under the invention
+    /// semantics, at every invention level.
     compiled: CompiledQuery,
     classification: QueryClassification,
     sf: SfClassification,
@@ -748,7 +709,6 @@ struct StaticHalf {
     /// foldable subformulas, budget forecasts, stratum report — see
     /// [`itq_analyze`]).
     diagnostics: itq_analyze::Report,
-    use_compiled: bool,
     use_algebra_planner: bool,
     calc_config: EvalConfig,
     alg_config: AlgConfig,
@@ -848,7 +808,6 @@ impl Engine {
         let prenex = to_prenex(query.body());
         let mut rule = None;
         if matches!(source, PreparedSource::Calculus { .. })
-            && self.use_compiled
             && default_budgets(&self.calc_config, &self.alg_config)
         {
             match lowering::lower_least_fixpoint(&query) {
@@ -900,7 +859,6 @@ impl Engine {
             sf,
             prenex,
             diagnostics,
-            use_compiled: self.use_compiled,
             use_algebra_planner: self.use_algebra_planner,
             calc_config: self.calc_config,
             alg_config: self.alg_config,
@@ -1103,9 +1061,9 @@ impl Prepared {
     /// The set-at-a-time physical plan this handle runs under the limited
     /// interpretation, planned once at prepare time: always for an algebra
     /// expression, and for a calculus query in the conjunctive fragment (an
-    /// ∃-prefix of flat variables over predicate, `≈` and `¬≈` atoms) when
-    /// the compiled backend runs under default budgets.  The surface
-    /// language's `plan <name>;` statement pretty-prints it.
+    /// ∃-prefix of flat variables over predicate, `≈` and `¬≈` atoms) under
+    /// default budgets.  The surface language's `plan <name>;` statement
+    /// pretty-prints it.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1137,11 +1095,10 @@ impl Prepared {
     }
 
     /// The Datalog program and the number of element-wise guards of a
-    /// least-fixpoint query, lowered once at prepare time when the compiled
-    /// backend runs under default budgets: the limited interpretation then
-    /// computes the program's least model semi-naively and answers it when
-    /// every guard holds on each element.  The surface language's
-    /// `plan <name>;` statement prints it.
+    /// least-fixpoint query, lowered once at prepare time under default
+    /// budgets: the limited interpretation then computes the program's least
+    /// model semi-naively and answers it when every guard holds on each
+    /// element.  The surface language's `plan <name>;` statement prints it.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1168,11 +1125,10 @@ impl Prepared {
     }
 
     /// The slot-based compiled form of the query, lowered once at prepare
-    /// time.  This is what [`Prepared::execute`] runs by default (except a
-    /// conjunctive query's limited interpretation, which runs
-    /// [`Prepared::physical_plan`], and a least-fixpoint query's, which runs
-    /// [`Prepared::least_fixpoint`]); the legacy tree walker remains reachable
-    /// via [`EngineBuilder::use_compiled`]`(false)`.
+    /// time.  This is what [`Prepared::execute`] runs, except a conjunctive
+    /// query's limited interpretation, which runs [`Prepared::physical_plan`],
+    /// and a least-fixpoint query's, which runs [`Prepared::least_fixpoint`]
+    /// (both under default budgets).
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1182,17 +1138,6 @@ impl Prepared {
     /// ```
     pub fn compiled(&self) -> &itq_calculus::CompiledQuery {
         &self.shared.compiled
-    }
-
-    /// The evaluation backend this handle executes through: the compiled
-    /// slot-based form by default, the legacy tree walker when the engine was
-    /// built with `use_compiled(false)`.
-    fn backend(&self) -> &dyn Evaluable {
-        if self.shared.use_compiled {
-            &self.shared.compiled
-        } else {
-            &self.shared.query
-        }
     }
 
     /// Execute the prepared query on `db` under the chosen semantics.
@@ -1374,10 +1319,9 @@ impl Prepared {
     }
 
     /// The backend dispatch proper, one arm per source × semantics, running
-    /// under `run`'s containment seam.  Invention semantics run the calculus
-    /// form of either source, which takes each level's fresh atoms directly
-    /// above the evaluation domain; the compiled form is lowered once at
-    /// prepare time, so each invention level only pays for execution.
+    /// under `run`'s containment seam.  Invention semantics run the compiled
+    /// calculus form of either source, lowered once at prepare time, so each
+    /// invention level only pays for execution.
     fn dispatch(
         &self,
         db: &Database,
@@ -1407,7 +1351,9 @@ impl Prepared {
                 })
         };
         let enumerated = || -> Result<(QueryOutcome, Option<Span>), EngineError> {
-            let (evaluation, span) = self.backend().eval_ctx(db, &[], &shared.calc_config, ctx)?;
+            let (evaluation, span) = shared
+                .compiled
+                .eval_ctx(db, &[], &shared.calc_config, ctx)?;
             let stats = ExecStats {
                 partitions: evaluation.partitions,
                 ..ExecStats::from_eval(evaluation.stats, 0)
@@ -1467,7 +1413,7 @@ impl Prepared {
             },
             (Semantics::FiniteInvention, _) => {
                 let (report, stats, levels) = finite_invention_ctx(
-                    self.backend(),
+                    &shared.compiled,
                     db,
                     &shared.invention_config,
                     ctx,
@@ -1490,7 +1436,7 @@ impl Prepared {
             }
             (Semantics::TerminalInvention, _) => {
                 let (terminal, stats, levels) =
-                    terminal_invention_ctx(self.backend(), db, &shared.invention_config, ctx)?;
+                    terminal_invention_ctx(&shared.compiled, db, &shared.invention_config, ctx)?;
                 let outcome = match terminal {
                     TerminalOutcome::Defined { n, answer } => QueryOutcome {
                         result: answer,
@@ -1610,13 +1556,10 @@ mod tests {
             .alg_config(AlgConfig::default())
             .invention_config(InventionConfig::default())
             .max_invented(2)
-            .short_circuit(false)
             .seed_atoms(["Tom", "Mary"])
             .build();
         assert_eq!(engine.calc_config().max_steps, EvalConfig::tiny().max_steps);
         assert_eq!(engine.invention_config().max_invented, 2);
-        assert!(!engine.calc_config().short_circuit);
-        assert!(!engine.invention_config().eval.short_circuit);
         assert_eq!(engine.universe().len(), 2);
 
         let mut seeded = Universe::new();
@@ -2018,18 +1961,10 @@ mod tests {
             traced.stats.tuples_materialised
         );
 
-        // Tree walker and tuple-at-a-time algebra: whole-evaluation spans.
-        let legacy = Engine::builder()
-            .use_compiled(false)
+        // Tuple-at-a-time algebra: one whole-evaluation span.
+        let (_, span) = Engine::builder()
             .use_algebra_planner(false)
-            .build();
-        let (_, span) = legacy
-            .prepare(&grandparent_query())
-            .unwrap()
-            .execute_traced(&db, Semantics::Limited)
-            .unwrap();
-        assert_eq!(span.name, "tree-walk");
-        let (_, span) = legacy
+            .build()
             .prepare_algebra(&expr, &parent_schema())
             .unwrap()
             .execute_traced(&db, Semantics::Limited)
@@ -2212,7 +2147,8 @@ mod tests {
     #[test]
     fn memory_ceiling_trips_only_interning_backends() {
         let db = db();
-        // The compiled backend interns: a 1-byte ceiling trips immediately.
+        // Calculus handles intern (this one through its planned route): a
+        // 1-byte ceiling trips immediately.
         let tight = Engine::builder().memory_ceiling(1).build();
         let err = tight
             .prepare(&grandparent_query())
@@ -2238,13 +2174,14 @@ mod tests {
             "interned values exceeded the configured memory ceiling of 1 bytes"
         );
         assert_eq!(stats.interrupt_polls, 2, "entry and exit polls only");
-        // The tree walker never interns, so the same ceiling never trips.
-        let legacy = Engine::builder()
+        // The tuple-at-a-time algebra evaluator never interns, so the same
+        // ceiling never trips it.
+        let tuple = Engine::builder()
             .memory_ceiling(1)
-            .use_compiled(false)
+            .use_algebra_planner(false)
             .build();
-        let ok = legacy
-            .prepare(&grandparent_query())
+        let ok = tuple
+            .prepare_algebra(&expr, &parent_schema())
             .unwrap()
             .execute(&db, Semantics::Limited)
             .unwrap();
@@ -2255,11 +2192,12 @@ mod tests {
     fn the_route_falls_back_to_the_enumeration_on_its_own_limits() {
         let routed = Engine::new().prepare(&grandparent_query()).unwrap();
         assert!(routed.physical_plan().is_some());
-        let walker = Engine::builder()
-            .use_compiled(false)
-            .build()
-            .prepare(&grandparent_query())
-            .unwrap();
+        // The tree walker, called directly, is the reference.
+        let walker = |query: &Query, db: &Database| {
+            query
+                .eval_full(db, &EvalConfig::default())
+                .map_err(EngineError::from)
+        };
         let chain: Vec<(Atom, Atom)> = (0..2049).map(|i| (Atom(i), Atom(i + 1))).collect();
         let ill_typed = Database::single(
             "PAR",
@@ -2284,7 +2222,7 @@ mod tests {
         ] {
             let (fast, slow) = (
                 routed.execute(&db, Semantics::Limited),
-                walker.execute(&db, Semantics::Limited),
+                walker(&grandparent_query(), &db),
             );
             match (fast, slow) {
                 (Ok(fast), Ok(slow)) => {
@@ -2300,16 +2238,15 @@ mod tests {
         // Nor can the least-fixpoint route read a missing relation: the
         // enumeration reports it.
         let missing = Database::single("OTHER", Instance::from_atoms(vec![Atom(0)]));
-        let closure_error = |engine: Engine| {
-            let prepared = engine.prepare(&transitive_closure_query()).unwrap();
-            prepared
+        let closure = transitive_closure_query();
+        assert_eq!(
+            Engine::new()
+                .prepare(&closure)
+                .unwrap()
                 .execute(&missing, Semantics::Limited)
                 .unwrap_err()
-                .to_string()
-        };
-        assert_eq!(
-            closure_error(Engine::new()),
-            closure_error(Engine::builder().use_compiled(false).build())
+                .to_string(),
+            walker(&closure, &missing).unwrap_err().to_string()
         );
     }
 

@@ -17,11 +17,14 @@
 //! | [`itq_workloads`] | — deterministic input generators |
 //! | [`itq_core`] | §4–5 — canonical queries, complexity, hierarchy |
 //!
-//! One piece lives here rather than in a member crate: [`fault`], the
+//! Two pieces live here rather than in a member crate: [`fault`], the
 //! seed-driven fault-injection harness that drives the resource-governor
-//! property suite in `tests/fault_injection.rs`.
+//! property suite in `tests/fault_injection.rs`, and [`walker`], which runs
+//! the tree walker as the reference the equivalence suites check prepared
+//! handles against.
 
 pub mod fault;
+pub mod walker;
 
 pub use itq_algebra as algebra;
 pub use itq_calculus as calculus;

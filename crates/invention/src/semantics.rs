@@ -5,7 +5,8 @@
 //! to objects constructed from the *original* active domain (invented values are
 //! scratch paper, never output).  By Proposition 6.1 the choice of the `n` fresh
 //! atoms is irrelevant, so each level takes the `n` ids directly above the
-//! largest atom of `adom(d) ∪ adom(Q)`: no universe is consulted, and a level's
+//! largest atom of `adom(d) ∪ adom(Q)` — or, when those would pass `u32::MAX`,
+//! the `n` smallest ids outside it: no universe is consulted, and a level's
 //! answer is a function of the query, the database and `n` alone.
 //!
 //! * **Finite invention** `Q^fi[d] = ⋃_{0 ≤ n < ω} Q|_n[d]`.  The exact union is
@@ -77,10 +78,11 @@ impl Default for InventionConfig {
 /// (which terminal invention needs in order to detect invented values in the
 /// output).
 ///
-/// Generic over the query form: a source-level [`Query`](itq_calculus::Query)
-/// runs the tree walker, a [`CompiledQuery`](itq_calculus::CompiledQuery) runs
-/// the slot-based interpreter — the prepared pipeline passes the latter so
-/// per-level re-evaluation never re-lowers the query.
+/// Generic over the query form: a [`CompiledQuery`](itq_calculus::CompiledQuery)
+/// runs the slot-based interpreter — the prepared pipeline passes it, so
+/// per-level re-evaluation never re-lowers the query — and a source-level
+/// [`Query`](itq_calculus::Query) runs the tree walker, the reference the
+/// equivalence suites compare it with.
 pub fn eval_with_invented<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
@@ -101,9 +103,7 @@ fn invent_level<Q: Evaluable + ?Sized>(
     ctx: &ExecCtx,
 ) -> Result<(Instance, Evaluation), InventionError> {
     let original_domain: BTreeSet<Atom> = query.evaluation_domain(db);
-    // The `n` ids directly above the domain's largest atom lie outside it.
-    let first = original_domain.last().map_or(0, |atom| atom.0 + 1);
-    let invented: Vec<Atom> = (first..).take(n).map(Atom).collect();
+    let invented = fresh_atoms(&original_domain, n);
     let untraced = ExecCtx {
         traced: false,
         ..*ctx
@@ -122,6 +122,22 @@ fn invent_level<Q: Evaluable + ?Sized>(
             .collect::<Vec<Value>>(),
     );
     Ok((restricted, evaluation))
+}
+
+/// `n` atoms outside `domain`: the ids directly above its largest atom when
+/// they fit in `u32`, otherwise the smallest ids it lacks.
+fn fresh_atoms(domain: &BTreeSet<Atom>, n: usize) -> Vec<Atom> {
+    let first = domain.last().map_or(0, |atom| u64::from(atom.0) + 1);
+    if first + n as u64 <= 1 << 32 {
+        return (first..first + n as u64)
+            .map(|id| Atom(id as u32))
+            .collect();
+    }
+    (0..=u32::MAX)
+        .map(Atom)
+        .filter(|atom| !domain.contains(atom))
+        .take(n)
+        .collect()
 }
 
 /// The per-`n` trace and final union computed by [`finite_invention`].
@@ -469,6 +485,37 @@ mod tests {
             }
             other => panic!("expected defined outcome, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn invented_atoms_stay_outside_a_domain_holding_the_largest_id() {
+        // `{t/U | ¬R(t)}` answers only invented atoms, so terminal invention
+        // is defined at n = 1 whichever ids R holds (Proposition 6.1).
+        let q = Query::new(
+            "t",
+            Type::Atomic,
+            Formula::not(Formula::pred("R", Term::var("t"))),
+            unary_schema(),
+        )
+        .unwrap();
+        for top in [7, u32::MAX] {
+            let db = Database::single("R", Instance::from_atoms([Atom(0), Atom(top)]));
+            let outcome = terminal_invention(&q, &db, &InventionConfig::default()).unwrap();
+            let expected = TerminalOutcome::Defined {
+                n: 1,
+                answer: Instance::empty(),
+            };
+            assert_eq!(outcome, expected, "R = {{a0, a{top}}}");
+            let (_, level) = eval_with_invented(&q, &db, 2, &EvalConfig::default()).unwrap();
+            assert_eq!(level.result.len(), 2, "two atoms outside R at n = 2");
+        }
+        // Ids above the largest atom are kept while they fit.
+        let near_top = BTreeSet::from([Atom(3), Atom(u32::MAX - 2)]);
+        assert_eq!(
+            fresh_atoms(&near_top, 2),
+            [Atom(u32::MAX - 1), Atom(u32::MAX)]
+        );
+        assert_eq!(fresh_atoms(&near_top, 3), [Atom(0), Atom(1), Atom(2)]);
     }
 
     #[test]

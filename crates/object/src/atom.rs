@@ -6,7 +6,7 @@
 //! names to atoms and can *invent* fresh atoms that have never appeared before —
 //! the operation underlying the invented-value semantics of Section 6.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// An atomic object of the universal domain `U`.
@@ -71,11 +71,18 @@ impl std::str::FromStr for Atom {
 /// `"Tom"` and `"Mary"`), and hands out *fresh* atoms on demand via
 /// [`Universe::invent`].  Fresh atoms are guaranteed to be distinct from every atom
 /// previously returned by this universe, the contract the universal-type codec and
-/// the Turing-machine encodings rely on.
+/// the Turing-machine encodings rely on — and from every atom
+/// [reserved](Universe::reserve) by a raw `a<id>` spelling.
 #[derive(Debug, Clone, Default)]
 pub struct Universe {
+    /// Indexed by atom id: the name of every materialised atom, `None` for
+    /// invented and reserved ones.
     names: Vec<Option<String>>,
     by_name: HashMap<String, Atom>,
+    /// Reserved ids not yet reached by `names`: [`Universe::atom`] and
+    /// [`Universe::invent`] skip them.  One entry per reserved atom, however
+    /// large its id.
+    reserved: BTreeSet<u32>,
 }
 
 impl Universe {
@@ -89,10 +96,39 @@ impl Universe {
         if let Some(&a) = self.by_name.get(name) {
             return a;
         }
-        let a = Atom(self.names.len() as u32);
+        let a = self.next_free();
         self.names.push(Some(name.to_string()));
         self.by_name.insert(name.to_string(), a);
         a
+    }
+
+    /// Reserve `atom`, which a raw `a<id>` spelling denotes: no atom interned
+    /// or invented later takes its id.  An id already materialised — a named
+    /// atom's included — stays what it is.
+    ///
+    /// ```
+    /// use itq_object::{Atom, Universe};
+    /// let mut u = Universe::new();
+    /// u.reserve(Atom(0));
+    /// u.reserve(Atom(u32::MAX));
+    /// assert_eq!(u.atom("Tom"), Atom(1));
+    /// assert_eq!(u.invent(), Atom(2));
+    /// u.reserve(Atom(1));
+    /// assert_eq!(u.lookup("Tom"), Some(Atom(1)));
+    /// ```
+    pub fn reserve(&mut self, atom: Atom) {
+        if atom.0 as usize >= self.names.len() {
+            self.reserved.insert(atom.0);
+        }
+    }
+
+    /// The next id no atom holds and no raw spelling reserved, materialising
+    /// the reserved ids it passes as nameless atoms.
+    fn next_free(&mut self) -> Atom {
+        while self.reserved.remove(&(self.names.len() as u32)) {
+            self.names.push(None);
+        }
+        Atom(self.names.len() as u32)
     }
 
     /// Intern a batch of named atoms.
@@ -100,9 +136,10 @@ impl Universe {
         names.into_iter().map(|n| self.atom(n)).collect()
     }
 
-    /// Invent a fresh, anonymous atom distinct from all previously issued atoms.
+    /// Invent a fresh, anonymous atom distinct from every atom handed out
+    /// before and every reserved one.
     pub fn invent(&mut self) -> Atom {
-        let a = Atom(self.names.len() as u32);
+        let a = self.next_free();
         self.names.push(None);
         a
     }

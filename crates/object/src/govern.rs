@@ -31,9 +31,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// How often the step-counting evaluators poll the interrupt: whenever
-/// `steps & POLL_MASK == 0`.  Shared by the tree walker and the compiled
-/// slot evaluator (whose step counters are pinned identical), so both
-/// backends reach their poll points at the same logical instants.
+/// `steps & POLL_MASK == 0`.  Shared by the compiled slot evaluator and the
+/// tree walker, its reference (whose step counters are pinned identical), so
+/// both reach their poll points at the same logical instants.
 pub const POLL_MASK: u64 = 0xFF;
 
 /// A resource-envelope violation: the execution was stopped not because the
@@ -42,8 +42,8 @@ pub const POLL_MASK: u64 = 0xFF;
 ///
 /// The `Display` impl here is forwarded **verbatim** by every layer of the
 /// engine, which is what makes resource errors byte-identical across the
-/// tree-walk, compiled, planned, and tuple-at-a-time backends (pinned by
-/// `tests/backend_differential.rs`).
+/// compiled, planned, and tuple-at-a-time backends and the tree walker
+/// (pinned by `tests/backend_differential.rs`).
 #[must_use]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResourceError {

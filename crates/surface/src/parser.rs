@@ -33,7 +33,8 @@
 //! Named atoms (`'Tom'` in terms and selection constants, bare `Tom` in value
 //! literals) are interned through a [`Universe`] supplied via
 //! [`Parser::with_universe`]; the spelling `a<id>` always denotes the raw atom
-//! with that id and is reserved — a variable or named atom may not use it.
+//! with that id and is reserved — a variable or named atom may not use it,
+//! and the universe reserves the id, so no name interned later takes it.
 
 use crate::error::{ParseError, Pos, Result};
 use crate::token::{lex, Tok, Token};
@@ -240,9 +241,16 @@ impl<'u> Parser<'u> {
         self.expect(Tok::Dot).map(|_| ())
     }
 
+    /// Resolve an atom spelling: `a<id>` is the raw atom, which the
+    /// universe (if any) reserves so no new name takes its id; any other
+    /// name is interned.
     fn intern(&mut self, name: &str, pos: Pos) -> Result<Atom> {
         if is_atom_shape(name) {
-            return name.parse::<Atom>().map_err(|e| ParseError::new(e, pos));
+            let atom = name.parse::<Atom>().map_err(|e| ParseError::new(e, pos))?;
+            if let Some(u) = self.universe.as_deref_mut() {
+                u.reserve(atom);
+            }
+            return Ok(atom);
         }
         match self.universe.as_deref_mut() {
             Some(u) => Ok(u.atom(name)),
@@ -310,9 +318,7 @@ impl<'u> Parser<'u> {
             Some(Tok::Ident(_)) => {
                 let (name, pos) = self.ident("a term")?;
                 if is_atom_shape(&name) {
-                    return Ok(Term::Const(
-                        name.parse::<Atom>().map_err(|e| ParseError::new(e, pos))?,
-                    ));
+                    return Ok(Term::Const(self.intern(&name, pos)?));
                 }
                 if self.eat(&Tok::Dot) {
                     let i = self.nat("a 1-based coordinate after `.`")?;

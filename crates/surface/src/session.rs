@@ -93,11 +93,12 @@ const PLAN_CACHE_CAPACITY: usize = 256;
 ///
 /// Keys are compared structurally: the statement kind, the parsed value —
 /// a query with the schema it embeds, or an algebra expression with the
-/// schema it is typed against — and the budgets and backend flags.  A parsed
-/// constant is an atom id of the declaring session's universe, so sessions
-/// that intern atoms in different orders get different keys and never share
-/// a plan whose constants mean something else to them.  The declaration text
-/// is not part of the key: the same statement under a fresh name hits.
+/// schema it is typed against — and the budgets and the algebra-planner
+/// flag.  A parsed constant is an atom id of the declaring session's
+/// universe, so sessions that intern atoms in different orders get different
+/// keys and never share a plan whose constants mean something else to them.
+/// The declaration text is not part of the key: the same statement under a
+/// fresh name hits.
 ///
 /// The cache holds at most a fixed number of plans and evicts the least
 /// recently used; a hit refreshes its entry.  Cloning is shallow: every clone
@@ -180,7 +181,6 @@ struct PlanKey {
     calc_config: EvalConfig,
     alg_config: AlgConfig,
     invention_config: InventionConfig,
-    use_compiled: bool,
     use_algebra_planner: bool,
 }
 
@@ -299,9 +299,10 @@ impl Session {
     /// Join a cross-session [`PlanCache`]: prepares consult (and feed) the
     /// shared cache before doing static work themselves, keyed on the parsed
     /// statement — its constants resolved against *this* session's atoms —
-    /// and this session's budgets and backend flags.  Handles retrieved from
-    /// the cache are re-budgeted with this session's governor and worker
-    /// count — see [`PlanCache`] for the key and the isolation contract.
+    /// and this session's budgets and algebra-planner flag.  Handles
+    /// retrieved from the cache are re-budgeted with this session's governor
+    /// and worker count — see [`PlanCache`] for the key and the isolation
+    /// contract.
     pub fn set_shared_plans(&mut self, cache: PlanCache) {
         self.shared_plans = Some(cache);
     }
@@ -623,12 +624,7 @@ impl Session {
                 lines.extend(program.rules.iter().map(|rule| format!("  {rule}")));
             }
             (None, None) => lines.push(format!(
-                "plan {name}: none — this calculus query runs the {}",
-                if self.engine.use_compiled() {
-                    "compiled slot evaluator"
-                } else {
-                    "tree walker"
-                }
+                "plan {name}: none — this calculus query runs the compiled slot evaluator"
             )),
         }
         Ok(lines)
@@ -735,8 +731,8 @@ impl Session {
     }
 
     /// What preparing a named query or algebra expression reads: its parsed
-    /// value and this engine's budgets and backend flags — the key of the
-    /// cross-session [`PlanCache`].
+    /// value and this engine's budgets and algebra-planner flag — the key of
+    /// the cross-session [`PlanCache`].
     fn plan_key(&self, name: &str) -> Result<PlanKey, SessionError> {
         let statement = if let Some((_, query)) = self.queries.get(name) {
             PlanStatement::Query(query.clone())
@@ -754,7 +750,6 @@ impl Session {
             calc_config: *engine.calc_config(),
             alg_config: *engine.alg_config(),
             invention_config: *engine.invention_config(),
-            use_compiled: engine.use_compiled(),
             use_algebra_planner: engine.use_algebra_planner(),
         })
     }
@@ -1158,6 +1153,65 @@ mod tests {
     }
 
     #[test]
+    fn names_never_take_the_id_of_a_raw_atom() {
+        // A name interned after `a0` was read raw gets a fresh id.
+        let mut s = Session::new();
+        let out = run(
+            &mut s,
+            "schema G {R : U};\n\
+             database d : G {R = {a0}};\n\
+             insert into d.R {Tom};",
+        );
+        assert_eq!(out.last().unwrap(), "insert into d.R: 1 added (version 2)");
+        let out = run(&mut s, "show d;");
+        assert!(
+            out.iter().any(|l| l.contains("a0") && l.contains("Tom")),
+            "{out:?}"
+        );
+        // A constant `a0` never denotes a name declared after it.
+        let mut s = Session::new();
+        let out = run(
+            &mut s,
+            "schema G {R : U};\n\
+             database d : G {R = {a0, a1}};\n\
+             database e : G {R = {Tom}};\n\
+             query q : G {t/U | R(t) and t == a0};\n\
+             eval q on e;",
+        );
+        assert_eq!(out.last().unwrap(), "eval q on e with limited: 0 objects");
+        // A raw atom read after a name holds its id still denotes that atom.
+        let out = run(
+            &mut s,
+            "query first : G {t/U | R(t) and t == a2}; eval first on e;",
+        );
+        assert_eq!(
+            out[out.len() - 2..],
+            ["eval first on e with limited: 1 object", "  Tom"]
+        );
+    }
+
+    #[test]
+    fn terminal_invention_is_defined_at_one_whichever_ids_the_database_holds() {
+        for top in ["a7", "a4294967295"] {
+            let mut s = Session::new();
+            let out = run(
+                &mut s,
+                &format!(
+                    "schema G {{R : U}};\n\
+                     database d : G {{R = {{a0, {top}}}}};\n\
+                     query q : G {{t/U | not R(t)}};\n\
+                     eval q on d with ti;"
+                ),
+            );
+            assert_eq!(
+                out.last().unwrap(),
+                "eval q on d with terminal-invention: defined at n = 1, 0 objects",
+                "R = {{a0, {top}}}"
+            );
+        }
+    }
+
+    #[test]
     fn eval_renders_named_atoms() {
         let mut s = Session::new();
         genealogy(&mut s);
@@ -1298,13 +1352,6 @@ mod tests {
                 "  __view__(v0, v1) :- PAR(v0, v1)",
                 "  __view__(v0, v3) :- __view__(v0, v1), __view__(v1, v3)",
             ]
-        );
-        let mut walker = Session::with_engine(Engine::builder().use_compiled(false).build());
-        genealogy(&mut walker);
-        let out = run(&mut walker, "plan gp;");
-        assert_eq!(
-            out,
-            ["plan gp: none — this calculus query runs the tree walker"]
         );
     }
 

@@ -32,14 +32,8 @@ fn main() {
     // Prepare the CALC_{0,1} query once — classification, typing, normal
     // forms and its lowering to a Datalog program are static work — and
     // execute the same handle on every tree size.
-    let transitive_closure = Engine::new()
-        .prepare(&queries::transitive_closure_query())
-        .unwrap();
-    let enumeration = Engine::builder()
-        .use_compiled(false)
-        .build()
-        .prepare(&queries::transitive_closure_query())
-        .unwrap();
+    let query = queries::transitive_closure_query();
+    let transitive_closure = Engine::new().prepare(&query).unwrap();
 
     for people in [3u32, 5, 16] {
         let edges = tree_edges(people);
@@ -50,9 +44,9 @@ fn main() {
         // active domain — 2^(n^2) candidates, so only the smallest tree runs.
         let enumerated = if people <= 3 {
             let start = Instant::now();
-            let answer = enumeration.execute(&db, Semantics::Limited).unwrap();
+            let answer = query.eval(&db, &EvalConfig::default()).unwrap();
             let ms = start.elapsed().as_secs_f64() * 1e3;
-            let as_relation = Relation::from_instance(&answer.result).unwrap();
+            let as_relation = Relation::from_instance(&answer).unwrap();
             assert_eq!(as_relation, transitive_closure_seminaive(&relation));
             format!("{ms:.2}")
         } else {

@@ -3,7 +3,8 @@
 //! Every `Engine::prepare` / `prepare_algebra` now runs the `itq-analyze`
 //! pass pipeline and caches a [`Report`] on the handle.  The contract pinned
 //! here, over random well-typed algebra expressions and the calculus
-//! exemplars, across the engine trio and all three semantics:
+//! exemplars, across the engine pair (planned and tuple-at-a-time algebra)
+//! and all three semantics:
 //!
 //! * analysis is **deterministic** — analyzing the same input twice (and the
 //!   report cached by two independently prepared handles) yields the same
@@ -92,7 +93,7 @@ fn alg_expr() -> BoxedStrategy<AlgExpr> {
         .boxed()
 }
 
-fn engine_trio() -> [Engine; 3] {
+fn engine_pair() -> [Engine; 2] {
     let capped = EvalConfig {
         max_steps: 500_000,
         ..EvalConfig::default()
@@ -110,12 +111,6 @@ fn engine_trio() -> [Engine; 3] {
             .calc_config(capped)
             .invention_config(invention)
             .use_algebra_planner(false)
-            .build(),
-        Engine::builder()
-            .calc_config(capped)
-            .invention_config(invention)
-            .use_algebra_planner(false)
-            .use_compiled(false)
             .build(),
     ]
 }
@@ -176,11 +171,11 @@ proptest! {
         prop_assert!(!first.diagnostics.is_empty());
     }
 
-    /// Reading diagnostics never perturbs execution, across the engine trio
+    /// Reading diagnostics never perturbs execution, across the engine pair
     /// and all three semantics.
     #[test]
     fn diagnostics_never_perturb_execution(expr in alg_expr(), db in small_db()) {
-        for engine in engine_trio() {
+        for engine in engine_pair() {
             assert_analysis_is_inert(&engine, &expr, &db);
         }
     }
@@ -222,7 +217,7 @@ fn warned_calculus_query_executes_unchanged() {
         Instance::from_pairs(vec![(Atom(0), Atom(1)), (Atom(1), Atom(2))]),
     )
     .with("PERSON", Instance::empty());
-    for engine in engine_trio() {
+    for engine in engine_pair() {
         let prepared = engine.prepare(&query).unwrap();
         assert_eq!(prepared.diagnostics(), &report, "prepare caches the report");
         let outcome = prepared.execute(&db, Semantics::Limited).unwrap();
@@ -272,14 +267,6 @@ fn predicted_budget_error_strings_are_untouched() {
             Engine::builder()
                 .alg_config(tiny)
                 .use_algebra_planner(false)
-                .build(),
-        ),
-        (
-            "tree-walk",
-            Engine::builder()
-                .alg_config(tiny)
-                .use_algebra_planner(false)
-                .use_compiled(false)
                 .build(),
         ),
     ] {

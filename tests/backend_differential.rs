@@ -7,8 +7,8 @@
 //!    joins, pushed-down selections, fused projections) over interned values;
 //! 2. **tuple-at-a-time algebra** — the direct `AlgExpr::eval` evaluator;
 //! 3. **the Theorem 3.8 calculus route** — the expression's `CALC_{k,i}`
-//!    translation, itself executed through *both* calculus backends (the
-//!    compiled slot evaluator and the legacy tree walker).
+//!    translation, itself executed through *both* calculus evaluators (the
+//!    compiled slot evaluator and the tree walker, its reference).
 //!
 //! The contract, checked under default and tiny budgets and under all three
 //! semantics of the prepared pipeline:
@@ -23,10 +23,12 @@
 //!   may exhaust the calculus quantifier budget, and only the *answers* are
 //!   comparable across the language boundary;
 //! * `Prepared::execute` outcomes (answers, boundedness flags, defining /
-//!   stabilisation levels, error classification) agree across planner-on,
-//!   planner-off, and tree-walker engines for every semantics, and each
-//!   backend's statistics keep their shape (planner counters zero off the
-//!   planned path, calculus counters zero on the algebra paths).
+//!   stabilisation levels, error classification) agree between planner-on
+//!   and planner-off engines for every semantics, and with the tree walker
+//!   run directly on the Theorem 3.8 translation under the invention
+//!   semantics (which run that translation on every engine); each backend's
+//!   statistics keep their shape (planner counters zero off the planned
+//!   path, calculus counters zero on the algebra paths).
 //!
 //! A fourth path is checked on recipe-generated *conjunctive calculus*
 //! queries: the default engine runs each one in the conjunctive fragment
@@ -36,6 +38,7 @@
 //! when their guards hold on the least model.
 
 use itq::fault::FaultRng;
+use itq::walker::{assert_matches_walker, walker_outcome};
 use itq_algebra::EvalConfig as AlgConfig;
 use itq_algebra::{plan, to_calculus_query, AlgExpr, PhysNode, SelFormula, SelTerm};
 use itq_calculus::compile::compile;
@@ -268,11 +271,10 @@ fn assert_calculus_route_agrees(expr: &AlgExpr, db: &Database) {
     }
 }
 
-/// The three engines of the differential: planner (the default), the
-/// tuple-at-a-time ablation, and the tuple-at-a-time ablation on the legacy
-/// tree walker.  All step budgets are capped so pathological draws die on a
-/// classified budget error instead of burning minutes.
-fn engine_trio() -> [Engine; 3] {
+/// The two engines of the differential: the planner (the default) and the
+/// tuple-at-a-time ablation.  All step budgets are capped so pathological
+/// draws die on a classified budget error instead of burning minutes.
+fn engine_pair() -> [Engine; 2] {
     let capped = EvalConfig {
         max_steps: 500_000,
         ..EvalConfig::default()
@@ -290,75 +292,61 @@ fn engine_trio() -> [Engine; 3] {
         .invention_config(invention)
         .use_algebra_planner(false)
         .build();
-    let tree = Engine::builder()
-        .calc_config(capped)
-        .invention_config(invention)
-        .use_algebra_planner(false)
-        .use_compiled(false)
-        .build();
-    [planner, tuple, tree]
+    [planner, tuple]
 }
 
-/// Prepared-pipeline outcomes across the engine trio: answers, flags, levels,
-/// and error classification agree; statistics keep their backend shape.
+/// Prepared-pipeline outcomes of both engines, and under the invention
+/// semantics the tree walker's on the Theorem 3.8 translation: answers,
+/// flags, levels, and error classification agree; statistics keep their
+/// backend shape.
 fn assert_prepared_outcomes_agree(expr: &AlgExpr, db: &Database, semantics: Semantics) {
-    let engines = engine_trio();
-    let outcomes: Vec<Result<QueryOutcome, _>> = engines
-        .iter()
-        .map(|engine| {
-            engine
-                .prepare_algebra(expr, &schema())
-                .expect("generated expressions prepare")
-                .execute(db, semantics)
-        })
-        .collect();
-    let [planner, tuple, tree] = [&outcomes[0], &outcomes[1], &outcomes[2]];
-    match (planner, tuple, tree) {
-        (Ok(planner), Ok(tuple), Ok(tree)) => {
-            for (label, other) in [("tuple", tuple), ("tree-walk", tree)] {
-                assert_eq!(
-                    planner.result, other.result,
-                    "{semantics}: planner vs {label} on {expr}"
-                );
-                assert_eq!(
-                    planner.bounded_approximation, other.bounded_approximation,
-                    "{semantics}: flags on {expr}"
-                );
-                assert_eq!(planner.defined_at, other.defined_at, "{semantics}: {expr}");
-                assert_eq!(
-                    planner.stabilised_at, other.stabilised_at,
-                    "{semantics}: {expr}"
-                );
-                assert_eq!(planner.semantics, other.semantics);
-            }
-            if semantics == Semantics::Limited {
-                // Stats shape: the algebra paths never touch the calculus
-                // counters, and only the planner reports planner counters.
-                assert_eq!(planner.stats.steps, 0, "{expr}");
-                assert_eq!(tuple.stats.steps, 0, "{expr}");
-                assert_eq!(tuple.stats.join_probes, 0, "{expr}");
-                assert_eq!(tuple.stats.tuples_materialised, 0, "{expr}");
-                assert_eq!(tree.stats.join_probes, 0, "{expr}");
-            } else {
-                // Invention routes through the calculus form on every engine;
-                // planner counters stay zero there.
-                for outcome in [planner, tuple, tree] {
-                    assert_eq!(outcome.stats.join_probes, 0, "{semantics}: {expr}");
-                    assert_eq!(outcome.stats.tuples_materialised, 0, "{semantics}: {expr}");
-                }
-            }
-        }
-        (Err(planner), Err(tuple), Err(tree)) => {
+    let [planner_engine, tuple_engine] = engine_pair();
+    let [planner, tuple] = [&planner_engine, &tuple_engine].map(|engine| {
+        engine
+            .prepare_algebra(expr, &schema())
+            .expect("generated expressions prepare")
+            .execute(db, semantics)
+    });
+    let context = format!("{semantics}: {expr}");
+    match (&planner, &tuple) {
+        (Ok(planner), Ok(tuple)) => {
+            assert_eq!(planner.result, tuple.result, "{context}: planner vs tuple");
             assert_eq!(
-                planner, tuple,
-                "{semantics}: error classification on {expr}"
+                planner.bounded_approximation, tuple.bounded_approximation,
+                "{context}: flags"
             );
-            assert_eq!(planner, tree, "{semantics}: error classification on {expr}");
+            assert_eq!(planner.defined_at, tuple.defined_at, "{context}");
+            assert_eq!(planner.stabilised_at, tuple.stabilised_at, "{context}");
+            assert_eq!(planner.semantics, tuple.semantics);
         }
-        _ => panic!(
-            "{semantics}: backends disagree on {expr}: planner {:?} vs tuple {:?} vs tree {:?}",
-            outcomes[0], outcomes[1], outcomes[2]
-        ),
+        (Err(planner), Err(tuple)) => {
+            assert_eq!(planner, tuple, "{context}: error classification");
+        }
+        _ => panic!("{context}: backends disagree: planner {planner:?} vs tuple {tuple:?}"),
+    }
+    if semantics == Semantics::Limited {
+        if let (Ok(planner), Ok(tuple)) = (&planner, &tuple) {
+            // Stats shape: the algebra paths never touch the calculus
+            // counters, and only the planner reports planner counters.
+            assert_eq!(planner.stats.steps, 0, "{expr}");
+            assert_eq!(tuple.stats.steps, 0, "{expr}");
+            assert_eq!(tuple.stats.join_probes, 0, "{expr}");
+            assert_eq!(tuple.stats.tuples_materialised, 0, "{expr}");
+        }
+        return;
+    }
+    // Invention routes through the calculus form on every engine; planner
+    // counters stay zero there, and the tree walker is the reference.
+    let query = to_calculus_query(expr, &schema()).expect("well-typed expressions translate");
+    let walker = walker_outcome(&tuple_engine, &query, db, semantics);
+    if let (Err(planner), Err(walker)) = (&planner, &walker) {
+        assert_eq!(planner, walker, "{context}: error classification");
+    }
+    for outcome in [&planner, &tuple] {
+        if let Some((outcome, _)) = assert_matches_walker(outcome, &walker, &context) {
+            assert_eq!(outcome.stats.join_probes, 0, "{context}");
+            assert_eq!(outcome.stats.tuples_materialised, 0, "{context}");
+        }
     }
 }
 
@@ -381,7 +369,8 @@ proptest! {
         assert_calculus_route_agrees(&expr, &db);
     }
 
-    /// The full prepared pipeline across the engine trio, all semantics.
+    /// The full prepared pipeline across both engines and the tree walker,
+    /// all semantics.
     #[test]
     fn prepared_outcomes_agree_across_the_trio(expr in alg_expr(), db in small_db()) {
         for semantics in Semantics::ALL {
@@ -447,7 +436,7 @@ fn product_budget_error_string_is_byte_identical_across_backends() {
     assert_eq!(planned_err.to_string(), expected);
     assert_eq!(planned_err, tuple_err);
 
-    // Through `Prepared::execute` on all three engines.
+    // Through `Prepared::execute` on both engines.
     for (label, engine) in [
         ("planner", Engine::builder().alg_config(tiny).build()),
         (
@@ -455,14 +444,6 @@ fn product_budget_error_string_is_byte_identical_across_backends() {
             Engine::builder()
                 .alg_config(tiny)
                 .use_algebra_planner(false)
-                .build(),
-        ),
-        (
-            "tree-walk",
-            Engine::builder()
-                .alg_config(tiny)
-                .use_algebra_planner(false)
-                .use_compiled(false)
                 .build(),
         ),
     ] {
@@ -509,9 +490,10 @@ fn grandparent_exemplar_joins_instead_of_scanning_pairs() {
     assert_eq!(outcome.result, tuple.result);
 }
 
-/// Resource errors are byte-identical across the engine trio, for all three
-/// semantics and every deterministic governing condition — the differential
-/// contract extended to the resource governor.
+/// Resource errors are byte-identical across the planner, tuple-at-a-time
+/// and tree-walker trio, for all three semantics and every deterministic
+/// governing condition — the differential contract extended to the resource
+/// governor.
 #[test]
 fn resource_errors_are_byte_identical_across_the_trio() {
     let expr = AlgExpr::pred("PAR")
@@ -523,24 +505,16 @@ fn resource_errors_are_byte_identical_across_the_trio() {
         Instance::from_pairs(vec![(Atom(0), Atom(1)), (Atom(1), Atom(2))]),
     )
     .with("PERSON", Instance::empty());
-    let trio = |governor: &GovernorConfig| {
-        [
-            ("planner", Engine::builder()),
-            ("tuple", Engine::builder().use_algebra_planner(false)),
-            (
-                "tree-walk",
-                Engine::builder()
-                    .use_algebra_planner(false)
-                    .use_compiled(false),
-            ),
-        ]
-        .map(|(label, builder)| {
-            (
-                label,
-                builder.max_invented(1).governor(governor.clone()).build(),
-            )
+    let pair = |governor: &GovernorConfig| {
+        [true, false].map(|planned| {
+            Engine::builder()
+                .use_algebra_planner(planned)
+                .max_invented(1)
+                .governor(governor.clone())
+                .build()
         })
     };
+    let query = to_calculus_query(&expr, &schema()).unwrap();
 
     // A zero deadline and an entry-poll cancellation trip every backend with
     // one canonical message each, under every semantics.
@@ -561,12 +535,25 @@ fn resource_errors_are_byte_identical_across_the_trio() {
         ),
     ] {
         for semantics in Semantics::ALL {
-            for (label, engine) in trio(&governor) {
-                let err = engine
+            let [planner, tuple] = pair(&governor);
+            let run = |engine: &Engine| {
+                engine
                     .prepare_algebra(&expr, &schema())
                     .unwrap()
                     .execute(&db, semantics)
-                    .unwrap_err();
+                    .map(|_| ())
+            };
+            // The tree walker runs the Theorem 3.8 translation under the
+            // same governor.
+            for (label, outcome) in [
+                ("planner", run(&planner)),
+                ("tuple", run(&tuple)),
+                (
+                    "tree-walk",
+                    walker_outcome(&planner, &query, &db, semantics).map(|_| ()),
+                ),
+            ] {
+                let err = outcome.unwrap_err();
                 assert!(
                     matches!(err, EngineError::Resource(_)),
                     "{label}/{semantics}: {err}"
@@ -583,7 +570,7 @@ fn resource_errors_are_byte_identical_across_the_trio() {
         ..GovernorConfig::default()
     };
     let expected = "interned values exceeded the configured memory ceiling of 1 bytes";
-    let [(_, planner), (_, tuple), (_, tree)] = trio(&ceiling);
+    let [planner, tuple] = pair(&ceiling);
     let planner_err = planner
         .prepare_algebra(&expr, &schema())
         .unwrap()
@@ -594,12 +581,12 @@ fn resource_errors_are_byte_identical_across_the_trio() {
     let compiled_err = Engine::builder()
         .governor(ceiling.clone())
         .build()
-        .prepare(&to_calculus_query(&expr, &schema()).unwrap())
+        .prepare(&query)
         .unwrap()
         .execute(&db, Semantics::Limited)
         .unwrap_err();
     assert_eq!(compiled_err.to_string(), expected);
-    // Tuple-at-a-time and the tree walker never intern: exact answers.
+    // Tuple-at-a-time never interns: the exact answer.
     let baseline = Engine::builder()
         .use_algebra_planner(false)
         .build()
@@ -607,14 +594,12 @@ fn resource_errors_are_byte_identical_across_the_trio() {
         .unwrap()
         .execute(&db, Semantics::Limited)
         .unwrap();
-    for (label, engine) in [("tuple", tuple), ("tree-walk", tree)] {
-        let outcome = engine
-            .prepare_algebra(&expr, &schema())
-            .unwrap()
-            .execute(&db, Semantics::Limited)
-            .unwrap();
-        assert_eq!(outcome.result, baseline.result, "{label}");
-    }
+    let outcome = tuple
+        .prepare_algebra(&expr, &schema())
+        .unwrap()
+        .execute(&db, Semantics::Limited)
+        .unwrap();
+    assert_eq!(outcome.result, baseline.result);
 }
 
 /// A recipe-generated conjunctive calculus query over [`schema`]: a `U` or
@@ -705,41 +690,25 @@ fn conjunctive_calculus_route_agrees_with_the_tree_walker() {
     const CASES: usize = 300;
     let mut rng = FaultRng::new(14);
     let default = Engine::new();
-    let walker = Engine::builder().use_compiled(false).build();
     let tiny = Engine::builder().calc_config(EvalConfig::tiny()).build();
-    let tiny_walker = Engine::builder()
-        .calc_config(EvalConfig::tiny())
-        .use_compiled(false)
-        .build();
-    let agree =
-        |here: &str, a: Result<QueryOutcome, EngineError>, b: Result<QueryOutcome, EngineError>| {
-            match (a, b) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.result, b.result, "{here}");
-                    assert_eq!(a.bounded_approximation, b.bounded_approximation, "{here}");
-                    Some(a)
-                }
-                (Err(a), Err(b)) => {
-                    assert_eq!(a.to_string(), b.to_string(), "{here}");
-                    None
-                }
-                (a, b) => panic!("{here}: route {a:?} vs tree walker {b:?}"),
-            }
-        };
+    // The route's outcome and the tree walker's, under one engine's budgets.
+    let limited = |engine: &Engine, query: &Query, db: &Database| {
+        (
+            engine
+                .prepare(query)
+                .unwrap()
+                .execute(db, Semantics::Limited),
+            walker_outcome(engine, query, db, Semantics::Limited),
+        )
+    };
     let (mut routed, mut joined, mut starved) = (0, 0, 0);
     for case in 0..CASES {
         let query = conjunctive_query(&mut rng);
         let db = conjunctive_db(&mut rng);
         let here = format!("case {case}: {query} on {db:?}");
         let prepared = default.prepare(&query).unwrap();
-        let outcome = agree(
-            &here,
-            prepared.execute(&db, Semantics::Limited),
-            walker
-                .prepare(&query)
-                .unwrap()
-                .execute(&db, Semantics::Limited),
-        );
+        let (outcome, walker) = limited(&default, &query, &db);
+        let outcome = assert_matches_walker(&outcome, &walker, &here).map(|(outcome, _)| outcome);
         if let (Some(plan), Some(outcome)) = (prepared.physical_plan(), outcome) {
             routed += 1;
             let stats = outcome.stats;
@@ -760,20 +729,12 @@ fn conjunctive_calculus_route_agrees_with_the_tree_walker() {
                 joined += 1;
             }
         }
-        let capped = tiny.prepare(&query).unwrap();
         assert!(
-            capped.physical_plan().is_none(),
+            tiny.prepare(&query).unwrap().physical_plan().is_none(),
             "{here}: tight budgets enumerate"
         );
-        let tight = agree(
-            &here,
-            capped.execute(&db, Semantics::Limited),
-            tiny_walker
-                .prepare(&query)
-                .unwrap()
-                .execute(&db, Semantics::Limited),
-        );
-        starved += usize::from(tight.is_none());
+        let (tight, walker) = limited(&tiny, &query, &db);
+        starved += usize::from(assert_matches_walker(&tight, &walker, &here).is_none());
     }
     println!(
         "conjunctive route: {routed} of {CASES} generated queries planned, \
@@ -935,7 +896,6 @@ fn least_fixpoint_route_agrees_with_the_tree_walker() {
     const CASES: usize = 120;
     let mut rng = FaultRng::new(17);
     let default = Engine::builder().parallelism(1).build();
-    let walker = Engine::builder().use_compiled(false).build();
     let (mut routed, mut fell_back, mut near_misses) = (0, 0, 0);
     for case in 0..CASES {
         let (query, near_miss) = least_fixpoint_query(&mut rng);
@@ -949,31 +909,25 @@ fn least_fixpoint_route_agrees_with_the_tree_walker() {
                 "{here}: {near_miss:?} lowered"
             );
         }
-        let expected = walker
-            .prepare(&query)
-            .unwrap()
-            .execute(&db, Semantics::Limited);
-        match (prepared.execute_traced(&db, Semantics::Limited), expected) {
-            (Ok((outcome, span)), Ok(expected)) => {
-                assert_eq!(outcome.result, expected.result, "{here}");
-                assert_eq!(
-                    outcome.bounded_approximation, expected.bounded_approximation,
-                    "{here}"
-                );
-                let atoms = query.evaluation_domain(&db).len() as u32;
-                let candidate_sets = 1u64.checked_shl(atoms * atoms).unwrap_or(u64::MAX);
-                if span.name == "least-fixpoint" {
-                    routed += 1;
-                    assert!(
-                        outcome.stats.max_domain_seen < candidate_sets,
-                        "{here}: a routed run drew the set quantifier"
-                    );
-                } else if prepared.least_fixpoint().is_some() {
-                    fell_back += 1;
-                }
-            }
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{here}"),
-            (a, b) => panic!("{here}: default {a:?} vs tree walker {b:?}"),
+        let (outcome, span) = match prepared.execute_traced(&db, Semantics::Limited) {
+            Ok((outcome, span)) => (Ok(outcome), Some(span)),
+            Err(err) => (Err(err), None),
+        };
+        let expected = walker_outcome(&default, &query, &db, Semantics::Limited);
+        let Some((outcome, _)) = assert_matches_walker(&outcome, &expected, &here) else {
+            continue;
+        };
+        let span = span.expect("a successful traced run has a span");
+        let atoms = query.evaluation_domain(&db).len() as u32;
+        let candidate_sets = 1u64.checked_shl(atoms * atoms).unwrap_or(u64::MAX);
+        if span.name == "least-fixpoint" {
+            routed += 1;
+            assert!(
+                outcome.stats.max_domain_seen < candidate_sets,
+                "{here}: a routed run drew the set quantifier"
+            );
+        } else if prepared.least_fixpoint().is_some() {
+            fell_back += 1;
         }
     }
     println!(
@@ -1018,23 +972,18 @@ fn a_relation_named_like_the_set_variables_predicate_is_read_as_a_relation() {
         .with("__view__", Instance::from_pairs(vec![(Atom(1), Atom(0))]));
     let default = Engine::new().prepare(&query).unwrap();
     assert!(default.least_fixpoint().is_none());
-    let walker = Engine::builder()
-        .use_compiled(false)
-        .build()
-        .prepare(&query)
-        .unwrap();
+    let walker = |db: &Database| query.eval(db, &EvalConfig::default()).unwrap();
     let answer = default.execute(&db, Semantics::Limited).unwrap().result;
     assert_eq!(answer.len(), 2, "PAR ∪ __view__");
-    assert_eq!(
-        answer,
-        walker.execute(&db, Semantics::Limited).unwrap().result
-    );
+    assert_eq!(answer, walker(&db));
 
     let mut inc = IncrementalDb::new(schema, &db).unwrap();
     inc.watch("q", default.clone(), Semantics::Limited);
     inc.insert("__view__", vec![Value::pair(Atom(0), Atom(0))])
         .unwrap();
-    let scratch = walker.execute(inc.database(), Semantics::Limited).unwrap();
-    assert_eq!(inc.view("q").unwrap().outcome(), &Ok(scratch.result));
+    assert_eq!(
+        inc.view("q").unwrap().outcome(),
+        &Ok(walker(inc.database()))
+    );
     assert_eq!(inc.view("q").unwrap().outcome().as_ref().unwrap().len(), 3);
 }

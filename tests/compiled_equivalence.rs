@@ -2,9 +2,8 @@
 //! generated well-typed queries and databases, `eval_compiled` must be
 //! bit-identical to the tree walker — same answers, same shared statistics
 //! counters, and the same budget-error classification — and a `Prepared`
-//! handle must produce the same [`QueryOutcome`] whether the engine routes
-//! through the compiled backend (the default) or the legacy tree walker
-//! (`EngineBuilder::use_compiled(false)`), under all three semantics.
+//! handle must produce the same outcome as the tree walker called directly
+//! ([`walker_outcome`]), under all three semantics.
 //!
 //! A conjunctive query prepared by the default engine runs its limited
 //! interpretation through a physical plan instead of the slots; on those
@@ -18,6 +17,7 @@
 //! must never be reused for `X ∪ {fresh}` (changed atom set ⇒ changed
 //! `cons_X`).
 
+use itq::walker::{assert_matches_walker, walker_outcome};
 use itq_calculus::compile::compile;
 use itq_calculus::CalcError;
 use itq_core::prelude::*;
@@ -55,15 +55,9 @@ fn assert_backends_agree(query: &Query, db: &Database, config: &EvalConfig) {
     }
 }
 
-/// The two engines of the ablation: identical configuration except for the
-/// evaluation backend.
-fn engine_pair() -> (Engine, Engine) {
-    let compiled = Engine::builder().max_invented(1).build();
-    let legacy = Engine::builder()
-        .max_invented(1)
-        .use_compiled(false)
-        .build();
-    (compiled, legacy)
+/// The engine whose handles the suite checks against the tree walker.
+fn engine() -> Engine {
+    Engine::builder().max_invented(1).build()
 }
 
 /// The contract of a conjunctive query run through its physical plan: no
@@ -76,61 +70,49 @@ fn assert_planned_route(stats: &ExecStats, context: &str) {
     assert!(stats.join_probes > 0, "{context}: routed runs join");
 }
 
-/// Compare a `Prepared::execute` outcome between two backend-ablated engines.
-fn assert_outcomes_agree_on(
-    engines: &(Engine, Engine),
-    query: &Query,
-    db: &Database,
-    semantics: Semantics,
-) {
-    let (compiled, legacy) = engines;
-    let prepared = compiled.prepare(query).unwrap();
+/// Compare a `Prepared::execute` outcome with the tree walker's under the
+/// same engine configuration.
+fn assert_outcomes_agree_on(engine: &Engine, query: &Query, db: &Database, semantics: Semantics) {
+    let prepared = engine.prepare(query).unwrap();
     let routed = semantics == Semantics::Limited && prepared.physical_plan().is_some();
     let fast = prepared.execute(db, semantics);
-    let slow = legacy.prepare(query).unwrap().execute(db, semantics);
-    match (slow, fast) {
-        (Ok(slow), Ok(fast)) => {
-            assert_eq!(slow.result, fast.result, "{semantics}: answers diverge");
-            assert_eq!(slow.semantics, fast.semantics);
-            assert_eq!(
-                slow.bounded_approximation, fast.bounded_approximation,
-                "{semantics}: boundedness flags diverge"
-            );
-            assert_eq!(slow.defined_at, fast.defined_at, "{semantics}");
-            assert_eq!(slow.stabilised_at, fast.stabilised_at, "{semantics}");
-            if routed {
-                assert_planned_route(&fast.stats, &format!("{semantics}: {query}"));
-                return;
-            }
-            assert_eq!(slow.stats.steps, fast.stats.steps, "{semantics}");
-            assert_eq!(
-                slow.stats.quantifier_values, fast.stats.quantifier_values,
-                "{semantics}"
-            );
-            assert_eq!(
-                slow.stats.candidates_checked, fast.stats.candidates_checked,
-                "{semantics}"
-            );
-            assert_eq!(
-                slow.stats.max_domain_seen, fast.stats.max_domain_seen,
-                "{semantics}"
-            );
-            assert_eq!(
-                slow.stats.invention_levels, fast.stats.invention_levels,
-                "{semantics}"
-            );
-        }
-        (Err(slow), Err(fast)) => assert_eq!(slow, fast, "{semantics}"),
-        (slow, fast) => panic!("{semantics}: backends disagree: {slow:?} vs {fast:?}"),
+    let slow = walker_outcome(engine, query, db, semantics);
+    let context = format!("{semantics}: {query}");
+    if let (Err(fast), Err(slow)) = (&fast, &slow) {
+        assert_eq!(slow, fast, "{context}: error classification diverges");
     }
+    let Some((fast, slow)) = assert_matches_walker(&fast, &slow, &context) else {
+        return;
+    };
+    if routed {
+        assert_planned_route(&fast.stats, &context);
+        return;
+    }
+    assert_eq!(slow.stats.steps, fast.stats.steps, "{context}");
+    assert_eq!(
+        slow.stats.quantifier_values, fast.stats.quantifier_values,
+        "{context}"
+    );
+    assert_eq!(
+        slow.stats.candidates_checked, fast.stats.candidates_checked,
+        "{context}"
+    );
+    assert_eq!(
+        slow.stats.max_domain_seen, fast.stats.max_domain_seen,
+        "{context}"
+    );
+    assert_eq!(
+        slow.stats.invention_levels, fast.stats.invention_levels,
+        "{context}"
+    );
 }
 
 #[test]
 fn exemplar_workloads_agree_under_all_semantics() {
-    let engines = engine_pair();
+    let engine = engine();
     for (name, query, db) in queries::exemplar_workloads() {
         for semantics in Semantics::ALL {
-            assert_outcomes_agree_on(&engines, &query, &db, semantics);
+            assert_outcomes_agree_on(&engine, &query, &db, semantics);
         }
         // Limited evaluation is also pinned at the raw-evaluator level.
         assert_backends_agree(&query, &db, &EvalConfig::default());
@@ -180,10 +162,10 @@ fn invention_invalidates_the_domain_cache_when_scratch_atoms_arrive() {
         "the quantifier domain grew with the scratch atom"
     );
 
-    // The full pipeline agrees with the legacy backend end to end.
-    let engines = engine_pair();
+    // The full pipeline agrees with the tree walker end to end.
+    let engine = engine();
     for semantics in Semantics::ALL {
-        assert_outcomes_agree_on(&engines, &query, &db, semantics);
+        assert_outcomes_agree_on(&engine, &query, &db, semantics);
     }
     // With the default invention bound the union stabilises after level 1 —
     // possible only because each level re-materialised its domains and found
@@ -215,12 +197,9 @@ fn compiled_outcomes_expose_the_cache_counters() {
         outcome.stats.domain_cache_hits > outcome.stats.domain_cache_misses,
         "repeated quantifier entries must hit the memo"
     );
-    // The ablation engine runs the tree walker and reports zeros.
-    let legacy = Engine::builder().use_compiled(false).build();
-    let slow = legacy
-        .prepare(&queries::grandparent_query())
-        .unwrap()
-        .execute(&db, Semantics::Limited)
+    // The tree walker reports zeros.
+    let slow = queries::grandparent_query()
+        .eval_full(&db, &EvalConfig::default())
         .unwrap();
     assert_eq!(slow.stats.domain_cache_hits, 0);
     assert_eq!(slow.stats.domain_cache_misses, 0);
@@ -287,20 +266,10 @@ fn par_db() -> BoxedStrategy<Database> {
         .boxed()
 }
 
-/// The naive (no short-circuit) strategy enumerates every domain completely;
-/// cap its step budget so pathological draws die on the *same* budget error
-/// in both backends instead of burning minutes proving it.
-fn capped_naive() -> EvalConfig {
-    EvalConfig {
-        max_steps: 300_000,
-        ..EvalConfig::naive()
-    }
-}
-
-/// Engines for the property sweep: backend ablation pair with a step cap on
-/// every evaluation path (invention levels extend the atom set, and one extra
-/// atom can multiply the transitive-closure workload by ~500×).
-fn capped_engine_pair() -> (Engine, Engine) {
+/// The engine for the property sweep, with a step cap on every evaluation
+/// path (invention levels extend the atom set, and one extra atom can
+/// multiply the transitive-closure workload by ~500×).
+fn capped_engine() -> Engine {
     let capped = EvalConfig {
         max_steps: 500_000,
         ..EvalConfig::default()
@@ -309,16 +278,10 @@ fn capped_engine_pair() -> (Engine, Engine) {
         max_invented: 1,
         eval: capped,
     };
-    let compiled = Engine::builder()
+    Engine::builder()
         .calc_config(capped)
         .invention_config(invention)
-        .build();
-    let legacy = Engine::builder()
-        .calc_config(capped)
-        .invention_config(invention)
-        .use_compiled(false)
-        .build();
-    (compiled, legacy)
+        .build()
 }
 
 proptest! {
@@ -329,10 +292,6 @@ proptest! {
     #[test]
     fn eval_compiled_equals_evaluate(q in par_query(), db in par_db()) {
         assert_backends_agree(&q, &db, &EvalConfig::default());
-        // The naive (no short-circuit) strategy walks different paths; the
-        // backends must track each other there too (step-capped: full
-        // enumeration is the whole point of the ablation).
-        assert_backends_agree(&q, &db, &capped_naive());
     }
 
     /// Budget errors classify identically: under tiny budgets many of the
@@ -345,13 +304,13 @@ proptest! {
         assert_backends_agree(&q, &db, &step_starved);
     }
 
-    /// The full pipeline: a `Prepared` handle produces the same
-    /// `QueryOutcome` through either backend under every semantics.
+    /// The full pipeline: a `Prepared` handle produces the tree walker's
+    /// outcome under every semantics.
     #[test]
     fn prepared_outcomes_agree_across_backends(q in par_query(), db in par_db()) {
-        let engines = capped_engine_pair();
+        let engine = capped_engine();
         for semantics in Semantics::ALL {
-            assert_outcomes_agree_on(&engines, &q, &db, semantics);
+            assert_outcomes_agree_on(&engine, &q, &db, semantics);
         }
     }
 }

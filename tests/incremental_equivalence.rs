@@ -11,9 +11,8 @@
 //!   guarded re-execution for everything else (conjunctive views included);
 //! * across the engine's execution backends: the compiled default (which
 //!   runs the conjunctive views' limited interpretation through their
-//!   planned route), the legacy tree walker (`use_compiled(false)`), and —
-//!   via a watched *algebra* handle — the set-at-a-time planner and the
-//!   tuple-at-a-time evaluator (`use_algebra_planner(false)`);
+//!   planned route) and — via a watched *algebra* handle — the set-at-a-time
+//!   planner and the tuple-at-a-time evaluator (`use_algebra_planner(false)`);
 //! * across all three semantics of the prepared pipeline (limited, finite
 //!   invention, terminal invention — the invention semantics take the
 //!   re-execution path by construction);
@@ -87,10 +86,10 @@ fn incremental_db(seed: &[(u32, u32)]) -> IncrementalDb {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Limited interpretation, all four backends: every conjunctive view
-    /// re-executes its handle — planned joins for the compiled calculus and
-    /// the planner-on algebra handle, enumeration for the tree walker,
-    /// tuple-at-a-time for the planner-off algebra handle.
+    /// Limited interpretation, all three backends: every conjunctive view
+    /// re-executes its handle — planned joins for the calculus and the
+    /// planner-on algebra handle, tuple-at-a-time for the planner-off algebra
+    /// handle.
     #[test]
     fn conjunctive_views_track_mutations(
         seed in seed_db(5),
@@ -98,13 +97,11 @@ proptest! {
     ) {
         let planner_on = Engine::new();
         let planner_off = Engine::builder().use_algebra_planner(false).build();
-        let tree_walk = Engine::builder().use_compiled(false).build();
         let schema = queries::parent_schema();
         let mut inc = incremental_db(&seed);
         for (name, prepared) in [
             ("gp", planner_on.prepare(&queries::grandparent_query()).unwrap()),
             ("sib", planner_on.prepare(&queries::sibling_query()).unwrap()),
-            ("gp-tw", tree_walk.prepare(&queries::grandparent_query()).unwrap()),
             ("gp-alg", planner_on.prepare_algebra(&grandparent_algebra(), &schema).unwrap()),
             ("gp-tup", planner_off.prepare_algebra(&grandparent_algebra(), &schema).unwrap()),
         ] {
@@ -113,7 +110,7 @@ proptest! {
         }
         for (step, m) in muts.into_iter().enumerate() {
             apply(&mut inc, m);
-            for name in ["gp", "sib", "gp-tw", "gp-alg", "gp-tup"] {
+            for name in ["gp", "sib", "gp-alg", "gp-tup"] {
                 assert_matches_scratch(&inc, name, &format!("after mutation {step}"));
             }
         }

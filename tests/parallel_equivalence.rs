@@ -2,10 +2,9 @@
 //!
 //! The `parallelism(n)` knob must trade wall-clock only: answers, flags,
 //! error strings (logical budgets *and* governor trips), and every
-//! deterministic counter are byte-identical at every worker count, on every
-//! backend of the trio (planned algebra, compiled calculus, legacy tree
-//! walker), under all three semantics.  This suite is the executable form of
-//! that contract:
+//! deterministic counter are byte-identical at every worker count, on both
+//! backends (planned algebra and compiled calculus), under all three
+//! semantics.  This suite is the executable form of that contract:
 //!
 //! * random well-typed algebra expressions and random small databases run
 //!   through `Prepared::with_parallelism` at workers ∈ {1, 2, 8}, under
@@ -16,8 +15,8 @@
 //! * deterministic governor trips (zero deadline, pre-raised cancellation)
 //!   surface one canonical message each, independent of worker count;
 //! * stats keep their shape: the `partitions` counter is 0 exactly on the
-//!   sequential paths (workers = 1, or the planner and the tree walker at any
-//!   setting), and the deterministic work counters (`steps`,
+//!   sequential paths (workers = 1, or the planner at any setting), and the
+//!   deterministic work counters (`steps`,
 //!   `quantifier_values`, `candidates_checked`, `max_domain_seen`,
 //!   `join_probes`, `tuples_materialised`) never depend on the worker count.
 //!
@@ -40,7 +39,7 @@ fn schema() -> Schema {
 }
 
 /// Databases over at most four atoms: enough candidates for the compiled
-/// loop to actually partition, small enough for the tree walker.
+/// loop to actually partition, small enough for the invention levels.
 fn small_db() -> BoxedStrategy<Database> {
     (
         proptest::collection::vec((0u32..4, 0u32..4), 0..8),
@@ -77,10 +76,10 @@ fn algebra_exemplar(index: usize) -> AlgExpr {
     }
 }
 
-/// The engine trio at a given worker count and step budget.  Budgets are
-/// capped so pathological draws die on a classified budget error (whose
-/// string must *also* be worker-count independent) instead of burning time.
-fn trio(max_steps: u64) -> [(&'static str, Engine); 3] {
+/// The engine pair at a given step budget.  Budgets are capped so
+/// pathological draws die on a classified budget error (whose string must
+/// *also* be worker-count independent) instead of burning time.
+fn pair(max_steps: u64) -> [(&'static str, Engine); 2] {
     let capped = EvalConfig {
         max_steps,
         ..EvalConfig::default()
@@ -104,16 +103,6 @@ fn trio(max_steps: u64) -> [(&'static str, Engine); 3] {
                 .calc_config(capped)
                 .invention_config(invention)
                 .use_algebra_planner(false)
-                .parallelism(1)
-                .build(),
-        ),
-        (
-            "tree-walk",
-            Engine::builder()
-                .calc_config(capped)
-                .invention_config(invention)
-                .use_algebra_planner(false)
-                .use_compiled(false)
                 .parallelism(1)
                 .build(),
         ),
@@ -193,7 +182,7 @@ fn assert_outcomes_byte_identical(
 }
 
 fn assert_algebra_parallel_equivalence(expr: &AlgExpr, db: &Database, max_steps: u64) {
-    for (label, engine) in trio(max_steps) {
+    for (label, engine) in pair(max_steps) {
         let prepared = engine
             .prepare_algebra(expr, &schema())
             .expect("exemplar expressions prepare");
@@ -208,7 +197,7 @@ fn assert_algebra_parallel_equivalence(expr: &AlgExpr, db: &Database, max_steps:
 }
 
 fn assert_calculus_parallel_equivalence(query: &Query, db: &Database, max_steps: u64) {
-    for (label, engine) in trio(max_steps) {
+    for (label, engine) in pair(max_steps) {
         let prepared = engine.prepare(query).expect("exemplar queries prepare");
         for semantics in Semantics::ALL {
             let sequential = prepared.execute(db, semantics);
@@ -223,7 +212,7 @@ fn assert_calculus_parallel_equivalence(query: &Query, db: &Database, max_steps:
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random databases through the algebra exemplars: the full trio ×
+    /// Random databases through the algebra exemplars: both engines ×
     /// {1,2,8} workers × all semantics, under a healthy and a starved step
     /// budget (so budget error strings are compared too).
     #[test]
@@ -237,7 +226,7 @@ proptest! {
     }
 
     /// Random parent databases through the exemplar calculus queries on the
-    /// compiled route (and its tree-walking ablation).
+    /// compiled route.
     #[test]
     fn calculus_queries_are_worker_count_independent(
         edges in proptest::collection::vec((0u32..5, 0u32..5), 0..7),
@@ -303,7 +292,7 @@ fn governor_trips_are_byte_identical_at_every_worker_count() {
             "execution cancelled",
         ),
     ] {
-        for (label, engine) in trio(500_000) {
+        for (label, engine) in pair(500_000) {
             let prepared = engine
                 .prepare_algebra(&expr, &schema())
                 .unwrap()
@@ -330,15 +319,15 @@ fn governor_trips_are_byte_identical_at_every_worker_count() {
 }
 
 /// Stats-shape pin: a database big enough to partition reports `partitions`
-/// only where the parallel path actually engaged, and the planner and the
-/// tree walker are sequential at every worker count.
+/// only where the parallel path actually engaged, and the planner is
+/// sequential at every worker count.
 #[test]
 fn partitions_counter_keeps_its_shape() {
     let edges: Vec<(Atom, Atom)> = (0..24).map(|i| (Atom(i), Atom(i + 1))).collect();
     let db = Database::single("PAR", Instance::from_pairs(edges)).with("PERSON", Instance::empty());
     let expr = algebra_exemplar(0);
 
-    let [(_, planner), (_, compiled), (_, tree)] = trio(10_000_000);
+    let [(_, planner), (_, compiled)] = pair(10_000_000);
 
     // Planned algebra runs sequentially: the knob is a no-op there.
     let planned = planner.prepare_algebra(&expr, &schema()).unwrap();
@@ -352,7 +341,7 @@ fn partitions_counter_keeps_its_shape() {
 
     // Compiled calculus: the candidate loop partitions across the workers.
     // (A smaller database here — the calculus quantifier domains grow with
-    // the square of the atom count, and the tree walker runs the same query.)
+    // the square of the atom count.)
     let small =
         queries::parent_database(&(0..6).map(|i| (Atom(i), Atom(i + 1))).collect::<Vec<_>>());
     let query = queries::grandparent_query();
@@ -373,14 +362,4 @@ fn partitions_counter_keeps_its_shape() {
         compiled_par.stats.partitions > 0,
         "parallel compiled run must report its candidate partitions"
     );
-
-    // The tree walker has no partitioned path: the knob is a no-op there.
-    let walker = tree.prepare(&query).unwrap();
-    for workers in [1, 8] {
-        let outcome = walker
-            .with_parallelism(workers)
-            .execute(&small, Semantics::Limited)
-            .unwrap();
-        assert_eq!(outcome.stats.partitions, 0, "workers={workers}");
-    }
 }

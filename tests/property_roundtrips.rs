@@ -4,11 +4,14 @@
 
 use itq_algebra::nest::{nest, unnest};
 use itq_calculus::eval::EvalConfig;
+use itq_calculus::{Formula, Query, Term};
+use itq_core::engine::{Engine, EngineError, Semantics};
 use itq_core::queries;
 use itq_object::cons::{cons_cardinality, rank_of_value, value_at_rank};
 use itq_object::{Atom, Database, Instance, Type, Value};
 use itq_relational::{transitive_closure_seminaive, transitive_closure_warshall, Relation};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Strategy: a small set of atoms with ids in a fixed window.
 fn small_atoms() -> impl Strategy<Value = Vec<Atom>> {
@@ -127,5 +130,130 @@ proptest! {
         prop_assert_eq!(value.set_height(), permuted.set_height());
         prop_assert_eq!(value.size(), permuted.size());
         prop_assert_eq!(value.active_domain().len(), permuted.active_domain().len());
+    }
+}
+
+/// `{t/U | t ≈ a1 ∨ ¬∃x/[U,U] (PAR(x) ∧ (x.1 ≈ t ∨ x.2 ≈ t))}`: the constant
+/// `a1`, and every atom in range that no `PAR` pair mentions — none under the
+/// limited interpretation, every invented atom under the others.
+fn constant_or_unmentioned() -> Query {
+    let mentioned = Formula::exists(
+        "x",
+        Type::flat_tuple(2),
+        Formula::and(vec![
+            Formula::pred("PAR", Term::var("x")),
+            Formula::or(vec![
+                Formula::eq(Term::proj("x", 1), Term::var("t")),
+                Formula::eq(Term::proj("x", 2), Term::var("t")),
+            ]),
+        ]),
+    );
+    let body = Formula::or(vec![
+        Formula::eq(Term::var("t"), Term::constant(Atom(1))),
+        Formula::not(mentioned),
+    ]);
+    Query::new("t", Type::Atomic, body, queries::parent_schema()).unwrap()
+}
+
+/// An error's kind: its variant path without the payload, e.g. `Calc(Budget`.
+fn error_kind(error: &EngineError) -> String {
+    let debug = format!("{error:?}");
+    let end = debug
+        .find(|c: char| !(c.is_alphanumeric() || c == '('))
+        .unwrap_or(debug.len());
+    debug[..end].to_string()
+}
+
+/// An atom id anywhere in `u32`, often at the top of the range.
+fn atom_id() -> BoxedStrategy<u32> {
+    prop_oneof![
+        Just(u32::MAX),
+        u32::MAX - 4..u32::MAX,
+        any::<u32>(),
+        0u32..8
+    ]
+    .boxed()
+}
+
+/// A bijection between `atoms` and as many other atoms that fixes
+/// `constants`: each atom outside them takes the first of `draws` (then of
+/// `0, 1, …`) that is neither a constant nor taken.
+fn renaming(
+    atoms: &BTreeSet<Atom>,
+    constants: &BTreeSet<Atom>,
+    draws: &[u32],
+) -> BTreeMap<Atom, Atom> {
+    let mut taken = constants.clone();
+    let mut images = draws.iter().copied().chain(0..=u32::MAX).map(Atom);
+    let mut pi: BTreeMap<Atom, Atom> = constants.iter().map(|&c| (c, c)).collect();
+    for &atom in atoms.difference(constants) {
+        let image = images
+            .find(|image| taken.insert(*image))
+            .expect("u32 has room for a few atoms");
+        pi.insert(atom, image);
+    }
+    pi
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Queries are C-generic (Section 2) through a default-budget `Prepared`
+    /// handle under every semantics: for a bijection π of the atoms that
+    /// fixes the query's constants C, with images anywhere in `u32`,
+    /// Q(π(d)) = π(Q(d)), with the same flags and levels, or the same kind
+    /// of error.  The workloads are the exemplars, the Example 3.1 closure
+    /// and a query with a constant, on `edges` over two atoms; the invention
+    /// bound is 1, so the closure's invention levels enumerate at most
+    /// 2^9 relations.
+    #[test]
+    fn prepared_queries_are_generic_under_every_semantics(
+        edges in proptest::collection::vec((0u32..2, 0u32..2), 0..4),
+        draws in proptest::collection::vec(atom_id(), 8),
+    ) {
+        let engine = Engine::builder().max_invented(1).build();
+        let pairs: Vec<(Atom, Atom)> = edges.iter().map(|&(a, b)| (Atom(a), Atom(b))).collect();
+        let db = queries::parent_database(&pairs);
+        let mut workloads = queries::exemplar_workloads();
+        workloads.push(("transitive-closure", queries::transitive_closure_query(), db.clone()));
+        workloads.push(("constant-or-unmentioned", constant_or_unmentioned(), db));
+        for (name, query, db) in workloads {
+            let pi = renaming(&query.evaluation_domain(&db), &query.constants(), &draws);
+            let rename = |atom: Atom| pi[&atom];
+            let renamed = Database::new(db.iter().map(|(relation, instance)| {
+                let values = instance.iter().map(|v| v.permute(&rename));
+                (relation.to_string(), Instance::from_values(values))
+            }));
+            let prepared = engine.prepare(&query).unwrap();
+            for semantics in Semantics::ALL {
+                let here = format!("{name}/{semantics} under {pi:?}");
+                match (prepared.execute(&db, semantics), prepared.execute(&renamed, semantics)) {
+                    (Ok(direct), Ok(of_renamed)) => {
+                        let expected =
+                            Instance::from_values(direct.result.iter().map(|v| v.permute(&rename)));
+                        prop_assert!(
+                            of_renamed.result == expected,
+                            "{here}: {:?} is not π of {:?}", of_renamed.result, direct.result
+                        );
+                        prop_assert_eq!(
+                            direct.bounded_approximation, of_renamed.bounded_approximation,
+                            "{here}: flags"
+                        );
+                        prop_assert_eq!(direct.defined_at, of_renamed.defined_at, "{here}: defined_at");
+                        prop_assert_eq!(
+                            direct.stabilised_at, of_renamed.stabilised_at,
+                            "{here}: stabilised_at"
+                        );
+                    }
+                    (Err(direct), Err(of_renamed)) => prop_assert!(
+                        error_kind(&direct) == error_kind(&of_renamed),
+                        "{here}: {direct} vs {of_renamed}"
+                    ),
+                    (direct, of_renamed) => {
+                        prop_assert!(false, "{here}: {direct:?} vs {of_renamed:?}")
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,14 +1,20 @@
 //! Property suite for the surface language: for generated `Term`, `Formula`,
 //! `Query`, and `AlgExpr` values, `parse(display(x)) == x` — the parser is the
 //! exact inverse of the engine's printers — and parse errors carry the
-//! position of the offending token.
+//! position of the offending token.  The statement layer is fuzzed too:
+//! arbitrary bytes and mutilated example scripts run through a session
+//! without a panic, and every parse error points inside its input.
 
-use itq_algebra::{AlgExpr, SelFormula, SelTerm};
+use itq_algebra::{AlgExpr, EvalConfig as AlgConfig, SelFormula, SelTerm};
 use itq_calculus::{Formula, Query, Term};
+use itq_core::prelude::{Engine, EvalConfig, InventionConfig};
 use itq_core::queries;
 use itq_object::{Atom, Type};
-use itq_surface::{parse_alg_expr, parse_formula, parse_query, parse_term};
+use itq_surface::script::split_statements;
+use itq_surface::session::SessionError;
+use itq_surface::{parse_alg_expr, parse_formula, parse_query, parse_term, Pos, Session};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Variable names that are not reserved (no `a<digits>`, no keywords); the
 /// primed and hashed spellings cover the printer's fresh-name output.
@@ -215,5 +221,91 @@ proptest! {
                 prop_assert!(e.column() <= cut + 1, "column {} past cut {}", e.column(), cut);
             }
         }
+    }
+}
+
+/// The example scripts, the seeds of the statement fuzzer.
+const EXAMPLE_SCRIPTS: [&str; 3] = [
+    include_str!("../examples/check_demo.itq"),
+    include_str!("../examples/explain_analyze.itq"),
+    include_str!("../examples/genealogy_parity.itq"),
+];
+
+/// True when `pos` names a character of `src` or the position just past the
+/// end of one of its lines.
+fn inside(src: &str, pos: Pos) -> bool {
+    let lines: Vec<&str> = src.split('\n').collect();
+    (1..=lines.len()).contains(&pos.line)
+        && (1..=lines[pos.line - 1].chars().count() + 1).contains(&pos.column)
+}
+
+/// Run every statement of `bytes`, lossily decoded, through a fresh session
+/// with tiny budgets and a deadline, one statement at a time.  Fails when a
+/// statement panics or a parse error points outside the input.
+fn run_hostile(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let src = String::from_utf8_lossy(bytes);
+    let tiny = EvalConfig::tiny();
+    let engine = Engine::builder()
+        .calc_config(tiny)
+        .alg_config(AlgConfig { max_instance: 64 })
+        .invention_config(InventionConfig {
+            max_invented: 1,
+            eval: tiny,
+        })
+        .deadline_millis(200)
+        .build();
+    let mut session = Session::with_engine(engine);
+    for (chunk, base) in split_statements(&src) {
+        let run = catch_unwind(AssertUnwindSafe(|| session.run_statement(&chunk, base)));
+        match run {
+            Err(_) => prop_assert!(false, "statement {chunk:?} of {src:?} panicked"),
+            Ok(Err(SessionError::Parse(e))) => {
+                prop_assert!(inside(&src, e.pos), "{e} points outside {src:?}")
+            }
+            Ok(_) => {}
+        }
+    }
+    Ok(())
+}
+
+/// One byte edit: overwrite, insert before, or delete the byte at a position
+/// (taken modulo the length).
+fn edit() -> impl Strategy<Value = (u8, usize, u8)> {
+    (0u8..3, 0usize..4096, any::<u8>())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes never panic the statement layer.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_session(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        run_hostile(&bytes)?;
+    }
+
+    /// An example script with random byte edits, cut at a random length,
+    /// never panics the statement layer.
+    #[test]
+    fn mutilated_example_scripts_never_panic_a_session(
+        script in 0usize..EXAMPLE_SCRIPTS.len(),
+        edits in proptest::collection::vec(edit(), 1..8),
+        cut in 0usize..4096,
+    ) {
+        let mut bytes = EXAMPLE_SCRIPTS[script].as_bytes().to_vec();
+        for (op, at, byte) in edits {
+            let at = at % (bytes.len() + 1);
+            match op {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                _ if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {}
+            }
+        }
+        bytes.truncate(cut);
+        run_hostile(&bytes)?;
     }
 }

@@ -12,7 +12,7 @@ use itq_trace::{CollectingSink, NoopSink, Span, TraceSink};
 use proptest::prelude::*;
 
 /// Parent databases over a handful of atoms: enough to join, small enough
-/// for the tree walker and the invention ladder.
+/// for the enumeration and the invention ladder.
 fn small_db() -> BoxedStrategy<Database> {
     proptest::collection::vec((0u32..3, 0u32..3), 0..5)
         .prop_map(|edges| {
@@ -34,14 +34,14 @@ fn query() -> BoxedStrategy<itq_calculus::Query> {
         .boxed()
 }
 
-/// The compiled slot evaluator (default) and the legacy tree walker, both
-/// with a tight invention bound and a capped step budget so pathological
-/// draws die on a classified error instead of burning minutes.  The worker
-/// count is explicit, so an `ITQ_PARALLELISM` override cannot change which
-/// span shape a run is checked against: sequential compiled trees carry
-/// per-slot children with `draws`, partitioned ones one child per
+/// The compiled slot evaluator with a tight invention bound and a capped
+/// step budget, so pathological draws die on a classified error instead of
+/// burning minutes (and the capped budget keeps every query off the routes).
+/// The worker count is explicit, so an `ITQ_PARALLELISM` override cannot
+/// change which span shape a run is checked against: sequential compiled
+/// trees carry per-slot children with `draws`, partitioned ones one child per
 /// candidate-rank partition.
-fn engines(workers: usize) -> [(&'static str, Engine); 2] {
+fn engine(workers: usize) -> Engine {
     let capped = EvalConfig {
         max_steps: 500_000,
         ..EvalConfig::default()
@@ -50,25 +50,11 @@ fn engines(workers: usize) -> [(&'static str, Engine); 2] {
         max_invented: 1,
         eval: capped,
     };
-    [
-        (
-            "compiled",
-            Engine::builder()
-                .parallelism(workers)
-                .calc_config(capped)
-                .invention_config(invention)
-                .build(),
-        ),
-        (
-            "tree-walk",
-            Engine::builder()
-                .parallelism(workers)
-                .calc_config(capped)
-                .invention_config(invention)
-                .use_compiled(false)
-                .build(),
-        ),
-    ]
+    Engine::builder()
+        .parallelism(workers)
+        .calc_config(capped)
+        .invention_config(invention)
+        .build()
 }
 
 /// Execute `prepared` three ways — plain, noop-sink, collecting-sink — and
@@ -188,14 +174,6 @@ fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, workers: usize
             );
             assert_eq!(stats.join_probes, 0, "{label}: no plan operator runs");
         }
-        "tree-walk" => {
-            assert_eq!(span.field("steps"), Some(stats.steps), "{label}");
-            assert_eq!(
-                span.field("rows_out"),
-                Some(outcome.result.len() as u64),
-                "{label}"
-            );
-        }
         "finite-invention" | "terminal-invention" => {
             assert_eq!(
                 span.children.len(),
@@ -215,20 +193,18 @@ fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, workers: usize
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Collecting vs Noop vs plain on both calculus backends, all semantics,
+    /// Collecting vs Noop vs plain on the compiled slots, all semantics,
     /// sequential and partitioned.
     #[test]
     fn tracing_never_changes_calculus_outcomes(q in query(), db in small_db()) {
         for workers in [1, 4] {
-            for (backend, engine) in engines(workers) {
-                let label = format!("{backend}/workers={workers}");
-                let prepared = engine.prepare(&q).unwrap();
-                for semantics in Semantics::ALL {
-                    if let Some((outcome, span)) =
-                        execute_three_ways(&prepared, &db, semantics, &label)
-                    {
-                        assert_span_matches_stats(&outcome, &span, workers, &label);
-                    }
+            let label = format!("compiled/workers={workers}");
+            let prepared = engine(workers).prepare(&q).unwrap();
+            for semantics in Semantics::ALL {
+                if let Some((outcome, span)) =
+                    execute_three_ways(&prepared, &db, semantics, &label)
+                {
+                    assert_span_matches_stats(&outcome, &span, workers, &label);
                 }
             }
         }

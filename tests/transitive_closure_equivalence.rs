@@ -170,28 +170,22 @@ fn the_route_answers_where_the_enumeration_exceeds_its_budget() {
     let expected = transitive_closure_seminaive(&Relation::from_pairs(chain_edges(5)));
     assert_eq!(Relation::from_instance(&answer).unwrap(), expected);
 
-    let error = |engine: Engine| {
-        engine
-            .prepare(&query)
-            .unwrap()
-            .execute(&db, Semantics::Limited)
-            .unwrap_err()
-            .to_string()
-    };
-    let walker = error(Engine::builder().use_compiled(false).build());
+    // The tree walker, called directly, enumerates.
+    let walker = |config: &EvalConfig| query.eval(&db, config).unwrap_err().to_string();
     assert_eq!(
-        walker,
+        walker(&EvalConfig::default()),
         "evaluation budget exceeded: quantifier domain cons_X({[U, U]}) of size 33554432 \
          over 5 atoms (limit 4194304)"
     );
-    let tiny = error(Engine::builder().calc_config(EvalConfig::tiny()).build());
-    let tiny_walker = error(
-        Engine::builder()
-            .calc_config(EvalConfig::tiny())
-            .use_compiled(false)
-            .build(),
-    );
-    assert_eq!(tiny, tiny_walker);
+    let tiny = Engine::builder()
+        .calc_config(EvalConfig::tiny())
+        .build()
+        .prepare(&query)
+        .unwrap()
+        .execute(&db, Semantics::Limited)
+        .unwrap_err()
+        .to_string();
+    assert_eq!(tiny, walker(&EvalConfig::tiny()));
     assert!(
         tiny.contains("of size 33554432 over 5 atoms (limit 64)"),
         "{tiny}"
