@@ -164,15 +164,6 @@ impl Universe {
         self.names.get(atom.0 as usize).and_then(|n| n.as_deref())
     }
 
-    /// Render an atom for human consumption: its interned name if present,
-    /// otherwise `a<id>`.
-    pub fn display(&self, atom: Atom) -> String {
-        match self.name(atom) {
-            Some(n) => n.to_string(),
-            None => format!("a{}", atom.0),
-        }
-    }
-
     /// Look up an atom by name without interning it.
     pub fn lookup(&self, name: &str) -> Option<Atom> {
         self.by_name.get(name).copied()
@@ -187,6 +178,7 @@ impl Universe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Value;
 
     #[test]
     fn interning_is_idempotent() {
@@ -221,8 +213,11 @@ mod tests {
         let mut u = Universe::new();
         let tom = u.atom("Tom");
         let anon = u.invent();
-        assert_eq!(u.display(tom), "Tom");
-        assert_eq!(u.display(anon), format!("a{}", anon.id()));
+        assert_eq!(Value::Atom(tom).named(&u).to_string(), "Tom");
+        assert_eq!(
+            Value::Atom(anon).named(&u).to_string(),
+            format!("a{}", anon.id())
+        );
         assert_eq!(u.lookup("Tom"), Some(tom));
         assert_eq!(u.lookup("Nobody"), None);
     }

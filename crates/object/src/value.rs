@@ -172,20 +172,31 @@ impl Value {
         }
     }
 
-    /// Render the value for human consumption, resolving atom names through a
-    /// [`Universe`].
-    pub fn display_with(&self, universe: &Universe) -> String {
-        match self {
-            Value::Atom(a) => universe.display(*a),
-            Value::Tuple(vs) => {
-                let inner: Vec<String> = vs.iter().map(|v| v.display_with(universe)).collect();
-                format!("[{}]", inner.join(", "))
-            }
-            Value::Set(items) => {
-                let inner: Vec<String> = items.iter().map(|v| v.display_with(universe)).collect();
-                format!("{{{}}}", inner.join(", "))
-            }
+    /// A [`Display`](fmt::Display) adapter that renders the value for human
+    /// consumption, resolving atom names through a [`Universe`]: a named atom
+    /// prints its name, a nameless one `a<id>`.  It writes straight into the
+    /// caller's formatter, so rendering allocates nothing of its own.
+    ///
+    /// ```
+    /// use itq_object::{Universe, Value};
+    ///
+    /// let mut universe = Universe::new();
+    /// let tom = universe.atom("Tom");
+    /// let anon = universe.invent();
+    /// let v = Value::set(vec![Value::pair(tom, anon)]);
+    /// assert_eq!(v.named(&universe).to_string(), format!("{{[Tom, a{}]}}", anon.id()));
+    /// ```
+    pub fn named<'a>(&'a self, universe: &'a Universe) -> Named<'a> {
+        Named {
+            value: self,
+            universe,
         }
+    }
+
+    /// Render the value for human consumption, resolving atom names through a
+    /// [`Universe`] (see [`Value::named`]).
+    pub fn display_with(&self, universe: &Universe) -> String {
+        self.named(universe).to_string()
     }
 
     /// True if this value contains any atom from `atoms`.
@@ -229,6 +240,47 @@ impl fmt::Debug for Value {
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
+    }
+}
+
+/// A value rendered with the atom names of a [`Universe`]; see
+/// [`Value::named`].
+#[derive(Clone, Copy)]
+pub struct Named<'a> {
+    value: &'a Value,
+    universe: &'a Universe,
+}
+
+impl Named<'_> {
+    /// Write `items` comma-separated between `open` and `close`.
+    fn write_seq<'v>(
+        &self,
+        f: &mut fmt::Formatter<'_>,
+        open: &str,
+        items: impl Iterator<Item = &'v Value>,
+        close: &str,
+    ) -> fmt::Result {
+        f.write_str(open)?;
+        for (i, v) in items.enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            fmt::Display::fmt(&v.named(self.universe), f)?;
+        }
+        f.write_str(close)
+    }
+}
+
+impl fmt::Display for Named<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.value {
+            Value::Atom(a) => match self.universe.name(*a) {
+                Some(name) => f.write_str(name),
+                None => write!(f, "{a}"),
+            },
+            Value::Tuple(vs) => self.write_seq(f, "[", vs.iter(), "]"),
+            Value::Set(items) => self.write_seq(f, "{", items.iter(), "}"),
+        }
     }
 }
 
@@ -381,6 +433,51 @@ mod tests {
             format!("{v}"),
             format!("{{[a{}, a{}]}}", tom.id(), mary.id())
         );
+    }
+
+    #[test]
+    fn named_pins_the_rendered_text() {
+        let mut u = Universe::new();
+        let tom = u.atom("Tom");
+        let mary = u.atom("Mary");
+        let (a7, top) = (Atom(7), Atom(u32::MAX));
+        let cases = [
+            (Value::Atom(tom), "Tom"),
+            (Value::Atom(a7), "a7"),
+            (Value::Atom(top), "a4294967295"),
+            (Value::tuple(vec![]), "[]"),
+            (Value::pair(tom, a7), "[Tom, a7]"),
+            (
+                Value::tuple(vec![
+                    Value::Atom(mary),
+                    Value::tuple(vec![Value::pair(tom, top), Value::tuple(vec![])]),
+                ]),
+                "[Mary, [[Tom, a4294967295], []]]",
+            ),
+            (Value::empty_set(), "{}"),
+            (
+                Value::set(vec![Value::pair(mary, tom), Value::pair(tom, mary)]),
+                "{[Tom, Mary], [Mary, Tom]}",
+            ),
+            (
+                Value::set(vec![
+                    Value::set(vec![Value::Atom(a7), Value::Atom(mary)]),
+                    Value::empty_set(),
+                ]),
+                "{{}, {Mary, a7}}",
+            ),
+            (
+                Value::tuple(vec![
+                    Value::empty_set(),
+                    Value::set(vec![Value::pair(a7, top)]),
+                ]),
+                "[{}, {[a7, a4294967295]}]",
+            ),
+        ];
+        for (value, text) in cases {
+            assert_eq!(value.named(&u).to_string(), text);
+            assert_eq!(value.display_with(&u), text);
+        }
     }
 
     #[test]

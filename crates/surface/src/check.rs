@@ -237,7 +237,7 @@ fn emit(
         for note in &d.notes {
             check.lines.push(format!("    note: {note}"));
         }
-        if let Some(span) = d.node.and_then(|n| spans.get(n).copied().flatten()) {
+        if let Some(span) = d.node.and_then(|n| spans.get(n)) {
             indent_snippet(&mut check.lines, src, offset_span(span, base));
         }
     }

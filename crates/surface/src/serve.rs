@@ -33,25 +33,31 @@
 //! [`MAX_REQUEST_BYTES`]; past that the server answers with an `error:` line
 //! and `.`, and closes the connection.
 //!
-//! Every blocking edge polls: the listener is non-blocking (glibc's
-//! `signal(2)` installs handlers with `SA_RESTART`, so a blocking `accept(2)`
-//! would simply restart and never notice the latch) and connection reads use
-//! a short timeout, both re-checking the shutdown flag at the poll interval
-//! (25 ms).
+//! Every accepted socket is no-delay (`TCP_NODELAY`): a response leaves as
+//! soon as the server flushes it, instead of its last segment waiting out the
+//! client's delayed ACK under Nagle's algorithm.
+//!
+//! The accept loop blocks in `accept(2)`.  glibc's `signal(2)` installs the
+//! SIGINT handler with `SA_RESTART`, so that call restarts instead of
+//! returning when the signal lands; a small watcher thread polls the latch
+//! instead, raises the shutdown flag, and wakes the accept by connecting to
+//! the server itself.  Connection reads use a short timeout and re-check the
+//! shutdown flag each time it expires.
 
 use crate::script::{split_statements, statement_complete};
 use crate::session::{Control, PlanCache, Session};
 use itq_core::engine::Engine;
 use itq_object::CancelFlag;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// How often the blocked loops (accept, connection reads) wake to re-check
-/// the SIGINT latch and the shutdown flag.
+/// How often the SIGINT watcher checks the latch, and how long a connection
+/// read waits before it re-checks the shutdown flag.  A failed accept also
+/// backs off this long before the next one.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// The most bytes one request may hold before its statements complete.
@@ -98,24 +104,29 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
     let local = listener
         .local_addr()
         .map_err(|e| format!("cannot resolve bound address: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot make listener non-blocking: {e}"))?;
     if !itq_signal::install() {
         eprintln!("warning: no SIGINT handler available; stop the server by killing the process");
     }
     println!("listening on {local}");
 
     let shutdown = Arc::new(AtomicBool::new(false));
+    let watcher = {
+        let shutdown = Arc::clone(&shutdown);
+        thread::spawn(move || watch_for_sigint(wake_address(local), &shutdown))
+    };
     let cache = PlanCache::new();
     let config = Arc::new(config);
     let mut connections: Vec<(thread::JoinHandle<()>, CancelFlag)> = Vec::new();
 
     loop {
-        if itq_signal::take() {
+        let accepted = listener.accept();
+        // The watcher raises the flag before it connects, so the connection
+        // that woke this accept (the watcher's, or a client's that beat it)
+        // is dropped unserved.
+        if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let cancel = CancelFlag::new();
                 let thread_cancel = cancel.clone();
@@ -133,7 +144,6 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
                 });
                 connections.push((handle, cancel));
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
             Err(e) => {
                 // Transient accept failures (connection reset mid-handshake,
                 // fd pressure) should not take the whole server down.
@@ -158,19 +168,57 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
 
     // Graceful drain: stop accepting, cancel every in-flight execution, and
     // wait for each connection thread to notice and return.
-    shutdown.store(true, Ordering::SeqCst);
-    for (_, cancel) in &connections {
-        cancel.cancel();
-    }
-    let active = connections.len();
+    let active = connections
+        .iter()
+        .filter(|(handle, _)| !handle.is_finished())
+        .count();
     if active > 0 {
         println!("draining {active} connection(s)");
+    }
+    for (_, cancel) in &connections {
+        cancel.cancel();
     }
     for (handle, _) in connections {
         let _ = handle.join();
     }
+    let _ = watcher.join();
     println!("shutdown complete");
     Ok(())
+}
+
+/// The SIGINT watcher: poll the latch every [`POLL_INTERVAL`]; once it is
+/// set, raise `shutdown` and connect to `wake` so the blocking accept returns
+/// and sees the flag.
+fn watch_for_sigint(wake: SocketAddr, shutdown: &AtomicBool) {
+    while !itq_signal::take() {
+        thread::sleep(POLL_INTERVAL);
+    }
+    shutdown.store(true, Ordering::SeqCst);
+    if let Err(e) = TcpStream::connect(wake) {
+        eprintln!("warning: cannot wake the accept loop at {wake}: {e}");
+    }
+}
+
+/// Where the watcher connects to reach the listener bound at `bound`: the
+/// same address, except that an unspecified one (`0.0.0.0`, `::`) is not a
+/// destination, so it becomes the loopback address of its family.
+fn wake_address(bound: SocketAddr) -> SocketAddr {
+    let mut wake = bound;
+    if bound.ip().is_unspecified() {
+        wake.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    wake
+}
+
+/// Ready an accepted socket for the protocol: replies go out as soon as they
+/// are flushed (no Nagle delay), and reads give up after [`POLL_INTERVAL`] so
+/// the connection loop can re-check the shutdown flag.
+fn configure_socket(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(POLL_INTERVAL))
 }
 
 /// One connection: a private [`Session`] fed by `;`-terminated statement
@@ -184,7 +232,7 @@ fn handle_connection(
     cancel: CancelFlag,
     shutdown: &AtomicBool,
 ) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
+    if configure_socket(&stream).is_err() {
         return;
     }
     let mut writer = match stream.try_clone() {
@@ -282,4 +330,33 @@ fn run_batch<W: Write>(session: &mut Session, src: &str, writer: &mut W) -> Cont
         return Control::Quit;
     }
     control
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_are_no_delay_with_a_polling_read_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        configure_socket(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        // The kernel rounds the timeout up to its clock tick.
+        let timeout = accepted.read_timeout().unwrap().expect("a read timeout");
+        assert!(
+            timeout >= POLL_INTERVAL && timeout < 2 * POLL_INTERVAL,
+            "{timeout:?}"
+        );
+    }
+
+    #[test]
+    fn the_watcher_wakes_unspecified_binds_through_loopback() {
+        let wake = |addr: &str| wake_address(addr.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7171"), "127.0.0.1:7171");
+        assert_eq!(wake("[::]:7171"), "[::1]:7171");
+        assert_eq!(wake("127.0.0.1:7171"), "127.0.0.1:7171");
+        assert_eq!(wake("10.1.2.3:7171"), "10.1.2.3:7171");
+    }
 }

@@ -25,7 +25,7 @@ use itq_core::prelude::InventionConfig;
 use itq_object::{Instance, Schema, Value};
 use itq_trace::{MetricsRegistry, NoopSink, TraceSink};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -193,6 +193,64 @@ enum PlanStatement {
     Algebra(AlgExpr, Schema),
 }
 
+/// A named query or algebra expression: one record per name, holding
+/// everything the session keeps for it.  A server session keeps one for
+/// every name its clients ever declared, so the record stays small: a
+/// prepared name keeps its statement only inside the handle, and the span
+/// table is packed.
+struct Definition {
+    /// Name of the input schema.
+    schema: String,
+    body: Body,
+    /// The declaring statement's text and node spans, kept so `check NAME;`
+    /// can render caret snippets; `None` for a query `compile` derived.
+    source: Option<(Box<str>, SpanTable)>,
+}
+
+/// What a name is bound to: the parsed statement until a statement needs a
+/// handle, then the handle, which holds that statement (and, from the plan
+/// cache, shares it with every name bound to an equal one).  The handle is
+/// dropped, and the statement taken back out of it, when the engine
+/// configuration or an algebra's schema changes.
+enum Body {
+    Query(Box<Query>),
+    Algebra(AlgExpr),
+    Prepared(Prepared),
+}
+
+/// The statement a [`Definition`] is bound to, wherever its body keeps it.
+enum Statement<'a> {
+    Query(&'a Query),
+    Algebra(&'a AlgExpr),
+}
+
+impl Definition {
+    fn statement(&self) -> Statement<'_> {
+        match &self.body {
+            Body::Query(query) => Statement::Query(query),
+            Body::Algebra(expr) => Statement::Algebra(expr),
+            Body::Prepared(handle) => match handle.algebra_expr() {
+                Some(expr) => Statement::Algebra(expr),
+                None => Statement::Query(handle.query()),
+            },
+        }
+    }
+
+    fn is_algebra(&self) -> bool {
+        matches!(self.statement(), Statement::Algebra(_))
+    }
+
+    /// Drop the prepared handle, keeping the statement it holds.
+    fn unprepare(&mut self) {
+        if let Body::Prepared(handle) = &self.body {
+            self.body = match handle.algebra_expr() {
+                Some(expr) => Body::Algebra(expr.clone()),
+                None => Body::Query(Box::new(handle.query().clone())),
+            };
+        }
+    }
+}
+
 /// A named-object session over an [`Engine`].
 ///
 /// Evaluation runs entirely through the prepare-once / execute-many pipeline:
@@ -209,12 +267,10 @@ pub struct Session {
     /// the schema as declared then, and mutated in place by `insert` and
     /// `delete`.
     databases: BTreeMap<String, (String, IncrementalDb)>,
-    queries: BTreeMap<String, (String, Query)>,
-    algebras: BTreeMap<String, (String, AlgExpr)>,
-    /// Statement source text and node spans for each named query and algebra
-    /// expression, kept so `check NAME;` can render caret snippets.
-    sources: BTreeMap<String, (String, SpanTable)>,
-    prepared: BTreeMap<String, Prepared>,
+    /// Every named query and algebra expression; declaring a name replaces
+    /// whatever it was bound to.  Boxed, so the slots a B-tree node keeps
+    /// spare cost a pointer each rather than a record.
+    definitions: BTreeMap<String, Box<Definition>>,
     /// Where execution and epoch spans go; [`NoopSink`] (tracing off) by
     /// default, so plain sessions never build a span.
     sink: Box<dyn TraceSink>,
@@ -224,8 +280,8 @@ pub struct Session {
     /// Suppress per-answer output lines (`--quiet`).
     quiet: bool,
     /// Cross-session prepared-plan cache (`itq serve`): `None` for a
-    /// standalone session, in which case only the per-session `prepared` map
-    /// above caches handles.
+    /// standalone session, in which case only each definition's `prepared`
+    /// handle is cached.
     shared_plans: Option<PlanCache>,
 }
 
@@ -242,10 +298,7 @@ impl Session {
             engine: Engine::new(),
             schemas: BTreeMap::new(),
             databases: BTreeMap::new(),
-            queries: BTreeMap::new(),
-            algebras: BTreeMap::new(),
-            sources: BTreeMap::new(),
-            prepared: BTreeMap::new(),
+            definitions: BTreeMap::new(),
             sink: Box::new(NoopSink),
             metrics: MetricsRegistry::new(),
             quiet: false,
@@ -272,7 +325,9 @@ impl Session {
     /// borrow drops every cached handle; the next `eval` of each name
     /// re-prepares against the new configuration.
     pub fn engine_mut(&mut self) -> &mut Engine {
-        self.prepared.clear();
+        for def in self.definitions.values_mut() {
+            def.unprepare();
+        }
         &mut self.engine
     }
 
@@ -314,13 +369,19 @@ impl Session {
 
     /// Look up a declared query.
     pub fn query(&self, name: &str) -> Option<&Query> {
-        self.queries.get(name).map(|(_, q)| q)
+        match self.definitions.get(name)?.statement() {
+            Statement::Query(query) => Some(query),
+            Statement::Algebra(_) => None,
+        }
     }
 
     /// The cached [`Prepared`] handle for a named query or algebra expression,
     /// if it has been evaluated (and therefore prepared) in this session.
     pub fn prepared(&self, name: &str) -> Option<&Prepared> {
-        self.prepared.get(name)
+        match &self.definitions.get(name)?.body {
+            Body::Prepared(handle) => Some(handle),
+            Body::Query(_) | Body::Algebra(_) => None,
+        }
     }
 
     /// Run a whole script, stopping at the first error (batch mode).  Returns
@@ -357,14 +418,10 @@ impl Session {
                 // so a redefinition invalidates every handle prepared over the
                 // old schema (queries embed their schema at parse time and are
                 // unaffected, matching the pre-pipeline behaviour).
-                let stale: Vec<String> = self
-                    .algebras
-                    .iter()
-                    .filter(|(_, (schema_name, _))| schema_name == &name)
-                    .map(|(algebra_name, _)| algebra_name.clone())
-                    .collect();
-                for algebra_name in stale {
-                    self.prepared.remove(&algebra_name);
+                for def in self.definitions.values_mut() {
+                    if def.is_algebra() && def.schema == name {
+                        def.unprepare();
+                    }
                 }
                 self.schemas.insert(name, schema);
             }
@@ -403,9 +460,8 @@ impl Session {
                     query.target_type(),
                     query.body().quantifier_count(),
                 ));
-                self.prepared.remove(&name);
-                self.queries.insert(name.clone(), (schema, query));
-                self.sources.insert(name.clone(), (src, spans));
+                let body = Body::Query(Box::new(query));
+                self.define(name.clone(), schema, body, Some((src, spans)));
                 self.rewatch_by_name(&name, &mut lines);
             }
             Stmt::DefAlgebra {
@@ -419,9 +475,8 @@ impl Session {
                 let ty = infer_type(&expr, schema_decl)
                     .map_err(|e| SessionError::Exec(format!("algebra `{name}`: {e}")))?;
                 lines.push(format!("algebra {name} : {schema} → {ty}"));
-                self.prepared.remove(&name);
-                self.algebras.insert(name.clone(), (schema, expr));
-                self.sources.insert(name.clone(), (src, spans));
+                let body = Body::Algebra(expr);
+                self.define(name.clone(), schema, body, Some((src, spans)));
                 self.rewatch_by_name(&name, &mut lines);
             }
             Stmt::Show { name } => lines.extend(self.show(&name)?),
@@ -477,6 +532,30 @@ impl Session {
             .ok_or_else(|| SessionError::Exec(format!("unknown schema `{name}`")))
     }
 
+    /// A declared query or algebra expression.
+    fn definition(&self, name: &str) -> Result<&Definition, SessionError> {
+        self.definitions.get(name).map(Box::as_ref).ok_or_else(|| {
+            SessionError::Exec(format!("no query or algebra expression named `{name}`"))
+        })
+    }
+
+    /// Bind `name` to a fresh definition, dropping whatever it was bound to
+    /// and that binding's prepared handle.
+    fn define(
+        &mut self,
+        name: String,
+        schema: String,
+        body: Body,
+        source: Option<(String, SpanTable)>,
+    ) {
+        let def = Definition {
+            schema,
+            body,
+            source: source.map(|(src, spans)| (src.into_boxed_str(), spans)),
+        };
+        self.definitions.insert(name, Box::new(def));
+    }
+
     fn show(&self, name: &str) -> Result<Vec<String>, SessionError> {
         if let Some(schema) = self.schemas.get(name) {
             return Ok(vec![format!("schema {name} = {}", render_schema(schema))]);
@@ -488,16 +567,14 @@ impl Session {
             }
             return Ok(lines);
         }
-        if let Some((schema, query)) = self.queries.get(name) {
+        if let Some(def) = self.definitions.get(name) {
+            let (kind, text) = match def.statement() {
+                Statement::Query(query) => ("query", query.to_string()),
+                Statement::Algebra(expr) => ("algebra", expr.to_string()),
+            };
             return Ok(vec![
-                format!("query {name} : {schema}"),
-                format!("  {query}"),
-            ]);
-        }
-        if let Some((schema, expr)) = self.algebras.get(name) {
-            return Ok(vec![
-                format!("algebra {name} : {schema}"),
-                format!("  {expr}"),
+                format!("{kind} {name} : {}", def.schema),
+                format!("  {text}"),
             ]);
         }
         Err(SessionError::Exec(format!("nothing named `{name}`")))
@@ -505,11 +582,18 @@ impl Session {
 
     fn list(&self) -> Vec<String> {
         let mut lines = Vec::new();
+        let named = |algebra: bool| {
+            self.definitions
+                .iter()
+                .filter(|(_, def)| def.is_algebra() == algebra)
+                .map(|(name, _)| name)
+                .collect()
+        };
         let sections: [(&str, Vec<&String>); 4] = [
             ("schemas", self.schemas.keys().collect()),
             ("databases", self.databases.keys().collect()),
-            ("queries", self.queries.keys().collect()),
-            ("algebras", self.algebras.keys().collect()),
+            ("queries", named(false)),
+            ("algebras", named(true)),
         ];
         for (what, names) in sections {
             if !names.is_empty() {
@@ -535,21 +619,9 @@ impl Session {
     }
 
     fn classify(&mut self, name: &str) -> Result<Vec<String>, SessionError> {
-        if self.queries.contains_key(name) {
-            // The classification was computed at prepare time; reuse the handle.
-            let mut lines = self.ensure_prepared(name)?;
-            let c = self.prepared[name].classification();
-            lines.push(format!("{name} ∈ {} (minimal)", c.minimal_class));
-            if c.intermediate_types.is_empty() {
-                lines.push("  no intermediate types".to_string());
-            } else {
-                let tys: Vec<String> = c.intermediate_types.iter().map(|t| t.to_string()).collect();
-                lines.push(format!("  intermediate types: {}", tys.join(", ")));
-            }
-            return Ok(lines);
-        }
-        if let Some((schema, expr)) = self.algebras.get(name) {
-            let schema = self.schema_or_err(schema)?;
+        let def = self.definition(name)?;
+        if let Statement::Algebra(expr) = def.statement() {
+            let schema = self.schema_or_err(&def.schema)?;
             let c = classify_expr(expr, schema)
                 .map_err(|e| SessionError::Exec(format!("classify `{name}`: {e}")))?;
             let mut lines = vec![format!(
@@ -562,33 +634,37 @@ impl Session {
             }
             return Ok(lines);
         }
-        Err(SessionError::Exec(format!(
-            "no query or algebra expression named `{name}`"
-        )))
+        // The classification was computed at prepare time; reuse the handle.
+        let (mut lines, handle) = self.ensure_prepared(name)?;
+        let c = handle.classification();
+        lines.push(format!("{name} ∈ {} (minimal)", c.minimal_class));
+        if c.intermediate_types.is_empty() {
+            lines.push("  no intermediate types".to_string());
+        } else {
+            let tys: Vec<String> = c.intermediate_types.iter().map(|t| t.to_string()).collect();
+            lines.push(format!("  intermediate types: {}", tys.join(", ")));
+        }
+        Ok(lines)
     }
 
     fn typecheck(&mut self, name: &str) -> Result<Vec<String>, SessionError> {
-        if self.queries.contains_key(name) {
-            // Preparing re-derives the full typing (the prepare-time semantic
-            // type-check); a cached handle is itself the proof of typing.
-            let mut lines = self.ensure_prepared(name)?;
-            let (schema_name, query) = &self.queries[name];
-            lines.push(format!(
-                "{name} : {schema_name} → {} ✓ (t-wff over {})",
-                query.target_type(),
-                render_schema(query.schema()),
-            ));
-            return Ok(lines);
-        }
-        if let Some((schema_name, expr)) = self.algebras.get(name) {
-            let schema = self.schema_or_err(schema_name)?;
-            let ty = infer_type(expr, schema)
+        let def = self.definition(name)?;
+        if let Statement::Algebra(expr) = def.statement() {
+            let ty = infer_type(expr, self.schema_or_err(&def.schema)?)
                 .map_err(|e| SessionError::Exec(format!("typecheck `{name}`: {e}")))?;
-            return Ok(vec![format!("{name} : {schema_name} → {ty} ✓")]);
+            return Ok(vec![format!("{name} : {} → {ty} ✓", def.schema)]);
         }
-        Err(SessionError::Exec(format!(
-            "no query or algebra expression named `{name}`"
-        )))
+        // Preparing re-derives the full typing (the prepare-time semantic
+        // type-check); a cached handle is itself the proof of typing.
+        let (mut lines, handle) = self.ensure_prepared(name)?;
+        let query = handle.query();
+        lines.push(format!(
+            "{name} : {} → {} ✓ (t-wff over {})",
+            self.definition(name)?.schema,
+            query.target_type(),
+            render_schema(query.schema()),
+        ));
+        Ok(lines)
     }
 
     /// `plan NAME;` — pretty-print the set-at-a-time physical plan the
@@ -598,13 +674,7 @@ impl Session {
     /// prints its Datalog rules instead.  Any other calculus query is
     /// reported as running on the evaluator that enumerates it.
     fn plan(&mut self, name: &str) -> Result<Vec<String>, SessionError> {
-        if !self.queries.contains_key(name) && !self.algebras.contains_key(name) {
-            return Err(SessionError::Exec(format!(
-                "no query or algebra expression named `{name}`"
-            )));
-        }
-        let mut lines = self.ensure_prepared(name)?;
-        let prepared = &self.prepared[name];
+        let (mut lines, prepared) = self.ensure_prepared(name)?;
         match (prepared.physical_plan(), prepared.least_fixpoint()) {
             (Some(plan), _) => {
                 let source = match prepared.algebra_expr() {
@@ -647,25 +717,21 @@ impl Session {
     /// anything and works even when preparation would fail.
     fn check(&self, name: &str) -> Result<Vec<String>, SessionError> {
         let budgets = self.budgets();
-        let report = if let Some((_, query)) = self.queries.get(name) {
-            analyze_query(query, &budgets)
-        } else if let Some((schema_name, expr)) = self.algebras.get(name) {
-            let schema = self.schema_or_err(schema_name)?;
-            analyze_algebra(expr, schema, &budgets)
-        } else {
-            return Err(SessionError::Exec(format!(
-                "no query or algebra expression named `{name}`"
-            )));
+        let def = self.definition(name)?;
+        let report = match def.statement() {
+            Statement::Query(query) => analyze_query(query, &budgets),
+            Statement::Algebra(expr) => {
+                analyze_algebra(expr, self.schema_or_err(&def.schema)?, &budgets)
+            }
         };
         let mut lines = vec![format!("check {name}: {}", report.summary())];
-        let source = self.sources.get(name);
         for d in &report.diagnostics {
             lines.push(format!("  {d}"));
             for note in &d.notes {
                 lines.push(format!("    note: {note}"));
             }
-            if let Some((src, spans)) = source {
-                if let Some(span) = d.node.and_then(|n| spans.get(n).copied().flatten()) {
+            if let Some((src, spans)) = &def.source {
+                if let Some(span) = d.node.and_then(|n| spans.get(n)) {
                     lines.extend(
                         render_snippet(src, span)
                             .into_iter()
@@ -679,12 +745,12 @@ impl Session {
 
     /// Get-or-create the [`Prepared`] handle for a named query or algebra
     /// expression — the prepare-once half of the pipeline.  A *fresh* prepare
-    /// returns the handle's warning-level diagnostics as printable lines
+    /// also returns the handle's warning-level diagnostics as printable lines
     /// (suppressed by `--quiet`); a cached handle returns none, so a warning
     /// prints once per prepare, not once per execution.
-    fn ensure_prepared(&mut self, name: &str) -> Result<Vec<String>, SessionError> {
-        if self.prepared.contains_key(name) {
-            return Ok(Vec::new());
+    fn ensure_prepared(&mut self, name: &str) -> Result<(Vec<String>, Prepared), SessionError> {
+        if let Body::Prepared(handle) = &self.definition(name)?.body {
+            return Ok((Vec::new(), handle.clone()));
         }
         let key = self.plan_key(name)?;
         // `itq serve`: another session may already have done the static work
@@ -711,8 +777,10 @@ impl Session {
             }
         };
         let warnings = self.prepare_warnings(name, &handle);
-        self.prepared.insert(name.to_string(), handle);
-        Ok(warnings)
+        if let Some(def) = self.definitions.get_mut(name) {
+            def.body = Body::Prepared(handle.clone());
+        }
+        Ok((warnings, handle))
     }
 
     /// The warning-level diagnostic lines a fresh prepare of `name` prints
@@ -734,15 +802,12 @@ impl Session {
     /// value and this engine's budgets and algebra-planner flag — the key of
     /// the cross-session [`PlanCache`].
     fn plan_key(&self, name: &str) -> Result<PlanKey, SessionError> {
-        let statement = if let Some((_, query)) = self.queries.get(name) {
-            PlanStatement::Query(query.clone())
-        } else if let Some((schema_name, expr)) = self.algebras.get(name) {
-            let schema = self.schema_or_err(schema_name)?.clone();
-            PlanStatement::Algebra(expr.clone(), schema)
-        } else {
-            return Err(SessionError::Exec(format!(
-                "no query or algebra expression named `{name}`"
-            )));
+        let def = self.definition(name)?;
+        let statement = match def.statement() {
+            Statement::Query(query) => PlanStatement::Query(query.clone()),
+            Statement::Algebra(expr) => {
+                PlanStatement::Algebra(expr.clone(), self.schema_or_err(&def.schema)?.clone())
+            }
         };
         let engine = &self.engine;
         Ok(PlanKey {
@@ -762,8 +827,7 @@ impl Session {
     ) -> Result<Vec<String>, SessionError> {
         // An unknown database is reported before anything is prepared.
         self.database_or_err(database)?;
-        let mut lines = self.ensure_prepared(name)?;
-        let prepared = &self.prepared[name];
+        let (mut lines, prepared) = self.ensure_prepared(name)?;
         let db = self.database_or_err(database)?.database();
         // Algebra expressions keep their historical header under the limited
         // interpretation (no semantics qualifier); everything else names the
@@ -854,7 +918,7 @@ impl Session {
                     value,
                 } => format!(
                     "value {} does not conform to {pred} : {expected}",
-                    value.display_with(self.engine.universe())
+                    value.named(self.engine.universe())
                 ),
                 other => other.to_string(),
             };
@@ -890,8 +954,7 @@ impl Session {
     ) -> Result<Vec<String>, SessionError> {
         // An unknown database is reported before anything is prepared.
         self.database_or_err(database)?;
-        let mut lines = self.ensure_prepared(name)?;
-        let prepared = &self.prepared[name];
+        let (mut lines, prepared) = self.ensure_prepared(name)?;
         let db = self.database_or_err(database)?.database();
         let header = format!("explain analyze {name} on {database} with {semantics}");
         let (outcome, span) = prepared
@@ -926,8 +989,7 @@ impl Session {
         database: &str,
         semantics: Semantics,
     ) -> Result<Vec<String>, SessionError> {
-        let mut lines = self.ensure_prepared(name)?;
-        let prepared = self.prepared[name].clone();
+        let (mut lines, prepared) = self.ensure_prepared(name)?;
         let (_, inc) = self
             .databases
             .get_mut(database)
@@ -1009,30 +1071,25 @@ impl Session {
     }
 
     fn compile(&mut self, name: &str, target: Option<String>) -> Result<Vec<String>, SessionError> {
-        if let Some((schema_name, expr)) = self.algebras.get(name).cloned() {
-            let schema = self.schema_or_err(&schema_name)?.clone();
-            let query = self
-                .engine
-                .compile_algebra(&expr, &schema)
-                .map_err(|e| SessionError::Exec(format!("compile `{name}`: {e}")))?;
-            let target = target.unwrap_or_else(|| format!("{name}_calc"));
-            let lines = vec![
-                format!("compiled {name} (algebra) → {target} (calculus), Theorem 3.8:"),
-                format!("  {query}"),
-            ];
-            self.prepared.remove(&target);
-            self.queries.insert(target, (schema_name, query));
-            return Ok(lines);
-        }
-        if self.queries.contains_key(name) {
+        let def = self.definition(name)?;
+        let Statement::Algebra(expr) = def.statement() else {
             return Err(SessionError::Exec(format!(
                 "`{name}` is a calculus query; the calculus → algebra direction of \
                  Theorem 3.8 is not implemented yet (only algebra → calculus is)"
             )));
-        }
-        Err(SessionError::Exec(format!(
-            "no query or algebra expression named `{name}`"
-        )))
+        };
+        let query = self
+            .engine
+            .compile_algebra(expr, self.schema_or_err(&def.schema)?)
+            .map_err(|e| SessionError::Exec(format!("compile `{name}`: {e}")))?;
+        let schema = def.schema.clone();
+        let target = target.unwrap_or_else(|| format!("{name}_calc"));
+        let lines = vec![
+            format!("compiled {name} (algebra) → {target} (calculus), Theorem 3.8:"),
+            format!("  {query}"),
+        ];
+        self.define(target, schema, Body::Query(Box::new(query)), None);
+        Ok(lines)
     }
 
     /// `set deadline <millis>|off;` / `set memory <bytes>|off;` — adjust the
@@ -1064,22 +1121,33 @@ impl Session {
 
     // ----- rendering -----------------------------------------------------------
 
+    /// One indented line per answer.  Each line is rendered into one reused
+    /// buffer and copied out at its exact length: one allocation per line.
     fn render_values(&self, instance: &Instance) -> Vec<String> {
         if self.quiet {
             return Vec::new();
         }
+        let universe = self.engine.universe();
+        let mut line = String::new();
         instance
             .iter()
-            .map(|v| format!("  {}", v.display_with(self.engine.universe())))
+            .map(|v| {
+                line.clear();
+                let _ = write!(line, "  {}", v.named(universe));
+                line.clone()
+            })
             .collect()
     }
 
     fn render_instance(&self, instance: &Instance) -> String {
-        let items: Vec<String> = instance
-            .iter()
-            .map(|v| v.display_with(self.engine.universe()))
-            .collect();
-        format!("{{{}}}", items.join(", "))
+        let universe = self.engine.universe();
+        let mut out = String::from("{");
+        for (i, v) in instance.iter().enumerate() {
+            let sep = if i > 0 { ", " } else { "" };
+            let _ = write!(out, "{sep}{}", v.named(universe));
+        }
+        out.push('}');
+        out
     }
 }
 
@@ -1777,5 +1845,95 @@ mod tests {
         assert!(out.iter().any(|l| l.contains("[Tom, Mary]")));
         assert!(out.iter().any(|l| l.starts_with("query gp")));
         assert!(out.iter().any(|l| l.starts_with("schemas: Gen")));
+    }
+
+    #[test]
+    fn check_renders_carets_from_the_declaring_statement() {
+        let mut s = Session::new();
+        run(
+            &mut s,
+            "schema Demo {R : [U, U]};\n\
+             query hygiene : Demo\n  {t/[U, U] | ∃z/[U, U] (R(t) ∧ t.1 ≈ 'Tom')}; \
+             algebra void : Demo\n  R diff R;\n\
+             compile void as void_calc;\n\
+             schema Demo {R : U};",
+        );
+        // The query keeps the schema it was declared with, the algebra is
+        // analysed against the redeclared one, and a compiled query has no
+        // statement text to point into.
+        let out = run(&mut s, "check hygiene; check void; check void_calc;");
+        let expected = [
+            "check hygiene: 1 warning, 1 info",
+            "  warning[ITQ0101]: quantified variable `z` is never used",
+            "     --> 2:15",
+            "      |",
+            "    2 |   {t/[U, U] | ∃z/[U, U] (R(t) ∧ t.1 ≈ 'Tom')}",
+            "      |               ^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^",
+            "  info[ITQ0401]: query is in CALC_{0,0} (k from input/output types, i from intermediates)",
+            "     --> 2:15",
+            "      |",
+            "    2 |   {t/[U, U] | ∃z/[U, U] (R(t) ∧ t.1 ≈ 'Tom')}",
+            "      |               ^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^",
+            "check void: 1 warning, 1 info",
+            "  warning[ITQ0206]: difference of an expression with itself is always empty",
+            "     --> 2:3",
+            "      |",
+            "    2 |   R diff R",
+            "      |   ^^^^^^^^",
+            "  info[ITQ0401]: expression is in ALG_{0,0} with output type U",
+            "     --> 2:3",
+            "      |",
+            "    2 |   R diff R",
+            "      |   ^^^^^^^^",
+            "check void_calc: 1 info",
+            "  info[ITQ0401]: query is in CALC_{0,0} (k from input/output types, i from intermediates)",
+        ];
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn a_prepared_name_reads_back_the_statement_it_was_declared_with() {
+        let mut s = Session::new();
+        genealogy(&mut s);
+        run(
+            &mut s,
+            "algebra ga : Gen pi_{1,4}(sigma_{$2 = $3}(PAR * PAR));",
+        );
+        let reads = "show gp; show ga; classify gp; classify ga; typecheck gp; \
+                     typecheck ga; check gp; check ga; list;";
+        let declared = run(&mut s, reads);
+        run(&mut s, "eval gp on d; eval ga on d;");
+        assert!(s.prepared("gp").is_some() && s.prepared("ga").is_some());
+        assert_eq!(run(&mut s, reads), declared, "read from the handles");
+        run(&mut s, "set deadline off;");
+        assert!(s.prepared("gp").is_none() && s.prepared("ga").is_none());
+        assert_eq!(
+            run(&mut s, reads),
+            declared,
+            "taken back out of the handles"
+        );
+        assert_eq!(
+            run(&mut s, "compile ga as gc; eval gc on d;")[3],
+            "  [Tom, Sue]"
+        );
+    }
+
+    #[test]
+    fn a_name_is_bound_to_its_latest_declaration() {
+        let mut s = Session::new();
+        genealogy(&mut s);
+        run(&mut s, "eval gp on d;");
+        let out = run(
+            &mut s,
+            "algebra gp : Gen pi_{2}(PAR); show gp; list; eval gp on d;",
+        );
+        assert_eq!(out[1..3], ["algebra gp : Gen", "  π_{2}(PAR)"]);
+        assert!(out.contains(&"algebras: gp".to_string()), "{out:?}");
+        assert!(!out.iter().any(|l| l.starts_with("queries:")), "{out:?}");
+        assert!(
+            out.contains(&"eval gp on d: 2 objects".to_string()),
+            "{out:?}"
+        );
+        assert!(s.query("gp").is_none());
     }
 }

@@ -24,7 +24,47 @@ pub use itq_analyze::Span;
 
 /// Spans for every node of one definition, indexed by the analyzer's
 /// pre-order node index; `None` where no location is known.
-pub type SpanTable = Vec<Option<Span>>;
+///
+/// A session keeps one table per declared name, so each span is packed into
+/// four `u32`s (16 bytes, against 40 for an `Option<Span>`), with line 0 —
+/// lines count from 1 — standing for an unknown location.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SpanTable(Box<[[u32; 4]]>);
+
+impl SpanTable {
+    /// The span of pre-order node `node`, if known.
+    pub fn get(&self, node: usize) -> Option<Span> {
+        let &[line, column, end_line, end_column] = self.0.get(node)?;
+        let at = |line: u32, column: u32| (line as usize, column as usize);
+        (line != 0).then(|| (at(line, column), at(end_line, end_column)))
+    }
+
+    /// The number of nodes the table covers.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the table covers no node.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Packs each span; one whose coordinates overflow a `u32` becomes unknown.
+impl FromIterator<Option<Span>> for SpanTable {
+    fn from_iter<I: IntoIterator<Item = Option<Span>>>(spans: I) -> SpanTable {
+        let pack = |((line, column), (end_line, end_column)): Span| {
+            let fit = |n: usize| u32::try_from(n).ok();
+            Some([fit(line)?, fit(column)?, fit(end_line)?, fit(end_column)?])
+        };
+        SpanTable(
+            spans
+                .into_iter()
+                .map(|span| span.and_then(pack).unwrap_or([0; 4]))
+                .collect(),
+        )
+    }
+}
 
 fn to_span(start: Pos, end: Pos) -> Span {
     ((start.line, start.column), (end.line, end.column))
@@ -67,7 +107,7 @@ pub fn algebra_span_table(expr: &AlgExpr, events: &[(Pos, Pos)]) -> SpanTable {
 
 fn zip_table(post: &[*const ()], pre: &[*const ()], events: &[(Pos, Pos)]) -> SpanTable {
     if post.len() != events.len() {
-        return vec![None; pre.len()];
+        return pre.iter().map(|_| None).collect();
     }
     let by_node: HashMap<*const (), Span> = post
         .iter()
@@ -148,6 +188,10 @@ mod tests {
         (f, p.take_span_events())
     }
 
+    fn known_everywhere(table: &SpanTable) -> bool {
+        (0..table.len()).all(|node| table.get(node).is_some())
+    }
+
     fn parse_alg(src: &str) -> (AlgExpr, Vec<(Pos, Pos)>) {
         let mut p = Parser::new(src).unwrap();
         let e = p.alg_expr().unwrap();
@@ -160,9 +204,9 @@ mod tests {
         let (f, events) = parse_formula("∃x/U (x ≈ x ∧ ¬P(x))");
         let table = formula_span_table(&f, &events);
         assert_eq!(table.len(), formula_preorder(&f).len());
-        assert!(table.iter().all(Option::is_some), "{table:?}");
+        assert!(known_everywhere(&table), "{table:?}");
         // Pre-order node 0 is the Exists, spanning the whole text.
-        assert_eq!(table[0].unwrap().0, (1, 1));
+        assert_eq!(table.get(0).unwrap().0, (1, 1));
     }
 
     #[test]
@@ -170,20 +214,20 @@ mod tests {
         let (f, events) = parse_formula("x ≈ x ∨ x ∈ y");
         let table = formula_span_table(&f, &events);
         // Pre-order: Or, Eq, Member.
-        assert_eq!(table[0].unwrap().0, (1, 1));
-        assert_eq!(table[1].unwrap().0, (1, 1));
-        assert_eq!(table[2].unwrap().0, (1, 9));
+        assert_eq!(table.get(0).unwrap().0, (1, 1));
+        assert_eq!(table.get(1).unwrap().0, (1, 1));
+        assert_eq!(table.get(2).unwrap().0, (1, 9));
     }
 
     #[test]
     fn parenthesized_formulas_still_pair_up() {
         let (f, events) = parse_formula("((x ≈ x)) ∧ (y ≈ y)");
         let table = formula_span_table(&f, &events);
-        assert!(table.iter().all(Option::is_some));
+        assert!(known_everywhere(&table));
         // The second conjunct starts at its `(`: the event start is the
         // first token of the operand, which here is the paren passthrough's
         // inner Eq — column 14.
-        assert_eq!(table[2].unwrap().0, (1, 14));
+        assert_eq!(table.get(2).unwrap().0, (1, 14));
     }
 
     #[test]
@@ -191,7 +235,7 @@ mod tests {
         let (f, events) = parse_formula("x ≈ x\n∧ y ≈ y");
         let table = formula_span_table(&f, &events);
         // Pre-order: And (line 1), Eq (line 1), Eq (line 2).
-        assert_eq!(table[2].unwrap().0, (2, 3));
+        assert_eq!(table.get(2).unwrap().0, (2, 3));
     }
 
     #[test]
@@ -199,18 +243,31 @@ mod tests {
         let (e, events) = parse_alg("σ_{$1 = $2 ∧ ⊥}(PAR × PAR)");
         let table = algebra_span_table(&e, &events);
         assert_eq!(table.len(), algebra_preorder(&e).len());
-        assert!(table.iter().all(Option::is_some), "{table:?}");
+        assert!(known_everywhere(&table), "{table:?}");
         // Pre-order: Select, And, Eq, Or(⊥), Product, Pred, Pred.
-        assert_eq!(table[0].unwrap().0, (1, 1));
-        assert_eq!(table[3].unwrap().0, (1, 14)); // the ⊥
-        assert_eq!(table[5].unwrap().0, (1, 17)); // first PAR
+        assert_eq!(table.get(0).unwrap().0, (1, 1));
+        assert_eq!(table.get(3).unwrap().0, (1, 14)); // the ⊥
+        assert_eq!(table.get(5).unwrap().0, (1, 17)); // first PAR
     }
 
     #[test]
     fn mismatched_event_count_degrades_to_none() {
         let (f, events) = parse_formula("x ≈ x");
         let table = formula_span_table(&f, &events[..0]);
-        assert_eq!(table, vec![None]);
+        assert_eq!((table.len(), table.get(0)), (1, None));
+    }
+
+    #[test]
+    fn packed_spans_read_back_and_overflow_to_unknown() {
+        let huge = usize::MAX;
+        let table: SpanTable = [Some(((1, 2), (3, 4))), None, Some(((huge, 1), (huge, 2)))]
+            .into_iter()
+            .collect();
+        assert_eq!(table.len(), 3);
+        assert_eq!(table.get(0), Some(((1, 2), (3, 4))));
+        assert_eq!(table.get(1), None);
+        assert_eq!(table.get(2), None);
+        assert_eq!(table.get(3), None);
     }
 
     #[test]

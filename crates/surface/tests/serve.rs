@@ -31,10 +31,14 @@ struct Server {
 
 impl Server {
     fn spawn(extra_args: &[&str]) -> Server {
+        Server::spawn_at("127.0.0.1:0", extra_args)
+    }
+
+    fn spawn_at(addr: &str, extra_args: &[&str]) -> Server {
         let mut child = Command::new(env!("CARGO_BIN_EXE_itq"))
             .arg("serve")
             .arg("--addr")
-            .arg("127.0.0.1:0")
+            .arg(addr)
             .args(extra_args)
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
@@ -276,6 +280,45 @@ fn sigint_cancels_in_flight_queries_and_drains() {
         stdout.iter().any(|l| l == "shutdown complete"),
         "missing shutdown banner: {stdout:?}"
     );
+}
+
+/// SIGINT with no client connected: the watcher thread wakes the blocking
+/// accept, and the server exits cleanly with nothing to drain.  The wall
+/// bound is generous: this proves the wake-up, not its latency.
+#[cfg(unix)]
+fn sigint_stops_an_idle_server_bound_at(addr: &str) {
+    let server = Server::spawn_at(addr, &[]);
+    let start = Instant::now();
+    server.interrupt();
+    let (status, stdout) = server.wait();
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "an idle server took {:?} to stop",
+        start.elapsed()
+    );
+    assert!(status.success(), "server exited with {status}");
+    assert!(
+        stdout.iter().any(|l| l == "shutdown complete"),
+        "missing shutdown banner: {stdout:?}"
+    );
+    assert!(
+        !stdout.iter().any(|l| l.starts_with("draining")),
+        "nothing to drain: {stdout:?}"
+    );
+}
+
+#[cfg(unix)]
+#[test]
+fn sigint_stops_an_idle_server() {
+    sigint_stops_an_idle_server_bound_at("127.0.0.1:0");
+}
+
+/// Bound to the unspecified address, the watcher wakes the accept through
+/// loopback rather than connecting to `0.0.0.0`.
+#[cfg(unix)]
+#[test]
+fn sigint_stops_an_idle_server_bound_to_every_interface() {
+    sigint_stops_an_idle_server_bound_at("0.0.0.0:0");
 }
 
 /// Run a script the way the server runs one request: every statement, its

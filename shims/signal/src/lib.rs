@@ -18,9 +18,9 @@
 //!   `SA_RESTART`, so a process blocked in `read(2)` (the REPL waiting at its
 //!   prompt) or `accept(2)` is *not* interrupted — the call restarts and the
 //!   flag is only noticed at the next poll. Callers that need prompt delivery
-//!   run a small watcher thread; callers that block forever must use
-//!   non-blocking I/O plus polling (that is why `itq serve` uses a
-//!   non-blocking accept loop).
+//!   run a small watcher thread; a caller blocked in a call that may never
+//!   return has its watcher wake it (`itq serve`'s watcher connects to the
+//!   server's own port, so its blocking `accept(2)` returns).
 //!
 //! On non-unix targets every function is a safe no-op returning `false`, so
 //! the surface crate builds unchanged; Ctrl-C then simply terminates the

@@ -1,6 +1,7 @@
 //! Property suite for the surface language: for generated `Term`, `Formula`,
 //! `Query`, and `AlgExpr` values, `parse(display(x)) == x` — the parser is the
-//! exact inverse of the engine's printers — and parse errors carry the
+//! exact inverse of the engine's printers, answer values rendered with atom
+//! names included — and parse errors carry the
 //! position of the offending token.  The statement layer is fuzzed too:
 //! arbitrary bytes and mutilated example scripts run through a session
 //! without a panic, and every parse error points inside its input.
@@ -9,10 +10,12 @@ use itq_algebra::{AlgExpr, EvalConfig as AlgConfig, SelFormula, SelTerm};
 use itq_calculus::{Formula, Query, Term};
 use itq_core::prelude::{Engine, EvalConfig, InventionConfig};
 use itq_core::queries;
-use itq_object::{Atom, Type};
+use itq_object::{Atom, Type, Universe, Value};
 use itq_surface::script::split_statements;
 use itq_surface::session::SessionError;
-use itq_surface::{parse_alg_expr, parse_formula, parse_query, parse_term, Pos, Session};
+use itq_surface::{
+    parse_alg_expr, parse_formula, parse_query, parse_term, parse_value_with, Pos, Session,
+};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -33,6 +36,30 @@ fn pred_name() -> impl Strategy<Value = String> {
 
 fn atom() -> impl Strategy<Value = Atom> {
     (0u32..50).prop_map(Atom)
+}
+
+/// Names for the first atoms of a universe.  None is spelled `a<digits>`,
+/// which the parser reads as a raw atom, and none is a keyword.
+const ATOM_NAMES: [&str; 6] = ["Tom", "Mary", "n12", "w0", "Zoë", "s'"];
+
+/// Values over the named atoms (ids below `ATOM_NAMES.len()`) and nameless
+/// ones above them, which render as `a<id>`; tuples are non-empty, as the
+/// parser requires, and sets of any size.
+fn named_value() -> BoxedStrategy<Value> {
+    let first_nameless = ATOM_NAMES.len() as u32;
+    let leaf = prop_oneof![
+        (0..first_nameless).prop_map(Atom),
+        any::<u32>().prop_map(move |id| Atom(id.max(first_nameless))),
+        Just(Atom(u32::MAX)),
+    ];
+    leaf.prop_map(Value::Atom)
+        .prop_recursive(3, 16, 3, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 1..4).prop_map(Value::Tuple),
+                proptest::collection::vec(inner, 0..4).prop_map(Value::set),
+            ]
+        })
+        .boxed()
 }
 
 /// Types of set-height ≤ 2 and width ≤ 3, honouring the tuple invariant.
@@ -180,6 +207,18 @@ proptest! {
     #[test]
     fn alg_expr_round_trips(e in alg_expr()) {
         prop_assert_eq!(parse_alg_expr(&e.to_string()), Ok(e));
+    }
+
+    /// A value rendered through `Value::named` parses back to itself in the
+    /// same universe: named atoms by name, nameless ones by their `a<id>`.
+    #[test]
+    fn named_values_round_trip(v in named_value()) {
+        let mut universe = Universe::new();
+        for name in ATOM_NAMES {
+            universe.atom(name);
+        }
+        let text = v.named(&universe).to_string();
+        prop_assert_eq!(parse_value_with(&text, &mut universe), Ok(v));
     }
 
     /// `parse ∘ display` is the identity on whole (validated) queries.
