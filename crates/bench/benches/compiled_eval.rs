@@ -89,9 +89,13 @@ fn bench_compiled_invention(c: &mut Criterion) {
                 .len()
         })
     });
+    let (levels, config) = (
+        compiled_engine.max_invented(),
+        compiled_engine.calc_config(),
+    );
     group.bench_function("legacy", |b| {
         b.iter(|| {
-            finite_invention(&query, &db, compiled_engine.invention_config())
+            finite_invention(&query, &db, levels, config)
                 .unwrap()
                 .union
                 .len()

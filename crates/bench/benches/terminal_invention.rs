@@ -4,8 +4,8 @@
 //! check through the machine substrate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use itq_calculus::{Formula, Query, Term};
-use itq_invention::{terminal_invention, InventionConfig};
+use itq_calculus::{EvalConfig, Formula, Query, Term};
+use itq_invention::terminal_invention;
 use itq_object::{Atom, Database, Instance, Schema, Type, Universe};
 use itq_turing::machines::{parity_machine, ONE};
 use itq_turing::{encode_run, run, verify_encoding};
@@ -41,12 +41,9 @@ fn bench_terminal_search(c: &mut Criterion) {
         ("undefined-bound-2", undefined_query(), 2),
         ("undefined-bound-4", undefined_query(), 4),
     ] {
-        let config = InventionConfig {
-            max_invented: max,
-            ..Default::default()
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
-            b.iter(|| terminal_invention(&query, &db, config).unwrap())
+        let config = EvalConfig::default();
+        group.bench_with_input(BenchmarkId::from_parameter(name), &max, |b, &max| {
+            b.iter(|| terminal_invention(&query, &db, max, &config).unwrap())
         });
     }
     group.finish();

@@ -4,7 +4,7 @@
 use itq_algebra::{AlgError, AlgExpr, EvalConfig as AlgConfig};
 use itq_calculus::eval::EvalConfig;
 use itq_calculus::{CalcError, Query, QueryClassification};
-use itq_invention::{InventionConfig, InventionError};
+use itq_invention::{InventionError, DEFAULT_MAX_INVENTED};
 use itq_object::{CancelFlag, Interrupt, ResourceError, Schema, TripKind, Universe};
 use std::fmt;
 
@@ -143,12 +143,15 @@ impl From<ResourceError> for EngineError {
 }
 
 /// The engine's resource-governance configuration: the physical half of the
-/// resource envelope, complementing the logical step/cardinality budgets.
+/// resource envelope, complementing the logical step/cardinality budgets of
+/// [`PlanSettings`].
 ///
 /// All knobs default to off; a fully disarmed governor costs one branch per
 /// poll point.  The configuration is snapshotted onto every `Prepared`
-/// handle (exactly like the budgets), and each execution arms a fresh
-/// [`Interrupt`] from the snapshot.
+/// handle, and each execution arms a fresh [`Interrupt`] from the snapshot.
+/// A deadline, cancellation or memory-ceiling trip is always the typed
+/// [`EngineError::Resource`], under every semantics: an execution returns its
+/// exact answer or an error, never a partial one.
 #[derive(Debug, Clone, Default)]
 pub struct GovernorConfig {
     /// Wall-clock deadline per execution, in milliseconds (`0` trips at the
@@ -164,12 +167,6 @@ pub struct GovernorConfig {
     /// behaviour.  Poll counts are deterministic, so the trip point is
     /// exactly reproducible — this is the harness's injection seam.
     pub trip_after: Option<(u64, TripKind)>,
-    /// When true, a deadline/cancel/ceiling trip during a finite-invention
-    /// level sweep degrades gracefully: the union of the levels completed so
-    /// far is returned as a sound under-approximation (flagged
-    /// `bounded_approximation`) instead of an error.  Off by default so the
-    /// strict "error or exact answer" invariant holds.
-    pub degrade_on_resource: bool,
 }
 
 impl GovernorConfig {
@@ -202,11 +199,84 @@ impl GovernorConfig {
     }
 }
 
+/// Every setting a prepared plan depends on: the calculus budgets, under
+/// which the limited interpretation and every invention level `Q|_n[d]` run,
+/// the algebra budget, the invention level bound, and the algebra-planner
+/// flag.  An [`Engine`] holds one, every handle it prepares copies it, and
+/// two handles prepared from equal statements under equal settings are
+/// interchangeable — which is what lets a plan cache key on the statement
+/// plus this value.  The governor and the worker count are not plan
+/// settings: a handle is re-governed without being re-prepared.
+///
+/// ```
+/// use itq_core::prelude::*;
+/// let one = Engine::builder().max_invented(1).build();
+/// let governed = Engine::builder().max_invented(1).deadline_millis(50).parallelism(4).build();
+/// assert_eq!(one.plan_settings(), governed.plan_settings());
+/// assert_ne!(one.plan_settings(), Engine::new().plan_settings());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanSettings {
+    /// Budgets for every calculus evaluation: the limited interpretation and
+    /// each invention level alike.
+    pub(crate) calc: EvalConfig,
+    /// Budgets for algebra evaluation.
+    pub(crate) alg: AlgConfig,
+    /// The invention level bound: the invention semantics search the levels
+    /// `0..=max_invented`.
+    pub(crate) max_invented: usize,
+    /// When true (the default), prepared algebra handles execute their
+    /// limited interpretation through the set-at-a-time physical plan; when
+    /// false they run the tuple-at-a-time evaluator (the ablation toggled by
+    /// `EngineBuilder::use_algebra_planner`).
+    pub(crate) use_algebra_planner: bool,
+}
+
+impl Default for PlanSettings {
+    fn default() -> Self {
+        PlanSettings {
+            calc: EvalConfig::default(),
+            alg: AlgConfig::default(),
+            max_invented: DEFAULT_MAX_INVENTED,
+            use_algebra_planner: true,
+        }
+    }
+}
+
+impl PlanSettings {
+    /// The budgets static analysis forecasts against, mirroring the ones
+    /// execution enforces, so a forecast names the budget error execution
+    /// would raise.
+    ///
+    /// ```
+    /// use itq_algebra::EvalConfig as AlgConfig;
+    /// use itq_core::prelude::*;
+    /// let engine = Engine::builder().alg_config(AlgConfig { max_instance: 8 }).build();
+    /// let budgets = engine.plan_settings().budgets();
+    /// assert_eq!(budgets.max_instance, 8);
+    /// assert_eq!(budgets.max_quantifier_domain, EvalConfig::default().max_quantifier_domain);
+    /// ```
+    pub fn budgets(&self) -> itq_analyze::Budgets {
+        itq_analyze::Budgets {
+            max_quantifier_domain: self.calc.max_quantifier_domain,
+            max_instance: self.alg.max_instance,
+        }
+    }
+
+    /// True when the execution budgets are all at their defaults — the
+    /// condition for a calculus handle's routes, and with them for an
+    /// incremental view's delta strategy.  A handle with tightened budgets
+    /// must keep *failing* exactly as the enumeration would.
+    pub(crate) fn default_budgets(&self) -> bool {
+        self.calc == EvalConfig::default() && self.alg == AlgConfig::default()
+    }
+}
+
 /// The evaluation facade.
 ///
-/// An `Engine` is an immutable bundle of evaluation configuration (budgets,
-/// invention bounds, a resource governor, a worker count, a seeded
-/// [`Universe`]) built once via [`Engine::builder`].  Every calculus handle it
+/// An `Engine` is an immutable bundle of evaluation configuration — its
+/// [`PlanSettings`], a resource governor, a worker count and a seeded
+/// [`Universe`] — built once via [`Engine::builder`].  Every calculus handle it
 /// prepares runs the compiled slot evaluator, or the planned join or least
 /// fixpoint its query lowers to.  The static work on a query — type-checking,
 /// `CALC_{k,i}` classification, normal forms, and (for algebra inputs) the
@@ -216,17 +286,8 @@ impl GovernorConfig {
 /// [`Semantics`], through a shared reference.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    /// Budgets for calculus evaluation.
-    pub(crate) calc_config: EvalConfig,
-    /// Budgets for algebra evaluation.
-    pub(crate) alg_config: AlgConfig,
-    /// Budgets for the invention semantics.
-    pub(crate) invention_config: InventionConfig,
-    /// When true (the default), prepared algebra handles execute their
-    /// limited interpretation through the set-at-a-time physical plan; when
-    /// false they run the tuple-at-a-time evaluator (the ablation toggled by
-    /// `EngineBuilder::use_algebra_planner`).
-    pub(crate) use_algebra_planner: bool,
+    /// Everything a prepared plan depends on; every handle copies it.
+    pub(crate) settings: PlanSettings,
     /// Resource-governance knobs (deadline, memory ceiling, cancellation,
     /// fault injection); disarmed by default.
     pub(crate) governor: GovernorConfig,
@@ -250,32 +311,39 @@ impl Engine {
         Engine::builder().build()
     }
 
-    /// Start configuring an engine: budgets, invention bounds, universe
-    /// seeding, and feature toggles, finished with
+    /// Start configuring an engine: plan settings, governor, worker count
+    /// and universe seeding, finished with
     /// [`build`](crate::pipeline::EngineBuilder::build).
     ///
     /// ```
     /// use itq_core::prelude::*;
     /// let engine = Engine::builder().max_invented(2).seed_atoms(["Tom"]).build();
-    /// assert_eq!(engine.invention_config().max_invented, 2);
+    /// assert_eq!(engine.max_invented(), 2);
     /// ```
     pub fn builder() -> crate::pipeline::EngineBuilder {
         crate::pipeline::EngineBuilder::new()
     }
 
-    /// The engine's calculus-evaluation budgets.
+    /// The settings every handle this engine prepares copies.
+    pub fn plan_settings(&self) -> &PlanSettings {
+        &self.settings
+    }
+
+    /// The engine's calculus-evaluation budgets, which the invention
+    /// semantics run each level under too.
     pub fn calc_config(&self) -> &EvalConfig {
-        &self.calc_config
+        &self.settings.calc
     }
 
     /// The engine's algebra-evaluation budgets.
     pub fn alg_config(&self) -> &AlgConfig {
-        &self.alg_config
+        &self.settings.alg
     }
 
-    /// The engine's invention-semantics configuration.
-    pub fn invention_config(&self) -> &InventionConfig {
-        &self.invention_config
+    /// The invention level bound: the invention semantics search the levels
+    /// `0..=max_invented()`.
+    pub fn max_invented(&self) -> usize {
+        self.settings.max_invented
     }
 
     /// True if algebra handles prepared by this engine execute their limited
@@ -283,7 +351,7 @@ impl Engine {
     /// false selects the tuple-at-a-time evaluator, kept for ablation
     /// benchmarks (E14) and the backend differential suite.
     pub fn use_algebra_planner(&self) -> bool {
-        self.use_algebra_planner
+        self.settings.use_algebra_planner
     }
 
     /// The worker count handles prepared by this engine partition in-query
@@ -301,8 +369,7 @@ impl Engine {
     /// Mutable access to the resource-governance configuration — how the
     /// surface session applies `set deadline <ms>;` / `set memory <bytes>;`
     /// statements and installs its cancellation flag.  Handles prepared
-    /// before a change keep their snapshotted configuration, exactly like
-    /// the budgets.
+    /// before a change keep their snapshotted configuration.
     pub fn governor_mut(&mut self) -> &mut GovernorConfig {
         &mut self.governor
     }
@@ -423,7 +490,7 @@ mod tests {
         assert!(outcome.bounded_approximation);
         assert!(outcome.result.is_empty());
         // And the invention driver exposes the undefined outcome directly.
-        match terminal_invention(&q, &db(), engine.invention_config()).unwrap() {
+        match terminal_invention(&q, &db(), engine.max_invented(), engine.calc_config()).unwrap() {
             TerminalOutcome::UndefinedWithinBound { tried } => assert!(tried > 0),
             other => panic!("unexpected outcome {other:?}"),
         }

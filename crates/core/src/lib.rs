@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::queries;
     pub use itq_algebra::{AlgExpr, PhysicalPlan, SelFormula};
     pub use itq_calculus::{CalcClass, CompiledQuery, EvalConfig, Evaluable, Formula, Query, Term};
-    pub use itq_invention::{InventionConfig, TerminalOutcome, UniversalCodec};
+    pub use itq_invention::{TerminalOutcome, UniversalCodec};
     pub use itq_object::{
         Atom, CancelFlag, Database, ExecCtx, Instance, Interrupt, ResourceError, Schema, TripKind,
         Type, Universe, Value,

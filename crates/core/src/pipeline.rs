@@ -6,8 +6,9 @@
 //! life: evaluation under the limited interpretation or the invented-value
 //! semantics of Section 6.  This module gives that split an API:
 //!
-//! * [`EngineBuilder`] configures an [`Engine`] once: budgets, invention
-//!   bounds, universe seeding, resource governance, the worker count;
+//! * [`EngineBuilder`] configures an [`Engine`] once: its plan settings
+//!   (budgets, the invention bound, the algebra planner), universe seeding,
+//!   resource governance, the worker count;
 //! * [`Engine::prepare`] / [`Engine::prepare_algebra`] do *all* static work
 //!   exactly once and cache the derived artifacts in a [`Prepared`] handle;
 //! * [`Prepared::execute`] runs the handle on a database under any
@@ -52,15 +53,13 @@
 //! }
 //! ```
 
-use crate::engine::{Engine, EngineError, GovernorConfig, Semantics};
+use crate::engine::{Engine, EngineError, GovernorConfig, PlanSettings, Semantics};
 use crate::lowering::{self, LeastFixpoint};
 use itq_algebra::{to_calculus_query, AlgExpr, EvalConfig as AlgConfig, PhysicalPlan};
 use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable};
 use itq_calculus::normal::{sf_classification, to_prenex, PrenexForm, SfClassification};
 use itq_calculus::{CompiledQuery, Query, QueryClassification};
-use itq_invention::{
-    finite_invention_ctx, terminal_invention_ctx, InventionConfig, TerminalOutcome,
-};
+use itq_invention::{finite_invention_ctx, terminal_invention_ctx, TerminalOutcome};
 use itq_object::{CancelFlag, Database, ExecCtx, Instance, Interrupt, Schema, TripKind, Universe};
 use itq_relational::Program;
 use itq_trace::{Span, TraceSink};
@@ -80,10 +79,12 @@ pub(crate) fn default_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Configures and builds an [`Engine`]: evaluation budgets, invention bounds,
-/// resource governance, the worker count, and universe seeding.  No option
-/// selects the calculus evaluator: every handle runs the compiled slots, or
-/// the route its query lowers to.
+/// Configures and builds an [`Engine`]: its [`PlanSettings`] (evaluation
+/// budgets, the invention bound, the algebra planner), resource governance,
+/// the worker count, and universe seeding.  The builder is the engine under
+/// construction: each method sets one of its values.  No option selects the
+/// calculus evaluator: every handle runs the compiled slots, or the route its
+/// query lowers to.
 ///
 /// ```
 /// use itq_core::prelude::*;
@@ -93,30 +94,23 @@ pub(crate) fn default_parallelism() -> usize {
 ///     .max_invented(3)
 ///     .seed_atoms(["Tom", "Mary"])
 ///     .build();
-/// assert_eq!(engine.invention_config().max_invented, 3);
+/// assert_eq!(engine.max_invented(), 3);
 /// assert_eq!(engine.universe().len(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
-    calc_config: EvalConfig,
-    alg_config: AlgConfig,
-    invention_config: InventionConfig,
-    use_algebra_planner: bool,
-    universe: Universe,
-    governor: GovernorConfig,
-    parallelism: usize,
+    engine: Engine,
 }
 
 impl Default for EngineBuilder {
     fn default() -> Self {
         EngineBuilder {
-            calc_config: EvalConfig::default(),
-            alg_config: AlgConfig::default(),
-            invention_config: InventionConfig::default(),
-            use_algebra_planner: true,
-            universe: Universe::default(),
-            governor: GovernorConfig::default(),
-            parallelism: default_parallelism(),
+            engine: Engine {
+                settings: PlanSettings::default(),
+                governor: GovernorConfig::default(),
+                parallelism: default_parallelism(),
+                universe: Universe::default(),
+            },
         }
     }
 }
@@ -133,7 +127,8 @@ impl EngineBuilder {
         EngineBuilder::default()
     }
 
-    /// Set the calculus-evaluation budgets.
+    /// Set the calculus-evaluation budgets, under which the limited
+    /// interpretation and every invention level run.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -141,7 +136,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.calc_config().max_steps, EvalConfig::tiny().max_steps);
     /// ```
     pub fn calc_config(mut self, config: EvalConfig) -> EngineBuilder {
-        self.calc_config = config;
+        self.engine.settings.calc = config;
         self
     }
 
@@ -154,33 +149,22 @@ impl EngineBuilder {
     /// assert_eq!(engine.alg_config(), &AlgConfig::default());
     /// ```
     pub fn alg_config(mut self, config: AlgConfig) -> EngineBuilder {
-        self.alg_config = config;
+        self.engine.settings.alg = config;
         self
     }
 
-    /// Set the full invention-semantics configuration.
-    ///
-    /// ```
-    /// use itq_core::prelude::*;
-    /// let config = InventionConfig { max_invented: 1, ..Default::default() };
-    /// let engine = Engine::builder().invention_config(config).build();
-    /// assert_eq!(engine.invention_config().max_invented, 1);
-    /// ```
-    pub fn invention_config(mut self, config: InventionConfig) -> EngineBuilder {
-        self.invention_config = config;
-        self
-    }
-
-    /// Bound the number of invented values the Section 6 semantics may try
-    /// (shorthand for adjusting [`InventionConfig::max_invented`]).
+    /// Bound the number of invented values the Section 6 semantics may try:
+    /// they search the levels `0..=levels` (default
+    /// [`DEFAULT_MAX_INVENTED`](itq_invention::DEFAULT_MAX_INVENTED)), each
+    /// under the calculus budgets.
     ///
     /// ```
     /// use itq_core::prelude::*;
     /// let engine = Engine::builder().max_invented(7).build();
-    /// assert_eq!(engine.invention_config().max_invented, 7);
+    /// assert_eq!(engine.max_invented(), 7);
     /// ```
     pub fn max_invented(mut self, levels: usize) -> EngineBuilder {
-        self.invention_config.max_invented = levels;
+        self.engine.settings.max_invented = levels;
         self
     }
 
@@ -199,7 +183,7 @@ impl EngineBuilder {
     /// assert!(!tuple_at_a_time.use_algebra_planner());
     /// ```
     pub fn use_algebra_planner(mut self, enabled: bool) -> EngineBuilder {
-        self.use_algebra_planner = enabled;
+        self.engine.settings.use_algebra_planner = enabled;
         self
     }
 
@@ -212,7 +196,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.universe().len(), 3);
     /// ```
     pub fn seed_atoms<'a, I: IntoIterator<Item = &'a str>>(mut self, names: I) -> EngineBuilder {
-        self.universe.atoms(names);
+        self.engine.universe.atoms(names);
         self
     }
 
@@ -227,7 +211,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.governor().memory_ceiling, Some(1 << 20));
     /// ```
     pub fn governor(mut self, governor: GovernorConfig) -> EngineBuilder {
-        self.governor = governor;
+        self.engine.governor = governor;
         self
     }
 
@@ -242,7 +226,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.governor().deadline_millis, Some(250));
     /// ```
     pub fn deadline_millis(mut self, millis: u64) -> EngineBuilder {
-        self.governor.deadline_millis = Some(millis);
+        self.engine.governor.deadline_millis = Some(millis);
         self
     }
 
@@ -258,7 +242,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.governor().memory_ceiling, Some(64 * 1024));
     /// ```
     pub fn memory_ceiling(mut self, bytes: u64) -> EngineBuilder {
-        self.governor.memory_ceiling = Some(bytes);
+        self.engine.governor.memory_ceiling = Some(bytes);
         self
     }
 
@@ -272,7 +256,7 @@ impl EngineBuilder {
     /// assert!(engine.governor().cancel.is_some());
     /// ```
     pub fn cancel_flag(mut self, flag: CancelFlag) -> EngineBuilder {
-        self.governor.cancel = Some(flag);
+        self.engine.governor.cancel = Some(flag);
         self
     }
 
@@ -280,17 +264,7 @@ impl EngineBuilder {
     /// the given behaviour.  Poll counts are deterministic, so the trip point
     /// is exactly reproducible — this is the harness's injection seam.
     pub fn trip_interrupt_after(mut self, nth: u64, kind: TripKind) -> EngineBuilder {
-        self.governor.trip_after = Some((nth, kind));
-        self
-    }
-
-    /// When enabled, a resource trip during a finite-invention level sweep
-    /// degrades to the union of the completed levels (a sound
-    /// under-approximation, flagged `bounded_approximation`) instead of
-    /// failing.  Off by default, preserving the strict "error or exact
-    /// answer" invariant.
-    pub fn degrade_on_resource(mut self, enabled: bool) -> EngineBuilder {
-        self.governor.degrade_on_resource = enabled;
+        self.engine.governor.trip_after = Some((nth, kind));
         self
     }
 
@@ -311,7 +285,7 @@ impl EngineBuilder {
     /// assert_eq!(Engine::builder().parallelism(0).build().parallelism(), 1);
     /// ```
     pub fn parallelism(mut self, workers: usize) -> EngineBuilder {
-        self.parallelism = workers.max(1);
+        self.engine.parallelism = workers.max(1);
         self
     }
 
@@ -326,7 +300,7 @@ impl EngineBuilder {
     /// assert!(engine.universe().lookup("Tom").is_some());
     /// ```
     pub fn universe(mut self, universe: Universe) -> EngineBuilder {
-        self.universe = universe;
+        self.engine.universe = universe;
         self
     }
 
@@ -338,15 +312,7 @@ impl EngineBuilder {
     /// assert_eq!(engine.calc_config(), &EvalConfig::default());
     /// ```
     pub fn build(self) -> Engine {
-        Engine {
-            calc_config: self.calc_config,
-            alg_config: self.alg_config,
-            invention_config: self.invention_config,
-            use_algebra_planner: self.use_algebra_planner,
-            universe: self.universe,
-            governor: self.governor,
-            parallelism: self.parallelism,
-        }
+        self.engine
     }
 }
 
@@ -709,10 +675,8 @@ struct StaticHalf {
     /// foldable subformulas, budget forecasts, stratum report — see
     /// [`itq_analyze`]).
     diagnostics: itq_analyze::Report,
-    use_algebra_planner: bool,
-    calc_config: EvalConfig,
-    alg_config: AlgConfig,
-    invention_config: InventionConfig,
+    /// The engine's plan settings when it prepared this handle.
+    settings: PlanSettings,
 }
 
 impl Engine {
@@ -807,9 +771,7 @@ impl Engine {
         let sf = sf_classification(&query);
         let prenex = to_prenex(query.body());
         let mut rule = None;
-        if matches!(source, PreparedSource::Calculus { .. })
-            && default_budgets(&self.calc_config, &self.alg_config)
-        {
+        if matches!(source, PreparedSource::Calculus { .. }) && self.settings.default_budgets() {
             match lowering::lower_least_fixpoint(&query) {
                 Some(fixpoint) => {
                     let route = CalculusRoute::LeastFixpoint(Box::new(fixpoint));
@@ -831,10 +793,7 @@ impl Engine {
             .expect("a validated query always lowers to its compiled form");
         let compile_micros = phase.elapsed().as_micros() as u64;
         let phase = Instant::now();
-        let budgets = itq_analyze::Budgets {
-            max_quantifier_domain: self.calc_config.max_quantifier_domain,
-            max_instance: self.alg_config.max_instance,
-        };
+        let budgets = self.settings.budgets();
         let diagnostics = match &source {
             PreparedSource::Calculus { .. } => itq_analyze::analyze_query(&query, &budgets),
             PreparedSource::Algebra { expr, schema, .. } => {
@@ -859,10 +818,7 @@ impl Engine {
             sf,
             prenex,
             diagnostics,
-            use_algebra_planner: self.use_algebra_planner,
-            calc_config: self.calc_config,
-            alg_config: self.alg_config,
-            invention_config: self.invention_config,
+            settings: self.settings,
         };
         Prepared {
             shared: Arc::new(shared),
@@ -1329,6 +1285,7 @@ impl Prepared {
         ctx: &ExecCtx,
     ) -> Result<(QueryOutcome, Option<Span>), EngineError> {
         let shared = &*self.shared;
+        let settings = &shared.settings;
         let limited = |result: Instance, stats: ExecStats| QueryOutcome {
             result,
             semantics,
@@ -1339,7 +1296,7 @@ impl Prepared {
             least_model: false,
         };
         let run_plan = |root: &str, plan: &PhysicalPlan| {
-            plan.execute_ctx(db, &shared.alg_config, ctx)
+            plan.execute_ctx(db, &settings.alg, ctx)
                 .map(|(result, stats, op)| {
                     let span = op.map(|op| {
                         let mut span = Span::new(root);
@@ -1351,9 +1308,7 @@ impl Prepared {
                 })
         };
         let enumerated = || -> Result<(QueryOutcome, Option<Span>), EngineError> {
-            let (evaluation, span) = shared
-                .compiled
-                .eval_ctx(db, &[], &shared.calc_config, ctx)?;
+            let (evaluation, span) = shared.compiled.eval_ctx(db, &[], &settings.calc, ctx)?;
             let stats = ExecStats {
                 partitions: evaluation.partitions,
                 ..ExecStats::from_eval(evaluation.stats, 0)
@@ -1362,12 +1317,12 @@ impl Prepared {
         };
         match (semantics, &shared.source) {
             (Semantics::Limited, PreparedSource::Algebra { plan, .. })
-                if shared.use_algebra_planner =>
+                if settings.use_algebra_planner =>
             {
                 Ok(run_plan("planned-algebra", plan)?)
             }
             (Semantics::Limited, PreparedSource::Algebra { expr, schema, .. }) => {
-                let (result, span) = expr.eval_ctx(db, schema, &shared.alg_config, ctx)?;
+                let (result, span) = expr.eval_ctx(db, schema, &settings.alg, ctx)?;
                 Ok((limited(result, ExecStats::default()), span))
             }
             // Both routes read relations positionally, so a database holding
@@ -1415,9 +1370,9 @@ impl Prepared {
                 let (report, stats, levels) = finite_invention_ctx(
                     &shared.compiled,
                     db,
-                    &shared.invention_config,
+                    settings.max_invented,
+                    &settings.calc,
                     ctx,
-                    self.governor.degrade_on_resource,
                 )?;
                 let levels_run = report.levels() as u64;
                 let span = levels.map(|levels| {
@@ -1435,8 +1390,13 @@ impl Prepared {
                 Ok((outcome, span))
             }
             (Semantics::TerminalInvention, _) => {
-                let (terminal, stats, levels) =
-                    terminal_invention_ctx(&shared.compiled, db, &shared.invention_config, ctx)?;
+                let (terminal, stats, levels) = terminal_invention_ctx(
+                    &shared.compiled,
+                    db,
+                    settings.max_invented,
+                    &settings.calc,
+                    ctx,
+                )?;
                 let outcome = match terminal {
                     TerminalOutcome::Defined { n, answer } => QueryOutcome {
                         result: answer,
@@ -1469,14 +1429,6 @@ impl Prepared {
             }
         }
     }
-}
-
-/// True when the execution budgets are all at their defaults — the condition
-/// for a calculus handle's routes, and with them for an incremental view's
-/// delta strategy.  A handle with tightened budgets must keep *failing*
-/// exactly as the enumeration would.
-fn default_budgets(calc: &EvalConfig, alg: &AlgConfig) -> bool {
-    *calc == EvalConfig::default() && *alg == AlgConfig::default()
 }
 
 /// True when every relation `db` stores under a schema predicate holds only
@@ -1554,12 +1506,11 @@ mod tests {
         let engine = Engine::builder()
             .calc_config(EvalConfig::tiny())
             .alg_config(AlgConfig::default())
-            .invention_config(InventionConfig::default())
             .max_invented(2)
             .seed_atoms(["Tom", "Mary"])
             .build();
         assert_eq!(engine.calc_config().max_steps, EvalConfig::tiny().max_steps);
-        assert_eq!(engine.invention_config().max_invented, 2);
+        assert_eq!(engine.max_invented(), 2);
         assert_eq!(engine.universe().len(), 2);
 
         let mut seeded = Universe::new();
@@ -1623,7 +1574,7 @@ mod tests {
         assert!(terminal.result.is_empty());
         assert_eq!(
             terminal.stats.invention_levels,
-            engine.invention_config().max_invented as u64 + 1
+            engine.max_invented() as u64 + 1
         );
 
         // The unguarded query {t/U | ⊤} is defined at n = 1.
@@ -2110,38 +2061,18 @@ mod tests {
     }
 
     #[test]
-    fn degrade_on_resource_returns_a_sound_finite_invention_prefix() {
-        let db = db();
-        let exact = Engine::new()
-            .prepare(&witness_query())
-            .unwrap()
-            .execute(&db, Semantics::FiniteInvention)
-            .unwrap();
-        // Strict mode: a mid-sweep trip is an error.
+    fn a_cancel_mid_finite_invention_sweep_is_the_typed_error() {
+        // Level 0 polls once, so the third poll trips a later level: the
+        // levels that completed are no answer, and the trip is the error.
         let strict = Engine::builder()
             .trip_interrupt_after(3, TripKind::Cancel)
             .build();
         let err = strict
             .prepare(&witness_query())
             .unwrap()
-            .execute(&db, Semantics::FiniteInvention)
+            .execute(&db(), Semantics::FiniteInvention)
             .unwrap_err();
         assert_eq!(err.to_string(), "execution cancelled");
-        // Degraded mode at the same trip point: a sound under-approximation.
-        let degraded = Engine::builder()
-            .trip_interrupt_after(3, TripKind::Cancel)
-            .degrade_on_resource(true)
-            .build();
-        let partial = degraded
-            .prepare(&witness_query())
-            .unwrap()
-            .execute(&db, Semantics::FiniteInvention)
-            .unwrap();
-        assert!(partial.bounded_approximation);
-        assert!(partial.stabilised_at.is_none());
-        for v in partial.result.iter() {
-            assert!(exact.result.contains(v), "degraded answers never fabricate");
-        }
     }
 
     #[test]

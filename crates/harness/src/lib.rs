@@ -26,6 +26,12 @@
 pub mod fault;
 pub mod walker;
 
+/// The repository README, compiled and run as doctests so its `rust`
+/// examples keep up with the API; its `text` and `sh` blocks are not run.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;
+
 pub use itq_algebra as algebra;
 pub use itq_calculus as calculus;
 pub use itq_core as core;

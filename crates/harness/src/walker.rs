@@ -83,15 +83,14 @@ pub fn walker_outcome(
             ..ExecStats::default()
         },
     };
-    let invention = engine.invention_config();
+    let (max_invented, config) = (engine.max_invented(), engine.calc_config());
     match semantics {
         Semantics::Limited => {
-            let (evaluation, _) = query.eval_ctx(db, &[], engine.calc_config(), &ctx)?;
+            let (evaluation, _) = query.eval_ctx(db, &[], config, &ctx)?;
             Ok(outcome(evaluation.result, evaluation.stats, 0))
         }
         Semantics::FiniteInvention => {
-            let degrade = governor.degrade_on_resource;
-            let (report, stats, _) = finite_invention_ctx(query, db, invention, &ctx, degrade)?;
+            let (report, stats, _) = finite_invention_ctx(query, db, max_invented, config, &ctx)?;
             let levels = report.levels() as u64;
             Ok(WalkerOutcome {
                 bounded_approximation: report.stabilised_at.is_none(),
@@ -100,7 +99,8 @@ pub fn walker_outcome(
             })
         }
         Semantics::TerminalInvention => {
-            let (terminal, stats, _) = terminal_invention_ctx(query, db, invention, &ctx)?;
+            let (terminal, stats, _) =
+                terminal_invention_ctx(query, db, max_invented, config, &ctx)?;
             Ok(match terminal {
                 TerminalOutcome::Defined { n, answer } => WalkerOutcome {
                     defined_at: Some(n),

@@ -8,8 +8,8 @@
 //! makes those semantics executable:
 //!
 //! * [`semantics`] implements `Q|_n` (exactly `n` invented values), **finite
-//!   invention** `Q^fi` (union over all `n`, approximated up to a configurable
-//!   bound because the exact semantics is non-recursive — Lemma 6.18), **bounded
+//!   invention** `Q^fi` (union over all `n`, approximated up to a level bound
+//!   because the exact semantics is non-recursive — Lemma 6.18), **bounded
 //!   invention** `Q|_f`, and **terminal invention** `Q^ti` (Theorem 6.19's
 //!   computationally complete semantics);
 //! * [`universal`] implements the encoding of objects of *arbitrary* type into the
@@ -29,8 +29,8 @@ pub mod universal;
 pub use error::InventionError;
 pub use semantics::{
     bounded_invention, eval_with_invented, finite_invention, finite_invention_ctx,
-    terminal_invention, terminal_invention_ctx, FiniteInventionReport, InventionConfig,
-    TerminalOutcome,
+    terminal_invention, terminal_invention_ctx, FiniteInventionReport, TerminalOutcome,
+    DEFAULT_MAX_INVENTED,
 };
 pub use universal::{EncodedObject, UniversalCodec};
 

@@ -12,14 +12,18 @@
 //! * **Finite invention** `Q^fi[d] = ⋃_{0 ≤ n < ω} Q|_n[d]`.  The exact union is
 //!   not computable in general (Lemma 6.16 shows it is only recursively
 //!   enumerable, and Lemma 6.18 separates it from countable invention), so
-//!   [`finite_invention`] computes the union up to a configurable bound and
-//!   reports how the per-`n` answers evolved.
+//!   [`finite_invention`] computes the union up to a level bound and reports
+//!   how the per-`n` answers evolved.
 //! * **Bounded invention** `Q|_f[d] = ⋃ { Q|_n[d] : n ≤ f(|adom(d)|) }`
 //!   is computable outright and implemented exactly.
 //! * **Terminal invention** `Q^ti[d]` returns `Q|_n[d]` for the least `n` at which
 //!   the *unrestricted* answer `Q|^Y[d]` contains an invented value, and is
 //!   undefined (`?`) if there is no such `n` (Theorem 6.19 shows this semantics is
 //!   equivalent to the computable queries).
+//!
+//! Each level `Q|_n[d]` is the limited interpretation over a widened range, so
+//! every driver takes the one calculus [`EvalConfig`] its levels run under,
+//! next to the level bound.
 
 use crate::error::InventionError;
 use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable, Evaluation};
@@ -52,24 +56,9 @@ fn record_level(
     spans.push(span);
 }
 
-/// Configuration for the bounded searches that approximate the non-recursive
-/// semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InventionConfig {
-    /// Largest number of invented values to try.
-    pub max_invented: usize,
-    /// Budgets for each underlying calculus evaluation.
-    pub eval: EvalConfig,
-}
-
-impl Default for InventionConfig {
-    fn default() -> Self {
-        InventionConfig {
-            max_invented: 4,
-            eval: EvalConfig::default(),
-        }
-    }
-}
+/// The level bound the engine searches up to unless configured otherwise:
+/// levels `0..=4` of finite and terminal invention.
+pub const DEFAULT_MAX_INVENTED: usize = 4;
 
 /// Evaluate `Q|_n[d]`: extend every variable's range by `n` fresh atoms and keep
 /// only the answers built from the original active domain.
@@ -150,13 +139,6 @@ pub struct FiniteInventionReport {
     /// The smallest `n` after which no new answer appeared within the bound, if
     /// the trace stabilised before the bound was hit.
     pub stabilised_at: Option<usize>,
-    /// `Some(n)` when a resource limit interrupted the sweep while evaluating
-    /// level `n` and the governor was configured to degrade rather than fail:
-    /// the report then holds the union of the levels `0..n` that completed — a
-    /// sound under-approximation of the bounded finite-invention answer (every
-    /// `Q|_k[d]` is a subset of the union, so stopping early can omit answers
-    /// but never fabricate them).
-    pub interrupted_at: Option<usize>,
 }
 
 impl FiniteInventionReport {
@@ -166,15 +148,16 @@ impl FiniteInventionReport {
     }
 }
 
-/// Approximate finite invention: `⋃_{n ≤ max} Q|_n[d]`, with a stabilisation
-/// report.  (The exact semantics is a countable union and is not computable in
-/// general; see Lemma 6.16.)
+/// Approximate finite invention: `⋃_{n ≤ max_invented} Q|_n[d]`, each level
+/// under `config`, with a stabilisation report.  (The exact semantics is a
+/// countable union and is not computable in general; see Lemma 6.16.)
 pub fn finite_invention<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
-    config: &InventionConfig,
+    max_invented: usize,
+    config: &EvalConfig,
 ) -> Result<FiniteInventionReport, InventionError> {
-    Ok(finite_invention_ctx(query, db, config, &ExecCtx::default(), false)?.0)
+    Ok(finite_invention_ctx(query, db, max_invented, config, &ExecCtx::default())?.0)
 }
 
 /// [`finite_invention`] under an execution context, plus the aggregated
@@ -184,24 +167,21 @@ pub fn finite_invention<Q: Evaluable + ?Sized>(
 /// `ctx.traced`.
 ///
 /// Every per-level evaluation polls `ctx.interrupt` and partitions across
-/// `ctx.workers`.  When `degrade` is `true` and a resource limit trips after
-/// at least the level-0 evaluation started, the error is converted into a
-/// partial report with [`FiniteInventionReport::interrupted_at`] set — the
-/// union of the completed levels, which is a sound under-approximation of the
-/// bounded answer.  When `degrade` is `false` the resource error propagates
-/// unchanged.
+/// `ctx.workers`.  A resource limit that trips at any level is the sweep's
+/// error: a union missing the later levels is no answer.
 ///
 /// ```
-/// use itq_calculus::{Formula, Query};
-/// use itq_invention::{finite_invention_ctx, InventionConfig};
+/// use itq_calculus::{EvalConfig, Formula, Query};
+/// use itq_invention::{finite_invention_ctx, DEFAULT_MAX_INVENTED};
 /// use itq_object::{Atom, Database, ExecCtx, Instance, Schema, Type};
 ///
 /// let q = Query::new("t", Type::Atomic, Formula::pred("R", itq_calculus::Term::var("t")),
 ///                    Schema::single("R", Type::Atomic)).unwrap();
 /// let db = Database::single("R", Instance::from_atoms(vec![Atom(0)]));
 /// let ctx = ExecCtx { traced: true, ..ExecCtx::default() };
+/// let config = EvalConfig::default();
 /// let (report, stats, levels) =
-///     finite_invention_ctx(&q, &db, &InventionConfig::default(), &ctx, false).unwrap();
+///     finite_invention_ctx(&q, &db, DEFAULT_MAX_INVENTED, &config, &ctx).unwrap();
 /// assert_eq!(report.union.len(), 1);
 /// assert!(stats.steps > 0, "one evaluation per invention level was counted");
 /// assert_eq!(levels.unwrap().len(), report.levels());
@@ -209,33 +189,18 @@ pub fn finite_invention<Q: Evaluable + ?Sized>(
 pub fn finite_invention_ctx<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
-    config: &InventionConfig,
+    max_invented: usize,
+    config: &EvalConfig,
     ctx: &ExecCtx,
-    degrade: bool,
 ) -> Result<(FiniteInventionReport, EvalStats, Option<Vec<Span>>), InventionError> {
     let mut answers = Vec::new();
     let mut union = Instance::empty();
     let mut stabilised_at = None;
     let mut stats = EvalStats::default();
     let mut spans = ctx.traced.then(Vec::new);
-    for n in 0..=config.max_invented {
+    for n in 0..=max_invented {
         let start = ctx.traced.then(Instant::now);
-        let (restricted, evaluation) = match invent_level(query, db, n, &config.eval, ctx) {
-            Ok(level) => level,
-            Err(InventionError::Resource(_)) if degrade => {
-                // Sound under-approximation: every completed level is a
-                // subset of the bounded union, so returning what finished
-                // can omit answers but never invent wrong ones.
-                let report = FiniteInventionReport {
-                    answers,
-                    union,
-                    stabilised_at: None,
-                    interrupted_at: Some(n),
-                };
-                return Ok((report, stats, spans));
-            }
-            Err(e) => return Err(e),
-        };
+        let (restricted, evaluation) = invent_level(query, db, n, config, ctx)?;
         record_level(&mut spans, n, start, &restricted, &evaluation);
         stats.merge(&evaluation.stats);
         let before = union.len();
@@ -253,7 +218,6 @@ pub fn finite_invention_ctx<Q: Evaluable + ?Sized>(
         answers,
         union,
         stabilised_at,
-        interrupted_at: None,
     };
     Ok((report, stats, spans))
 }
@@ -297,14 +261,15 @@ pub enum TerminalOutcome {
     },
 }
 
-/// Terminal invention `Q^ti[d]` (Theorem 6.19), searched up to
-/// `config.max_invented` levels.
+/// Terminal invention `Q^ti[d]` (Theorem 6.19), searched over the levels
+/// `0..=max_invented`, each under `config`.
 pub fn terminal_invention<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
-    config: &InventionConfig,
+    max_invented: usize,
+    config: &EvalConfig,
 ) -> Result<TerminalOutcome, InventionError> {
-    Ok(terminal_invention_ctx(query, db, config, &ExecCtx::default())?.0)
+    Ok(terminal_invention_ctx(query, db, max_invented, config, &ExecCtx::default())?.0)
 }
 
 /// [`terminal_invention`] under an execution context, plus the aggregated
@@ -314,21 +279,21 @@ pub fn terminal_invention<Q: Evaluable + ?Sized>(
 /// statistics never depend on `ctx.traced`.
 ///
 /// Terminal invention returns the answer at the *least* inventing level, so a
-/// partially completed search carries no sound answer — unlike finite
-/// invention there is no degraded mode, and a resource limit always surfaces
-/// as an error.
+/// partially completed search carries no sound answer: a resource limit
+/// always surfaces as an error.
 ///
 /// ```
-/// use itq_calculus::{Formula, Query};
-/// use itq_invention::{terminal_invention_ctx, InventionConfig, TerminalOutcome};
+/// use itq_calculus::{EvalConfig, Formula, Query};
+/// use itq_invention::{terminal_invention_ctx, TerminalOutcome, DEFAULT_MAX_INVENTED};
 /// use itq_object::{Atom, Database, ExecCtx, Instance, Schema, Type};
 ///
 /// // {t/U | ⊤} surfaces an invented value at n = 1.
 /// let q = Query::new("t", Type::Atomic, Formula::truth(),
 ///                    Schema::single("R", Type::Atomic)).unwrap();
 /// let db = Database::single("R", Instance::from_atoms(vec![Atom(0)]));
+/// let config = EvalConfig::default();
 /// let (outcome, stats, levels) =
-///     terminal_invention_ctx(&q, &db, &InventionConfig::default(), &ExecCtx::default())
+///     terminal_invention_ctx(&q, &db, DEFAULT_MAX_INVENTED, &config, &ExecCtx::default())
 ///         .unwrap();
 /// assert!(matches!(outcome, TerminalOutcome::Defined { n: 1, .. }));
 /// assert!(stats.candidates_checked > 0);
@@ -337,15 +302,16 @@ pub fn terminal_invention<Q: Evaluable + ?Sized>(
 pub fn terminal_invention_ctx<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
-    config: &InventionConfig,
+    max_invented: usize,
+    config: &EvalConfig,
     ctx: &ExecCtx,
 ) -> Result<(TerminalOutcome, EvalStats, Option<Vec<Span>>), InventionError> {
     let original_domain: BTreeSet<Atom> = query.evaluation_domain(db);
     let mut stats = EvalStats::default();
     let mut spans = ctx.traced.then(Vec::new);
-    for n in 0..=config.max_invented {
+    for n in 0..=max_invented {
         let start = ctx.traced.then(Instant::now);
-        let (restricted, unrestricted) = invent_level(query, db, n, &config.eval, ctx)?;
+        let (restricted, unrestricted) = invent_level(query, db, n, config, ctx)?;
         record_level(&mut spans, n, start, &restricted, &unrestricted);
         stats.merge(&unrestricted.stats);
         let contains_invented = unrestricted.result.iter().any(|v| {
@@ -362,7 +328,7 @@ pub fn terminal_invention_ctx<Q: Evaluable + ?Sized>(
         }
     }
     let outcome = TerminalOutcome::UndefinedWithinBound {
-        tried: config.max_invented + 1,
+        tried: max_invented + 1,
     };
     Ok((outcome, stats, spans))
 }
@@ -421,7 +387,8 @@ mod tests {
     fn finite_invention_unions_all_levels() {
         let q = needs_external_witness();
         let db = unary_db(2);
-        let report = finite_invention(&q, &db, &InventionConfig::default()).unwrap();
+        let report =
+            finite_invention(&q, &db, DEFAULT_MAX_INVENTED, &EvalConfig::default()).unwrap();
         assert_eq!(report.levels(), 5);
         assert!(report.answers[0].is_empty());
         assert_eq!(report.answers[1].len(), 2);
@@ -476,7 +443,8 @@ mod tests {
         // unrestricted answer already contains an invented atom.
         let q = Query::new("t", Type::Atomic, Formula::truth(), unary_schema()).unwrap();
         let db = unary_db(2);
-        let outcome = terminal_invention(&q, &db, &InventionConfig::default()).unwrap();
+        let outcome =
+            terminal_invention(&q, &db, DEFAULT_MAX_INVENTED, &EvalConfig::default()).unwrap();
         match outcome {
             TerminalOutcome::Defined { n, answer } => {
                 assert_eq!(n, 1);
@@ -500,7 +468,8 @@ mod tests {
         .unwrap();
         for top in [7, u32::MAX] {
             let db = Database::single("R", Instance::from_atoms([Atom(0), Atom(top)]));
-            let outcome = terminal_invention(&q, &db, &InventionConfig::default()).unwrap();
+            let outcome =
+                terminal_invention(&q, &db, DEFAULT_MAX_INVENTED, &EvalConfig::default()).unwrap();
             let expected = TerminalOutcome::Defined {
                 n: 1,
                 answer: Instance::empty(),
@@ -530,11 +499,7 @@ mod tests {
         )
         .unwrap();
         let db = unary_db(2);
-        let config = InventionConfig {
-            max_invented: 2,
-            ..Default::default()
-        };
-        let outcome = terminal_invention(&q, &db, &config).unwrap();
+        let outcome = terminal_invention(&q, &db, 2, &EvalConfig::default()).unwrap();
         assert_eq!(outcome, TerminalOutcome::UndefinedWithinBound { tried: 3 });
     }
 
@@ -547,15 +512,7 @@ mod tests {
         // answers that are always restricted to the original domain.
         let q = needs_external_witness();
         let db = unary_db(4);
-        let report = finite_invention(
-            &q,
-            &db,
-            &InventionConfig {
-                max_invented: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let report = finite_invention(&q, &db, 2, &EvalConfig::default()).unwrap();
         let original = q.evaluation_domain(&db);
         for answer in &report.answers {
             for v in answer.iter() {
@@ -568,10 +525,7 @@ mod tests {
     fn traced_invention_is_identical_and_records_one_span_per_level() {
         let q = needs_external_witness();
         let db = unary_db(2);
-        let config = InventionConfig {
-            max_invented: 3,
-            ..Default::default()
-        };
+        let config = EvalConfig::default();
         let plain = ExecCtx::default();
         let traced = ExecCtx {
             traced: true,
@@ -579,10 +533,10 @@ mod tests {
         };
 
         let (plain_report, plain_stats, none) =
-            finite_invention_ctx(&q, &db, &config, &plain, false).unwrap();
+            finite_invention_ctx(&q, &db, 3, &config, &plain).unwrap();
         assert!(none.is_none());
         let (traced_report, traced_stats, spans) =
-            finite_invention_ctx(&q, &db, &config, &traced, false).unwrap();
+            finite_invention_ctx(&q, &db, 3, &config, &traced).unwrap();
         let spans = spans.expect("traced runs record level spans");
         assert_eq!(plain_report, traced_report);
         assert_eq!(plain_stats, traced_stats);
@@ -598,9 +552,9 @@ mod tests {
         );
 
         let (plain_outcome, plain_term_stats, _) =
-            terminal_invention_ctx(&q, &db, &config, &plain).unwrap();
+            terminal_invention_ctx(&q, &db, 3, &config, &plain).unwrap();
         let (traced_outcome, traced_term_stats, term_spans) =
-            terminal_invention_ctx(&q, &db, &config, &traced).unwrap();
+            terminal_invention_ctx(&q, &db, 3, &config, &traced).unwrap();
         assert_eq!(plain_outcome, traced_outcome);
         assert_eq!(plain_term_stats, traced_term_stats);
         assert_eq!(

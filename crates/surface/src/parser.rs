@@ -66,10 +66,19 @@ pub struct Parser<'u> {
 /// Hard bound on grammatical nesting: recursive descent uses the call stack,
 /// so pathological inputs (thousands of nested parentheses) must fail with a
 /// parse error rather than overflow the stack and abort the process.  The
-/// bound is sized so the deepest parse fits comfortably in a 2 MiB thread
-/// stack (the Rust test-runner default) even in debug builds; real queries in
-/// the repo nest well under 100 levels.
+/// bound is sized so the deepest statement fits in a 2 MiB thread stack (the
+/// Rust test-runner default, and what `itq serve` gives a session) even in
+/// debug builds — through the parser and every layer behind it; real queries
+/// in the repo nest well under 100 levels.
 pub const MAX_DEPTH: usize = 200;
+
+/// The levels of [`MAX_DEPTH`] one algebra operator costs.  Behind the
+/// parser an operator takes far more stack than a formula level: the
+/// planner, the Theorem 3.8 translation and its compiled form each recurse
+/// once per operator, and in a debug build on a 2 MiB stack the planner
+/// overflowed at about 125 operators while every formula production ran at
+/// 199 levels.
+const ALGEBRA_LEVELS: usize = 2;
 
 impl<'u> Parser<'u> {
     /// Parser without a universe: named atoms are rejected, `a<id>` works.
@@ -129,9 +138,10 @@ impl<'u> Parser<'u> {
         }
     }
 
-    /// Enter one nesting level of a recursive production; see [`MAX_DEPTH`].
-    fn descend(&mut self) -> Result<()> {
-        self.depth += 1;
+    /// Enter `levels` nesting levels of a recursive production; see
+    /// [`MAX_DEPTH`].
+    fn descend(&mut self, levels: usize) -> Result<()> {
+        self.depth += levels;
         if self.depth > MAX_DEPTH {
             Err(ParseError::new(
                 format!("expression nests deeper than {MAX_DEPTH} levels"),
@@ -267,7 +277,7 @@ impl<'u> Parser<'u> {
 
     /// Parse a type: `U`, `{T}`, or `[T1, …, Tn]`.
     pub fn ty(&mut self) -> Result<Type> {
-        self.descend()?;
+        self.descend(1)?;
         let result = self.ty_inner();
         self.depth -= 1;
         result
@@ -385,12 +395,16 @@ impl<'u> Parser<'u> {
     }
 
     fn formula_unary(&mut self) -> Result<Formula> {
-        self.descend()?;
+        self.descend(1)?;
         let result = self.formula_unary_inner();
         self.depth -= 1;
         result
     }
 
+    /// One unary formula.  Every nesting level of a formula passes through
+    /// this function, so it keeps a small stack frame: the productions that
+    /// need many temporaries live in their own functions, which are off the
+    /// path of a parenthesis or `¬` chain (see [`MAX_DEPTH`]).
     fn formula_unary_inner(&mut self) -> Result<Formula> {
         let start = self.pos();
         match self.peek() {
@@ -400,19 +414,7 @@ impl<'u> Parser<'u> {
                 self.mark(start);
                 Ok(f)
             }
-            Some(Tok::Exists) | Some(Tok::Forall) => {
-                let quantifier = self.advance().map(|t| t.tok);
-                let (var, _) = self.ident("a quantified variable")?;
-                self.expect(Tok::Slash)?;
-                let ty = self.ty()?;
-                let body = self.formula_unary()?;
-                let f = match quantifier {
-                    Some(Tok::Exists) => Formula::Exists(var, ty, Box::new(body)),
-                    _ => Formula::Forall(var, ty, Box::new(body)),
-                };
-                self.mark(start);
-                Ok(f)
-            }
+            Some(Tok::Exists) | Some(Tok::Forall) => self.formula_quantified(start),
             Some(Tok::Top) => {
                 self.advance();
                 self.mark(start);
@@ -423,24 +425,7 @@ impl<'u> Parser<'u> {
                 self.mark(start);
                 Ok(Formula::falsity())
             }
-            Some(Tok::BigAnd) | Some(Tok::BigOr) => {
-                let connective = self.advance().map(|t| t.tok);
-                self.expect(Tok::LParen)?;
-                let mut parts = Vec::new();
-                if self.peek() != Some(&Tok::RParen) {
-                    parts.push(self.formula()?);
-                    while self.eat(&Tok::Comma) {
-                        parts.push(self.formula()?);
-                    }
-                }
-                self.expect(Tok::RParen)?;
-                let f = match connective {
-                    Some(Tok::BigAnd) => Formula::And(parts),
-                    _ => Formula::Or(parts),
-                };
-                self.mark(start);
-                Ok(f)
-            }
+            Some(Tok::BigAnd) | Some(Tok::BigOr) => self.formula_connective(start),
             Some(Tok::LParen) => {
                 self.advance();
                 let f = self.formula()?;
@@ -448,35 +433,72 @@ impl<'u> Parser<'u> {
                 // Parenthesization creates no node, so no span event.
                 Ok(f)
             }
-            // Predicate application `P(t)` — an identifier directly followed by
-            // `(`; otherwise an atomic formula `t1 ≈ t2` / `t1 ∈ t2`.
-            Some(Tok::Ident(_)) if self.peek2() == Some(&Tok::LParen) => {
-                let (name, _) = self.ident("a predicate name")?;
-                self.expect(Tok::LParen)?;
-                let arg = self.term()?;
-                self.expect(Tok::RParen)?;
-                self.mark(start);
-                Ok(Formula::Pred(name, arg))
-            }
-            Some(Tok::Ident(_)) | Some(Tok::SQuoted(_)) => {
-                let t1 = self.term()?;
-                match self.peek() {
-                    Some(Tok::Approx) => {
-                        self.advance();
-                        let f = Formula::Eq(t1, self.term()?);
-                        self.mark(start);
-                        Ok(f)
-                    }
-                    Some(Tok::In) => {
-                        self.advance();
-                        let f = Formula::Member(t1, self.term()?);
-                        self.mark(start);
-                        Ok(f)
-                    }
-                    _ => Err(self.err_here("expected `≈` or `∈` after a term")),
-                }
-            }
+            Some(Tok::Ident(_)) | Some(Tok::SQuoted(_)) => self.formula_atomic(start),
             _ => Err(self.err_here("expected a formula")),
+        }
+    }
+
+    /// `∃x/T φ` or `∀x/T φ`, the quantifier token next.
+    fn formula_quantified(&mut self, start: Pos) -> Result<Formula> {
+        let quantifier = self.advance().map(|t| t.tok);
+        let (var, _) = self.ident("a quantified variable")?;
+        self.expect(Tok::Slash)?;
+        let ty = self.ty()?;
+        let body = self.formula_unary()?;
+        let f = match quantifier {
+            Some(Tok::Exists) => Formula::Exists(var, ty, Box::new(body)),
+            _ => Formula::Forall(var, ty, Box::new(body)),
+        };
+        self.mark(start);
+        Ok(f)
+    }
+
+    /// `⋀(φ, …)` or `⋁(φ, …)`, the connective token next.
+    fn formula_connective(&mut self, start: Pos) -> Result<Formula> {
+        let connective = self.advance().map(|t| t.tok);
+        self.expect(Tok::LParen)?;
+        let mut parts = Vec::new();
+        if self.peek() != Some(&Tok::RParen) {
+            parts.push(self.formula()?);
+            while self.eat(&Tok::Comma) {
+                parts.push(self.formula()?);
+            }
+        }
+        self.expect(Tok::RParen)?;
+        let f = match connective {
+            Some(Tok::BigAnd) => Formula::And(parts),
+            _ => Formula::Or(parts),
+        };
+        self.mark(start);
+        Ok(f)
+    }
+
+    /// A predicate application `P(t)` — an identifier directly followed by
+    /// `(` — or an atomic formula `t1 ≈ t2` / `t1 ∈ t2`.
+    fn formula_atomic(&mut self, start: Pos) -> Result<Formula> {
+        if matches!(self.peek(), Some(Tok::Ident(_))) && self.peek2() == Some(&Tok::LParen) {
+            let (name, _) = self.ident("a predicate name")?;
+            self.expect(Tok::LParen)?;
+            let arg = self.term()?;
+            self.expect(Tok::RParen)?;
+            self.mark(start);
+            return Ok(Formula::Pred(name, arg));
+        }
+        let t1 = self.term()?;
+        match self.peek() {
+            Some(Tok::Approx) => {
+                self.advance();
+                let f = Formula::Eq(t1, self.term()?);
+                self.mark(start);
+                Ok(f)
+            }
+            Some(Tok::In) => {
+                self.advance();
+                let f = Formula::Member(t1, self.term()?);
+                self.mark(start);
+                Ok(f)
+            }
+            _ => Err(self.err_here("expected `≈` or `∈` after a term")),
         }
     }
 
@@ -529,9 +551,9 @@ impl<'u> Parser<'u> {
     }
 
     fn alg_unary(&mut self) -> Result<AlgExpr> {
-        self.descend()?;
+        self.descend(ALGEBRA_LEVELS)?;
         let result = self.alg_unary_inner();
-        self.depth -= 1;
+        self.depth -= ALGEBRA_LEVELS;
         result
     }
 
@@ -665,7 +687,7 @@ impl<'u> Parser<'u> {
     }
 
     fn sel_unary(&mut self) -> Result<SelFormula> {
-        self.descend()?;
+        self.descend(1)?;
         let result = self.sel_unary_inner();
         self.depth -= 1;
         result
@@ -759,7 +781,7 @@ impl<'u> Parser<'u> {
 
     /// Parse a complex object value: an atom, `[v, …]`, or `{v, …}`.
     pub fn value(&mut self) -> Result<Value> {
-        self.descend()?;
+        self.descend(1)?;
         let result = self.value_inner();
         self.depth -= 1;
         result
@@ -1123,8 +1145,55 @@ mod tests {
         let deep = format!("{}a0{}", "[".repeat(100_000), "]".repeat(100_000));
         assert!(parse_value(&deep).is_err());
         // Well below the bound, deep-but-sane input still parses.
-        let sane = format!("{}{{a0}}{}", "𝒫(".repeat(150), ")".repeat(150));
+        let sane = format!("{}{{a0}}{}", "𝒫(".repeat(90), ")".repeat(90));
         assert!(parse_alg_expr(&sane).is_ok());
+    }
+
+    /// Parse `src` with `parse` on a thread with a 2 MiB stack, the stack
+    /// `itq serve` gives a session.
+    fn on_a_session_stack<T: Send + 'static>(
+        src: String,
+        parse: fn(&str) -> Result<T>,
+    ) -> Result<T> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&src))
+            .expect("spawn a 2 MiB thread")
+            .join()
+            .expect("the parse returns")
+    }
+
+    #[test]
+    fn the_deepest_parenthesised_formula_fits_a_session_stack() {
+        // Each parenthesis re-enters every precedence level of the formula
+        // grammar; 199 of them once overflowed a 2 MiB stack in debug builds.
+        let deepest = format!("{}R(t){}", "(".repeat(199), ")".repeat(199));
+        assert!(on_a_session_stack(deepest, parse_formula).is_ok());
+        let deeper = format!("{}R(t){}", "(".repeat(200), ")".repeat(200));
+        let err = on_a_session_stack(deeper, parse_formula).unwrap_err();
+        assert!(err.message.contains("nests deeper than 200"), "{err}");
+    }
+
+    #[test]
+    fn an_algebra_operator_costs_two_levels() {
+        // A 150-operator chain once parsed, then overflowed the planner on a
+        // 2 MiB stack in debug builds.
+        let chain = |n: usize| format!("{}PAR{}", "π_{1,2}(".repeat(n), ")".repeat(n));
+        assert!(on_a_session_stack(chain(99), parse_alg_expr).is_ok());
+        let err = on_a_session_stack(chain(100), parse_alg_expr).unwrap_err();
+        assert!(err.message.contains("nests deeper than 200"), "{err}");
+        let err = on_a_session_stack(chain(150), parse_alg_expr).unwrap_err();
+        assert!(err.message.contains("nests deeper than 200"), "{err}");
+    }
+
+    #[test]
+    fn only_an_identifier_applies_as_a_predicate() {
+        let mut u = Universe::new();
+        let err = parse_formula_with("'Tom'(x)", &mut u).unwrap_err();
+        assert!(
+            err.message.starts_with("expected `≈` or `∈` after a term"),
+            "{err}"
+        );
     }
 
     #[test]

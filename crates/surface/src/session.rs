@@ -14,16 +14,14 @@
 use crate::error::{ParseError, Pos};
 use crate::script::{offset_error, parse_stmt, split_statements, SetKnob, Stmt};
 use crate::spans::SpanTable;
-use itq_algebra::{classify_expr, infer_type, AlgExpr, EvalConfig as AlgConfig};
-use itq_analyze::{analyze_algebra, analyze_query, render_snippet, Budgets, Severity};
-use itq_calculus::eval::EvalConfig;
+use itq_algebra::{classify_expr, infer_type, AlgExpr};
+use itq_analyze::{analyze_algebra, analyze_query, render_snippet, Severity};
 use itq_calculus::Query;
-use itq_core::engine::{Engine, Semantics};
+use itq_core::engine::{Engine, PlanSettings, Semantics};
 use itq_core::incremental::{IncrementalDb, IncrementalError, ViewRefresh};
 use itq_core::pipeline::Prepared;
-use itq_core::prelude::InventionConfig;
 use itq_object::{Instance, Schema, Value};
-use itq_trace::{MetricsRegistry, NoopSink, TraceSink};
+use itq_trace::{NoopSink, TraceSink};
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,8 +91,8 @@ const PLAN_CACHE_CAPACITY: usize = 256;
 ///
 /// Keys are compared structurally: the statement kind, the parsed value —
 /// a query with the schema it embeds, or an algebra expression with the
-/// schema it is typed against — and the budgets and the algebra-planner
-/// flag.  A parsed constant is an atom id of the declaring session's
+/// schema it is typed against — and the engine's [`PlanSettings`], whole.
+/// A parsed constant is an atom id of the declaring session's
 /// universe, so sessions that intern atoms in different orders get different
 /// keys and never share a plan whose constants mean something else to them.
 /// The declaration text is not part of the key: the same statement under a
@@ -178,10 +176,7 @@ impl PlanCache {
 #[derive(PartialEq)]
 struct PlanKey {
     statement: PlanStatement,
-    calc_config: EvalConfig,
-    alg_config: AlgConfig,
-    invention_config: InventionConfig,
-    use_algebra_planner: bool,
+    settings: PlanSettings,
 }
 
 /// The parsed value a plan is prepared from, constants as atom ids.
@@ -274,9 +269,6 @@ pub struct Session {
     /// Where execution and epoch spans go; [`NoopSink`] (tracing off) by
     /// default, so plain sessions never build a span.
     sink: Box<dyn TraceSink>,
-    /// Session-wide monotonic counters, updated by every statement that
-    /// executes or mutates.
-    metrics: MetricsRegistry,
     /// Suppress per-answer output lines (`--quiet`).
     quiet: bool,
     /// Cross-session prepared-plan cache (`itq serve`): `None` for a
@@ -300,7 +292,6 @@ impl Session {
             databases: BTreeMap::new(),
             definitions: BTreeMap::new(),
             sink: Box::new(NoopSink),
-            metrics: MetricsRegistry::new(),
             quiet: false,
             shared_plans: None,
         }
@@ -339,12 +330,6 @@ impl Session {
         self.sink = sink;
     }
 
-    /// Session-wide monotonic counters: statements executed, objects
-    /// returned, mutation epochs committed.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
     /// Suppress per-answer output lines; headers, reports, and errors still
     /// print (`itq --quiet`).
     pub fn set_quiet(&mut self, quiet: bool) {
@@ -354,7 +339,7 @@ impl Session {
     /// Join a cross-session [`PlanCache`]: prepares consult (and feed) the
     /// shared cache before doing static work themselves, keyed on the parsed
     /// statement — its constants resolved against *this* session's atoms —
-    /// and this session's budgets and algebra-planner flag.  Handles
+    /// and this session's plan settings.  Handles
     /// retrieved from the cache are re-budgeted with this session's governor
     /// and worker count — see [`PlanCache`] for the key and the isolation
     /// contract.
@@ -700,23 +685,13 @@ impl Session {
         Ok(lines)
     }
 
-    /// The analyzer budgets mirroring the engine's execution budgets, so the
-    /// static cardinality forecasts predict the budget errors the engine
-    /// would actually raise.
-    fn budgets(&self) -> Budgets {
-        Budgets {
-            max_quantifier_domain: self.engine.calc_config().max_quantifier_domain,
-            max_instance: self.engine.alg_config().max_instance,
-        }
-    }
-
     /// `check NAME;` — run the full static-analysis pipeline on a named query
     /// or algebra expression and print every diagnostic with its notes and a
     /// caret snippet into the defining statement.  Analysis runs directly on
     /// the stored definition (not through `prepare`), so it never executes
     /// anything and works even when preparation would fail.
     fn check(&self, name: &str) -> Result<Vec<String>, SessionError> {
-        let budgets = self.budgets();
+        let budgets = self.engine.plan_settings().budgets();
         let def = self.definition(name)?;
         let report = match def.statement() {
             Statement::Query(query) => analyze_query(query, &budgets),
@@ -799,8 +774,8 @@ impl Session {
     }
 
     /// What preparing a named query or algebra expression reads: its parsed
-    /// value and this engine's budgets and algebra-planner flag — the key of
-    /// the cross-session [`PlanCache`].
+    /// value and this engine's plan settings — the key of the cross-session
+    /// [`PlanCache`].
     fn plan_key(&self, name: &str) -> Result<PlanKey, SessionError> {
         let def = self.definition(name)?;
         let statement = match def.statement() {
@@ -809,13 +784,9 @@ impl Session {
                 PlanStatement::Algebra(expr.clone(), self.schema_or_err(&def.schema)?.clone())
             }
         };
-        let engine = &self.engine;
         Ok(PlanKey {
             statement,
-            calc_config: *engine.calc_config(),
-            alg_config: *engine.alg_config(),
-            invention_config: *engine.invention_config(),
-            use_algebra_planner: engine.use_algebra_planner(),
+            settings: *self.engine.plan_settings(),
         })
     }
 
@@ -840,9 +811,6 @@ impl Session {
         let outcome = prepared
             .execute_with_sink(db, semantics, self.sink.as_ref())
             .map_err(|e| SessionError::Exec(format!("{header}: {e}")))?;
-        self.metrics.incr("evals", 1);
-        self.metrics
-            .incr("objects_returned", outcome.result.len() as u64);
         // Terminal invention deserves its level report, not just the answer.
         if semantics == Semantics::TerminalInvention {
             match outcome.defined_at {
@@ -934,7 +902,6 @@ impl Session {
             outcome.version
         )];
         lines.extend(outcome.refreshed.iter().map(render_refresh));
-        self.metrics.incr("epochs_committed", 1);
         if self.sink.is_enabled() {
             self.sink.record(outcome.to_span());
         }
@@ -960,9 +927,6 @@ impl Session {
         let (outcome, span) = prepared
             .execute_traced(db, semantics)
             .map_err(|e| SessionError::Exec(format!("{header}: {e}")))?;
-        self.metrics.incr("evals", 1);
-        self.metrics
-            .incr("objects_returned", outcome.result.len() as u64);
         let qualifier = if outcome.bounded_approximation {
             " (bounded approximation)"
         } else {
@@ -1732,9 +1696,6 @@ mod tests {
         assert_eq!(spans.len(), 1);
         assert!(spans[0].name.starts_with("epoch v"), "{}", spans[0].name);
         assert!(spans[0].children[0].name.starts_with("view gp:"));
-        // Metrics accumulated across the session.
-        assert_eq!(s.metrics().get("evals"), 2);
-        assert_eq!(s.metrics().get("epochs_committed"), 1);
     }
 
     #[test]

@@ -457,6 +457,141 @@ fn served_sessions_interning_in_different_orders_get_their_own_answers() {
     }
 }
 
+/// One request per statement, declaring and exercising a name each plan
+/// setting shows in: `parents` draws from a quantifier domain of 2^16 sets,
+/// `gp` plans to a hash join only under default budgets, `kids` reports how
+/// many invention levels it tried, and `ga` fails its product under a small
+/// algebra budget and names its backend when explained.
+fn settings_probe() -> Vec<&'static str> {
+    vec![
+        "schema Gen {PAR : [U, U]};",
+        "database d : Gen {PAR = {[Tom, Mary], [Mary, Sue], [Sue, Ann]}};",
+        "query parents : Gen {t/U | exists x/[U, U] \
+         (PAR(x) and x.1 == t and exists s/{[U, U]} (x in s))};",
+        "query gp : Gen {t/[U, U] | exists x/[U, U] exists y/[U, U] \
+         (PAR(x) and PAR(y) and x.2 == y.1 and t.1 == x.1 and t.2 == y.2)};",
+        "query kids : Gen {t/U | exists x/[U, U] (PAR(x) and x.1 == 'Tom' and t == x.2)};",
+        "algebra ga : Gen pi_{1,4}(sigma_{$2 = $3}(PAR * PAR));",
+        "eval parents on d;",
+        "plan gp;",
+        "eval kids on d with terminal-invention;",
+        "eval ga on d;",
+        "explain analyze ga on d;",
+    ]
+}
+
+/// A session's output for each probe request, timings blanked.
+fn probe_output(session: &mut Session) -> Vec<Vec<String>> {
+    let untimed = |line: String| {
+        let words: Vec<&str> = line.split(' ').collect();
+        let blanked: Vec<&str> = (0..words.len())
+            .map(|i| match words.get(i + 1) {
+                Some(next) if next.starts_with("µs") => "_",
+                _ => words[i],
+            })
+            .collect();
+        blanked.join(" ")
+    };
+    settings_probe()
+        .into_iter()
+        .map(|request| run(session, request).into_iter().map(untimed).collect())
+        .collect()
+}
+
+/// The plan-cache key covers every plan setting.  Sessions that change one
+/// setting each — the calculus budgets, the algebra budget, the invention
+/// bound, the algebra planner — share one cache with a default session and
+/// declare the same statements: each misses, and prints what it prints
+/// alone.  A session that differs only in its governor and worker count
+/// hits.
+#[test]
+fn the_plan_cache_key_covers_every_plan_setting() {
+    use itq_algebra::EvalConfig as AlgConfig;
+    use itq_calculus::EvalConfig;
+    use itq_core::engine::Engine;
+
+    let cache = PlanCache::new();
+    let shared = |engine: Engine| {
+        let mut session = Session::with_engine(engine);
+        session.set_shared_plans(cache.clone());
+        session
+    };
+    let default = probe_output(&mut shared(Engine::new()));
+    let prepared = cache.misses();
+    assert_eq!((cache.hits(), prepared), (0, 4), "parents, gp, kids and ga");
+    let line = |output: &[Vec<String>], request: usize| output[request].join("\n");
+    assert!(line(&default, 6).contains("3 objects"), "{default:?}");
+    assert!(line(&default, 7).contains("hash-join"), "{default:?}");
+    assert!(
+        line(&default, 8).contains("tried 5 invention levels"),
+        "{default:?}"
+    );
+    assert!(line(&default, 9).contains("2 objects"), "{default:?}");
+    assert!(
+        line(&default, 10).contains("planned-algebra"),
+        "{default:?}"
+    );
+
+    let changed = [
+        (
+            "tiny calculus budgets",
+            Engine::builder().calc_config(EvalConfig::tiny()),
+            6,
+            "error: eval parents on d with limited: evaluation budget exceeded",
+        ),
+        (
+            "a small algebra budget",
+            Engine::builder().alg_config(AlgConfig { max_instance: 8 }),
+            9,
+            "error: eval ga on d: evaluation budget exceeded",
+        ),
+        (
+            "one invented value",
+            Engine::builder().max_invented(1),
+            8,
+            "tried 2 invention levels",
+        ),
+        (
+            "the tuple-at-a-time algebra",
+            Engine::builder().use_algebra_planner(false),
+            10,
+            "tuple-algebra",
+        ),
+    ];
+    for (setting, builder, request, shows) in changed {
+        let (hits, misses) = (cache.hits(), cache.misses());
+        let served = probe_output(&mut shared(builder.clone().build()));
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (hits, misses + prepared),
+            "{setting}: every prepare misses"
+        );
+        assert_eq!(
+            served,
+            probe_output(&mut Session::with_engine(builder.build())),
+            "{setting}: the served session prints what it prints alone"
+        );
+        assert!(
+            line(&served, request).contains(shows),
+            "{setting}: {served:?}"
+        );
+        assert_ne!(served[request], default[request], "{setting}");
+    }
+
+    let (hits, misses) = (cache.hits(), cache.misses());
+    let rebudgeted = Engine::builder()
+        .deadline_millis(60_000)
+        .parallelism(2)
+        .build();
+    let served = probe_output(&mut shared(rebudgeted));
+    assert_eq!(
+        (cache.hits(), cache.misses()),
+        (hits + prepared, misses),
+        "the governor and the worker count are not plan settings"
+    );
+    assert_eq!(served, default);
+}
+
 /// The resident set size of a process, in KiB.
 #[cfg(target_os = "linux")]
 fn rss_kib(pid: u32) -> u64 {

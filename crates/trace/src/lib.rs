@@ -1,8 +1,7 @@
 #![forbid(unsafe_code)]
 
 //! Structured tracing for the itq engine: timed [`Span`] trees with typed
-//! counter payloads, pluggable [`TraceSink`]s, and a session-wide
-//! [`MetricsRegistry`] of monotonic counters.
+//! counter payloads and pluggable [`TraceSink`]s.
 //!
 //! The design contract is *zero cost when off*: each backend has one entry
 //! point taking an execution context (`itq_object::ExecCtx`), and only a
@@ -18,7 +17,6 @@
 //! keeps the engine's `&self` execution model intact — a span tree is just
 //! another return value.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
 use std::sync::Mutex;
@@ -261,73 +259,6 @@ impl<W: Write + Send> TraceSink for JsonLinesSink<W> {
     }
 }
 
-/// A session-wide registry of named monotonic counters.
-///
-/// Counters are created on first increment and only ever grow; `&self`
-/// receivers make the registry shareable across executions the same way
-/// trace sinks are.
-///
-/// ```
-/// use itq_trace::MetricsRegistry;
-///
-/// let metrics = MetricsRegistry::new();
-/// metrics.incr("executions", 1);
-/// metrics.incr("rows_out", 7);
-/// metrics.incr("executions", 1);
-///
-/// assert_eq!(metrics.get("executions"), 2);
-/// assert_eq!(metrics.get("never_touched"), 0);
-/// assert_eq!(
-///     metrics.to_json(),
-///     "{\"executions\":2,\"rows_out\":7}"
-/// );
-/// ```
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, u64>>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Add `by` to counter `name`, creating it at zero first if needed.
-    pub fn incr(&self, name: &str, by: u64) {
-        let mut counters = self.counters.lock().expect("metrics registry poisoned");
-        *counters.entry(name.to_string()).or_insert(0) += by;
-    }
-
-    /// The current value of counter `name` (zero if never incremented).
-    pub fn get(&self, name: &str) -> u64 {
-        self.counters
-            .lock()
-            .expect("metrics registry poisoned")
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// A point-in-time copy of every counter, in name order.
-    pub fn snapshot(&self) -> BTreeMap<String, u64> {
-        self.counters
-            .lock()
-            .expect("metrics registry poisoned")
-            .clone()
-    }
-
-    /// The counters as one JSON object in name order.
-    pub fn to_json(&self) -> String {
-        let counters = self.counters.lock().expect("metrics registry poisoned");
-        let body: Vec<String> = counters
-            .iter()
-            .map(|(name, value)| format!("\"{}\":{value}", json_escape(name)))
-            .collect();
-        format!("{{{}}}", body.join(","))
-    }
-}
-
 impl fmt::Display for Span {
     /// Render the tree with the same box-drawing layout as the planner's
     /// `render_lines`, fields appended in parentheses.
@@ -431,17 +362,5 @@ mod tests {
         assert!(written
             .lines()
             .all(|l| l.starts_with('{') && l.ends_with('}')));
-    }
-
-    #[test]
-    fn metrics_accumulate_monotonically() {
-        let metrics = MetricsRegistry::new();
-        assert_eq!(metrics.get("x"), 0);
-        metrics.incr("x", 2);
-        metrics.incr("x", 3);
-        assert_eq!(metrics.get("x"), 5);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.get("x"), Some(&5));
-        assert_eq!(metrics.to_json(), "{\"x\":5}");
     }
 }

@@ -21,7 +21,7 @@ fn main() {
     );
 
     // --------------------------------------------------- calculus evaluation ----
-    // Build the engine once (budgets, invention bounds, the interner), then
+    // Build the engine once (its plan settings and the interner), then
     // prepare each query once and execute the handle as often as needed.
     let engine = Engine::builder().universe(universe.clone()).build();
 

@@ -279,17 +279,13 @@ fn engine_pair() -> [Engine; 2] {
         max_steps: 500_000,
         ..EvalConfig::default()
     };
-    let invention = InventionConfig {
-        max_invented: 1,
-        eval: capped,
-    };
     let planner = Engine::builder()
         .calc_config(capped)
-        .invention_config(invention)
+        .max_invented(1)
         .build();
     let tuple = Engine::builder()
         .calc_config(capped)
-        .invention_config(invention)
+        .max_invented(1)
         .use_algebra_planner(false)
         .build();
     [planner, tuple]

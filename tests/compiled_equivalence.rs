@@ -274,13 +274,9 @@ fn capped_engine() -> Engine {
         max_steps: 500_000,
         ..EvalConfig::default()
     };
-    let invention = InventionConfig {
-        max_invented: 1,
-        eval: capped,
-    };
     Engine::builder()
         .calc_config(capped)
-        .invention_config(invention)
+        .max_invented(1)
         .build()
 }
 

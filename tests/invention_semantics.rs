@@ -6,8 +6,8 @@ use itq_calculus::{Formula, Query, Term};
 use itq_core::prelude::*;
 use itq_core::queries;
 use itq_invention::{
-    bounded_invention, eval_with_invented, finite_invention, terminal_invention, InventionConfig,
-    TerminalOutcome, UniversalCodec,
+    bounded_invention, eval_with_invented, finite_invention, terminal_invention, TerminalOutcome,
+    UniversalCodec, DEFAULT_MAX_INVENTED,
 };
 use itq_workloads::people::person_database;
 
@@ -74,7 +74,8 @@ fn needs_invention_query() -> Query {
 fn finite_invention_strictly_extends_the_limited_interpretation() {
     let query = needs_invention_query();
     let db = person_database(3);
-    let report = finite_invention(&query, &db, &InventionConfig::default()).unwrap();
+    let report =
+        finite_invention(&query, &db, DEFAULT_MAX_INVENTED, &EvalConfig::default()).unwrap();
     assert!(report.answers[0].is_empty());
     assert_eq!(report.answers[1].len(), 3);
     assert_eq!(report.union.len(), 3);
@@ -95,7 +96,8 @@ fn terminal_invention_is_defined_exactly_when_invented_values_surface() {
         Schema::single("PERSON", Type::Atomic),
     )
     .unwrap();
-    match terminal_invention(&everything, &db, &InventionConfig::default()).unwrap() {
+    let config = EvalConfig::default();
+    match terminal_invention(&everything, &db, DEFAULT_MAX_INVENTED, &config).unwrap() {
         TerminalOutcome::Defined { n, answer } => {
             assert_eq!(n, 1);
             assert_eq!(answer.len(), 2);
@@ -104,7 +106,7 @@ fn terminal_invention_is_defined_exactly_when_invented_values_surface() {
     }
     // The guarded query never outputs invented values → undefined within bound.
     let guarded = needs_invention_query();
-    match terminal_invention(&guarded, &db, &InventionConfig::default()).unwrap() {
+    match terminal_invention(&guarded, &db, DEFAULT_MAX_INVENTED, &config).unwrap() {
         TerminalOutcome::UndefinedWithinBound { tried } => assert!(tried >= 1),
         other => panic!("unexpected {other:?}"),
     }
@@ -155,7 +157,8 @@ fn engine_semantics_dispatch() {
     // Each outcome remembers the semantics that produced it, and the invention
     // paths report how many levels they explored.
     assert_eq!(limited.semantics, Semantics::Limited);
-    assert_eq!(finite.stats.invention_levels as usize, {
-        engine.invention_config().max_invented + 1
-    });
+    assert_eq!(
+        finite.stats.invention_levels as usize,
+        engine.max_invented() + 1
+    );
 }

@@ -84,16 +84,12 @@ fn pair(max_steps: u64) -> [(&'static str, Engine); 2] {
         max_steps,
         ..EvalConfig::default()
     };
-    let invention = InventionConfig {
-        max_invented: 1,
-        eval: capped,
-    };
     [
         (
             "planner",
             Engine::builder()
                 .calc_config(capped)
-                .invention_config(invention)
+                .max_invented(1)
                 .parallelism(1)
                 .build(),
         ),
@@ -101,7 +97,7 @@ fn pair(max_steps: u64) -> [(&'static str, Engine); 2] {
             "compiled",
             Engine::builder()
                 .calc_config(capped)
-                .invention_config(invention)
+                .max_invented(1)
                 .use_algebra_planner(false)
                 .parallelism(1)
                 .build(),

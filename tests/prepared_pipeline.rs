@@ -55,7 +55,8 @@ fn prepared_execute_is_bit_identical_to_the_legacy_api_under_all_semantics() {
             assert_eq!(reference.max_domain_seen, stats.max_domain_seen, "{name}");
         }
         // Invention: the drivers over the source query.
-        let report = finite_invention(&query, &db, engine.invention_config()).unwrap();
+        let (max_invented, config) = (engine.max_invented(), engine.calc_config());
+        let report = finite_invention(&query, &db, max_invented, config).unwrap();
         let finite = prepared.execute(&db, Semantics::FiniteInvention).unwrap();
         assert_eq!(report.union, finite.result, "{name}");
         assert_eq!(report.stabilised_at, finite.stabilised_at, "{name}");
@@ -64,7 +65,7 @@ fn prepared_execute_is_bit_identical_to_the_legacy_api_under_all_semantics() {
             finite.bounded_approximation,
             "{name}"
         );
-        let outcome = terminal_invention(&query, &db, engine.invention_config()).unwrap();
+        let outcome = terminal_invention(&query, &db, max_invented, config).unwrap();
         let terminal = prepared.execute(&db, Semantics::TerminalInvention).unwrap();
         match outcome {
             TerminalOutcome::Defined { n, answer } => {

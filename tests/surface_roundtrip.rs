@@ -4,11 +4,13 @@
 //! names included — and parse errors carry the
 //! position of the offending token.  The statement layer is fuzzed too:
 //! arbitrary bytes and mutilated example scripts run through a session
-//! without a panic, and every parse error points inside its input.
+//! without a panic, and every parse error points inside its input; and every
+//! recursive production, nested as deep as the parser accepts, runs through a
+//! session on the stack `itq serve` gives one.
 
 use itq_algebra::{AlgExpr, EvalConfig as AlgConfig, SelFormula, SelTerm};
 use itq_calculus::{Formula, Query, Term};
-use itq_core::prelude::{Engine, EvalConfig, InventionConfig};
+use itq_core::prelude::{Engine, EvalConfig};
 use itq_core::queries;
 use itq_object::{Atom, Type, Universe, Value};
 use itq_surface::script::split_statements;
@@ -278,22 +280,25 @@ fn inside(src: &str, pos: Pos) -> bool {
         && (1..=lines[pos.line - 1].chars().count() + 1).contains(&pos.column)
 }
 
+/// A session for hostile input: tiny budgets, one invented value and a
+/// deadline, so no statement runs for long.
+fn hostile_session() -> Session {
+    Session::with_engine(
+        Engine::builder()
+            .calc_config(EvalConfig::tiny())
+            .alg_config(AlgConfig { max_instance: 64 })
+            .max_invented(1)
+            .deadline_millis(200)
+            .build(),
+    )
+}
+
 /// Run every statement of `bytes`, lossily decoded, through a fresh session
 /// with tiny budgets and a deadline, one statement at a time.  Fails when a
 /// statement panics or a parse error points outside the input.
 fn run_hostile(bytes: &[u8]) -> Result<(), TestCaseError> {
     let src = String::from_utf8_lossy(bytes);
-    let tiny = EvalConfig::tiny();
-    let engine = Engine::builder()
-        .calc_config(tiny)
-        .alg_config(AlgConfig { max_instance: 64 })
-        .invention_config(InventionConfig {
-            max_invented: 1,
-            eval: tiny,
-        })
-        .deadline_millis(200)
-        .build();
-    let mut session = Session::with_engine(engine);
+    let mut session = hostile_session();
     for (chunk, base) in split_statements(&src) {
         let run = catch_unwind(AssertUnwindSafe(|| session.run_statement(&chunk, base)));
         match run {
@@ -346,5 +351,175 @@ proptest! {
         }
         bytes.truncate(cut);
         run_hostile(&bytes)?;
+    }
+}
+
+/// One recursive production of the grammar, nested `n` levels deep inside the
+/// declaration of `deep`, with the statements it needs first and the
+/// statements that use it after.  `deepest` is the largest `n` the parser
+/// accepts.
+struct Nesting {
+    production: &'static str,
+    deepest: usize,
+    setup: fn(usize) -> String,
+    declaration: fn(usize) -> String,
+    uses: &'static str,
+}
+
+const FAMILY: &str = "schema S {R : U, P : [U, U]}; \
+    database d : S {R = {Tom, Mary}, P = {[Tom, Mary]}};";
+
+const USE_QUERY: &str = "eval deep on d; eval deep on d with fi; \
+    check deep; plan deep; show deep;";
+
+/// `n` copies of `open`, `core`, then `n` copies of `close`.
+fn nest(open: &str, core: &str, close: &str, n: usize) -> String {
+    format!("{}{core}{}", open.repeat(n), close.repeat(n))
+}
+
+fn family(_: usize) -> String {
+    FAMILY.to_string()
+}
+
+fn deep_query(body: String) -> String {
+    format!("query deep : S {{t/U | {body}}};")
+}
+
+fn deep_algebra(expr: String) -> String {
+    format!("algebra deep : S {expr};")
+}
+
+fn nestings() -> [Nesting; 9] {
+    [
+        Nesting {
+            production: "not chain",
+            deepest: 199,
+            setup: family,
+            declaration: |n| deep_query(nest("not ", "R(t)", "", n)),
+            uses: USE_QUERY,
+        },
+        Nesting {
+            production: "parentheses",
+            deepest: 199,
+            setup: family,
+            declaration: |n| deep_query(nest("(", "R(t)", ")", n)),
+            uses: USE_QUERY,
+        },
+        Nesting {
+            production: "conjunction",
+            deepest: 199,
+            setup: family,
+            declaration: |n| deep_query(nest("R(t) and (", "R(t)", ")", n)),
+            uses: USE_QUERY,
+        },
+        Nesting {
+            production: "quantifier chain",
+            deepest: 199,
+            setup: family,
+            declaration: |n| {
+                let prefix: String = (0..n).map(|i| format!("exists x{i}/U ")).collect();
+                deep_query(format!("{prefix}R(t)"))
+            },
+            uses: USE_QUERY,
+        },
+        Nesting {
+            production: "set type",
+            deepest: 198,
+            setup: family,
+            declaration: |n| deep_query(format!("exists x/{} (R(t))", nest("{", "U", "}", n))),
+            uses: USE_QUERY,
+        },
+        Nesting {
+            production: "set value",
+            deepest: 198,
+            setup: |n| format!("schema V {{R : {}}};", nest("{", "U", "}", n)),
+            declaration: |n| {
+                format!(
+                    "database deep : V {{R = {{{}}}}};",
+                    nest("{", "Tom", "}", n)
+                )
+            },
+            uses: "algebra rel : V R; eval rel on deep; eval rel on deep with fi; \
+                check rel; plan rel; show deep; show V;",
+        },
+        Nesting {
+            production: "projection chain",
+            deepest: 99,
+            setup: family,
+            declaration: |n| deep_algebra(nest("pi_{1,2}(", "P", ")", n)),
+            uses: USE_QUERY,
+        },
+        Nesting {
+            production: "powerset chain",
+            deepest: 99,
+            setup: family,
+            declaration: |n| deep_algebra(nest("powerset(", "R", ")", n)),
+            uses: USE_QUERY,
+        },
+        Nesting {
+            production: "selection conjunction",
+            deepest: 197,
+            setup: family,
+            declaration: |n| {
+                let condition = nest("$1 = $2 and (", "$1 = $2", ")", n);
+                deep_algebra(format!("sigma_{{{condition}}}(P)"))
+            },
+            uses: USE_QUERY,
+        },
+    ]
+}
+
+/// Run each statement of `src` on `session`; the parse error of the first
+/// statement that does not parse, if any.  A statement that panics fails the
+/// test.
+fn first_parse_error(session: &mut Session, src: &str, production: &str) -> Option<String> {
+    for (chunk, base) in split_statements(src) {
+        let run = catch_unwind(AssertUnwindSafe(|| session.run_statement(&chunk, base)));
+        match run {
+            Err(_) => panic!("{production}: statement `{:.60}…` panicked", chunk.trim()),
+            Ok(Err(SessionError::Parse(e))) => return Some(e.message),
+            Ok(_) => {}
+        }
+    }
+    None
+}
+
+/// Declare `deep` at nesting depth `n` in a fresh session: the session, and
+/// the declaration's parse error if it has one.
+fn declare(nesting: &Nesting, n: usize) -> (Session, Option<String>) {
+    let mut session = hostile_session();
+    let setup = first_parse_error(&mut session, &(nesting.setup)(n), nesting.production);
+    assert_eq!(setup, None, "{}: setup at depth {n}", nesting.production);
+    let error = first_parse_error(&mut session, &(nesting.declaration)(n), nesting.production);
+    (session, error)
+}
+
+/// Every recursive production, nested as deep as the parser accepts, runs
+/// through the layers behind the parser — the declaration, `eval` under
+/// limited and fi, `check`, `plan` and `show` — on a thread with the 2 MiB
+/// stack `itq serve` gives a session, without a panic or a stack overflow;
+/// one level deeper is the typed parse error.
+#[test]
+fn the_deepest_statements_run_on_a_served_sessions_stack() {
+    for nesting in nestings() {
+        let worker = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let (production, deepest) = (nesting.production, nesting.deepest);
+                let (mut session, error) = declare(&nesting, deepest);
+                assert_eq!(error, None, "{production} at depth {deepest}");
+                let error = first_parse_error(&mut session, nesting.uses, production);
+                assert_eq!(error, None, "{production}: uses at depth {deepest}");
+                let error = declare(&nesting, deepest + 1).1;
+                assert!(
+                    error
+                        .as_ref()
+                        .is_some_and(|e| e.contains("nests deeper than 200 levels")),
+                    "{production} at depth {}: {error:?}",
+                    deepest + 1
+                );
+            })
+            .expect("spawn a 2 MiB thread");
+        worker.join().expect("no panic escapes");
     }
 }

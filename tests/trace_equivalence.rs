@@ -46,14 +46,10 @@ fn engine(workers: usize) -> Engine {
         max_steps: 500_000,
         ..EvalConfig::default()
     };
-    let invention = InventionConfig {
-        max_invented: 1,
-        eval: capped,
-    };
     Engine::builder()
         .parallelism(workers)
         .calc_config(capped)
-        .invention_config(invention)
+        .max_invented(1)
         .build()
 }
 
