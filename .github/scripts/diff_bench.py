@@ -2,8 +2,9 @@
 """Diff two BENCH_*.json trajectory files on their stable keys.
 
 Wall-clock fields (any key containing "micros", plus the derived "speedup"
-and "overhead" ratios) vary per runner, so they are stripped before
-comparison; everything else — experiment coordinates, answer sizes,
+and "overhead" ratios, interval ends included), the core count ("cores") and
+the number of timed rounds ("samples") vary per runner, so they are stripped
+before comparison; everything else — experiment coordinates, answer sizes,
 deterministic evaluator counters like steps / domain sizes / join probes —
 must be identical between the committed file and the freshly regenerated one.
 """
@@ -11,7 +12,7 @@ must be identical between the committed file and the freshly regenerated one.
 import json
 import sys
 
-VOLATILE = ("micros", "speedup", "overhead")
+VOLATILE = ("micros", "speedup", "overhead", "cores", "samples")
 
 
 def stable(node):

@@ -28,28 +28,6 @@ impl fmt::Display for SelTerm {
     }
 }
 
-impl std::str::FromStr for SelTerm {
-    type Err = String;
-
-    /// Parse the `Display` form of a selection term: `$i` or `"a7"`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        if let Some(coord) = s.strip_prefix('$') {
-            let i: usize = coord
-                .parse()
-                .map_err(|_| format!("invalid coordinate in selection term `{s}`"))?;
-            return Ok(SelTerm::Coord(i));
-        }
-        if let Some(inner) = s.strip_prefix('"').and_then(|r| r.strip_suffix('"')) {
-            let atom: Atom = inner
-                .parse()
-                .map_err(|e| format!("invalid constant in selection term `{s}`: {e}"))?;
-            return Ok(SelTerm::Const(atom));
-        }
-        Err(format!("expected `$i` or `\"a<id>\"`, found `{s}`"))
-    }
-}
-
 /// A selection formula: atoms `t1 = t2` and `t1 ∈ t2` over coordinates and
 /// constants, closed under the sentential connectives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -458,15 +436,5 @@ mod tests {
             SelFormula::all(vec![eq.clone(), eq]).to_string(),
             "($1 = $2 ∧ $1 = $2)"
         );
-    }
-
-    #[test]
-    fn sel_term_from_str_round_trips_display() {
-        for t in [SelTerm::Coord(3), SelTerm::Const(Atom(7))] {
-            assert_eq!(t.to_string().parse::<SelTerm>().unwrap(), t);
-        }
-        assert!("$x".parse::<SelTerm>().is_err());
-        assert!("\"Tom\"".parse::<SelTerm>().is_err());
-        assert!("a3".parse::<SelTerm>().is_err());
     }
 }

@@ -1,5 +1,6 @@
-//! `report` — regenerate the paper-shaped tables for every experiment in
-//! DESIGN.md and print them to stdout.
+//! `report` — regenerate the paper-style experiment tables (README,
+//! "Benchmarks") and print them to stdout, or record one of the
+//! `BENCH_*.json` perf trajectories.
 //!
 //! Usage:
 //!
@@ -15,23 +16,32 @@
 //! cargo run --release -p itq-bench --bin report -- --parallel-json BENCH_parallel_scaling.json
 //! ```
 //!
-//! The tables are the source of the numbers recorded in `EXPERIMENTS.md`.
 //! With `--script`, the named `.itq` surface-language script is executed
 //! through an [`itq_surface::Session`] instead, so ad-hoc experiments can be
 //! written as text without recompiling (the same scripts the `itq` REPL runs).
-//! With `--stats-json`, the canonical workloads are run through the prepared
-//! pipeline under every semantics and the per-execution [`ExecStats`] are
-//! serialized as a JSON array (to the given file, or stdout with `-`), so
-//! successive revisions accumulate a perf trajectory in `BENCH_*.json` files.
+//!
+//! Each `--*-json` mode (see [`JSON_MODES`]) writes its records as a JSON
+//! array to the given file, or to stdout with `-`, so successive revisions
+//! accumulate a perf trajectory in `BENCH_*.json` files.  `--stats-json` and
+//! `--trace-json` record one execution per row.  The six timed modes go
+//! through [`itq_bench::measure`]: interleaved rounds whose arms alternate
+//! which runs first, each time and ratio recorded as a median with a
+//! distribution-free 95% interval (`NAME_lo`, `NAME_hi`), plus the core
+//! count (`cores`) and the number of kept rounds (`samples`).  A gate passes
+//! only when the whole interval clears its bound and fails when the whole
+//! interval misses it; otherwise the rounds double up to a cap, where a
+//! straddling interval fails too.  A failed gate prints its interval and
+//! exits 1 before any JSON is written.
 
+use itq_bench::{measure, Bound, Estimate, Gate, Measurement, Schedule};
 use itq_calculus::eval::EvalConfig;
 use itq_calculus::normal::sf_classification;
 use itq_calculus::Query;
 use itq_core::complexity::{growth_table, theorem_4_4_bounds, variable_space_bound};
-use itq_core::engine::{Engine, Semantics};
+use itq_core::engine::{Engine, GovernorConfig, Semantics};
 use itq_core::hierarchy::{hierarchy_table, level_zero_one_witnesses};
 use itq_core::incremental::IncrementalDb;
-use itq_core::pipeline::ExecStats;
+use itq_core::pipeline::Prepared;
 use itq_core::queries;
 use itq_core::report::Table;
 use itq_invention::{eval_with_invented, UniversalCodec};
@@ -42,6 +52,7 @@ use itq_turing::machines::{palindrome_machine, parity_machine, ONE};
 use itq_turing::{encode_run, run, verify_encoding};
 use itq_workloads::graphs::{chain_edges, tree_edges};
 use itq_workloads::people::person_database;
+use std::fmt::Display;
 use std::time::Instant;
 
 /// Format a base-2 logarithm compactly: plain decimals for small values,
@@ -73,6 +84,55 @@ const EXPERIMENTS: [Experiment; 10] = [
     ("E10", experiment_e10),
 ];
 
+/// A JSON mode: its flag, what one of its records describes, and the
+/// function that builds the records.
+type JsonMode = (&'static str, &'static str, fn() -> Vec<String>);
+
+/// Single source of truth for the JSON modes' flags and dispatch.
+const JSON_MODES: [JsonMode; 8] = [
+    ("--stats-json", "execution-stats", stats_json),
+    ("--compiled-json", "compiled-vs-legacy", compiled_json),
+    ("--algebra-json", "planned-vs-tuple", algebra_json),
+    ("--incremental-json", "delta-vs-scratch", incremental_json),
+    ("--trace-json", "trace-span", trace_json),
+    (
+        "--trace-overhead-json",
+        "trace-overhead",
+        trace_overhead_json,
+    ),
+    (
+        "--governor-overhead-json",
+        "governor-overhead",
+        governor_json,
+    ),
+    ("--parallel-json", "parallel-scaling", parallel_json),
+];
+
+/// E13 and E14 gate nothing: one fixed trial, long enough for an interval
+/// narrower than the sample range (k = 10 of 32).
+const COMPARISON: Schedule = Schedule {
+    warmup: 2,
+    rounds: 32,
+    cap: 32,
+};
+
+/// E15 and E16 rounds take a second or more each; their ratios sit far from
+/// their bounds, so the first trial resolves them.
+const SLOW_GRID: Schedule = Schedule {
+    warmup: 1,
+    rounds: 8,
+    cap: 32,
+};
+
+/// The overhead grids take about 15 ms a round.  On a 2-core host both
+/// overheads read medians under 1%, with 95% upper ends under 1.7%, after
+/// the first trial; a noisier host may need the larger trials to clear 2%.
+const OVERHEAD: Schedule = Schedule {
+    warmup: 16,
+    rounds: 240,
+    cap: 960,
+};
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("--script") {
@@ -85,36 +145,11 @@ fn main() {
         }
         return;
     }
-    if raw.first().map(String::as_str) == Some("--stats-json") {
-        emit_stats_json(raw.get(1).map(String::as_str).unwrap_or("-"));
-        return;
-    }
-    if raw.first().map(String::as_str) == Some("--compiled-json") {
-        emit_compiled_json(raw.get(1).map(String::as_str).unwrap_or("-"));
-        return;
-    }
-    if raw.first().map(String::as_str) == Some("--algebra-json") {
-        emit_algebra_json(raw.get(1).map(String::as_str).unwrap_or("-"));
-        return;
-    }
-    if raw.first().map(String::as_str) == Some("--incremental-json") {
-        emit_incremental_json(raw.get(1).map(String::as_str).unwrap_or("-"));
-        return;
-    }
-    if raw.first().map(String::as_str) == Some("--trace-json") {
-        emit_trace_json(raw.get(1).map(String::as_str).unwrap_or("-"));
-        return;
-    }
-    if raw.first().map(String::as_str) == Some("--trace-overhead-json") {
-        emit_trace_overhead_json(raw.get(1).map(String::as_str).unwrap_or("-"));
-        return;
-    }
-    if raw.first().map(String::as_str) == Some("--governor-overhead-json") {
-        emit_governor_overhead_json(raw.get(1).map(String::as_str).unwrap_or("-"));
-        return;
-    }
-    if raw.first().map(String::as_str) == Some("--parallel-json") {
-        emit_parallel_json(raw.get(1).map(String::as_str).unwrap_or("-"));
+    let mode = raw
+        .first()
+        .and_then(|flag| JSON_MODES.iter().find(|(name, ..)| name == flag));
+    if let Some((_, what, records)) = mode {
+        write_json(raw.get(1).map_or("-", String::as_str), what, &records());
         return;
     }
     let requested: Vec<String> = raw.iter().map(|s| s.to_uppercase()).collect();
@@ -166,41 +201,8 @@ fn run_script(path: &str) {
     }
 }
 
-/// `--stats-json [FILE|-]`: run the canonical workloads through the prepared
-/// pipeline under every semantics and serialize each execution's [`ExecStats`]
-/// (plus the answer size and boundedness flag) as a JSON array — the perf
-/// trajectory consumed by `BENCH_*.json` files.
-fn emit_stats_json(target: &str) {
-    // One invention level keeps the set-height-1 workloads affordable while
-    // still exercising the n > 0 machinery.  The workload grid is shared with
-    // the prepared-pipeline equivalence suite (`queries::exemplar_workloads`),
-    // so the numbers CI records describe exactly the answers the tests pin.
-    let engine = Engine::builder().max_invented(1).build();
-    let mut records: Vec<String> = Vec::new();
-    for (name, query, db) in queries::exemplar_workloads() {
-        let prepared = match engine.prepare(&query) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: prepare `{name}`: {e}");
-                std::process::exit(1);
-            }
-        };
-        for semantics in Semantics::ALL {
-            match prepared.execute(&db, semantics) {
-                Ok(outcome) => records.push(stats_record(
-                    name,
-                    semantics,
-                    outcome.result.len(),
-                    outcome.bounded_approximation,
-                    &outcome.stats,
-                )),
-                Err(e) => {
-                    eprintln!("error: execute `{name}` under {semantics}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
+/// Write `records` as a JSON array to `target`, or print it with `-`.
+fn write_json(target: &str, what: &str, records: &[String]) {
     let json = format!("[\n  {}\n]\n", records.join(",\n  "));
     if target == "-" {
         print!("{json}");
@@ -208,169 +210,233 @@ fn emit_stats_json(target: &str) {
         eprintln!("error: cannot write `{target}`: {e}");
         std::process::exit(1);
     } else {
-        println!(
-            "wrote {} execution-stats records to {target}",
-            records.len()
-        );
+        println!("wrote {} {what} records to {target}", records.len());
     }
 }
 
-/// `--compiled-json [FILE|-]`: run the canonical workloads (plus the
-/// transitive-closure query, the paper's heaviest nested-quantifier exemplar)
-/// under the limited interpretation twice — through the prepared pipeline
-/// (the slot-based evaluator, or the route a query lowers to) and through
-/// the tree walker called directly (the legacy column) — verify the answers
-/// are identical, and serialize the timing comparison as a JSON array
-/// (`BENCH_compiled_eval.json` in CI).
-fn emit_compiled_json(target: &str) {
-    let compiled_engine = Engine::new();
+/// One JSON record: the experiment's name, then `fields`, each `"key":value`.
+fn record(name: &str, fields: &[String]) -> String {
+    format!("{{\"experiment\":\"{name}\",{}}}", fields.join(","))
+}
+
+/// The value of workload `name`'s prepare, or of another set-up step;
+/// on an error, print it and exit 1.
+fn or_exit<T, E: Display>(name: &str, result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: `{name}`: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Wall time of one call, in microseconds.  The result is dropped after the
+/// clock stops.
+fn micros<T>(call: impl FnOnce() -> T) -> f64 {
+    let start = Instant::now();
+    let result = std::hint::black_box(call());
+    let elapsed = start.elapsed();
+    drop(result);
+    elapsed.as_secs_f64() * 1e6
+}
+
+/// Wall time of the second of two back-to-back calls, in microseconds.  The
+/// untimed first call warms the caches for this arm, so an arm that takes
+/// microseconds is not charged for the cache traffic of the arm that ran
+/// before it, which may take a thousand times longer.
+fn warm_micros<T>(call: impl Fn() -> T) -> f64 {
+    drop(std::hint::black_box(call()));
+    micros(call)
+}
+
+/// [`measure`], printing each passed gate; a gate that fails, or is still
+/// unresolved at the cap, prints its interval and exits 1.
+fn measured(
+    schedule: Schedule,
+    shape: (usize, usize),
+    run: impl FnMut(usize, usize) -> f64,
+    gates: impl Fn(&Measurement) -> Vec<Gate>,
+) -> Measurement {
+    match measure(schedule, shape, run, gates) {
+        Ok(m) => {
+            for gate in &m.gates {
+                eprintln!("gate passed after {} rounds: {gate}", m.rounds());
+            }
+            m
+        }
+        Err(report) => {
+            eprintln!("error: {report}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// One record per workload of a measured pair: `stable[g]` (workload `g`'s
+/// stable fields), the times of arm 0 as `fast` and of arm 1 as `slow`, and
+/// the speedup, the median of the per-round ratios of arm 1 to arm 0.
+fn speedup_records(
+    m: &Measurement,
+    rows: &[(&str, String)],
+    fast: &str,
+    slow: &str,
+) -> Vec<String> {
+    let fields = |g, stable: &String| {
+        let g = Some(g);
+        let times = [m.time(g, 0).json(fast), m.time(g, 1).json(slow)];
+        [
+            stable.clone(),
+            times.join(","),
+            m.ratio(g, 1, 0).json("speedup"),
+            m.json(),
+        ]
+    };
+    let records = rows.iter().enumerate();
+    records
+        .map(|(g, (name, stable))| record(name, &fields(g, stable)))
+        .collect()
+}
+
+/// The canonical workloads plus the transitive-closure chain: the grid of
+/// `--compiled-json` and `--trace-json`.
+fn exemplar_grid() -> Vec<(&'static str, Query, Database)> {
     let mut grid = queries::exemplar_workloads();
     grid.push((
         "genealogy/transitive-closure",
         queries::transitive_closure_query(),
         queries::parent_database(&chain_edges(3)),
     ));
-    let mut records: Vec<String> = Vec::new();
-    for (name, query, db) in grid {
-        let compiled = compiled_engine.prepare(&query).unwrap_or_else(|e| {
-            eprintln!("error: prepare `{name}`: {e}");
-            std::process::exit(1);
-        });
-        // Min-of-3 wall time per backend: the workloads span four orders of
-        // magnitude, so the minimum is the stable statistic on shared CI.
-        let mut fast_micros = u64::MAX;
-        let mut slow_micros = u64::MAX;
-        let mut fast_outcome = None;
-        let mut slow_outcome = None;
-        for _ in 0..3 {
-            let fast = compiled.execute(&db, Semantics::Limited).unwrap();
-            fast_micros = fast_micros.min(fast.stats.wall_micros);
-            fast_outcome = Some(fast);
-            let start = Instant::now();
-            let slow = query.eval_full(&db, &EvalConfig::default()).unwrap();
-            slow_micros = slow_micros.min(start.elapsed().as_micros() as u64);
-            slow_outcome = Some(slow);
-        }
-        let fast = fast_outcome.expect("three runs completed");
-        let slow = slow_outcome.expect("three runs completed");
-        assert_eq!(
-            fast.result, slow.result,
-            "compiled and legacy answers must agree on `{name}`"
-        );
-        let speedup = slow_micros.max(1) as f64 / fast_micros.max(1) as f64;
-        records.push(format!(
-            "{{\"experiment\":\"{name}\",\"semantics\":\"limited\",\
-             \"result_size\":{},\"legacy_micros\":{slow_micros},\
-             \"compiled_micros\":{fast_micros},\"speedup\":{speedup:.2},\
-             \"domain_cache_hits\":{},\"domain_cache_misses\":{},\
-             \"interned_values\":{}}}",
-            fast.result.len(),
-            fast.stats.domain_cache_hits,
-            fast.stats.domain_cache_misses,
-            fast.stats.interned_values,
-        ));
-    }
-    let json = format!("[\n  {}\n]\n", records.join(",\n  "));
-    if target == "-" {
-        print!("{json}");
-    } else if let Err(e) = std::fs::write(target, &json) {
-        eprintln!("error: cannot write `{target}`: {e}");
-        std::process::exit(1);
-    } else {
-        println!(
-            "wrote {} compiled-vs-legacy records to {target}",
-            records.len()
-        );
-    }
+    grid
 }
 
-/// `--algebra-json [FILE|-]`: run the E14 product-heavy algebra grid
-/// (`itq_bench::algebra_exec_workloads`, shared with the `algebra_exec`
-/// bench) through the prepared pipeline with both algebra backends — the
-/// set-at-a-time planned executor and the tuple-at-a-time evaluator — verify
-/// the answers are identical, and serialize the timing comparison as a JSON
-/// array (`BENCH_algebra_exec.json` in CI).
-fn emit_algebra_json(target: &str) {
-    let planner_engine = Engine::new();
-    let tuple_engine = Engine::builder().use_algebra_planner(false).build();
-    let mut records: Vec<String> = Vec::new();
-    for (name, expr, schema, db) in itq_bench::algebra_exec_workloads() {
-        let planned = planner_engine
-            .prepare_algebra(&expr, &schema)
-            .unwrap_or_else(|e| {
-                eprintln!("error: prepare `{name}`: {e}");
-                std::process::exit(1);
-            });
-        let tuple = tuple_engine
-            .prepare_algebra(&expr, &schema)
-            .unwrap_or_else(|e| {
-                eprintln!("error: prepare `{name}` (tuple-at-a-time): {e}");
-                std::process::exit(1);
-            });
-        // Min-of-3 wall time per backend, matching the E13 pattern.
-        let mut planned_micros = u64::MAX;
-        let mut tuple_micros = u64::MAX;
-        let mut planned_outcome = None;
-        let mut tuple_outcome = None;
-        for _ in 0..3 {
-            let fast = planned.execute(&db, Semantics::Limited).unwrap();
-            planned_micros = planned_micros.min(fast.stats.wall_micros);
-            planned_outcome = Some(fast);
-            let slow = tuple.execute(&db, Semantics::Limited).unwrap();
-            tuple_micros = tuple_micros.min(slow.stats.wall_micros);
-            tuple_outcome = Some(slow);
+/// `--stats-json`: run the canonical workloads through the prepared pipeline
+/// under every semantics and record each execution's `ExecStats` (plus the
+/// answer size and boundedness flag).
+fn stats_json() -> Vec<String> {
+    // One invention level keeps the set-height-1 workloads affordable while
+    // still exercising the n > 0 machinery.  The workload grid is shared with
+    // the prepared-pipeline equivalence suite (`queries::exemplar_workloads`),
+    // so the numbers CI records describe exactly the answers the tests pin.
+    let engine = Engine::builder().max_invented(1).build();
+    let mut records = Vec::new();
+    for (name, query, db) in queries::exemplar_workloads() {
+        let prepared = or_exit(name, engine.prepare(&query));
+        for semantics in Semantics::ALL {
+            let outcome = or_exit(name, prepared.execute(&db, semantics));
+            let fields = format!(
+                "\"semantics\":\"{semantics}\",\"result_size\":{},\
+                 \"bounded_approximation\":{},\"stats\":{}",
+                outcome.result.len(),
+                outcome.bounded_approximation,
+                outcome.stats.to_json()
+            );
+            records.push(record(name, &[fields]));
         }
-        let fast = planned_outcome.expect("three runs completed");
-        let slow = tuple_outcome.expect("three runs completed");
-        assert_eq!(
-            fast.result, slow.result,
-            "planned and tuple-at-a-time answers must agree on `{name}`"
-        );
-        let speedup = tuple_micros.max(1) as f64 / planned_micros.max(1) as f64;
-        records.push(format!(
-            "{{\"experiment\":\"{name}\",\"semantics\":\"limited\",\
-             \"result_size\":{},\"tuple_micros\":{tuple_micros},\
-             \"planned_micros\":{planned_micros},\"speedup\":{speedup:.2},\
-             \"join_probes\":{},\"tuples_materialised\":{},\
-             \"interned_values\":{}}}",
-            fast.result.len(),
-            fast.stats.join_probes,
-            fast.stats.tuples_materialised,
-            fast.stats.interned_values,
-        ));
     }
-    let json = format!("[\n  {}\n]\n", records.join(",\n  "));
-    if target == "-" {
-        print!("{json}");
-    } else if let Err(e) = std::fs::write(target, &json) {
-        eprintln!("error: cannot write `{target}`: {e}");
-        std::process::exit(1);
-    } else {
-        println!(
-            "wrote {} planned-vs-tuple algebra records to {target}",
-            records.len()
-        );
-    }
+    records
 }
 
-/// `--incremental-json [FILE|-]`: the E15 grid — watch each workload's query
-/// on an [`IncrementalDb`], then compare the cost of refreshing the view
-/// after a one-tuple insert against executing the same `Prepared` handle from
-/// scratch on the mutated snapshot.  The refreshed answer is asserted
-/// byte-identical to the from-scratch answer on every trial before anything
-/// is recorded, and the transitive-closure row must clear a 10× speedup (the
-/// E15 acceptance bar).  Serialized as a JSON array
-/// (`BENCH_incremental_delta.json` in CI).
-///
-/// Both arms of the closure row run its least-fixpoint route, on a chain of
-/// [`itq_bench::E15_TC_CHAIN`] atoms.
-fn emit_incremental_json(target: &str) {
+/// `--compiled-json`: E13 — [`exemplar_grid`] under the limited
+/// interpretation through a prepared handle (the slot evaluator, or the
+/// route a query lowers to) against the tree walker called directly (the
+/// legacy column).  The answers are asserted identical first.  Each arm is
+/// timed on its second call of the round ([`warm_micros`]).
+fn compiled_json() -> Vec<String> {
     let engine = Engine::new();
-    let grid = vec![
+    let grid = exemplar_grid();
+    let (mut handles, mut rows) = (Vec::new(), Vec::new());
+    for (name, query, db) in &grid {
+        let handle = or_exit(name, engine.prepare(query));
+        let outcome = or_exit(name, handle.execute(db, Semantics::Limited));
+        let legacy = or_exit(name, query.eval_full(db, &EvalConfig::default()));
+        assert_eq!(
+            outcome.result, legacy.result,
+            "compiled and legacy answers differ on `{name}`"
+        );
+        let stats = outcome.stats;
+        let stable = format!(
+            "\"semantics\":\"limited\",\"result_size\":{},\"domain_cache_hits\":{},\
+             \"domain_cache_misses\":{},\"interned_values\":{}",
+            outcome.result.len(),
+            stats.domain_cache_hits,
+            stats.domain_cache_misses,
+            stats.interned_values
+        );
+        handles.push(handle);
+        rows.push((*name, stable));
+    }
+    let run = |g: usize, arm| {
+        let (_, query, db) = &grid[g];
+        match arm {
+            0 => warm_micros(|| handles[g].execute(db, Semantics::Limited)),
+            _ => warm_micros(|| query.eval_full(db, &EvalConfig::default())),
+        }
+    };
+    let m = measured(COMPARISON, (grid.len(), 2), run, |_| Vec::new());
+    speedup_records(&m, &rows, "compiled_micros", "legacy_micros")
+}
+
+/// `--algebra-json`: E14 — the product-heavy algebra grid
+/// (`itq_bench::algebra_exec_workloads`, shared with the `algebra_exec`
+/// bench) through the set-at-a-time planned executor against the
+/// tuple-at-a-time evaluator.  The answers are asserted identical first.
+/// Each arm is timed on its second call of the round ([`warm_micros`]).
+fn algebra_json() -> Vec<String> {
+    let engines = [
+        Engine::new(),
+        Engine::builder().use_algebra_planner(false).build(),
+    ];
+    let (mut arms, mut rows) = (Vec::new(), Vec::new());
+    for (name, expr, schema, db) in itq_bench::algebra_exec_workloads() {
+        let prepare = |e: &Engine| or_exit(name, e.prepare_algebra(&expr, &schema));
+        let handles: Vec<_> = engines.iter().map(prepare).collect();
+        let run = |h: &Prepared| or_exit(name, h.execute(&db, Semantics::Limited));
+        let (planned, tuple) = (run(&handles[0]), run(&handles[1]));
+        assert_eq!(
+            planned.result, tuple.result,
+            "planned and tuple-at-a-time answers differ on `{name}`"
+        );
+        let stats = planned.stats;
+        let stable = format!(
+            "\"semantics\":\"limited\",\"result_size\":{},\"join_probes\":{},\
+             \"tuples_materialised\":{},\"interned_values\":{}",
+            planned.result.len(),
+            stats.join_probes,
+            stats.tuples_materialised,
+            stats.interned_values
+        );
+        arms.push((handles, db));
+        rows.push((name, stable));
+    }
+    let run = |g: usize, arm: usize| {
+        let (handles, db) = &arms[g];
+        warm_micros(|| handles[arm].execute(db, Semantics::Limited))
+    };
+    let m = measured(COMPARISON, (arms.len(), 2), run, |_| Vec::new());
+    speedup_records(&m, &rows, "planned_micros", "tuple_micros")
+}
+
+/// The chain length (in atoms) of E15's transitive-closure row.  Both arms
+/// run the closure's least-fixpoint route, so the chain is long enough for
+/// their ratio to follow from the work: appending one edge to an n-atom
+/// chain derives n new pairs, a scratch run all n(n+1)/2.
+const E15_TC_CHAIN: u32 = 48;
+
+/// `--incremental-json`: E15 — watch each workload's query on an
+/// [`IncrementalDb`], then compare refreshing the view after a one-tuple
+/// insert against executing the same `Prepared` handle from scratch on the
+/// mutated database.  The refreshed answer is asserted identical to the
+/// from-scratch answer first, and the transitive-closure row must clear a
+/// 10× speedup (the E15 acceptance bar).
+///
+/// Each delta round inserts into a fresh clone of the watched database, so
+/// every insert refreshes against the identical base.  Both arms of the
+/// closure row run its least-fixpoint route, on a chain of
+/// [`E15_TC_CHAIN`] atoms.
+fn incremental_json() -> Vec<String> {
+    let engine = Engine::new();
+    let grid = [
         (
             "genealogy/transitive-closure",
             queries::transitive_closure_query(),
-            chain_edges(itq_bench::E15_TC_CHAIN),
+            chain_edges(E15_TC_CHAIN),
         ),
         (
             "genealogy/grandparent",
@@ -385,426 +451,314 @@ fn emit_incremental_json(target: &str) {
             tree_edges(17),
         ),
     ];
-    let mut records: Vec<String> = Vec::new();
+    let (mut arms, mut rows) = (Vec::new(), Vec::new());
     for (name, query, edges) in grid {
         let db = queries::parent_database(&edges);
-        let mut inc = IncrementalDb::new(queries::parent_schema(), &db).unwrap_or_else(|e| {
-            eprintln!("error: seed `{name}`: {e}");
-            std::process::exit(1);
-        });
-        let prepared = engine.prepare(&query).unwrap_or_else(|e| {
-            eprintln!("error: prepare `{name}`: {e}");
-            std::process::exit(1);
-        });
-        inc.watch("view", prepared.clone(), Semantics::Limited);
-        let strategy = inc.view("view").expect("just watched").strategy_name();
-        // The delta: one edge out of the last chain node to a fresh atom.
+        let mut watched = or_exit(name, IncrementalDb::new(queries::parent_schema(), &db));
+        let prepared = or_exit(name, engine.prepare(&query));
+        watched.watch("view", prepared.clone(), Semantics::Limited);
+        // The delta: one edge out of the last node to a fresh atom.
         let last = edges.iter().map(|&(_, Atom(b))| b).max().unwrap_or(0);
-        let tuple = Value::pair(Atom(last), Atom(last + 1));
-        // Min-of-3 wall time per arm; each trial restores the database so
-        // every insert refreshes against the identical base.
-        let mut delta_micros = u64::MAX;
-        let mut scratch_micros = u64::MAX;
-        let mut result_size = 0usize;
-        for _ in 0..3 {
-            let start = Instant::now();
-            inc.insert("PAR", vec![tuple.clone()]).unwrap();
-            delta_micros = delta_micros.min(start.elapsed().as_micros() as u64);
-            let scratch = prepared
-                .execute(&inc.snapshot(), Semantics::Limited)
-                .unwrap();
-            scratch_micros = scratch_micros.min(scratch.stats.wall_micros);
-            let stored = inc.view("view").expect("still watched").outcome();
-            assert_eq!(
-                stored.as_ref().ok(),
-                Some(&scratch.result),
-                "refreshed and from-scratch answers must agree on `{name}`"
-            );
-            result_size = scratch.result.len();
-            inc.delete("PAR", vec![tuple.clone()]).unwrap();
-        }
-        let speedup = scratch_micros.max(1) as f64 / delta_micros.max(1) as f64;
-        if name == "genealogy/transitive-closure" {
-            assert!(
-                speedup >= 10.0,
-                "E15 acceptance: delta refresh must beat from-scratch by ≥10× \
-                 on the TC chain (got {speedup:.1}×)"
-            );
-        }
-        records.push(format!(
-            "{{\"experiment\":\"{name}\",\"strategy\":\"{strategy}\",\
-             \"result_size\":{result_size},\"scratch_micros\":{scratch_micros},\
-             \"delta_micros\":{delta_micros},\"speedup\":{speedup:.2}}}"
-        ));
-    }
-    let json = format!("[\n  {}\n]\n", records.join(",\n  "));
-    if target == "-" {
-        print!("{json}");
-    } else if let Err(e) = std::fs::write(target, &json) {
-        eprintln!("error: cannot write `{target}`: {e}");
-        std::process::exit(1);
-    } else {
-        println!(
-            "wrote {} incremental-vs-scratch records to {target}",
-            records.len()
+        let edge = Value::pair(Atom(last), Atom(last + 1));
+        let mut probe = watched.clone();
+        or_exit(name, probe.insert("PAR", vec![edge.clone()]));
+        let mutated = probe.snapshot();
+        let scratch = or_exit(name, prepared.execute(&mutated, Semantics::Limited));
+        let view = probe.view("view").expect("watched");
+        let refreshed = view.outcome().as_ref().ok();
+        assert_eq!(
+            refreshed,
+            Some(&scratch.result),
+            "refreshed and scratch answers differ on `{name}`"
         );
+        let strategy = view.strategy_name();
+        let size = scratch.result.len();
+        rows.push((
+            name,
+            format!("\"strategy\":\"{strategy}\",\"result_size\":{size}"),
+        ));
+        arms.push((watched, edge, prepared, mutated));
     }
+    let run = |g: usize, arm| {
+        let (watched, edge, prepared, mutated) = &arms[g];
+        if arm == 1 {
+            return micros(|| prepared.execute(mutated, Semantics::Limited));
+        }
+        let (mut fresh, delta) = (watched.clone(), vec![edge.clone()]);
+        micros(|| fresh.insert("PAR", delta))
+    };
+    let gate = |m: &Measurement| {
+        let (what, estimate) = (format!("E15 {} speedup", rows[0].0), m.ratio(Some(0), 1, 0));
+        vec![Gate {
+            what,
+            estimate,
+            bound: Bound::AtLeast(10.0),
+        }]
+    };
+    let m = measured(SLOW_GRID, (arms.len(), 2), run, gate);
+    speedup_records(&m, &rows, "delta_micros", "scratch_micros")
 }
 
-/// `--trace-json [FILE|-]`: execute the canonical workloads (plus the
-/// transitive-closure chain) under every semantics with tracing on and
-/// serialize each execution's annotated [`itq_trace::Span`] tree as a JSON
-/// array — one record per (experiment, semantics) pair.  This is the
+/// `--trace-json`: execute [`exemplar_grid`] under every semantics with
+/// tracing on and record each execution's annotated [`itq_trace::Span`]
+/// tree — one record per (experiment, semantics) pair.  This is the
 /// machine-readable twin of the session's `explain analyze` statement.
-fn emit_trace_json(target: &str) {
+fn trace_json() -> Vec<String> {
     let engine = Engine::builder().max_invented(1).build();
-    let mut grid = queries::exemplar_workloads();
-    grid.push((
-        "genealogy/transitive-closure",
-        queries::transitive_closure_query(),
-        queries::parent_database(&chain_edges(3)),
-    ));
-    let mut records: Vec<String> = Vec::new();
-    for (name, query, db) in grid {
-        let prepared = engine.prepare(&query).unwrap_or_else(|e| {
-            eprintln!("error: prepare `{name}`: {e}");
-            std::process::exit(1);
-        });
+    let mut records = Vec::new();
+    for (name, query, db) in exemplar_grid() {
+        let prepared = or_exit(name, engine.prepare(&query));
         for semantics in Semantics::ALL {
-            match prepared.execute_traced(&db, semantics) {
-                Ok((outcome, span)) => records.push(format!(
-                    "{{\"experiment\":\"{name}\",\"semantics\":\"{semantics}\",\
-                     \"result_size\":{},\"span\":{}}}",
-                    outcome.result.len(),
-                    span.to_json()
-                )),
-                Err(e) => {
-                    eprintln!("error: execute `{name}` under {semantics}: {e}");
-                    std::process::exit(1);
-                }
-            }
+            let (outcome, span) = or_exit(name, prepared.execute_traced(&db, semantics));
+            let fields = format!(
+                "\"semantics\":\"{semantics}\",\"result_size\":{},\"span\":{}",
+                outcome.result.len(),
+                span.to_json()
+            );
+            records.push(record(name, &[fields]));
         }
     }
-    let json = format!("[\n  {}\n]\n", records.join(",\n  "));
-    if target == "-" {
-        print!("{json}");
-    } else if let Err(e) = std::fs::write(target, &json) {
-        eprintln!("error: cannot write `{target}`: {e}");
-        std::process::exit(1);
-    } else {
-        println!("wrote {} trace-span records to {target}", records.len());
-    }
+    records
 }
 
-/// The calculus half of the two overhead grids: the E13 workloads, the
-/// transitive-closure chain (which runs as a least fixpoint), and the same
-/// closure with its parent pairs excluded, whose negated atom keeps it on the
-/// compiled enumeration — so the grids' aggregates keep weighing the
-/// enumeration's poll and sink seams.
-fn overhead_calculus_grid() -> Vec<(&'static str, Query, Database)> {
-    let mut grid = queries::exemplar_workloads();
-    let chain = queries::parent_database(&chain_edges(3));
-    grid.push((
-        "genealogy/transitive-closure",
-        queries::transitive_closure_query(),
-        chain.clone(),
-    ));
-    grid.push((
+/// The grid of both overhead gates, prepared by one engine that allows one
+/// invention level: [`exemplar_grid`], the same closure with its parent
+/// pairs excluded, whose negated atom keeps it on the compiled enumeration
+/// (so the aggregates keep weighing the enumeration's poll and sink seams),
+/// and the E14 algebra grid.
+fn overhead_grid() -> Vec<(&'static str, Prepared, Database)> {
+    let engine = Engine::builder().max_invented(1).build();
+    let mut calculus = exemplar_grid();
+    calculus.push((
         "genealogy/transitive-closure-not-par",
         queries::excluding_parent_pairs(&queries::transitive_closure_query()),
-        chain,
+        queries::parent_database(&chain_edges(3)),
     ));
-    grid
+    let calculus = calculus
+        .into_iter()
+        .map(|(name, query, db)| (name, or_exit(name, engine.prepare(&query)), db));
+    let algebra =
+        itq_bench::algebra_exec_workloads()
+            .into_iter()
+            .map(|(name, expr, schema, db)| {
+                (
+                    name,
+                    or_exit(name, engine.prepare_algebra(&expr, &schema)),
+                    db,
+                )
+            });
+    calculus.chain(algebra).collect()
 }
 
-/// `--trace-overhead-json [FILE|-]`: measure the cost of the
-/// zero-cost-when-off tracing seam.  Every workload in the E13 calculus grid
-/// and the E14 algebra grid is executed both through the plain
-/// `Prepared::execute` path and through `execute_with_sink(&NoopSink)` (the
-/// path every session eval takes when no `--trace` sink is installed), taking
-/// the min-of-5 wall time per arm.  The aggregate overhead across the whole
-/// grid must stay under 2% — asserted here, so a regression fails the run
-/// before any JSON is written (`BENCH_trace_overhead.json` in CI).
-fn emit_trace_overhead_json(target: &str) {
-    let engine = Engine::builder().max_invented(1).build();
+/// Time an overhead grid's plain arm (0) against its instrumented arm (1),
+/// gating the aggregate overhead under 2%, and return one record per
+/// workload plus the aggregate's.  `stable[g]` holds workload `g`'s name
+/// and its further stable fields, each preceded by a comma; the
+/// instrumented arm's times are recorded as `ARM_micros`.
+fn overhead_records(
+    stable: &[(&str, String)],
+    arm: &str,
+    run: impl FnMut(usize, usize) -> f64,
+) -> Vec<String> {
+    let overhead = |ratio: Estimate| ratio.map(|r| (r - 1.0) * 100.0);
+    let m = measured(OVERHEAD, (stable.len(), 2), run, |m| {
+        let what = format!("aggregate {arm} overhead_pct");
+        vec![Gate {
+            what,
+            estimate: overhead(m.ratio(None, 1, 0)),
+            bound: Bound::Below(2.0),
+        }]
+    });
+    let fields = |group, stable: &str| {
+        let times = [
+            m.time(group, 0).json("plain_micros"),
+            m.time(group, 1).json(&format!("{arm}_micros")),
+        ];
+        let ratio = overhead(m.ratio(group, 1, 0)).json("overhead_pct");
+        [
+            format!("\"semantics\":\"limited\"{stable}"),
+            times.join(","),
+            ratio,
+            m.json(),
+        ]
+    };
+    let rows = stable.iter().enumerate();
+    let mut records: Vec<String> = rows
+        .map(|(g, (name, s))| record(name, &fields(Some(g), s)))
+        .collect();
+    records.push(record("aggregate", &fields(None, "")));
+    records
+}
+
+/// `--trace-overhead-json`: the cost of the zero-cost-when-off tracing seam.
+/// Every workload of [`overhead_grid`] runs through the plain
+/// `Prepared::execute` path and through `execute_with_sink(&NoopSink)`, the
+/// path every session eval takes when no `--trace` sink is installed.  The
+/// aggregate overhead across the grid must stay under 2%.
+fn trace_overhead_json() -> Vec<String> {
+    let grid = overhead_grid();
     let sink = itq_trace::NoopSink;
-    let mut records: Vec<String> = Vec::new();
-    let mut plain_total: u64 = 0;
-    let mut noop_total: u64 = 0;
-    let mut prepared_grid = Vec::new();
-    for (name, query, db) in overhead_calculus_grid() {
-        let prepared = engine.prepare(&query).unwrap_or_else(|e| {
-            eprintln!("error: prepare `{name}`: {e}");
-            std::process::exit(1);
-        });
-        prepared_grid.push((name, prepared, db));
-    }
-    for (name, expr, schema, db) in itq_bench::algebra_exec_workloads() {
-        let prepared = engine.prepare_algebra(&expr, &schema).unwrap_or_else(|e| {
-            eprintln!("error: prepare `{name}`: {e}");
-            std::process::exit(1);
-        });
-        prepared_grid.push((name, prepared, db));
-    }
-    for (name, prepared, db) in prepared_grid {
-        // Min-of-5 per arm: the off-path difference is a single virtual
-        // `is_enabled` call, far below scheduler noise on any one run.
-        let mut plain_micros = u64::MAX;
-        let mut noop_micros = u64::MAX;
-        for _ in 0..5 {
-            let plain = prepared.execute(&db, Semantics::Limited).unwrap();
-            plain_micros = plain_micros.min(plain.stats.wall_micros);
-            let noop = prepared
-                .execute_with_sink(&db, Semantics::Limited, &sink)
-                .unwrap();
-            noop_micros = noop_micros.min(noop.stats.wall_micros);
-            assert_eq!(
-                plain.result, noop.result,
-                "noop-sink and plain answers must agree on `{name}`"
-            );
-        }
-        plain_total += plain_micros;
-        noop_total += noop_micros;
-        let overhead =
-            (noop_micros as f64 - plain_micros as f64) / plain_micros.max(1) as f64 * 100.0;
-        records.push(format!(
-            "{{\"experiment\":\"{name}\",\"semantics\":\"limited\",\
-             \"plain_micros\":{plain_micros},\"noop_sink_micros\":{noop_micros},\
-             \"overhead_pct\":{overhead:.2}}}"
-        ));
-    }
-    let aggregate = (noop_total as f64 - plain_total as f64) / plain_total.max(1) as f64 * 100.0;
-    assert!(
-        aggregate < 2.0,
-        "tracing-off overhead must stay under 2% across the grid \
-         (got {aggregate:.2}%: plain {plain_total} µs, noop {noop_total} µs)"
-    );
-    records.push(format!(
-        "{{\"experiment\":\"aggregate\",\"semantics\":\"limited\",\
-         \"plain_micros\":{plain_total},\"noop_sink_micros\":{noop_total},\
-         \"overhead_pct\":{aggregate:.2}}}"
-    ));
-    let json = format!("[\n  {}\n]\n", records.join(",\n  "));
-    if target == "-" {
-        print!("{json}");
-    } else if let Err(e) = std::fs::write(target, &json) {
-        eprintln!("error: cannot write `{target}`: {e}");
-        std::process::exit(1);
-    } else {
-        println!(
-            "wrote {} trace-overhead records to {target} (aggregate {aggregate:.2}%)",
-            records.len()
+    for (name, prepared, db) in &grid {
+        let plain = or_exit(name, prepared.execute(db, Semantics::Limited));
+        let noop = or_exit(
+            name,
+            prepared.execute_with_sink(db, Semantics::Limited, &sink),
+        );
+        assert_eq!(
+            plain.result, noop.result,
+            "noop-sink and plain answers differ on `{name}`"
         );
     }
-}
-
-/// `--governor-overhead-json [FILE|-]`: measure the cost of an armed but
-/// untripped resource governor.  Every workload in the E13 calculus grid and
-/// the E14 algebra grid is executed through a disarmed engine and through one
-/// armed with a one-hour deadline and a terabyte memory ceiling — limits no
-/// workload approaches, so both arms do identical query work and differ only
-/// in what each interrupt poll costs.  Min-of-5 wall time per arm; the
-/// aggregate overhead across the whole grid must stay under 2% — asserted
-/// here, so a regression fails the run before any JSON is written
-/// (`BENCH_governor_overhead.json` in CI).  The governed arm's
-/// `interrupt_polls` counter is recorded per workload: it is a deterministic
-/// function of the execution, so it is a stable key the diff script checks.
-fn emit_governor_overhead_json(target: &str) {
-    let plain_engine = Engine::builder().max_invented(1).build();
-    let governed_engine = Engine::builder()
-        .max_invented(1)
-        .deadline_millis(3_600_000)
-        .memory_ceiling(1 << 40)
-        .build();
-    let mut records: Vec<String> = Vec::new();
-    let mut plain_total: u64 = 0;
-    let mut governed_total: u64 = 0;
-    let mut prepared_grid = Vec::new();
-    for (name, query, db) in overhead_calculus_grid() {
-        let plain = plain_engine.prepare(&query).unwrap_or_else(|e| {
-            eprintln!("error: prepare `{name}`: {e}");
-            std::process::exit(1);
-        });
-        let governed = governed_engine.prepare(&query).unwrap_or_else(|e| {
-            eprintln!("error: prepare `{name}` (governed): {e}");
-            std::process::exit(1);
-        });
-        prepared_grid.push((name, plain, governed, db));
-    }
-    for (name, expr, schema, db) in itq_bench::algebra_exec_workloads() {
-        let plain = plain_engine
-            .prepare_algebra(&expr, &schema)
-            .unwrap_or_else(|e| {
-                eprintln!("error: prepare `{name}`: {e}");
-                std::process::exit(1);
-            });
-        let governed = governed_engine
-            .prepare_algebra(&expr, &schema)
-            .unwrap_or_else(|e| {
-                eprintln!("error: prepare `{name}` (governed): {e}");
-                std::process::exit(1);
-            });
-        prepared_grid.push((name, plain, governed, db));
-    }
-    for (name, plain, governed, db) in prepared_grid {
-        // Min-of-5 per arm: the armed-path difference is one counter bump and
-        // a few compares every 256 work units, far below scheduler noise on
-        // any one run.
-        let mut plain_micros = u64::MAX;
-        let mut governed_micros = u64::MAX;
-        let mut polls = 0u64;
-        for _ in 0..5 {
-            let ungoverned = plain.execute(&db, Semantics::Limited).unwrap();
-            plain_micros = plain_micros.min(ungoverned.stats.wall_micros);
-            let armed = governed.execute(&db, Semantics::Limited).unwrap();
-            governed_micros = governed_micros.min(armed.stats.wall_micros);
-            polls = armed.stats.interrupt_polls;
-            assert_eq!(
-                ungoverned.result, armed.result,
-                "governed and ungoverned answers must agree on `{name}`"
-            );
+    let stable: Vec<_> = grid
+        .iter()
+        .map(|(name, ..)| (*name, String::new()))
+        .collect();
+    overhead_records(&stable, "noop_sink", |g, arm| {
+        let (_, prepared, db) = &grid[g];
+        match arm {
+            0 => micros(|| prepared.execute(db, Semantics::Limited)),
+            _ => micros(|| prepared.execute_with_sink(db, Semantics::Limited, &sink)),
         }
-        plain_total += plain_micros;
-        governed_total += governed_micros;
-        let overhead =
-            (governed_micros as f64 - plain_micros as f64) / plain_micros.max(1) as f64 * 100.0;
-        records.push(format!(
-            "{{\"experiment\":\"{name}\",\"semantics\":\"limited\",\
-             \"interrupt_polls\":{polls},\"plain_micros\":{plain_micros},\
-             \"governed_micros\":{governed_micros},\"overhead_pct\":{overhead:.2}}}"
-        ));
-    }
-    let aggregate =
-        (governed_total as f64 - plain_total as f64) / plain_total.max(1) as f64 * 100.0;
-    assert!(
-        aggregate < 2.0,
-        "armed-governor overhead must stay under 2% across the grid \
-         (got {aggregate:.2}%: plain {plain_total} µs, governed {governed_total} µs)"
-    );
-    records.push(format!(
-        "{{\"experiment\":\"aggregate\",\"semantics\":\"limited\",\
-         \"plain_micros\":{plain_total},\"governed_micros\":{governed_total},\
-         \"overhead_pct\":{aggregate:.2}}}"
-    ));
-    let json = format!("[\n  {}\n]\n", records.join(",\n  "));
-    if target == "-" {
-        print!("{json}");
-    } else if let Err(e) = std::fs::write(target, &json) {
-        eprintln!("error: cannot write `{target}`: {e}");
-        std::process::exit(1);
-    } else {
-        println!(
-            "wrote {} governor-overhead records to {target} (aggregate {aggregate:.2}%)",
-            records.len()
-        );
-    }
+    })
 }
 
-/// `--parallel-json [FILE|-]`: the E16 grid — every workload in
-/// `itq_bench::parallel_scaling_workloads` is executed through the same
-/// `Prepared` handle at 1, 2, and 4 workers, the answers are asserted
-/// byte-identical at every worker count before anything is recorded, and the
-/// speedups are serialized as a JSON array (`BENCH_parallel_scaling.json` in
-/// CI).  On a machine with ≥ 4 available cores the E16 acceptance bar is
-/// asserted too: both workloads must reach ≥ 2× at 4 workers.
-fn emit_parallel_json(target: &str) {
-    const WORKERS: [usize; 3] = [1, 2, 4];
+/// `--governor-overhead-json`: the cost of an armed but untripped resource
+/// governor.  Every workload of [`overhead_grid`] runs through its disarmed
+/// handle and through a copy re-budgeted with a one-hour deadline and a
+/// terabyte memory ceiling — limits no workload approaches.  The copy
+/// shares the handle's static half, so both arms run the same plan and
+/// differ only in what each interrupt poll costs.  The aggregate overhead
+/// across the grid must stay under 2%.  The governed arm's
+/// `interrupt_polls` counter is recorded per workload: it is a
+/// deterministic function of the execution, so it is a stable key the diff
+/// script checks.
+fn governor_json() -> Vec<String> {
+    let armed = GovernorConfig {
+        deadline_millis: Some(3_600_000),
+        memory_ceiling: Some(1 << 40),
+        ..GovernorConfig::default()
+    };
+    let (mut arms, mut stable) = (Vec::new(), Vec::new());
+    for (name, plain, db) in overhead_grid() {
+        let handles = [plain.clone(), plain.with_governor(armed.clone())];
+        let run = |h: &Prepared| or_exit(name, h.execute(&db, Semantics::Limited));
+        let (plain, governed) = (run(&handles[0]), run(&handles[1]));
+        assert_eq!(
+            plain.result, governed.result,
+            "governed and plain answers differ on `{name}`"
+        );
+        stable.push((
+            name,
+            format!(",\"interrupt_polls\":{}", governed.stats.interrupt_polls),
+        ));
+        arms.push((handles, db));
+    }
+    overhead_records(&stable, "governed", |g, arm| {
+        let (handles, db) = &arms[g];
+        micros(|| handles[arm].execute(db, Semantics::Limited))
+    })
+}
+
+/// The E16 workload grid: the report-grid queries scaled until a sequential
+/// execution takes long enough (hundreds of milliseconds) for the
+/// `parallelism(n)` partitioning to amortise its merge cost.
+///
+/// Both workloads run the compiled calculus backend, the only one that
+/// partitions: their cost is pure quantifier enumeration (2·|adom|⁶
+/// evaluation steps on an n-atom chain) with answer-sized merges.  The
+/// queries are grandparent and sibling with a negated `PAR(t)` conjunct
+/// ([`queries::excluding_parent_pairs`], which removes no answer on a
+/// chain): conjunctive queries would run as hash joins instead.
+fn parallel_scaling_workloads() -> Vec<(&'static str, Query, Database)> {
+    // 16 atoms → a 256-tuple [U, U] domain → ≈ 3.4e7 steps sequentially.
+    let chain_db = queries::parent_database(&chain_edges(15));
+    vec![
+        (
+            "parallel/grandparent-not-par-chain16",
+            queries::excluding_parent_pairs(&queries::grandparent_query()),
+            chain_db.clone(),
+        ),
+        (
+            "parallel/sibling-not-par-chain16",
+            queries::excluding_parent_pairs(&queries::sibling_query()),
+            chain_db,
+        ),
+    ]
+}
+
+/// `--parallel-json`: E16 — every workload of
+/// [`parallel_scaling_workloads`] executes through the same
+/// `Prepared` handle at 1, 2, and 4 workers, with the answers asserted
+/// identical at every worker count first.  With ≥ 4 available cores the E16
+/// acceptance bar is gated too: both workloads must reach 2× at 4 workers.
+fn parallel_json() -> Vec<String> {
     let engine = Engine::builder().parallelism(1).build();
-    let mut prepared_grid = Vec::new();
-    for (name, query, db) in itq_bench::parallel_scaling_workloads() {
-        match engine.prepare(&query) {
-            Ok(prepared) => prepared_grid.push((name, prepared, db)),
-            Err(e) => {
-                eprintln!("error: prepare `{name}`: {e}");
-                std::process::exit(1);
-            }
+    let (mut arms, mut rows) = (Vec::new(), Vec::new());
+    for (name, query, db) in parallel_scaling_workloads() {
+        let prepared = or_exit(name, engine.prepare(&query));
+        let handles = [1, 2, 4].map(|workers| prepared.with_parallelism(workers));
+        let outcomes: Vec<_> = handles
+            .iter()
+            .map(|h| or_exit(name, h.execute(&db, Semantics::Limited)))
+            .collect();
+        for outcome in &outcomes[1..] {
+            assert_eq!(
+                outcome.result, outcomes[0].result,
+                "parallel answers differ on `{name}`"
+            );
         }
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut records: Vec<String> = Vec::new();
-    let mut at_bar = 0usize;
-    for (name, prepared, db) in prepared_grid {
-        // Min-of-3 per worker count, matching the E13/E14 pattern; the
-        // baseline answer pins every parallel answer byte-identically.
-        let baseline = prepared
-            .execute(&db, Semantics::Limited)
-            .unwrap_or_else(|e| {
-                eprintln!("error: execute `{name}`: {e}");
-                std::process::exit(1);
-            });
-        let mut micros = [u64::MAX; 3];
-        let mut partitions = [0u64; 3];
-        for (slot, workers) in WORKERS.into_iter().enumerate() {
-            let handle = prepared.with_parallelism(workers);
-            for _ in 0..3 {
-                let outcome = handle.execute(&db, Semantics::Limited).unwrap();
-                assert_eq!(
-                    baseline.result, outcome.result,
-                    "parallel answers must be byte-identical on `{name}` at {workers} workers"
-                );
-                micros[slot] = micros[slot].min(outcome.stats.wall_micros);
-                partitions[slot] = outcome.stats.partitions;
-            }
-        }
-        let speedup_2 = micros[0].max(1) as f64 / micros[1].max(1) as f64;
-        let speedup_4 = micros[0].max(1) as f64 / micros[2].max(1) as f64;
-        if speedup_4 >= 2.0 {
-            at_bar += 1;
-        }
-        records.push(format!(
-            "{{\"experiment\":\"{name}\",\"semantics\":\"limited\",\
-             \"result_size\":{},\"partitions_2\":{},\"partitions_4\":{},\
-             \"workers_1_micros\":{},\"workers_2_micros\":{},\
-             \"workers_4_micros\":{},\"speedup_2\":{speedup_2:.2},\
-             \"speedup_4\":{speedup_4:.2}}}",
-            baseline.result.len(),
-            partitions[1],
-            partitions[2],
-            micros[0],
-            micros[1],
-            micros[2],
-        ));
-    }
-    // The acceptance bar only means something when 4 workers can actually
-    // run concurrently; single- and dual-core runners still record the
-    // (answer-checked) trajectory without asserting speedups they cannot see.
-    if cores >= 4 {
-        assert!(
-            at_bar >= 2,
-            "E16 acceptance: at least two workloads must reach ≥2× at 4 workers \
-             on a {cores}-core machine (got {at_bar})"
+        let stable = format!(
+            "\"semantics\":\"limited\",\"result_size\":{},\"partitions_2\":{},\"partitions_4\":{}",
+            outcomes[0].result.len(),
+            outcomes[1].stats.partitions,
+            outcomes[2].stats.partitions
         );
-    } else {
-        eprintln!("note: {cores} core(s) available; skipping the ≥2×-at-4-workers assertion");
+        arms.push((handles, db));
+        rows.push((name, stable));
     }
-    let json = format!("[\n  {}\n]\n", records.join(",\n  "));
-    if target == "-" {
-        print!("{json}");
-    } else if let Err(e) = std::fs::write(target, &json) {
-        eprintln!("error: cannot write `{target}`: {e}");
-        std::process::exit(1);
-    } else {
-        println!(
-            "wrote {} parallel-scaling records to {target} ({at_bar} workload(s) ≥2× at 4 workers)",
-            records.len()
+    let run = |g: usize, arm: usize| {
+        let (handles, db) = &arms[g];
+        micros(|| handles[arm].execute(db, Semantics::Limited))
+    };
+    // The bar only means something when 4 workers can run at once.
+    let gates = |m: &Measurement| {
+        let gated = rows.iter().enumerate().filter(|_| m.cores >= 4);
+        let gate = |(g, (name, _)): (usize, &(&str, String))| Gate {
+            what: format!("E16 {name} speedup_4"),
+            estimate: m.ratio(Some(g), 0, 2),
+            bound: Bound::AtLeast(2.0),
+        };
+        gated.map(gate).collect()
+    };
+    let m = measured(SLOW_GRID, (arms.len(), 3), run, gates);
+    if m.cores < 4 {
+        eprintln!(
+            "note: {} core(s) available; skipping the ≥2×-at-4-workers gate",
+            m.cores
         );
     }
-}
-
-/// One `--stats-json` record: experiment coordinates plus the stats block.
-fn stats_record(
-    name: &str,
-    semantics: Semantics,
-    result_size: usize,
-    bounded: bool,
-    stats: &ExecStats,
-) -> String {
-    format!(
-        "{{\"experiment\":\"{name}\",\"semantics\":\"{semantics}\",\
-         \"result_size\":{result_size},\"bounded_approximation\":{bounded},\
-         \"stats\":{}}}",
-        stats.to_json()
-    )
+    let fields = |g, stable: &String| {
+        let g = Some(g);
+        let times = ["workers_1_micros", "workers_2_micros", "workers_4_micros"];
+        let times = times
+            .iter()
+            .enumerate()
+            .map(|(arm, key)| m.time(g, arm).json(key));
+        let speedups = [
+            m.ratio(g, 0, 1).json("speedup_2"),
+            m.ratio(g, 0, 2).json("speedup_4"),
+        ];
+        [
+            stable.clone(),
+            times.collect::<Vec<_>>().join(","),
+            speedups.join(","),
+            m.json(),
+        ]
+    };
+    let records = rows.iter().enumerate();
+    records
+        .map(|(g, (name, stable))| record(name, &fields(g, stable)))
+        .collect()
 }
 
 /// E1 — Figure 1: the example types, their set-heights, and their constructive

@@ -2,27 +2,23 @@
 
 //! # itq-bench — benchmark harness
 //!
-//! The real content of this crate lives in `benches/` (one Criterion bench per
-//! experiment of DESIGN.md) and in the `report` binary that prints the
-//! paper-style tables.  This library target hosts the helpers shared between
-//! the two — most importantly the workload grids that a bench and its
-//! `report --*-json` trajectory must agree on.
+//! The real content of this crate lives in `benches/` (Criterion benches for
+//! the experiments of the README's Benchmarks section) and in the `report`
+//! binary that prints the paper-style tables and records the `BENCH_*.json`
+//! trajectories.  This library target hosts what the two share: E14's
+//! workload grid, which the `algebra_exec` bench and `report --algebra-json`
+//! both time, and [`measure`], the one routine every timed trajectory goes
+//! through.
+
+mod measure;
+
+pub use measure::{measure, Bound, Estimate, Gate, Measurement, Schedule};
 
 use itq_algebra::{AlgExpr, SelFormula};
-use itq_calculus::Query;
-use itq_core::queries;
 use itq_object::{Atom, Database, Instance, Schema, Type};
-use itq_workloads::graphs::chain_edges;
 
 /// Width of the printed report tables.
 pub const REPORT_WIDTH: usize = 100;
-
-/// The chain length (in atoms) of E15's transitive-closure row, shared by the
-/// `incremental_delta` bench and `report --incremental-json`.  Both arms run
-/// the closure's least-fixpoint route, so the chain is long enough for their
-/// ratio to follow from the work: appending one edge to an n-atom chain derives n
-/// new pairs, a scratch run all n(n+1)/2.
-pub const E15_TC_CHAIN: u32 = 48;
 
 /// The E14 workload grid: product-heavy algebra expressions whose
 /// tuple-at-a-time evaluation materialises the full Cartesian product, paired
@@ -71,35 +67,6 @@ pub fn algebra_exec_workloads() -> Vec<(&'static str, AlgExpr, Schema, Database)
         ),
         ("algebra/sibling-product", sibling, parent_schema, forest_db),
         ("algebra/self-pairs", self_pairs, person_schema, people_db),
-    ]
-}
-
-/// The E16 workload grid: the report-grid queries scaled until a sequential
-/// execution takes long enough (hundreds of milliseconds) for the
-/// `parallelism(n)` partitioning to amortise its merge cost.  Shared between
-/// the `parallel_scaling` bench and `report --parallel-json`, so the recorded
-/// speedup trajectory describes exactly the workloads the bench tracks.
-///
-/// Both workloads run the compiled calculus backend, the only one that
-/// partitions: their cost is pure quantifier enumeration (2·|adom|⁶
-/// evaluation steps on an n-atom chain) with answer-sized merges.  The
-/// queries are grandparent and sibling with a negated `PAR(t)` conjunct
-/// ([`queries::excluding_parent_pairs`], which removes no answer on a
-/// chain): conjunctive queries would run as hash joins instead.
-pub fn parallel_scaling_workloads() -> Vec<(&'static str, Query, Database)> {
-    // 16 atoms → a 256-tuple [U, U] domain → ≈ 3.4e7 steps sequentially.
-    let chain_db = queries::parent_database(&chain_edges(15));
-    vec![
-        (
-            "parallel/grandparent-not-par-chain16",
-            queries::excluding_parent_pairs(&queries::grandparent_query()),
-            chain_db.clone(),
-        ),
-        (
-            "parallel/sibling-not-par-chain16",
-            queries::excluding_parent_pairs(&queries::sibling_query()),
-            chain_db,
-        ),
     ]
 }
 

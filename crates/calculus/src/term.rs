@@ -94,45 +94,6 @@ impl fmt::Display for Term {
     }
 }
 
-impl std::str::FromStr for Term {
-    type Err = String;
-
-    /// Parse the `Display` form of a term: `a<id>` (constant), `x` (variable),
-    /// or `x.i` (projection).
-    ///
-    /// An identifier of the shape `a<digits>` always denotes the constant with
-    /// that raw id — variables must not use that spelling (the surface grammar
-    /// reserves it).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        fn is_ident(s: &str) -> bool {
-            let mut chars = s.chars();
-            chars.next().is_some_and(|c| c.is_alphabetic() || c == '_')
-                && chars.all(|c| c.is_alphanumeric() || c == '_' || c == '\'' || c == '#')
-        }
-        // Anything of the shape `a<digits>` is a constant — including ids too
-        // large for an `Atom`, which must error rather than silently fall
-        // through to the variable branch.
-        if s.len() > 1 && s.starts_with('a') && s.as_bytes()[1..].iter().all(u8::is_ascii_digit) {
-            return s.parse::<Atom>().map(Term::Const);
-        }
-        if let Some((name, coord)) = s.rsplit_once('.') {
-            if is_ident(name) {
-                let i: usize = coord
-                    .parse()
-                    .map_err(|_| format!("invalid coordinate in projection `{s}`"))?;
-                return Ok(Term::Proj(name.to_string(), i));
-            }
-        }
-        if is_ident(s) {
-            return Ok(Term::Var(s.to_string()));
-        }
-        Err(format!(
-            "expected a constant `a<id>`, a variable, or a projection `x.i`, found `{s}`"
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,26 +119,6 @@ mod tests {
         assert_eq!(Term::var("x").to_string(), "x");
         assert_eq!(Term::proj("x", 1).to_string(), "x.1");
         assert_eq!(Term::constant(Atom(7)).to_string(), "a7");
-    }
-
-    #[test]
-    fn from_str_round_trips_display() {
-        let samples = [
-            Term::constant(Atom(12)),
-            Term::var("x"),
-            Term::var("parent'"),
-            Term::var("v#0"),
-            Term::proj("y", 2),
-        ];
-        for t in samples {
-            assert_eq!(t.to_string().parse::<Term>().unwrap(), t);
-        }
-        // `a<digits>` is reserved for constants — an id too large for an Atom
-        // is an error, never a variable.
-        assert_eq!("a3".parse::<Term>().unwrap(), Term::constant(Atom(3)));
-        for bad in ["", "7x", "x.", "x.y", ".1", "x y", "a4294967296"] {
-            assert!(bad.parse::<Term>().is_err(), "`{bad}` should not parse");
-        }
     }
 
     #[test]

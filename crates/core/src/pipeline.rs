@@ -916,8 +916,8 @@ impl Prepared {
     }
 
     /// A copy of this handle executing with a different in-query worker
-    /// count, sharing its static half — how an ablation sweep (or the
-    /// `parallel_scaling` benchmark) varies the thread count without paying
+    /// count, sharing its static half — how an ablation sweep (or
+    /// `report --parallel-json`) varies the thread count without paying
     /// prepare time per point.
     pub fn with_parallelism(&self, workers: usize) -> Prepared {
         Prepared {

@@ -1,8 +1,8 @@
 //! Plain-text table rendering for the experiment reports.
 //!
-//! The benchmark harness and `EXPERIMENTS.md` both present results as small
-//! aligned tables; this module provides the single formatter they share so that
-//! every experiment prints consistently.
+//! The benchmark harness and the README's Benchmarks section both present
+//! results as small aligned tables; this module provides the single formatter
+//! they share so that every experiment prints consistently.
 
 use std::fmt;
 
@@ -79,7 +79,7 @@ impl Table {
     }
 
     /// Render the table as a GitHub-flavoured Markdown table (used when updating
-    /// `EXPERIMENTS.md`).
+    /// the README's Benchmarks section).
     pub fn render_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("### {}\n\n", self.title));

@@ -179,6 +179,10 @@ impl From<usize> for Cardinality {
 /// * `hyp(c, n, 0) = n^c`
 /// * `hyp(c, n, i+1) = 2^(c · hyp(c, n, i))`
 ///
+/// `hyp(degree, n, i)` is the canonical representative of the family `H_i` of
+/// time/space bounds (Section 4) used to bound level-`i` classes: `H_0` are
+/// the polynomials, `H_{i+1} = { 2^f : f ∈ H_i }`.
+///
 /// Values blow up almost immediately; the result is a [`Cardinality`] so callers
 /// can still reason about the growth curve via `log2`.
 pub fn hyp(c: u32, n: u64, i: u32) -> Cardinality {
@@ -188,13 +192,6 @@ pub fn hyp(c: u32, n: u64, i: u32) -> Cardinality {
         level = scaled.exp2();
     }
     level
-}
-
-/// The family `H_i` of time/space bounds (Section 4): `H_0` are the polynomials,
-/// `H_{i+1} = { 2^f : f ∈ H_i }`.  [`h_bound`] evaluates the canonical
-/// representative `hyp(degree, n, i)` used to bound level-`i` classes.
-pub fn h_bound(degree: u32, n: u64, i: u32) -> Cardinality {
-    hyp(degree, n, i)
 }
 
 #[cfg(test)]

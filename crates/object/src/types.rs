@@ -292,82 +292,6 @@ impl fmt::Debug for Type {
     }
 }
 
-impl std::str::FromStr for Type {
-    type Err = ObjectError;
-
-    /// Parse the `Display` form of a type: `U`, `{T}`, or `[T1, T2, …]`.
-    ///
-    /// The result is validated, so the paper's structural invariants (non-empty
-    /// tuples, no consecutive tuple constructors) hold for every parsed type.
-    /// `itq-surface` has a richer parser with source-located errors; this entry
-    /// point covers the common "type written in a config or test" case.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        fn bad(detail: String) -> ObjectError {
-            ObjectError::SchemaMismatch { detail }
-        }
-        // Parsing recurses over the constructors; bound the nesting so a
-        // pathological input fails with an error instead of a stack overflow.
-        const MAX_DEPTH: usize = 200;
-        fn parse(
-            chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-            depth: usize,
-        ) -> Result<Type, ObjectError> {
-            if depth > MAX_DEPTH {
-                return Err(bad(format!("type nests deeper than {MAX_DEPTH} levels")));
-            }
-            while chars.peek().is_some_and(|c| c.is_whitespace()) {
-                chars.next();
-            }
-            match chars.next() {
-                Some('U') => Ok(Type::Atomic),
-                Some('{') => {
-                    let inner = parse(chars, depth + 1)?;
-                    expect(chars, '}')?;
-                    Ok(Type::set(inner))
-                }
-                Some('[') => {
-                    let mut components = vec![parse(chars, depth + 1)?];
-                    loop {
-                        while chars.peek().is_some_and(|c| c.is_whitespace()) {
-                            chars.next();
-                        }
-                        match chars.next() {
-                            Some(',') => components.push(parse(chars, depth + 1)?),
-                            Some(']') => break,
-                            other => {
-                                return Err(bad(format!(
-                                    "expected `,` or `]` in tuple type, found {other:?}"
-                                )))
-                            }
-                        }
-                    }
-                    Ok(Type::Tuple(components))
-                }
-                other => Err(bad(format!("expected `U`, `{{` or `[`, found {other:?}"))),
-            }
-        }
-        fn expect(
-            chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-            want: char,
-        ) -> Result<(), ObjectError> {
-            while chars.peek().is_some_and(|c| c.is_whitespace()) {
-                chars.next();
-            }
-            match chars.next() {
-                Some(c) if c == want => Ok(()),
-                other => Err(bad(format!("expected `{want}`, found {other:?}"))),
-            }
-        }
-        let mut chars = s.chars().peekable();
-        let ty = parse(&mut chars, 0)?;
-        if let Some(trailing) = chars.find(|c| !c.is_whitespace()) {
-            return Err(bad(format!("trailing `{trailing}` after type")));
-        }
-        ty.validate()?;
-        Ok(ty)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,27 +395,6 @@ mod tests {
         let t = Type::universal();
         assert_eq!(t.to_string(), "{[U, U, U, U]}");
         assert_eq!(t.set_height(), 1);
-    }
-
-    #[test]
-    fn from_str_round_trips_display() {
-        let samples = [
-            Type::Atomic,
-            Type::flat_tuple(3),
-            Type::universal(),
-            Type::nested_set(3),
-            Type::big(2, 2),
-            Type::tuple(vec![Type::Atomic, Type::set(Type::flat_tuple(2))]),
-        ];
-        for ty in samples {
-            assert_eq!(ty.to_string().parse::<Type>().unwrap(), ty);
-        }
-        for bad in ["", "V", "[U", "[]", "{U", "U]", "[[U], U]", "U U"] {
-            assert!(bad.parse::<Type>().is_err(), "`{bad}` should not parse");
-        }
-        // Pathological nesting is a parse error, not a stack overflow.
-        let deep = format!("{}U{}", "{".repeat(100_000), "}".repeat(100_000));
-        assert!(deep.parse::<Type>().is_err());
     }
 
     #[test]

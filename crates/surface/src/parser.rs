@@ -973,9 +973,9 @@ mod tests {
             assert_eq!(ty.to_string(), src);
             assert_eq!(parse_type(&ty.to_string()).unwrap(), ty);
         }
-        assert!(parse_type("[]").is_err());
-        assert!(parse_type("[[U], U]").is_err());
-        assert!(parse_type("U U").is_err());
+        for bad in ["", "V", "[U", "[]", "{U", "U]", "[[U], U]", "U U"] {
+            assert!(parse_type(bad).is_err(), "`{bad}` should not parse");
+        }
     }
 
     #[test]
@@ -983,6 +983,11 @@ mod tests {
         assert_eq!(parse_term("x").unwrap(), Term::var("x"));
         assert_eq!(parse_term("x.2").unwrap(), Term::proj("x", 2));
         assert_eq!(parse_term("a9").unwrap(), Term::constant(Atom(9)));
+        // `a<digits>` is reserved for constants: an id too large for an
+        // `Atom` is an error, never a variable.
+        for bad in ["", "7x", "x.", "x.y", ".1", "x y", "a4294967296"] {
+            assert!(parse_term(bad).is_err(), "`{bad}` should not parse");
+        }
         // Named atoms need a universe.
         assert!(parse_term("'Tom'").is_err());
         let mut u = Universe::new();
@@ -1095,6 +1100,11 @@ mod tests {
             SelFormula::negate(SelFormula::coord_is(2, Atom(7))),
         ] {
             assert_eq!(parse_sel_formula(&f.to_string()).unwrap(), f, "{f}");
+        }
+        // A selection term is `$i` or a quoted atom; a named atom needs a
+        // universe.
+        for bad in ["$x = $1", "$1 = a3", "$1 = \"Tom\""] {
+            assert!(parse_sel_formula(bad).is_err(), "`{bad}` should not parse");
         }
     }
 

@@ -1057,16 +1057,21 @@ impl Session {
     }
 
     /// `set deadline <millis>|off;` / `set memory <bytes>|off;` — adjust the
-    /// engine's resource governor.  Prepared handles snapshot the governor,
-    /// so this goes through [`Session::engine_mut`] and drops every cached
-    /// handle; the next `eval` of each name re-prepares under the new limits.
-    /// Watched views keep the configuration they were registered with —
-    /// re-`watch` a view to govern its refreshes.
+    /// engine's resource governor.  A handle's static half does not depend
+    /// on the governor, so each cached handle is kept and re-budgeted with
+    /// [`Prepared::with_governor`], which copies an `Arc`.  Watched views
+    /// keep the configuration they were registered with — re-`watch` a view
+    /// to govern its refreshes.
     fn set_limit(&mut self, knob: SetKnob, value: Option<u64>) -> String {
-        let governor = self.engine_mut().governor_mut();
-        match (knob, value) {
-            (SetKnob::Deadline, _) => governor.deadline_millis = value,
-            (SetKnob::Memory, _) => governor.memory_ceiling = value,
+        let governor = self.engine.governor_mut();
+        match knob {
+            SetKnob::Deadline => governor.deadline_millis = value,
+            SetKnob::Memory => governor.memory_ceiling = value,
+        }
+        for def in self.definitions.values_mut() {
+            if let Body::Prepared(handle) = &mut def.body {
+                *handle = handle.with_governor(self.engine.governor().clone());
+            }
         }
         let what = match knob {
             SetKnob::Deadline => "deadline",
@@ -1717,10 +1722,11 @@ mod tests {
         genealogy(&mut s);
         run(&mut s, "eval gp on d;");
         // Arming a zero deadline trips the very next execution with the
-        // engine's canonical message; prepared handles were re-snapshotted.
+        // engine's canonical message; the cached handle is kept, re-budgeted.
         let out = run(&mut s, "set deadline 0;");
         assert_eq!(out, vec!["set deadline: 0 ms per execution"]);
-        assert!(s.prepared("gp").is_none(), "set drops cached handles");
+        let handle = s.prepared("gp").expect("set keeps cached handles");
+        assert_eq!(handle.governor().deadline_millis, Some(0));
         let err = s.run_source("eval gp on d;").unwrap_err();
         assert!(
             err.to_string()
@@ -1866,7 +1872,7 @@ mod tests {
         run(&mut s, "eval gp on d; eval ga on d;");
         assert!(s.prepared("gp").is_some() && s.prepared("ga").is_some());
         assert_eq!(run(&mut s, reads), declared, "read from the handles");
-        run(&mut s, "set deadline off;");
+        s.engine_mut();
         assert!(s.prepared("gp").is_none() && s.prepared("ga").is_none());
         assert_eq!(
             run(&mut s, reads),
