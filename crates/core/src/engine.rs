@@ -278,7 +278,7 @@ impl PlanSettings {
 /// [`PlanSettings`], a resource governor, a worker count and a seeded
 /// [`Universe`] — built once via [`Engine::builder`].  Every calculus handle it
 /// prepares runs the compiled slot evaluator, or the planned join or least
-/// fixpoint its query lowers to.  The static work on a query — type-checking,
+/// fixpoint its query lowers to, whose one run answers every semantics.  The static work on a query — type-checking,
 /// `CALC_{k,i}` classification, normal forms, and (for algebra inputs) the
 /// Theorem 3.8 compilation — happens once in [`Engine::prepare`] /
 /// [`Engine::prepare_algebra`], which return a [`crate::pipeline::Prepared`]

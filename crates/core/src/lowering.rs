@@ -45,6 +45,24 @@
 //! a member of `X`.  Guards are closed under subsets, so when one fails on
 //! `LM` no model exists; the pipeline then leaves the answer to the
 //! enumeration.
+//!
+//! Why one run of either route answers every invention level: at level `n`
+//! the range gains `n` invented atoms, and neither answer changes.  A
+//! conjunctive rule reads every answer coordinate from the database, and the
+//! class witnesses above need only a non-empty range.  A least-fixpoint
+//! query's rules are range-restricted, so `LM` is built from the same atoms
+//! at every level, and the intersection argument holds over the wider
+//! `cons_X(T)`.  Its guards are positive existential with `y` as their only
+//! free variable, and such a guard holds on an element `e` of `LM` at level
+//! `n` iff it holds at level 0.  A level-0 witness is a level-`n` one,
+//! because extending the range keeps every witness.  Conversely, map every
+//! invented atom to one atom of `e` and every other atom to itself: a
+//! relation or a constant holds no invented atom and equalities survive any
+//! map, so the map pulls a level-`n` witness back to a level-0 one.  Hence
+//! `Q|_n[d] = Q|_0[d]`, with no invented atom in the unrestricted answer:
+//! finite invention is the limited answer, stable from level 1, and
+//! terminal invention is undefined within any bound.  A guard that fails on
+//! `LM` fails at every level, and the enumeration answers all of them.
 
 use crate::engine::EngineError;
 use itq_algebra::{AlgExpr, PhysicalPlan, SelFormula};

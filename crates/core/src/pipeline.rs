@@ -32,9 +32,13 @@
 //! conditions and element-wise guards — needs no enumeration of its `2^n`
 //! candidate sets either: prepare lowers `φ` to a Datalog program, and the
 //! limited interpretation computes its least model semi-naively, then checks
-//! the guards on each element (root span `least-fixpoint`).  Every other
-//! calculus execution — including every invention level — runs the compiled
-//! slot evaluator.  Only handles under default budgets take the routes, so
+//! the guards on each element (root span `least-fixpoint`).  Both fragments
+//! are level-invariant — invented atoms change neither answer (the argument
+//! is in `lowering.rs`) — so one run of the route answers the
+//! invention semantics too: every `Q|_n[d]` level is that answer, and the
+//! level-0 span nests the route's.  Every other calculus execution runs the
+//! compiled slot evaluator, at every invention level under the invention
+//! semantics.  Only handles under default budgets take the routes, so
 //! budget errors keep their enumeration text.
 //!
 //! ```
@@ -59,7 +63,10 @@ use itq_algebra::{to_calculus_query, AlgExpr, EvalConfig as AlgConfig, PhysicalP
 use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable};
 use itq_calculus::normal::{sf_classification, to_prenex, PrenexForm, SfClassification};
 use itq_calculus::{CompiledQuery, Query, QueryClassification};
-use itq_invention::{finite_invention_ctx, terminal_invention_ctx, TerminalOutcome};
+use itq_invention::{
+    finite_invention_ctx, finite_levels, terminal_invention_ctx, terminal_levels, InventionError,
+    Level, TerminalOutcome,
+};
 use itq_object::{CancelFlag, Database, ExecCtx, Instance, Interrupt, Schema, TripKind, Universe};
 use itq_relational::Program;
 use itq_trace::{Span, TraceSink};
@@ -598,9 +605,10 @@ pub struct QueryOutcome {
 /// Which language the handle was prepared from.
 #[derive(Debug)]
 enum PreparedSource {
-    /// A calculus query, evaluated by the compiled slots — under the limited
-    /// interpretation through `route` when the query lowered to one (default
-    /// budgets only, so budget errors keep their enumeration text).
+    /// A calculus query, evaluated by one run of `route` under every
+    /// semantics when the query lowered to one (default budgets only, so
+    /// budget errors keep their enumeration text), and otherwise by the
+    /// compiled slots.
     Calculus { route: Option<CalculusRoute> },
     /// An algebra expression: kept for direct limited evaluation together
     /// with its set-at-a-time physical plan (planned once, at prepare time),
@@ -613,8 +621,9 @@ enum PreparedSource {
     },
 }
 
-/// How a calculus handle's limited interpretation runs without enumerating
-/// its quantifier domains.
+/// How a calculus handle answers without enumerating its quantifier
+/// domains: one run of the limited interpretation, which every invention
+/// level shares.
 #[derive(Debug)]
 enum CalculusRoute {
     /// A conjunctive query's rule, planned into hash joins.
@@ -665,8 +674,8 @@ struct StaticHalf {
     /// Wall-clock timings of the prepare phases that built this handle.
     prepare_stats: PrepareStats,
     /// The slot-based lowering of `query`, produced once at prepare time and
-    /// run by every execution the routes do not answer — under the invention
-    /// semantics, at every invention level.
+    /// run by every execution the route does not answer — under the
+    /// invention semantics, at every invention level.
     compiled: CompiledQuery,
     classification: QueryClassification,
     sf: SfClassification,
@@ -1018,7 +1027,8 @@ impl Prepared {
     /// interpretation, planned once at prepare time: always for an algebra
     /// expression, and for a calculus query in the conjunctive fragment (an
     /// ∃-prefix of flat variables over predicate, `≈` and `¬≈` atoms) under
-    /// default budgets.  The surface language's `plan <name>;` statement
+    /// default budgets, whose one run of the plan also answers every
+    /// invention level.  The surface language's `plan <name>;` statement
     /// pretty-prints it.
     ///
     /// ```
@@ -1054,7 +1064,8 @@ impl Prepared {
     /// least-fixpoint query, lowered once at prepare time under default
     /// budgets: the limited interpretation then computes the program's least
     /// model semi-naively and answers it when every guard holds on each
-    /// element.  The surface language's `plan <name>;` statement prints it.
+    /// element, and that one run answers every invention level too.  The
+    /// surface language's `plan <name>;` statement prints it.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1081,10 +1092,10 @@ impl Prepared {
     }
 
     /// The slot-based compiled form of the query, lowered once at prepare
-    /// time.  This is what [`Prepared::execute`] runs, except a conjunctive
-    /// query's limited interpretation, which runs [`Prepared::physical_plan`],
-    /// and a least-fixpoint query's, which runs [`Prepared::least_fixpoint`]
-    /// (both under default budgets).
+    /// time.  This is what [`Prepared::execute`] runs, except on a
+    /// conjunctive query, which runs [`Prepared::physical_plan`] once, and a
+    /// least-fixpoint query, which runs [`Prepared::least_fixpoint`] once,
+    /// under every semantics (both under default budgets).
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1155,8 +1166,9 @@ impl Prepared {
     /// work — one operator span per physical-plan node on the planned paths
     /// (under a `planned-algebra` or `planned-calculus` root),
     /// per-quantifier-slot draw counts on the compiled-calculus path, and one
-    /// `Q|_n[d]` span per level under the invention semantics.  The root
-    /// span's `wall_micros` equals the outcome's [`ExecStats::wall_micros`].
+    /// `Q|_n[d]` span per level under the invention semantics (a routed
+    /// handle's level 0 nests the route's span).  The root span's
+    /// `wall_micros` equals the outcome's [`ExecStats::wall_micros`].
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1275,9 +1287,10 @@ impl Prepared {
     }
 
     /// The backend dispatch proper, one arm per source × semantics, running
-    /// under `run`'s containment seam.  Invention semantics run the compiled
-    /// calculus form of either source, lowered once at prepare time, so each
-    /// invention level only pays for execution.
+    /// under `run`'s containment seam.  A calculus handle with a route runs
+    /// it once under every semantics ([`Prepared::route`]); the invention
+    /// semantics of every other handle run the compiled calculus form of
+    /// either source, lowered once at prepare time, at each invention level.
     fn dispatch(
         &self,
         db: &Database,
@@ -1286,7 +1299,7 @@ impl Prepared {
     ) -> Result<(QueryOutcome, Option<Span>), EngineError> {
         let shared = &*self.shared;
         let settings = &shared.settings;
-        let limited = |result: Instance, stats: ExecStats| QueryOutcome {
+        let outcome = |result: Instance, stats: ExecStats| QueryOutcome {
             result,
             semantics,
             bounded_approximation: false,
@@ -1295,140 +1308,236 @@ impl Prepared {
             stats,
             least_model: false,
         };
-        let run_plan = |root: &str, plan: &PhysicalPlan| {
-            plan.execute_ctx(db, &settings.alg, ctx)
-                .map(|(result, stats, op)| {
-                    let span = op.map(|op| {
-                        let mut span = Span::new(root);
-                        span.push_field("rows_out", result.len() as u64);
-                        span.push_child(op);
-                        span
-                    });
-                    (limited(result, ExecStats::from_plan(stats)), span)
-                })
-        };
-        let enumerated = || -> Result<(QueryOutcome, Option<Span>), EngineError> {
-            let (evaluation, span) = shared.compiled.eval_ctx(db, &[], &settings.calc, ctx)?;
-            let stats = ExecStats {
-                partitions: evaluation.partitions,
-                ..ExecStats::from_eval(evaluation.stats, 0)
-            };
-            Ok((limited(evaluation.result, stats), span))
-        };
         match (semantics, &shared.source) {
             (Semantics::Limited, PreparedSource::Algebra { plan, .. })
                 if settings.use_algebra_planner =>
             {
-                Ok(run_plan("planned-algebra", plan)?)
+                let (result, stats, span) = run_plan("planned-algebra", plan, db, settings, ctx)?;
+                Ok((outcome(result, stats), span))
             }
             (Semantics::Limited, PreparedSource::Algebra { expr, schema, .. }) => {
                 let (result, span) = expr.eval_ctx(db, schema, &settings.alg, ctx)?;
-                Ok((limited(result, ExecStats::default()), span))
+                Ok((outcome(result, ExecStats::default()), span))
             }
-            // Both routes read relations positionally, so a database holding
-            // ill-typed values takes the enumeration, which never matches
-            // them.  A governor trip is final; any other route error (a
-            // product over its budget, a relation missing from the database,
-            // a guard over its quantifier budget) is the route's own limit,
-            // and the enumeration then reproduces the handle's outcome — as it
-            // does when a guard fails on the least model.
-            (Semantics::Limited, PreparedSource::Calculus { route }) => match route {
-                Some(route) if conforms(db, shared.query.schema()) => {
-                    let routed = match route {
-                        CalculusRoute::Planned(plan) => run_plan("planned-calculus", plan)
-                            .map(Some)
-                            .map_err(EngineError::from),
-                        CalculusRoute::LeastFixpoint(fixpoint) => {
-                            match fixpoint.run(&shared.query, db, ctx.interrupt) {
-                                Ok(Some(run)) => {
-                                    let span = ctx.traced.then(|| {
-                                        let mut span = Span::new("least-fixpoint");
-                                        span.push_field("rounds", run.rounds);
-                                        span.push_field("rows_out", run.answer.len() as u64);
-                                        span
-                                    });
-                                    let stats = ExecStats::from_eval(run.stats, 0);
-                                    let outcome = QueryOutcome {
-                                        least_model: true,
-                                        ..limited(run.answer, stats)
-                                    };
-                                    Ok(Some((outcome, span)))
-                                }
-                                other => other.map(|_| None),
-                            }
-                        }
+            (Semantics::Limited, PreparedSource::Calculus { .. }) => match self.route(db, ctx)? {
+                Some(routed) => {
+                    let limited = QueryOutcome {
+                        least_model: routed.least_model,
+                        ..outcome(routed.answer, routed.stats)
                     };
-                    match routed {
-                        Ok(Some(outcome)) => Ok(outcome),
-                        Err(err @ EngineError::Resource(_)) => Err(err),
-                        Ok(None) | Err(_) => enumerated(),
-                    }
+                    Ok((limited, routed.span))
                 }
-                _ => enumerated(),
+                None => {
+                    let (evaluation, span) =
+                        shared.compiled.eval_ctx(db, &[], &settings.calc, ctx)?;
+                    let stats = ExecStats {
+                        partitions: evaluation.partitions,
+                        ..ExecStats::from_eval(evaluation.stats, 0)
+                    };
+                    Ok((outcome(evaluation.result, stats), span))
+                }
             },
             (Semantics::FiniteInvention, _) => {
-                let (report, stats, levels) = finite_invention_ctx(
-                    &shared.compiled,
-                    db,
-                    settings.max_invented,
-                    &settings.calc,
-                    ctx,
-                )?;
-                let levels_run = report.levels() as u64;
-                let span = levels.map(|levels| {
-                    invention_span("finite-invention", levels_run, report.union.len(), levels)
-                });
-                let outcome = QueryOutcome {
+                let max_invented = settings.max_invented;
+                let (report, stats, levels) = match self.route(db, ctx)? {
+                    Some(routed) => {
+                        let stats = routed.stats;
+                        let (report, _, levels) =
+                            finite_levels(max_invented, ctx.traced, routed.levels())?;
+                        (report, stats, levels)
+                    }
+                    None => {
+                        let (report, stats, levels) = finite_invention_ctx(
+                            &shared.compiled,
+                            db,
+                            max_invented,
+                            &settings.calc,
+                            ctx,
+                        )?;
+                        (report, ExecStats::from_eval(stats, 0), levels)
+                    }
+                };
+                let stats = ExecStats {
+                    invention_levels: report.levels() as u64,
+                    ..stats
+                };
+                let finite = QueryOutcome {
                     bounded_approximation: report.stabilised_at.is_none(),
                     stabilised_at: report.stabilised_at,
-                    defined_at: None,
-                    semantics,
-                    stats: ExecStats::from_eval(stats, levels_run),
-                    result: report.union,
-                    least_model: false,
+                    ..outcome(report.union, stats)
                 };
-                Ok((outcome, span))
+                let span = levels.map(|levels| invention_span("finite-invention", &finite, levels));
+                Ok((finite, span))
             }
             (Semantics::TerminalInvention, _) => {
-                let (terminal, stats, levels) = terminal_invention_ctx(
-                    &shared.compiled,
-                    db,
-                    settings.max_invented,
-                    &settings.calc,
-                    ctx,
-                )?;
-                let outcome = match terminal {
+                let max_invented = settings.max_invented;
+                let (terminal, stats, levels) = match self.route(db, ctx)? {
+                    Some(routed) => {
+                        let stats = routed.stats;
+                        let (terminal, _, levels) =
+                            terminal_levels(max_invented, ctx.traced, routed.levels())?;
+                        (terminal, stats, levels)
+                    }
+                    None => {
+                        let (terminal, stats, levels) = terminal_invention_ctx(
+                            &shared.compiled,
+                            db,
+                            max_invented,
+                            &settings.calc,
+                            ctx,
+                        )?;
+                        (terminal, ExecStats::from_eval(stats, 0), levels)
+                    }
+                };
+                let terminal = match terminal {
                     TerminalOutcome::Defined { n, answer } => QueryOutcome {
-                        result: answer,
-                        semantics,
-                        bounded_approximation: false,
                         defined_at: Some(n),
-                        stabilised_at: None,
-                        stats: ExecStats::from_eval(stats, (n + 1) as u64),
-                        least_model: false,
+                        ..outcome(
+                            answer,
+                            ExecStats {
+                                invention_levels: (n + 1) as u64,
+                                ..stats
+                            },
+                        )
                     },
                     TerminalOutcome::UndefinedWithinBound { tried } => QueryOutcome {
-                        result: Instance::empty(),
-                        semantics,
                         bounded_approximation: true,
-                        defined_at: None,
-                        stabilised_at: None,
-                        stats: ExecStats::from_eval(stats, tried as u64),
-                        least_model: false,
+                        ..outcome(
+                            Instance::empty(),
+                            ExecStats {
+                                invention_levels: tried as u64,
+                                ..stats
+                            },
+                        )
                     },
                 };
-                let span = levels.map(|levels| {
-                    invention_span(
-                        "terminal-invention",
-                        outcome.stats.invention_levels,
-                        outcome.result.len(),
-                        levels,
-                    )
-                });
-                Ok((outcome, span))
+                let span =
+                    levels.map(|levels| invention_span("terminal-invention", &terminal, levels));
+                Ok((terminal, span))
             }
         }
     }
+
+    /// Run a calculus handle's route once, if it has one and every relation
+    /// of `db` conforms to the query's schema: both routes read relations
+    /// positionally, so a database holding ill-typed values takes the
+    /// enumeration, which never matches them.  `Ok(None)` sends the caller to
+    /// the enumeration.  A governor trip is final; any other route error (a
+    /// product over its budget, a relation missing from the database, a guard
+    /// over its quantifier budget) is the route's own limit, and the
+    /// enumeration then reproduces the handle's outcome — as it does when a
+    /// guard fails on the least model.  Routes exist only under default
+    /// budgets, so budget errors keep their enumeration text.
+    fn route(&self, db: &Database, ctx: &ExecCtx) -> Result<Option<Routed>, EngineError> {
+        let shared = &*self.shared;
+        let PreparedSource::Calculus { route: Some(route) } = &shared.source else {
+            return Ok(None);
+        };
+        if !conforms(db, shared.query.schema()) {
+            return Ok(None);
+        }
+        let start = ctx.traced.then(Instant::now);
+        let routed = match route {
+            CalculusRoute::Planned(plan) => {
+                run_plan("planned-calculus", plan, db, &shared.settings, ctx)
+                    .map(|(answer, stats, span)| {
+                        Some(Routed {
+                            answer,
+                            stats,
+                            least_model: false,
+                            span,
+                        })
+                    })
+                    .map_err(EngineError::from)
+            }
+            CalculusRoute::LeastFixpoint(fixpoint) => {
+                fixpoint.run(&shared.query, db, ctx.interrupt).map(|run| {
+                    run.map(|run| Routed {
+                        span: ctx.traced.then(|| {
+                            let mut span = Span::new("least-fixpoint");
+                            span.push_field("rounds", run.rounds);
+                            span.push_field("rows_out", run.answer.len() as u64);
+                            span
+                        }),
+                        stats: ExecStats::from_eval(run.stats, 0),
+                        least_model: true,
+                        answer: run.answer,
+                    })
+                })
+            }
+        };
+        match routed {
+            Ok(Some(mut routed)) => {
+                if let (Some(span), Some(start)) = (routed.span.as_mut(), start) {
+                    span.wall_micros = start.elapsed().as_micros() as u64;
+                }
+                Ok(Some(routed))
+            }
+            Err(err @ EngineError::Resource(_)) => Err(err),
+            Ok(None) | Err(_) => Ok(None),
+        }
+    }
+}
+
+/// One run of a calculus handle's route that answered: the limited
+/// interpretation's answer, its counters and, when traced, the route's root
+/// span (`planned-calculus` or `least-fixpoint`) with its wall clock.
+///
+/// Both routes are level-invariant (see `lowering.rs`): the answer at
+/// every invention level `n` holds no invented atom and equals this one.  So
+/// the run answers both invention semantics too — `Q^fi` is this answer,
+/// stable from level 1, and `Q^ti` is undefined within the bound — with
+/// these counters.
+struct Routed {
+    answer: Instance,
+    stats: ExecStats,
+    /// The least-fixpoint route answered: `answer` is its rules' least model.
+    least_model: bool,
+    span: Option<Span>,
+}
+
+impl Routed {
+    /// The invention level loops' closure: this run at level 0, its span
+    /// nested there, and the same answer with zero counters at every level
+    /// above.
+    fn levels(self) -> impl FnMut(usize) -> Result<Level, InventionError> {
+        let stats = EvalStats {
+            steps: self.stats.steps,
+            quantifier_values: self.stats.quantifier_values,
+            candidates_checked: self.stats.candidates_checked,
+            ..EvalStats::default()
+        };
+        let repeated = Level {
+            unrestricted_answers: self.answer.len(),
+            answer: self.answer,
+            ..Level::default()
+        };
+        let mut first = Some(Level {
+            stats,
+            span: self.span,
+            ..repeated.clone()
+        });
+        move |_| Ok(first.take().unwrap_or_else(|| repeated.clone()))
+    }
+}
+
+/// Run a physical plan under the handle's algebra budget, wrapping its
+/// operator tree, when traced, in a `root` span carrying `rows_out`.
+fn run_plan(
+    root: &str,
+    plan: &PhysicalPlan,
+    db: &Database,
+    settings: &PlanSettings,
+    ctx: &ExecCtx,
+) -> Result<(Instance, ExecStats, Option<Span>), itq_algebra::AlgError> {
+    let (result, stats, op) = plan.execute_ctx(db, &settings.alg, ctx)?;
+    let span = op.map(|op| {
+        let mut span = Span::new(root);
+        span.push_field("rows_out", result.len() as u64);
+        span.push_child(op);
+        span
+    });
+    Ok((result, ExecStats::from_plan(stats), span))
 }
 
 /// True when every relation `db` stores under a schema predicate holds only
@@ -1441,10 +1550,10 @@ fn conforms(db: &Database, schema: &Schema) -> bool {
 
 /// The root span of an invention-semantics execution: one child per
 /// `Q|_n[d]` level.
-fn invention_span(name: &str, levels_run: u64, rows_out: usize, levels: Vec<Span>) -> Span {
+fn invention_span(name: &str, outcome: &QueryOutcome, levels: Vec<Span>) -> Span {
     let mut root = Span::new(name);
-    root.push_field("invention_levels", levels_run);
-    root.push_field("rows_out", rows_out as u64);
+    root.push_field("invention_levels", outcome.stats.invention_levels);
+    root.push_field("rows_out", outcome.result.len() as u64);
     for level in levels {
         root.push_child(level);
     }

@@ -1,10 +1,11 @@
 //! The tree walker as the equivalence suites' reference.
 //!
 //! A [`Prepared`](itq_core::pipeline::Prepared) handle runs the compiled slot
-//! evaluator, or the planned join or least fixpoint its query lowers to.  The
-//! tree walker (`impl Evaluable for Query`) is the literal transcription of
-//! the limited interpretation, so the suites check handles against it by
-//! calling it directly: [`walker_outcome`] runs it under one of the three
+//! evaluator, or the planned join or least fixpoint its query lowers to, one
+//! run of which answers every invention level.  The tree walker (`impl
+//! Evaluable for Query`) is the literal transcription of the limited
+//! interpretation, and under the invention semantics it enumerates every
+//! level, so the suites check handles against it by calling it directly: [`walker_outcome`] runs it under one of the three
 //! semantics and maps its results onto the fields a [`QueryOutcome`] reports,
 //! and [`assert_matches_walker`] compares the two.
 

@@ -23,7 +23,11 @@
 //!
 //! Each level `Q|_n[d]` is the limited interpretation over a widened range, so
 //! every driver takes the one calculus [`EvalConfig`] its levels run under,
-//! next to the level bound.
+//! next to the level bound.  The stabilisation and termination rules live in
+//! two loops, [`finite_levels`] and [`terminal_levels`], which take each
+//! level from a closure: the drivers pass one evaluation per level, and a
+//! caller that knows its query's answer is the same at every level (a
+//! domain-independent query, Theorem 6.11) passes one run for all of them.
 
 use crate::error::InventionError;
 use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable, Evaluation};
@@ -32,27 +36,48 @@ use itq_trace::Span;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// Record the span of level `n`, begun at `start`, when the run is traced
-/// (`spans` is `Some`): its answer sizes and evaluation counters.  Untraced
-/// runs never read the clock.
+/// One level `Q|_n[d]` of an invention sweep, as [`finite_levels`] and
+/// [`terminal_levels`] take it from their closure.
+#[derive(Debug, Clone, Default)]
+pub struct Level {
+    /// `Q|_n[d]`: the answers built from the original active domain.
+    pub answer: Instance,
+    /// The size of the unrestricted answer `Q|^Y[d]`.  It exceeds
+    /// `answer.len()` exactly when `Q|^Y[d]` holds an invented value.
+    pub unrestricted_answers: usize,
+    /// The counters of the run that produced the level.
+    pub stats: EvalStats,
+    /// When traced: the span of that run, nested under the level's span.
+    pub span: Option<Span>,
+}
+
+/// Record the span of `level`, the `n`th, whose closure call began at
+/// `start`, when the sweep is traced (`spans` is `Some`): its answer sizes
+/// and counters, with its run's span as the only child.  That run may have
+/// happened before the sweep asked for the level (a route's does), so its
+/// wall clock is charged to the level too.  Untraced sweeps never read the
+/// clock.
 fn record_level(
     spans: &mut Option<Vec<Span>>,
     n: usize,
     start: Option<Instant>,
-    restricted: &Instance,
-    unrestricted: &Evaluation,
+    level: &mut Level,
 ) {
     let (Some(spans), Some(start)) = (spans, start) else {
         return;
     };
     let mut span = Span::new(format!("Q|_{n}[d]"));
     span.push_field("invented", n as u64);
-    span.push_field("answers", restricted.len() as u64);
-    span.push_field("unrestricted_answers", unrestricted.result.len() as u64);
-    span.push_field("steps", unrestricted.stats.steps);
-    span.push_field("quantifier_values", unrestricted.stats.quantifier_values);
-    span.push_field("candidates_checked", unrestricted.stats.candidates_checked);
+    span.push_field("answers", level.answer.len() as u64);
+    span.push_field("unrestricted_answers", level.unrestricted_answers as u64);
+    span.push_field("steps", level.stats.steps);
+    span.push_field("quantifier_values", level.stats.quantifier_values);
+    span.push_field("candidates_checked", level.stats.candidates_checked);
     span.wall_micros = start.elapsed().as_micros() as u64;
+    if let Some(run) = level.span.take() {
+        span.wall_micros += run.wall_micros;
+        span.push_child(run);
+    }
     spans.push(span);
 }
 
@@ -78,21 +103,24 @@ pub fn eval_with_invented<Q: Evaluable + ?Sized>(
     n: usize,
     config: &EvalConfig,
 ) -> Result<(Instance, Evaluation), InventionError> {
-    invent_level(query, db, n, config, &ExecCtx::default())
+    let domain = query.evaluation_domain(db);
+    invent_level(query, db, &domain, n, config, &ExecCtx::default())
 }
 
-/// [`eval_with_invented`] under an execution context, which the level's
-/// evaluation polls and partitions by.  The evaluation itself is never
-/// traced: the drivers record one span per level from its statistics.
+/// [`eval_with_invented`] over `original_domain`, the query's evaluation
+/// domain on `db` (which a sweep computes once), under an execution context,
+/// which the level's evaluation polls and partitions by.  The evaluation
+/// itself is never traced: the drivers record one span per level from its
+/// statistics.
 fn invent_level<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
+    original_domain: &BTreeSet<Atom>,
     n: usize,
     config: &EvalConfig,
     ctx: &ExecCtx,
 ) -> Result<(Instance, Evaluation), InventionError> {
-    let original_domain: BTreeSet<Atom> = query.evaluation_domain(db);
-    let invented = fresh_atoms(&original_domain, n);
+    let invented = fresh_atoms(original_domain, n);
     let untraced = ExecCtx {
         traced: false,
         ..*ctx
@@ -111,6 +139,26 @@ fn invent_level<Q: Evaluable + ?Sized>(
             .collect::<Vec<Value>>(),
     );
     Ok((restricted, evaluation))
+}
+
+/// The enumeration's closure for the level loops: level `n` evaluated by
+/// [`invent_level`] over the sweep's `original_domain`.
+fn enumerate_levels<'a, Q: Evaluable + ?Sized>(
+    query: &'a Q,
+    db: &'a Database,
+    original_domain: &'a BTreeSet<Atom>,
+    config: &'a EvalConfig,
+    ctx: &'a ExecCtx,
+) -> impl FnMut(usize) -> Result<Level, InventionError> + 'a {
+    move |n| {
+        let (answer, evaluation) = invent_level(query, db, original_domain, n, config, ctx)?;
+        Ok(Level {
+            answer,
+            unrestricted_answers: evaluation.result.len(),
+            stats: evaluation.stats,
+            span: None,
+        })
+    }
 }
 
 /// `n` atoms outside `domain`: the ids directly above its largest atom when
@@ -193,18 +241,51 @@ pub fn finite_invention_ctx<Q: Evaluable + ?Sized>(
     config: &EvalConfig,
     ctx: &ExecCtx,
 ) -> Result<(FiniteInventionReport, EvalStats, Option<Vec<Span>>), InventionError> {
+    let domain = query.evaluation_domain(db);
+    let levels = enumerate_levels(query, db, &domain, config, ctx);
+    finite_levels(max_invented, ctx.traced, levels)
+}
+
+/// The finite-invention loop over levels `0..=max_invented`, each taken from
+/// `level`: the union of their answers, the level after which it stopped
+/// growing (`None` when it grew at the last level, or when only level 0 ran),
+/// the levels' merged counters and, when `traced`, one span per level.
+/// [`finite_invention_ctx`] passes one evaluation per level
+/// ([`eval_with_invented`] over a domain computed once); a query whose answer
+/// is the same at every level may pass one run for all of them.  The first
+/// error is the sweep's.
+///
+/// ```
+/// use itq_invention::{finite_levels, InventionError, Level};
+/// use itq_object::{Atom, Instance};
+///
+/// // The same answer at every level: stable from level 1 on.
+/// let answer = Instance::from_atoms(vec![Atom(0)]);
+/// let level = |_| {
+///     let answer = answer.clone();
+///     Ok::<_, InventionError>(Level { answer, unrestricted_answers: 1, ..Level::default() })
+/// };
+/// let (report, _, spans) = finite_levels(3, true, level).unwrap();
+/// assert_eq!((report.levels(), report.stabilised_at), (4, Some(1)));
+/// assert_eq!(spans.unwrap().len(), 4);
+/// ```
+pub fn finite_levels<E>(
+    max_invented: usize,
+    traced: bool,
+    mut level: impl FnMut(usize) -> Result<Level, E>,
+) -> Result<(FiniteInventionReport, EvalStats, Option<Vec<Span>>), E> {
     let mut answers = Vec::new();
     let mut union = Instance::empty();
     let mut stabilised_at = None;
     let mut stats = EvalStats::default();
-    let mut spans = ctx.traced.then(Vec::new);
+    let mut spans = traced.then(Vec::new);
     for n in 0..=max_invented {
-        let start = ctx.traced.then(Instant::now);
-        let (restricted, evaluation) = invent_level(query, db, n, config, ctx)?;
-        record_level(&mut spans, n, start, &restricted, &evaluation);
-        stats.merge(&evaluation.stats);
+        let start = traced.then(Instant::now);
+        let mut level = level(n)?;
+        record_level(&mut spans, n, start, &mut level);
+        stats.merge(&level.stats);
         let before = union.len();
-        for v in restricted.iter() {
+        for v in level.answer.iter() {
             union.insert(v.clone());
         }
         if union.len() == before && n > 0 {
@@ -212,7 +293,7 @@ pub fn finite_invention_ctx<Q: Evaluable + ?Sized>(
         } else {
             stabilised_at = None;
         }
-        answers.push(restricted);
+        answers.push(level.answer);
     }
     let report = FiniteInventionReport {
         answers,
@@ -231,9 +312,10 @@ pub fn bounded_invention<Q: Evaluable + ?Sized>(
     config: &EvalConfig,
 ) -> Result<Instance, InventionError> {
     let limit = bound(db.active_domain().len());
+    let domain = query.evaluation_domain(db);
     let mut union = Instance::empty();
     for n in 0..=limit {
-        let (restricted, _) = eval_with_invented(query, db, n, config)?;
+        let (restricted, _) = invent_level(query, db, &domain, n, config, &ExecCtx::default())?;
         for v in restricted.iter() {
             union.insert(v.clone());
         }
@@ -306,23 +388,36 @@ pub fn terminal_invention_ctx<Q: Evaluable + ?Sized>(
     config: &EvalConfig,
     ctx: &ExecCtx,
 ) -> Result<(TerminalOutcome, EvalStats, Option<Vec<Span>>), InventionError> {
-    let original_domain: BTreeSet<Atom> = query.evaluation_domain(db);
+    let domain = query.evaluation_domain(db);
+    let levels = enumerate_levels(query, db, &domain, config, ctx);
+    terminal_levels(max_invented, ctx.traced, levels)
+}
+
+/// The terminal-invention loop over levels `0..=max_invented`, each taken
+/// from `level`: the first level whose unrestricted answer holds an invented
+/// value defines the outcome, and the search stops there.  Returns the
+/// searched levels' merged counters and, when `traced`, one span per level
+/// searched.  [`terminal_invention_ctx`] passes one evaluation per level; a
+/// query that never answers an invented value may pass one run for every
+/// level.  The first error is the sweep's.
+pub fn terminal_levels<E>(
+    max_invented: usize,
+    traced: bool,
+    mut level: impl FnMut(usize) -> Result<Level, E>,
+) -> Result<(TerminalOutcome, EvalStats, Option<Vec<Span>>), E> {
     let mut stats = EvalStats::default();
-    let mut spans = ctx.traced.then(Vec::new);
+    let mut spans = traced.then(Vec::new);
     for n in 0..=max_invented {
-        let start = ctx.traced.then(Instant::now);
-        let (restricted, unrestricted) = invent_level(query, db, n, config, ctx)?;
-        record_level(&mut spans, n, start, &restricted, &unrestricted);
-        stats.merge(&unrestricted.stats);
-        let contains_invented = unrestricted.result.iter().any(|v| {
-            v.active_domain()
-                .iter()
-                .any(|a| !original_domain.contains(a))
-        });
-        if contains_invented {
+        let start = traced.then(Instant::now);
+        let mut level = level(n)?;
+        record_level(&mut spans, n, start, &mut level);
+        stats.merge(&level.stats);
+        // `answer` keeps exactly the unrestricted answers free of invented
+        // atoms, so it is smaller exactly when one holds an invented value.
+        if level.unrestricted_answers > level.answer.len() {
             let outcome = TerminalOutcome::Defined {
                 n,
-                answer: restricted,
+                answer: level.answer,
             };
             return Ok((outcome, stats, spans));
         }

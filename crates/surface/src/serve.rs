@@ -41,8 +41,10 @@
 //! SIGINT handler with `SA_RESTART`, so that call restarts instead of
 //! returning when the signal lands; a small watcher thread polls the latch
 //! instead, raises the shutdown flag, and wakes the accept by connecting to
-//! the server itself.  Connection reads use a short timeout and re-check the
-//! shutdown flag each time it expires.
+//! the server itself.  Connection reads and writes use a short timeout and
+//! re-check the shutdown flag each time it expires: a read resumes, and so
+//! does a write while the server runs.  Once it drains, a timed-out write
+//! fails, so a client that reads nothing cannot hold the drain.
 
 use crate::script::{split_statements, statement_complete};
 use crate::session::{Control, PlanCache, Session};
@@ -56,8 +58,8 @@ use std::thread;
 use std::time::Duration;
 
 /// How often the SIGINT watcher checks the latch, and how long a connection
-/// read waits before it re-checks the shutdown flag.  A failed accept also
-/// backs off this long before the next one.
+/// read or write waits before it re-checks the shutdown flag.  A failed
+/// accept also backs off this long before the next one.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// The most bytes one request may hold before its statements complete.
@@ -214,17 +216,44 @@ fn wake_address(bound: SocketAddr) -> SocketAddr {
 }
 
 /// Ready an accepted socket for the protocol: replies go out as soon as they
-/// are flushed (no Nagle delay), and reads give up after [`POLL_INTERVAL`] so
-/// the connection loop can re-check the shutdown flag.
+/// are flushed (no Nagle delay), and reads and writes give up after
+/// [`POLL_INTERVAL`] so the connection can re-check the shutdown flag.
 fn configure_socket(stream: &TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(POLL_INTERVAL))
+    stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    stream.set_write_timeout(Some(POLL_INTERVAL))
+}
+
+/// A connection's write half.  A write that times out (the client is not
+/// reading and the socket's send buffer is full) is retried while the server
+/// runs, and fails once it drains, so the connection thread returns.
+struct Replies<'a> {
+    stream: TcpStream,
+    shutdown: &'a AtomicBool,
+}
+
+impl Write for Replies<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.write(buf) {
+                Err(e)
+                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                        && !self.shutdown.load(Ordering::SeqCst) => {}
+                result => return result,
+            }
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
 }
 
 /// One connection: a private [`Session`] fed by `;`-terminated statement
 /// batches, answered with REPL-identical output lines plus a terminating `.`
 /// line per batch.  Returns (closing the connection) on client EOF, `quit;`,
-/// a write failure, or server shutdown.
+/// a write failure (a write still blocked when the server drains included),
+/// or server shutdown.
 fn handle_connection(
     stream: TcpStream,
     config: &ServeConfig,
@@ -236,7 +265,7 @@ fn handle_connection(
         return;
     }
     let mut writer = match stream.try_clone() {
-        Ok(clone) => BufWriter::new(clone),
+        Ok(stream) => BufWriter::new(Replies { stream, shutdown }),
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
@@ -336,6 +365,8 @@ fn run_batch<W: Write>(session: &mut Session, src: &str, writer: &mut W) -> Cont
 mod tests {
     use super::*;
 
+    /// Reads and writes both time out, so that each re-checks the shutdown
+    /// flag.
     #[test]
     fn accepted_sockets_are_no_delay_with_a_polling_read_timeout() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -343,12 +374,15 @@ mod tests {
         let (accepted, _) = listener.accept().unwrap();
         configure_socket(&accepted).unwrap();
         assert!(accepted.nodelay().unwrap());
-        // The kernel rounds the timeout up to its clock tick.
-        let timeout = accepted.read_timeout().unwrap().expect("a read timeout");
-        assert!(
-            timeout >= POLL_INTERVAL && timeout < 2 * POLL_INTERVAL,
-            "{timeout:?}"
-        );
+        // The kernel rounds each timeout up to its clock tick.
+        let read = accepted.read_timeout().unwrap().expect("a read timeout");
+        let write = accepted.write_timeout().unwrap().expect("a write timeout");
+        for timeout in [read, write] {
+            assert!(
+                timeout >= POLL_INTERVAL && timeout < 2 * POLL_INTERVAL,
+                "{timeout:?}"
+            );
+        }
     }
 
     #[test]

@@ -653,11 +653,12 @@ impl Session {
     }
 
     /// `plan NAME;` — pretty-print the set-at-a-time physical plan the
-    /// prepare step built (the same plan `eval` executes under the limited
-    /// interpretation): every algebra expression has one, and so does a
-    /// calculus query in the conjunctive fragment.  A least-fixpoint query
-    /// prints its Datalog rules instead.  Any other calculus query is
-    /// reported as running on the evaluator that enumerates it.
+    /// prepare step built (the plan `eval` executes under the limited
+    /// interpretation, and for a calculus query once for every invention
+    /// level too): every algebra expression has one, and so does a calculus
+    /// query in the conjunctive fragment.  A least-fixpoint query prints its
+    /// Datalog rules instead.  Any other calculus query is reported as
+    /// running on the evaluator that enumerates it.
     fn plan(&mut self, name: &str) -> Result<Vec<String>, SessionError> {
         let (mut lines, prepared) = self.ensure_prepared(name)?;
         match (prepared.physical_plan(), prepared.least_fixpoint()) {

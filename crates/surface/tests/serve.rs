@@ -1,7 +1,7 @@
 //! End-to-end tests for `itq serve`: concurrent sessions over real TCP
 //! connections against the shipped binary, shared-plan-cache semantics at the
 //! library level, per-session budget isolation, the request cap, and the
-//! SIGINT drain path.
+//! SIGINT drain path, a client that reads nothing included.
 
 use itq_surface::script::split_statements;
 use itq_surface::serve::MAX_REQUEST_BYTES;
@@ -280,6 +280,44 @@ fn sigint_cancels_in_flight_queries_and_drains() {
         stdout.iter().any(|l| l == "shutdown complete"),
         "missing shutdown banner: {stdout:?}"
     );
+}
+
+/// SIGINT while a connection's thread is blocked writing to a client that
+/// reads nothing: the write times out, sees the drain and fails, so the
+/// thread returns and the server exits.  The client declares a 2 000-tuple
+/// database and asks for it 200 times, far more than the socket buffers
+/// hold.
+#[cfg(unix)]
+#[test]
+fn sigint_drains_a_connection_that_reads_nothing() {
+    let server = Server::spawn(&[]);
+    let tuples: Vec<String> = (0..2000).map(|i| format!("[a{i}, b{i}]")).collect();
+    let mut client = server.connect();
+    client.roundtrip(&format!(
+        "schema Gen {{PAR : [U, U]}}; database d : Gen {{PAR = {{{}}}}};\n",
+        tuples.join(", ")
+    ));
+    client.send(&"show d;\n".repeat(200));
+    // Let the server fill the socket buffers and block in a write.
+    thread::sleep(Duration::from_millis(750));
+    let start = Instant::now();
+    server.interrupt();
+    let (status, stdout) = server.wait();
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "the drain took {:?}",
+        start.elapsed()
+    );
+    assert!(status.success(), "server exited with {status}");
+    assert!(
+        stdout.iter().any(|l| l == "draining 1 connection(s)"),
+        "missing drain banner: {stdout:?}"
+    );
+    assert!(
+        stdout.iter().any(|l| l == "shutdown complete"),
+        "missing shutdown banner: {stdout:?}"
+    );
+    drop(client);
 }
 
 /// SIGINT with no client connected: the watcher thread wakes the blocking

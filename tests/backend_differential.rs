@@ -42,7 +42,9 @@ use itq::walker::{assert_matches_walker, walker_outcome};
 use itq_algebra::EvalConfig as AlgConfig;
 use itq_algebra::{plan, to_calculus_query, AlgExpr, PhysNode, SelFormula, SelTerm};
 use itq_calculus::compile::compile;
+use itq_calculus::CalcError;
 use itq_core::prelude::*;
+use itq_invention::InventionError;
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -674,36 +676,97 @@ fn conjunctive_db(rng: &mut FaultRng) -> Database {
         .with("PERSON", Instance::from_atoms(people.iter().copied()))
 }
 
+/// A routed handle of `engine` under both invention semantics against the
+/// tree walker run with `oracle`'s budgets and the same invention bound.
+/// One run of the route answers every level, so the handle's statistics are
+/// those of `limited`, its limited outcome, with `max_invented + 1` levels.
+/// Where the walker answers, the answers, flags, levels and error text are
+/// its.  Where it fails on a budget, the handle answers its limited answer:
+/// stable from level 1 under finite invention, undefined within the bound
+/// under terminal invention.  Returns how many of the two semantics the
+/// walker answered.
+fn assert_routed_invention_agrees(
+    (engine, oracle): (&Engine, &Engine),
+    query: &Query,
+    db: &Database,
+    limited: &QueryOutcome,
+    here: &str,
+) -> usize {
+    let prepared = engine.prepare(query).unwrap();
+    let max_invented = engine.max_invented();
+    assert_eq!(oracle.max_invented(), max_invented, "{here}");
+    let mut answered = 0;
+    for semantics in [Semantics::FiniteInvention, Semantics::TerminalInvention] {
+        let context = format!("{here}/{semantics}");
+        let outcome = prepared.execute(db, semantics);
+        let routed = outcome
+            .as_ref()
+            .unwrap_or_else(|err| panic!("{context}: a routed handle answers, not {err}"));
+        let one_run = ExecStats {
+            invention_levels: max_invented as u64 + 1,
+            ..limited.stats.deterministic()
+        };
+        assert_eq!(routed.stats.deterministic(), one_run, "{context}");
+        let walker = walker_outcome(oracle, query, db, semantics);
+        if let Err(EngineError::Invention(InventionError::Calc(CalcError::Budget { .. }))) = walker
+        {
+            let finite = semantics == Semantics::FiniteInvention;
+            let stable = (finite && max_invented > 0).then_some(1);
+            let answer = if finite {
+                limited.result.clone()
+            } else {
+                Instance::empty()
+            };
+            assert_eq!(routed.result, answer, "{context}: the limited answer");
+            assert_eq!(routed.stabilised_at, stable, "{context}");
+            assert_eq!(routed.bounded_approximation, stable.is_none(), "{context}");
+            assert_eq!(routed.defined_at, None, "{context}");
+            continue;
+        }
+        let (_, walker) = assert_matches_walker(&outcome, &walker, &context)
+            .unwrap_or_else(|| panic!("{context}: the walker failed off its budget"));
+        assert_eq!(
+            routed.stats.invention_levels, walker.stats.invention_levels,
+            "{context}"
+        );
+        answered += 1;
+    }
+    answered
+}
+
 /// The conjunctive route against its oracle: the default engine (which plans
 /// every query in the fragment) against the tree walker, on recipe-generated
 /// queries over random small databases.  Answers and error strings are
 /// identical; a routed run evaluates no formula and, when it answers
-/// through a join, probes it; under tightened budgets both engines enumerate
-/// and fail identically.  The share of queries that took the route is
-/// asserted, so the generator cannot drift out of the fragment unnoticed.
+/// through a join, probes it; one run of it answers both invention
+/// semantics ([`assert_routed_invention_agrees`]); under tightened budgets
+/// both engines enumerate and fail identically, under every semantics.  The
+/// share of queries that took the route is asserted, so the generator cannot
+/// drift out of the fragment unnoticed.
 #[test]
 fn conjunctive_calculus_route_agrees_with_the_tree_walker() {
     const CASES: usize = 300;
     let mut rng = FaultRng::new(14);
     let default = Engine::new();
-    let tiny = Engine::builder().calc_config(EvalConfig::tiny()).build();
-    // The route's outcome and the tree walker's, under one engine's budgets.
-    let limited = |engine: &Engine, query: &Query, db: &Database| {
+    let invention = Engine::builder().max_invented(1).build();
+    let tiny = Engine::builder()
+        .calc_config(EvalConfig::tiny())
+        .max_invented(1)
+        .build();
+    // The handle's outcome and the tree walker's, under one engine's budgets.
+    let run = |engine: &Engine, query: &Query, db: &Database, semantics| {
         (
-            engine
-                .prepare(query)
-                .unwrap()
-                .execute(db, Semantics::Limited),
-            walker_outcome(engine, query, db, Semantics::Limited),
+            engine.prepare(query).unwrap().execute(db, semantics),
+            walker_outcome(engine, query, db, semantics),
         )
     };
-    let (mut routed, mut joined, mut starved) = (0, 0, 0);
+    let (mut routed, mut joined, mut invented, mut starved) = (0, 0, 0, 0);
     for case in 0..CASES {
         let query = conjunctive_query(&mut rng);
         let db = conjunctive_db(&mut rng);
         let here = format!("case {case}: {query} on {db:?}");
         let prepared = default.prepare(&query).unwrap();
-        let (outcome, walker) = limited(&default, &query, &db);
+        let (outcome, walker) = run(&default, &query, &db, Semantics::Limited);
         let outcome = assert_matches_walker(&outcome, &walker, &here).map(|(outcome, _)| outcome);
         if let (Some(plan), Some(outcome)) = (prepared.physical_plan(), outcome) {
             routed += 1;
@@ -724,22 +787,29 @@ fn conjunctive_calculus_route_agrees_with_the_tree_walker() {
                 assert!(stats.join_probes > 0, "{here}: answers come from probes");
                 joined += 1;
             }
+            let engines = (&invention, &invention);
+            invented += assert_routed_invention_agrees(engines, &query, &db, outcome, &here);
         }
         assert!(
             tiny.prepare(&query).unwrap().physical_plan().is_none(),
             "{here}: tight budgets enumerate"
         );
-        let (tight, walker) = limited(&tiny, &query, &db);
-        starved += usize::from(assert_matches_walker(&tight, &walker, &here).is_none());
+        for semantics in Semantics::ALL {
+            let (tight, walker) = run(&tiny, &query, &db, semantics);
+            let here = format!("{here}/tiny/{semantics}");
+            starved += usize::from(assert_matches_walker(&tight, &walker, &here).is_none());
+        }
     }
     println!(
         "conjunctive route: {routed} of {CASES} generated queries planned, \
-         {joined} answered through a join; {starved} starved under tiny budgets"
+         {joined} answered through a join, {invented} invention outcomes checked \
+         against the walker; {starved} runs starved under tiny budgets"
     );
     assert!(
-        routed * 2 >= CASES && joined * 4 >= routed && starved > 0,
+        routed * 2 >= CASES && joined * 4 >= routed && invented >= routed && starved > 0,
         "only {routed} of {CASES} generated queries took the conjunctive route \
-         ({joined} answered through a join, {starved} starved)"
+         ({joined} answered through a join, {invented} invention outcomes checked, \
+         {starved} starved)"
     );
 }
 
@@ -892,7 +962,19 @@ fn least_fixpoint_route_agrees_with_the_tree_walker() {
     const CASES: usize = 120;
     let mut rng = FaultRng::new(17);
     let default = Engine::builder().parallelism(1).build();
-    let (mut routed, mut fell_back, mut near_misses) = (0, 0, 0);
+    let invention = Engine::builder().parallelism(1).max_invented(1).build();
+    // Past three atoms a level's candidate sets number 2^16 or more, which
+    // the walker would enumerate for minutes in a debug build; capped, it
+    // fails on its budget there at once.
+    let oracle = Engine::builder()
+        .parallelism(1)
+        .max_invented(1)
+        .calc_config(EvalConfig {
+            max_quantifier_domain: 1 << 10,
+            ..EvalConfig::default()
+        })
+        .build();
+    let (mut routed, mut fell_back, mut near_misses, mut invented) = (0, 0, 0, 0);
     for case in 0..CASES {
         let (query, near_miss) = least_fixpoint_query(&mut rng);
         let db = conjunctive_db(&mut rng);
@@ -922,19 +1004,99 @@ fn least_fixpoint_route_agrees_with_the_tree_walker() {
                 outcome.stats.max_domain_seen < candidate_sets,
                 "{here}: a routed run drew the set quantifier"
             );
+            let engines = (&invention, &oracle);
+            invented += assert_routed_invention_agrees(engines, &query, &db, outcome, &here);
         } else if prepared.least_fixpoint().is_some() {
             fell_back += 1;
         }
     }
     println!(
         "least-fixpoint route: {routed} of {CASES} generated queries answered by the route, \
-         {fell_back} fell back on a failed guard, {near_misses} near misses stayed enumerated"
+         {fell_back} fell back on a failed guard, {near_misses} near misses stayed enumerated; \
+         the walker answered {invented} of their invention outcomes"
     );
     assert!(
-        routed * 3 >= CASES && fell_back > 0 && near_misses > 0,
+        routed * 3 >= CASES && fell_back > 0 && near_misses > 0 && invented > 0,
         "only {routed} of {CASES} generated queries took the least-fixpoint route \
-         ({fell_back} fell back, {near_misses} near misses)"
+         ({fell_back} fell back, {near_misses} near misses, {invented} invention outcomes \
+         checked)"
     );
+}
+
+/// Level invariance past the genealogy shapes, on a one-edge database with
+/// two invented atoms: a least-fixpoint guard that is positive existential
+/// but not range-restricted (`∃p/U ∃q/U (p ≈ q)` holds at every level,
+/// witnessed by any atom), and a conjunctive class that no literal binds
+/// (`z ≈ z`, witnessed by any atom of the range).  Both handles take their
+/// route, and the tree walker agrees with one run of it under both invention
+/// semantics.
+#[test]
+fn routed_invention_agrees_with_the_walker_off_the_genealogy_shapes() {
+    let pair = Type::flat_tuple(2);
+    let schema = Schema::single("PAR", pair.clone());
+    let unrestricted_guard = Formula::forall(
+        "g",
+        pair.clone(),
+        Formula::implies(
+            Formula::member(Term::var("g"), Term::var("x")),
+            Formula::exists(
+                "p",
+                Type::Atomic,
+                Formula::exists(
+                    "q",
+                    Type::Atomic,
+                    Formula::eq(Term::var("p"), Term::var("q")),
+                ),
+            ),
+        ),
+    );
+    let contains_par = Formula::forall(
+        "y",
+        pair.clone(),
+        Formula::implies(
+            Formula::pred("PAR", Term::var("y")),
+            Formula::member(Term::var("y"), Term::var("x")),
+        ),
+    );
+    let least_fixpoint = Formula::forall(
+        "x",
+        Type::set(pair.clone()),
+        Formula::implies(
+            Formula::and(vec![contains_par, unrestricted_guard]),
+            Formula::member(Term::var("t"), Term::var("x")),
+        ),
+    );
+    let unbound_class = Formula::exists(
+        "z",
+        Type::Atomic,
+        Formula::and(vec![
+            Formula::pred("PAR", Term::var("t")),
+            Formula::eq(Term::var("z"), Term::var("z")),
+        ]),
+    );
+    let db = Database::single("PAR", Instance::from_pairs(vec![(Atom(0), Atom(1))]));
+    let engine = Engine::builder().parallelism(1).max_invented(2).build();
+    for body in [least_fixpoint, unbound_class] {
+        let query = Query::new("t", pair.clone(), body, schema.clone()).unwrap();
+        let prepared = engine.prepare(&query).unwrap();
+        let here = format!("{query}");
+        assert!(
+            prepared.least_fixpoint().is_some() || prepared.physical_plan().is_some(),
+            "{here}: routed"
+        );
+        let (limited, span) = prepared.execute_traced(&db, Semantics::Limited).unwrap();
+        assert!(
+            matches!(span.name.as_str(), "least-fixpoint" | "planned-calculus"),
+            "{here}: the route answered under `{}`",
+            span.name
+        );
+        assert_eq!(limited.result.len(), 1, "{here}");
+        let walker = walker_outcome(&engine, &query, &db, Semantics::Limited);
+        assert_matches_walker(&Ok(limited.clone()), &walker, &here);
+        let answered =
+            assert_routed_invention_agrees((&engine, &engine), &query, &db, &limited, &here);
+        assert_eq!(answered, 2, "{here}: the walker answers both semantics");
+    }
 }
 
 /// A schema relation may carry the name the lowered rules give the set

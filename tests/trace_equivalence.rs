@@ -110,6 +110,15 @@ fn execute_three_ways(
     }
 }
 
+/// The route's root span of a routed execution: the root itself under the
+/// limited interpretation, the only child of `Q|_0[d]` under invention.
+fn route_span(span: &Span) -> &Span {
+    match span.name.as_str() {
+        "finite-invention" | "terminal-invention" => &span.children[0].children[0],
+        _ => span,
+    }
+}
+
 /// The span tree must agree with the stats block it annotates.
 fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, workers: usize, label: &str) {
     let stats = &outcome.stats;
@@ -181,6 +190,33 @@ fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, workers: usize
                 stats.steps,
                 "{label}: per-level steps tile the total"
             );
+            // A routed ladder nests the route's root span under `Q|_0[d]`,
+            // and its higher levels did no work; an enumerated ladder nests
+            // nothing.
+            let (first, higher) = span.children.split_first().expect("level 0 always runs");
+            if let [route] = first.children.as_slice() {
+                assert!(
+                    matches!(route.name.as_str(), "planned-calculus" | "least-fixpoint"),
+                    "{label}: `{}` under Q|_0[d]",
+                    route.name
+                );
+                assert_eq!(
+                    first.subtree_total("join_probes"),
+                    stats.join_probes,
+                    "{label}: the route's probes are the ladder's"
+                );
+                for level in higher {
+                    assert_eq!(level.field("steps"), Some(0), "{label}: {}", level.name);
+                    assert_eq!(level.field("answers"), first.field("answers"), "{label}");
+                }
+            } else {
+                assert!(first.children.is_empty(), "{label}: {first:?}");
+                assert_eq!(stats.join_probes, 0, "{label}: no plan operator runs");
+            }
+            assert!(
+                higher.iter().all(|level| level.children.is_empty()),
+                "{label}"
+            );
         }
         other => panic!("{label}: unexpected root span `{other}`"),
     }
@@ -207,35 +243,41 @@ proptest! {
     }
 
     /// The conjunctive genealogy queries on the default engine run their
-    /// physical plan under a `planned-calculus` root: the same three-way
-    /// harness, with the operator tree's counters tiling the stats.
+    /// physical plan under a `planned-calculus` root, and under the
+    /// invention semantics one run of it nested under `Q|_0[d]`: the same
+    /// three-way harness, with the operator tree's counters tiling the stats.
     #[test]
     fn tracing_never_changes_planned_calculus_outcomes(pick in 0usize..2, db in small_db()) {
         let q = [queries::grandparent_query(), queries::sibling_query()][pick].clone();
         for workers in [1, 4] {
-            let label = format!("routed/workers={workers}");
             let prepared = Engine::builder().parallelism(workers).build().prepare(&q).unwrap();
             prop_assert!(prepared.physical_plan().is_some());
-            let (outcome, span) = execute_three_ways(&prepared, &db, Semantics::Limited, &label)
-                .expect("default budgets");
-            prop_assert_eq!(span.name.as_str(), "planned-calculus");
-            assert_span_matches_stats(&outcome, &span, workers, &label);
+            for semantics in Semantics::ALL {
+                let label = format!("routed/workers={workers}/{semantics}");
+                let (outcome, span) = execute_three_ways(&prepared, &db, semantics, &label)
+                    .expect("default budgets");
+                prop_assert_eq!(route_span(&span).name.as_str(), "planned-calculus");
+                assert_span_matches_stats(&outcome, &span, workers, &label);
+            }
         }
     }
 
     /// The Example 3.1 closure on the default engine runs its least-fixpoint
-    /// route under a `least-fixpoint` root: the same three-way harness.
+    /// route under a `least-fixpoint` root, nested under `Q|_0[d]` under the
+    /// invention semantics: the same three-way harness.
     #[test]
     fn tracing_never_changes_least_fixpoint_outcomes(db in small_db()) {
         let q = queries::transitive_closure_query();
         for workers in [1, 4] {
-            let label = format!("least-fixpoint/workers={workers}");
             let prepared = Engine::builder().parallelism(workers).build().prepare(&q).unwrap();
             prop_assert!(prepared.least_fixpoint().is_some());
-            let (outcome, span) = execute_three_ways(&prepared, &db, Semantics::Limited, &label)
-                .expect("default budgets");
-            prop_assert_eq!(span.name.as_str(), "least-fixpoint");
-            assert_span_matches_stats(&outcome, &span, workers, &label);
+            for semantics in Semantics::ALL {
+                let label = format!("least-fixpoint/workers={workers}/{semantics}");
+                let (outcome, span) = execute_three_ways(&prepared, &db, semantics, &label)
+                    .expect("default budgets");
+                prop_assert_eq!(route_span(&span).name.as_str(), "least-fixpoint");
+                assert_span_matches_stats(&outcome, &span, workers, &label);
+            }
         }
     }
 }
