@@ -9,6 +9,32 @@
 //! type.  Because the introduced variables have exactly the types of the algebraic
 //! subexpressions, the translation preserves the intermediate-type profile of the
 //! query.
+//!
+//! # Invented values add nothing to an algebra expression
+//!
+//! A prepared algebra handle relies on this to answer the Section 6 semantics
+//! from one run of its limited evaluator.  *Claim:* on a database `d` whose
+//! relations hold values of their declared types, for any subexpression `E`
+//! of type `T` and any range `R ⊇ adom(d) ∪ adom(E)`, the objects `v` of
+//! `cons_R(T)` that satisfy `E`'s translated formula `φ_E(v)` are exactly
+//! `E(d)`.  By induction over `translate`, one case per operator:
+//!
+//! * `Pred`: the formula is `P(t)`.  `Singleton`: it is `t ≈ a`.
+//! * `∪`, `∩` and `−`: it combines the operands' formulas; for `−` the result
+//!   stays under its left operand.
+//! * `π`, `×`, `μ` and `𝒞`: it pins `t` to components or members of an
+//!   `∃`-bound operand variable, whose range `cons_R` holds every answer of
+//!   the operand.
+//! * `σ`: it conjoins a test on `t` with the operand's formula.
+//! * `𝒫`: it is `∀v (v ∈ t → φ_E(v))`, which forces `t ⊆ E(d)`; every such
+//!   subset lies in `cons_R({T})`.
+//!
+//! *Consequence:* every invention level's range contains `adom(d) ∪ adom(E)`,
+//! so the unrestricted answer `Q|^Y[d]` is `E(d)` at every level, with no
+//! invented atom: `Q^fi[d] = E(d)`, stable from level 1, and `Q^ti[d]` is
+//! undefined.  On a database holding ill-typed values the claim does not
+//! apply, and a handle answers there what its evaluator answers under the
+//! limited interpretation.
 
 use crate::error::AlgError;
 use crate::expr::{AlgExpr, SelFormula, SelTerm};

@@ -250,10 +250,6 @@ impl Report {
             .filter(move |d| d.severity >= severity)
     }
 
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-
     /// `"2 errors, 1 warning"`-style summary; `"no diagnostics"` when clean.
     pub fn summary(&self) -> String {
         if self.diagnostics.is_empty() {

@@ -3,7 +3,7 @@
 
 use itq_algebra::{AlgError, AlgExpr, EvalConfig as AlgConfig};
 use itq_calculus::eval::EvalConfig;
-use itq_calculus::{CalcError, Query, QueryClassification};
+use itq_calculus::{CalcError, Query};
 use itq_invention::{InventionError, DEFAULT_MAX_INVENTED};
 use itq_object::{CancelFlag, Interrupt, ResourceError, Schema, TripKind, Universe};
 use std::fmt;
@@ -200,9 +200,10 @@ impl GovernorConfig {
 }
 
 /// Every setting a prepared plan depends on: the calculus budgets, under
-/// which the limited interpretation and every invention level `Q|_n[d]` run,
-/// the algebra budget, the invention level bound, and the algebra-planner
-/// flag.  An [`Engine`] holds one, every handle it prepares copies it, and
+/// which a calculus handle's limited interpretation and every invention
+/// level `Q|_n[d]` run, the algebra budget, under which an algebra handle
+/// runs under every semantics, the invention level bound, and the
+/// algebra-planner flag.  An [`Engine`] holds one, every handle it prepares copies it, and
 /// two handles prepared from equal statements under equal settings are
 /// interchangeable — which is what lets a plan cache key on the statement
 /// plus this value.  The governor and the worker count are not plan
@@ -220,14 +221,14 @@ pub struct PlanSettings {
     /// Budgets for every calculus evaluation: the limited interpretation and
     /// each invention level alike.
     pub(crate) calc: EvalConfig,
-    /// Budgets for algebra evaluation.
+    /// Budgets for algebra evaluation, under every semantics.
     pub(crate) alg: AlgConfig,
     /// The invention level bound: the invention semantics search the levels
     /// `0..=max_invented`.
     pub(crate) max_invented: usize,
-    /// When true (the default), prepared algebra handles execute their
-    /// limited interpretation through the set-at-a-time physical plan; when
-    /// false they run the tuple-at-a-time evaluator (the ablation toggled by
+    /// When true (the default), prepared algebra handles execute through the
+    /// set-at-a-time physical plan under every semantics; when false they
+    /// run the tuple-at-a-time evaluator (the ablation toggled by
     /// `EngineBuilder::use_algebra_planner`).
     pub(crate) use_algebra_planner: bool,
 }
@@ -278,9 +279,10 @@ impl PlanSettings {
 /// [`PlanSettings`], a resource governor, a worker count and a seeded
 /// [`Universe`] — built once via [`Engine::builder`].  Every calculus handle it
 /// prepares runs the compiled slot evaluator, or the planned join or least
-/// fixpoint its query lowers to, whose one run answers every semantics.  The static work on a query — type-checking,
-/// `CALC_{k,i}` classification, normal forms, and (for algebra inputs) the
-/// Theorem 3.8 compilation — happens once in [`Engine::prepare`] /
+/// fixpoint its query lowers to, whose one run answers every semantics; every
+/// algebra handle runs its plan once under every semantics.  The static work
+/// on a query — type-checking, `CALC_{k,i}` classification, normal forms, and
+/// (for algebra inputs) the Theorem 3.8 translation — happens once in [`Engine::prepare`] /
 /// [`Engine::prepare_algebra`], which return a [`crate::pipeline::Prepared`]
 /// handle that can be executed any number of times, on any database, under any
 /// [`Semantics`], through a shared reference.
@@ -346,8 +348,8 @@ impl Engine {
         self.settings.max_invented
     }
 
-    /// True if algebra handles prepared by this engine execute their limited
-    /// interpretation through the set-at-a-time physical plan (the default);
+    /// True if algebra handles prepared by this engine execute through the
+    /// set-at-a-time physical plan (the default);
     /// false selects the tuple-at-a-time evaluator, kept for ablation
     /// benchmarks (E14) and the backend differential suite.
     pub fn use_algebra_planner(&self) -> bool {
@@ -390,11 +392,6 @@ impl Engine {
     pub fn compile_algebra(&self, expr: &AlgExpr, schema: &Schema) -> Result<Query, EngineError> {
         Ok(itq_algebra::to_calculus_query(expr, schema)?)
     }
-
-    /// Classify a query into its minimal `CALC_{k,i}` family.
-    pub fn classify(&self, query: &Query) -> QueryClassification {
-        query.classification()
-    }
 }
 
 #[cfg(test)]
@@ -435,7 +432,7 @@ mod tests {
             .unwrap();
         assert_eq!(calc.result, alg.result);
         assert_eq!(
-            engine.classify(&grandparent_query()).minimal_class,
+            grandparent_query().classification().minimal_class,
             CalcClass::relational()
         );
     }

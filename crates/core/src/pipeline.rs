@@ -38,8 +38,12 @@
 //! invention semantics too: every `Q|_n[d]` level is that answer, and the
 //! level-0 span nests the route's.  Every other calculus execution runs the
 //! compiled slot evaluator, at every invention level under the invention
-//! semantics.  Only handles under default budgets take the routes, so
-//! budget errors keep their enumeration text.
+//! semantics.  Only calculus handles under default budgets take the routes,
+//! so budget errors keep their enumeration text.  An algebra handle never
+//! enumerates: invented atoms never change an expression's answer (the
+//! argument is in [`mod@itq_algebra::to_calculus`]), so one run of its plan
+//! (`planned-algebra`), or of the tuple-at-a-time evaluator (`tuple-algebra`),
+//! answers all three semantics, under the algebra budget.
 //!
 //! ```
 //! use itq_core::prelude::*;
@@ -67,7 +71,7 @@ use itq_invention::{
     finite_invention_ctx, finite_levels, terminal_invention_ctx, terminal_levels, InventionError,
     Level, TerminalOutcome,
 };
-use itq_object::{CancelFlag, Database, ExecCtx, Instance, Interrupt, Schema, TripKind, Universe};
+use itq_object::{CancelFlag, Database, ExecCtx, Instance, Interrupt, Schema, Universe};
 use itq_relational::Program;
 use itq_trace::{Span, TraceSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -175,8 +179,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Select the execution path for prepared *algebra* handles under the
-    /// limited interpretation: `true` (the default) runs the set-at-a-time
+    /// Select the execution path for prepared *algebra* handles, whose one
+    /// run answers every semantics: `true` (the default) runs the set-at-a-time
     /// physical plan built at prepare time (joins extracted, selections
     /// pushed down, projections fused — see [`mod@itq_algebra::plan`]); `false`
     /// runs the legacy tuple-at-a-time evaluator — kept so the planner's
@@ -241,7 +245,7 @@ impl EngineBuilder {
     /// value store and domain cache.  Every calculus execution (the compiled
     /// slots and both routes) and the planned algebra meter it; the
     /// tuple-at-a-time algebra evaluator (`use_algebra_planner(false)`) never
-    /// interns, so it never trips.
+    /// interns, so it never trips, under any semantics.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -264,14 +268,6 @@ impl EngineBuilder {
     /// ```
     pub fn cancel_flag(mut self, flag: CancelFlag) -> EngineBuilder {
         self.engine.governor.cancel = Some(flag);
-        self
-    }
-
-    /// Fault injection: trip every execution at its `nth` interrupt poll with
-    /// the given behaviour.  Poll counts are deterministic, so the trip point
-    /// is exactly reproducible — this is the harness's injection seam.
-    pub fn trip_interrupt_after(mut self, nth: u64, kind: TripKind) -> EngineBuilder {
-        self.engine.governor.trip_after = Some((nth, kind));
         self
     }
 
@@ -360,7 +356,8 @@ pub struct PrepareStats {
     /// attempts to lower it to a conjunctive rule or to a least-fixpoint
     /// program.
     pub normalize_micros: u64,
-    /// Lowering into the slot-based compiled evaluator.
+    /// Lowering into the slot-based compiled evaluator: 0 for algebra
+    /// handles, which never compile.
     pub compile_micros: u64,
     /// The static-analysis pass pipeline ([`itq_analyze`]) over the query or
     /// algebra expression, whose report is cached on the handle (see
@@ -602,21 +599,26 @@ pub struct QueryOutcome {
     pub(crate) least_model: bool,
 }
 
-/// Which language the handle was prepared from.
+/// Which language the handle was prepared from, and what its executions run.
 #[derive(Debug)]
 enum PreparedSource {
     /// A calculus query, evaluated by one run of `route` under every
     /// semantics when the query lowered to one (default budgets only, so
-    /// budget errors keep their enumeration text), and otherwise by the
-    /// compiled slots.
-    Calculus { route: Option<CalculusRoute> },
-    /// An algebra expression: kept for direct limited evaluation together
-    /// with its set-at-a-time physical plan (planned once, at prepare time),
-    /// alongside the calculus compilation used by classification and
-    /// invention.
+    /// budget errors keep their enumeration text), and otherwise by
+    /// `compiled`, at every invention level under the invention semantics.
+    Calculus {
+        route: Option<CalculusRoute>,
+        /// The slot-based lowering of the query, produced once at prepare
+        /// time.
+        compiled: CompiledQuery,
+    },
+    /// An algebra expression and its set-at-a-time physical plan (planned
+    /// once, at prepare time).  One run of the plan, or of the expression's
+    /// tuple-at-a-time evaluator, answers every semantics.  The schema both
+    /// read is the handle's query's: the Theorem 3.8 translation embeds the
+    /// schema the expression was typed against.
     Algebra {
         expr: AlgExpr,
-        schema: Schema,
         plan: Box<PhysicalPlan>,
     },
 }
@@ -633,8 +635,8 @@ enum CalculusRoute {
 }
 
 /// A query with all its static work done: type-checked, classified,
-/// normalized, compiled (for algebra inputs), and bundled with a snapshot of
-/// the engine's configuration — ready to execute any number of times.
+/// normalized, planned or compiled, and bundled with a snapshot of the
+/// engine's configuration — ready to execute any number of times.
 ///
 /// Handles are created by [`Engine::prepare`] and [`Engine::prepare_algebra`];
 /// [`Prepared::execute`] takes `&self`, so one handle can serve concurrent
@@ -670,13 +672,11 @@ pub struct Prepared {
 #[derive(Debug)]
 struct StaticHalf {
     source: PreparedSource,
+    /// The calculus query: for an algebra handle, its Theorem 3.8
+    /// translation, which classification and the normal forms read.
     query: Query,
     /// Wall-clock timings of the prepare phases that built this handle.
     prepare_stats: PrepareStats,
-    /// The slot-based lowering of `query`, produced once at prepare time and
-    /// run by every execution the route does not answer — under the
-    /// invention semantics, at every invention level.
-    compiled: CompiledQuery,
     classification: QueryClassification,
     sf: SfClassification,
     prenex: PrenexForm,
@@ -710,19 +710,13 @@ impl Engine {
         let typecheck = Instant::now();
         let validated = query.with_body(query.body().clone())?;
         let typecheck_micros = typecheck.elapsed().as_micros() as u64;
-        Ok(self.prepared_from(
-            PreparedSource::Calculus { route: None },
-            validated,
-            typecheck_micros,
-            0,
-        ))
+        Ok(self.prepared_from(None, validated, typecheck_micros, 0))
     }
 
-    /// Prepare an algebra expression: infer its output type, compile it into
-    /// an equivalent calculus query (Theorem 3.8, done exactly once), and
-    /// bundle both forms into a [`Prepared`] handle.  Limited execution runs
-    /// the algebra form directly; the invention semantics and the
-    /// classification artifacts use the compiled calculus form.
+    /// Prepare an algebra expression: plan it, translate it into an
+    /// equivalent calculus query (Theorem 3.8, done exactly once), and bundle
+    /// both into a [`Prepared`] handle.  One run of the plan answers every
+    /// semantics; the classification artifacts read the translation.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -751,24 +745,23 @@ impl Engine {
         let query = to_calculus_query(expr, schema)?;
         let typecheck_micros = typecheck.elapsed().as_micros() as u64;
         Ok(self.prepared_from(
-            PreparedSource::Algebra {
-                expr: expr.clone(),
-                schema: schema.clone(),
-                plan,
-            },
+            Some((expr.clone(), plan)),
             query,
             typecheck_micros,
             plan_micros,
         ))
     }
 
-    /// Cache the static artifacts and configuration snapshot into a handle.
-    /// A calculus query in the conjunctive fragment is also lowered to its
-    /// Datalog rule (a normal form) and, from that, planned set-at-a-time; a
-    /// least-fixpoint query is lowered to its Datalog program and guards.
+    /// Cache the static artifacts and configuration snapshot into a handle:
+    /// an algebra handle's when `algebra` holds its expression and plan, a
+    /// calculus handle's otherwise.  A calculus query is compiled to slots;
+    /// under default budgets, one in the conjunctive fragment is also lowered
+    /// to its Datalog rule (a normal form) and, from that, planned
+    /// set-at-a-time, and a least-fixpoint query is lowered to its Datalog
+    /// program and guards.
     fn prepared_from(
         &self,
-        mut source: PreparedSource,
+        algebra: Option<(AlgExpr, Box<PhysicalPlan>)>,
         query: Query,
         typecheck_micros: u64,
         mut plan_micros: u64,
@@ -779,34 +772,36 @@ impl Engine {
         let phase = Instant::now();
         let sf = sf_classification(&query);
         let prenex = to_prenex(query.body());
-        let mut rule = None;
-        if matches!(source, PreparedSource::Calculus { .. }) && self.settings.default_budgets() {
+        let (mut route, mut rule) = (None, None);
+        if algebra.is_none() && self.settings.default_budgets() {
             match lowering::lower_least_fixpoint(&query) {
-                Some(fixpoint) => {
-                    let route = CalculusRoute::LeastFixpoint(Box::new(fixpoint));
-                    source = PreparedSource::Calculus { route: Some(route) };
-                }
+                Some(fixpoint) => route = Some(CalculusRoute::LeastFixpoint(Box::new(fixpoint))),
                 None => rule = lowering::lower_to_datalog(&query),
             }
         }
         let normalize_micros = phase.elapsed().as_micros() as u64;
         if let Some(rule) = rule {
             let phase = Instant::now();
-            let route = lowering::plan_rule(&rule, &query)
+            route = lowering::plan_rule(&rule, &query)
                 .map(|plan| CalculusRoute::Planned(Box::new(plan)));
-            source = PreparedSource::Calculus { route };
             plan_micros = phase.elapsed().as_micros() as u64;
         }
-        let phase = Instant::now();
-        let compiled = itq_calculus::compile::compile(&query)
-            .expect("a validated query always lowers to its compiled form");
-        let compile_micros = phase.elapsed().as_micros() as u64;
+        let (source, compile_micros) = match algebra {
+            Some((expr, plan)) => (PreparedSource::Algebra { expr, plan }, 0),
+            None => {
+                let phase = Instant::now();
+                let compiled = itq_calculus::compile::compile(&query)
+                    .expect("a validated query always lowers to its compiled form");
+                let compile_micros = phase.elapsed().as_micros() as u64;
+                (PreparedSource::Calculus { route, compiled }, compile_micros)
+            }
+        };
         let phase = Instant::now();
         let budgets = self.settings.budgets();
         let diagnostics = match &source {
             PreparedSource::Calculus { .. } => itq_analyze::analyze_query(&query, &budgets),
-            PreparedSource::Algebra { expr, schema, .. } => {
-                itq_analyze::analyze_algebra(expr, schema, &budgets)
+            PreparedSource::Algebra { expr, .. } => {
+                itq_analyze::analyze_algebra(expr, query.schema(), &budgets)
             }
         };
         let analyze_micros = phase.elapsed().as_micros() as u64;
@@ -822,7 +817,6 @@ impl Engine {
             source,
             query,
             prepare_stats,
-            compiled,
             classification,
             sf,
             prenex,
@@ -838,8 +832,9 @@ impl Engine {
 }
 
 impl Prepared {
-    /// The calculus query this handle executes (for algebra inputs, the
-    /// Theorem 3.8 compilation).
+    /// The calculus query of this handle: the one it was prepared from, or
+    /// for algebra inputs the Theorem 3.8 translation, which classification
+    /// reads and no execution runs.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1023,13 +1018,12 @@ impl Prepared {
         }
     }
 
-    /// The set-at-a-time physical plan this handle runs under the limited
-    /// interpretation, planned once at prepare time: always for an algebra
-    /// expression, and for a calculus query in the conjunctive fragment (an
-    /// ∃-prefix of flat variables over predicate, `≈` and `¬≈` atoms) under
-    /// default budgets, whose one run of the plan also answers every
-    /// invention level.  The surface language's `plan <name>;` statement
-    /// pretty-prints it.
+    /// The set-at-a-time physical plan this handle runs, planned once at
+    /// prepare time: always for an algebra expression, and for a calculus
+    /// query in the conjunctive fragment (an ∃-prefix of flat variables over
+    /// predicate, `≈` and `¬≈` atoms) under default budgets.  One run of the
+    /// plan answers every semantics.  The surface language's `plan <name>;`
+    /// statement pretty-prints it.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -1054,6 +1048,7 @@ impl Prepared {
         match &self.shared.source {
             PreparedSource::Calculus {
                 route: Some(CalculusRoute::Planned(plan)),
+                ..
             }
             | PreparedSource::Algebra { plan, .. } => Some(plan),
             PreparedSource::Calculus { .. } => None,
@@ -1086,25 +1081,10 @@ impl Prepared {
         match &self.shared.source {
             PreparedSource::Calculus {
                 route: Some(CalculusRoute::LeastFixpoint(fixpoint)),
+                ..
             } => Some(fixpoint),
             _ => None,
         }
-    }
-
-    /// The slot-based compiled form of the query, lowered once at prepare
-    /// time.  This is what [`Prepared::execute`] runs, except on a
-    /// conjunctive query, which runs [`Prepared::physical_plan`] once, and a
-    /// least-fixpoint query, which runs [`Prepared::least_fixpoint`] once,
-    /// under every semantics (both under default budgets).
-    ///
-    /// ```
-    /// use itq_core::prelude::*;
-    /// use itq_core::queries;
-    /// let prepared = Engine::new().prepare(&queries::grandparent_query()).unwrap();
-    /// assert_eq!(prepared.compiled().slot_count(), 3); // t, x, y
-    /// ```
-    pub fn compiled(&self) -> &itq_calculus::CompiledQuery {
-        &self.shared.compiled
     }
 
     /// Execute the prepared query on `db` under the chosen semantics.
@@ -1286,19 +1266,18 @@ impl Prepared {
         }
     }
 
-    /// The backend dispatch proper, one arm per source × semantics, running
-    /// under `run`'s containment seam.  A calculus handle with a route runs
-    /// it once under every semantics ([`Prepared::route`]); the invention
-    /// semantics of every other handle run the compiled calculus form of
-    /// either source, lowered once at prepare time, at each invention level.
+    /// The backend dispatch proper, one arm per semantics × what answers
+    /// the handle, running under `run`'s containment seam.  A handle whose
+    /// route answers ([`Prepared::route`]) takes that one run under every
+    /// semantics; every other handle runs its compiled slots, at each
+    /// invention level under the invention semantics.
     fn dispatch(
         &self,
         db: &Database,
         semantics: Semantics,
         ctx: &ExecCtx,
     ) -> Result<(QueryOutcome, Option<Span>), EngineError> {
-        let shared = &*self.shared;
-        let settings = &shared.settings;
+        let settings = &self.shared.settings;
         let outcome = |result: Instance, stats: ExecStats| QueryOutcome {
             result,
             semantics,
@@ -1308,52 +1287,34 @@ impl Prepared {
             stats,
             least_model: false,
         };
-        match (semantics, &shared.source) {
-            (Semantics::Limited, PreparedSource::Algebra { plan, .. })
-                if settings.use_algebra_planner =>
-            {
-                let (result, stats, span) = run_plan("planned-algebra", plan, db, settings, ctx)?;
-                Ok((outcome(result, stats), span))
+        match (semantics, self.route(db, ctx)?) {
+            (Semantics::Limited, Run::Routed(routed)) => {
+                let limited = QueryOutcome {
+                    least_model: routed.least_model,
+                    ..outcome(routed.answer, routed.stats)
+                };
+                Ok((limited, routed.span))
             }
-            (Semantics::Limited, PreparedSource::Algebra { expr, schema, .. }) => {
-                let (result, span) = expr.eval_ctx(db, schema, &settings.alg, ctx)?;
-                Ok((outcome(result, ExecStats::default()), span))
+            (Semantics::Limited, Run::Enumerated(compiled)) => {
+                let (evaluation, span) = compiled.eval_ctx(db, &[], &settings.calc, ctx)?;
+                let stats = ExecStats {
+                    partitions: evaluation.partitions,
+                    ..ExecStats::from_eval(evaluation.stats, 0)
+                };
+                Ok((outcome(evaluation.result, stats), span))
             }
-            (Semantics::Limited, PreparedSource::Calculus { .. }) => match self.route(db, ctx)? {
-                Some(routed) => {
-                    let limited = QueryOutcome {
-                        least_model: routed.least_model,
-                        ..outcome(routed.answer, routed.stats)
-                    };
-                    Ok((limited, routed.span))
-                }
-                None => {
-                    let (evaluation, span) =
-                        shared.compiled.eval_ctx(db, &[], &settings.calc, ctx)?;
-                    let stats = ExecStats {
-                        partitions: evaluation.partitions,
-                        ..ExecStats::from_eval(evaluation.stats, 0)
-                    };
-                    Ok((outcome(evaluation.result, stats), span))
-                }
-            },
-            (Semantics::FiniteInvention, _) => {
+            (Semantics::FiniteInvention, run) => {
                 let max_invented = settings.max_invented;
-                let (report, stats, levels) = match self.route(db, ctx)? {
-                    Some(routed) => {
+                let (report, stats, levels) = match run {
+                    Run::Routed(routed) => {
                         let stats = routed.stats;
                         let (report, _, levels) =
                             finite_levels(max_invented, ctx.traced, routed.levels())?;
                         (report, stats, levels)
                     }
-                    None => {
-                        let (report, stats, levels) = finite_invention_ctx(
-                            &shared.compiled,
-                            db,
-                            max_invented,
-                            &settings.calc,
-                            ctx,
-                        )?;
+                    Run::Enumerated(compiled) => {
+                        let (report, stats, levels) =
+                            finite_invention_ctx(compiled, db, max_invented, &settings.calc, ctx)?;
                         (report, ExecStats::from_eval(stats, 0), levels)
                     }
                 };
@@ -1369,18 +1330,18 @@ impl Prepared {
                 let span = levels.map(|levels| invention_span("finite-invention", &finite, levels));
                 Ok((finite, span))
             }
-            (Semantics::TerminalInvention, _) => {
+            (Semantics::TerminalInvention, run) => {
                 let max_invented = settings.max_invented;
-                let (terminal, stats, levels) = match self.route(db, ctx)? {
-                    Some(routed) => {
+                let (terminal, stats, levels) = match run {
+                    Run::Routed(routed) => {
                         let stats = routed.stats;
                         let (terminal, _, levels) =
                             terminal_levels(max_invented, ctx.traced, routed.levels())?;
                         (terminal, stats, levels)
                     }
-                    None => {
+                    Run::Enumerated(compiled) => {
                         let (terminal, stats, levels) = terminal_invention_ctx(
-                            &shared.compiled,
+                            compiled,
                             db,
                             max_invented,
                             &settings.calc,
@@ -1418,74 +1379,93 @@ impl Prepared {
         }
     }
 
-    /// Run a calculus handle's route once, if it has one and every relation
-    /// of `db` conforms to the query's schema: both routes read relations
+    /// Run the handle's route once, if it has one.  An algebra handle always
+    /// has one: its plan, or its tuple-at-a-time evaluator under
+    /// `use_algebra_planner(false)`, and every error of that run is final.
+    /// A calculus handle's route runs only when every relation of `db`
+    /// conforms to the query's schema: both calculus routes read relations
     /// positionally, so a database holding ill-typed values takes the
-    /// enumeration, which never matches them.  `Ok(None)` sends the caller to
-    /// the enumeration.  A governor trip is final; any other route error (a
-    /// product over its budget, a relation missing from the database, a guard
-    /// over its quantifier budget) is the route's own limit, and the
-    /// enumeration then reproduces the handle's outcome — as it does when a
-    /// guard fails on the least model.  Routes exist only under default
-    /// budgets, so budget errors keep their enumeration text.
-    fn route(&self, db: &Database, ctx: &ExecCtx) -> Result<Option<Routed>, EngineError> {
+    /// enumeration, which never matches them.  A governor trip is final;
+    /// any other calculus route error (a product over its budget, a relation
+    /// missing from the database, a guard over its quantifier budget) is the
+    /// route's own limit, and the enumeration then reproduces the handle's
+    /// outcome — as it does when a guard fails on the least model.
+    /// Calculus routes exist only under default budgets, so budget errors
+    /// keep their enumeration text.
+    fn route(&self, db: &Database, ctx: &ExecCtx) -> Result<Run<'_>, EngineError> {
         let shared = &*self.shared;
-        let PreparedSource::Calculus { route: Some(route) } = &shared.source else {
-            return Ok(None);
-        };
-        if !conforms(db, shared.query.schema()) {
-            return Ok(None);
-        }
+        let settings = &shared.settings;
         let start = ctx.traced.then(Instant::now);
-        let routed = match route {
-            CalculusRoute::Planned(plan) => {
-                run_plan("planned-calculus", plan, db, &shared.settings, ctx)
-                    .map(|(answer, stats, span)| {
-                        Some(Routed {
-                            answer,
-                            stats,
-                            least_model: false,
-                            span,
+        let (answer, stats, mut span) = match &shared.source {
+            PreparedSource::Algebra { plan, .. } if settings.use_algebra_planner => {
+                run_plan("planned-algebra", plan, db, settings, ctx)?
+            }
+            PreparedSource::Algebra { expr, .. } => {
+                let (answer, span) =
+                    expr.eval_ctx(db, shared.query.schema(), &settings.alg, ctx)?;
+                (answer, ExecStats::default(), span)
+            }
+            PreparedSource::Calculus {
+                route: Some(route),
+                compiled,
+            } if conforms(db, shared.query.schema()) => {
+                let routed = match route {
+                    CalculusRoute::Planned(plan) => {
+                        run_plan("planned-calculus", plan, db, settings, ctx)
+                            .map(Some)
+                            .map_err(EngineError::from)
+                    }
+                    CalculusRoute::LeastFixpoint(fixpoint) => {
+                        fixpoint.run(&shared.query, db, ctx.interrupt).map(|run| {
+                            run.map(|run| {
+                                let span = ctx.traced.then(|| {
+                                    let mut span = Span::new("least-fixpoint");
+                                    span.push_field("rounds", run.rounds);
+                                    span.push_field("rows_out", run.answer.len() as u64);
+                                    span
+                                });
+                                (run.answer, ExecStats::from_eval(run.stats, 0), span)
+                            })
                         })
-                    })
-                    .map_err(EngineError::from)
-            }
-            CalculusRoute::LeastFixpoint(fixpoint) => {
-                fixpoint.run(&shared.query, db, ctx.interrupt).map(|run| {
-                    run.map(|run| Routed {
-                        span: ctx.traced.then(|| {
-                            let mut span = Span::new("least-fixpoint");
-                            span.push_field("rounds", run.rounds);
-                            span.push_field("rows_out", run.answer.len() as u64);
-                            span
-                        }),
-                        stats: ExecStats::from_eval(run.stats, 0),
-                        least_model: true,
-                        answer: run.answer,
-                    })
-                })
-            }
-        };
-        match routed {
-            Ok(Some(mut routed)) => {
-                if let (Some(span), Some(start)) = (routed.span.as_mut(), start) {
-                    span.wall_micros = start.elapsed().as_micros() as u64;
+                    }
+                };
+                match routed {
+                    Ok(Some(routed)) => routed,
+                    Err(err @ EngineError::Resource(_)) => return Err(err),
+                    Ok(None) | Err(_) => return Ok(Run::Enumerated(compiled)),
                 }
-                Ok(Some(routed))
             }
-            Err(err @ EngineError::Resource(_)) => Err(err),
-            Ok(None) | Err(_) => Ok(None),
+            PreparedSource::Calculus { compiled, .. } => return Ok(Run::Enumerated(compiled)),
+        };
+        if let (Some(span), Some(start)) = (span.as_mut(), start) {
+            span.wall_micros = start.elapsed().as_micros() as u64;
         }
+        Ok(Run::Routed(Box::new(Routed {
+            answer,
+            stats,
+            least_model: self.fixpoint_route().is_some(),
+            span,
+        })))
     }
 }
 
-/// One run of a calculus handle's route that answered: the limited
-/// interpretation's answer, its counters and, when traced, the route's root
-/// span (`planned-calculus` or `least-fixpoint`) with its wall clock.
+/// What answers one execution of a handle.
+enum Run<'a> {
+    /// One run of its route, which every invention level shares.
+    Routed(Box<Routed>),
+    /// Its compiled slots, run at every invention level.
+    Enumerated(&'a CompiledQuery),
+}
+
+/// One run of a handle's route that answered: the limited interpretation's
+/// answer, its counters and, when traced, the route's root span
+/// (`planned-algebra`, `tuple-algebra`, `planned-calculus` or
+/// `least-fixpoint`) with its wall clock.
 ///
-/// Both routes are level-invariant (see `lowering.rs`): the answer at
-/// every invention level `n` holds no invented atom and equals this one.  So
-/// the run answers both invention semantics too — `Q^fi` is this answer,
+/// Every route is level-invariant (see `lowering.rs` for the calculus
+/// routes and [`mod@itq_algebra::to_calculus`] for the algebra): the answer
+/// at every invention level `n` holds no invented atom and equals this one.
+/// So the run answers both invention semantics too — `Q^fi` is this answer,
 /// stable from level 1, and `Q^ti` is undefined within the bound — with
 /// these counters.
 struct Routed {
@@ -1569,7 +1549,7 @@ mod tests {
     };
     use itq_algebra::SelFormula;
     use itq_calculus::{Formula, Term};
-    use itq_object::{Atom, Type, Value};
+    use itq_object::{Atom, TripKind, Type, Value};
 
     fn db() -> Database {
         parent_database(&[(Atom(0), Atom(1)), (Atom(1), Atom(2))])
@@ -1705,7 +1685,7 @@ mod tests {
     }
 
     #[test]
-    fn algebra_handles_compile_once_and_execute_under_every_semantics() {
+    fn algebra_handles_answer_every_semantics_from_one_run() {
         let engine = Engine::new();
         let expr = AlgExpr::pred("PAR")
             .product(AlgExpr::pred("PAR"))
@@ -1716,20 +1696,33 @@ mod tests {
         assert_eq!(prepared.algebra_expr(), Some(&expr));
         let db = db();
         let limited = prepared.execute(&db, Semantics::Limited).unwrap();
-        // The direct algebra path and the compiled calculus path agree.
-        let compiled = prepared.query().eval(&db, engine.calc_config()).unwrap();
-        assert_eq!(limited.result, compiled);
-        // Relational algebra gains nothing from invention (Theorem 6.11); use a
-        // cheap expression and one invention level to keep the domains small.
-        let tight = Engine::builder().max_invented(1).build();
-        let identity = tight
-            .prepare_algebra(&AlgExpr::pred("PAR"), &parent_schema())
-            .unwrap();
-        let finite = identity.execute(&db, Semantics::FiniteInvention).unwrap();
-        assert_eq!(
-            finite.result,
-            identity.execute(&db, Semantics::Limited).unwrap().result
-        );
+        // The plan and the tree walker on the Theorem 3.8 translation agree.
+        let walked = prepared.query().eval(&db, engine.calc_config()).unwrap();
+        assert_eq!(limited.result, walked);
+        // 𝒫(PAR) gains nothing from invention (Theorem 6.11), though its
+        // translation's level 2 would enumerate 2^25 candidate sets: one run
+        // of either evaluator answers every semantics at default budgets.
+        let powerset = AlgExpr::pred("PAR").powerset();
+        let tuple = Engine::builder().use_algebra_planner(false).build();
+        for engine in [engine, tuple] {
+            let prepared = engine.prepare_algebra(&powerset, &parent_schema()).unwrap();
+            assert_eq!(prepared.prepare_stats().compile_micros, 0);
+            let limited = prepared.execute(&db, Semantics::Limited).unwrap();
+            assert_eq!(limited.result.len(), 4);
+            let one_run = ExecStats {
+                invention_levels: 5,
+                ..limited.stats.deterministic()
+            };
+            let finite = prepared.execute(&db, Semantics::FiniteInvention).unwrap();
+            assert_eq!(finite.result, limited.result);
+            assert_eq!(finite.stabilised_at, Some(1));
+            assert!(!finite.bounded_approximation);
+            assert_eq!(finite.stats.deterministic(), one_run);
+            let terminal = prepared.execute(&db, Semantics::TerminalInvention).unwrap();
+            assert!(terminal.result.is_empty());
+            assert!(terminal.bounded_approximation && terminal.defined_at.is_none());
+            assert_eq!(terminal.stats.deterministic(), one_run);
+        }
     }
 
     #[test]
@@ -1879,7 +1872,10 @@ mod tests {
         // the trip stays exactly reproducible even at `parallelism(4)`.
         let engine = Engine::builder()
             .parallelism(4)
-            .trip_interrupt_after(1, TripKind::Panic)
+            .governor(GovernorConfig {
+                trip_after: Some((1, TripKind::Panic)),
+                ..GovernorConfig::default()
+            })
             .build();
         let prepared = engine.prepare(&grandparent_query()).unwrap();
         let err = prepared.execute(&db(), Semantics::Limited).unwrap_err();
@@ -2133,7 +2129,10 @@ mod tests {
     #[test]
     fn injected_panic_is_contained_as_an_internal_error() {
         let engine = Engine::builder()
-            .trip_interrupt_after(1, TripKind::Panic)
+            .governor(GovernorConfig {
+                trip_after: Some((1, TripKind::Panic)),
+                ..GovernorConfig::default()
+            })
             .build();
         let prepared = engine.prepare(&grandparent_query()).unwrap();
         let db = db();
@@ -2174,7 +2173,10 @@ mod tests {
         // Level 0 polls once, so the third poll trips a later level: the
         // levels that completed are no answer, and the trip is the error.
         let strict = Engine::builder()
-            .trip_interrupt_after(3, TripKind::Cancel)
+            .governor(GovernorConfig {
+                trip_after: Some((3, TripKind::Cancel)),
+                ..GovernorConfig::default()
+            })
             .build();
         let err = strict
             .prepare(&witness_query())
@@ -2215,17 +2217,17 @@ mod tests {
         );
         assert_eq!(stats.interrupt_polls, 2, "entry and exit polls only");
         // The tuple-at-a-time algebra evaluator never interns, so the same
-        // ceiling never trips it.
+        // ceiling never trips it, under any semantics.
         let tuple = Engine::builder()
             .memory_ceiling(1)
             .use_algebra_planner(false)
-            .build();
-        let ok = tuple
+            .build()
             .prepare_algebra(&expr, &parent_schema())
-            .unwrap()
-            .execute(&db, Semantics::Limited)
             .unwrap();
-        assert_eq!(ok.result.len(), 1);
+        for semantics in [Semantics::Limited, Semantics::FiniteInvention] {
+            let ok = tuple.execute(&db, semantics).unwrap();
+            assert_eq!(ok.result.len(), 1, "{semantics}");
+        }
     }
 
     #[test]

@@ -77,19 +77,6 @@ impl Table {
         }
         out
     }
-
-    /// Render the table as a GitHub-flavoured Markdown table (used when updating
-    /// the README's Benchmarks section).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### {}\n\n", self.title));
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -123,14 +110,6 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
         assert_eq!(format!("{t}"), text);
-    }
-
-    #[test]
-    fn markdown_rendering_has_separator_row() {
-        let md = sample().render_markdown();
-        assert!(md.contains("| level | atoms | log2 size |"));
-        assert!(md.contains("|---|---|---|"));
-        assert!(md.contains("| 1 | 3 | 9.0 |"));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The tree walker as the equivalence suites' reference.
 //!
-//! A [`Prepared`](itq_core::pipeline::Prepared) handle runs the compiled slot
-//! evaluator, or the planned join or least fixpoint its query lowers to, one
-//! run of which answers every invention level.  The tree walker (`impl
+//! A [`Prepared`](itq_core::pipeline::Prepared) handle runs the compiled
+//! slot evaluator, or the planned join, least fixpoint or algebra evaluator
+//! one run of which answers every invention level.  The tree walker (`impl
 //! Evaluable for Query`) is the literal transcription of the limited
 //! interpretation, and under the invention semantics it enumerates every
-//! level, so the suites check handles against it by calling it directly: [`walker_outcome`] runs it under one of the three
-//! semantics and maps its results onto the fields a [`QueryOutcome`] reports,
-//! and [`assert_matches_walker`] compares the two.
+//! level, so the suites check handles (on an algebra handle, its Theorem 3.8
+//! translation) against it by calling it directly: [`walker_outcome`] runs
+//! it under one of the three semantics and maps its results onto the fields
+//! a [`QueryOutcome`] reports, and [`assert_matches_walker`] compares the two.
 
 use itq_calculus::eval::{EvalStats, Evaluable};
 use itq_calculus::Query;

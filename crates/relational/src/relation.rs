@@ -6,7 +6,7 @@
 //! calculus/algebra evaluators can be compared on identical inputs.
 
 use itq_object::{Atom, Instance, Type, Value};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A flat relation: a set of `arity`-wide tuples of atoms.
@@ -171,11 +171,6 @@ impl Relation {
         }
         let arity = arity.unwrap_or(0);
         Some(Relation::from_tuples(arity.max(1), tuples))
-    }
-
-    /// A hash-set view of the tuples (used by join implementations).
-    pub fn to_hashset(&self) -> HashSet<Vec<Atom>> {
-        self.tuples.iter().cloned().collect()
     }
 }
 

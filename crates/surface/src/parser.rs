@@ -74,7 +74,7 @@ pub const MAX_DEPTH: usize = 200;
 
 /// The levels of [`MAX_DEPTH`] one algebra operator costs.  Behind the
 /// parser an operator takes far more stack than a formula level: the
-/// planner, the Theorem 3.8 translation and its compiled form each recurse
+/// planner, the Theorem 3.8 translation and its `compile`d slots each recurse
 /// once per operator, and in a debug build on a 2 MiB stack the planner
 /// overflowed at about 125 operators while every formula production ran at
 /// 199 levels.

@@ -653,10 +653,9 @@ impl Session {
     }
 
     /// `plan NAME;` — pretty-print the set-at-a-time physical plan the
-    /// prepare step built (the plan `eval` executes under the limited
-    /// interpretation, and for a calculus query once for every invention
-    /// level too): every algebra expression has one, and so does a calculus
-    /// query in the conjunctive fragment.  A least-fixpoint query prints its
+    /// prepare step built (the plan `eval` executes, once for every
+    /// invention level too): every algebra expression has one, and so does a
+    /// calculus query in the conjunctive fragment.  A least-fixpoint query prints its
     /// Datalog rules instead.  Any other calculus query is reported as
     /// running on the evaluator that enumerates it.
     fn plan(&mut self, name: &str) -> Result<Vec<String>, SessionError> {
@@ -1552,8 +1551,8 @@ mod tests {
 
     #[test]
     fn redefining_a_schema_invalidates_prepared_algebra_handles() {
-        // An algebra handle compiled against the old schema must not survive a
-        // schema redefinition: the stale compiled form would silently type the
+        // An algebra handle planned against the old schema must not survive a
+        // schema redefinition: the stale plan would silently type the
         // predicate at its old arity.
         let mut s = Session::with_engine(Engine::builder().max_invented(1).build());
         run(
@@ -1609,10 +1608,8 @@ mod tests {
 
     #[test]
     fn algebra_expressions_evaluate_under_invention_via_their_compiled_form() {
-        // The prepared handle compiles algebra to calculus once, so the
-        // Section 6 semantics apply to algebra names directly now.  Keep the
-        // invention bound at one level — the compiled form quantifies over
-        // wide tuple domains that grow fast with extra atoms.
+        // The Section 6 semantics apply to algebra names directly: one run of
+        // the prepared plan answers every invention level.
         let mut s = Session::with_engine(Engine::builder().max_invented(1).build());
         genealogy(&mut s);
         let out = run(

@@ -61,8 +61,9 @@ fn main() {
     );
 
     // ----------------------------------------------------- algebra evaluation ----
-    // Algebra expressions are compiled to the calculus once, at prepare time
-    // (Theorem 3.8); limited execution still runs the algebra form directly.
+    // Algebra expressions are planned once, at prepare time, and translated
+    // to the calculus (Theorem 3.8) for classification; one run of the plan
+    // answers every semantics, since invented values add nothing to them.
     let schema = queries::parent_schema();
     let grandparent_algebra = AlgExpr::pred("PAR")
         .product(AlgExpr::pred("PAR"))

@@ -27,13 +27,16 @@ fn main() {
             "expected `{needle}` in the script output"
         );
     };
-    // Genealogy: grandparent pairs under all three semantics, and the
-    // algebra/compiled-calculus agreement.
+    // Genealogy: grandparent pairs under all three semantics, the algebra
+    // join under both invention semantics, and the algebra/compiled-calculus
+    // agreement.
     expect("eval grandparent on family with limited: 2 objects");
     expect("eval grandparent on family with finite-invention: 2 objects");
     expect("eval grandparent on family with terminal-invention: undefined within bound");
     expect("[Tom, Sue]");
     expect("[Mary, Ann]");
+    expect("eval ga on family with finite-invention: 2 objects");
+    expect("eval ga on family with terminal-invention: undefined within bound");
     expect("compiled ga (algebra) → gc (calculus)");
     expect("eval gc on family with limited: 2 objects");
     // Parity: even committee returns everyone, odd committee returns nobody.

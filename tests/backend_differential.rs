@@ -26,7 +26,8 @@
 //!   stabilisation levels, error classification) agree between planner-on
 //!   and planner-off engines for every semantics, and with the tree walker
 //!   run directly on the Theorem 3.8 translation under the invention
-//!   semantics (which run that translation on every engine); each backend's
+//!   semantics, which one run of either algebra evaluator answers (where the
+//!   walker fails on its budget, with the limited answer); each backend's
 //!   statistics keep their shape (planner counters zero off the planned
 //!   path, calculus counters zero on the algebra paths).
 //!
@@ -293,57 +294,57 @@ fn engine_pair() -> [Engine; 2] {
     [planner, tuple]
 }
 
-/// Prepared-pipeline outcomes of both engines, and under the invention
-/// semantics the tree walker's on the Theorem 3.8 translation: answers,
-/// flags, levels, and error classification agree; statistics keep their
-/// backend shape.
-fn assert_prepared_outcomes_agree(expr: &AlgExpr, db: &Database, semantics: Semantics) {
-    let [planner_engine, tuple_engine] = engine_pair();
-    let [planner, tuple] = [&planner_engine, &tuple_engine].map(|engine| {
-        engine
-            .prepare_algebra(expr, &schema())
-            .expect("generated expressions prepare")
-            .execute(db, semantics)
-    });
-    let context = format!("{semantics}: {expr}");
-    match (&planner, &tuple) {
-        (Ok(planner), Ok(tuple)) => {
-            assert_eq!(planner.result, tuple.result, "{context}: planner vs tuple");
-            assert_eq!(
-                planner.bounded_approximation, tuple.bounded_approximation,
-                "{context}: flags"
-            );
-            assert_eq!(planner.defined_at, tuple.defined_at, "{context}");
-            assert_eq!(planner.stabilised_at, tuple.stabilised_at, "{context}");
-            assert_eq!(planner.semantics, tuple.semantics);
-        }
-        (Err(planner), Err(tuple)) => {
-            assert_eq!(planner, tuple, "{context}: error classification");
-        }
-        _ => panic!("{context}: backends disagree: planner {planner:?} vs tuple {tuple:?}"),
-    }
-    if semantics == Semantics::Limited {
-        if let (Ok(planner), Ok(tuple)) = (&planner, &tuple) {
+/// Prepared-pipeline outcomes of both engines under every semantics.  Under
+/// the limited interpretation their answers, flags and error classification
+/// agree, and each backend's statistics keep their shape.  One run of either
+/// evaluator answers the invention semantics too: where it fails, both
+/// invention semantics fail with its error; where it answers, the tree walker
+/// on the Theorem 3.8 translation is the reference
+/// ([`assert_routed_invention_agrees`]).
+fn assert_prepared_outcomes_agree(expr: &AlgExpr, db: &Database) {
+    let engines = engine_pair();
+    let handles: Vec<Prepared> = engines
+        .iter()
+        .map(|engine| engine.prepare_algebra(expr, &schema()))
+        .collect::<Result<_, _>>()
+        .expect("generated expressions prepare");
+    let limited: Vec<_> = handles
+        .iter()
+        .map(|p| p.execute(db, Semantics::Limited))
+        .collect();
+    let context = format!("{expr}");
+    match (&limited[0], &limited[1]) {
+        (Ok(planned), Ok(tupled)) => {
+            assert_eq!(planned.result, tupled.result, "{context}: planner vs tuple");
+            assert!(!planned.bounded_approximation && !tupled.bounded_approximation);
             // Stats shape: the algebra paths never touch the calculus
             // counters, and only the planner reports planner counters.
-            assert_eq!(planner.stats.steps, 0, "{expr}");
-            assert_eq!(tuple.stats.steps, 0, "{expr}");
-            assert_eq!(tuple.stats.join_probes, 0, "{expr}");
-            assert_eq!(tuple.stats.tuples_materialised, 0, "{expr}");
+            assert_eq!(planned.stats.steps, 0, "{context}");
+            assert_eq!(
+                tupled.stats.deterministic(),
+                ExecStats::default(),
+                "{context}"
+            );
         }
-        return;
+        (Err(planned), Err(tupled)) => {
+            assert_eq!(planned, tupled, "{context}: error classification");
+        }
+        (planned, tupled) => {
+            panic!("{context}: backends disagree: planner {planned:?} vs tuple {tupled:?}")
+        }
     }
-    // Invention routes through the calculus form on every engine; planner
-    // counters stay zero there, and the tree walker is the reference.
     let query = to_calculus_query(expr, &schema()).expect("well-typed expressions translate");
-    let walker = walker_outcome(&tuple_engine, &query, db, semantics);
-    if let (Err(planner), Err(walker)) = (&planner, &walker) {
-        assert_eq!(planner, walker, "{context}: error classification");
-    }
-    for outcome in [&planner, &tuple] {
-        if let Some((outcome, _)) = assert_matches_walker(outcome, &walker, &context) {
-            assert_eq!(outcome.stats.join_probes, 0, "{context}");
-            assert_eq!(outcome.stats.tuples_materialised, 0, "{context}");
+    for ((engine, prepared), limited) in engines.iter().zip(&handles).zip(&limited) {
+        match limited {
+            Ok(limited) => {
+                assert_routed_invention_agrees(prepared, engine, &query, db, limited, &context);
+            }
+            Err(err) => {
+                for semantics in [Semantics::FiniteInvention, Semantics::TerminalInvention] {
+                    let invented = prepared.execute(db, semantics);
+                    assert_eq!(invented.as_ref().unwrap_err(), err, "{context}/{semantics}");
+                }
+            }
         }
     }
 }
@@ -371,9 +372,7 @@ proptest! {
     /// all semantics.
     #[test]
     fn prepared_outcomes_agree_across_the_trio(expr in alg_expr(), db in small_db()) {
-        for semantics in Semantics::ALL {
-            assert_prepared_outcomes_agree(&expr, &db, semantics);
-        }
+        assert_prepared_outcomes_agree(&expr, &db);
     }
 
     /// Tiny algebra budgets: products and powersets die on the same
@@ -434,7 +433,8 @@ fn product_budget_error_string_is_byte_identical_across_backends() {
     assert_eq!(planned_err.to_string(), expected);
     assert_eq!(planned_err, tuple_err);
 
-    // Through `Prepared::execute` on both engines.
+    // Through `Prepared::execute` on both engines, under every semantics:
+    // one run of the algebra answers them all, under the algebra budget.
     for (label, engine) in [
         ("planner", Engine::builder().alg_config(tiny).build()),
         (
@@ -445,12 +445,11 @@ fn product_budget_error_string_is_byte_identical_across_backends() {
                 .build(),
         ),
     ] {
-        let err = engine
-            .prepare_algebra(&expr, &schema())
-            .unwrap()
-            .execute(&db, Semantics::Limited)
-            .unwrap_err();
-        assert_eq!(err.to_string(), expected, "{label}");
+        let prepared = engine.prepare_algebra(&expr, &schema()).unwrap();
+        for semantics in Semantics::ALL {
+            let err = prepared.execute(&db, semantics).unwrap_err();
+            assert_eq!(err.to_string(), expected, "{label}/{semantics}");
+        }
     }
 }
 
@@ -676,9 +675,11 @@ fn conjunctive_db(rng: &mut FaultRng) -> Database {
         .with("PERSON", Instance::from_atoms(people.iter().copied()))
 }
 
-/// A routed handle of `engine` under both invention semantics against the
-/// tree walker run with `oracle`'s budgets and the same invention bound.
-/// One run of the route answers every level, so the handle's statistics are
+/// A routed handle (a calculus route or an algebra evaluator) under both
+/// invention semantics against the tree walker on `query` (the handle's
+/// query, or an algebra handle's Theorem 3.8 translation), run with
+/// `oracle`'s budgets and invention bound, which must be the handle's.  One
+/// run of the route answers every level, so the handle's statistics are
 /// those of `limited`, its limited outcome, with `max_invented + 1` levels.
 /// Where the walker answers, the answers, flags, levels and error text are
 /// its.  Where it fails on a budget, the handle answers its limited answer:
@@ -686,15 +687,14 @@ fn conjunctive_db(rng: &mut FaultRng) -> Database {
 /// under terminal invention.  Returns how many of the two semantics the
 /// walker answered.
 fn assert_routed_invention_agrees(
-    (engine, oracle): (&Engine, &Engine),
+    prepared: &Prepared,
+    oracle: &Engine,
     query: &Query,
     db: &Database,
     limited: &QueryOutcome,
     here: &str,
 ) -> usize {
-    let prepared = engine.prepare(query).unwrap();
-    let max_invented = engine.max_invented();
-    assert_eq!(oracle.max_invented(), max_invented, "{here}");
+    let max_invented = oracle.max_invented();
     let mut answered = 0;
     for semantics in [Semantics::FiniteInvention, Semantics::TerminalInvention] {
         let context = format!("{here}/{semantics}");
@@ -787,8 +787,9 @@ fn conjunctive_calculus_route_agrees_with_the_tree_walker() {
                 assert!(stats.join_probes > 0, "{here}: answers come from probes");
                 joined += 1;
             }
-            let engines = (&invention, &invention);
-            invented += assert_routed_invention_agrees(engines, &query, &db, outcome, &here);
+            let prepared = invention.prepare(&query).unwrap();
+            invented +=
+                assert_routed_invention_agrees(&prepared, &invention, &query, &db, outcome, &here);
         }
         assert!(
             tiny.prepare(&query).unwrap().physical_plan().is_none(),
@@ -1004,8 +1005,9 @@ fn least_fixpoint_route_agrees_with_the_tree_walker() {
                 outcome.stats.max_domain_seen < candidate_sets,
                 "{here}: a routed run drew the set quantifier"
             );
-            let engines = (&invention, &oracle);
-            invented += assert_routed_invention_agrees(engines, &query, &db, outcome, &here);
+            let prepared = invention.prepare(&query).unwrap();
+            invented +=
+                assert_routed_invention_agrees(&prepared, &oracle, &query, &db, outcome, &here);
         } else if prepared.least_fixpoint().is_some() {
             fell_back += 1;
         }
@@ -1094,7 +1096,7 @@ fn routed_invention_agrees_with_the_walker_off_the_genealogy_shapes() {
         let walker = walker_outcome(&engine, &query, &db, Semantics::Limited);
         assert_matches_walker(&Ok(limited.clone()), &walker, &here);
         let answered =
-            assert_routed_invention_agrees((&engine, &engine), &query, &db, &limited, &here);
+            assert_routed_invention_agrees(&prepared, &engine, &query, &db, &limited, &here);
         assert_eq!(answered, 2, "{here}: the walker answers both semantics");
     }
 }

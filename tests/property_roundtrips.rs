@@ -3,6 +3,7 @@
 //! stability of the baselines on random graphs.
 
 use itq_algebra::nest::{nest, unnest};
+use itq_algebra::{AlgExpr, SelFormula};
 use itq_calculus::eval::EvalConfig;
 use itq_calculus::{Formula, Query, Term};
 use itq_core::engine::{Engine, EngineError, Semantics};
@@ -202,10 +203,11 @@ proptest! {
     /// handle under every semantics: for a bijection π of the atoms that
     /// fixes the query's constants C, with images anywhere in `u32`,
     /// Q(π(d)) = π(Q(d)), with the same flags and levels, or the same kind
-    /// of error.  The workloads are the exemplars, the Example 3.1 closure
-    /// and a query with a constant, on `edges` over two atoms; the invention
-    /// bound is 1, so the closure's invention levels enumerate at most
-    /// 2^9 relations.
+    /// of error.  The workloads are the exemplars, and on `edges` over two
+    /// atoms the Example 3.1 closure, a query with a constant, and three
+    /// algebra handles: the grandparent join, `𝒫(PAR)` and a selection
+    /// against a constant.  The invention bound is 1, so the handles that
+    /// enumerate their levels draw at most 2^9 relations.
     #[test]
     fn prepared_queries_are_generic_under_every_semantics(
         edges in proptest::collection::vec((0u32..2, 0u32..2), 0..4),
@@ -216,15 +218,31 @@ proptest! {
         let db = queries::parent_database(&pairs);
         let mut workloads = queries::exemplar_workloads();
         workloads.push(("transitive-closure", queries::transitive_closure_query(), db.clone()));
-        workloads.push(("constant-or-unmentioned", constant_or_unmentioned(), db));
-        for (name, query, db) in workloads {
+        workloads.push(("constant-or-unmentioned", constant_or_unmentioned(), db.clone()));
+        let mut handles: Vec<_> = workloads
+            .into_iter()
+            .map(|(name, query, db)| (name, engine.prepare(&query).unwrap(), db))
+            .collect();
+        let grandparent = AlgExpr::pred("PAR")
+            .product(AlgExpr::pred("PAR"))
+            .select(SelFormula::coords_eq(2, 3))
+            .project(vec![1, 4]);
+        for (name, expr) in [
+            ("algebra-grandparent", grandparent),
+            ("algebra-powerset", AlgExpr::pred("PAR").powerset()),
+            ("algebra-constant", AlgExpr::pred("PAR").select(SelFormula::coord_is(1, Atom(0)))),
+        ] {
+            let prepared = engine.prepare_algebra(&expr, &queries::parent_schema()).unwrap();
+            handles.push((name, prepared, db.clone()));
+        }
+        for (name, prepared, db) in handles {
+            let query = prepared.query();
             let pi = renaming(&query.evaluation_domain(&db), &query.constants(), &draws);
             let rename = |atom: Atom| pi[&atom];
             let renamed = Database::new(db.iter().map(|(relation, instance)| {
                 let values = instance.iter().map(|v| v.permute(&rename));
                 (relation.to_string(), Instance::from_values(values))
             }));
-            let prepared = engine.prepare(&query).unwrap();
             for semantics in Semantics::ALL {
                 let here = format!("{name}/{semantics} under {pi:?}");
                 match (prepared.execute(&db, semantics), prepared.execute(&renamed, semantics)) {

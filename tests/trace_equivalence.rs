@@ -152,7 +152,7 @@ fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, workers: usize
             );
             assert_eq!(span.field("steps"), Some(stats.steps), "{label}");
         }
-        "planned-calculus" => {
+        "planned-calculus" | "planned-algebra" => {
             assert_eq!(
                 span.subtree_total("join_probes"),
                 stats.join_probes,
@@ -169,6 +169,19 @@ fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, workers: usize
                 "{label}"
             );
             assert_eq!(stats.steps, 0, "{label}: no formula is evaluated");
+        }
+        "tuple-algebra" => {
+            assert!(span.children.is_empty(), "{label}");
+            assert_eq!(
+                span.field("rows_out"),
+                Some(outcome.result.len() as u64),
+                "{label}"
+            );
+            assert_eq!(
+                stats.deterministic(),
+                ExecStats::default(),
+                "{label}: the tuple-at-a-time evaluator counts nothing"
+            );
         }
         "least-fixpoint" => {
             assert!(span.field("rounds").is_some(), "{label}");
@@ -196,7 +209,10 @@ fn assert_span_matches_stats(outcome: &QueryOutcome, span: &Span, workers: usize
             let (first, higher) = span.children.split_first().expect("level 0 always runs");
             if let [route] = first.children.as_slice() {
                 assert!(
-                    matches!(route.name.as_str(), "planned-calculus" | "least-fixpoint"),
+                    matches!(
+                        route.name.as_str(),
+                        "planned-calculus" | "least-fixpoint" | "planned-algebra" | "tuple-algebra"
+                    ),
                     "{label}: `{}` under Q|_0[d]",
                     route.name
                 );
@@ -283,10 +299,11 @@ proptest! {
 }
 
 /// The algebra backends through the same three-way harness, at one and at
-/// four workers (both run sequentially at any count): the planned executor's
-/// operator tree and the tuple-at-a-time root span both annotate the
-/// identical answer, and the planned tree's counter fields tile the planner
-/// stats.
+/// four workers (both run sequentially at any count), under every
+/// semantics: the planned executor's operator tree and the tuple-at-a-time
+/// root span both annotate the identical answer, the planned tree's counter
+/// fields tile the planner stats, and under the invention semantics one run
+/// of either sits under `Q|_0[d]`.
 #[test]
 fn tracing_never_changes_algebra_outcomes() {
     let expr = itq_algebra::AlgExpr::pred("PAR")
@@ -296,51 +313,28 @@ fn tracing_never_changes_algebra_outcomes() {
     let schema = queries::parent_schema();
     let edges: Vec<(Atom, Atom)> = (0..12).map(|i| (Atom(i), Atom(i + 1))).collect();
     let db = queries::parent_database(&edges);
-    let engines = [1, 4].into_iter().flat_map(|workers| {
-        [
-            (
-                format!("planner/workers={workers}"),
-                Engine::builder().parallelism(workers).build(),
-            ),
-            (
-                format!("tuple/workers={workers}"),
-                Engine::builder()
-                    .parallelism(workers)
-                    .use_algebra_planner(false)
-                    .build(),
-            ),
-        ]
-    });
-    for (label, engine) in engines {
+    for (workers, planner) in [(1, true), (1, false), (4, true), (4, false)] {
+        let engine = Engine::builder()
+            .parallelism(workers)
+            .use_algebra_planner(planner)
+            .build();
         let prepared = engine.prepare_algebra(&expr, &schema).unwrap();
-        let (outcome, span) =
-            execute_three_ways(&prepared, &db, Semantics::Limited, &label).expect("in budget");
-        assert_eq!(outcome.result.len(), 11, "{label}");
-        assert_eq!(
-            span.field("rows_out"),
-            Some(outcome.result.len() as u64),
-            "{label}"
-        );
-        match span.name.as_str() {
-            "planned-algebra" => {
-                assert_eq!(
-                    span.subtree_total("join_probes"),
-                    outcome.stats.join_probes,
-                    "per-operator probes tile the planner total"
-                );
-                assert_eq!(
-                    span.subtree_total("tuples_materialised"),
-                    outcome.stats.tuples_materialised,
-                    "per-operator materialisation tiles the planner total"
-                );
-                assert!(
-                    span.children[0].name.starts_with("hash-join"),
-                    "fused σ∘× renders as a join: {}",
-                    span.children[0].name
-                );
+        for semantics in Semantics::ALL {
+            let label = format!("planner={planner}/workers={workers}/{semantics}");
+            let (outcome, span) =
+                execute_three_ways(&prepared, &db, semantics, &label).expect("in budget");
+            assert_span_matches_stats(&outcome, &span, workers, &label);
+            let route = route_span(&span);
+            assert_eq!(route.field("rows_out"), Some(11), "{label}");
+            match route.name.as_str() {
+                "planned-algebra" => assert!(
+                    planner && route.children[0].name.starts_with("hash-join"),
+                    "{label}: fused σ∘× renders as a join: {}",
+                    route.children[0].name
+                ),
+                "tuple-algebra" => assert!(!planner, "{label}"),
+                other => panic!("{label}: unexpected route span `{other}`"),
             }
-            "tuple-algebra" => assert!(span.children.is_empty()),
-            other => panic!("{label}: unexpected root span `{other}`"),
         }
     }
 }
