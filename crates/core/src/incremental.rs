@@ -342,16 +342,22 @@ impl IncrementalDb {
 
     /// Apply a validated mutation to `pred` (`apply` returns the values
     /// actually added and the number actually removed), bump the version,
-    /// and refresh every watched view.
+    /// and refresh every watched view.  Only a view that does not read
+    /// `pred` asks whether the active domain changed, so the domain is
+    /// scanned, before and after, only when such a view is watched.
     fn commit_epoch(
         &mut self,
         pred: &str,
         apply: impl FnOnce(&mut Instance) -> (Vec<Value>, usize),
     ) -> MutationOutcome {
-        let adom_before = self.db.active_domain();
+        let adom_before = self
+            .views
+            .values()
+            .any(|view| !view.support.contains(pred))
+            .then(|| self.db.active_domain());
         let (added, removed) = apply(self.db.relation_mut(pred));
         self.version += 1;
-        let adom_changed = adom_before != self.db.active_domain();
+        let adom_changed = adom_before.is_some_and(|before| before != self.db.active_domain());
         let refreshed = self.refresh_views(pred, &added, removed, adom_changed);
         MutationOutcome {
             pred: pred.to_string(),
@@ -370,8 +376,8 @@ impl IncrementalDb {
         let warm = matches!(&result, Ok(outcome) if outcome.least_model);
         let outcome = result.map(|outcome| outcome.result);
         let support = prepared.query().body().predicates();
-        // Only the limited interpretation runs the route: invention
-        // semantics re-run their level loop.
+        // Only a limited view keeps the route's least model warm; an
+        // invention view re-executes its handle.
         let strategy = match (semantics, prepared.fixpoint_route()) {
             (Semantics::Limited, Some(_)) => RefreshStrategy::LeastFixpoint { warm },
             _ => RefreshStrategy::Reexecute,
@@ -833,6 +839,10 @@ mod tests {
         // atoms, is skipped entirely.
         let out = inc.insert("OTHER", vec![Value::pair(a(1), a(0))]).unwrap();
         assert_eq!(out.refreshed[0].path, RefreshPath::SkippedUnchangedSupport);
+        // One that brings a fresh atom changes the active domain, which the
+        // view's answer may depend on, so it re-executes.
+        let out = inc.insert("OTHER", vec![Value::pair(a(1), a(7))]).unwrap();
+        assert_eq!(out.refreshed[0].path, RefreshPath::Reexecuted);
         assert!(inc.unwatch("gp"));
         assert!(!inc.unwatch("gp"));
         let out = inc.insert("PAR", vec![Value::pair(a(1), a(2))]).unwrap();

@@ -34,12 +34,13 @@
 //! limited interpretation computes its least model semi-naively, then checks
 //! the guards on each element (root span `least-fixpoint`).  Both fragments
 //! are level-invariant — invented atoms change neither answer (the argument
-//! is in `lowering.rs`) — so one run of the route answers the
-//! invention semantics too: every `Q|_n[d]` level is that answer, and the
-//! level-0 span nests the route's.  Every other calculus execution runs the
-//! compiled slot evaluator, at every invention level under the invention
-//! semantics.  Only calculus handles under default budgets take the routes,
-//! so budget errors keep their enumeration text.  An algebra handle never
+//! is in `lowering.rs`) — so one run of the route states the invention
+//! outcomes too: `Q^fi` is its answer, stable from level 1, and `Q^ti` is
+//! undefined within the bound; the traced ladder nests the route's span
+//! under `Q|_0[d]`.  Every other calculus execution runs the compiled slot
+//! evaluator, at every invention level under the invention semantics.  Only
+//! calculus handles under default budgets take the routes, so budget errors
+//! keep their enumeration text.  An algebra handle never
 //! enumerates: invented atoms never change an expression's answer (the
 //! argument is in [`mod@itq_algebra::to_calculus`]), so one run of its plan
 //! (`planned-algebra`), or of the tuple-at-a-time evaluator (`tuple-algebra`),
@@ -65,12 +66,8 @@ use crate::engine::{Engine, EngineError, GovernorConfig, PlanSettings, Semantics
 use crate::lowering::{self, LeastFixpoint};
 use itq_algebra::{to_calculus_query, AlgExpr, EvalConfig as AlgConfig, PhysicalPlan};
 use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable};
-use itq_calculus::normal::{sf_classification, to_prenex, PrenexForm, SfClassification};
 use itq_calculus::{CompiledQuery, Query, QueryClassification};
-use itq_invention::{
-    finite_invention_ctx, finite_levels, terminal_invention_ctx, terminal_levels, InventionError,
-    Level, TerminalOutcome,
-};
+use itq_invention::{finite_invention_ctx, level_span, terminal_invention_ctx, TerminalOutcome};
 use itq_object::{CancelFlag, Database, ExecCtx, Instance, Interrupt, Schema, Universe};
 use itq_relational::Program;
 use itq_trace::{Span, TraceSink};
@@ -351,10 +348,9 @@ pub struct PrepareStats {
     pub plan_micros: u64,
     /// The `CALC_{k,i}` classification (Section 3).
     pub classify_micros: u64,
-    /// Normal forms: the existential-fragment analysis and the prenex form
-    /// (Section 4), plus, for a calculus handle under default budgets, the
-    /// attempts to lower it to a conjunctive rule or to a least-fixpoint
-    /// program.
+    /// For a calculus handle under default budgets, the attempts to lower it
+    /// to a least-fixpoint program or to a conjunctive rule (normal forms of
+    /// the route); 0 for every other handle.
     pub normalize_micros: u64,
     /// Lowering into the slot-based compiled evaluator: 0 for algebra
     /// handles, which never compile.
@@ -599,6 +595,21 @@ pub struct QueryOutcome {
     pub(crate) least_model: bool,
 }
 
+impl QueryOutcome {
+    /// An outcome with no invention flag set and no least model.
+    fn new(result: Instance, semantics: Semantics, stats: ExecStats) -> QueryOutcome {
+        QueryOutcome {
+            result,
+            semantics,
+            bounded_approximation: false,
+            defined_at: None,
+            stabilised_at: None,
+            stats,
+            least_model: false,
+        }
+    }
+}
+
 /// Which language the handle was prepared from, and what its executions run.
 #[derive(Debug)]
 enum PreparedSource {
@@ -652,8 +663,7 @@ enum CalculusRoute {
 /// let prepared = engine.prepare(&queries::transitive_closure_query()).unwrap();
 /// // Static artifacts are cached in the handle:
 /// assert_eq!(prepared.classification().minimal_class, CalcClass::second_order());
-/// assert!(!prepared.sf_classification().is_in_sf());
-/// assert!(prepared.prenex().prefix.len() >= 1);
+/// assert!(prepared.least_fixpoint().is_some());
 /// ```
 #[must_use]
 #[derive(Debug, Clone)]
@@ -673,13 +683,11 @@ pub struct Prepared {
 struct StaticHalf {
     source: PreparedSource,
     /// The calculus query: for an algebra handle, its Theorem 3.8
-    /// translation, which classification and the normal forms read.
+    /// translation, which classification reads.
     query: Query,
     /// Wall-clock timings of the prepare phases that built this handle.
     prepare_stats: PrepareStats,
     classification: QueryClassification,
-    sf: SfClassification,
-    prenex: PrenexForm,
     /// The static-analysis report computed at prepare time (unused variables,
     /// foldable subformulas, budget forecasts, stratum report — see
     /// [`itq_analyze`]).
@@ -690,8 +698,9 @@ struct StaticHalf {
 
 impl Engine {
     /// Prepare a calculus query: re-validate its typing, classify it into its
-    /// minimal `CALC_{k,i}` family, compute its normal forms, and snapshot the
-    /// engine configuration into a reusable [`Prepared`] handle.
+    /// minimal `CALC_{k,i}` family, lower it to its route where it has one,
+    /// compile it, and snapshot the engine configuration into a reusable
+    /// [`Prepared`] handle.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -770,8 +779,6 @@ impl Engine {
         let classification = query.classification();
         let classify_micros = phase.elapsed().as_micros() as u64;
         let phase = Instant::now();
-        let sf = sf_classification(&query);
-        let prenex = to_prenex(query.body());
         let (mut route, mut rule) = (None, None);
         if algebra.is_none() && self.settings.default_budgets() {
             match lowering::lower_least_fixpoint(&query) {
@@ -818,8 +825,6 @@ impl Engine {
             query,
             prepare_stats,
             classification,
-            sf,
-            prenex,
             diagnostics,
             settings: self.settings,
         };
@@ -960,30 +965,6 @@ impl Prepared {
     /// ```
     pub fn classification(&self) -> &QueryClassification {
         &self.shared.classification
-    }
-
-    /// The cached existential-fragment analysis (`CALC_{0,1,∃}`, Theorem 4.3).
-    ///
-    /// ```
-    /// use itq_core::prelude::*;
-    /// use itq_core::queries;
-    /// let prepared = Engine::new().prepare(&queries::grandparent_query()).unwrap();
-    /// assert!(prepared.sf_classification().is_in_sf());
-    /// ```
-    pub fn sf_classification(&self) -> &SfClassification {
-        &self.shared.sf
-    }
-
-    /// The cached prenex normal form of the query body.
-    ///
-    /// ```
-    /// use itq_core::prelude::*;
-    /// use itq_core::queries;
-    /// let prepared = Engine::new().prepare(&queries::grandparent_query()).unwrap();
-    /// assert_eq!(prepared.prenex().prefix.len(), 2); // ∃x ∃y
-    /// ```
-    pub fn prenex(&self) -> &PrenexForm {
-        &self.shared.prenex
     }
 
     /// True if this handle was prepared from an algebra expression.
@@ -1266,11 +1247,11 @@ impl Prepared {
         }
     }
 
-    /// The backend dispatch proper, one arm per semantics × what answers
-    /// the handle, running under `run`'s containment seam.  A handle whose
-    /// route answers ([`Prepared::route`]) takes that one run under every
-    /// semantics; every other handle runs its compiled slots, at each
-    /// invention level under the invention semantics.
+    /// The backend dispatch proper, running under `run`'s containment seam.
+    /// A handle whose route answers ([`Prepared::route`]) states every
+    /// semantics' outcome from that one run ([`Routed::outcome`]); every
+    /// other handle runs its compiled slots, at each invention level under
+    /// the invention semantics.
     fn dispatch(
         &self,
         db: &Database,
@@ -1278,97 +1259,50 @@ impl Prepared {
         ctx: &ExecCtx,
     ) -> Result<(QueryOutcome, Option<Span>), EngineError> {
         let settings = &self.shared.settings;
-        let outcome = |result: Instance, stats: ExecStats| QueryOutcome {
-            result,
-            semantics,
-            bounded_approximation: false,
-            defined_at: None,
-            stabilised_at: None,
-            stats,
-            least_model: false,
+        let max_invented = settings.max_invented;
+        let compiled = match self.route(db, ctx)? {
+            Run::Routed(routed) => return Ok(routed.outcome(semantics, max_invented)),
+            Run::Enumerated(compiled) => compiled,
         };
-        match (semantics, self.route(db, ctx)?) {
-            (Semantics::Limited, Run::Routed(routed)) => {
-                let limited = QueryOutcome {
-                    least_model: routed.least_model,
-                    ..outcome(routed.answer, routed.stats)
-                };
-                Ok((limited, routed.span))
-            }
-            (Semantics::Limited, Run::Enumerated(compiled)) => {
+        match semantics {
+            Semantics::Limited => {
                 let (evaluation, span) = compiled.eval_ctx(db, &[], &settings.calc, ctx)?;
                 let stats = ExecStats {
                     partitions: evaluation.partitions,
                     ..ExecStats::from_eval(evaluation.stats, 0)
                 };
-                Ok((outcome(evaluation.result, stats), span))
+                Ok((QueryOutcome::new(evaluation.result, semantics, stats), span))
             }
-            (Semantics::FiniteInvention, run) => {
-                let max_invented = settings.max_invented;
-                let (report, stats, levels) = match run {
-                    Run::Routed(routed) => {
-                        let stats = routed.stats;
-                        let (report, _, levels) =
-                            finite_levels(max_invented, ctx.traced, routed.levels())?;
-                        (report, stats, levels)
-                    }
-                    Run::Enumerated(compiled) => {
-                        let (report, stats, levels) =
-                            finite_invention_ctx(compiled, db, max_invented, &settings.calc, ctx)?;
-                        (report, ExecStats::from_eval(stats, 0), levels)
-                    }
-                };
-                let stats = ExecStats {
-                    invention_levels: report.levels() as u64,
-                    ..stats
-                };
+            Semantics::FiniteInvention => {
+                let (report, stats, levels) =
+                    finite_invention_ctx(compiled, db, max_invented, &settings.calc, ctx)?;
+                let stats = ExecStats::from_eval(stats, report.levels() as u64);
                 let finite = QueryOutcome {
                     bounded_approximation: report.stabilised_at.is_none(),
                     stabilised_at: report.stabilised_at,
-                    ..outcome(report.union, stats)
+                    ..QueryOutcome::new(report.union, semantics, stats)
                 };
                 let span = levels.map(|levels| invention_span("finite-invention", &finite, levels));
                 Ok((finite, span))
             }
-            (Semantics::TerminalInvention, run) => {
-                let max_invented = settings.max_invented;
-                let (terminal, stats, levels) = match run {
-                    Run::Routed(routed) => {
-                        let stats = routed.stats;
-                        let (terminal, _, levels) =
-                            terminal_levels(max_invented, ctx.traced, routed.levels())?;
-                        (terminal, stats, levels)
-                    }
-                    Run::Enumerated(compiled) => {
-                        let (terminal, stats, levels) = terminal_invention_ctx(
-                            compiled,
-                            db,
-                            max_invented,
-                            &settings.calc,
-                            ctx,
-                        )?;
-                        (terminal, ExecStats::from_eval(stats, 0), levels)
-                    }
-                };
+            Semantics::TerminalInvention => {
+                let (terminal, stats, levels) =
+                    terminal_invention_ctx(compiled, db, max_invented, &settings.calc, ctx)?;
                 let terminal = match terminal {
                     TerminalOutcome::Defined { n, answer } => QueryOutcome {
                         defined_at: Some(n),
-                        ..outcome(
+                        ..QueryOutcome::new(
                             answer,
-                            ExecStats {
-                                invention_levels: (n + 1) as u64,
-                                ..stats
-                            },
+                            semantics,
+                            ExecStats::from_eval(stats, (n + 1) as u64),
                         )
                     },
                     TerminalOutcome::UndefinedWithinBound { tried } => QueryOutcome {
                         bounded_approximation: true,
-                        ..outcome(
+                        ..QueryOutcome::new(
                             Instance::empty(),
-                            ExecStats {
-                                invention_levels: tried as u64,
-                                ..stats
-                            },
+                            semantics,
+                            ExecStats::from_eval(stats, tried as u64),
                         )
                     },
                 };
@@ -1465,9 +1399,11 @@ enum Run<'a> {
 /// Every route is level-invariant (see `lowering.rs` for the calculus
 /// routes and [`mod@itq_algebra::to_calculus`] for the algebra): the answer
 /// at every invention level `n` holds no invented atom and equals this one.
-/// So the run answers both invention semantics too — `Q^fi` is this answer,
-/// stable from level 1, and `Q^ti` is undefined within the bound — with
-/// these counters.
+/// So the run states both invention outcomes in closed form
+/// ([`Routed::outcome`]), with no level evaluated again: `Q^fi` is this
+/// answer, stable from level 1 (bounded when only level 0 is allowed), and
+/// `Q^ti` is undefined within the bound, every level's unrestricted answer
+/// being this one.
 struct Routed {
     answer: Instance,
     stats: ExecStats,
@@ -1477,27 +1413,65 @@ struct Routed {
 }
 
 impl Routed {
-    /// The invention level loops' closure: this run at level 0, its span
-    /// nested there, and the same answer with zero counters at every level
-    /// above.
-    fn levels(self) -> impl FnMut(usize) -> Result<Level, InventionError> {
-        let stats = EvalStats {
-            steps: self.stats.steps,
-            quantifier_values: self.stats.quantifier_values,
-            candidates_checked: self.stats.candidates_checked,
-            ..EvalStats::default()
-        };
-        let repeated = Level {
-            unrestricted_answers: self.answer.len(),
-            answer: self.answer,
-            ..Level::default()
-        };
-        let mut first = Some(Level {
+    /// This run's outcome under `semantics` and, when traced, its span.
+    /// Under `limited` both are the run's own.  Under `fi` and `ti`, over the
+    /// levels `0..=max_invented`, the stats are the run's, counting
+    /// `max_invented + 1` levels, and the span is the ladder the enumeration
+    /// would trace: one `Q|_n[d]` child per level, whose answer counts are
+    /// this answer's size, with the run's counters, span and wall clock at
+    /// level 0 and zero counters above.
+    fn outcome(self, semantics: Semantics, max_invented: usize) -> (QueryOutcome, Option<Span>) {
+        let Routed {
+            answer,
             stats,
-            span: self.span,
-            ..repeated.clone()
+            least_model,
+            span,
+        } = self;
+        let rows = answer.len();
+        let levels = ExecStats {
+            invention_levels: max_invented as u64 + 1,
+            ..stats
+        };
+        let (root, outcome) = match semantics {
+            Semantics::Limited => {
+                let limited = QueryOutcome {
+                    least_model,
+                    ..QueryOutcome::new(answer, semantics, stats)
+                };
+                return (limited, span);
+            }
+            Semantics::FiniteInvention => {
+                let stabilised_at = (max_invented >= 1).then_some(1);
+                let finite = QueryOutcome {
+                    bounded_approximation: stabilised_at.is_none(),
+                    stabilised_at,
+                    ..QueryOutcome::new(answer, semantics, levels)
+                };
+                ("finite-invention", finite)
+            }
+            Semantics::TerminalInvention => {
+                let terminal = QueryOutcome {
+                    bounded_approximation: true,
+                    ..QueryOutcome::new(Instance::empty(), semantics, levels)
+                };
+                ("terminal-invention", terminal)
+            }
+        };
+        let span = span.map(|run| {
+            let counters = EvalStats {
+                steps: stats.steps,
+                quantifier_values: stats.quantifier_values,
+                candidates_checked: stats.candidates_checked,
+                ..EvalStats::default()
+            };
+            let mut first = level_span(0, rows, rows, &counters);
+            first.wall_micros = run.wall_micros;
+            first.push_child(run);
+            let higher =
+                (1..=max_invented).map(|n| level_span(n, rows, rows, &EvalStats::default()));
+            invention_span(root, &outcome, std::iter::once(first).chain(higher))
         });
-        move |_| Ok(first.take().unwrap_or_else(|| repeated.clone()))
+        (outcome, span)
     }
 }
 
@@ -1530,7 +1504,11 @@ fn conforms(db: &Database, schema: &Schema) -> bool {
 
 /// The root span of an invention-semantics execution: one child per
 /// `Q|_n[d]` level.
-fn invention_span(name: &str, outcome: &QueryOutcome, levels: Vec<Span>) -> Span {
+fn invention_span(
+    name: &str,
+    outcome: &QueryOutcome,
+    levels: impl IntoIterator<Item = Span>,
+) -> Span {
     let mut root = Span::new(name);
     root.push_field("invention_levels", outcome.stats.invention_levels);
     root.push_field("rows_out", outcome.result.len() as u64);
@@ -1615,14 +1593,6 @@ mod tests {
         let prepared = engine.prepare(&q).unwrap();
         assert_eq!(prepared.query(), &q);
         assert_eq!(prepared.classification(), &q.classification());
-        assert_eq!(
-            prepared.sf_classification().higher_order_vars,
-            itq_calculus::normal::sf_classification(&q).higher_order_vars
-        );
-        assert_eq!(
-            prepared.prenex().matrix,
-            itq_calculus::normal::to_prenex(q.body()).matrix
-        );
         assert!(!prepared.is_algebra());
         assert!(prepared.algebra_expr().is_none());
     }

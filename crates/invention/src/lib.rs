@@ -28,9 +28,9 @@ pub mod universal;
 
 pub use error::InventionError;
 pub use semantics::{
-    bounded_invention, eval_with_invented, finite_invention, finite_invention_ctx, finite_levels,
-    terminal_invention, terminal_invention_ctx, terminal_levels, FiniteInventionReport, Level,
-    TerminalOutcome, DEFAULT_MAX_INVENTED,
+    bounded_invention, eval_with_invented, finite_invention, finite_invention_ctx, level_span,
+    terminal_invention, terminal_invention_ctx, FiniteInventionReport, TerminalOutcome,
+    DEFAULT_MAX_INVENTED,
 };
 pub use universal::{EncodedObject, UniversalCodec};
 

@@ -13,7 +13,7 @@
 //!   not computable in general (Lemma 6.16 shows it is only recursively
 //!   enumerable, and Lemma 6.18 separates it from countable invention), so
 //!   [`finite_invention`] computes the union up to a level bound and reports
-//!   how the per-`n` answers evolved.
+//!   the level after which it stopped growing.
 //! * **Bounded invention** `Q|_f[d] = ⋃ { Q|_n[d] : n ≤ f(|adom(d)|) }`
 //!   is computable outright and implemented exactly.
 //! * **Terminal invention** `Q^ti[d]` returns `Q|_n[d]` for the least `n` at which
@@ -23,11 +23,14 @@
 //!
 //! Each level `Q|_n[d]` is the limited interpretation over a widened range, so
 //! every driver takes the one calculus [`EvalConfig`] its levels run under,
-//! next to the level bound.  The stabilisation and termination rules live in
-//! two loops, [`finite_levels`] and [`terminal_levels`], which take each
-//! level from a closure: the drivers pass one evaluation per level, and a
-//! caller that knows its query's answer is the same at every level (a
-//! domain-independent query, Theorem 6.11) passes one run for all of them.
+//! next to the level bound.  The finite and terminal drivers evaluate the
+//! levels in turn and keep no level's answer: each moves into the union, or
+//! becomes the terminal answer.  A query whose answer is the same at every
+//! level and never holds an invented value (a domain-independent one,
+//! Theorem 6.11) needs no sweep: `Q^fi` is its limited answer, stable from
+//! level 1, and `Q^ti` is undefined within the bound.  A caller that states
+//! those outcomes from one run builds the same level spans through
+//! [`level_span`].
 
 use crate::error::InventionError;
 use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable, Evaluation};
@@ -36,49 +39,32 @@ use itq_trace::Span;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// One level `Q|_n[d]` of an invention sweep, as [`finite_levels`] and
-/// [`terminal_levels`] take it from their closure.
-#[derive(Debug, Clone, Default)]
-pub struct Level {
-    /// `Q|_n[d]`: the answers built from the original active domain.
-    pub answer: Instance,
-    /// The size of the unrestricted answer `Q|^Y[d]`.  It exceeds
-    /// `answer.len()` exactly when `Q|^Y[d]` holds an invented value.
-    pub unrestricted_answers: usize,
-    /// The counters of the run that produced the level.
-    pub stats: EvalStats,
-    /// When traced: the span of that run, nested under the level's span.
-    pub span: Option<Span>,
-}
-
-/// Record the span of `level`, the `n`th, whose closure call began at
-/// `start`, when the sweep is traced (`spans` is `Some`): its answer sizes
-/// and counters, with its run's span as the only child.  That run may have
-/// happened before the sweep asked for the level (a route's does), so its
-/// wall clock is charged to the level too.  Untraced sweeps never read the
-/// clock.
-fn record_level(
-    spans: &mut Option<Vec<Span>>,
+/// The span of level `Q|_n[d]` of an invention sweep: the level's answer
+/// sizes and the counters of the run that produced it.  The caller stamps
+/// its wall clock and nests any child.
+///
+/// ```
+/// use itq_calculus::EvalStats;
+/// use itq_invention::level_span;
+///
+/// let span = level_span(2, 1, 3, &EvalStats::default());
+/// assert_eq!(span.name, "Q|_2[d]");
+/// assert_eq!(span.field("unrestricted_answers"), Some(3));
+/// ```
+pub fn level_span(
     n: usize,
-    start: Option<Instant>,
-    level: &mut Level,
-) {
-    let (Some(spans), Some(start)) = (spans, start) else {
-        return;
-    };
+    answers: usize,
+    unrestricted_answers: usize,
+    stats: &EvalStats,
+) -> Span {
     let mut span = Span::new(format!("Q|_{n}[d]"));
     span.push_field("invented", n as u64);
-    span.push_field("answers", level.answer.len() as u64);
-    span.push_field("unrestricted_answers", level.unrestricted_answers as u64);
-    span.push_field("steps", level.stats.steps);
-    span.push_field("quantifier_values", level.stats.quantifier_values);
-    span.push_field("candidates_checked", level.stats.candidates_checked);
-    span.wall_micros = start.elapsed().as_micros() as u64;
-    if let Some(run) = level.span.take() {
-        span.wall_micros += run.wall_micros;
-        span.push_child(run);
-    }
-    spans.push(span);
+    span.push_field("answers", answers as u64);
+    span.push_field("unrestricted_answers", unrestricted_answers as u64);
+    span.push_field("steps", stats.steps);
+    span.push_field("quantifier_values", stats.quantifier_values);
+    span.push_field("candidates_checked", stats.candidates_checked);
+    span
 }
 
 /// The level bound the engine searches up to unless configured otherwise:
@@ -141,24 +127,31 @@ fn invent_level<Q: Evaluable + ?Sized>(
     Ok((restricted, evaluation))
 }
 
-/// The enumeration's closure for the level loops: level `n` evaluated by
-/// [`invent_level`] over the sweep's `original_domain`.
-fn enumerate_levels<'a, Q: Evaluable + ?Sized>(
-    query: &'a Q,
-    db: &'a Database,
-    original_domain: &'a BTreeSet<Atom>,
-    config: &'a EvalConfig,
-    ctx: &'a ExecCtx,
-) -> impl FnMut(usize) -> Result<Level, InventionError> + 'a {
-    move |n| {
-        let (answer, evaluation) = invent_level(query, db, original_domain, n, config, ctx)?;
-        Ok(Level {
-            answer,
-            unrestricted_answers: evaluation.result.len(),
-            stats: evaluation.stats,
-            span: None,
-        })
+/// Evaluate level `n` of a sweep over `original_domain` ([`invent_level`]),
+/// merge its counters into `stats` and, when the sweep is traced (`spans` is
+/// `Some`), record its span, charged the level's wall clock.  Returns
+/// `Q|_n[d]` and the size of the unrestricted answer `Q|^Y[d]`, which exceeds
+/// `Q|_n[d]`'s exactly when `Q|^Y[d]` holds an invented value.
+fn sweep_level<Q: Evaluable + ?Sized>(
+    query: &Q,
+    db: &Database,
+    original_domain: &BTreeSet<Atom>,
+    n: usize,
+    config: &EvalConfig,
+    ctx: &ExecCtx,
+    stats: &mut EvalStats,
+    spans: &mut Option<Vec<Span>>,
+) -> Result<(Instance, usize), InventionError> {
+    let start = ctx.traced.then(Instant::now);
+    let (answer, evaluation) = invent_level(query, db, original_domain, n, config, ctx)?;
+    let unrestricted = evaluation.result.len();
+    stats.merge(&evaluation.stats);
+    if let (Some(spans), Some(start)) = (spans.as_mut(), start) {
+        let mut span = level_span(n, answer.len(), unrestricted, &evaluation.stats);
+        span.wall_micros = start.elapsed().as_micros() as u64;
+        spans.push(span);
     }
+    Ok((answer, unrestricted))
 }
 
 /// `n` atoms outside `domain`: the ids directly above its largest atom when
@@ -177,22 +170,23 @@ fn fresh_atoms(domain: &BTreeSet<Atom>, n: usize) -> Vec<Atom> {
         .collect()
 }
 
-/// The per-`n` trace and final union computed by [`finite_invention`].
+/// The outcome of [`finite_invention`]: the union of the levels' answers and
+/// the level after which it stopped growing.  No level's own answer is kept
+/// (each moves into the union); [`eval_with_invented`] computes one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiniteInventionReport {
-    /// `answers[n]` is `Q|_n[d]`.
-    pub answers: Vec<Instance>,
     /// The union of all computed answers — the bounded approximation of `Q^fi[d]`.
     pub union: Instance,
     /// The smallest `n` after which no new answer appeared within the bound, if
     /// the trace stabilised before the bound was hit.
     pub stabilised_at: Option<usize>,
+    levels: usize,
 }
 
 impl FiniteInventionReport {
     /// Number of invention levels evaluated.
     pub fn levels(&self) -> usize {
-        self.answers.len()
+        self.levels
     }
 }
 
@@ -212,7 +206,9 @@ pub fn finite_invention<Q: Evaluable + ?Sized>(
 /// [`EvalStats`] of every per-level evaluation and, when `ctx.traced`, one
 /// [`Span`] per `Q|_n[d]` level carrying the level's answer sizes and
 /// evaluation counters.  The report and statistics never depend on
-/// `ctx.traced`.
+/// `ctx.traced`.  The union stabilised at the first level after which it
+/// stopped growing (`None` when it grew at the last level, or when only
+/// level 0 ran).
 ///
 /// Every per-level evaluation polls `ctx.interrupt` and partitions across
 /// `ctx.workers`.  A resource limit that trips at any level is the sweep's
@@ -242,69 +238,32 @@ pub fn finite_invention_ctx<Q: Evaluable + ?Sized>(
     ctx: &ExecCtx,
 ) -> Result<(FiniteInventionReport, EvalStats, Option<Vec<Span>>), InventionError> {
     let domain = query.evaluation_domain(db);
-    let levels = enumerate_levels(query, db, &domain, config, ctx);
-    finite_levels(max_invented, ctx.traced, levels)
-}
-
-/// The finite-invention loop over levels `0..=max_invented`, each taken from
-/// `level`: the union of their answers, the level after which it stopped
-/// growing (`None` when it grew at the last level, or when only level 0 ran),
-/// the levels' merged counters and, when `traced`, one span per level.
-/// [`finite_invention_ctx`] passes one evaluation per level
-/// ([`eval_with_invented`] over a domain computed once); a query whose answer
-/// is the same at every level may pass one run for all of them.  The first
-/// error is the sweep's.
-///
-/// ```
-/// use itq_invention::{finite_levels, InventionError, Level};
-/// use itq_object::{Atom, Instance};
-///
-/// // The same answer at every level: stable from level 1 on.
-/// let answer = Instance::from_atoms(vec![Atom(0)]);
-/// let level = |_| {
-///     let answer = answer.clone();
-///     Ok::<_, InventionError>(Level { answer, unrestricted_answers: 1, ..Level::default() })
-/// };
-/// let (report, _, spans) = finite_levels(3, true, level).unwrap();
-/// assert_eq!((report.levels(), report.stabilised_at), (4, Some(1)));
-/// assert_eq!(spans.unwrap().len(), 4);
-/// ```
-pub fn finite_levels<E>(
-    max_invented: usize,
-    traced: bool,
-    mut level: impl FnMut(usize) -> Result<Level, E>,
-) -> Result<(FiniteInventionReport, EvalStats, Option<Vec<Span>>), E> {
-    let mut answers = Vec::new();
+    let (mut stats, mut spans) = (EvalStats::default(), ctx.traced.then(Vec::new));
     let mut union = Instance::empty();
     let mut stabilised_at = None;
-    let mut stats = EvalStats::default();
-    let mut spans = traced.then(Vec::new);
     for n in 0..=max_invented {
-        let start = traced.then(Instant::now);
-        let mut level = level(n)?;
-        record_level(&mut spans, n, start, &mut level);
-        stats.merge(&level.stats);
+        let (answer, _) = sweep_level(query, db, &domain, n, config, ctx, &mut stats, &mut spans)?;
         let before = union.len();
-        for v in level.answer.iter() {
-            union.insert(v.clone());
+        for v in answer {
+            union.insert(v);
         }
         if union.len() == before && n > 0 {
             stabilised_at.get_or_insert(n);
         } else {
             stabilised_at = None;
         }
-        answers.push(level.answer);
     }
     let report = FiniteInventionReport {
-        answers,
         union,
         stabilised_at,
+        levels: max_invented + 1,
     };
     Ok((report, stats, spans))
 }
 
 /// Bounded invention `Q|_f[d]` for a bound function `f` of the active-domain
-/// size: the union of `Q|_n[d]` for `n ≤ f(|adom(d)|)`.
+/// size: the union of `Q|_n[d]` for `n ≤ f(|adom(d)|)`, which is finite
+/// invention bounded at that level.
 pub fn bounded_invention<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
@@ -312,15 +271,7 @@ pub fn bounded_invention<Q: Evaluable + ?Sized>(
     config: &EvalConfig,
 ) -> Result<Instance, InventionError> {
     let limit = bound(db.active_domain().len());
-    let domain = query.evaluation_domain(db);
-    let mut union = Instance::empty();
-    for n in 0..=limit {
-        let (restricted, _) = invent_level(query, db, &domain, n, config, &ExecCtx::default())?;
-        for v in restricted.iter() {
-            union.insert(v.clone());
-        }
-    }
-    Ok(union)
+    Ok(finite_invention(query, db, limit, config)?.union)
 }
 
 /// The outcome of a terminal-invention evaluation.
@@ -389,36 +340,12 @@ pub fn terminal_invention_ctx<Q: Evaluable + ?Sized>(
     ctx: &ExecCtx,
 ) -> Result<(TerminalOutcome, EvalStats, Option<Vec<Span>>), InventionError> {
     let domain = query.evaluation_domain(db);
-    let levels = enumerate_levels(query, db, &domain, config, ctx);
-    terminal_levels(max_invented, ctx.traced, levels)
-}
-
-/// The terminal-invention loop over levels `0..=max_invented`, each taken
-/// from `level`: the first level whose unrestricted answer holds an invented
-/// value defines the outcome, and the search stops there.  Returns the
-/// searched levels' merged counters and, when `traced`, one span per level
-/// searched.  [`terminal_invention_ctx`] passes one evaluation per level; a
-/// query that never answers an invented value may pass one run for every
-/// level.  The first error is the sweep's.
-pub fn terminal_levels<E>(
-    max_invented: usize,
-    traced: bool,
-    mut level: impl FnMut(usize) -> Result<Level, E>,
-) -> Result<(TerminalOutcome, EvalStats, Option<Vec<Span>>), E> {
-    let mut stats = EvalStats::default();
-    let mut spans = traced.then(Vec::new);
+    let (mut stats, mut spans) = (EvalStats::default(), ctx.traced.then(Vec::new));
     for n in 0..=max_invented {
-        let start = traced.then(Instant::now);
-        let mut level = level(n)?;
-        record_level(&mut spans, n, start, &mut level);
-        stats.merge(&level.stats);
-        // `answer` keeps exactly the unrestricted answers free of invented
-        // atoms, so it is smaller exactly when one holds an invented value.
-        if level.unrestricted_answers > level.answer.len() {
-            let outcome = TerminalOutcome::Defined {
-                n,
-                answer: level.answer,
-            };
+        let (answer, unrestricted) =
+            sweep_level(query, db, &domain, n, config, ctx, &mut stats, &mut spans)?;
+        if unrestricted > answer.len() {
+            let outcome = TerminalOutcome::Defined { n, answer };
             return Ok((outcome, stats, spans));
         }
     }
@@ -482,11 +409,11 @@ mod tests {
     fn finite_invention_unions_all_levels() {
         let q = needs_external_witness();
         let db = unary_db(2);
-        let report =
-            finite_invention(&q, &db, DEFAULT_MAX_INVENTED, &EvalConfig::default()).unwrap();
+        let cfg = EvalConfig::default();
+        let report = finite_invention(&q, &db, DEFAULT_MAX_INVENTED, &cfg).unwrap();
         assert_eq!(report.levels(), 5);
-        assert!(report.answers[0].is_empty());
-        assert_eq!(report.answers[1].len(), 2);
+        assert!(eval_with_invented(&q, &db, 0, &cfg).unwrap().0.is_empty());
+        assert_eq!(eval_with_invented(&q, &db, 1, &cfg).unwrap().0.len(), 2);
         assert_eq!(report.union.len(), 2);
         assert!(report.stabilised_at.is_some());
     }
@@ -607,9 +534,9 @@ mod tests {
         // answers that are always restricted to the original domain.
         let q = needs_external_witness();
         let db = unary_db(4);
-        let report = finite_invention(&q, &db, 2, &EvalConfig::default()).unwrap();
         let original = q.evaluation_domain(&db);
-        for answer in &report.answers {
+        for n in 0..=2 {
+            let (answer, _) = eval_with_invented(&q, &db, n, &EvalConfig::default()).unwrap();
             for v in answer.iter() {
                 assert!(v.active_domain().iter().all(|a| original.contains(a)));
             }

@@ -1607,7 +1607,7 @@ mod tests {
     }
 
     #[test]
-    fn algebra_expressions_evaluate_under_invention_via_their_compiled_form() {
+    fn algebra_expressions_answer_invention_from_one_run() {
         // The Section 6 semantics apply to algebra names directly: one run of
         // the prepared plan answers every invention level.
         let mut s = Session::with_engine(Engine::builder().max_invented(1).build());

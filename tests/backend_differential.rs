@@ -1031,7 +1031,11 @@ fn least_fixpoint_route_agrees_with_the_tree_walker() {
 /// witnessed by any atom), and a conjunctive class that no literal binds
 /// (`z ≈ z`, witnessed by any atom of the range).  Both handles take their
 /// route, and the tree walker agrees with one run of it under both invention
-/// semantics.
+/// semantics.  At bound 0, where only level 0 runs, so does the algebra
+/// grandparent join on a two-edge chain (at bound 2 the walker would
+/// enumerate its translation over five atoms for a minute in a debug
+/// build), and every handle's finite invention stays bounded with no
+/// stabilisation level while terminal invention tries one level.
 #[test]
 fn routed_invention_agrees_with_the_walker_off_the_genealogy_shapes() {
     let pair = Type::flat_tuple(2);
@@ -1076,28 +1080,62 @@ fn routed_invention_agrees_with_the_walker_off_the_genealogy_shapes() {
             Formula::eq(Term::var("z"), Term::var("z")),
         ]),
     );
-    let db = Database::single("PAR", Instance::from_pairs(vec![(Atom(0), Atom(1))]));
-    let engine = Engine::builder().parallelism(1).max_invented(2).build();
-    for body in [least_fixpoint, unbound_class] {
-        let query = Query::new("t", pair.clone(), body, schema.clone()).unwrap();
-        let prepared = engine.prepare(&query).unwrap();
-        let here = format!("{query}");
-        assert!(
-            prepared.least_fixpoint().is_some() || prepared.physical_plan().is_some(),
-            "{here}: routed"
-        );
-        let (limited, span) = prepared.execute_traced(&db, Semantics::Limited).unwrap();
-        assert!(
-            matches!(span.name.as_str(), "least-fixpoint" | "planned-calculus"),
-            "{here}: the route answered under `{}`",
-            span.name
-        );
-        assert_eq!(limited.result.len(), 1, "{here}");
-        let walker = walker_outcome(&engine, &query, &db, Semantics::Limited);
-        assert_matches_walker(&Ok(limited.clone()), &walker, &here);
-        let answered =
-            assert_routed_invention_agrees(&prepared, &engine, &query, &db, &limited, &here);
-        assert_eq!(answered, 2, "{here}: the walker answers both semantics");
+    let edge = Database::single("PAR", Instance::from_pairs(vec![(Atom(0), Atom(1))]));
+    let chain = Database::single(
+        "PAR",
+        Instance::from_pairs(vec![(Atom(0), Atom(1)), (Atom(1), Atom(2))]),
+    );
+    let grandparent = AlgExpr::pred("PAR")
+        .product(AlgExpr::pred("PAR"))
+        .select(SelFormula::coords_eq(2, 3))
+        .project(vec![1, 4]);
+    for max_invented in [2, 0] {
+        let engine = Engine::builder()
+            .parallelism(1)
+            .max_invented(max_invented)
+            .build();
+        let mut handles = Vec::new();
+        for body in [least_fixpoint.clone(), unbound_class.clone()] {
+            let query = Query::new("t", pair.clone(), body, schema.clone()).unwrap();
+            handles.push((engine.prepare(&query).unwrap(), &edge));
+        }
+        if max_invented == 0 {
+            let algebra = engine.prepare_algebra(&grandparent, &schema).unwrap();
+            handles.push((algebra, &chain));
+        }
+        for (prepared, db) in handles {
+            let query = prepared.query();
+            let here = format!("{query} (bound {max_invented})");
+            assert!(
+                prepared.least_fixpoint().is_some() || prepared.physical_plan().is_some(),
+                "{here}: routed"
+            );
+            let (limited, span) = prepared.execute_traced(db, Semantics::Limited).unwrap();
+            assert!(
+                matches!(
+                    span.name.as_str(),
+                    "least-fixpoint" | "planned-calculus" | "planned-algebra"
+                ),
+                "{here}: the route answered under `{}`",
+                span.name
+            );
+            assert_eq!(limited.result.len(), 1, "{here}");
+            let walker = walker_outcome(&engine, query, db, Semantics::Limited);
+            assert_matches_walker(&Ok(limited.clone()), &walker, &here);
+            let answered =
+                assert_routed_invention_agrees(&prepared, &engine, query, db, &limited, &here);
+            assert_eq!(answered, 2, "{here}: the walker answers both semantics");
+            if max_invented == 0 {
+                let finite = prepared.execute(db, Semantics::FiniteInvention).unwrap();
+                assert!(finite.bounded_approximation, "{here}: only level 0 ran");
+                assert_eq!(finite.stabilised_at, None, "{here}");
+                let terminal = prepared.execute(db, Semantics::TerminalInvention).unwrap();
+                assert_eq!(
+                    terminal.stats.invention_levels, 1,
+                    "{here}: one level tried"
+                );
+            }
+        }
     }
 }
 

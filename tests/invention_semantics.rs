@@ -74,10 +74,12 @@ fn needs_invention_query() -> Query {
 fn finite_invention_strictly_extends_the_limited_interpretation() {
     let query = needs_invention_query();
     let db = person_database(3);
-    let report =
-        finite_invention(&query, &db, DEFAULT_MAX_INVENTED, &EvalConfig::default()).unwrap();
-    assert!(report.answers[0].is_empty());
-    assert_eq!(report.answers[1].len(), 3);
+    let config = EvalConfig::default();
+    let report = finite_invention(&query, &db, DEFAULT_MAX_INVENTED, &config).unwrap();
+    let (level0, _) = eval_with_invented(&query, &db, 0, &config).unwrap();
+    let (level1, _) = eval_with_invented(&query, &db, 1, &config).unwrap();
+    assert!(level0.is_empty());
+    assert_eq!(level1.len(), 3);
     assert_eq!(report.union.len(), 3);
     // Bounded invention with bound 0 coincides with the limited interpretation.
     let zero = bounded_invention(&query, &db, |_| 0, &EvalConfig::default()).unwrap();

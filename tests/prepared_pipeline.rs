@@ -195,15 +195,4 @@ proptest! {
         prop_assert_eq!(prepared.classification(), &q.classification());
         prop_assert_eq!(prepared.query(), &q);
     }
-
-    /// Preparing also caches the existential-fragment analysis faithfully.
-    #[test]
-    fn prepared_sf_classification_matches_normal_forms(q in query()) {
-        let engine = Engine::new();
-        let prepared = engine.prepare(&q).unwrap();
-        prop_assert_eq!(
-            prepared.sf_classification(),
-            &itq_calculus::normal::sf_classification(&q)
-        );
-    }
 }
