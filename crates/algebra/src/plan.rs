@@ -142,8 +142,7 @@ pub enum PhysNode {
 /// A planned algebra expression: the operator tree plus its output type.
 ///
 /// Built once by [`plan`] (typically at `Engine::prepare_algebra` time) and
-/// executed any number of times via
-/// [`PhysicalPlan::execute`](crate::exec::PlanStats).
+/// executed any number of times via [`PhysicalPlan::execute`].
 ///
 /// ```
 /// use itq_algebra::plan::{plan, JoinStrategy, PhysNode};

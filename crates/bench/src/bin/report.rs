@@ -374,9 +374,9 @@ fn compiled_json() -> Vec<String> {
 }
 
 /// `--algebra-json`: E14 — the product-heavy algebra grid
-/// (`itq_bench::algebra_exec_workloads`, shared with the `algebra_exec`
-/// bench) through the set-at-a-time planned executor against the
-/// tuple-at-a-time evaluator.  The answers are asserted identical first.
+/// (`itq_bench::algebra_exec_workloads`) through the set-at-a-time planned
+/// executor against the tuple-at-a-time evaluator.  The answers are
+/// asserted identical first.
 /// Each arm is timed on its second call of the round ([`warm_micros`]).
 fn algebra_json() -> Vec<String> {
     let engines = [

@@ -2,13 +2,11 @@
 
 //! # itq-bench — benchmark harness
 //!
-//! The real content of this crate lives in `benches/` (Criterion benches for
-//! the experiments of the README's Benchmarks section) and in the `report`
-//! binary that prints the paper-style tables and records the `BENCH_*.json`
-//! trajectories.  This library target hosts what the two share: E14's
-//! workload grid, which the `algebra_exec` bench and `report --algebra-json`
-//! both time, and [`measure`], the one routine every timed trajectory goes
-//! through.
+//! The `report` binary prints the paper-style tables and records the
+//! `BENCH_*.json` trajectories.  This library holds what its timed modes
+//! share: [`measure`], the one routine every timed trajectory goes through,
+//! and E14's workload grid, which `report --algebra-json` times and the
+//! trace and governor overhead grids reuse.
 
 mod measure;
 
@@ -17,15 +15,10 @@ pub use measure::{measure, Bound, Estimate, Gate, Measurement, Schedule};
 use itq_algebra::{AlgExpr, SelFormula};
 use itq_object::{Atom, Database, Instance, Schema, Type};
 
-/// Width of the printed report tables.
-pub const REPORT_WIDTH: usize = 100;
-
 /// The E14 workload grid: product-heavy algebra expressions whose
 /// tuple-at-a-time evaluation materialises the full Cartesian product, paired
 /// with databases big enough for the planner's set-at-a-time win to be
-/// unambiguous.  Shared between the `algebra_exec` bench and
-/// `report --algebra-json`, so the recorded trajectory describes exactly the
-/// workloads the bench tracks.
+/// unambiguous.
 pub fn algebra_exec_workloads() -> Vec<(&'static str, AlgExpr, Schema, Database)> {
     let parent_schema = Schema::single("PAR", Type::flat_tuple(2));
     let person_schema = Schema::single("PERSON", Type::Atomic);

@@ -256,6 +256,9 @@ impl CompiledQuery {
                 satisfied.push(candidate);
             }
         }
+        // An execution of fewer than 256 steps never reaches a masked poll,
+        // so without this one its interner would escape the memory ceiling.
+        interrupt.check(exec.store.approx_bytes() + exec.domains.approx_bytes())?;
 
         let result = Instance::from_values(satisfied.iter().map(|&id| exec.store.resolve(id)));
         exec.stats.domain_cache_hits = exec.domains.hits();
@@ -350,6 +353,7 @@ impl CompiledQuery {
             ..EvalStats::default()
         };
         let base_len = store.len() as u64;
+        let base_bytes = store.approx_bytes() + domains.approx_bytes();
         let frozen_store = store.freeze();
         let frozen_domains = domains.freeze();
 
@@ -403,6 +407,7 @@ impl CompiledQuery {
                 ranks: (start as u64, end as u64),
                 satisfied: satisfied.iter().map(|&id| exec.store.resolve(id)).collect(),
                 stats: exec.stats,
+                bytes: exec.store.approx_bytes() + exec.domains.approx_bytes() - base_bytes,
                 error,
                 wall_micros: begun.elapsed().as_micros() as u64,
             }
@@ -433,6 +438,9 @@ impl CompiledQuery {
                 None => cum_steps = cum_steps.saturating_add(outcome.stats.steps),
             }
         }
+        // The exit poll of the sequential evaluator, over the shared base and
+        // every overlay together.
+        interrupt.check(base_bytes + outcomes.iter().map(|o| o.bytes).sum::<u64>())?;
 
         let mut stats = base_stats;
         for outcome in &outcomes {
@@ -487,6 +495,9 @@ struct PartitionOutcome {
     satisfied: Vec<Value>,
     /// The partition's local counters (steps and draws counted from zero).
     stats: EvalStats,
+    /// The governor's byte estimate of what this partition's overlays added
+    /// to the shared base.
+    bytes: u64,
     error: Option<CalcError>,
     /// Wall-clock this partition's worker spent.  Partitions overlap in
     /// time, so these are never summed into an execution wall-clock.
@@ -736,9 +747,11 @@ struct Exec<'a, T: QuantTracer> {
     relations: Vec<Option<HashSet<ValueId>>>,
     stats: EvalStats,
     /// The execution's resource governor.  Polled every [`POLL_MASK`]+1 steps
-    /// — the same cadence as the tree walker, whose step counter this
-    /// evaluator replicates bit for bit, so the two backends' poll points
-    /// coincide.  Memory polls report the interner's and domain memo's
+    /// — the tree walker's cadence, whose step counter this evaluator
+    /// replicates bit for bit — and, like the walker, once on entry.  Unlike
+    /// the walker, which interns nothing, the evaluator also polls once on
+    /// exit, so an execution shorter than one stride still meets the memory
+    /// ceiling.  Memory polls report the interner's and domain memo's
     /// deterministic byte estimates.
     interrupt: &'a Interrupt,
     tracer: T,

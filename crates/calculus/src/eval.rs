@@ -136,9 +136,10 @@ struct Evaluator<'a> {
     config: &'a EvalConfig,
     stats: EvalStats,
     /// The execution's resource governor.  Polled every [`POLL_MASK`]+1 steps
-    /// so the poll points coincide with the compiled backend's (both count one
-    /// step per formula node).  The tree walker never interns, so its memory
-    /// footprint reported to the governor is always 0.
+    /// so the masked poll points coincide with the compiled backend's (both
+    /// count one step per formula node).  The tree walker never interns, so
+    /// its memory footprint reported to the governor is always 0 and it
+    /// needs no exit poll.
     interrupt: &'a Interrupt,
 }
 

@@ -1,11 +1,11 @@
 //! The [`Engine`] facade: one object that evaluates queries under every semantics
 //! the paper considers, with uniform configuration and error reporting.
 
-use itq_algebra::{AlgError, AlgExpr, EvalConfig as AlgConfig};
+use itq_algebra::{AlgError, EvalConfig as AlgConfig};
 use itq_calculus::eval::EvalConfig;
-use itq_calculus::{CalcError, Query};
+use itq_calculus::CalcError;
 use itq_invention::{InventionError, DEFAULT_MAX_INVENTED};
-use itq_object::{CancelFlag, Interrupt, ResourceError, Schema, TripKind, Universe};
+use itq_object::{CancelFlag, Interrupt, ResourceError, TripKind, Universe};
 use std::fmt;
 
 /// Which semantics to evaluate a calculus query under.
@@ -314,12 +314,12 @@ impl Engine {
     }
 
     /// Start configuring an engine: plan settings, governor, worker count
-    /// and universe seeding, finished with
+    /// and universe, finished with
     /// [`build`](crate::pipeline::EngineBuilder::build).
     ///
     /// ```
     /// use itq_core::prelude::*;
-    /// let engine = Engine::builder().max_invented(2).seed_atoms(["Tom"]).build();
+    /// let engine = Engine::builder().max_invented(2).build();
     /// assert_eq!(engine.max_invented(), 2);
     /// ```
     pub fn builder() -> crate::pipeline::EngineBuilder {
@@ -386,12 +386,6 @@ impl Engine {
     pub fn universe(&self) -> &Universe {
         &self.universe
     }
-
-    /// Compile an algebra expression into an equivalent calculus query — the
-    /// executable direction of Theorem 3.8 (`ALG_{k,i} ⊆ CALC_{k,i}`).
-    pub fn compile_algebra(&self, expr: &AlgExpr, schema: &Schema) -> Result<Query, EngineError> {
-        Ok(itq_algebra::to_calculus_query(expr, schema)?)
-    }
 }
 
 #[cfg(test)]
@@ -399,8 +393,8 @@ mod tests {
     use super::*;
     use crate::pipeline::QueryOutcome;
     use crate::queries::{grandparent_query, parent_database, parent_schema};
-    use itq_algebra::SelFormula;
-    use itq_calculus::{CalcClass, Formula, Term};
+    use itq_algebra::{AlgExpr, SelFormula};
+    use itq_calculus::{CalcClass, Formula, Query, Term};
     use itq_invention::{terminal_invention, TerminalOutcome};
     use itq_object::{Atom, Database, Type};
 
@@ -527,13 +521,13 @@ mod tests {
     }
 
     #[test]
-    fn compile_algebra_matches_direct_translation() {
+    fn to_calculus_query_answers_like_the_plan() {
         let engine = Engine::new();
         let expr = AlgExpr::pred("PAR")
             .product(AlgExpr::pred("PAR"))
             .select(SelFormula::coords_eq(2, 3))
             .project(vec![1, 4]);
-        let compiled = engine.compile_algebra(&expr, &parent_schema()).unwrap();
+        let compiled = itq_algebra::to_calculus_query(&expr, &parent_schema()).unwrap();
         let direct = run(&engine, &compiled, Semantics::Limited);
         let alg = engine
             .prepare_algebra(&expr, &parent_schema())

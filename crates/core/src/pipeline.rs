@@ -7,7 +7,7 @@
 //! semantics of Section 6.  This module gives that split an API:
 //!
 //! * [`EngineBuilder`] configures an [`Engine`] once: its plan settings
-//!   (budgets, the invention bound, the algebra planner), universe seeding,
+//!   (budgets, the invention bound, the algebra planner), its universe,
 //!   resource governance, the worker count;
 //! * [`Engine::prepare`] / [`Engine::prepare_algebra`] do *all* static work
 //!   exactly once and cache the derived artifacts in a [`Prepared`] handle;
@@ -89,7 +89,7 @@ pub(crate) fn default_parallelism() -> usize {
 
 /// Configures and builds an [`Engine`]: its [`PlanSettings`] (evaluation
 /// budgets, the invention bound, the algebra planner), resource governance,
-/// the worker count, and universe seeding.  The builder is the engine under
+/// the worker count, and the universe.  The builder is the engine under
 /// construction: each method sets one of its values.  No option selects the
 /// calculus evaluator: every handle runs the compiled slots, or the route its
 /// query lowers to.
@@ -100,10 +100,8 @@ pub(crate) fn default_parallelism() -> usize {
 /// let engine = Engine::builder()
 ///     .calc_config(EvalConfig::default())
 ///     .max_invented(3)
-///     .seed_atoms(["Tom", "Mary"])
 ///     .build();
 /// assert_eq!(engine.max_invented(), 3);
-/// assert_eq!(engine.universe().len(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
@@ -192,19 +190,6 @@ impl EngineBuilder {
     /// ```
     pub fn use_algebra_planner(mut self, enabled: bool) -> EngineBuilder {
         self.engine.settings.use_algebra_planner = enabled;
-        self
-    }
-
-    /// Intern named atoms into the engine's universe up front, so workload
-    /// loaders and the REPL can render answers with human-readable names.
-    ///
-    /// ```
-    /// use itq_core::prelude::*;
-    /// let engine = Engine::builder().seed_atoms(["Tom", "Mary", "Sue"]).build();
-    /// assert_eq!(engine.universe().len(), 3);
-    /// ```
-    pub fn seed_atoms<'a, I: IntoIterator<Item = &'a str>>(mut self, names: I) -> EngineBuilder {
-        self.engine.universe.atoms(names);
         self
     }
 
@@ -551,8 +536,9 @@ impl ExecStats {
 }
 
 /// The unified result of executing a prepared query: one shape for all three
-/// semantics, replacing the legacy `Evaluation` / `FiniteInventionReport` /
-/// `TerminalOutcome` trio.
+/// semantics.  An enumerated handle folds its backend's result into it (an
+/// `Evaluation`, a `FiniteInventionReport` or a `TerminalOutcome`); a routed
+/// handle, every algebra handle among them, builds it from its one run.
 ///
 /// ```
 /// use itq_core::prelude::*;
@@ -1574,11 +1560,9 @@ mod tests {
             .calc_config(EvalConfig::tiny())
             .alg_config(AlgConfig::default())
             .max_invented(2)
-            .seed_atoms(["Tom", "Mary"])
             .build();
         assert_eq!(engine.calc_config().max_steps, EvalConfig::tiny().max_steps);
         assert_eq!(engine.max_invented(), 2);
-        assert_eq!(engine.universe().len(), 2);
 
         let mut seeded = Universe::new();
         seeded.atom("Zed");
@@ -2186,6 +2170,45 @@ mod tests {
             "interned values exceeded the configured memory ceiling of 1 bytes"
         );
         assert_eq!(stats.interrupt_polls, 2, "entry and exit polls only");
+        // So does an enumeration too short to reach one (the forest's roots),
+        // sequential or partitioned.
+        let edge = |coordinate| {
+            Formula::exists(
+                "x",
+                Type::flat_tuple(2),
+                Formula::and(vec![
+                    Formula::pred("PAR", Term::var("x")),
+                    Formula::eq(Term::proj("x", coordinate), Term::var("t")),
+                ]),
+            )
+        };
+        let roots = Query::new(
+            "t",
+            Type::Atomic,
+            Formula::and(vec![edge(1), Formula::not(edge(2))]),
+            parent_schema(),
+        )
+        .unwrap();
+        let untripped = Engine::new().prepare(&roots).unwrap();
+        assert!(untripped.physical_plan().is_none() && untripped.least_fixpoint().is_none());
+        let ok = untripped.execute(&db, Semantics::Limited).unwrap();
+        assert_eq!(ok.result.len(), 1);
+        assert!(ok.stats.steps < 256, "{} steps", ok.stats.steps);
+        for workers in [1, 4] {
+            let (result, stats) = Engine::builder()
+                .memory_ceiling(1)
+                .parallelism(workers)
+                .build()
+                .prepare(&roots)
+                .unwrap()
+                .try_execute(&db, Semantics::Limited);
+            assert_eq!(
+                result.unwrap_err().to_string(),
+                "interned values exceeded the configured memory ceiling of 1 bytes",
+                "{workers} workers"
+            );
+            assert_eq!(stats.interrupt_polls, 2, "{workers} workers");
+        }
         // The tuple-at-a-time algebra evaluator never interns, so the same
         // ceiling never trips it, under any semantics.
         let tuple = Engine::builder()

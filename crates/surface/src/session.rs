@@ -14,7 +14,7 @@
 use crate::error::{ParseError, Pos};
 use crate::script::{offset_error, parse_stmt, split_statements, SetKnob, Stmt};
 use crate::spans::SpanTable;
-use itq_algebra::{classify_expr, infer_type, AlgExpr};
+use itq_algebra::{classify_expr, infer_type, to_calculus_query, AlgExpr};
 use itq_analyze::{analyze_algebra, analyze_query, render_snippet, Severity};
 use itq_calculus::Query;
 use itq_core::engine::{Engine, PlanSettings, Semantics};
@@ -1042,9 +1042,7 @@ impl Session {
                  Theorem 3.8 is not implemented yet (only algebra → calculus is)"
             )));
         };
-        let query = self
-            .engine
-            .compile_algebra(expr, self.schema_or_err(&def.schema)?)
+        let query = to_calculus_query(expr, self.schema_or_err(&def.schema)?)
             .map_err(|e| SessionError::Exec(format!("compile `{name}`: {e}")))?;
         let schema = def.schema.clone();
         let target = target.unwrap_or_else(|| format!("{name}_calc"));
