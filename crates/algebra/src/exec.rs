@@ -22,28 +22,16 @@ use crate::eval::EvalConfig;
 use crate::expr::{SelFormula, SelTerm};
 use crate::plan::{JoinStrategy, PhysNode, PhysicalPlan};
 use itq_object::govern::POLL_MASK;
-use itq_object::{Atom, Database, ExecCtx, Instance, Interrupt, ValueId, ValueStore};
+use itq_object::{Atom, Database, ExecCtx, ExecStats, Instance, Interrupt, ValueId, ValueStore};
 use itq_trace::Span;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-/// Counters accumulated while executing a physical plan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanStats {
-    /// Hash/member index probes plus candidate pairs examined by joins (a
-    /// nested-loop join counts every pair, so this is comparable with the
-    /// |A|·|B| the tuple-at-a-time evaluator always pays).
-    pub join_probes: u64,
-    /// Objects (tuples and sets) constructed by plan operators, before
-    /// deduplication.
-    pub tuples_materialised: u64,
-    /// Distinct values interned in the execution's value store.
-    pub interned_values: u64,
-}
-
 impl PhysicalPlan {
     /// Execute the plan on a database under the given budgets, returning the
-    /// answer instance and the execution counters.
+    /// answer instance and its [`ExecStats`]: `join_probes`,
+    /// `tuples_materialised` (see the module docs) and `interned_values`;
+    /// every other counter stays 0.
     ///
     /// ```
     /// use itq_algebra::plan::plan;
@@ -68,7 +56,7 @@ impl PhysicalPlan {
         &self,
         db: &Database,
         config: &EvalConfig,
-    ) -> Result<(Instance, PlanStats), AlgError> {
+    ) -> Result<(Instance, ExecStats), AlgError> {
         let (result, stats, _) = self.execute_ctx(db, config, &ExecCtx::default())?;
         Ok((result, stats))
     }
@@ -87,14 +75,14 @@ impl PhysicalPlan {
     /// (one span per operator, named by [`PhysNode::label`]) and carries
     /// `rows_in` / `rows_out`, the operator's *own* `join_probes` /
     /// `tuples_materialised` (children excluded, so [`Span::subtree_total`]
-    /// reproduces the [`PlanStats`] totals), and inclusive wall time.
+    /// reproduces the [`ExecStats`] totals), and inclusive wall time.
     /// Answers, statistics, and errors never depend on `ctx.traced`.
     pub fn execute_ctx(
         &self,
         db: &Database,
         config: &EvalConfig,
         ctx: &ExecCtx,
-    ) -> Result<(Instance, PlanStats, Option<Span>), AlgError> {
+    ) -> Result<(Instance, ExecStats, Option<Span>), AlgError> {
         // Poll once before any work so a deadline of 0 ms (or a pre-set
         // cancel flag) trips even on plans that would finish instantly.
         ctx.interrupt.check(0)?;
@@ -104,7 +92,7 @@ impl PhysicalPlan {
             store: ValueStore::new(),
             scans: HashMap::new(),
             consts: HashMap::new(),
-            stats: PlanStats::default(),
+            stats: ExecStats::default(),
             interrupt: ctx.interrupt,
             ticks: 0,
             trace: ctx.traced.then(Vec::new),
@@ -132,7 +120,7 @@ struct Ctx<'a> {
     store: ValueStore,
     scans: HashMap<String, Vec<ValueId>>,
     consts: HashMap<Atom, ValueId>,
-    stats: PlanStats,
+    stats: ExecStats,
     /// The execution's resource governor, polled every [`POLL_MASK`]+1 ticks.
     interrupt: &'a Interrupt,
     /// Work units since execution start: one per join probe, per row
@@ -670,7 +658,7 @@ mod tests {
         )
     }
 
-    fn run(expr: &AlgExpr, config: &EvalConfig) -> Result<(Instance, PlanStats), AlgError> {
+    fn run(expr: &AlgExpr, config: &EvalConfig) -> Result<(Instance, ExecStats), AlgError> {
         plan(expr, &schema()).unwrap().execute(&db(), config)
     }
 
@@ -712,7 +700,7 @@ mod tests {
         assert_eq!(trace.field("rows_in"), Some(4));
         assert_eq!(trace.field("rows_out"), Some(1));
         assert_eq!(trace.children[0].field("rows_out"), Some(2));
-        // Exclusive per-operator counters sum back to the PlanStats totals.
+        // Exclusive per-operator counters sum back to the ExecStats totals.
         assert_eq!(trace.subtree_total("join_probes"), stats.join_probes);
         assert_eq!(
             trace.subtree_total("tuples_materialised"),

@@ -14,6 +14,12 @@
 //! The non-first-normal-form operators *nest* and *unnest*, which the paper notes
 //! are simulable from the primitives, are provided directly in [`nest`].
 //!
+//! An expression runs either tuple-at-a-time ([`eval`]) or, planned once
+//! ([`mod@plan`]), set-at-a-time over interned relations ([`exec`]).  The plan
+//! executor counts its join probes, materialised objects and interned values
+//! in the one counter block every backend fills,
+//! [`ExecStats`](itq_object::ExecStats).
+//!
 //! ## Example — transitive closure by powerset (Example 3.1, algebra style)
 //!
 //! ```
@@ -44,7 +50,6 @@ pub mod typing;
 pub use classify::{classify_expr, AlgClassification};
 pub use error::AlgError;
 pub use eval::EvalConfig;
-pub use exec::PlanStats;
 pub use expr::{AlgExpr, SelFormula, SelTerm};
 pub use plan::{plan, JoinStrategy, PhysNode, PhysicalPlan};
 pub use to_calculus::to_calculus_query;

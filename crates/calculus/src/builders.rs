@@ -47,32 +47,11 @@ pub fn subset(x: Term, y: Term, elem: Type, fresh: &str) -> Formula {
     )
 }
 
-/// Extensional set equality `x ≐ y` expressed with quantifiers rather than the
-/// built-in `≈` (useful when exercising the evaluator on pure logic).
-pub fn set_equal_extensional(x: Term, y: Term, elem: Type, fresh: &str) -> Formula {
-    Formula::and(vec![
-        subset(x.clone(), y.clone(), elem.clone(), &format!("{fresh}_l")),
-        subset(y, x, elem, &format!("{fresh}_r")),
-    ])
-}
-
 /// Emptiness test `x ≈ ∅` for a term of type `{elem}`:
 /// `∀v/elem ¬(v ∈ x)` — the paper's `x ≈ ∅` shorthand.
 pub fn is_empty(x: Term, elem: Type, fresh: &str) -> Formula {
     let v = format!("{fresh}_emp");
     Formula::forall(&v, elem, Formula::not(Formula::member(Term::var(&v), x)))
-}
-
-/// Non-emptiness test: `∃v/elem (v ∈ x)`.
-pub fn is_nonempty(x: Term, elem: Type, fresh: &str) -> Formula {
-    let v = format!("{fresh}_ne");
-    Formula::exists(&v, elem, Formula::member(Term::var(&v), x))
-}
-
-/// Membership of an atom in a unary predicate, i.e. just `P(a)` — provided for
-/// symmetry with the other helpers.
-pub fn in_pred(pred: &str, a: Term) -> Formula {
-    Formula::pred(pred, a)
 }
 
 /// The total-order formula `ORD_U(x)` of Example 3.4 specialised to the atomic
@@ -165,23 +144,6 @@ pub fn ord_atoms(x: Term, fresh: &str) -> Formula {
     Formula::and(vec![totality, antisymmetry, transitivity])
 }
 
-/// "Every pair in `x` is drawn from predicate `pred`" — the typical guard used to
-/// keep intermediate relations inside the active domain of a unary predicate.
-pub fn pairs_over_pred(x: Term, pred: &str, fresh: &str) -> Formula {
-    let z = format!("{fresh}_ov");
-    Formula::forall(
-        &z,
-        Type::flat_tuple(2),
-        Formula::implies(
-            Formula::member(Term::var(&z), x),
-            Formula::and(vec![
-                Formula::pred(pred, Term::proj(&z, 1)),
-                Formula::pred(pred, Term::proj(&z, 2)),
-            ]),
-        ),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,7 +170,18 @@ mod tests {
                     Type::Atomic,
                     "h",
                 ),
-                pairs_over_pred(Term::var("s"), "R", "h2"),
+                // Every pair in s is drawn from R.
+                Formula::forall(
+                    "z",
+                    Type::flat_tuple(2),
+                    Formula::implies(
+                        Formula::member(Term::var("z"), Term::var("s")),
+                        Formula::and(vec![
+                            Formula::pred("R", Term::proj("z", 1)),
+                            Formula::pred("R", Term::proj("z", 2)),
+                        ]),
+                    ),
+                ),
             ]),
         );
         assert!(satisfies_sentence(&f, &db, &[], &EvalConfig::default()).unwrap());
@@ -225,7 +198,10 @@ mod tests {
                 "y",
                 Type::set(Type::Atomic),
                 Formula::implies(
-                    set_equal_extensional(Term::var("x"), Term::var("y"), Type::Atomic, "h"),
+                    Formula::and(vec![
+                        subset(Term::var("x"), Term::var("y"), Type::Atomic, "l"),
+                        subset(Term::var("y"), Term::var("x"), Type::Atomic, "r"),
+                    ]),
                     Formula::eq(Term::var("x"), Term::var("y")),
                 ),
             ),
@@ -247,7 +223,7 @@ mod tests {
     #[test]
     fn emptiness_tests() {
         let db = unary_db(2);
-        // ∃x/{U} (x ≈ ∅) and ∃x/{U} nonempty(x) both hold over a 2-atom domain.
+        // ∃x/{U} (x ≈ ∅) and ∃x/{U} ¬(x ≈ ∅) both hold over a 2-atom domain.
         let empty = Formula::exists(
             "x",
             Type::set(Type::Atomic),
@@ -256,7 +232,7 @@ mod tests {
         let nonempty = Formula::exists(
             "x",
             Type::set(Type::Atomic),
-            is_nonempty(Term::var("x"), Type::Atomic, "h"),
+            Formula::not(is_empty(Term::var("x"), Type::Atomic, "h")),
         );
         // ∀x (x ≈ ∅) is false.
         let all_empty = Formula::forall(
@@ -268,9 +244,6 @@ mod tests {
         assert!(satisfies_sentence(&empty, &db, &[], &cfg).unwrap());
         assert!(satisfies_sentence(&nonempty, &db, &[], &cfg).unwrap());
         assert!(!satisfies_sentence(&all_empty, &db, &[], &cfg).unwrap());
-        assert!(
-            satisfies_sentence(&in_pred("R", Term::constant(Atom(0))), &db, &[], &cfg).unwrap()
-        );
     }
 
     #[test]

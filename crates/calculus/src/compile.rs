@@ -25,7 +25,7 @@
 //! statistics, and errors across all three semantics.
 
 use crate::error::CalcError;
-use crate::eval::{EvalConfig, EvalStats, Evaluable, Evaluation};
+use crate::eval::{EvalConfig, Evaluable, Evaluation};
 use crate::formula::Formula;
 use crate::query::Query;
 use crate::term::{Term, Var};
@@ -33,7 +33,7 @@ use itq_object::cons::cons_cardinality;
 use itq_object::govern::POLL_MASK;
 use itq_object::pool::{partition_ranges, run_partitions};
 use itq_object::store::{DomainCache, DomainHandle, ValueId, ValueStore};
-use itq_object::{Atom, Database, ExecCtx, Instance, Interrupt, PredName, Type, Value};
+use itq_object::{Atom, Database, ExecCtx, ExecStats, Instance, Interrupt, PredName, Type, Value};
 use itq_trace::Span;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
@@ -230,7 +230,7 @@ impl CompiledQuery {
             env: vec![None; self.slot_count],
             const_ids: Vec::with_capacity(self.consts.len()),
             relations: vec![None; self.preds.len()],
-            stats: EvalStats::default(),
+            stats: ExecStats::default(),
             interrupt,
             tracer,
         };
@@ -268,7 +268,6 @@ impl CompiledQuery {
             Evaluation {
                 result,
                 stats: exec.stats,
-                partitions: 0,
             },
             exec.tracer,
         ))
@@ -346,11 +345,11 @@ impl CompiledQuery {
                 interrupt.check(store.approx_bytes() + domains.approx_bytes())?;
             }
         }
-        let base_stats = EvalStats {
+        let base_stats = ExecStats {
             domain_cache_hits: domains.hits(),
             domain_cache_misses: domains.misses(),
             interned_values: store.len() as u64,
-            ..EvalStats::default()
+            ..ExecStats::default()
         };
         let base_len = store.len() as u64;
         let base_bytes = store.approx_bytes() + domains.approx_bytes();
@@ -371,7 +370,7 @@ impl CompiledQuery {
                 env: vec![None; self.slot_count],
                 const_ids: const_ids.clone(),
                 relations: vec![None; self.preds.len()],
-                stats: EvalStats::default(),
+                stats: ExecStats::default(),
                 interrupt,
                 tracer: NoTrace,
             };
@@ -446,10 +445,10 @@ impl CompiledQuery {
         for outcome in &outcomes {
             stats.merge(&outcome.stats);
         }
-        let partitions = outcomes.len() as u64;
+        stats.partitions = outcomes.len() as u64;
         let span = ctx.traced.then(|| {
             let mut span = eval_span(&stats);
-            span.push_field("partitions", partitions);
+            span.push_field("partitions", stats.partitions);
             for (i, outcome) in outcomes.iter().enumerate() {
                 let mut child = Span::new(format!("partition {i}"));
                 child.push_field("rank_start", outcome.ranks.0);
@@ -467,14 +466,13 @@ impl CompiledQuery {
         let evaluation = Evaluation {
             result: Instance::from_values(values),
             stats,
-            partitions,
         };
         Ok((evaluation, span))
     }
 }
 
 /// The root span of a compiled evaluation: the whole-evaluation counters.
-fn eval_span(stats: &EvalStats) -> Span {
+fn eval_span(stats: &ExecStats) -> Span {
     let mut span = Span::new("compiled-eval");
     span.push_field("candidates_checked", stats.candidates_checked);
     span.push_field("quantifier_values", stats.quantifier_values);
@@ -494,7 +492,7 @@ struct PartitionOutcome {
     /// worker-local [`ValueId`]s are meaningless outside their overlay.
     satisfied: Vec<Value>,
     /// The partition's local counters (steps and draws counted from zero).
-    stats: EvalStats,
+    stats: ExecStats,
     /// The governor's byte estimate of what this partition's overlays added
     /// to the shared base.
     bytes: u64,
@@ -745,7 +743,7 @@ struct Exec<'a, T: QuantTracer> {
     /// missing relation errors at the same evaluation point as the tree
     /// walker (which looks relations up per `P(t)` node).
     relations: Vec<Option<HashSet<ValueId>>>,
-    stats: EvalStats,
+    stats: ExecStats,
     /// The execution's resource governor.  Polled every [`POLL_MASK`]+1 steps
     /// — the tree walker's cadence, whose step counter this evaluator
     /// replicates bit for bit — and, like the walker, once on entry.  Unlike
@@ -1208,7 +1206,7 @@ mod tests {
         let compiled = compile(&q).unwrap();
         let config = EvalConfig::default();
         let sequential = compiled.eval_full(&db, &config).unwrap();
-        assert_eq!(sequential.partitions, 0);
+        assert_eq!(sequential.stats.partitions, 0);
         for workers in [2, 3, 8, 64] {
             let (parallel, span) = compiled
                 .eval_ctx(&db, &[], &config, &ctx(workers, true))
@@ -1221,7 +1219,7 @@ mod tests {
             assert_eq!(s.max_domain_seen, p.max_domain_seen);
             // Partition ranges tile the candidate space exactly once.
             let span = span.expect("traced runs return a span");
-            assert_eq!(span.children.len() as u64, parallel.partitions);
+            assert_eq!(span.children.len() as u64, parallel.stats.partitions);
             let mut covered = 0;
             for part in &span.children {
                 assert_eq!(part.field("rank_start"), Some(covered));
@@ -1308,7 +1306,7 @@ mod tests {
         let span = span.expect("traced runs return a span");
         assert_eq!(span.name, "compiled-eval");
         assert_eq!(span.field("partitions"), Some(3));
-        assert_eq!(evaluation.partitions, 3);
+        assert_eq!(evaluation.stats.partitions, 3);
         assert_eq!(span.children.len(), 3);
         assert_eq!(
             span.subtree_total("candidates_checked"),
@@ -1323,7 +1321,7 @@ mod tests {
             .unwrap();
         assert!(none.is_none());
         assert_eq!(untraced.result, evaluation.result);
-        assert_eq!(untraced.partitions, 3);
+        assert_eq!(untraced.stats.partitions, 3);
     }
 
     #[test]
@@ -1344,7 +1342,7 @@ mod tests {
         let sequential = compiled.eval_full(&db, &EvalConfig::default()).unwrap();
         assert_eq!(partitioned.result, sequential.result);
         assert_eq!(partitioned.stats.steps, sequential.stats.steps);
-        assert_eq!(partitioned.partitions, 4);
+        assert_eq!(partitioned.stats.partitions, 4);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `Y`.  Quantifier domains are constructive domains `cons_X(T)` and therefore grow
 //! hyper-exponentially with the set-height of `T` — exactly the phenomenon the
 //! paper analyses — so the evaluator carries an explicit [`EvalConfig`] budget and
-//! reports [`EvalStats`] so the blow-up can be measured rather than merely
-//! endured.
+//! reports its counters as [`ExecStats`] so the blow-up can be measured
+//! rather than merely endured.
 
 use crate::error::CalcError;
 use crate::formula::Formula;
@@ -16,7 +16,7 @@ use crate::query::Query;
 use crate::term::{Term, Var};
 use itq_object::cons::{cons_cardinality, ConsIter};
 use itq_object::govern::POLL_MASK;
-use itq_object::{Atom, Database, ExecCtx, Instance, Interrupt, Value};
+use itq_object::{Atom, Database, ExecCtx, ExecStats, Instance, Interrupt, Value};
 use itq_trace::Span;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -55,76 +55,15 @@ impl EvalConfig {
     }
 }
 
-/// Counters accumulated during one evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvalStats {
-    /// Number of formula nodes evaluated.
-    pub steps: u64,
-    /// Number of values drawn from quantifier domains.
-    pub quantifier_values: u64,
-    /// Number of candidate output objects tested.
-    pub candidates_checked: u64,
-    /// The largest single quantifier domain encountered.
-    pub max_domain_seen: u64,
-    /// Compiled form only: constructive-domain lookups answered from the
-    /// per-execution [`DomainCache`](itq_object::DomainCache) memo (always 0
-    /// for the tree walker, which re-enumerates domains lazily).
-    pub domain_cache_hits: u64,
-    /// Compiled form only: constructive-domain lookups that had to
-    /// materialise a new domain (always 0 for the tree walker).
-    pub domain_cache_misses: u64,
-    /// Compiled form only: number of distinct values interned in the
-    /// execution's [`ValueStore`](itq_object::ValueStore) (always 0 for the
-    /// tree walker, which never interns).
-    pub interned_values: u64,
-}
-
-impl EvalStats {
-    /// Fold another evaluation's counters into this one: additive counters are
-    /// summed (saturating, so merging many partitions or levels can never
-    /// wrap), `max_domain_seen` takes the maximum.  Used by the invention
-    /// semantics, which run one evaluation per invention level, and by the
-    /// partitioned evaluator, which merges one block per partition.
-    ///
-    /// ```
-    /// use itq_calculus::eval::EvalStats;
-    /// let mut total = EvalStats { steps: 10, max_domain_seen: 4, ..Default::default() };
-    /// total.merge(&EvalStats { steps: 5, max_domain_seen: 9, ..Default::default() });
-    /// assert_eq!(total.steps, 15);
-    /// assert_eq!(total.max_domain_seen, 9);
-    /// let mut near_max = EvalStats { steps: u64::MAX - 1, ..Default::default() };
-    /// near_max.merge(&EvalStats { steps: 5, ..Default::default() });
-    /// assert_eq!(near_max.steps, u64::MAX); // saturates instead of wrapping
-    /// ```
-    pub fn merge(&mut self, other: &EvalStats) {
-        self.steps = self.steps.saturating_add(other.steps);
-        self.quantifier_values = self
-            .quantifier_values
-            .saturating_add(other.quantifier_values);
-        self.candidates_checked = self
-            .candidates_checked
-            .saturating_add(other.candidates_checked);
-        self.max_domain_seen = self.max_domain_seen.max(other.max_domain_seen);
-        self.domain_cache_hits = self
-            .domain_cache_hits
-            .saturating_add(other.domain_cache_hits);
-        self.domain_cache_misses = self
-            .domain_cache_misses
-            .saturating_add(other.domain_cache_misses);
-        self.interned_values = self.interned_values.saturating_add(other.interned_values);
-    }
-}
-
 /// The result of evaluating a query: the answer instance plus statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Evaluation {
     /// The answer, an instance of the query's target type.
     pub result: Instance,
-    /// Evaluation statistics.
-    pub stats: EvalStats,
-    /// Number of candidate-rank partitions the evaluation split its top-level
-    /// loop into (0 when it ran sequentially).
-    pub partitions: u64,
+    /// The evaluator's counters: formula steps, quantifier draws,
+    /// candidates, the largest domain, and the compiled slots' cache,
+    /// interning and partition counters.
+    pub stats: ExecStats,
 }
 
 /// A value assignment ρ from variables to objects.
@@ -134,7 +73,7 @@ struct Evaluator<'a> {
     db: &'a Database,
     atoms: Vec<Atom>,
     config: &'a EvalConfig,
-    stats: EvalStats,
+    stats: ExecStats,
     /// The execution's resource governor.  Polled every [`POLL_MASK`]+1 steps
     /// so the masked poll points coincide with the compiled backend's (both
     /// count one step per formula node).  The tree walker never interns, so
@@ -343,7 +282,8 @@ pub trait Evaluable {
     /// The backend polls `ctx.interrupt` once on entry and then every
     /// [`POLL_MASK`]+1 formula-node evaluations, surfacing deadline expiry,
     /// cancellation, and injected faults as [`CalcError::Resource`]; it
-    /// partitions its candidate loop across `ctx.workers` when it can; and
+    /// partitions its candidate loop across `ctx.workers` when it can,
+    /// counting the partitions in `stats.partitions`; and
     /// when `ctx.traced` it may return a [`Span`] describing the evaluation
     /// (the compiled form does, the tree walker never).  Answers,
     /// statistics, and errors never depend on `ctx.traced`.
@@ -393,7 +333,7 @@ impl Evaluable for Query {
             db,
             atoms: atoms.clone(),
             config,
-            stats: EvalStats::default(),
+            stats: ExecStats::default(),
             interrupt: ctx.interrupt,
         };
 
@@ -410,7 +350,6 @@ impl Evaluable for Query {
         let evaluation = Evaluation {
             result,
             stats: evaluator.stats,
-            partitions: 0,
         };
         Ok((evaluation, None))
     }
@@ -440,7 +379,7 @@ pub fn satisfies_sentence(
         db,
         atoms,
         config,
-        stats: EvalStats::default(),
+        stats: ExecStats::default(),
         interrupt: Interrupt::disarmed(),
     };
     let mut rho = BTreeMap::new();
@@ -476,12 +415,12 @@ pub fn holds_for_each<'v>(
     atoms: &[Atom],
     config: &EvalConfig,
     interrupt: &Interrupt,
-) -> Result<(bool, EvalStats), CalcError> {
+) -> Result<(bool, ExecStats), CalcError> {
     let mut evaluator = Evaluator {
         db,
         atoms: atoms.to_vec(),
         config,
-        stats: EvalStats::default(),
+        stats: ExecStats::default(),
         interrupt,
     };
     let mut rho = BTreeMap::new();

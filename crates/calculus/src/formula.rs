@@ -7,7 +7,7 @@
 
 use crate::term::{Term, Var};
 use itq_object::{Atom, PredName, Type};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A formula of the calculus.
@@ -84,13 +84,6 @@ impl Formula {
         Formula::Exists(var.to_string(), ty, Box::new(body))
     }
 
-    /// Nested existential quantification over several variables of the same type.
-    pub fn exists_many(vars: &[&str], ty: Type, body: Formula) -> Formula {
-        vars.iter()
-            .rev()
-            .fold(body, |acc, v| Formula::exists(v, ty.clone(), acc))
-    }
-
     /// `(∀x/T φ)`.
     pub fn forall(var: &str, ty: Type, body: Formula) -> Formula {
         Formula::Forall(var.to_string(), ty, Box::new(body))
@@ -154,34 +147,6 @@ impl Formula {
                 }
             }
         }
-    }
-
-    /// All variables (free or bound) mentioned by the formula.
-    pub fn all_vars(&self) -> BTreeSet<Var> {
-        let mut out = BTreeSet::new();
-        self.visit(&mut |f| {
-            match f {
-                Formula::Eq(t1, t2) | Formula::Member(t1, t2) => {
-                    if let Some(v) = t1.variable() {
-                        out.insert(v.clone());
-                    }
-                    if let Some(v) = t2.variable() {
-                        out.insert(v.clone());
-                    }
-                }
-                Formula::Pred(_, t) => {
-                    if let Some(v) = t.variable() {
-                        out.insert(v.clone());
-                    }
-                }
-                Formula::Exists(v, _, _) | Formula::Forall(v, _, _) => {
-                    out.insert(v.clone());
-                }
-                _ => {}
-            }
-            true
-        });
-        out
     }
 
     /// The constants (elements of `U`) occurring in the formula — the formula's
@@ -310,20 +275,6 @@ impl Formula {
             }
         }
     }
-
-    /// The types assigned to free variables by their *uses* inside quantifier
-    /// bodies cannot be recovered syntactically; this helper instead returns the
-    /// map from bound variable to declared type, flagging conflicts (a variable
-    /// quantified at two different types in nested scopes is legal in the paper —
-    /// the inner binding shadows — so only identical-scope conflicts matter and
-    /// those cannot be expressed in this AST).
-    pub fn bound_var_types(&self) -> BTreeMap<Var, BTreeSet<Type>> {
-        let mut out: BTreeMap<Var, BTreeSet<Type>> = BTreeMap::new();
-        for (v, t) in self.quantified_vars() {
-            out.entry(v).or_default().insert(t);
-        }
-        out
-    }
 }
 
 impl fmt::Debug for Formula {
@@ -407,9 +358,8 @@ mod tests {
         assert!(free.contains("t"));
         assert!(free.contains("s"));
         assert!(!free.contains("x"));
-        let all = f.all_vars();
-        assert!(all.contains("x"));
-        assert_eq!(all.len(), 3);
+        let bound: Vec<_> = f.quantified_vars().into_iter().map(|(v, _)| v).collect();
+        assert_eq!(bound, ["x"]);
     }
 
     #[test]
@@ -442,22 +392,19 @@ mod tests {
         assert_eq!(qs[1].1, Type::Atomic);
         assert_eq!(f.quantified_types().len(), 2);
         assert_eq!(f.quantifier_count(), 2);
-        let bound = f.bound_var_types();
-        assert_eq!(bound["x"], BTreeSet::from([Type::universal()]));
     }
 
     #[test]
-    fn exists_many_and_forall_many_nest_left_to_right() {
-        let f = Formula::exists_many(&["a", "b"], Type::Atomic, Formula::truth());
+    fn forall_many_nests_left_to_right() {
+        let f = Formula::forall_many(&["a", "b"], Type::Atomic, Formula::falsity());
         match &f {
-            Formula::Exists(v, _, inner) => {
+            Formula::Forall(v, _, inner) => {
                 assert_eq!(v, "a");
-                assert!(matches!(inner.as_ref(), Formula::Exists(w, _, _) if w == "b"));
+                assert!(matches!(inner.as_ref(), Formula::Forall(w, _, _) if w == "b"));
             }
-            _ => panic!("expected nested exists"),
+            _ => panic!("expected nested forall"),
         }
-        let g = Formula::forall_many(&["a", "b"], Type::Atomic, Formula::falsity());
-        assert_eq!(g.quantifier_count(), 2);
+        assert_eq!(f.quantifier_count(), 2);
     }
 
     #[test]

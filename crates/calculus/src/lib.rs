@@ -13,7 +13,10 @@
 //! * typed calculus queries `Q = {t/T | φ}` ([`Query`]);
 //! * the **limited interpretation** (active-domain) semantics and the generalised
 //!   `Q|^Y` semantics parameterised by extra atoms, with explicit evaluation
-//!   budgets ([`eval`]);
+//!   budgets ([`eval`]), run by the tree walker and by the slot-compiled form
+//!   ([`mod@compile`]); both count their work (formula steps, quantifier draws,
+//!   candidates, the largest domain) in the one counter block every backend
+//!   fills, [`ExecStats`](itq_object::ExecStats);
 //! * prenex-normal-form transformation and recognition of the existential fragment
 //!   `CALC_{0,1,∃}` ([`normal`]);
 //! * classification of a query into the family `CALC_{k,i}` via its intermediate
@@ -73,7 +76,7 @@ pub mod typing;
 pub use classify::{CalcClass, QueryClassification};
 pub use compile::{compile, CompiledQuery};
 pub use error::CalcError;
-pub use eval::{EvalConfig, EvalStats, Evaluable, Evaluation};
+pub use eval::{EvalConfig, Evaluable, Evaluation};
 pub use formula::Formula;
 pub use query::Query;
 pub use term::{Term, Var};

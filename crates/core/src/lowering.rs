@@ -66,9 +66,9 @@
 
 use crate::engine::EngineError;
 use itq_algebra::{AlgExpr, PhysicalPlan, SelFormula};
-use itq_calculus::eval::{holds_for_each, EvalConfig, EvalStats};
+use itq_calculus::eval::{holds_for_each, EvalConfig};
 use itq_calculus::{CalcError, Formula, Query, Term};
-use itq_object::{Atom, Database, Instance, Interrupt, Schema, Type, Value};
+use itq_object::{Atom, Database, ExecStats, Instance, Interrupt, Schema, Type, Value};
 use itq_relational::{DatalogAtom, Program, Relation, RelationStore, Rule, TermPattern};
 use std::collections::BTreeMap;
 
@@ -498,7 +498,7 @@ pub(crate) struct FixpointRun {
     /// Semi-naive rounds run.
     pub(crate) rounds: u64,
     /// The guard check's evaluator counters.
-    pub(crate) stats: EvalStats,
+    pub(crate) stats: ExecStats,
 }
 
 impl LeastFixpoint {
@@ -590,8 +590,8 @@ impl LeastFixpoint {
         elements: &Instance,
         db: &Database,
         interrupt: &Interrupt,
-    ) -> Result<(bool, EvalStats), CalcError> {
-        let mut total = EvalStats::default();
+    ) -> Result<(bool, ExecStats), CalcError> {
+        let mut total = ExecStats::default();
         if elements.is_empty() {
             return Ok((true, total));
         }

@@ -65,7 +65,7 @@
 use crate::engine::{Engine, EngineError, GovernorConfig, PlanSettings, Semantics};
 use crate::lowering::{self, LeastFixpoint};
 use itq_algebra::{to_calculus_query, AlgExpr, EvalConfig as AlgConfig, PhysicalPlan};
-use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable};
+use itq_calculus::eval::{EvalConfig, Evaluable};
 use itq_calculus::{CompiledQuery, Query, QueryClassification};
 use itq_invention::{finite_invention_ctx, level_span, terminal_invention_ctx, TerminalOutcome};
 use itq_object::{CancelFlag, Database, ExecCtx, Instance, Interrupt, Schema, Universe};
@@ -313,8 +313,9 @@ impl EngineBuilder {
 /// let query = queries::excluding_parent_pairs(&queries::grandparent_query());
 /// let prepared = Engine::new().prepare(&query).unwrap();
 /// let stats = prepared.prepare_stats();
-/// // Calculus handles outside the conjunctive fragment are never planned;
-/// // every other phase ran exactly once.
+/// // Calculus handles outside the conjunctive fragment are never planned,
+/// // and a calculus query was type-checked when it was built.
+/// assert_eq!(stats.typecheck_micros, 0);
 /// assert_eq!(stats.plan_micros, 0);
 /// let span = stats.to_span();
 /// assert_eq!(span.name, "prepare");
@@ -323,8 +324,9 @@ impl EngineBuilder {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrepareStats {
-    /// Semantic re-validation of the query body (for algebra handles: type
-    /// inference plus the Theorem 3.8 translation into the calculus).
+    /// For algebra handles: type inference plus the Theorem 3.8 translation
+    /// into the calculus.  0 for calculus handles, whose queries were
+    /// type-checked when they were built.
     pub typecheck_micros: u64,
     /// Building the set-at-a-time physical plan (join extraction, selection
     /// pushdown, projection fusion): for every algebra handle, and for a
@@ -378,10 +380,10 @@ impl PrepareStats {
     }
 }
 
-/// Counters and timings accumulated while executing a prepared query — the
-/// dynamic half of the pipeline, designed to be serialized (see
-/// [`ExecStats::to_json`]) so benchmark trajectories can be recorded across
-/// revisions.
+/// The counter block of an execution, defined in itq-object next to
+/// [`ExecCtx`] so that every backend fills it: a [`QueryOutcome`] carries the
+/// one its execution filled, stamped with the governor's polls and the wall
+/// clock.
 ///
 /// ```
 /// use itq_core::prelude::*;
@@ -396,144 +398,7 @@ impl PrepareStats {
 /// assert!(outcome.stats.candidates_checked >= 9); // 3 atoms → 9 candidate pairs
 /// assert_eq!(outcome.stats.invention_levels, 0); // no invention under `limited`
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Number of formula nodes evaluated.
-    pub steps: u64,
-    /// Number of values drawn from quantifier domains (quantifier expansions).
-    pub quantifier_values: u64,
-    /// Number of candidate output objects tested (tuples scanned at the top
-    /// level of the evaluation).
-    pub candidates_checked: u64,
-    /// The largest single quantifier domain encountered.
-    pub max_domain_seen: u64,
-    /// Number of invention levels `Q|_n[d]` explored (0 under the limited
-    /// interpretation, which never invents).
-    pub invention_levels: u64,
-    /// Compiled slots only: constructive-domain lookups answered from the
-    /// per-execution memo.
-    pub domain_cache_hits: u64,
-    /// Compiled slots only: constructive-domain lookups that had to
-    /// materialise a new domain.
-    pub domain_cache_misses: u64,
-    /// Compiled and planned executions: distinct values interned in the
-    /// execution's value store (0 for the tuple-at-a-time algebra evaluator,
-    /// which never interns).
-    pub interned_values: u64,
-    /// Planned executions only (algebra plans, and conjunctive calculus
-    /// queries run through their plan): hash/member index probes plus
-    /// candidate pairs examined by join operators (0 for every other
-    /// backend).  Comparable with the |A|·|B| pairs a tuple-at-a-time
-    /// product walks.
-    pub join_probes: u64,
-    /// Planned executions only: objects constructed by plan operators before
-    /// deduplication (0 for every other backend).
-    pub tuples_materialised: u64,
-    /// Number of candidate-rank partitions the compiled-calculus path split
-    /// its top-level loop into under the limited interpretation.  `0` when
-    /// the execution ran sequentially ([`EngineBuilder::parallelism`] at its
-    /// default of 1, or any other backend or semantics).  Deterministic for a
-    /// fixed engine configuration.
-    pub partitions: u64,
-    /// Number of times the execution polled its armed resource governor
-    /// (deadline / cancellation / memory-ceiling checks).  0 whenever the
-    /// governor is disarmed — the off path never counts polls.  Like
-    /// `wall_micros` this depends on the governor configuration rather than
-    /// on (query, database, semantics, backend) alone, so
-    /// [`ExecStats::deterministic`] zeroes it.
-    pub interrupt_polls: u64,
-    /// Wall-clock time of the execute call, in microseconds.
-    pub wall_micros: u64,
-}
-
-impl ExecStats {
-    /// Fold calculus-evaluator counters plus an invention-level count into an
-    /// `ExecStats` block (wall time is stamped by the caller).
-    fn from_eval(stats: EvalStats, invention_levels: u64) -> ExecStats {
-        ExecStats {
-            steps: stats.steps,
-            quantifier_values: stats.quantifier_values,
-            candidates_checked: stats.candidates_checked,
-            max_domain_seen: stats.max_domain_seen,
-            invention_levels,
-            domain_cache_hits: stats.domain_cache_hits,
-            domain_cache_misses: stats.domain_cache_misses,
-            interned_values: stats.interned_values,
-            join_probes: 0,
-            tuples_materialised: 0,
-            partitions: 0,
-            interrupt_polls: 0,
-            wall_micros: 0,
-        }
-    }
-
-    /// Fold plan executor counters into an `ExecStats` block (wall time is
-    /// stamped by the caller; the calculus counters stay zero — no formula is
-    /// evaluated on this path).
-    fn from_plan(stats: itq_algebra::PlanStats) -> ExecStats {
-        ExecStats {
-            interned_values: stats.interned_values,
-            join_probes: stats.join_probes,
-            tuples_materialised: stats.tuples_materialised,
-            ..ExecStats::default()
-        }
-    }
-
-    /// The statistics with the wall-clock field zeroed.  Every remaining
-    /// counter is a deterministic function of (query, database, semantics,
-    /// backend), so two executions can be compared with `==` without tripping
-    /// over timing noise — `ExecStats` derives `Eq` *including*
-    /// `wall_micros`, which is almost never what a differential test wants.
-    /// (`interrupt_polls` is zeroed too: it depends on the governor
-    /// configuration, not on the query/database/semantics/backend tuple.)
-    ///
-    /// ```
-    /// use itq_core::pipeline::ExecStats;
-    /// let a = ExecStats { steps: 7, wall_micros: 12, ..Default::default() };
-    /// let b = ExecStats { steps: 7, wall_micros: 99, interrupt_polls: 3, ..Default::default() };
-    /// assert_ne!(a, b); // timing noise trips whole-struct equality...
-    /// assert_eq!(a.deterministic(), b.deterministic()); // ...but not this.
-    /// ```
-    pub fn deterministic(&self) -> ExecStats {
-        ExecStats {
-            interrupt_polls: 0,
-            wall_micros: 0,
-            ..*self
-        }
-    }
-
-    /// Serialize as a flat JSON object (no external dependencies), in the
-    /// field order of the struct.
-    ///
-    /// ```
-    /// use itq_core::pipeline::ExecStats;
-    /// let json = ExecStats { steps: 2, ..Default::default() }.to_json();
-    /// assert!(json.starts_with("{\"steps\":2,"));
-    /// assert!(json.ends_with("}"));
-    /// ```
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"steps\":{},\"quantifier_values\":{},\"candidates_checked\":{},\
-             \"max_domain_seen\":{},\"invention_levels\":{},\"domain_cache_hits\":{},\
-             \"domain_cache_misses\":{},\"interned_values\":{},\"join_probes\":{},\
-             \"tuples_materialised\":{},\"partitions\":{},\"interrupt_polls\":{},\
-             \"wall_micros\":{}}}",
-            self.steps,
-            self.quantifier_values,
-            self.candidates_checked,
-            self.max_domain_seen,
-            self.invention_levels,
-            self.domain_cache_hits,
-            self.domain_cache_misses,
-            self.interned_values,
-            self.join_probes,
-            self.tuples_materialised,
-            self.partitions,
-            self.interrupt_polls,
-            self.wall_micros,
-        )
-    }
-}
+pub use itq_object::ExecStats;
 
 /// The unified result of executing a prepared query: one shape for all three
 /// semantics.  An enumerated handle folds its backend's result into it (an
@@ -683,10 +548,9 @@ struct StaticHalf {
 }
 
 impl Engine {
-    /// Prepare a calculus query: re-validate its typing, classify it into its
-    /// minimal `CALC_{k,i}` family, lower it to its route where it has one,
-    /// compile it, and snapshot the engine configuration into a reusable
-    /// [`Prepared`] handle.
+    /// Prepare a calculus query: classify it into its minimal `CALC_{k,i}`
+    /// family, lower it to its route where it has one, compile it, and
+    /// snapshot the engine configuration into a reusable [`Prepared`] handle.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -699,13 +563,10 @@ impl Engine {
     /// assert_eq!(outcome.result.len(), 1);
     /// ```
     pub fn prepare(&self, query: &Query) -> Result<Prepared, EngineError> {
-        // Prepare-time semantic type-checking: `Query` values are validated at
-        // construction, but a handle must stand on its own, so re-derive the
-        // full typing here (this is where an invalid body is rejected).
-        let typecheck = Instant::now();
-        let validated = query.with_body(query.body().clone())?;
-        let typecheck_micros = typecheck.elapsed().as_micros() as u64;
-        Ok(self.prepared_from(None, validated, typecheck_micros, 0))
+        // Every `Query` was type-checked when it was built (`Query::new` and
+        // `Query::with_body` check, and its fields are private), so prepare
+        // does not check it again.
+        Ok(self.prepared_from(None, query.clone(), 0, 0))
     }
 
     /// Prepare an algebra expression: plan it, translate it into an
@@ -1253,16 +1114,12 @@ impl Prepared {
         match semantics {
             Semantics::Limited => {
                 let (evaluation, span) = compiled.eval_ctx(db, &[], &settings.calc, ctx)?;
-                let stats = ExecStats {
-                    partitions: evaluation.partitions,
-                    ..ExecStats::from_eval(evaluation.stats, 0)
-                };
-                Ok((QueryOutcome::new(evaluation.result, semantics, stats), span))
+                let outcome = QueryOutcome::new(evaluation.result, semantics, evaluation.stats);
+                Ok((outcome, span))
             }
             Semantics::FiniteInvention => {
                 let (report, stats, levels) =
                     finite_invention_ctx(compiled, db, max_invented, &settings.calc, ctx)?;
-                let stats = ExecStats::from_eval(stats, report.levels() as u64);
                 let finite = QueryOutcome {
                     bounded_approximation: report.stabilised_at.is_none(),
                     stabilised_at: report.stabilised_at,
@@ -1277,19 +1134,11 @@ impl Prepared {
                 let terminal = match terminal {
                     TerminalOutcome::Defined { n, answer } => QueryOutcome {
                         defined_at: Some(n),
-                        ..QueryOutcome::new(
-                            answer,
-                            semantics,
-                            ExecStats::from_eval(stats, (n + 1) as u64),
-                        )
+                        ..QueryOutcome::new(answer, semantics, stats)
                     },
-                    TerminalOutcome::UndefinedWithinBound { tried } => QueryOutcome {
+                    TerminalOutcome::UndefinedWithinBound { .. } => QueryOutcome {
                         bounded_approximation: true,
-                        ..QueryOutcome::new(
-                            Instance::empty(),
-                            semantics,
-                            ExecStats::from_eval(stats, tried as u64),
-                        )
+                        ..QueryOutcome::new(Instance::empty(), semantics, stats)
                     },
                 };
                 let span =
@@ -1344,7 +1193,7 @@ impl Prepared {
                                     span.push_field("rows_out", run.answer.len() as u64);
                                     span
                                 });
-                                (run.answer, ExecStats::from_eval(run.stats, 0), span)
+                                (run.answer, run.stats, span)
                             })
                         })
                     }
@@ -1444,17 +1293,11 @@ impl Routed {
             }
         };
         let span = span.map(|run| {
-            let counters = EvalStats {
-                steps: stats.steps,
-                quantifier_values: stats.quantifier_values,
-                candidates_checked: stats.candidates_checked,
-                ..EvalStats::default()
-            };
-            let mut first = level_span(0, rows, rows, &counters);
+            let mut first = level_span(0, rows, rows, &stats);
             first.wall_micros = run.wall_micros;
             first.push_child(run);
             let higher =
-                (1..=max_invented).map(|n| level_span(n, rows, rows, &EvalStats::default()));
+                (1..=max_invented).map(|n| level_span(n, rows, rows, &ExecStats::default()));
             invention_span(root, &outcome, std::iter::once(first).chain(higher))
         });
         (outcome, span)
@@ -1477,7 +1320,7 @@ fn run_plan(
         span.push_child(op);
         span
     });
-    Ok((result, ExecStats::from_plan(stats), span))
+    Ok((result, stats, span))
 }
 
 /// True when every relation `db` stores under a schema predicate holds only

@@ -10,12 +10,12 @@
 //! it under one of the three semantics and maps its results onto the fields
 //! a [`QueryOutcome`] reports, and [`assert_matches_walker`] compares the two.
 
-use itq_calculus::eval::{EvalStats, Evaluable};
+use itq_calculus::eval::Evaluable;
 use itq_calculus::Query;
 use itq_core::engine::{Engine, EngineError, Semantics};
-use itq_core::pipeline::{ExecStats, QueryOutcome};
+use itq_core::pipeline::QueryOutcome;
 use itq_invention::{finite_invention_ctx, terminal_invention_ctx, TerminalOutcome};
-use itq_object::{Database, ExecCtx, Instance, Interrupt};
+use itq_object::{Database, ExecCtx, ExecStats, Instance, Interrupt};
 
 /// The tree walker's answer to one query under one semantics, in the shape
 /// of a [`QueryOutcome`].
@@ -31,7 +31,8 @@ pub struct WalkerOutcome {
     /// Finite invention only: the level after which no new answer appeared.
     pub stabilised_at: Option<usize>,
     /// The walker's counters, with the invention levels explored; the cache,
-    /// interning and planner counters stay zero.
+    /// interning, planner and partition counters stay zero (the walker runs
+    /// sequentially).
     pub stats: ExecStats,
 }
 
@@ -71,33 +72,25 @@ pub fn walker_outcome(
         interrupt,
         ..ExecCtx::default()
     };
-    let outcome = |result, stats: EvalStats, levels| WalkerOutcome {
+    let outcome = |result, stats| WalkerOutcome {
         result,
         bounded_approximation: false,
         defined_at: None,
         stabilised_at: None,
-        stats: ExecStats {
-            steps: stats.steps,
-            quantifier_values: stats.quantifier_values,
-            candidates_checked: stats.candidates_checked,
-            max_domain_seen: stats.max_domain_seen,
-            invention_levels: levels,
-            ..ExecStats::default()
-        },
+        stats,
     };
     let (max_invented, config) = (engine.max_invented(), engine.calc_config());
     match semantics {
         Semantics::Limited => {
             let (evaluation, _) = query.eval_ctx(db, &[], config, &ctx)?;
-            Ok(outcome(evaluation.result, evaluation.stats, 0))
+            Ok(outcome(evaluation.result, evaluation.stats))
         }
         Semantics::FiniteInvention => {
             let (report, stats, _) = finite_invention_ctx(query, db, max_invented, config, &ctx)?;
-            let levels = report.levels() as u64;
             Ok(WalkerOutcome {
                 bounded_approximation: report.stabilised_at.is_none(),
                 stabilised_at: report.stabilised_at,
-                ..outcome(report.union, stats, levels)
+                ..outcome(report.union, stats)
             })
         }
         Semantics::TerminalInvention => {
@@ -106,11 +99,11 @@ pub fn walker_outcome(
             Ok(match terminal {
                 TerminalOutcome::Defined { n, answer } => WalkerOutcome {
                     defined_at: Some(n),
-                    ..outcome(answer, stats, (n + 1) as u64)
+                    ..outcome(answer, stats)
                 },
-                TerminalOutcome::UndefinedWithinBound { tried } => WalkerOutcome {
+                TerminalOutcome::UndefinedWithinBound { .. } => WalkerOutcome {
                     bounded_approximation: true,
-                    ..outcome(Instance::empty(), stats, tried as u64)
+                    ..outcome(Instance::empty(), stats)
                 },
             })
         }

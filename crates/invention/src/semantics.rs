@@ -33,8 +33,8 @@
 //! [`level_span`].
 
 use crate::error::InventionError;
-use itq_calculus::eval::{EvalConfig, EvalStats, Evaluable, Evaluation};
-use itq_object::{Atom, Database, ExecCtx, Instance, Value};
+use itq_calculus::eval::{EvalConfig, Evaluable, Evaluation};
+use itq_object::{Atom, Database, ExecCtx, ExecStats, Instance, Value};
 use itq_trace::Span;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -44,10 +44,10 @@ use std::time::Instant;
 /// its wall clock and nests any child.
 ///
 /// ```
-/// use itq_calculus::EvalStats;
 /// use itq_invention::level_span;
+/// use itq_object::ExecStats;
 ///
-/// let span = level_span(2, 1, 3, &EvalStats::default());
+/// let span = level_span(2, 1, 3, &ExecStats::default());
 /// assert_eq!(span.name, "Q|_2[d]");
 /// assert_eq!(span.field("unrestricted_answers"), Some(3));
 /// ```
@@ -55,7 +55,7 @@ pub fn level_span(
     n: usize,
     answers: usize,
     unrestricted_answers: usize,
-    stats: &EvalStats,
+    stats: &ExecStats,
 ) -> Span {
     let mut span = Span::new(format!("Q|_{n}[d]"));
     span.push_field("invented", n as u64);
@@ -128,10 +128,12 @@ fn invent_level<Q: Evaluable + ?Sized>(
 }
 
 /// Evaluate level `n` of a sweep over `original_domain` ([`invent_level`]),
-/// merge its counters into `stats` and, when the sweep is traced (`spans` is
-/// `Some`), record its span, charged the level's wall clock.  Returns
-/// `Q|_n[d]` and the size of the unrestricted answer `Q|^Y[d]`, which exceeds
-/// `Q|_n[d]`'s exactly when `Q|^Y[d]` holds an invented value.
+/// merge its counters into `stats`, counting one invention level and none of
+/// the level's partitions (a sweep reports no partitions), and, when the
+/// sweep is traced (`spans` is `Some`), record its span, charged the level's
+/// wall clock.  Returns `Q|_n[d]` and the size of the unrestricted answer
+/// `Q|^Y[d]`, which exceeds `Q|_n[d]`'s exactly when `Q|^Y[d]` holds an
+/// invented value.
 fn sweep_level<Q: Evaluable + ?Sized>(
     query: &Q,
     db: &Database,
@@ -139,13 +141,17 @@ fn sweep_level<Q: Evaluable + ?Sized>(
     n: usize,
     config: &EvalConfig,
     ctx: &ExecCtx,
-    stats: &mut EvalStats,
+    stats: &mut ExecStats,
     spans: &mut Option<Vec<Span>>,
 ) -> Result<(Instance, usize), InventionError> {
     let start = ctx.traced.then(Instant::now);
     let (answer, evaluation) = invent_level(query, db, original_domain, n, config, ctx)?;
     let unrestricted = evaluation.result.len();
-    stats.merge(&evaluation.stats);
+    stats.merge(&ExecStats {
+        invention_levels: 1,
+        partitions: 0,
+        ..evaluation.stats
+    });
     if let (Some(spans), Some(start)) = (spans.as_mut(), start) {
         let mut span = level_span(n, answer.len(), unrestricted, &evaluation.stats);
         span.wall_micros = start.elapsed().as_micros() as u64;
@@ -172,7 +178,8 @@ fn fresh_atoms(domain: &BTreeSet<Atom>, n: usize) -> Vec<Atom> {
 
 /// The outcome of [`finite_invention`]: the union of the levels' answers and
 /// the level after which it stopped growing.  No level's own answer is kept
-/// (each moves into the union); [`eval_with_invented`] computes one.
+/// (each moves into the union); [`eval_with_invented`] computes one.  The
+/// levels run are counted in the statistics of [`finite_invention_ctx`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiniteInventionReport {
     /// The union of all computed answers — the bounded approximation of `Q^fi[d]`.
@@ -180,14 +187,6 @@ pub struct FiniteInventionReport {
     /// The smallest `n` after which no new answer appeared within the bound, if
     /// the trace stabilised before the bound was hit.
     pub stabilised_at: Option<usize>,
-    levels: usize,
-}
-
-impl FiniteInventionReport {
-    /// Number of invention levels evaluated.
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
 }
 
 /// Approximate finite invention: `⋃_{n ≤ max_invented} Q|_n[d]`, each level
@@ -202,13 +201,13 @@ pub fn finite_invention<Q: Evaluable + ?Sized>(
     Ok(finite_invention_ctx(query, db, max_invented, config, &ExecCtx::default())?.0)
 }
 
-/// [`finite_invention`] under an execution context, plus the aggregated
-/// [`EvalStats`] of every per-level evaluation and, when `ctx.traced`, one
-/// [`Span`] per `Q|_n[d]` level carrying the level's answer sizes and
-/// evaluation counters.  The report and statistics never depend on
-/// `ctx.traced`.  The union stabilised at the first level after which it
-/// stopped growing (`None` when it grew at the last level, or when only
-/// level 0 ran).
+/// [`finite_invention`] under an execution context, plus the merged
+/// [`ExecStats`] of every per-level evaluation (`invention_levels` counts
+/// them) and, when `ctx.traced`, one [`Span`] per `Q|_n[d]` level carrying
+/// the level's answer sizes and evaluation counters.  The report and
+/// statistics never depend on `ctx.traced`.  The union stabilised at the
+/// first level after which it stopped growing (`None` when it grew at the
+/// last level, or when only level 0 ran).
 ///
 /// Every per-level evaluation polls `ctx.interrupt` and partitions across
 /// `ctx.workers`.  A resource limit that trips at any level is the sweep's
@@ -228,7 +227,8 @@ pub fn finite_invention<Q: Evaluable + ?Sized>(
 ///     finite_invention_ctx(&q, &db, DEFAULT_MAX_INVENTED, &config, &ctx).unwrap();
 /// assert_eq!(report.union.len(), 1);
 /// assert!(stats.steps > 0, "one evaluation per invention level was counted");
-/// assert_eq!(levels.unwrap().len(), report.levels());
+/// assert_eq!(stats.invention_levels, DEFAULT_MAX_INVENTED as u64 + 1);
+/// assert_eq!(levels.unwrap().len() as u64, stats.invention_levels);
 /// ```
 pub fn finite_invention_ctx<Q: Evaluable + ?Sized>(
     query: &Q,
@@ -236,9 +236,9 @@ pub fn finite_invention_ctx<Q: Evaluable + ?Sized>(
     max_invented: usize,
     config: &EvalConfig,
     ctx: &ExecCtx,
-) -> Result<(FiniteInventionReport, EvalStats, Option<Vec<Span>>), InventionError> {
+) -> Result<(FiniteInventionReport, ExecStats, Option<Vec<Span>>), InventionError> {
     let domain = query.evaluation_domain(db);
-    let (mut stats, mut spans) = (EvalStats::default(), ctx.traced.then(Vec::new));
+    let (mut stats, mut spans) = (ExecStats::default(), ctx.traced.then(Vec::new));
     let mut union = Instance::empty();
     let mut stabilised_at = None;
     for n in 0..=max_invented {
@@ -256,7 +256,6 @@ pub fn finite_invention_ctx<Q: Evaluable + ?Sized>(
     let report = FiniteInventionReport {
         union,
         stabilised_at,
-        levels: max_invented + 1,
     };
     Ok((report, stats, spans))
 }
@@ -305,11 +304,12 @@ pub fn terminal_invention<Q: Evaluable + ?Sized>(
     Ok(terminal_invention_ctx(query, db, max_invented, config, &ExecCtx::default())?.0)
 }
 
-/// [`terminal_invention`] under an execution context, plus the aggregated
-/// [`EvalStats`] of every level searched and, when `ctx.traced`, one
-/// [`Span`] per `Q|_n[d]` level searched (the search stops at the defining
-/// level, so a defined outcome at `n` yields `n + 1` spans).  The outcome and
-/// statistics never depend on `ctx.traced`.
+/// [`terminal_invention`] under an execution context, plus the merged
+/// [`ExecStats`] of every level searched (`invention_levels` counts them)
+/// and, when `ctx.traced`, one [`Span`] per `Q|_n[d]` level searched (the
+/// search stops at the defining level, so a defined outcome at `n` yields
+/// `n + 1` spans).  The outcome and statistics never depend on
+/// `ctx.traced`.
 ///
 /// Terminal invention returns the answer at the *least* inventing level, so a
 /// partially completed search carries no sound answer: a resource limit
@@ -338,9 +338,9 @@ pub fn terminal_invention_ctx<Q: Evaluable + ?Sized>(
     max_invented: usize,
     config: &EvalConfig,
     ctx: &ExecCtx,
-) -> Result<(TerminalOutcome, EvalStats, Option<Vec<Span>>), InventionError> {
+) -> Result<(TerminalOutcome, ExecStats, Option<Vec<Span>>), InventionError> {
     let domain = query.evaluation_domain(db);
-    let (mut stats, mut spans) = (EvalStats::default(), ctx.traced.then(Vec::new));
+    let (mut stats, mut spans) = (ExecStats::default(), ctx.traced.then(Vec::new));
     for n in 0..=max_invented {
         let (answer, unrestricted) =
             sweep_level(query, db, &domain, n, config, ctx, &mut stats, &mut spans)?;
@@ -410,8 +410,9 @@ mod tests {
         let q = needs_external_witness();
         let db = unary_db(2);
         let cfg = EvalConfig::default();
-        let report = finite_invention(&q, &db, DEFAULT_MAX_INVENTED, &cfg).unwrap();
-        assert_eq!(report.levels(), 5);
+        let (report, stats, _) =
+            finite_invention_ctx(&q, &db, DEFAULT_MAX_INVENTED, &cfg, &ExecCtx::default()).unwrap();
+        assert_eq!(stats.invention_levels, 5);
         assert!(eval_with_invented(&q, &db, 0, &cfg).unwrap().0.is_empty());
         assert_eq!(eval_with_invented(&q, &db, 1, &cfg).unwrap().0.len(), 2);
         assert_eq!(report.union.len(), 2);
@@ -579,6 +580,10 @@ mod tests {
             terminal_invention_ctx(&q, &db, 3, &config, &traced).unwrap();
         assert_eq!(plain_outcome, traced_outcome);
         assert_eq!(plain_term_stats, traced_term_stats);
+        assert_eq!(
+            traced_term_stats.invention_levels, 4,
+            "one per level searched"
+        );
         assert_eq!(
             term_spans.map(|spans| spans.len()),
             Some(4),

@@ -76,11 +76,6 @@ impl UniversalCodec {
         }
     }
 
-    /// The type this codec encodes.
-    pub fn source_type(&self) -> &Type {
-        &self.ty
-    }
-
     /// The universal target type `{[U, U, U, U]}`.
     pub fn target_type() -> Type {
         Type::universal()
@@ -374,7 +369,6 @@ mod tests {
         let mut universe = Universe::new();
         let ty = figure3_type();
         let codec = UniversalCodec::new(&ty, &mut universe);
-        assert_eq!(codec.source_type(), &ty);
         assert_eq!(codec.node_count(), ty.subtypes().len());
         assert_eq!(UniversalCodec::target_type().to_string(), "{[U, U, U, U]}");
         // Constants cover node ids, coordinates 0..=2 and the empty marker.

@@ -17,7 +17,10 @@
 //!   [`Display`](std::fmt::Display) rendering is the **single source of
 //!   truth** for resource-error messages: every layer above (calculus,
 //!   algebra, invention, engine) forwards it verbatim, so the same
-//!   interruption produces a byte-identical message on every backend.
+//!   interruption produces a byte-identical message on every backend;
+//! * [`ExecCtx`] — how one execution runs (its governor, worker count and
+//!   tracing), handed to every backend, and [`ExecStats`], the one counter
+//!   block every backend fills.
 //!
 //! Polling is explicit and coarse (quantifier iterations, join probes,
 //! invention levels — masked to roughly one check per 256 units of work), so
@@ -265,7 +268,7 @@ impl Interrupt {
     }
 
     /// Number of polls an armed interrupt has answered so far (0 for a
-    /// disarmed one) — surfaced as `interrupt_polls` in `ExecStats`.
+    /// disarmed one) — surfaced as [`ExecStats::interrupt_polls`].
     pub fn polls(&self) -> u64 {
         self.polls.load(Ordering::Relaxed)
     }
@@ -350,6 +353,151 @@ impl Default for ExecCtx<'_> {
             workers: 1,
             traced: false,
         }
+    }
+}
+
+/// The counters and timings of one execution, the one block every backend
+/// fills: the tree walker and the compiled slots count formula steps,
+/// quantifier draws, candidates and the largest constructive domain
+/// `cons_X(T)` (the paper's cost measures, Theorem 4.4); the plan executor
+/// counts join probes and materialised objects; the invention drivers
+/// [`merge`](ExecStats::merge) one block per level `Q|_n[d]`; the engine
+/// stamps the governor's polls and the wall clock.  A backend leaves every
+/// counter it does not keep at 0.  [`ExecStats::to_json`] serializes it, so
+/// benchmark trajectories can be recorded across revisions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Number of formula nodes evaluated.
+    pub steps: u64,
+    /// Number of values drawn from quantifier domains (quantifier expansions).
+    pub quantifier_values: u64,
+    /// Number of candidate output objects tested (tuples scanned at the top
+    /// level of the evaluation).
+    pub candidates_checked: u64,
+    /// The largest single quantifier domain encountered.
+    pub max_domain_seen: u64,
+    /// Number of invention levels `Q|_n[d]` explored (0 under the limited
+    /// interpretation, which never invents).
+    pub invention_levels: u64,
+    /// Compiled slots only: constructive-domain lookups answered from the
+    /// per-execution memo.
+    pub domain_cache_hits: u64,
+    /// Compiled slots only: constructive-domain lookups that had to
+    /// materialise a new domain.
+    pub domain_cache_misses: u64,
+    /// Compiled and planned executions: distinct values interned in the
+    /// execution's value store (0 for the tree walker and the
+    /// tuple-at-a-time algebra evaluator, which never intern).
+    pub interned_values: u64,
+    /// Planned executions only (algebra plans, and conjunctive calculus
+    /// queries run through their plan): hash/member index probes plus
+    /// candidate pairs examined by join operators (0 for every other
+    /// backend).  Comparable with the |A|·|B| pairs a tuple-at-a-time
+    /// product walks.
+    pub join_probes: u64,
+    /// Planned executions only: objects constructed by plan operators before
+    /// deduplication (0 for every other backend).
+    pub tuples_materialised: u64,
+    /// Number of candidate-rank partitions the compiled slots split their
+    /// top-level loop into under the limited interpretation.  `0` when the
+    /// execution ran sequentially (one worker in its [`ExecCtx`]), and on
+    /// every other backend or semantics.  Deterministic for a fixed worker
+    /// count.
+    pub partitions: u64,
+    /// Number of times the execution polled its armed resource governor
+    /// (deadline / cancellation / memory-ceiling checks).  0 whenever the
+    /// governor is disarmed — the off path never counts polls.  Like
+    /// `wall_micros` this depends on the governor configuration rather than
+    /// on (query, database, semantics, backend) alone, so
+    /// [`ExecStats::deterministic`] zeroes it.
+    pub interrupt_polls: u64,
+    /// Wall-clock time of the execute call, in microseconds.
+    pub wall_micros: u64,
+}
+
+impl ExecStats {
+    /// Fold another block into this one: `max_domain_seen` takes the
+    /// maximum and every other counter is summed, saturating, so merging
+    /// many partitions or levels can never wrap.
+    pub fn merge(&mut self, other: &ExecStats) {
+        self.steps = self.steps.saturating_add(other.steps);
+        self.quantifier_values = self
+            .quantifier_values
+            .saturating_add(other.quantifier_values);
+        self.candidates_checked = self
+            .candidates_checked
+            .saturating_add(other.candidates_checked);
+        self.max_domain_seen = self.max_domain_seen.max(other.max_domain_seen);
+        self.invention_levels = self.invention_levels.saturating_add(other.invention_levels);
+        self.domain_cache_hits = self
+            .domain_cache_hits
+            .saturating_add(other.domain_cache_hits);
+        self.domain_cache_misses = self
+            .domain_cache_misses
+            .saturating_add(other.domain_cache_misses);
+        self.interned_values = self.interned_values.saturating_add(other.interned_values);
+        self.join_probes = self.join_probes.saturating_add(other.join_probes);
+        self.tuples_materialised = self
+            .tuples_materialised
+            .saturating_add(other.tuples_materialised);
+        self.partitions = self.partitions.saturating_add(other.partitions);
+        self.interrupt_polls = self.interrupt_polls.saturating_add(other.interrupt_polls);
+        self.wall_micros = self.wall_micros.saturating_add(other.wall_micros);
+    }
+
+    /// The statistics with the wall-clock field zeroed.  Every remaining
+    /// counter is a deterministic function of (query, database, semantics,
+    /// backend), so two executions can be compared with `==` without tripping
+    /// over timing noise — `ExecStats` derives `Eq` *including*
+    /// `wall_micros`, which is almost never what a differential test wants.
+    /// (`interrupt_polls` is zeroed too: it depends on the governor
+    /// configuration, not on the query/database/semantics/backend tuple.)
+    ///
+    /// ```
+    /// use itq_object::ExecStats;
+    /// let a = ExecStats { steps: 7, wall_micros: 12, ..Default::default() };
+    /// let b = ExecStats { steps: 7, wall_micros: 99, interrupt_polls: 3, ..Default::default() };
+    /// assert_ne!(a, b); // timing noise trips whole-struct equality...
+    /// assert_eq!(a.deterministic(), b.deterministic()); // ...but not this.
+    /// ```
+    pub fn deterministic(&self) -> ExecStats {
+        ExecStats {
+            interrupt_polls: 0,
+            wall_micros: 0,
+            ..*self
+        }
+    }
+
+    /// Serialize as a flat JSON object (no external dependencies), in the
+    /// field order of the struct.
+    ///
+    /// ```
+    /// use itq_object::ExecStats;
+    /// let json = ExecStats { steps: 2, ..Default::default() }.to_json();
+    /// assert!(json.starts_with("{\"steps\":2,"));
+    /// assert!(json.ends_with("}"));
+    /// ```
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"steps\":{},\"quantifier_values\":{},\"candidates_checked\":{},\
+             \"max_domain_seen\":{},\"invention_levels\":{},\"domain_cache_hits\":{},\
+             \"domain_cache_misses\":{},\"interned_values\":{},\"join_probes\":{},\
+             \"tuples_materialised\":{},\"partitions\":{},\"interrupt_polls\":{},\
+             \"wall_micros\":{}}}",
+            self.steps,
+            self.quantifier_values,
+            self.candidates_checked,
+            self.max_domain_seen,
+            self.invention_levels,
+            self.domain_cache_hits,
+            self.domain_cache_misses,
+            self.interned_values,
+            self.join_probes,
+            self.tuples_materialised,
+            self.partitions,
+            self.interrupt_polls,
+            self.wall_micros,
+        )
     }
 }
 
@@ -440,6 +588,39 @@ mod tests {
         assert_eq!(
             ResourceError::MemoryCeiling { limit: 4096 }.to_string(),
             "interned values exceeded the configured memory ceiling of 4096 bytes"
+        );
+    }
+
+    /// A block whose `max_domain_seen` is `largest` and whose every other
+    /// counter is `value`.
+    fn every_counter(value: u64, largest: u64) -> ExecStats {
+        ExecStats {
+            steps: value,
+            quantifier_values: value,
+            candidates_checked: value,
+            max_domain_seen: largest,
+            invention_levels: value,
+            domain_cache_hits: value,
+            domain_cache_misses: value,
+            interned_values: value,
+            join_probes: value,
+            tuples_materialised: value,
+            partitions: value,
+            interrupt_polls: value,
+            wall_micros: value,
+        }
+    }
+
+    #[test]
+    fn merge_saturates_sums_and_keeps_the_largest_domain() {
+        let mut total = every_counter(10, 4);
+        total.merge(&every_counter(5, 9));
+        assert_eq!(total, every_counter(15, 9));
+        total.merge(&every_counter(u64::MAX - 1, 2));
+        assert_eq!(
+            total,
+            every_counter(u64::MAX, 9),
+            "sums saturate instead of wrapping; a smaller domain leaves the largest"
         );
     }
 }

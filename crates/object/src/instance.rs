@@ -206,16 +206,6 @@ impl Schema {
     pub fn is_flat(&self) -> bool {
         self.entries.iter().all(|(_, t)| t.is_flat())
     }
-
-    /// The maximum set-height over all predicate types (the `k` in `CALC_{k,i}`
-    /// as far as the input is concerned).
-    pub fn max_set_height(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|(_, t)| t.set_height())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// A database instance `d = (P1 : I1, …, Pn : In)` for a [`Schema`].
@@ -293,14 +283,6 @@ impl Database {
             }
         }
         out
-    }
-
-    /// Total number of objects across all relations (a proxy for `‖d‖`).
-    pub fn total_size(&self) -> usize {
-        self.relations
-            .values()
-            .map(|i| i.iter().map(Value::size).sum::<usize>())
-            .sum()
     }
 
     /// Check that this instance conforms to a schema: same predicate set, and each
@@ -385,7 +367,6 @@ mod tests {
         assert!(!schema.contains("MISSING"));
         assert_eq!(schema.type_of("PAR"), Some(&Type::flat_tuple(2)));
         assert!(!schema.is_flat());
-        assert_eq!(schema.max_set_height(), 1);
         let flat = Schema::single("PAR", Type::flat_tuple(2));
         assert!(flat.is_flat());
         assert_eq!(flat.names(), vec!["PAR"]);
@@ -418,7 +399,6 @@ mod tests {
         .with("PERSON", Instance::from_atoms(vec![a[0]]));
         assert_eq!(d.active_domain().len(), 4);
         assert_eq!(d.len(), 2);
-        assert!(d.total_size() > 0);
         assert!(d.relation("PAR").is_some());
         assert!(d.relation("NOPE").is_none());
         assert!(d.relation_or_err("NOPE").is_err());

@@ -14,7 +14,13 @@
 //!   (module [`cons`]),
 //! * cardinality arithmetic for constructive domains and the hyper-exponential
 //!   function `hyp(c, n, i)` used throughout the paper's complexity analysis
-//!   (module [`card`]).
+//!   (module [`card`]),
+//! * what every execution shares ([`govern`]): the resource governor
+//!   ([`Interrupt`]), the execution context every backend takes
+//!   ([`ExecCtx`]), and the one counter block every backend fills
+//!   ([`ExecStats`]) — formula steps, quantifier draws and the largest
+//!   `cons_X(T)` domain met, the paper's cost measures, next to the
+//!   invention levels, cache, interning, join and partition counters.
 //!
 //! Everything downstream (the calculus, the algebra, invention semantics, the
 //! benchmark harness) is built on top of this crate.
@@ -61,7 +67,7 @@ pub use atom::{Atom, Universe};
 pub use card::{hyp, Cardinality};
 pub use cons::{cons_cardinality, enumerate_cons, ConsIter};
 pub use error::ObjectError;
-pub use govern::{CancelFlag, ExecCtx, Interrupt, ResourceError, TripKind};
+pub use govern::{CancelFlag, ExecCtx, ExecStats, Interrupt, ResourceError, TripKind};
 pub use instance::{Database, Instance, PredName, Schema};
 pub use store::{DomainCache, DomainHandle, ValueId, ValueStore};
 pub use types::Type;

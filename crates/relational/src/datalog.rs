@@ -248,8 +248,9 @@ fn fire_rec(
     out: &mut Relation,
 ) {
     if body_index == rule.body.len() {
-        // Disequality constraints apply once all body variables are bound; an
-        // unbound side (unsafe rule) simply never derives.
+        // Disequality constraints apply once all body variables are bound; a
+        // side no body literal binds (a rule that is not range-restricted)
+        // simply never derives.
         for (left, right) in &rule.neq {
             match (sub.get(left), sub.get(right)) {
                 (Some(l), Some(r)) if l != r => {}

@@ -11,7 +11,7 @@
 use crate::ops::compose;
 use crate::relation::Relation;
 use itq_object::Atom;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Naive iteration: repeatedly add `R ∘ T` to `T` until nothing changes,
 /// recomputing the full composition each round.
@@ -67,33 +67,34 @@ pub fn transitive_closure_warshall(edges: &Relation) -> Relation {
     out
 }
 
-/// Reachable set from a single source (BFS) — used to cross-check the closure
-/// algorithms in tests.
-pub fn reachable_from(edges: &Relation, source: Atom) -> BTreeSet<Atom> {
-    let mut adjacency: BTreeMap<Atom, Vec<Atom>> = BTreeMap::new();
-    for t in edges.iter() {
-        adjacency.entry(t[0]).or_default().push(t[1]);
-    }
-    let mut seen = BTreeSet::new();
-    let mut frontier = vec![source];
-    while let Some(node) = frontier.pop() {
-        if let Some(next) = adjacency.get(&node) {
-            for &m in next {
-                if seen.insert(m) {
-                    frontier.push(m);
-                }
-            }
-        }
-    }
-    seen
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn a(n: u32) -> Atom {
         Atom(n)
+    }
+
+    /// The atoms reachable from `source` by a breadth-first search, the
+    /// reference the closure algorithms are checked against.
+    fn reachable_from(edges: &Relation, source: Atom) -> BTreeSet<Atom> {
+        let mut adjacency: BTreeMap<Atom, Vec<Atom>> = BTreeMap::new();
+        for t in edges.iter() {
+            adjacency.entry(t[0]).or_default().push(t[1]);
+        }
+        let mut seen = BTreeSet::new();
+        let mut frontier = vec![source];
+        while let Some(node) = frontier.pop() {
+            if let Some(next) = adjacency.get(&node) {
+                for &m in next {
+                    if seen.insert(m) {
+                        frontier.push(m);
+                    }
+                }
+            }
+        }
+        seen
     }
 
     fn chain(n: u32) -> Relation {

@@ -21,10 +21,11 @@
 //!
 //! Ctrl-C cancels the statement that is currently executing instead of
 //! terminating the process.  The `itq-signal` shim latches SIGINT into an
-//! atomic flag (the only unsafe code in the workspace — one `signal(2)` FFI
-//! call); a watcher thread polls that latch every ~25 ms and raises the
-//! engine's shared [`CancelFlag`], and the governed execution stops at its
-//! next poll point with `error: execution cancelled`.  The flag is lowered
+//! atomic flag (one `signal(2)` FFI call, the only code in the workspace
+//! exempt from `forbid(unsafe_code)`); a watcher thread polls that latch
+//! every ~25 ms and raises the engine's shared [`CancelFlag`], and the
+//! governed execution stops at its next poll point with
+//! `error: execution cancelled`.  The flag is lowered
 //! again before each statement, so the session keeps going afterwards.
 //! Because glibc installs the handler with `SA_RESTART`, a Ctrl-C while the
 //! REPL is *idle* at its prompt (blocked in `read(2)`) does not interrupt the
