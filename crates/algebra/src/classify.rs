@@ -11,7 +11,7 @@
 
 use crate::error::AlgError;
 use crate::expr::AlgExpr;
-use crate::typing::infer_type;
+use crate::typing::{NodeType, Typing};
 use itq_calculus::CalcClass;
 use itq_object::{Schema, Type};
 use std::collections::BTreeSet;
@@ -43,21 +43,21 @@ impl AlgClassification {
 
 /// Classify an algebraic expression over a schema.
 pub fn classify_expr(expr: &AlgExpr, schema: &Schema) -> Result<AlgClassification, AlgError> {
-    let output_type = infer_type(expr, schema)?;
+    classify_typing(&Typing::new(expr, schema), schema)
+}
+
+/// Classify an algebraic expression over a schema from its [`Typing`].
+pub fn classify_typing(typing: &Typing, schema: &Schema) -> Result<AlgClassification, AlgError> {
+    let output_type = typing.result()?.clone();
     let mut io_types: BTreeSet<Type> = schema.iter().map(|(_, t)| t.clone()).collect();
     io_types.insert(output_type.clone());
 
-    // Collect the type of every subexpression.
-    let mut sub_types = BTreeSet::new();
-    let mut stack = vec![expr];
-    while let Some(e) = stack.pop() {
-        sub_types.insert(infer_type(e, schema)?);
-        stack.extend(e.children());
-    }
-
-    let intermediate_types: BTreeSet<Type> = sub_types
-        .into_iter()
+    let intermediate_types: BTreeSet<Type> = typing
+        .nodes()
+        .iter()
+        .filter_map(NodeType::ty)
         .filter(|t| !io_types.contains(t))
+        .cloned()
         .collect();
 
     let k = io_types.iter().map(Type::set_height).max().unwrap_or(0);

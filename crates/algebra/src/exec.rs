@@ -244,23 +244,8 @@ impl Ctx<'_> {
                 let rb: HashSet<ValueId> = self.eval(b)?.into_iter().collect();
                 Ok(ra.into_iter().filter(|id| !rb.contains(id)).collect())
             }
-            PhysNode::Filter {
-                conjuncts,
-                tuple_input,
-                input,
-            } => {
+            PhysNode::Filter { conjuncts, input } => {
                 let rows = self.eval(input)?;
-                if !tuple_input {
-                    // The tuple-at-a-time evaluator walks the instance in
-                    // canonical order and rejects the first (least) value.
-                    return match rows.iter().map(|&id| self.store.resolve(id)).min() {
-                        None => Ok(Vec::new()),
-                        Some(v) => Err(AlgError::TypeMismatch {
-                            operator: "selection".to_string(),
-                            detail: format!("non-tuple value {v}"),
-                        }),
-                    };
-                }
                 let mut out = Vec::with_capacity(rows.len());
                 for id in rows {
                     self.tick()?;

@@ -11,8 +11,8 @@
 //! calculus query, and the test suite checks that both sides produce identical
 //! answers.
 //!
-//! The non-first-normal-form operators *nest* and *unnest*, which the paper notes
-//! are simulable from the primitives, are provided directly in [`nest`].
+//! One pass ([`typing`]) types every subexpression; the planner, the
+//! classifier and the translation read that record.
 //!
 //! An expression runs either tuple-at-a-time ([`eval`]) or, planned once
 //! ([`mod@plan`]), set-at-a-time over interned relations ([`exec`]).  The plan
@@ -42,18 +42,17 @@ pub mod error;
 pub mod eval;
 pub mod exec;
 pub mod expr;
-pub mod nest;
 pub mod plan;
 pub mod to_calculus;
 pub mod typing;
 
-pub use classify::{classify_expr, AlgClassification};
+pub use classify::{classify_expr, classify_typing, AlgClassification};
 pub use error::AlgError;
 pub use eval::EvalConfig;
 pub use expr::{AlgExpr, SelFormula, SelTerm};
 pub use plan::{plan, JoinStrategy, PhysNode, PhysicalPlan};
 pub use to_calculus::to_calculus_query;
-pub use typing::infer_type;
+pub use typing::{infer_type, NodeType, Typing};
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, AlgError>;

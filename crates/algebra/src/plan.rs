@@ -30,7 +30,7 @@
 
 use crate::error::AlgError;
 use crate::expr::{AlgExpr, SelFormula, SelTerm};
-use crate::typing::infer_type;
+use crate::typing::{product_width, Typing};
 use itq_object::{Atom, PredName, Schema, Type};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -83,11 +83,6 @@ pub enum PhysNode {
     Filter {
         /// The conjuncts, evaluated in order per row.
         conjuncts: Vec<SelFormula>,
-        /// True when the operand has a tuple type.  The paper's typing rules
-        /// accept a coordinate-free selection formula over *any* operand
-        /// type, but evaluation requires tuples; a `false` here preserves the
-        /// tuple-at-a-time evaluator's runtime type error.
-        tuple_input: bool,
         /// The input operator.
         input: Box<PhysNode>,
     },
@@ -344,16 +339,6 @@ fn render_into(node: &PhysNode, own_prefix: &str, child_prefix: &str, out: &mut 
     }
 }
 
-/// Number of components the operand contributes to a product tuple: tuples
-/// flatten to their arity, atoms and sets contribute one component (the
-/// paper's definition (6)).
-fn flatten_width(ty: &Type) -> usize {
-    match ty {
-        Type::Tuple(components) => components.len(),
-        _ => 1,
-    }
-}
-
 /// Split a selection formula into its top-level conjuncts, flattening nested
 /// conjunctions (truth-functionally invisible; `⋀(⋀(a, b), c)` and `a ∧ b ∧ c`
 /// run the same tests in the same order).
@@ -399,129 +384,53 @@ fn map_coords(
     })
 }
 
-/// Plan an algebra expression over a schema: type-check it, then lower it into
-/// a [`PhysicalPlan`] with joins extracted, selections pushed down, and
+/// Plan an algebra expression over a schema: type it, then lower it into a
+/// [`PhysicalPlan`] with joins extracted, selections pushed down, and
 /// projections fused.
 pub fn plan(expr: &AlgExpr, schema: &Schema) -> Result<PhysicalPlan, AlgError> {
-    // The one full type-check; lowering recomputes each operator's output
-    // type bottom-up from its children, so it never re-walks subtrees.
-    let output_type = infer_type(expr, schema)?;
-    let (root, _) = lower(expr, schema)?;
+    // One pass types every subexpression; lowering reads its operands' types
+    // from that record and never applies a typing rule itself.
+    let typing = Typing::new(expr, schema);
+    let output_type = typing.result()?.clone();
+    let root = lower(expr, 0, &typing)?;
     Ok(PhysicalPlan { root, output_type })
 }
 
-/// Lower an expression to its operator and output type.  The expression was
-/// validated up front, so the per-node typing here is pure synthesis (the
-/// residual error paths are defensive).
-fn lower(expr: &AlgExpr, schema: &Schema) -> Result<(PhysNode, Type), AlgError> {
-    match expr {
-        AlgExpr::Pred(p) => {
-            let ty = schema
-                .type_of(p)
-                .cloned()
-                .ok_or_else(|| AlgError::UnknownPredicate { name: p.clone() })?;
-            Ok((PhysNode::Scan { pred: p.clone() }, ty))
-        }
-        AlgExpr::Singleton(a) => Ok((PhysNode::Singleton { atom: *a }, Type::Atomic)),
-        AlgExpr::Union(a, b) => {
-            let (la, ta) = lower(a, schema)?;
-            let (lb, _) = lower(b, schema)?;
-            Ok((PhysNode::Union(Box::new(la), Box::new(lb)), ta))
-        }
-        AlgExpr::Intersect(a, b) => {
-            let (la, ta) = lower(a, schema)?;
-            let (lb, _) = lower(b, schema)?;
-            Ok((PhysNode::Intersect(Box::new(la), Box::new(lb)), ta))
-        }
-        AlgExpr::Diff(a, b) => {
-            let (la, ta) = lower(a, schema)?;
-            let (lb, _) = lower(b, schema)?;
-            Ok((PhysNode::Diff(Box::new(la), Box::new(lb)), ta))
-        }
-        AlgExpr::Project(coords, a) => {
-            let (input, input_ty) = lower(a, schema)?;
-            let ty = project_type(coords, &input_ty)?;
-            Ok((fuse_project(coords.clone(), input)?, ty))
-        }
+/// Lower the subexpression at pre-order index `at` of a typing with no error
+/// to its operator.
+fn lower(expr: &AlgExpr, at: usize, typing: &Typing) -> Result<PhysNode, AlgError> {
+    Ok(match expr {
+        AlgExpr::Pred(p) => PhysNode::Scan { pred: p.clone() },
+        AlgExpr::Singleton(a) => PhysNode::Singleton { atom: *a },
+        AlgExpr::Union(a, b) => PhysNode::Union(
+            Box::new(lower(a, at + 1, typing)?),
+            Box::new(lower(b, typing.second_operand(at), typing)?),
+        ),
+        AlgExpr::Intersect(a, b) => PhysNode::Intersect(
+            Box::new(lower(a, at + 1, typing)?),
+            Box::new(lower(b, typing.second_operand(at), typing)?),
+        ),
+        AlgExpr::Diff(a, b) => PhysNode::Diff(
+            Box::new(lower(a, at + 1, typing)?),
+            Box::new(lower(b, typing.second_operand(at), typing)?),
+        ),
+        AlgExpr::Project(coords, a) => fuse_project(coords.clone(), lower(a, at + 1, typing)?)?,
         AlgExpr::Select(f, a) => {
             let mut conjuncts = Vec::new();
             flatten_conjuncts(f, &mut conjuncts);
-            lower_selected(conjuncts, a, schema)
+            lower_selected(conjuncts, a, at + 1, typing)?
         }
-        AlgExpr::Product(a, b) => lower_product(Vec::new(), a, b, schema),
-        AlgExpr::Untuple(a) => {
-            let (input, input_ty) = lower(a, schema)?;
-            let ty = match &input_ty {
-                Type::Tuple(cs) if cs.len() == 1 => cs[0].clone(),
-                other => {
-                    return Err(AlgError::TypeMismatch {
-                        operator: "untuple".to_string(),
-                        detail: format!("operand must have a width-1 tuple type, got {other}"),
-                    })
-                }
-            };
-            Ok((
-                PhysNode::Untuple {
-                    input: Box::new(input),
-                },
-                ty,
-            ))
-        }
-        AlgExpr::Collapse(a) => {
-            let (input, input_ty) = lower(a, schema)?;
-            let ty = match &input_ty {
-                Type::Set(inner) => inner.as_ref().clone(),
-                other => {
-                    return Err(AlgError::TypeMismatch {
-                        operator: "collapse".to_string(),
-                        detail: format!("operand must have a set type, got {other}"),
-                    })
-                }
-            };
-            Ok((
-                PhysNode::Collapse {
-                    input: Box::new(input),
-                },
-                ty,
-            ))
-        }
-        AlgExpr::Powerset(a) => {
-            let (input, input_ty) = lower(a, schema)?;
-            Ok((
-                PhysNode::Powerset {
-                    input: Box::new(input),
-                },
-                Type::set(input_ty),
-            ))
-        }
-    }
-}
-
-/// The output type of `π_{coords}` over an operand type (synthesis only; the
-/// coordinates were validated by the up-front type-check).
-fn project_type(coords: &[usize], operand: &Type) -> Result<Type, AlgError> {
-    let components = match operand {
-        Type::Tuple(cs) => cs,
-        other => {
-            return Err(AlgError::TypeMismatch {
-                operator: "projection".to_string(),
-                detail: format!("operand has non-tuple type {other}"),
-            })
-        }
-    };
-    coords
-        .iter()
-        .map(|&c| {
-            c.checked_sub(1)
-                .and_then(|i| components.get(i))
-                .cloned()
-                .ok_or(AlgError::BadCoordinate {
-                    coordinate: c,
-                    width: components.len(),
-                })
-        })
-        .collect::<Result<Vec<Type>, AlgError>>()
-        .map(Type::Tuple)
+        AlgExpr::Product(a, b) => lower_product(Vec::new(), a, b, at, typing)?,
+        AlgExpr::Untuple(a) => PhysNode::Untuple {
+            input: Box::new(lower(a, at + 1, typing)?),
+        },
+        AlgExpr::Collapse(a) => PhysNode::Collapse {
+            input: Box::new(lower(a, at + 1, typing)?),
+        },
+        AlgExpr::Powerset(a) => PhysNode::Powerset {
+            input: Box::new(lower(a, at + 1, typing)?),
+        },
+    })
 }
 
 /// Place a projection over a lowered input, fusing `π ∘ π` by composition and
@@ -586,13 +495,14 @@ fn compose_coords(outer: &[usize], inner: &[usize]) -> Result<Vec<usize>, AlgErr
         .collect()
 }
 
-/// Lower `σ_{conjuncts}(operand)`, pushing the conjuncts as deep as they go.
-/// A selection preserves its operand's type.
+/// Lower `σ_{conjuncts}(operand)`, with `operand` at pre-order index `at`,
+/// pushing the conjuncts as deep as they go.
 fn lower_selected(
     conjuncts: Vec<SelFormula>,
     operand: &AlgExpr,
-    schema: &Schema,
-) -> Result<(PhysNode, Type), AlgError> {
+    at: usize,
+    typing: &Typing,
+) -> Result<PhysNode, AlgError> {
     match operand {
         // σ_f(σ_g(e)) ≡ σ_{g ∧ f}(e): the inner selection's tests run first,
         // exactly as the tuple-at-a-time evaluator orders them.
@@ -600,7 +510,7 @@ fn lower_selected(
             let mut merged = Vec::new();
             flatten_conjuncts(g, &mut merged);
             merged.extend(conjuncts);
-            lower_selected(merged, inner, schema)
+            lower_selected(merged, inner, at + 1, typing)
         }
         // σ_f(π_c(e)) ≡ π_c(σ_{f'}(e)) with the coordinates remapped through
         // the projection — the selection now runs before the (possibly
@@ -619,19 +529,20 @@ fn lower_selected(
                     })
                 })
                 .collect::<Result<_, _>>()?;
-            let (input, input_ty) = lower_selected(remapped, inner, schema)?;
-            let ty = project_type(coords, &input_ty)?;
-            Ok((fuse_project(coords.clone(), input)?, ty))
+            fuse_project(
+                coords.clone(),
+                lower_selected(remapped, inner, at + 1, typing)?,
+            )
         }
-        AlgExpr::Product(a, b) => lower_product(conjuncts, a, b, schema),
+        AlgExpr::Product(a, b) => lower_product(conjuncts, a, b, at, typing),
         other => {
-            let (input, ty) = lower(other, schema)?;
+            let input = lower(other, at, typing)?;
+            let ty = typing.ty(at);
             if !matches!(ty, Type::Tuple(_)) {
                 // Typing admits a coordinate-free (vacuous) selection over any
-                // operand, but every backend rejects a non-tuple operand at
-                // runtime.  Report it here, at prepare time, naming the
-                // operand; the tuple-at-a-time evaluator keeps its own
-                // runtime error untouched.
+                // operand, but evaluation needs tuples.  Report it here, at
+                // prepare time, naming the operand; the tuple-at-a-time
+                // evaluator keeps its own runtime error untouched.
                 return Err(AlgError::TypeMismatch {
                     operator: "selection".to_string(),
                     detail: format!("non-tuple operand {other} of type {ty}"),
@@ -639,34 +550,31 @@ fn lower_selected(
             }
             if conjuncts.is_empty() {
                 // A vacuous selection over tuples is the identity.
-                return Ok((input, ty));
+                return Ok(input);
             }
-            Ok((
-                PhysNode::Filter {
-                    conjuncts,
-                    tuple_input: true,
-                    input: Box::new(input),
-                },
-                ty,
-            ))
+            Ok(PhysNode::Filter {
+                conjuncts,
+                input: Box::new(input),
+            })
         }
     }
 }
 
-/// Lower `σ_{conjuncts}(a × b)` into a join: partition the conjuncts into
-/// per-side filters, key/semijoin candidates, and a residual.
+/// Lower `σ_{conjuncts}(a × b)`, with the product at pre-order index `at`,
+/// into a join: partition the conjuncts into per-side filters, key/semijoin
+/// candidates, and a residual.
 fn lower_product(
     conjuncts: Vec<SelFormula>,
     a: &AlgExpr,
     b: &AlgExpr,
-    schema: &Schema,
-) -> Result<(PhysNode, Type), AlgError> {
-    let (left, left_ty) = lower(a, schema)?;
-    let (right, right_ty) = lower(b, schema)?;
-    let left_width = flatten_width(&left_ty);
-    let right_width = flatten_width(&right_ty);
-    // The same flattening `infer_type` applies to a product.
-    let output_type = Type::tuple(vec![left_ty, right_ty]);
+    at: usize,
+    typing: &Typing,
+) -> Result<PhysNode, AlgError> {
+    let second = typing.second_operand(at);
+    let left = lower(a, at + 1, typing)?;
+    let right = lower(b, second, typing)?;
+    let left_width = product_width(typing.ty(at + 1));
+    let right_width = product_width(typing.ty(second));
 
     let mut left_filter = Vec::new();
     let mut right_filter = Vec::new();
@@ -736,20 +644,17 @@ fn lower_product(
         JoinStrategy::Loop
     };
 
-    Ok((
-        PhysNode::Join {
-            left: Box::new(left),
-            right: Box::new(right),
-            left_width,
-            right_width,
-            left_filter,
-            right_filter,
-            strategy,
-            residual,
-            project: None,
-        },
-        output_type,
-    ))
+    Ok(PhysNode::Join {
+        left: Box::new(left),
+        right: Box::new(right),
+        left_width,
+        right_width,
+        left_filter,
+        right_filter,
+        strategy,
+        residual,
+        project: None,
+    })
 }
 
 #[cfg(test)]

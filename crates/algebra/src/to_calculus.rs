@@ -38,16 +38,17 @@
 
 use crate::error::AlgError;
 use crate::expr::{AlgExpr, SelFormula, SelTerm};
-use crate::typing::infer_type;
+use crate::typing::{product_width, Typing};
 use itq_calculus::{Formula, Query, Term};
 use itq_object::{Schema, Type};
 
 /// Translate an algebraic expression over `schema` into an equivalent calculus
 /// query with target variable `t`.
 pub fn to_calculus_query(expr: &AlgExpr, schema: &Schema) -> Result<Query, AlgError> {
-    let output_type = infer_type(expr, schema)?;
+    let typing = Typing::new(expr, schema);
+    let output_type = typing.result()?.clone();
     let mut counter = 0usize;
-    let body = translate(expr, schema, "t", &mut counter)?;
+    let body = translate(expr, 0, &typing, "t", &mut counter);
     Query::new("t", output_type, body, schema.clone()).map_err(|e| AlgError::TypeMismatch {
         operator: "algebra→calculus translation".to_string(),
         detail: e.to_string(),
@@ -58,15 +59,6 @@ fn fresh(counter: &mut usize) -> String {
     let name = format!("v#{counter}");
     *counter += 1;
     name
-}
-
-/// Width of the component list contributed by a type to a Cartesian product
-/// (`f` in the paper's definition (6)).
-fn product_width(ty: &Type) -> usize {
-    match ty {
-        Type::Tuple(cs) => cs.len(),
-        _ => 1,
-    }
 }
 
 /// Formula stating that the components `offset+1 .. offset+width(ty)` of the
@@ -82,93 +74,97 @@ fn components_match(target: &str, offset: usize, var: &str, ty: &Type) -> Formul
     }
 }
 
+/// Translate the subexpression at pre-order index `at` of a typing with no
+/// error into a formula in the free variable `target`.
 fn translate(
     expr: &AlgExpr,
-    schema: &Schema,
+    at: usize,
+    typing: &Typing,
     target: &str,
     counter: &mut usize,
-) -> Result<Formula, AlgError> {
+) -> Formula {
     match expr {
-        AlgExpr::Pred(p) => Ok(Formula::pred(p, Term::var(target))),
-        AlgExpr::Singleton(a) => Ok(Formula::eq(Term::var(target), Term::constant(*a))),
-        AlgExpr::Union(a, b) => Ok(Formula::or(vec![
-            translate(a, schema, target, counter)?,
-            translate(b, schema, target, counter)?,
-        ])),
-        AlgExpr::Intersect(a, b) => Ok(Formula::and(vec![
-            translate(a, schema, target, counter)?,
-            translate(b, schema, target, counter)?,
-        ])),
-        AlgExpr::Diff(a, b) => Ok(Formula::and(vec![
-            translate(a, schema, target, counter)?,
-            Formula::not(translate(b, schema, target, counter)?),
-        ])),
+        AlgExpr::Pred(p) => Formula::pred(p, Term::var(target)),
+        AlgExpr::Singleton(a) => Formula::eq(Term::var(target), Term::constant(*a)),
+        AlgExpr::Union(a, b) => Formula::or(vec![
+            translate(a, at + 1, typing, target, counter),
+            translate(b, typing.second_operand(at), typing, target, counter),
+        ]),
+        AlgExpr::Intersect(a, b) => Formula::and(vec![
+            translate(a, at + 1, typing, target, counter),
+            translate(b, typing.second_operand(at), typing, target, counter),
+        ]),
+        AlgExpr::Diff(a, b) => Formula::and(vec![
+            translate(a, at + 1, typing, target, counter),
+            Formula::not(translate(
+                b,
+                typing.second_operand(at),
+                typing,
+                target,
+                counter,
+            )),
+        ]),
         AlgExpr::Project(coords, a) => {
-            let source_ty = infer_type(a, schema)?;
             let u = fresh(counter);
-            let inner = translate(a, schema, &u, counter)?;
+            let inner = translate(a, at + 1, typing, &u, counter);
             let mut conjuncts = vec![inner];
             for (j, &c) in coords.iter().enumerate() {
                 conjuncts.push(Formula::eq(Term::proj(target, j + 1), Term::proj(&u, c)));
             }
-            Ok(Formula::exists(&u, source_ty, Formula::and(conjuncts)))
+            Formula::exists(&u, typing.ty(at + 1).clone(), Formula::and(conjuncts))
         }
         AlgExpr::Select(sel, a) => {
-            let inner = translate(a, schema, target, counter)?;
+            let inner = translate(a, at + 1, typing, target, counter);
             let condition = translate_selection(sel, target);
-            Ok(Formula::and(vec![inner, condition]))
+            Formula::and(vec![inner, condition])
         }
         AlgExpr::Product(a, b) => {
-            let ta = infer_type(a, schema)?;
-            let tb = infer_type(b, schema)?;
+            let second = typing.second_operand(at);
+            let (ta, tb) = (typing.ty(at + 1), typing.ty(second));
             let u = fresh(counter);
             let v = fresh(counter);
-            let fa = translate(a, schema, &u, counter)?;
-            let fb = translate(b, schema, &v, counter)?;
-            let wa = product_width(&ta);
+            let fa = translate(a, at + 1, typing, &u, counter);
+            let fb = translate(b, second, typing, &v, counter);
             let body = Formula::and(vec![
                 fa,
                 fb,
-                components_match(target, 0, &u, &ta),
-                components_match(target, wa, &v, &tb),
+                components_match(target, 0, &u, ta),
+                components_match(target, product_width(ta), &v, tb),
             ]);
-            Ok(Formula::exists(&u, ta, Formula::exists(&v, tb, body)))
+            Formula::exists(&u, ta.clone(), Formula::exists(&v, tb.clone(), body))
         }
         AlgExpr::Untuple(a) => {
-            let source_ty = infer_type(a, schema)?;
             let u = fresh(counter);
-            let inner = translate(a, schema, &u, counter)?;
-            Ok(Formula::exists(
+            let inner = translate(a, at + 1, typing, &u, counter);
+            Formula::exists(
                 &u,
-                source_ty,
+                typing.ty(at + 1).clone(),
                 Formula::and(vec![
                     inner,
                     Formula::eq(Term::proj(&u, 1), Term::var(target)),
                 ]),
-            ))
+            )
         }
         AlgExpr::Collapse(a) => {
-            let source_ty = infer_type(a, schema)?;
             let u = fresh(counter);
-            let inner = translate(a, schema, &u, counter)?;
-            Ok(Formula::exists(
+            let inner = translate(a, at + 1, typing, &u, counter);
+            Formula::exists(
                 &u,
-                source_ty,
+                typing.ty(at + 1).clone(),
                 Formula::and(vec![
                     inner,
                     Formula::member(Term::var(target), Term::var(&u)),
                 ]),
-            ))
+            )
         }
         AlgExpr::Powerset(a) => {
-            let element_ty = infer_type(a, schema)?;
             let v = fresh(counter);
-            let inner = translate(a, schema, &v, counter)?;
-            Ok(Formula::forall(
+            let inner = translate(a, at + 1, typing, &v, counter);
+            Formula::forall(
                 &v,
-                element_ty,
+                typing.ty(at + 1).clone(),
                 Formula::implies(Formula::member(Term::var(&v), Term::var(target)), inner),
-            ))
+            )
         }
     }
 }

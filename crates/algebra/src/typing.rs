@@ -2,28 +2,159 @@
 //!
 //! Every algebraic expression `E` has an associated type `ᾱ(E)` determined by the
 //! schema's assignment of types to predicate symbols; the expression denotes
-//! instances of that type.  This module computes `ᾱ(E)` and validates the typing
-//! side-conditions of the paper's definition (matching operand types for the
-//! set-theoretic operators, tuple operands for projection/selection, width-1
-//! tuples for untuple, set operands for collapse, and well-typed selection
-//! formulas).
+//! instances of that type.  [`Typing`] computes `ᾱ` of every subexpression in one
+//! pass and validates the typing side-conditions of the paper's definition
+//! (matching operand types for the set-theoretic operators, tuple operands for
+//! projection, width-1 tuples for untuple, set operands for collapse, and
+//! well-typed selection formulas).  This module is the only code that applies
+//! these rules: the planner, the classifier, the Theorem 3.8 translation and
+//! the analyzer read one [`Typing`].
+//!
+//! A selection formula that mentions a coordinate needs a tuple operand, but a
+//! coordinate-free one (`σ_⊤`, `σ_{a = a}`) types over an operand of *any*
+//! type.  Evaluation needs tuples, so that selection over a non-tuple operand
+//! is rejected elsewhere: by the planner ([`crate::plan()`]), by the analyzer
+//! as `ITQ0203`, and by the tuple-at-a-time evaluator at run time, on the first
+//! non-tuple value it meets.
 
 use crate::error::AlgError;
 use crate::expr::{AlgExpr, SelFormula, SelTerm};
 use itq_object::{Schema, Type};
 
-/// Infer the type `ᾱ(E)` of an expression over a schema, validating all typing
-/// side-conditions along the way.
+/// Infer the type `ᾱ(E)` of an expression over a schema: its [`Typing`]'s
+/// [`result`](Typing::result).
 pub fn infer_type(expr: &AlgExpr, schema: &Schema) -> Result<Type, AlgError> {
+    Typing::new(expr, schema).result().cloned()
+}
+
+/// What the typing rules say about one subexpression.
+#[derive(Debug, Clone, PartialEq)]
+pub enum NodeType {
+    /// The subexpression has this type.
+    Typed(Type),
+    /// Its operands typed, but its own rule failed: the error originates here.
+    Failed(AlgError),
+    /// An operand did not type, so neither does this subexpression.
+    Blocked,
+}
+
+impl NodeType {
+    /// The type, when the subexpression has one.
+    pub fn ty(&self) -> Option<&Type> {
+        match self {
+            NodeType::Typed(ty) => Some(ty),
+            _ => None,
+        }
+    }
+}
+
+/// The type of every subexpression of one expression, from one pass.
+///
+/// Subexpressions are numbered in pre-order: the expression itself is 0, an
+/// operator's first operand directly follows it, and a binary operator's
+/// second operand follows the first operand's whole subtree.  An error does
+/// not stop the pass: sibling subtrees are still typed, so every operator
+/// where an error originates is recorded.
+#[derive(Debug)]
+pub struct Typing {
+    /// One entry per subexpression, in pre-order.
+    nodes: Vec<NodeType>,
+    /// For each subexpression, one past the pre-order index of the last
+    /// subexpression of its subtree.
+    ends: Vec<usize>,
+}
+
+impl Typing {
+    /// Type every subexpression of `expr` over `schema`.
+    pub fn new(expr: &AlgExpr, schema: &Schema) -> Typing {
+        let mut order = Vec::new();
+        let mut stack = vec![expr];
+        while let Some(e) = stack.pop() {
+            let operands = e.children();
+            order.push((e, operands.len()));
+            stack.extend(operands.into_iter().rev());
+        }
+        let mut nodes = vec![NodeType::Blocked; order.len()];
+        let mut ends = vec![0; order.len()];
+        // Reverse pre-order reaches every operand before its operator.
+        for (at, &(e, arity)) in order.iter().enumerate().rev() {
+            let mut types = Vec::with_capacity(arity);
+            let mut next = at + 1;
+            for _ in 0..arity {
+                types.extend(nodes[next].ty());
+                next = ends[next];
+            }
+            ends[at] = next;
+            let outcome = if types.len() < arity {
+                NodeType::Blocked
+            } else {
+                match rule(e, &types, schema) {
+                    Ok(ty) => NodeType::Typed(ty),
+                    Err(err) => NodeType::Failed(err),
+                }
+            };
+            nodes[at] = outcome;
+        }
+        Typing { nodes, ends }
+    }
+
+    /// The expression's type, or else the first error that originates in it
+    /// in the order operands are typed (left to right, operands before their
+    /// operator).
+    pub fn result(&self) -> Result<&Type, AlgError> {
+        if let NodeType::Typed(ty) = &self.nodes[0] {
+            return Ok(ty);
+        }
+        let first = self.nodes.iter().find_map(|node| match node {
+            NodeType::Failed(err) => Some(err.clone()),
+            _ => None,
+        });
+        Err(first.expect("an error originates below a blocked operator"))
+    }
+
+    /// Every subexpression's outcome, in pre-order.
+    pub fn nodes(&self) -> &[NodeType] {
+        &self.nodes
+    }
+
+    /// The type of the subexpression at pre-order index `at`.
+    ///
+    /// # Panics
+    ///
+    /// When that subexpression has no type.  Every subexpression has one once
+    /// [`Typing::result`] is `Ok`.
+    pub(crate) fn ty(&self, at: usize) -> &Type {
+        self.nodes[at]
+            .ty()
+            .expect("read only the typing of an expression that types")
+    }
+
+    /// The pre-order index of the second operand of the binary operator at
+    /// pre-order index `at`.
+    pub(crate) fn second_operand(&self, at: usize) -> usize {
+        self.ends[at + 1]
+    }
+}
+
+/// Number of components an operand of type `ty` contributes to a product
+/// tuple: a tuple its arity, an atom or a set one (the paper's definition (6)).
+pub(crate) fn product_width(ty: &Type) -> usize {
+    match ty {
+        Type::Tuple(components) => components.len(),
+        _ => 1,
+    }
+}
+
+/// `expr`'s own typing rule, applied to its operands' types.
+fn rule(expr: &AlgExpr, operands: &[&Type], schema: &Schema) -> Result<Type, AlgError> {
     match expr {
         AlgExpr::Pred(p) => schema
             .type_of(p)
             .cloned()
             .ok_or_else(|| AlgError::UnknownPredicate { name: p.clone() }),
         AlgExpr::Singleton(_) => Ok(Type::Atomic),
-        AlgExpr::Union(a, b) | AlgExpr::Intersect(a, b) | AlgExpr::Diff(a, b) => {
-            let ta = infer_type(a, schema)?;
-            let tb = infer_type(b, schema)?;
+        AlgExpr::Union(..) | AlgExpr::Intersect(..) | AlgExpr::Diff(..) => {
+            let (ta, tb) = (operands[0], operands[1]);
             if ta != tb {
                 let op = match expr {
                     AlgExpr::Union(..) => "union",
@@ -35,11 +166,10 @@ pub fn infer_type(expr: &AlgExpr, schema: &Schema) -> Result<Type, AlgError> {
                     detail: format!("{ta} vs {tb}"),
                 });
             }
-            Ok(ta)
+            Ok(ta.clone())
         }
-        AlgExpr::Project(coords, a) => {
-            let ta = infer_type(a, schema)?;
-            let components = match &ta {
+        AlgExpr::Project(coords, _) => {
+            let components = match operands[0] {
                 Type::Tuple(cs) => cs,
                 other => {
                     return Err(AlgError::TypeMismatch {
@@ -66,37 +196,26 @@ pub fn infer_type(expr: &AlgExpr, schema: &Schema) -> Result<Type, AlgError> {
             }
             Ok(Type::Tuple(selected))
         }
-        AlgExpr::Select(sel, a) => {
-            let ta = infer_type(a, schema)?;
-            check_selection(sel, &ta)?;
-            Ok(ta)
+        AlgExpr::Select(sel, _) => {
+            check_selection(sel, operands[0])?;
+            Ok(operands[0].clone())
         }
-        AlgExpr::Product(a, b) => {
-            let ta = infer_type(a, schema)?;
-            let tb = infer_type(b, schema)?;
-            Ok(Type::tuple(vec![ta, tb]))
-        }
-        AlgExpr::Untuple(a) => {
-            let ta = infer_type(a, schema)?;
-            match &ta {
-                Type::Tuple(cs) if cs.len() == 1 => Ok(cs[0].clone()),
-                other => Err(AlgError::TypeMismatch {
-                    operator: "untuple".to_string(),
-                    detail: format!("operand must have a width-1 tuple type, got {other}"),
-                }),
-            }
-        }
-        AlgExpr::Collapse(a) => {
-            let ta = infer_type(a, schema)?;
-            match &ta {
-                Type::Set(inner) => Ok(inner.as_ref().clone()),
-                other => Err(AlgError::TypeMismatch {
-                    operator: "collapse".to_string(),
-                    detail: format!("operand must have a set type, got {other}"),
-                }),
-            }
-        }
-        AlgExpr::Powerset(a) => Ok(Type::set(infer_type(a, schema)?)),
+        AlgExpr::Product(..) => Ok(Type::tuple(vec![operands[0].clone(), operands[1].clone()])),
+        AlgExpr::Untuple(_) => match operands[0] {
+            Type::Tuple(cs) if cs.len() == 1 => Ok(cs[0].clone()),
+            other => Err(AlgError::TypeMismatch {
+                operator: "untuple".to_string(),
+                detail: format!("operand must have a width-1 tuple type, got {other}"),
+            }),
+        },
+        AlgExpr::Collapse(_) => match operands[0] {
+            Type::Set(inner) => Ok(inner.as_ref().clone()),
+            other => Err(AlgError::TypeMismatch {
+                operator: "collapse".to_string(),
+                detail: format!("operand must have a set type, got {other}"),
+            }),
+        },
+        AlgExpr::Powerset(_) => Ok(Type::set(operands[0].clone())),
     }
 }
 
@@ -128,7 +247,7 @@ fn sel_term_type(term: &SelTerm, operand: &Type) -> Result<Type, AlgError> {
 /// Check a selection formula against the operand type, enforcing the paper's
 /// "natural typing requirements" (e.g. `1 ∈ 2` is permitted only when coordinate 2
 /// has type `{T}` for the type `T` of coordinate 1).
-pub fn check_selection(sel: &SelFormula, operand: &Type) -> Result<(), AlgError> {
+fn check_selection(sel: &SelFormula, operand: &Type) -> Result<(), AlgError> {
     match sel {
         SelFormula::Eq(t1, t2) => {
             let ty1 = sel_term_type(t1, operand)?;
@@ -178,6 +297,30 @@ mod tests {
                 "NESTED",
                 Type::tuple(vec![Type::Atomic, Type::set(Type::Atomic)]),
             )
+    }
+
+    #[test]
+    fn errors_originate_where_the_operands_type_and_siblings_keep_typing() {
+        // (PAR ∪ PERSON) × (PERSON × PAR), in pre-order: 0 ×, 1 ∪, 2 PAR,
+        // 3 PERSON, 4 ×, 5 PERSON, 6 PAR.
+        let expr = AlgExpr::pred("PAR")
+            .union(AlgExpr::pred("PERSON"))
+            .product(AlgExpr::pred("PERSON").product(AlgExpr::pred("PAR")));
+        let typing = Typing::new(&expr, &schema());
+        assert_eq!(typing.nodes().len(), 7);
+        assert_eq!(typing.nodes()[0], NodeType::Blocked);
+        assert!(matches!(typing.nodes()[1], NodeType::Failed(_)));
+        assert_eq!(typing.second_operand(0), 4);
+        assert_eq!(typing.second_operand(4), 6);
+        assert_eq!(typing.ty(4), &Type::flat_tuple(3));
+        assert_eq!(
+            typing.result().unwrap_err().to_string(),
+            "type error in union: [U, U] vs U"
+        );
+        assert_eq!(
+            infer_type(&expr, &schema()).unwrap_err(),
+            typing.result().unwrap_err()
+        );
     }
 
     #[test]

@@ -9,9 +9,11 @@
 
 use crate::diag::{self, Diagnostic, Report};
 use crate::walk::{algebra_preorder, formula_preorder, AlgNode};
-use itq_algebra::typing::check_selection;
-use itq_algebra::{classify_expr, infer_type, AlgError, AlgExpr, SelFormula, SelTerm};
-use itq_calculus::{Formula, Query, Var};
+use itq_algebra::{
+    classify_typing, AlgError, AlgExpr, EvalConfig as AlgConfig, NodeType, SelFormula, SelTerm,
+    Typing,
+};
+use itq_calculus::{EvalConfig as CalcConfig, Formula, Query, Var};
 use itq_object::{cons_cardinality, Schema, Type};
 
 /// The evaluation budgets the static budget passes predict against. Mirrors
@@ -25,11 +27,11 @@ pub struct Budgets {
 }
 
 impl Default for Budgets {
+    /// The budgets of the default evaluation configs.
     fn default() -> Self {
-        // Matches the engine's default evaluation configs.
         Budgets {
-            max_quantifier_domain: 1 << 22,
-            max_instance: 1 << 22,
+            max_quantifier_domain: CalcConfig::default().max_quantifier_domain,
+            max_instance: AlgConfig::default().max_instance,
         }
     }
 }
@@ -59,13 +61,20 @@ pub fn analyze_algebra(expr: &AlgExpr, schema: &Schema, budgets: &Budgets) -> Re
             .expect("node comes from the same tree")
     };
 
+    // The typing numbers the expression nodes alone, in the same pre-order:
+    // `exprs[at]` is the `nodes` index of typing node `at`.
+    let typing = Typing::new(expr, schema);
+    let exprs: Vec<usize> = (0..nodes.len())
+        .filter(|&i| matches!(nodes[i], AlgNode::Expr(_)))
+        .collect();
+
     undefined_relations(&nodes, schema, &mut report);
-    algebra_typing(expr, schema, &index_of, &mut report);
-    vacuous_selections(&nodes, schema, &mut report);
+    algebra_typing(&typing, &exprs, &mut report);
+    vacuous_selections(&nodes, &typing, &exprs, &mut report);
     selection_folding(&nodes, &mut report);
     always_empty(&nodes, &mut report);
     cardinality_budget(expr, budgets, &index_of, &mut report);
-    algebra_stratum(expr, schema, &mut report);
+    algebra_stratum(&typing, schema, &mut report);
     report
 }
 
@@ -343,39 +352,36 @@ fn undefined_relations(nodes: &[AlgNode<'_>], schema: &Schema, report: &mut Repo
 }
 
 /// ITQ0202: operators whose operands type-check individually but whose
-/// combination does not (arity/width mismatches included). Flagging only the
-/// originating operator keeps one defect from cascading up the tree.
-fn algebra_typing(
-    expr: &AlgExpr,
-    schema: &Schema,
-    index_of: &dyn Fn(&AlgNode<'_>) -> usize,
-    report: &mut Report,
-) {
-    let mut stack = vec![expr];
-    while let Some(e) = stack.pop() {
-        stack.extend(e.children());
-        let children_ok = e.children().iter().all(|c| infer_type(c, schema).is_ok());
-        if !children_ok {
-            continue;
-        }
-        match infer_type(e, schema) {
-            Ok(_) | Err(AlgError::UnknownPredicate { .. }) => {}
-            Err(err) => {
-                report.diagnostics.push(
-                    Diagnostic::new(diag::TYPE_MISMATCH, err.to_string())
-                        .at(index_of(&AlgNode::Expr(e))),
-                );
+/// combination does not (arity/width mismatches included), in subterm order.
+/// Flagging only the originating operator keeps one defect from cascading up
+/// the tree.
+fn algebra_typing(typing: &Typing, exprs: &[usize], report: &mut Report) {
+    for (node, &i) in typing.nodes().iter().zip(exprs) {
+        match node {
+            // An undefined relation is ITQ0201's.
+            NodeType::Failed(AlgError::UnknownPredicate { .. })
+            | NodeType::Typed(_)
+            | NodeType::Blocked => {}
+            NodeType::Failed(err) => {
+                report
+                    .diagnostics
+                    .push(Diagnostic::new(diag::TYPE_MISMATCH, err.to_string()).at(i));
             }
         }
     }
 }
 
-/// ITQ0203: the PR-5 typing hole — a coordinate-free selection over a
-/// non-tuple operand passes `infer_type` but every backend rejects it at
-/// prepare time. The message is byte-identical to the planner's.
-fn vacuous_selections(nodes: &[AlgNode<'_>], schema: &Schema, report: &mut Report) {
-    for (i, node) in nodes.iter().enumerate() {
-        let AlgNode::Expr(e @ AlgExpr::Select(sel, operand)) = node else {
+/// ITQ0203: the typing hole — a coordinate-free selection over a non-tuple
+/// operand types, but every backend rejects it before execution (the planner
+/// at prepare time). The message is byte-identical to the planner's.
+fn vacuous_selections(
+    nodes: &[AlgNode<'_>],
+    typing: &Typing,
+    exprs: &[usize],
+    report: &mut Report,
+) {
+    for (at, &i) in exprs.iter().enumerate() {
+        let AlgNode::Expr(AlgExpr::Select(_, operand)) = nodes[i] else {
             continue;
         };
         // Report once per selection chain, at the innermost σ, matching the
@@ -383,29 +389,28 @@ fn vacuous_selections(nodes: &[AlgNode<'_>], schema: &Schema, report: &mut Repor
         if matches!(operand.as_ref(), AlgExpr::Select(..)) {
             continue;
         }
-        let Ok(ty) = infer_type(operand, schema) else {
+        // The operand directly follows its selection in pre-order.
+        let (Some(_), Some(ty)) = (typing.nodes()[at].ty(), typing.nodes()[at + 1].ty()) else {
             continue;
         };
         if matches!(ty, Type::Tuple(_)) {
             continue;
         }
-        if check_selection(sel, &ty).is_ok() && infer_type(e, schema).is_ok() {
-            report.diagnostics.push(
-                Diagnostic::new(
-                    diag::VACUOUS_SELECTION,
-                    AlgError::TypeMismatch {
-                        operator: "selection".to_string(),
-                        detail: format!("non-tuple operand {operand} of type {ty}"),
-                    }
-                    .to_string(),
-                )
-                .at(i)
-                .with_note(
-                    "typing admits a coordinate-free selection over any operand, but every \
-                     backend rejects a non-tuple operand before execution",
-                ),
-            );
-        }
+        report.diagnostics.push(
+            Diagnostic::new(
+                diag::VACUOUS_SELECTION,
+                AlgError::TypeMismatch {
+                    operator: "selection".to_string(),
+                    detail: format!("non-tuple operand {operand} of type {ty}"),
+                }
+                .to_string(),
+            )
+            .at(i)
+            .with_note(
+                "typing admits a coordinate-free selection over any operand, but every \
+                 backend rejects a non-tuple operand before execution",
+            ),
+        );
     }
 }
 
@@ -676,8 +681,8 @@ fn lower_bound(
 
 /// ITQ0401 for algebra: the ALG_{k,i} stratum report (Theorem 3.8 equates it
 /// with CALC_{k,i} for i ≥ k). Skipped when the expression does not type.
-fn algebra_stratum(expr: &AlgExpr, schema: &Schema, report: &mut Report) {
-    let Ok(c) = classify_expr(expr, schema) else {
+fn algebra_stratum(typing: &Typing, schema: &Schema, report: &mut Report) {
+    let Ok(c) = classify_typing(typing, schema) else {
         return;
     };
     let mut d = Diagnostic::new(

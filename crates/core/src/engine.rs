@@ -256,6 +256,8 @@ impl PlanSettings {
     /// let budgets = engine.plan_settings().budgets();
     /// assert_eq!(budgets.max_instance, 8);
     /// assert_eq!(budgets.max_quantifier_domain, EvalConfig::default().max_quantifier_domain);
+    /// // The analyzer's defaults are the engine's.
+    /// assert_eq!(itq_analyze::Budgets::default(), Engine::new().plan_settings().budgets());
     /// ```
     pub fn budgets(&self) -> itq_analyze::Budgets {
         itq_analyze::Budgets {

@@ -685,12 +685,17 @@ pub(crate) fn plan_rule(rule: &Rule, query: &Query) -> Option<PhysicalPlan> {
         expr = expr.select(SelFormula::all(pending));
     }
     let target = query.target_type();
-    let identity = head.iter().copied().eq(1..=factor_of.len());
-    if !identity || itq_algebra::infer_type(&expr, query.schema()).ok()? != *target {
-        expr = expr.project(head);
-        if *target == Type::Atomic {
-            expr = expr.untuple();
+    if head.iter().copied().eq(1..=factor_of.len()) {
+        // The head lists the product's coordinates in order: no projection
+        // is needed when the product already has the target type.
+        let plan = itq_algebra::plan(&expr, query.schema()).ok()?;
+        if plan.output_type() == target {
+            return Some(plan);
         }
+    }
+    expr = expr.project(head);
+    if *target == Type::Atomic {
+        expr = expr.untuple();
     }
     let plan = itq_algebra::plan(&expr, query.schema()).ok()?;
     (plan.output_type() == target).then_some(plan)

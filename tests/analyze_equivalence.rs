@@ -275,3 +275,37 @@ fn predicted_budget_error_strings_are_untouched() {
         assert_eq!(err.to_string(), expected, "{label}");
     }
 }
+
+/// Type mismatches are reported in subterm order, each at the operator where
+/// it originates, and typing, planning and translation all fail on the first
+/// of them.
+#[test]
+fn type_mismatches_are_reported_in_subterm_order() {
+    // (PAR ∪ PERSON) × (PERSON − PAR), in pre-order: 0 ×, 1 ∪, 2 PAR,
+    // 3 PERSON, 4 −, 5 PERSON, 6 PAR.  Both operands of the product fail, so
+    // the product itself is not flagged.
+    let e = AlgExpr::pred("PAR")
+        .union(AlgExpr::pred("PERSON"))
+        .product(AlgExpr::pred("PERSON").diff(AlgExpr::pred("PAR")));
+    let report = analyze_algebra(&e, &schema(), &budgets());
+    let hits: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == itq_analyze::diag::TYPE_MISMATCH)
+        .map(|d| (d.node, d.message.as_str()))
+        .collect();
+    let union = "type error in union: [U, U] vs U";
+    assert_eq!(
+        hits,
+        [
+            (Some(1), union),
+            (Some(4), "type error in difference: U vs [U, U]")
+        ]
+    );
+    let infer = itq_algebra::infer_type(&e, &schema()).unwrap_err();
+    assert_eq!(infer.to_string(), union);
+    let plan = itq_algebra::plan(&e, &schema()).unwrap_err();
+    assert_eq!(plan.to_string(), union);
+    let translate = itq_algebra::to_calculus_query(&e, &schema()).unwrap_err();
+    assert_eq!(translate.to_string(), union);
+}

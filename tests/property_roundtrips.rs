@@ -1,8 +1,7 @@
 //! Property-based integration tests over the whole stack: constructive-domain
-//! ranking, nest/unnest, genericity of query answers under atom permutations, and
+//! ranking, genericity of query answers under atom permutations, and
 //! stability of the baselines on random graphs.
 
-use itq_algebra::nest::{nest, unnest};
 use itq_algebra::{AlgExpr, SelFormula};
 use itq_calculus::eval::EvalConfig;
 use itq_calculus::{Formula, Query, Term};
@@ -51,17 +50,6 @@ proptest! {
                 prop_assert_eq!(rank_of_value(&ty, &atoms, &value), Some(rank));
             }
         }
-    }
-
-    /// unnest(nest(R, coords), position) restores the original flat relation.
-    #[test]
-    fn nest_unnest_round_trip(
-        pairs in proptest::collection::btree_set((0u32..5, 0u32..5), 1..12)
-    ) {
-        let instance = Instance::from_pairs(pairs.iter().map(|&(a, b)| (Atom(a), Atom(b))));
-        let nested = nest(&instance, &[2]).unwrap();
-        let flattened = unnest(&nested, 2).unwrap();
-        prop_assert_eq!(flattened, instance);
     }
 
     /// The grandparent query is generic: permuting the atoms of the database
