@@ -12,12 +12,15 @@
 //! answers.
 //!
 //! One pass ([`typing`]) types every subexpression; the planner, the
-//! classifier and the translation read that record.
+//! classifier and the translation read that record, so a caller that needs
+//! several of them types the expression once ([`plan_typing`],
+//! [`classify_typing`], [`to_calculus_typing`]).
 //!
 //! An expression runs either tuple-at-a-time ([`eval`]) or, planned once
-//! ([`mod@plan`]), set-at-a-time over interned relations ([`exec`]).  The plan
-//! executor counts its join probes, materialised objects and interned values
-//! in the one counter block every backend fills,
+//! ([`mod@plan`]), set-at-a-time ([`exec`]): over atom arenas when every
+//! subexpression has type `U` or `[U, …, U]`, over interned relations
+//! otherwise.  The plan executor counts its join probes, materialised
+//! objects and interned values in the one counter block every backend fills,
 //! [`ExecStats`](itq_object::ExecStats).
 //!
 //! ## Example — transitive closure by powerset (Example 3.1, algebra style)
@@ -50,8 +53,8 @@ pub use classify::{classify_expr, classify_typing, AlgClassification};
 pub use error::AlgError;
 pub use eval::EvalConfig;
 pub use expr::{AlgExpr, SelFormula, SelTerm};
-pub use plan::{plan, JoinStrategy, PhysNode, PhysicalPlan};
-pub use to_calculus::to_calculus_query;
+pub use plan::{plan, plan_typing, JoinStrategy, PhysNode, PhysicalPlan};
+pub use to_calculus::{to_calculus_query, to_calculus_typing};
 pub use typing::{infer_type, NodeType, Typing};
 
 /// Convenient result alias used throughout the crate.

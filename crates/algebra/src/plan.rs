@@ -5,8 +5,9 @@
 //! Cartesian product and only then runs the selection.  The planner in this
 //! module rewrites such shapes *once, at prepare time*, into a
 //! [`PhysicalPlan`] of set-at-a-time operators that the executor in
-//! [`crate::exec`] runs over [`ValueId`](itq_object::ValueId)-interned
-//! relations:
+//! [`crate::exec`] runs, over atom arenas when the plan is *flat* (every
+//! subexpression typed `U` or `[U, …, U]`) and over
+//! [`ValueId`](itq_object::ValueId)-interned relations otherwise:
 //!
 //! * **join extraction** — cross-operand `$i = $j` conjuncts of a selection
 //!   over a product become hash-join keys; a cross-operand `$i ∈ $j`
@@ -134,7 +135,8 @@ pub enum PhysNode {
     },
 }
 
-/// A planned algebra expression: the operator tree plus its output type.
+/// A planned algebra expression: the operator tree, its output type, and
+/// whether it is flat.
 ///
 /// Built once by [`plan`] (typically at `Engine::prepare_algebra` time) and
 /// executed any number of times via [`PhysicalPlan::execute`].
@@ -161,6 +163,10 @@ pub enum PhysNode {
 pub struct PhysicalPlan {
     root: PhysNode,
     output_type: Type,
+    /// For a flat plan, the relations it scans with their declared types,
+    /// in scan order; `None` when some subexpression has a set-typed
+    /// component.
+    flat: Option<Vec<(PredName, Type)>>,
 }
 
 impl PhysicalPlan {
@@ -172,6 +178,12 @@ impl PhysicalPlan {
     /// The type of the objects the plan produces (the expression's `ᾱ(E)`).
     pub fn output_type(&self) -> &Type {
         &self.output_type
+    }
+
+    /// For a flat plan, the relations it scans with their declared types:
+    /// the executor copies each into an atom arena once.
+    pub(crate) fn flat_scans(&self) -> Option<&[(PredName, Type)]> {
+        self.flat.as_deref()
     }
 
     /// Every constant atom mentioned by the plan's selection formulas — the
@@ -388,12 +400,52 @@ fn map_coords(
 /// [`PhysicalPlan`] with joins extracted, selections pushed down, and
 /// projections fused.
 pub fn plan(expr: &AlgExpr, schema: &Schema) -> Result<PhysicalPlan, AlgError> {
-    // One pass types every subexpression; lowering reads its operands' types
-    // from that record and never applies a typing rule itself.
-    let typing = Typing::new(expr, schema);
+    plan_typing(expr, &Typing::new(expr, schema))
+}
+
+/// [`plan`] from the expression's [`Typing`].  Lowering reads its operands'
+/// types from that record and never applies a typing rule itself; the
+/// record also decides whether the plan is flat.
+pub fn plan_typing(expr: &AlgExpr, typing: &Typing) -> Result<PhysicalPlan, AlgError> {
     let output_type = typing.result()?.clone();
-    let root = lower(expr, 0, &typing)?;
-    Ok(PhysicalPlan { root, output_type })
+    let root = lower(expr, 0, typing)?;
+    Ok(PhysicalPlan {
+        root,
+        output_type,
+        flat: flat_scans(expr, typing),
+    })
+}
+
+/// The relations a plan scans, with their declared types, when every
+/// subexpression of a typed expression has type `U` or `[U, …, U]`: a flat
+/// plan reads and produces only tuples of atoms.  [`Type::is_flat`] admits
+/// nested tuples such as `[U, [U, U]]`, so it does not decide this.
+fn flat_scans(expr: &AlgExpr, typing: &Typing) -> Option<Vec<(PredName, Type)>> {
+    let atom_row = |ty: &Type| match ty {
+        Type::Atomic => true,
+        Type::Tuple(components) => {
+            !components.is_empty() && components.iter().all(|c| *c == Type::Atomic)
+        }
+        Type::Set(_) => false,
+    };
+    let mut scans: Vec<(PredName, Type)> = Vec::new();
+    // The typing numbers subexpressions in this pre-order.
+    let mut stack = vec![expr];
+    let mut at = 0;
+    while let Some(e) = stack.pop() {
+        let ty = typing.ty(at);
+        if !atom_row(ty) {
+            return None;
+        }
+        if let AlgExpr::Pred(p) = e {
+            if !scans.iter().any(|(q, _)| q == p) {
+                scans.push((p.clone(), ty.clone()));
+            }
+        }
+        stack.extend(e.children().into_iter().rev());
+        at += 1;
+    }
+    Some(scans)
 }
 
 /// Lower the subexpression at pre-order index `at` of a typing with no error

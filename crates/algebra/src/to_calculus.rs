@@ -45,10 +45,19 @@ use itq_object::{Schema, Type};
 /// Translate an algebraic expression over `schema` into an equivalent calculus
 /// query with target variable `t`.
 pub fn to_calculus_query(expr: &AlgExpr, schema: &Schema) -> Result<Query, AlgError> {
-    let typing = Typing::new(expr, schema);
+    to_calculus_typing(expr, &Typing::new(expr, schema), schema)
+}
+
+/// [`to_calculus_query`] from the expression's [`Typing`] over `schema`,
+/// whose recorded types the introduced variables take.
+pub fn to_calculus_typing(
+    expr: &AlgExpr,
+    typing: &Typing,
+    schema: &Schema,
+) -> Result<Query, AlgError> {
     let output_type = typing.result()?.clone();
     let mut counter = 0usize;
-    let body = translate(expr, 0, &typing, "t", &mut counter);
+    let body = translate(expr, 0, typing, "t", &mut counter);
     Query::new("t", output_type, body, schema.clone()).map_err(|e| AlgError::TypeMismatch {
         operator: "algebra→calculus translation".to_string(),
         detail: e.to_string(),

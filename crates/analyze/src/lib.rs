@@ -48,6 +48,6 @@ pub mod render;
 pub mod walk;
 
 pub use diag::{all_codes, code_info, Code, CodeInfo, Diagnostic, Report, Severity};
-pub use passes::{analyze_algebra, analyze_query, Budgets};
+pub use passes::{analyze_algebra, analyze_algebra_typing, analyze_query, Budgets};
 pub use render::{render_snippet, Span};
 pub use walk::{algebra_preorder, formula_preorder, AlgNode};

@@ -52,6 +52,16 @@ pub fn analyze_query(query: &Query, budgets: &Budgets) -> Report {
 /// Analyze an algebra expression over a schema. Diagnostic `node` indices
 /// point into [`algebra_preorder`] of the expression.
 pub fn analyze_algebra(expr: &AlgExpr, schema: &Schema, budgets: &Budgets) -> Report {
+    analyze_algebra_typing(expr, &Typing::new(expr, schema), schema, budgets)
+}
+
+/// [`analyze_algebra`] from the expression's [`Typing`] over `schema`.
+pub fn analyze_algebra_typing(
+    expr: &AlgExpr,
+    typing: &Typing,
+    schema: &Schema,
+    budgets: &Budgets,
+) -> Report {
     let mut report = Report::default();
     let nodes = algebra_preorder(expr);
     let index_of = |node: &AlgNode<'_>| -> usize {
@@ -63,18 +73,17 @@ pub fn analyze_algebra(expr: &AlgExpr, schema: &Schema, budgets: &Budgets) -> Re
 
     // The typing numbers the expression nodes alone, in the same pre-order:
     // `exprs[at]` is the `nodes` index of typing node `at`.
-    let typing = Typing::new(expr, schema);
     let exprs: Vec<usize> = (0..nodes.len())
         .filter(|&i| matches!(nodes[i], AlgNode::Expr(_)))
         .collect();
 
     undefined_relations(&nodes, schema, &mut report);
-    algebra_typing(&typing, &exprs, &mut report);
-    vacuous_selections(&nodes, &typing, &exprs, &mut report);
+    algebra_typing(typing, &exprs, &mut report);
+    vacuous_selections(&nodes, typing, &exprs, &mut report);
     selection_folding(&nodes, &mut report);
     always_empty(&nodes, &mut report);
     cardinality_budget(expr, budgets, &index_of, &mut report);
-    algebra_stratum(&typing, schema, &mut report);
+    algebra_stratum(typing, schema, &mut report);
     report
 }
 

@@ -157,8 +157,8 @@ pub struct GovernorConfig {
     /// Wall-clock deadline per execution, in milliseconds (`0` trips at the
     /// first poll — useful for deterministic smoke tests).
     pub deadline_millis: Option<u64>,
-    /// Ceiling over the bytes interned by one execution's value store and
-    /// domain cache.
+    /// Ceiling over the bytes one execution holds: interned by its value
+    /// store and domain cache, or in a flat plan's atom arenas.
     pub memory_ceiling: Option<u64>,
     /// A shared cancellation flag observed by every execution at its poll
     /// points (e.g. raised from another thread while a statement runs).

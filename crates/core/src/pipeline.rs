@@ -64,7 +64,7 @@
 
 use crate::engine::{Engine, EngineError, GovernorConfig, PlanSettings, Semantics};
 use crate::lowering::{self, LeastFixpoint};
-use itq_algebra::{to_calculus_query, AlgExpr, EvalConfig as AlgConfig, PhysicalPlan};
+use itq_algebra::{to_calculus_typing, AlgExpr, EvalConfig as AlgConfig, PhysicalPlan, Typing};
 use itq_calculus::eval::{EvalConfig, Evaluable};
 use itq_calculus::{CompiledQuery, Query, QueryClassification};
 use itq_invention::{finite_invention_ctx, level_span, terminal_invention_ctx, TerminalOutcome};
@@ -569,10 +569,12 @@ impl Engine {
         Ok(self.prepared_from(None, query.clone(), 0, 0))
     }
 
-    /// Prepare an algebra expression: plan it, translate it into an
-    /// equivalent calculus query (Theorem 3.8, done exactly once), and bundle
-    /// both into a [`Prepared`] handle.  One run of the plan answers every
-    /// semantics; the classification artifacts read the translation.
+    /// Prepare an algebra expression: type it once, plan it, translate it
+    /// into an equivalent calculus query (Theorem 3.8, done exactly once),
+    /// and bundle both into a [`Prepared`] handle.  The planner, the
+    /// translation and the analyzer read the one typing.  One run of the plan
+    /// answers every semantics; the classification artifacts read the
+    /// translation.
     ///
     /// ```
     /// use itq_core::prelude::*;
@@ -592,16 +594,20 @@ impl Engine {
         expr: &AlgExpr,
         schema: &Schema,
     ) -> Result<Prepared, EngineError> {
-        // Planning type-checks the expression and lowers it into the
-        // set-at-a-time physical plan — both exactly once, here.
-        let planning = Instant::now();
-        let plan = Box::new(itq_algebra::plan(expr, schema)?);
-        let plan_micros = planning.elapsed().as_micros() as u64;
-        let typecheck = Instant::now();
-        let query = to_calculus_query(expr, schema)?;
-        let typecheck_micros = typecheck.elapsed().as_micros() as u64;
+        // Type the expression once; planning lowers it into the
+        // set-at-a-time physical plan, flat or not, and the translation
+        // reads the same record.
+        let phase = Instant::now();
+        let typing = Typing::new(expr, schema);
+        let mut typecheck_micros = phase.elapsed().as_micros() as u64;
+        let phase = Instant::now();
+        let plan = Box::new(itq_algebra::plan_typing(expr, &typing)?);
+        let plan_micros = phase.elapsed().as_micros() as u64;
+        let phase = Instant::now();
+        let query = to_calculus_typing(expr, &typing, schema)?;
+        typecheck_micros += phase.elapsed().as_micros() as u64;
         Ok(self.prepared_from(
-            Some((expr.clone(), plan)),
+            Some((expr.clone(), plan, &typing)),
             query,
             typecheck_micros,
             plan_micros,
@@ -609,15 +615,15 @@ impl Engine {
     }
 
     /// Cache the static artifacts and configuration snapshot into a handle:
-    /// an algebra handle's when `algebra` holds its expression and plan, a
-    /// calculus handle's otherwise.  A calculus query is compiled to slots;
-    /// under default budgets, one in the conjunctive fragment is also lowered
-    /// to its Datalog rule (a normal form) and, from that, planned
-    /// set-at-a-time, and a least-fixpoint query is lowered to its Datalog
-    /// program and guards.
+    /// an algebra handle's when `algebra` holds its expression, plan and
+    /// typing, a calculus handle's otherwise.  A calculus query is compiled
+    /// to slots; under default budgets, one in the conjunctive fragment is
+    /// also lowered to its Datalog rule (a normal form) and, from that,
+    /// planned set-at-a-time, and a least-fixpoint query is lowered to its
+    /// Datalog program and guards.
     fn prepared_from(
         &self,
-        algebra: Option<(AlgExpr, Box<PhysicalPlan>)>,
+        algebra: Option<(AlgExpr, Box<PhysicalPlan>, &Typing)>,
         query: Query,
         typecheck_micros: u64,
         mut plan_micros: u64,
@@ -640,8 +646,9 @@ impl Engine {
                 .map(|plan| CalculusRoute::Planned(Box::new(plan)));
             plan_micros = phase.elapsed().as_micros() as u64;
         }
+        let typing = algebra.as_ref().map(|&(_, _, typing)| typing);
         let (source, compile_micros) = match algebra {
-            Some((expr, plan)) => (PreparedSource::Algebra { expr, plan }, 0),
+            Some((expr, plan, _)) => (PreparedSource::Algebra { expr, plan }, 0),
             None => {
                 let phase = Instant::now();
                 let compiled = itq_calculus::compile::compile(&query)
@@ -652,11 +659,11 @@ impl Engine {
         };
         let phase = Instant::now();
         let budgets = self.settings.budgets();
-        let diagnostics = match &source {
-            PreparedSource::Calculus { .. } => itq_analyze::analyze_query(&query, &budgets),
-            PreparedSource::Algebra { expr, .. } => {
-                itq_analyze::analyze_algebra(expr, query.schema(), &budgets)
+        let diagnostics = match (&source, typing) {
+            (PreparedSource::Algebra { expr, .. }, Some(typing)) => {
+                itq_analyze::analyze_algebra_typing(expr, typing, query.schema(), &budgets)
             }
+            _ => itq_analyze::analyze_query(&query, &budgets),
         };
         let analyze_micros = phase.elapsed().as_micros() as u64;
         let prepare_stats = PrepareStats {
@@ -1743,7 +1750,8 @@ mod tests {
         // The planner's counters are observable; the tuple path reports none.
         assert!(planned.stats.join_probes > 0);
         assert!(planned.stats.tuples_materialised > 0);
-        assert!(planned.stats.interned_values > 0);
+        // A flat plan runs over atom rows, without the interner.
+        assert_eq!(planned.stats.interned_values, 0);
         assert_eq!(tuple.stats.join_probes, 0);
         assert_eq!(tuple.stats.tuples_materialised, 0);
         // Neither algebra path touches the calculus counters.

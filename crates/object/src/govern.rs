@@ -68,8 +68,9 @@ pub enum ResourceError {
     },
     /// The execution's cancel flag was raised (e.g. by another thread).
     Cancelled,
-    /// The bytes interned by this execution's value store and domain cache
-    /// exceeded the configured ceiling.
+    /// The bytes this execution holds exceeded the configured ceiling: those
+    /// interned by its value store and domain cache, or held in a flat
+    /// plan's atom arenas.
     MemoryCeiling {
         /// The configured ceiling, in bytes.
         limit: u64,
@@ -386,8 +387,9 @@ pub struct ExecStats {
     /// materialise a new domain.
     pub domain_cache_misses: u64,
     /// Compiled and planned executions: distinct values interned in the
-    /// execution's value store (0 for the tree walker and the
-    /// tuple-at-a-time algebra evaluator, which never intern).
+    /// execution's value store (0 for the tree walker, the tuple-at-a-time
+    /// algebra evaluator, and a flat plan, which runs over atom rows; none
+    /// of them interns).
     pub interned_values: u64,
     /// Planned executions only (algebra plans, and conjunctive calculus
     /// queries run through their plan): hash/member index probes plus

@@ -1185,3 +1185,178 @@ fn a_relation_named_like_the_set_variables_predicate_is_read_as_a_relation() {
     );
     assert_eq!(inc.view("q").unwrap().outcome().as_ref().unwrap().len(), 3);
 }
+
+/// Fixed flat (set-height-0) recipes, one per operator a flat plan runs:
+/// `∪`, `∩`, `−`, `σ` with constants, `¬`, `∨` and `→`, `π`, `μ`, a
+/// singleton, hash joins with per-side filters, a residual and a fused
+/// projection, joins over joins, and nested-loop products.
+fn flat_recipes() -> Vec<(&'static str, AlgExpr)> {
+    let par = || AlgExpr::pred("PAR");
+    let person = || AlgExpr::pred("PERSON");
+    let flipped = || par().project(vec![2, 1]);
+    let grandparent = || {
+        par()
+            .product(par())
+            .select(SelFormula::coords_eq(2, 3))
+            .project(vec![1, 4])
+    };
+    vec![
+        ("union", par().union(flipped())),
+        ("intersect", par().intersect(flipped())),
+        ("diff", par().diff(flipped())),
+        (
+            "select-const",
+            par().select(SelFormula::coord_is(1, Atom(0))),
+        ),
+        (
+            "select-not-or",
+            par().select(SelFormula::any(vec![
+                SelFormula::negate(SelFormula::coords_eq(1, 2)),
+                SelFormula::coord_is(2, Atom(1)),
+            ])),
+        ),
+        (
+            "select-implies",
+            par().select(SelFormula::implies(
+                SelFormula::coord_is(1, Atom(1)),
+                SelFormula::coord_is(2, Atom(2)),
+            )),
+        ),
+        ("project-untuple", par().project(vec![2]).untuple()),
+        (
+            "singleton-union",
+            AlgExpr::singleton(Atom(0)).union(person()),
+        ),
+        ("hash-join", grandparent()),
+        (
+            "hash-join-residual",
+            par()
+                .product(par())
+                .select(SelFormula::all(vec![
+                    SelFormula::coords_eq(2, 3),
+                    SelFormula::negate(SelFormula::coords_eq(1, 4)),
+                ]))
+                .project(vec![1, 4]),
+        ),
+        (
+            "hash-join-side-filters",
+            par().product(par()).select(SelFormula::all(vec![
+                SelFormula::coord_is(1, Atom(0)),
+                SelFormula::coords_eq(2, 3),
+                SelFormula::negate(SelFormula::coord_is(4, Atom(1))),
+            ])),
+        ),
+        (
+            "join-of-joins",
+            grandparent()
+                .product(par())
+                .select(SelFormula::coords_eq(2, 3))
+                .project(vec![1, 4]),
+        ),
+        (
+            "select-over-join-projection",
+            grandparent().select(SelFormula::negate(SelFormula::coords_eq(1, 2))),
+        ),
+        (
+            "untuple-join",
+            par()
+                .product(par())
+                .select(SelFormula::coords_eq(2, 3))
+                .project(vec![4])
+                .untuple(),
+        ),
+        (
+            "loop-product-residual",
+            par().product(person()).select(SelFormula::any(vec![
+                SelFormula::coords_eq(1, 3),
+                SelFormula::coords_eq(2, 3),
+            ])),
+        ),
+        ("loop-product", person().product(person())),
+    ]
+}
+
+/// A three-atom database: the Theorem 3.8 translation of every flat recipe
+/// stays affordable for the tree walker.
+fn flat_small_db() -> Database {
+    Database::single(
+        "PAR",
+        Instance::from_pairs(vec![
+            (Atom(0), Atom(1)),
+            (Atom(1), Atom(2)),
+            (Atom(2), Atom(2)),
+            (Atom(2), Atom(0)),
+        ]),
+    )
+    .with("PERSON", Instance::from_atoms(vec![Atom(0), Atom(2)]))
+}
+
+/// A 64-atom database whose joins and products run past the masked polls.
+fn flat_wide_db() -> Database {
+    let edges = (0..64u32).flat_map(|i| [(i, (i + 1) % 64), (i, (i * 5 + 3) % 64)]);
+    Database::single(
+        "PAR",
+        Instance::from_pairs(edges.map(|(a, b)| (Atom(a), Atom(b)))),
+    )
+    .with("PERSON", Instance::from_atoms((0..16).map(Atom)))
+}
+
+/// `join_probes`, `tuples_materialised` and `interrupt_polls` of each flat
+/// recipe on [`flat_small_db`] and [`flat_wide_db`], recorded when every plan
+/// still ran on the interner.  The polls are read under a governor that is
+/// armed and never trips.
+const FLAT_COUNTERS: [(&str, [u64; 3], [u64; 3]); 16] = [
+    ("union", [0, 4, 2], [0, 128, 2]),
+    ("intersect", [0, 4, 2], [0, 128, 2]),
+    ("diff", [0, 4, 2], [0, 128, 2]),
+    ("select-const", [0, 0, 2], [0, 0, 2]),
+    ("select-not-or", [0, 0, 2], [0, 0, 2]),
+    ("select-implies", [0, 0, 2], [0, 0, 2]),
+    ("project-untuple", [0, 4, 2], [0, 128, 2]),
+    ("singleton-union", [0, 0, 2], [0, 0, 2]),
+    ("hash-join", [10, 6, 2], [384, 256, 4]),
+    ("hash-join-residual", [10, 5, 2], [384, 248, 4]),
+    ("hash-join-side-filters", [2, 1, 2], [6, 4, 2]),
+    ("join-of-joins", [25, 15, 2], [1128, 752, 9]),
+    ("select-over-join-projection", [10, 5, 2], [384, 248, 4]),
+    ("untuple-join", [10, 6, 2], [384, 256, 4]),
+    ("loop-product-residual", [8, 5, 2], [2048, 64, 10]),
+    ("loop-product", [4, 4, 2], [256, 256, 4]),
+];
+
+/// The flat recipes agree with the tuple-at-a-time evaluator and the
+/// Theorem 3.8 translation, and keep the planner's counters.
+#[test]
+fn flat_recipes_agree_and_keep_their_counters() {
+    let (small, wide) = (flat_small_db(), flat_wide_db());
+    let mut measured = Vec::new();
+    for (name, expr) in flat_recipes() {
+        for config in [
+            AlgConfig::default(),
+            AlgConfig { max_instance: 16 },
+            AlgConfig { max_instance: 2 },
+        ] {
+            assert_algebra_paths_agree(&expr, &small, &config);
+            assert_algebra_paths_agree(&expr, &wide, &config);
+        }
+        assert_calculus_route_agrees(&expr, &small);
+        assert_prepared_outcomes_agree(&expr, &small);
+        let observed = Engine::builder()
+            .parallelism(1)
+            .governor(itq::fault::observation_governor())
+            .build()
+            .prepare_algebra(&expr, &schema())
+            .unwrap();
+        let counters = |db: &Database| {
+            let stats = observed.execute(db, Semantics::Limited).unwrap().stats;
+            assert_eq!(stats.interned_values, 0, "{name} runs over atom rows");
+            [
+                stats.join_probes,
+                stats.tuples_materialised,
+                stats.interrupt_polls,
+            ]
+        };
+        measured.push((name, counters(&small), counters(&wide)));
+    }
+    assert_eq!(measured, FLAT_COUNTERS);
+}
