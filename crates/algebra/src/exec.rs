@@ -1,50 +1,51 @@
 //! Set-at-a-time execution of a [`PhysicalPlan`].
 //!
-//! A plan runs over one of two representations of its relations:
+//! Every plan runs over row-major arenas: a relation is a width and one
+//! vector of cells, row after row.  A row holds a tuple's components, or one
+//! cell for any other value; tuple types never nest, so `[T]` and `T` share
+//! a row and `μ` is the identity on rows.  On a *flat* plan, one whose every
+//! subexpression has type `U` or `[U, …, U]` (the relational calculus
+//! `CALC_{0,0}`), a cell is an atom and nothing is interned.  On any other
+//! plan a cell is a [`ValueId`] of a per-execution [`ValueStore`] (the
+//! hash-consing arena shared with the compiled calculus backend), where the
+//! atoms are interned too, so either way equality is a cell comparison.
 //!
-//! * a **flat** plan, one whose every subexpression has type `U` or
-//!   `[U, …, U]` (the relational calculus `CALC_{0,0}`), runs over
-//!   row-major atom arenas: a relation is a width and one `Vec<Atom>`.  A
-//!   scan copies each relation's atoms once, a join probes an Fx-hashed
-//!   arena of the right side's keys, filters compare atoms, a projection
-//!   writes straight into its output arena, and each operator's output is
-//!   deduplicated once, after it is filled;
-//! * every other plan, and a flat plan over a relation that holds a value of
-//!   another shape than its declared type, runs over interned relations:
-//!   every relation is a deduplicated vector of [`ValueId`]s in a
-//!   per-execution [`ValueStore`] (the hash-consing arena shared with the
-//!   compiled calculus backend), equality is an id comparison, the set
-//!   operators are id-set merges and membership is a sorted-slice probe.
+//! Each scanned relation is copied once, before the first operator, and
+//! every value is checked against the relation's declared type: a query is
+//! defined on the inputs of its type, so the first value of another type is
+//! refused at its scan.  A join probes an Fx-hashed arena of the right
+//! side's keys, or, for a cross-operand `∈`, an index of the container
+//! sets' elements; filters compare cells; a projection writes straight into
+//! its output arena; and each operator's output is deduplicated once, after
+//! it is filled.  Only `𝒫`, `𝒞`, the member join, `∈`, the plan's atoms and
+//! the answer's construction read the interner.
 //!
-//! Either way a join probes a hash index instead of walking the Cartesian
-//! product, and the executor mirrors the tuple-at-a-time evaluator
-//! *observationally*: identical answers, operands evaluated left-to-right,
-//! and byte-identical budget errors — the `Product` budget is checked
-//! against the unfiltered operand cardinalities **before** any pair is
-//! materialised, even when the product was rewritten into a join, and the
-//! `Powerset` budget before any subset is built.
+//! On the inputs of its type the executor mirrors the tuple-at-a-time
+//! evaluator *observationally*: identical answers, operands evaluated
+//! left-to-right, and byte-identical budget errors — the `Product` budget is
+//! checked against the unfiltered operand cardinalities **before** any pair
+//! is materialised, even when the product was rewritten into a join, and
+//! the `Powerset` budget before any subset is built.
 //!
 //! Two counters make the set-at-a-time behaviour observable in execution
 //! statistics rather than merely asserted: `join_probes` (index probes plus
 //! candidate pairs examined) and `tuples_materialised` (objects constructed
 //! by plan operators).  Compare `join_probes` with the |A|·|B| the
-//! tuple-at-a-time path always pays.  Both representations count the same
-//! work units and poll the governor at the same ones, so these counters, the
-//! polls and the spans do not depend on the representation.
+//! tuple-at-a-time path always pays.
 
 use crate::error::AlgError;
 use crate::eval::EvalConfig;
 use crate::expr::{SelFormula, SelTerm};
 use crate::plan::{JoinStrategy, PhysNode, PhysicalPlan};
+use crate::typing::product_width;
 use itq_object::govern::POLL_MASK;
 use itq_object::{
-    Atom, Database, ExecCtx, ExecStats, Instance, Interrupt, PredName, Type, Value, ValueId,
-    ValueStore,
+    Atom, Database, ExecCtx, ExecStats, Instance, Interrupt, Type, Value, ValueId, ValueStore,
 };
 use itq_trace::Span;
 use std::collections::hash_map::RandomState;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::time::Instant;
 
 impl PhysicalPlan {
@@ -87,11 +88,14 @@ impl PhysicalPlan {
     /// The executor polls `ctx.interrupt` once on entry, then at
     /// join-probe / row-materialisation granularity, and once more on exit,
     /// surfacing deadline expiry, cancellation, injected faults, and
-    /// memory-ceiling breaches (against a deterministic byte estimate: of the
-    /// atom arenas and their indexes on a flat plan, of the interner
-    /// otherwise) as [`AlgError::Resource`].  It runs sequentially at any
+    /// memory-ceiling breaches (against a deterministic byte estimate of the
+    /// arenas and their indexes, plus the interner on a plan that is not
+    /// flat) as [`AlgError::Resource`].  It runs sequentially at any
     /// `ctx.workers`: partitioning the hash-join probe did not beat the
     /// sequential probe on the measured joins.
+    ///
+    /// A relation holding a value of another type than the one the plan was
+    /// typed with is refused at its scan ([`AlgError::TypeMismatch`]).
     ///
     /// When `ctx.traced` the returned [`Span`] tree is isomorphic to the plan
     /// (one span per operator, named by [`PhysNode::label`]) and carries
@@ -108,49 +112,56 @@ impl PhysicalPlan {
         // Poll once before any work so a deadline of 0 ms (or a pre-set
         // cancel flag) trips even on plans that would finish instantly.
         ctx.interrupt.check(0)?;
-        let meter = Meter {
-            stats: ExecStats::default(),
-            interrupt: ctx.interrupt,
-            ticks: 0,
-            trace: ctx.traced.then(Vec::new),
-        };
-        if let Some(scans) = self.flat_scans().and_then(|scans| load(db, scans)) {
-            let mut exec = Flat {
-                config,
-                scans,
-                meter,
-                bytes: 0,
-            };
-            let rows = exec.eval(self.root())?;
-            // A plan of fewer than 256 work units never reaches a masked
-            // poll, so without this one its arenas would escape the ceiling.
-            ctx.interrupt.check(exec.bytes)?;
-            let result = rows.into_instance(self.output_type());
-            return Ok((result, exec.meter.stats, exec.meter.root()));
+        let mut interner = Interner::default();
+        if self.flat {
+            return self.run::<Atom>(db, config, ctx, interner);
         }
-        let mut exec = Interned {
-            db,
-            config,
-            store: ValueStore::new(),
-            scans: HashMap::new(),
-            consts: HashMap::new(),
-            meter,
-        };
         for atom in self.constants() {
-            let id = exec.store.intern_atom(atom);
-            exec.consts.insert(atom, id);
+            let id = interner.store.intern_atom(atom);
+            interner.named.insert(atom, id);
         }
+        self.run::<ValueId>(db, config, ctx, interner)
+    }
+
+    /// Load the scanned relations into arenas of `C` cells, then run the
+    /// plan over them.
+    fn run<C: Cell>(
+        &self,
+        db: &Database,
+        config: &EvalConfig,
+        ctx: &ExecCtx,
+        mut interner: Interner,
+    ) -> Result<(Instance, ExecStats, Option<Span>), AlgError> {
+        let scans = self
+            .scans
+            .iter()
+            .map(|(pred, ty)| (pred.as_str(), load::<C>(db, pred, ty, &mut interner.store)))
+            .collect();
+        let mut exec = Exec {
+            config,
+            scans,
+            interner,
+            meter: Meter {
+                stats: ExecStats::default(),
+                interrupt: ctx.interrupt,
+                ticks: 0,
+                trace: ctx.traced.then(Vec::new),
+            },
+            bytes: 0,
+        };
         let rows = exec.eval(self.root())?;
-        // As above, for the interner.
-        ctx.interrupt.check(exec.store.approx_bytes())?;
-        let result = Instance::from_values(rows.iter().map(|&id| exec.store.resolve(id)));
-        exec.meter.stats.interned_values = exec.store.len() as u64;
+        // A plan of fewer than 256 work units never reaches a masked poll,
+        // so without this one its arenas would escape the ceiling.
+        let store = &exec.interner.store;
+        ctx.interrupt.check(exec.bytes + store.approx_bytes())?;
+        let result = rows.into_instance(self.output_type(), store);
+        exec.meter.stats.interned_values = store.len() as u64;
         Ok((result, exec.meter.stats, exec.meter.root()))
     }
 }
 
-/// What both representations share: the counters, the work units with
-/// their masked governor polls, and the spans of a traced run.
+/// The counters, the work units with their masked governor polls, and the
+/// spans of a traced run.
 struct Meter<'a> {
     stats: ExecStats,
     /// The execution's resource governor, polled every [`POLL_MASK`]+1 ticks.
@@ -175,12 +186,12 @@ struct SpanMark {
 
 impl Meter<'_> {
     /// Count one work unit and poll the governor at the masked cadence,
-    /// reporting `bytes`, the representation's deterministic byte estimate,
-    /// for the memory ceiling.
-    fn tick(&mut self, bytes: u64) -> Result<(), AlgError> {
+    /// reporting `bytes()`, the execution's deterministic byte estimate, for
+    /// the memory ceiling; the estimate is only taken at a poll.
+    fn tick(&mut self, bytes: impl FnOnce() -> u64) -> Result<(), AlgError> {
         self.ticks += 1;
         if self.ticks & POLL_MASK == 0 {
-            self.interrupt.check(bytes)?;
+            self.interrupt.check(bytes())?;
         }
         Ok(())
     }
@@ -243,482 +254,203 @@ fn product_budget(left: usize, right: usize, config: &EvalConfig) -> Result<(), 
     Ok(())
 }
 
-/// Per-execution state of the interned representation: the interner,
-/// memoized scans, pre-interned selection constants, and the meter.
-struct Interned<'a> {
-    db: &'a Database,
-    config: &'a EvalConfig,
-    store: ValueStore,
-    scans: HashMap<String, Vec<ValueId>>,
-    consts: HashMap<Atom, ValueId>,
-    meter: Meter<'a>,
-}
-
-/// Deduplicating row collector: preserves first-seen order, which keeps every
-/// operator's output a set without re-sorting.
+/// The execution's interner: empty on a flat plan, else every cell, and the
+/// atoms the plan names, interned before the first operator.
 #[derive(Default)]
-struct RowSet {
-    rows: Vec<ValueId>,
-    seen: HashSet<ValueId>,
+struct Interner {
+    store: ValueStore,
+    named: HashMap<Atom, ValueId>,
 }
 
-impl RowSet {
-    fn push(&mut self, id: ValueId) {
-        if self.seen.insert(id) {
-            self.rows.push(id);
-        }
-    }
+/// What a row's cells hold: an [`Atom`] on a flat plan, a [`ValueId`] of the
+/// execution's interner on any other.
+trait Cell: Copy + Ord + Hash {
+    /// The cell of `value`, a component of a scanned row, or `None` when it
+    /// is not of type `ty`.
+    fn load(value: &Value, ty: &Type, store: &mut ValueStore) -> Option<Self>;
+
+    /// The cell of an atom the plan names.
+    fn named(atom: Atom, interner: &Interner) -> Self;
+
+    /// A cell as an interned value, and back, for the set-typed operators.
+    fn from_id(id: ValueId) -> Self;
+    fn id(self) -> ValueId;
+
+    /// The value a cell holds, for the answer.
+    fn value(self, store: &ValueStore) -> Value;
 }
 
-impl Interned<'_> {
-    /// Count one work unit, reporting the interner's byte estimate.
-    fn tick(&mut self) -> Result<(), AlgError> {
-        self.meter.tick(self.store.approx_bytes())
+impl Cell for Atom {
+    fn load(value: &Value, ty: &Type, _: &mut ValueStore) -> Option<Atom> {
+        value.as_atom().filter(|_| *ty == Type::Atomic)
     }
 
-    /// The view selection formulas take of interned components.
-    fn ids(&self) -> Ids<'_> {
-        Ids {
-            store: &self.store,
-            consts: &self.consts,
-        }
+    fn named(atom: Atom, _: &Interner) -> Atom {
+        atom
     }
 
-    /// Evaluate one operator, wrapping it in a span when tracing.
-    fn eval(&mut self, node: &PhysNode) -> Result<Vec<ValueId>, AlgError> {
-        let mark = self.meter.open();
-        let rows = self.eval_node(node)?;
-        if let Some(mark) = mark {
-            self.meter.close(node, mark, rows.len());
-        }
-        Ok(rows)
+    fn from_id(_: ValueId) -> Atom {
+        unreachable!("a flat plan has no set-typed operand or output")
     }
 
-    /// Evaluate one operator to its deduplicated row set.  Operands are
-    /// evaluated left-to-right, depth-first — the same order the
-    /// tuple-at-a-time evaluator visits subexpressions, so the first budget
-    /// or missing-relation error is the same one it would report.
-    fn eval_node(&mut self, node: &PhysNode) -> Result<Vec<ValueId>, AlgError> {
-        self.tick()?;
-        match node {
-            PhysNode::Scan { pred } => {
-                if let Some(rows) = self.scans.get(pred) {
-                    return Ok(rows.clone());
-                }
-                let instance = self
-                    .db
-                    .relation(pred)
-                    .ok_or_else(|| AlgError::UnknownPredicate { name: pred.clone() })?;
-                let rows: Vec<ValueId> = instance.iter().map(|v| self.store.intern(v)).collect();
-                self.scans.insert(pred.clone(), rows.clone());
-                Ok(rows)
-            }
-            PhysNode::Singleton { atom } => Ok(vec![self.store.intern_atom(*atom)]),
-            PhysNode::Union(a, b) => {
-                let ra = self.eval(a)?;
-                let rb = self.eval(b)?;
-                let mut out = RowSet::default();
-                for id in ra.into_iter().chain(rb) {
-                    out.push(id);
-                }
-                Ok(out.rows)
-            }
-            PhysNode::Intersect(a, b) => {
-                let ra = self.eval(a)?;
-                let rb: HashSet<ValueId> = self.eval(b)?.into_iter().collect();
-                Ok(ra.into_iter().filter(|id| rb.contains(id)).collect())
-            }
-            PhysNode::Diff(a, b) => {
-                let ra = self.eval(a)?;
-                let rb: HashSet<ValueId> = self.eval(b)?.into_iter().collect();
-                Ok(ra.into_iter().filter(|id| !rb.contains(id)).collect())
-            }
-            PhysNode::Filter { conjuncts, input } => {
-                let rows = self.eval(input)?;
-                let mut out = Vec::with_capacity(rows.len());
-                for id in rows {
-                    self.tick()?;
-                    let comps = self.components(id, "selection")?;
-                    if sel_passes(&self.ids(), conjuncts, Row::one(comps))? {
-                        out.push(id);
-                    }
-                }
-                Ok(out)
-            }
-            PhysNode::Project { coords, input } => {
-                let rows = self.eval(input)?;
-                let mut out = RowSet::default();
-                for id in rows {
-                    let comps = Row::one(self.components(id, "projection")?);
-                    let selected = coords
-                        .iter()
-                        .map(|&c| comps.coord(c))
-                        .collect::<Result<_, _>>()?;
-                    let tid = self.store.intern_tuple(selected);
-                    self.meter.stats.tuples_materialised += 1;
-                    self.tick()?;
-                    out.push(tid);
-                }
-                Ok(out.rows)
-            }
-            PhysNode::Join {
-                left,
-                right,
-                left_filter,
-                right_filter,
-                strategy,
-                residual,
-                project,
-                ..
-            } => {
-                let left_all = self.eval(left)?;
-                let right_all = self.eval(right)?;
-                product_budget(left_all.len(), right_all.len(), self.config)?;
-                // Flatten each surviving row exactly once; every later probe,
-                // key extraction, and emission works on these components.
-                let left_rows = self.prefilter_flat(left_all, left_filter)?;
-                let right_rows = self.prefilter_flat(right_all, right_filter)?;
-                self.join(&left_rows, &right_rows, strategy, residual, project)
-            }
-            PhysNode::Untuple { input } => {
-                let rows = self.eval(input)?;
-                let mut out = RowSet::default();
-                for id in rows {
-                    let inner = self.store.tuple_components(id).and_then(|c| match c {
-                        [single] => Some(*single),
-                        _ => None,
-                    });
-                    match inner {
-                        Some(v) => out.push(v),
-                        None => {
-                            return Err(AlgError::TypeMismatch {
-                                operator: "untuple".to_string(),
-                                detail: format!(
-                                    "value {} is not a width-1 tuple",
-                                    self.store.resolve(id)
-                                ),
-                            })
-                        }
-                    }
-                }
-                Ok(out.rows)
-            }
-            PhysNode::Collapse { input } => {
-                let rows = self.eval(input)?;
-                let mut out = RowSet::default();
-                for id in rows {
-                    let elements = match self.store.set_elements(id) {
-                        Some(e) => e.to_vec(),
-                        None => {
-                            return Err(AlgError::TypeMismatch {
-                                operator: "collapse".to_string(),
-                                detail: format!("value {} is not a set", self.store.resolve(id)),
-                            })
-                        }
-                    };
-                    for e in elements {
-                        out.push(e);
-                    }
-                }
-                Ok(out.rows)
-            }
-            PhysNode::Powerset { input } => {
-                let rows = self.eval(input)?;
-                let n = rows.len();
-                if n >= 63 || (1u64 << n) > self.config.max_instance {
-                    return Err(AlgError::Budget {
-                        what: format!("powerset of an instance with {n} objects"),
-                        limit: self.config.max_instance,
-                    });
-                }
-                let mut out = Vec::with_capacity(1 << n);
-                for mask in 0u64..(1u64 << n) {
-                    let subset: Vec<ValueId> = rows
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| mask & (1 << i) != 0)
-                        .map(|(_, &id)| id)
-                        .collect();
-                    out.push(self.store.intern_set(subset));
-                    self.meter.stats.tuples_materialised += 1;
-                    self.tick()?;
-                }
-                Ok(out)
-            }
-        }
+    fn id(self) -> ValueId {
+        unreachable!("a flat plan has no set-typed operand or output")
     }
 
-    /// The components of a tuple row, or the type error `operator` reports
-    /// for a non-tuple value.
-    fn components(&self, id: ValueId, operator: &str) -> Result<&[ValueId], AlgError> {
-        self.store
-            .tuple_components(id)
-            .ok_or_else(|| AlgError::TypeMismatch {
-                operator: operator.to_string(),
-                detail: format!("non-tuple value {}", self.store.resolve(id)),
-            })
-    }
-
-    /// Match the prefiltered rows of a join's two sides and emit each
-    /// matching pair.
-    fn join(
-        &mut self,
-        left_rows: &[Vec<ValueId>],
-        right_rows: &[Vec<ValueId>],
-        strategy: &JoinStrategy,
-        residual: &[SelFormula],
-        project: &Option<Vec<usize>>,
-    ) -> Result<Vec<ValueId>, AlgError> {
-        let mut out = RowSet::default();
-        match strategy {
-            JoinStrategy::Hash { keys } => {
-                let key = |comps: &[ValueId], side: fn(&(usize, usize)) -> usize| {
-                    keys.iter()
-                        .map(|k| Row::one(comps).coord(side(k)))
-                        .collect::<Result<Vec<ValueId>, _>>()
-                };
-                let mut index: HashMap<Vec<ValueId>, Vec<usize>> = HashMap::new();
-                for (j, comps) in right_rows.iter().enumerate() {
-                    index.entry(key(comps, |k| k.1)?).or_default().push(j);
-                }
-                for lcomps in left_rows {
-                    let key = key(lcomps, |k| k.0)?;
-                    self.meter.stats.join_probes += 1;
-                    self.tick()?;
-                    if let Some(matches) = index.get(&key) {
-                        for &j in matches {
-                            self.meter.stats.join_probes += 1;
-                            self.tick()?;
-                            self.emit(
-                                Row::pair(lcomps, &right_rows[j]),
-                                residual,
-                                project,
-                                &mut out,
-                            )?;
-                        }
-                    }
-                }
-            }
-            JoinStrategy::Member {
-                elem_on_left,
-                elem,
-                container,
-            } => {
-                let (elem_rows, container_rows) = if *elem_on_left {
-                    (left_rows, right_rows)
-                } else {
-                    (right_rows, left_rows)
-                };
-                let mut index: HashMap<ValueId, Vec<usize>> = HashMap::new();
-                for (j, comps) in container_rows.iter().enumerate() {
-                    let cid = Row::one(comps).coord(*container)?;
-                    // A non-set container holds nothing (`Value::is_member_of`).
-                    if let Some(elements) = self.store.set_elements(cid) {
-                        for &e in elements {
-                            index.entry(e).or_default().push(j);
-                        }
-                    }
-                }
-                for ecomps in elem_rows {
-                    let eid = Row::one(ecomps).coord(*elem)?;
-                    self.meter.stats.join_probes += 1;
-                    self.tick()?;
-                    if let Some(matches) = index.get(&eid) {
-                        for &j in matches {
-                            self.meter.stats.join_probes += 1;
-                            self.tick()?;
-                            let pair = if *elem_on_left {
-                                Row::pair(ecomps, &container_rows[j])
-                            } else {
-                                Row::pair(&container_rows[j], ecomps)
-                            };
-                            self.emit(pair, residual, project, &mut out)?;
-                        }
-                    }
-                }
-            }
-            JoinStrategy::Loop => {
-                for lcomps in left_rows {
-                    for rcomps in right_rows {
-                        self.meter.stats.join_probes += 1;
-                        self.tick()?;
-                        self.emit(Row::pair(lcomps, rcomps), residual, project, &mut out)?;
-                    }
-                }
-            }
-        }
-        Ok(out.rows)
-    }
-
-    /// Materialise one candidate pair: test the residual, apply the fused
-    /// projection, intern.
-    fn emit(
-        &mut self,
-        pair: Row<'_, ValueId>,
-        residual: &[SelFormula],
-        project: &Option<Vec<usize>>,
-        out: &mut RowSet,
-    ) -> Result<(), AlgError> {
-        if !residual.is_empty() && !sel_passes(&self.ids(), residual, pair)? {
-            return Ok(());
-        }
-        let comps = match project {
-            Some(coords) => coords
-                .iter()
-                .map(|&c| pair.coord(c))
-                .collect::<Result<_, _>>()?,
-            None => [pair.left, pair.right].concat(),
-        };
-        let tid = self.store.intern_tuple(comps);
-        self.meter.stats.tuples_materialised += 1;
-        self.tick()?;
-        out.push(tid);
-        Ok(())
-    }
-
-    /// Flatten every row once — a tuple contributes its components, anything
-    /// else stands alone (the paper's definition (6), in id space) — and keep
-    /// the component vectors of the rows whose components satisfy every
-    /// conjunct.
-    fn prefilter_flat(
-        &mut self,
-        rows: Vec<ValueId>,
-        conjuncts: &[SelFormula],
-    ) -> Result<Vec<Vec<ValueId>>, AlgError> {
-        let mut out = Vec::with_capacity(rows.len());
-        for id in rows {
-            let comps = match self.store.tuple_components(id) {
-                Some(c) => c.to_vec(),
-                None => vec![id],
-            };
-            if conjuncts.is_empty() || sel_passes(&self.ids(), conjuncts, Row::one(&comps))? {
-                out.push(comps);
-            }
-        }
-        Ok(out)
+    fn value(self, _: &ValueStore) -> Value {
+        Value::Atom(self)
     }
 }
 
-/// A relation of a flat plan: `width` atoms per row, row after row.
+impl Cell for ValueId {
+    fn load(value: &Value, ty: &Type, store: &mut ValueStore) -> Option<ValueId> {
+        value.has_type(ty).then(|| store.intern(value))
+    }
+
+    fn named(atom: Atom, interner: &Interner) -> ValueId {
+        interner.named[&atom]
+    }
+
+    fn from_id(id: ValueId) -> ValueId {
+        id
+    }
+
+    fn id(self) -> ValueId {
+        self
+    }
+
+    fn value(self, store: &ValueStore) -> Value {
+        store.resolve(self)
+    }
+}
+
+/// A relation: `width` cells per row, row after row.
 #[derive(Clone)]
-struct Rows {
+struct Rows<C> {
     width: usize,
-    atoms: Vec<Atom>,
+    cells: Vec<C>,
 }
 
-/// Bytes the flat representation counts per atom of an arena and per slot
-/// of an index: a fixed figure, so memory-ceiling trips are reproducible
-/// across runs and machines.
+/// Bytes counted per cell of an arena and per slot of an index: a fixed
+/// figure, so memory-ceiling trips are reproducible across runs and
+/// machines.
 const SLOT_BYTES: u64 = 4;
 
-impl Rows {
-    fn new(width: usize) -> Rows {
+impl<C: Cell> Rows<C> {
+    fn new(width: usize) -> Rows<C> {
         Rows {
             width,
-            atoms: Vec::new(),
+            cells: Vec::new(),
         }
-    }
-
-    /// Copy a relation's atoms, or `None` when one of its values does not
-    /// have the flat type `ty`.
-    fn load(instance: &Instance, ty: &Type) -> Option<Rows> {
-        let width = match ty {
-            Type::Tuple(components) => components.len(),
-            _ => 1,
-        };
-        let mut rows = Rows::new(width);
-        rows.atoms.reserve(instance.len() * width);
-        for value in instance.iter() {
-            match (value, ty) {
-                (Value::Atom(a), Type::Atomic) => rows.atoms.push(*a),
-                (Value::Tuple(components), Type::Tuple(_)) if components.len() == width => {
-                    for component in components {
-                        rows.atoms.push(component.as_atom()?);
-                    }
-                }
-                _ => return None,
-            }
-        }
-        Some(rows)
     }
 
     fn len(&self) -> usize {
-        self.atoms.len() / self.width
+        self.cells.len() / self.width
     }
 
     fn bytes(&self) -> u64 {
-        SLOT_BYTES * self.atoms.len() as u64
+        SLOT_BYTES * self.cells.len() as u64
     }
 
-    fn iter(&self) -> std::slice::ChunksExact<'_, Atom> {
-        self.atoms.chunks_exact(self.width)
+    fn iter(&self) -> std::slice::ChunksExact<'_, C> {
+        self.cells.chunks_exact(self.width)
     }
 
-    fn row(&self, at: usize) -> &[Atom] {
-        &self.atoms[at * self.width..(at + 1) * self.width]
+    fn row(&self, at: usize) -> &[C] {
+        &self.cells[at * self.width..(at + 1) * self.width]
     }
 
     /// Keep the rows `keep` accepts, in place.
     fn retain(
         &mut self,
-        mut keep: impl FnMut(&[Atom]) -> Result<bool, AlgError>,
+        mut keep: impl FnMut(&[C]) -> Result<bool, AlgError>,
     ) -> Result<(), AlgError> {
         let width = self.width;
         let mut kept = 0;
-        for at in (0..self.atoms.len()).step_by(width) {
-            if keep(&self.atoms[at..at + width])? {
-                self.atoms.copy_within(at..at + width, kept);
+        for at in (0..self.cells.len()).step_by(width) {
+            if keep(&self.cells[at..at + width])? {
+                self.cells.copy_within(at..at + width, kept);
                 kept += width;
             }
         }
-        self.atoms.truncate(kept);
+        self.cells.truncate(kept);
         Ok(())
     }
 
-    /// The answer: atoms when the plan's output type is `U`, flat tuples
-    /// otherwise.
-    fn into_instance(self, ty: &Type) -> Instance {
-        // Rows in order let the answer set build in one pass.
-        let mut rows: Vec<&[Atom]> = self.iter().collect();
+    /// The answer: a tuple of the row's values when the plan's output type
+    /// is a tuple type, the row's one value otherwise.
+    fn into_instance(self, ty: &Type, store: &ValueStore) -> Instance {
+        // Atom rows in order let the answer set build in one pass.
+        let mut rows: Vec<&[C]> = self.iter().collect();
         rows.sort_unstable();
-        let value = |row: &[Atom]| match ty {
-            Type::Atomic => Value::Atom(row[0]),
-            _ => Value::atom_tuple(row.iter().copied()),
+        let value = |row: &[C]| match ty {
+            Type::Tuple(_) => Value::Tuple(row.iter().map(|c| c.value(store)).collect()),
+            _ => row[0].value(store),
         };
         Instance::from_values(rows.into_iter().map(value))
     }
 }
 
-/// Copy each relation a flat plan scans into an arena; a relation the
-/// database lacks is `None`, and fails at its scan.  `None` overall when a
-/// relation holds a value of another shape than its declared type, which
-/// only the library API can build: the plan then runs on the interner.
-fn load<'a>(
-    db: &'a Database,
-    scans: &'a [(PredName, Type)],
-) -> Option<Vec<(&'a str, Option<Rows>)>> {
-    scans
-        .iter()
-        .map(|(pred, ty)| match db.relation(pred) {
-            Some(instance) => Rows::load(instance, ty).map(|rows| (pred.as_str(), Some(rows))),
-            None => Some((pred.as_str(), None)),
-        })
-        .collect()
+/// Copy the relation `pred` of the declared type `ty` into an arena, or
+/// return the error its scan reports: the database lacks it, or it holds a
+/// value of another type.
+fn load<C: Cell>(
+    db: &Database,
+    pred: &str,
+    ty: &Type,
+    store: &mut ValueStore,
+) -> Result<Rows<C>, AlgError> {
+    let Some(instance) = db.relation(pred) else {
+        return Err(AlgError::UnknownPredicate { name: pred.into() });
+    };
+    let refusal = |value: &Value| AlgError::TypeMismatch {
+        operator: "scan".to_string(),
+        detail: format!("relation {pred} holds {value}, not of its declared type {ty}"),
+    };
+    let mut rows = Rows::new(product_width(ty));
+    rows.cells.reserve(instance.len() * rows.width);
+    for value in instance.iter() {
+        let (components, types) = match (value, ty) {
+            (Value::Tuple(vs), Type::Tuple(ts)) if vs.len() == ts.len() => (&vs[..], &ts[..]),
+            _ => (std::slice::from_ref(value), std::slice::from_ref(ty)),
+        };
+        for (component, ty) in components.iter().zip(types) {
+            rows.cells
+                .push(C::load(component, ty, store).ok_or_else(|| refusal(value))?);
+        }
+    }
+    Ok(rows)
 }
 
-/// The multiplier of the Fx hash (rotate, xor, multiply): keys are atom ids,
-/// which it spreads well at a few cycles per atom.
+/// The multiplier of the Fx hash (rotate, xor, multiply): a cell is one
+/// `u32`, which it spreads well at a few cycles per cell.
 const FX: u64 = 0x517c_c1b7_2722_0a95;
+
+struct Fx(u64);
+
+impl Hasher for Fx {
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(FX);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&byte| self.write_u32(byte.into()));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// No entry: the end of a bucket chain.
 const EMPTY: u32 = u32::MAX;
 
-/// A hash index over keys of `width` atoms: the keys in one arena, in entry
+/// A hash index over keys of `width` cells: the keys in one arena, in entry
 /// order, a head per bucket, and a `next` chain through the entries of each
 /// bucket.
-struct Index {
+struct Index<C> {
     width: usize,
-    keys: Vec<Atom>,
+    keys: Vec<C>,
     heads: Vec<u32>,
     next: Vec<u32>,
     /// `64 - log2(heads.len())`: a hash's top bits pick its bucket.
@@ -730,10 +462,10 @@ struct Index {
     seed: u64,
 }
 
-impl Index {
+impl<C: Cell> Index<C> {
     /// An empty index sized for `entries` keys, at most half as many as
     /// buckets.
-    fn with_capacity(width: usize, entries: usize) -> Index {
+    fn with_capacity(width: usize, entries: usize) -> Index<C> {
         let buckets = (entries.max(1) * 2).next_power_of_two();
         Index {
             width,
@@ -746,7 +478,7 @@ impl Index {
     }
 
     /// The index of `rows`' distinct rows, whose keys are the rows.
-    fn distinct(rows: &Rows) -> Index {
+    fn distinct(rows: &Rows<C>) -> Index<C> {
         let mut index = Index::with_capacity(rows.width, rows.len());
         for row in rows.iter() {
             if index.matches(row.iter().copied()).next().is_none() {
@@ -756,15 +488,14 @@ impl Index {
         index
     }
 
-    fn bucket(&self, key: impl Iterator<Item = Atom>) -> usize {
-        let hash = key.fold(self.seed, |h, a| {
-            (h.rotate_left(5) ^ u64::from(a.0)).wrapping_mul(FX)
-        });
-        (hash >> self.shift) as usize
+    fn bucket(&self, key: impl Iterator<Item = C>) -> usize {
+        let mut hash = Fx(self.seed);
+        key.for_each(|cell| cell.hash(&mut hash));
+        (hash.finish() >> self.shift) as usize
     }
 
     /// Add `key` as the next entry.
-    fn push(&mut self, key: impl Iterator<Item = Atom> + Clone) {
+    fn push(&mut self, key: impl Iterator<Item = C> + Clone) {
         let bucket = self.bucket(key.clone());
         let entry = u32::try_from(self.next.len()).expect("index overflow");
         self.keys.extend(key);
@@ -775,7 +506,7 @@ impl Index {
     /// The entries whose key equals `key`, latest first.
     fn matches<'i, K>(&'i self, key: K) -> impl Iterator<Item = usize> + 'i
     where
-        K: Iterator<Item = Atom> + Clone + 'i,
+        K: Iterator<Item = C> + Clone + 'i,
     {
         let mut at = self.heads[self.bucket(key.clone())];
         std::iter::from_fn(move || {
@@ -796,23 +527,29 @@ impl Index {
     }
 }
 
-/// Per-execution state of the flat representation: the relations the plan
-/// scans, already in arenas, the meter, and the bytes reported to the
-/// memory ceiling.
-struct Flat<'a> {
+/// Per-execution state: the scanned relations in arenas (or the error their
+/// scan reports), the interner, the meter, and the arenas' bytes.
+struct Exec<'a, C> {
     config: &'a EvalConfig,
-    scans: Vec<(&'a str, Option<Rows>)>,
+    scans: Vec<(&'a str, Result<Rows<C>, AlgError>)>,
+    interner: Interner,
     meter: Meter<'a>,
-    /// Bytes of every operator output and index built so far, counted at
-    /// [`SLOT_BYTES`] per atom or slot; an operator filling its output
-    /// reports that arena on top.
+    /// Bytes of every operator output and index built so far, at
+    /// [`SLOT_BYTES`] per cell or slot.
     bytes: u64,
 }
 
-impl Flat<'_> {
+impl<C: Cell> Exec<'_, C> {
+    /// Count one work unit, reporting `out` bytes, an output arena being
+    /// filled, on top of what the execution holds.
+    fn tick(&mut self, out: u64) -> Result<(), AlgError> {
+        let (bytes, store) = (self.bytes, &self.interner.store);
+        self.meter.tick(|| bytes + out + store.approx_bytes())
+    }
+
     /// Evaluate one operator, wrapping it in a span when tracing, and count
     /// its output arena.
-    fn eval(&mut self, node: &PhysNode) -> Result<Rows, AlgError> {
+    fn eval(&mut self, node: &PhysNode) -> Result<Rows<C>, AlgError> {
         let mark = self.meter.open();
         let rows = self.eval_node(node)?;
         if let Some(mark) = mark {
@@ -822,27 +559,28 @@ impl Flat<'_> {
         Ok(rows)
     }
 
-    /// Evaluate one operator to its deduplicated rows, ticking exactly where
-    /// the interned representation does.
-    fn eval_node(&mut self, node: &PhysNode) -> Result<Rows, AlgError> {
-        self.meter.tick(self.bytes)?;
+    /// Evaluate one operator to its deduplicated rows.  Operands are
+    /// evaluated left-to-right, depth-first — the same order the
+    /// tuple-at-a-time evaluator visits subexpressions, so the first budget,
+    /// missing-relation or scan error is the same one it would meet first.
+    fn eval_node(&mut self, node: &PhysNode) -> Result<Rows<C>, AlgError> {
+        self.tick(0)?;
         match node {
             PhysNode::Scan { pred } => {
                 let (_, rows) = self
                     .scans
                     .iter()
                     .find(|(name, _)| name == pred)
-                    .expect("a flat plan loads every relation it scans");
+                    .expect("a plan loads every relation it scans");
                 rows.clone()
-                    .ok_or_else(|| AlgError::UnknownPredicate { name: pred.clone() })
             }
             PhysNode::Singleton { atom } => Ok(Rows {
                 width: 1,
-                atoms: vec![*atom],
+                cells: vec![C::named(*atom, &self.interner)],
             }),
             PhysNode::Union(a, b) => {
                 let mut rows = self.eval(a)?;
-                rows.atoms.extend_from_slice(&self.eval(b)?.atoms);
+                rows.cells.extend_from_slice(&self.eval(b)?.cells);
                 Ok(self.dedup(rows))
             }
             PhysNode::Intersect(a, b) | PhysNode::Diff(a, b) => {
@@ -855,24 +593,24 @@ impl Flat<'_> {
             }
             PhysNode::Filter { conjuncts, input } => {
                 let mut rows = self.eval(input)?;
-                let (meter, bytes) = (&mut self.meter, self.bytes);
+                let (meter, interner, bytes) = (&mut self.meter, &self.interner, self.bytes);
                 rows.retain(|row| {
-                    meter.tick(bytes)?;
-                    sel_passes(&Atoms, conjuncts, Row::one(row))
+                    meter.tick(|| bytes + interner.store.approx_bytes())?;
+                    sel_passes(interner, conjuncts, Row::one(row))
                 })?;
                 Ok(rows)
             }
             PhysNode::Project { coords, input } => {
                 let rows = self.eval(input)?;
                 let mut out = Rows::new(coords.len());
-                out.atoms.reserve(rows.len() * coords.len());
+                out.cells.reserve(rows.len() * coords.len());
                 for row in rows.iter() {
                     let row = Row::one(row);
                     for &c in coords {
-                        out.atoms.push(row.coord(c)?);
+                        out.cells.push(row.coord(c)?);
                     }
                     self.meter.stats.tuples_materialised += 1;
-                    self.meter.tick(self.bytes + out.bytes())?;
+                    self.tick(out.bytes())?;
                 }
                 Ok(self.dedup(out))
             }
@@ -894,7 +632,7 @@ impl Flat<'_> {
                     (&mut right_rows, right_filter),
                 ] {
                     if !conjuncts.is_empty() {
-                        rows.retain(|row| sel_passes(&Atoms, conjuncts, Row::one(row)))?;
+                        rows.retain(|row| sel_passes(&self.interner, conjuncts, Row::one(row)))?;
                     }
                 }
                 let out = self.join(&left_rows, &right_rows, strategy, residual, project)?;
@@ -906,21 +644,63 @@ impl Flat<'_> {
                     out
                 })
             }
-            // `[U]` and `U` rows share one arena layout.
+            // `[T]` and `T` share one row layout.
             PhysNode::Untuple { input } => self.eval(input),
-            PhysNode::Collapse { .. } | PhysNode::Powerset { .. } => {
-                unreachable!("a flat plan has no set-typed operand or output")
+            PhysNode::Collapse { input, width } => {
+                let rows = self.eval(input)?;
+                let store = &self.interner.store;
+                let mut out = Rows::new(*width);
+                for row in rows.iter() {
+                    let set = store.set_elements(row[0].id());
+                    for element in set.expect("a collapsed row holds a set") {
+                        let cells = store.tuple_components(*element);
+                        let cells = cells.unwrap_or(std::slice::from_ref(element));
+                        out.cells.extend(cells.iter().map(|&c| C::from_id(c)));
+                    }
+                }
+                Ok(self.dedup(out))
+            }
+            PhysNode::Powerset { input, tuple } => {
+                let rows = self.eval(input)?;
+                let n = rows.len();
+                if n >= 63 || (1u64 << n) > self.config.max_instance {
+                    return Err(AlgError::Budget {
+                        what: format!("powerset of an instance with {n} objects"),
+                        limit: self.config.max_instance,
+                    });
+                }
+                let store = &mut self.interner.store;
+                let elements: Vec<ValueId> = rows
+                    .iter()
+                    .map(|row| match row {
+                        [cell] if !tuple => cell.id(),
+                        cells => store.intern_tuple(cells.iter().map(|c| c.id()).collect()),
+                    })
+                    .collect();
+                let mut out = Rows::new(1);
+                out.cells.reserve(1 << n);
+                for mask in 0u64..(1u64 << n) {
+                    let subset = (0..n)
+                        .filter(|i| mask & (1 << i) != 0)
+                        .map(|i| elements[i])
+                        .collect();
+                    out.cells
+                        .push(C::from_id(self.interner.store.intern_set(subset)));
+                    self.meter.stats.tuples_materialised += 1;
+                    self.tick(out.bytes())?;
+                }
+                Ok(out)
             }
         }
     }
 
     /// Deduplicate a filled arena once, counting the index that does it.
-    fn dedup(&mut self, rows: Rows) -> Rows {
+    fn dedup(&mut self, rows: Rows<C>) -> Rows<C> {
         let index = Index::distinct(&rows);
         self.bytes += rows.bytes() + index.bytes();
         Rows {
             width: rows.width,
-            atoms: index.keys,
+            cells: index.keys,
         }
     }
 
@@ -929,12 +709,12 @@ impl Flat<'_> {
     /// row beyond the output arena's growth.
     fn join(
         &mut self,
-        left_rows: &Rows,
-        right_rows: &Rows,
+        left_rows: &Rows<C>,
+        right_rows: &Rows<C>,
         strategy: &JoinStrategy,
         residual: &[SelFormula],
         project: &Option<Vec<usize>>,
-    ) -> Result<Rows, AlgError> {
+    ) -> Result<Rows<C>, AlgError> {
         let width = project
             .as_ref()
             .map_or(left_rows.width + right_rows.width, Vec::len);
@@ -950,16 +730,51 @@ impl Flat<'_> {
                 self.bytes += index.bytes();
                 for left in left_rows.iter() {
                     self.meter.stats.join_probes += 1;
-                    self.meter.tick(self.bytes + out.bytes())?;
+                    self.tick(out.bytes())?;
                     for j in index.matches(left_keys.iter().map(|&c| left[c])) {
                         self.meter.stats.join_probes += 1;
-                        self.meter.tick(self.bytes + out.bytes())?;
-                        self.emit(
-                            Row::pair(left, right_rows.row(j)),
-                            residual,
-                            project,
-                            &mut out,
-                        )?;
+                        self.tick(out.bytes())?;
+                        let right = right_rows.row(j);
+                        self.emit(Row::pair(left, right), residual, project, &mut out)?;
+                    }
+                }
+            }
+            JoinStrategy::Member {
+                elem_on_left,
+                elem,
+                container,
+            } => {
+                let (elem_rows, container_rows) = if *elem_on_left {
+                    (left_rows, right_rows)
+                } else {
+                    (right_rows, left_rows)
+                };
+                // One entry per element of each container row's set, keyed
+                // by the element and owned by that row.
+                let mut owners = Vec::new();
+                for (j, row) in container_rows.iter().enumerate() {
+                    let set = self.interner.store.set_elements(row[container - 1].id());
+                    let set = set.expect("a container holds a set");
+                    owners.extend(set.iter().map(|&element| (element, j)));
+                }
+                let mut index = Index::with_capacity(1, owners.len());
+                for &(element, _) in &owners {
+                    index.push(std::iter::once(C::from_id(element)));
+                }
+                self.bytes += index.bytes() + SLOT_BYTES * owners.len() as u64;
+                for row in elem_rows.iter() {
+                    self.meter.stats.join_probes += 1;
+                    self.tick(out.bytes())?;
+                    for entry in index.matches(std::iter::once(row[elem - 1])) {
+                        self.meter.stats.join_probes += 1;
+                        self.tick(out.bytes())?;
+                        let owner = container_rows.row(owners[entry].1);
+                        let pair = if *elem_on_left {
+                            Row::pair(row, owner)
+                        } else {
+                            Row::pair(owner, row)
+                        };
+                        self.emit(pair, residual, project, &mut out)?;
                     }
                 }
             }
@@ -967,13 +782,10 @@ impl Flat<'_> {
                 for left in left_rows.iter() {
                     for right in right_rows.iter() {
                         self.meter.stats.join_probes += 1;
-                        self.meter.tick(self.bytes + out.bytes())?;
+                        self.tick(out.bytes())?;
                         self.emit(Row::pair(left, right), residual, project, &mut out)?;
                     }
                 }
-            }
-            JoinStrategy::Member { .. } => {
-                unreachable!("a flat plan has no set-typed container")
             }
         }
         Ok(out)
@@ -983,52 +795,52 @@ impl Flat<'_> {
     /// fused projection, or the concatenation, into the output arena.
     fn emit(
         &mut self,
-        pair: Row<'_, Atom>,
+        pair: Row<'_, C>,
         residual: &[SelFormula],
         project: &Option<Vec<usize>>,
-        out: &mut Rows,
+        out: &mut Rows<C>,
     ) -> Result<(), AlgError> {
-        if !residual.is_empty() && !sel_passes(&Atoms, residual, pair)? {
+        if !residual.is_empty() && !sel_passes(&self.interner, residual, pair)? {
             return Ok(());
         }
         match project {
             Some(coords) => {
                 for &c in coords {
-                    out.atoms.push(pair.coord(c)?);
+                    out.cells.push(pair.coord(c)?);
                 }
             }
             None => {
-                out.atoms.extend_from_slice(pair.left);
-                out.atoms.extend_from_slice(pair.right);
+                out.cells.extend_from_slice(pair.left);
+                out.cells.extend_from_slice(pair.right);
             }
         }
         self.meter.stats.tuples_materialised += 1;
-        self.meter.tick(self.bytes + out.bytes())
+        self.tick(out.bytes())
     }
 }
 
 /// A row as selections, keys and projections read it: the concatenation of
 /// `left` and `right`, so a join's candidate pair is read in place.
 #[derive(Clone, Copy)]
-struct Row<'r, T> {
-    left: &'r [T],
-    right: &'r [T],
+struct Row<'r, C> {
+    left: &'r [C],
+    right: &'r [C],
 }
 
-impl<'r, T: Copy> Row<'r, T> {
-    fn one(components: &'r [T]) -> Self {
+impl<'r, C: Copy> Row<'r, C> {
+    fn one(cells: &'r [C]) -> Self {
         Row {
-            left: components,
+            left: cells,
             right: &[],
         }
     }
 
-    fn pair(left: &'r [T], right: &'r [T]) -> Self {
+    fn pair(left: &'r [C], right: &'r [C]) -> Self {
         Row { left, right }
     }
 
     /// The 1-based coordinate `i`.
-    fn coord(&self, i: usize) -> Result<T, AlgError> {
+    fn coord(&self, i: usize) -> Result<C, AlgError> {
         let k = i.wrapping_sub(1);
         let found = match self.left.get(k) {
             Some(&c) => Some(c),
@@ -1043,96 +855,45 @@ impl<'r, T: Copy> Row<'r, T> {
     }
 }
 
-/// How selection formulas read one representation's components.
-trait Components {
-    type Id: Copy + Eq;
-
-    /// A selection constant as a component.
-    fn constant(&self, atom: Atom) -> Self::Id;
-
-    /// `elem ∈ container`: false when `container` is not a set, mirroring
-    /// [`Value::is_member_of`].
-    fn member(&self, elem: Self::Id, container: Self::Id) -> bool;
-}
-
-/// Interned components: constants are interned before execution.
-struct Ids<'s> {
-    store: &'s ValueStore,
-    consts: &'s HashMap<Atom, ValueId>,
-}
-
-impl Components for Ids<'_> {
-    type Id = ValueId;
-
-    fn constant(&self, atom: Atom) -> ValueId {
-        *self
-            .consts
-            .get(&atom)
-            .expect("plan constants are interned before execution")
-    }
-
-    fn member(&self, elem: ValueId, container: ValueId) -> bool {
-        self.store.set_contains(container, elem)
-    }
-}
-
-/// Atom components: a constant is its atom, and an atom is no set.
-struct Atoms;
-
-impl Components for Atoms {
-    type Id = Atom;
-
-    fn constant(&self, atom: Atom) -> Atom {
-        atom
-    }
-
-    fn member(&self, _: Atom, _: Atom) -> bool {
-        false
-    }
-}
-
-fn sel_passes<C: Components>(
-    space: &C,
+fn sel_passes<C: Cell>(
+    interner: &Interner,
     conjuncts: &[SelFormula],
-    row: Row<'_, C::Id>,
+    row: Row<'_, C>,
 ) -> Result<bool, AlgError> {
     for f in conjuncts {
-        if !sel_eval(space, f, row)? {
+        if !sel_eval(interner, f, row)? {
             return Ok(false);
         }
     }
     Ok(true)
 }
 
-/// Selection semantics over components: `=` is component equality, `∈` the
-/// representation's membership — mirroring `eval::eval_selection` value for
+/// Selection semantics over cells: `=` is cell equality and `∈` the
+/// interner's membership — mirroring `eval::eval_selection` value for
 /// value.
-fn sel_eval<C: Components>(
-    space: &C,
+fn sel_eval<C: Cell>(
+    interner: &Interner,
     f: &SelFormula,
-    row: Row<'_, C::Id>,
+    row: Row<'_, C>,
 ) -> Result<bool, AlgError> {
     let term = |t: &SelTerm| match t {
-        SelTerm::Const(a) => Ok(space.constant(*a)),
+        SelTerm::Const(a) => Ok(C::named(*a, interner)),
         SelTerm::Coord(i) => row.coord(*i),
     };
     match f {
         SelFormula::Eq(t1, t2) => Ok(term(t1)? == term(t2)?),
         SelFormula::In(t1, t2) => {
             let elem = term(t1)?;
-            Ok(space.member(elem, term(t2)?))
+            Ok(interner.store.set_contains(term(t2)?.id(), elem.id()))
         }
-        SelFormula::Not(g) => Ok(!sel_eval(space, g, row)?),
-        SelFormula::And(fs) => sel_passes(space, fs, row),
-        SelFormula::Or(fs) => {
-            for g in fs {
-                if sel_eval(space, g, row)? {
-                    return Ok(true);
-                }
-            }
-            Ok(false)
+        SelFormula::Not(g) => Ok(!sel_eval(interner, g, row)?),
+        SelFormula::And(fs) => sel_passes(interner, fs, row),
+        SelFormula::Or(fs) => fs
+            .iter()
+            .try_fold(false, |any, g| Ok(any || sel_eval(interner, g, row)?)),
+        SelFormula::Implies(a, b) => {
+            Ok(!sel_eval(interner, a, row)? || sel_eval(interner, b, row)?)
         }
-        SelFormula::Implies(a, b) => Ok(!sel_eval(space, a, row)? || sel_eval(space, b, row)?),
     }
 }
 
@@ -1160,6 +921,12 @@ mod tests {
 
     fn run(expr: &AlgExpr, config: &EvalConfig) -> Result<(Instance, ExecStats), AlgError> {
         plan(expr, &schema()).unwrap().execute(&db(), config)
+    }
+
+    fn run_on(expr: &AlgExpr, db: &Database) -> Result<(Instance, ExecStats), AlgError> {
+        plan(expr, &schema())
+            .unwrap()
+            .execute(db, &EvalConfig::default())
     }
 
     #[test]
@@ -1299,8 +1066,8 @@ mod tests {
         let direct = expr.eval(&db(), &schema(), &EvalConfig::default()).unwrap();
         assert_eq!(answer, direct);
         assert_eq!(answer.len(), 2);
-        // Scans are memoized per execution: PAR appears three times above but
-        // the interner sees its values once.
+        // Scans are copied once per execution: PAR appears three times above
+        // but its arena is loaded once, and a union materialises nothing.
         let (_, stats) = run(
             &AlgExpr::pred("PAR").union(AlgExpr::pred("PAR")),
             &EvalConfig::default(),
@@ -1323,12 +1090,13 @@ mod tests {
         }
     }
 
-    /// Only the library API can hand a plan a relation that holds values of
-    /// another shape than its declared type.  A flat plan then runs on the
-    /// interner, so its answer or error and its counters are the ones the
-    /// interned executor has always produced (recorded here).
+    /// Any client can hand a plan a relation that holds values of another
+    /// type than the one the plan was typed with: the REPL and `itq serve`
+    /// evaluate a name on any database.  A query is defined only on the
+    /// inputs of its type, so the plan refuses the first such value at its
+    /// scan, whatever its shape, before any operator reads a row.
     #[test]
-    fn ill_shaped_relations_keep_the_interned_answers_and_counters() {
+    fn relations_of_another_type_are_refused_at_their_scan() {
         use itq_object::govern::TripKind;
         let grandparent = AlgExpr::pred("PAR")
             .product(AlgExpr::pred("PAR"))
@@ -1357,37 +1125,55 @@ mod tests {
                     interrupt: &observer,
                     ..ExecCtx::default()
                 };
-                let outcome = physical.execute_ctx(&db, &EvalConfig::default(), &ctx);
-                let line = match outcome {
-                    Ok((answer, stats, _)) => format!(
-                        "{answer:?} {} {} {} {}",
-                        stats.join_probes,
-                        stats.tuples_materialised,
-                        stats.interned_values,
-                        observer.polls()
-                    ),
-                    Err(err) => format!("error: {err} {}", observer.polls()),
-                };
-                seen.push(line);
+                let err = physical
+                    .execute_ctx(&db, &EvalConfig::default(), &ctx)
+                    .unwrap_err();
+                // The tuple-at-a-time evaluator still accepts such input.
+                assert_ne!(
+                    expr.eval(&db, &schema(), &EvalConfig::default()),
+                    Err(err.clone())
+                );
+                seen.push(format!("{err} {}", observer.polls()));
             }
         }
-        // Answer or error, then `join_probes`, `tuples_materialised`,
-        // `interned_values` and the governor's polls.
-        let expected = [
-            "error: coordinate 2 out of range for width 1 1",
-            "error: type error in projection: non-tuple value a5 1",
-            "error: type error in selection: non-tuple value a5 1",
-            "error: type error in projection: non-tuple value a5 1",
-            "{[a0, a1, a0], [a0, a1, a1], [a0, a1, a2], [a1, a2, a0], [a1, a2, a1], \
-             [a1, a2, a2], [a5, a0], [a5, a1], [a5, a2]} 9 9 15 2",
-            "{[a0, a1], [a0, a2]} 5 2 7 2",
-            "{[a0, a1], [a0, a1, a2], [a1, a0], [a1, a2], [a2, a1]} 0 3 8 2",
-            "{[a0, a1], [a0, a1, a2]} 0 0 6 2",
-            "{a1, a2} 0 3 8 2",
-            "{[a0, a1, a0], [a0, a1, a1], [a0, a1, a2], [a0, a1, a2, a0], [a0, a1, a2, a1], \
-             [a0, a1, a2, a2], [a1, a2, a0], [a1, a2, a1], [a1, a2, a2]} 9 9 14 2",
-        ];
+        // The error, then the governor's polls: the entry poll only.
+        let refusal = |value| {
+            format!(
+                "type error in scan: relation PAR holds {value}, not of its declared type [U, U] 1"
+            )
+        };
+        let expected: Vec<String> = ["a5", "[a0, a1, a2]"]
+            .into_iter()
+            .flat_map(|value| vec![refusal(value); 5])
+            .collect();
         assert_eq!(seen, expected);
+    }
+
+    /// Scan errors keep their left-to-right order: the relation scanned
+    /// first reports first, missing or holding a value of another type.
+    #[test]
+    fn the_first_scanned_relation_reports_first() {
+        let stray = Instance::from_atoms(vec![Atom(5)]);
+        let db = Database::single("PAR", stray);
+        let person_first = AlgExpr::pred("PERSON").product(AlgExpr::pred("PAR"));
+        let par_first = AlgExpr::pred("PAR").product(AlgExpr::pred("PERSON"));
+        let set_typed = AlgExpr::pred("PAR")
+            .powerset()
+            .product(AlgExpr::pred("PERSON"));
+        let errors: Vec<String> = [person_first, par_first, set_typed]
+            .iter()
+            .map(|expr| run_on(expr, &db).unwrap_err().to_string())
+            .collect();
+        assert_eq!(
+            errors,
+            [
+                "unknown predicate PERSON".to_string(),
+                "type error in scan: relation PAR holds a5, not of its declared type [U, U]"
+                    .to_string(),
+                "type error in scan: relation PAR holds a5, not of its declared type [U, U]"
+                    .to_string(),
+            ]
+        );
     }
 
     #[test]
@@ -1427,7 +1213,7 @@ mod tests {
         // is a real output, where the 3×2 product scans blind.
         assert_eq!(stats.join_probes, 6, "{stats:?}");
         assert_eq!(stats.tuples_materialised, 3);
-        // Set-typed plans keep the interner: this member join and 𝒫(PAR).
+        // Set-typed plans intern their cells: this member join and 𝒫(PAR).
         let (_, powerset) = run(&AlgExpr::pred("PAR").powerset(), &EvalConfig::default()).unwrap();
         assert!(stats.interned_values > 0 && powerset.interned_values > 0);
     }

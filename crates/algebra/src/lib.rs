@@ -17,11 +17,12 @@
 //! [`classify_typing`], [`to_calculus_typing`]).
 //!
 //! An expression runs either tuple-at-a-time ([`eval`]) or, planned once
-//! ([`mod@plan`]), set-at-a-time ([`exec`]): over atom arenas when every
-//! subexpression has type `U` or `[U, …, U]`, over interned relations
-//! otherwise.  The plan executor counts its join probes, materialised
-//! objects and interned values in the one counter block every backend fills,
-//! [`ExecStats`](itq_object::ExecStats).
+//! ([`mod@plan`]), set-at-a-time ([`exec`]) over row arenas, whose cells are
+//! atoms when every subexpression has type `U` or `[U, …, U]` and interned
+//! values otherwise; a plan refuses a relation holding a value of another
+//! type than its declared one.  The plan executor counts its join probes,
+//! materialised objects and interned values in the one counter block every
+//! backend fills, [`ExecStats`](itq_object::ExecStats).
 //!
 //! ## Example — transitive closure by powerset (Example 3.1, algebra style)
 //!

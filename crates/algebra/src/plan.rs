@@ -5,9 +5,9 @@
 //! Cartesian product and only then runs the selection.  The planner in this
 //! module rewrites such shapes *once, at prepare time*, into a
 //! [`PhysicalPlan`] of set-at-a-time operators that the executor in
-//! [`crate::exec`] runs, over atom arenas when the plan is *flat* (every
-//! subexpression typed `U` or `[U, …, U]`) and over
-//! [`ValueId`](itq_object::ValueId)-interned relations otherwise:
+//! [`crate::exec`] runs over row arenas, whose cells are atoms when the plan
+//! is *flat* (every subexpression typed `U` or `[U, …, U]`) and
+//! [`ValueId`](itq_object::ValueId)s of the execution's interner otherwise:
 //!
 //! * **join extraction** — cross-operand `$i = $j` conjuncts of a selection
 //!   over a product become hash-join keys; a cross-operand `$i ∈ $j`
@@ -74,11 +74,11 @@ pub enum PhysNode {
         /// The atom.
         atom: Atom,
     },
-    /// `E1 ∪ E2` as an id-set union.
+    /// `E1 ∪ E2`: the rows of both operands, deduplicated.
     Union(Box<PhysNode>, Box<PhysNode>),
-    /// `E1 ∩ E2` as an id-set intersection.
+    /// `E1 ∩ E2`: the left operand's rows that the right one holds too.
     Intersect(Box<PhysNode>, Box<PhysNode>),
-    /// `E1 − E2` as an id-set difference.
+    /// `E1 − E2`: the left operand's rows that the right one lacks.
     Diff(Box<PhysNode>, Box<PhysNode>),
     /// A residual selection that could not be pushed into a join.
     Filter {
@@ -118,25 +118,34 @@ pub enum PhysNode {
         /// A projection fused into the join output (product coordinates).
         project: Option<Vec<usize>>,
     },
-    /// `μ` — unwrap width-1 tuples.
+    /// `μ` — unwrap width-1 tuples: the identity on rows, since `[T]` and
+    /// `T` share one.
     Untuple {
         /// The input operator.
         input: Box<PhysNode>,
     },
-    /// `𝒞` — one level of set union, as an id-set merge.
+    /// `𝒞` — one level of set union: every element of every input set,
+    /// unpacked into a row.
     Collapse {
         /// The input operator.
         input: Box<PhysNode>,
+        /// The width of an element's row: its arity when the elements are
+        /// tuples, else 1.
+        width: usize,
     },
-    /// `𝒫` — powerset, budget-guarded before any subset is materialised.
+    /// `𝒫` — powerset, budget-guarded before any subset is materialised:
+    /// each input row is packed into one element.
     Powerset {
         /// The input operator.
         input: Box<PhysNode>,
+        /// Whether the input is of a tuple type, so that an element is the
+        /// tuple of its row's cells rather than the row's one cell.
+        tuple: bool,
     },
 }
 
-/// A planned algebra expression: the operator tree, its output type, and
-/// whether it is flat.
+/// A planned algebra expression: the operator tree, its output type, the
+/// relations it scans, and whether it is flat.
 ///
 /// Built once by [`plan`] (typically at `Engine::prepare_algebra` time) and
 /// executed any number of times via [`PhysicalPlan::execute`].
@@ -163,10 +172,13 @@ pub enum PhysNode {
 pub struct PhysicalPlan {
     root: PhysNode,
     output_type: Type,
-    /// For a flat plan, the relations it scans with their declared types,
-    /// in scan order; `None` when some subexpression has a set-typed
-    /// component.
-    flat: Option<Vec<(PredName, Type)>>,
+    /// The relations the plan scans with their declared types, in scan
+    /// order: the executor copies each into an arena once, refusing a value
+    /// of another type.
+    pub(crate) scans: Vec<(PredName, Type)>,
+    /// Whether every subexpression has type `U` or `[U, …, U]`, so that the
+    /// plan's rows hold atoms and it interns nothing.
+    pub(crate) flat: bool,
 }
 
 impl PhysicalPlan {
@@ -180,14 +192,8 @@ impl PhysicalPlan {
         &self.output_type
     }
 
-    /// For a flat plan, the relations it scans with their declared types:
-    /// the executor copies each into an atom arena once.
-    pub(crate) fn flat_scans(&self) -> Option<&[(PredName, Type)]> {
-        self.flat.as_deref()
-    }
-
-    /// Every constant atom mentioned by the plan's selection formulas — the
-    /// executor interns these once, up front.
+    /// Every atom the plan names, in its selection formulas and singletons —
+    /// a set-typed plan interns these once, up front.
     pub fn constants(&self) -> BTreeSet<Atom> {
         let mut out = BTreeSet::new();
         self.root.visit(&mut |node| {
@@ -207,6 +213,9 @@ impl PhysicalPlan {
                     take(left_filter);
                     take(right_filter);
                     take(residual);
+                }
+                PhysNode::Singleton { atom } => {
+                    out.insert(*atom);
                 }
                 _ => {}
             }
@@ -246,8 +255,8 @@ impl PhysNode {
             PhysNode::Filter { input, .. }
             | PhysNode::Project { input, .. }
             | PhysNode::Untuple { input }
-            | PhysNode::Collapse { input }
-            | PhysNode::Powerset { input } => vec![input],
+            | PhysNode::Collapse { input, .. }
+            | PhysNode::Powerset { input, .. } => vec![input],
         }
     }
 
@@ -405,22 +414,25 @@ pub fn plan(expr: &AlgExpr, schema: &Schema) -> Result<PhysicalPlan, AlgError> {
 
 /// [`plan`] from the expression's [`Typing`].  Lowering reads its operands'
 /// types from that record and never applies a typing rule itself; the
-/// record also decides whether the plan is flat.
+/// record also gives the scans' declared types and decides whether the plan
+/// is flat.
 pub fn plan_typing(expr: &AlgExpr, typing: &Typing) -> Result<PhysicalPlan, AlgError> {
     let output_type = typing.result()?.clone();
     let root = lower(expr, 0, typing)?;
+    let (scans, flat) = scans(expr, typing);
     Ok(PhysicalPlan {
         root,
         output_type,
-        flat: flat_scans(expr, typing),
+        scans,
+        flat,
     })
 }
 
-/// The relations a plan scans, with their declared types, when every
-/// subexpression of a typed expression has type `U` or `[U, …, U]`: a flat
-/// plan reads and produces only tuples of atoms.  [`Type::is_flat`] admits
-/// nested tuples such as `[U, [U, U]]`, so it does not decide this.
-fn flat_scans(expr: &AlgExpr, typing: &Typing) -> Option<Vec<(PredName, Type)>> {
+/// The relations a typed expression scans, with their declared types, and
+/// whether every subexpression has type `U` or `[U, …, U]`: a flat plan
+/// reads and produces only tuples of atoms.  [`Type::is_flat`] admits nested
+/// tuples such as `[U, [U, U]]`, so it does not decide this.
+fn scans(expr: &AlgExpr, typing: &Typing) -> (Vec<(PredName, Type)>, bool) {
     let atom_row = |ty: &Type| match ty {
         Type::Atomic => true,
         Type::Tuple(components) => {
@@ -428,15 +440,13 @@ fn flat_scans(expr: &AlgExpr, typing: &Typing) -> Option<Vec<(PredName, Type)>> 
         }
         Type::Set(_) => false,
     };
-    let mut scans: Vec<(PredName, Type)> = Vec::new();
+    let (mut scans, mut flat): (Vec<(PredName, Type)>, _) = (Vec::new(), true);
     // The typing numbers subexpressions in this pre-order.
     let mut stack = vec![expr];
     let mut at = 0;
     while let Some(e) = stack.pop() {
         let ty = typing.ty(at);
-        if !atom_row(ty) {
-            return None;
-        }
+        flat &= atom_row(ty);
         if let AlgExpr::Pred(p) = e {
             if !scans.iter().any(|(q, _)| q == p) {
                 scans.push((p.clone(), ty.clone()));
@@ -445,7 +455,7 @@ fn flat_scans(expr: &AlgExpr, typing: &Typing) -> Option<Vec<(PredName, Type)>> 
         stack.extend(e.children().into_iter().rev());
         at += 1;
     }
-    Some(scans)
+    (scans, flat)
 }
 
 /// Lower the subexpression at pre-order index `at` of a typing with no error
@@ -478,9 +488,11 @@ fn lower(expr: &AlgExpr, at: usize, typing: &Typing) -> Result<PhysNode, AlgErro
         },
         AlgExpr::Collapse(a) => PhysNode::Collapse {
             input: Box::new(lower(a, at + 1, typing)?),
+            width: product_width(typing.ty(at)),
         },
         AlgExpr::Powerset(a) => PhysNode::Powerset {
             input: Box::new(lower(a, at + 1, typing)?),
+            tuple: matches!(typing.ty(at + 1), Type::Tuple(_)),
         },
     })
 }

@@ -32,9 +32,12 @@
 //! *Consequence:* every invention level's range contains `adom(d) ∪ adom(E)`,
 //! so the unrestricted answer `Q|^Y[d]` is `E(d)` at every level, with no
 //! invented atom: `Q^fi[d] = E(d)`, stable from level 1, and `Q^ti[d]` is
-//! undefined.  On a database holding ill-typed values the claim does not
-//! apply, and a handle answers there what its evaluator answers under the
-//! limited interpretation.
+//! undefined.  The claim needs no case for a database holding values of
+//! other types than the declared ones: a planned handle refuses one at its
+//! first such scan, under every semantics.  Only the tuple-at-a-time
+//! evaluator (`use_algebra_planner(false)`) runs on one, where the claim
+//! does not apply, and its handle answers there what that evaluator answers
+//! under the limited interpretation.
 
 use crate::error::AlgError;
 use crate::expr::{AlgExpr, SelFormula, SelTerm};

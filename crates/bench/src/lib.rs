@@ -12,7 +12,7 @@ mod measure;
 
 pub use measure::{measure, Bound, Estimate, Gate, Measurement, Schedule};
 
-use itq_algebra::{AlgExpr, SelFormula};
+use itq_algebra::{AlgExpr, SelFormula, SelTerm};
 use itq_object::{Atom, Database, Instance, Schema, Type};
 
 /// The E14 workload grid: product-heavy algebra expressions whose
@@ -51,6 +51,16 @@ pub fn algebra_exec_workloads() -> Vec<(&'static str, AlgExpr, Schema, Database)
         .select(SelFormula::coords_eq(1, 2));
     let people_db = Database::single("PERSON", Instance::from_atoms((0..150).map(Atom)));
 
+    // Each parent next to every set of children holding one of theirs, over
+    // 3 parents and 6 children: the set-typed member join indexes the 64
+    // subsets by element instead of testing 6 × 64 pairs.
+    let kids = AlgExpr::pred("PAR")
+        .product(AlgExpr::pred("PAR").project(vec![2]).untuple().powerset())
+        .select(SelFormula::In(SelTerm::Coord(2), SelTerm::Coord(3)))
+        .project(vec![1, 3]);
+    let families: Vec<(Atom, Atom)> = (0..6u32).map(|i| (Atom(i / 2), Atom(3 + i))).collect();
+    let families_db = Database::single("PAR", Instance::from_pairs(families));
+
     vec![
         (
             "algebra/grandparent-product",
@@ -58,8 +68,14 @@ pub fn algebra_exec_workloads() -> Vec<(&'static str, AlgExpr, Schema, Database)
             parent_schema.clone(),
             chain_db,
         ),
-        ("algebra/sibling-product", sibling, parent_schema, forest_db),
+        (
+            "algebra/sibling-product",
+            sibling,
+            parent_schema.clone(),
+            forest_db,
+        ),
         ("algebra/self-pairs", self_pairs, person_schema, people_db),
+        ("algebra/member-join", kids, parent_schema, families_db),
     ]
 }
 

@@ -387,9 +387,10 @@ pub struct ExecStats {
     /// materialise a new domain.
     pub domain_cache_misses: u64,
     /// Compiled and planned executions: distinct values interned in the
-    /// execution's value store (0 for the tree walker, the tuple-at-a-time
-    /// algebra evaluator, and a flat plan, which runs over atom rows; none
-    /// of them interns).
+    /// execution's value store.  A plan that is not flat interns its cells
+    /// (an atom, or a set, per row component) and the atoms it names; a
+    /// flat plan, whose cells are atoms, reports 0, as do the tree walker
+    /// and the tuple-at-a-time algebra evaluator, which never intern.
     pub interned_values: u64,
     /// Planned executions only (algebra plans, and conjunctive calculus
     /// queries run through their plan): hash/member index probes plus

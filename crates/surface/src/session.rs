@@ -1899,4 +1899,45 @@ mod tests {
         );
         assert!(s.query("gp").is_none());
     }
+
+    #[test]
+    fn algebra_plans_refuse_a_relation_of_another_type() {
+        let mut s = Session::new();
+        genealogy(&mut s);
+        run(
+            &mut s,
+            "schema Tri {PAR : [U, U, U]};\n\
+             schema One {PAR : U};\n\
+             database t : Tri {PAR = {[a, b, c], [b, c, d]}};\n\
+             database o : One {PAR = {a, b}};\n\
+             algebra u : Gen PAR union pi_{2,1}(PAR);\n\
+             algebra p : Gen powerset(PAR);\n\
+             algebra ga : Gen pi_{1,4}(sigma_{$2 = $3}(PAR * PAR));",
+        );
+        // `a`, `b` and `c` were read after `Tom`, `Mary` and `Sue`.
+        let refusal = |value: &str| {
+            format!(
+                "type error in scan: relation PAR holds {value}, not of its declared type [U, U]"
+            )
+        };
+        for (semantics, calculus) in [
+            ("limited", "with limited: 0 objects"),
+            ("fi", "with finite-invention: 0 objects"),
+            ("ti", "with terminal-invention: undefined within bound"),
+        ] {
+            for (name, db, value) in [
+                ("u", "t", "[a3, a4, a5]"),
+                ("p", "t", "[a3, a4, a5]"),
+                ("ga", "o", "a3"),
+            ] {
+                let statement = format!("eval {name} on {db} with {semantics};");
+                let err = s.run_source(&statement).unwrap_err().to_string();
+                assert!(err.ends_with(&refusal(value)), "{statement} {err}");
+            }
+            // A calculus route runs only on a database that conforms, so the
+            // grandparent enumerates over `t` and finds no pair.
+            let out = run(&mut s, &format!("eval gp on t with {semantics};"));
+            assert!(out[0].contains(calculus), "{out:?}");
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! through every execution path the engine now has:
 //!
 //! 1. **planned algebra** — the set-at-a-time physical plan (hash/member
-//!    joins, pushed-down selections, fused projections) over interned values;
+//!    joins, pushed-down selections, fused projections) over row arenas;
 //! 2. **tuple-at-a-time algebra** — the direct `AlgExpr::eval` evaluator;
 //! 3. **the Theorem 3.8 calculus route** — the expression's `CALC_{k,i}`
 //!    translation, itself executed through *both* calculus evaluators (the
@@ -1359,4 +1359,159 @@ fn flat_recipes_agree_and_keep_their_counters() {
         measured.push((name, counters(&small), counters(&wide)));
     }
     assert_eq!(measured, FLAT_COUNTERS);
+}
+
+/// Fixed set-typed recipes over `PAR` and `PERSON`, built with `𝒫` and `×`:
+/// `𝒫`, `𝒞 ∘ 𝒫`, `𝒫 ∘ μ`, the member join, an `∈` selection that stays a
+/// filter, an equality between two set columns, a hash join on an atom key
+/// with set-typed payloads, `∪`, `∩`, `−` and `π` over set-typed rows, a
+/// nested-loop product with a set-typed side, and a constant selection.
+fn set_recipes() -> Vec<(&'static str, AlgExpr)> {
+    let par = || AlgExpr::pred("PAR");
+    let person = || AlgExpr::pred("PERSON");
+    let children = || par().project(vec![2]).untuple();
+    let parents = || par().project(vec![1]).untuple();
+    // [U, {U}]: a person next to each set of people.
+    let person_sets = || person().product(person().powerset());
+    vec![
+        ("powerset", par().powerset()),
+        ("collapse-powerset", par().powerset().collapse()),
+        ("powerset-untuple", children().powerset()),
+        (
+            "member-join",
+            par()
+                .product(children().powerset())
+                .select(SelFormula::In(SelTerm::Coord(2), SelTerm::Coord(3)))
+                .project(vec![1, 3]),
+        ),
+        (
+            "member-filter",
+            person_sets()
+                .union(parents().product(children().powerset()))
+                .select(SelFormula::In(SelTerm::Coord(1), SelTerm::Coord(2))),
+        ),
+        (
+            "set-equality",
+            person()
+                .powerset()
+                .product(children().powerset())
+                .select(SelFormula::coords_eq(1, 2))
+                .project(vec![1]),
+        ),
+        (
+            "hash-join-set-payload",
+            person_sets()
+                .product(par())
+                .select(SelFormula::coords_eq(1, 3))
+                .project(vec![2, 4]),
+        ),
+        (
+            "union",
+            par().powerset().union(par().project(vec![2, 1]).powerset()),
+        ),
+        (
+            "intersect",
+            par()
+                .powerset()
+                .intersect(par().project(vec![2, 1]).powerset()),
+        ),
+        (
+            "diff",
+            person_sets().diff(parents().product(person().powerset())),
+        ),
+        ("project", person_sets().project(vec![2, 1])),
+        ("loop-product", children().product(person().powerset())),
+        (
+            "select-const",
+            par()
+                .product(children().powerset())
+                .select(SelFormula::coord_is(1, Atom(0))),
+        ),
+    ]
+}
+
+/// A database whose powersets run past the masked polls: `𝒫(PAR)` builds
+/// 256 subsets.
+fn set_medium_db() -> Database {
+    let edges = [
+        (0, 1),
+        (0, 2),
+        (1, 3),
+        (1, 4),
+        (2, 5),
+        (3, 0),
+        (4, 4),
+        (5, 1),
+    ];
+    Database::single(
+        "PAR",
+        Instance::from_pairs(edges.map(|(a, b)| (Atom(a), Atom(b)))),
+    )
+    .with("PERSON", Instance::from_atoms((0..5).map(Atom)))
+}
+
+/// `join_probes`, `tuples_materialised` and `interrupt_polls` of each
+/// set-typed recipe on [`flat_small_db`] and [`set_medium_db`], recorded when
+/// set-typed plans still ran on their own interned executor.  The polls are
+/// read under a governor that is armed and never trips.
+const SET_COUNTERS: [(&str, [u64; 3], [u64; 3]); 13] = [
+    ("powerset", [0, 16, 2], [0, 256, 3]),
+    ("collapse-powerset", [0, 16, 2], [0, 256, 3]),
+    ("powerset-untuple", [0, 12, 2], [0, 72, 2]),
+    ("member-join", [20, 28, 2], [264, 328, 4]),
+    ("member-filter", [32, 52, 2], [544, 656, 8]),
+    ("set-equality", [8, 20, 2], [64, 136, 2]),
+    ("hash-join-set-payload", [28, 24, 2], [544, 416, 5]),
+    ("union", [0, 36, 2], [0, 520, 4]),
+    ("intersect", [0, 36, 2], [0, 520, 4]),
+    ("diff", [20, 32, 2], [352, 424, 5]),
+    ("project", [8, 12, 2], [160, 192, 3]),
+    ("loop-product", [12, 20, 2], [192, 232, 3]),
+    ("select-const", [8, 20, 2], [128, 200, 3]),
+];
+
+/// The set-typed recipes agree with the tuple-at-a-time evaluator and the
+/// Theorem 3.8 translation, keep the planner's counters, and intern.
+#[test]
+fn set_recipes_agree_and_keep_their_counters() {
+    let (small, medium) = (flat_small_db(), set_medium_db());
+    let mut measured = Vec::new();
+    for (name, expr) in set_recipes() {
+        for config in [
+            AlgConfig::default(),
+            AlgConfig { max_instance: 16 },
+            AlgConfig { max_instance: 2 },
+        ] {
+            assert_algebra_paths_agree(&expr, &small, &config);
+            assert_algebra_paths_agree(&expr, &medium, &config);
+        }
+        assert_calculus_route_agrees(&expr, &small);
+        assert_prepared_outcomes_agree(&expr, &small);
+        let root = plan(&expr, &schema()).unwrap().root().label();
+        let shape = match name {
+            "member-join" => "member-join",
+            "member-filter" => "filter",
+            "set-equality" | "hash-join-set-payload" => "hash-join",
+            "loop-product" | "select-const" => "product",
+            _ => "",
+        };
+        assert!(root.starts_with(shape), "{name} plans as {root}");
+        let observed = Engine::builder()
+            .parallelism(1)
+            .governor(itq::fault::observation_governor())
+            .build()
+            .prepare_algebra(&expr, &schema())
+            .unwrap();
+        let counters = |db: &Database| {
+            let stats = observed.execute(db, Semantics::Limited).unwrap().stats;
+            assert!(stats.interned_values > 0, "{name} interns its cells");
+            [
+                stats.join_probes,
+                stats.tuples_materialised,
+                stats.interrupt_polls,
+            ]
+        };
+        measured.push((name, counters(&small), counters(&medium)));
+    }
+    assert_eq!(measured, SET_COUNTERS);
 }
