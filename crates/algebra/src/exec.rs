@@ -11,13 +11,14 @@
 //! atoms are interned too, so either way equality is a cell comparison.
 //!
 //! Each scanned relation is copied once, before the first operator, and
-//! every value is checked against the relation's declared type: a query is
-//! defined on the inputs of its type, so the first value of another type is
-//! refused at its scan.  A join probes an Fx-hashed arena of the right
-//! side's keys, or, for a cross-operand `∈`, an index of the container
-//! sets' elements; filters compare cells; a projection writes straight into
-//! its output arena; and each operator's output is deduplicated once, after
-//! it is filled.  Only `𝒫`, `𝒞`, the member join, `∈`, the plan's atoms and
+//! every value is checked against the relation's declared type as it is
+//! copied: a query is defined on the inputs of its type, so the first value
+//! of another type is refused at its scan, as the [`Nonconforming`] error
+//! that every other handle, mutation and declaration refuses it with.  A
+//! join probes an Fx-hashed arena of the right side's keys, or, for a
+//! cross-operand `∈`, an index of the container sets' elements; filters
+//! compare cells; a projection writes straight into its output arena; and
+//! each operator's output is deduplicated once, after it is filled.  Only `𝒫`, `𝒞`, the member join, `∈`, the plan's atoms and
 //! the answer's construction read the interner.
 //!
 //! On the inputs of its type the executor mirrors the tuple-at-a-time
@@ -40,7 +41,8 @@ use crate::plan::{JoinStrategy, PhysNode, PhysicalPlan};
 use crate::typing::product_width;
 use itq_object::govern::POLL_MASK;
 use itq_object::{
-    Atom, Database, ExecCtx, ExecStats, Instance, Interrupt, Type, Value, ValueId, ValueStore,
+    Atom, Database, ExecCtx, ExecStats, Instance, Interrupt, Nonconforming, Type, Value, ValueId,
+    ValueStore,
 };
 use itq_trace::Span;
 use std::collections::hash_map::RandomState;
@@ -95,7 +97,9 @@ impl PhysicalPlan {
     /// sequential probe on the measured joins.
     ///
     /// A relation holding a value of another type than the one the plan was
-    /// typed with is refused at its scan ([`AlgError::TypeMismatch`]).
+    /// typed with is refused at its scan, in scan order, as
+    /// [`AlgError::Object`] holding [`Nonconforming`]: no operator runs on
+    /// it.
     ///
     /// When `ctx.traced` the returned [`Span`] tree is isomorphic to the plan
     /// (one span per operator, named by [`PhysNode::label`]) and carries
@@ -403,10 +407,7 @@ fn load<C: Cell>(
     let Some(instance) = db.relation(pred) else {
         return Err(AlgError::UnknownPredicate { name: pred.into() });
     };
-    let refusal = |value: &Value| AlgError::TypeMismatch {
-        operator: "scan".to_string(),
-        detail: format!("relation {pred} holds {value}, not of its declared type {ty}"),
-    };
+    let refusal = |value| AlgError::Object(Nonconforming::new(pred, ty, value).into());
     let mut rows = Rows::new(product_width(ty));
     rows.cells.reserve(instance.len() * rows.width);
     for value in instance.iter() {
@@ -1128,7 +1129,9 @@ mod tests {
                 let err = physical
                     .execute_ctx(&db, &EvalConfig::default(), &ctx)
                     .unwrap_err();
-                // The tuple-at-a-time evaluator still accepts such input.
+                // The tuple-at-a-time evaluator, called directly, computes
+                // on such input; a prepared handle checks it before running
+                // that evaluator.
                 assert_ne!(
                     expr.eval(&db, &schema(), &EvalConfig::default()),
                     Err(err.clone())
@@ -1137,11 +1140,7 @@ mod tests {
             }
         }
         // The error, then the governor's polls: the entry poll only.
-        let refusal = |value| {
-            format!(
-                "type error in scan: relation PAR holds {value}, not of its declared type [U, U] 1"
-            )
-        };
+        let refusal = |value| format!("value {value} does not conform to PAR : [U, U] 1");
         let expected: Vec<String> = ["a5", "[a0, a1, a2]"]
             .into_iter()
             .flat_map(|value| vec![refusal(value); 5])
@@ -1167,11 +1166,9 @@ mod tests {
         assert_eq!(
             errors,
             [
-                "unknown predicate PERSON".to_string(),
-                "type error in scan: relation PAR holds a5, not of its declared type [U, U]"
-                    .to_string(),
-                "type error in scan: relation PAR holds a5, not of its declared type [U, U]"
-                    .to_string(),
+                "unknown predicate PERSON",
+                "value a5 does not conform to PAR : [U, U]",
+                "value a5 does not conform to PAR : [U, U]",
             ]
         );
     }

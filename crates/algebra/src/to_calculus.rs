@@ -33,11 +33,10 @@
 //! so the unrestricted answer `Q|^Y[d]` is `E(d)` at every level, with no
 //! invented atom: `Q^fi[d] = E(d)`, stable from level 1, and `Q^ti[d]` is
 //! undefined.  The claim needs no case for a database holding values of
-//! other types than the declared ones: a planned handle refuses one at its
-//! first such scan, under every semantics.  Only the tuple-at-a-time
-//! evaluator (`use_algebra_planner(false)`) runs on one, where the claim
-//! does not apply, and its handle answers there what that evaluator answers
-//! under the limited interpretation.
+//! other types than the declared ones: every handle refuses a relation it
+//! reads that holds one, under every semantics, before it computes anything
+//! from it — a planned handle at its scan, a tuple-at-a-time one
+//! (`use_algebra_planner(false)`) before its evaluator runs.
 
 use crate::error::AlgError;
 use crate::expr::{AlgExpr, SelFormula, SelTerm};

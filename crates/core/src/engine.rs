@@ -5,7 +5,9 @@ use itq_algebra::{AlgError, EvalConfig as AlgConfig};
 use itq_calculus::eval::EvalConfig;
 use itq_calculus::CalcError;
 use itq_invention::{InventionError, DEFAULT_MAX_INVENTED};
-use itq_object::{CancelFlag, Interrupt, ResourceError, TripKind, Universe};
+use itq_object::{
+    CancelFlag, Interrupt, Nonconforming, ObjectError, ResourceError, TripKind, Universe,
+};
 use std::fmt;
 
 /// Which semantics to evaluate a calculus query under.
@@ -87,6 +89,12 @@ pub enum EngineError {
     /// this variant, so their rendered messages are byte-identical across
     /// backends and semantics.
     Resource(ResourceError),
+    /// A relation the handle reads holds a value of another type than the
+    /// one its schema declares: a query is defined only on the instances of
+    /// its schema, so every backend refuses such a database, under every
+    /// semantics, with this one error (lifted here from every layer, as
+    /// resource errors are).
+    Nonconforming(Nonconforming),
     /// A backend panicked mid-execution and the panic was contained by the
     /// `catch_unwind` seam in `Prepared::execute`.  The engine and its
     /// prepared handles remain fully usable afterwards.
@@ -103,6 +111,7 @@ impl fmt::Display for EngineError {
             EngineError::Alg(e) => write!(f, "{e}"),
             EngineError::Invention(e) => write!(f, "{e}"),
             EngineError::Resource(e) => write!(f, "{e}"),
+            EngineError::Nonconforming(e) => write!(f, "{e}"),
             EngineError::Internal { detail } => {
                 write!(f, "internal engine error (contained): {detail}")
             }
@@ -124,6 +133,7 @@ impl From<AlgError> for EngineError {
     fn from(e: AlgError) -> Self {
         match e {
             AlgError::Resource(r) => EngineError::Resource(r),
+            AlgError::Object(ObjectError::Nonconforming(e)) => EngineError::Nonconforming(e),
             other => EngineError::Alg(other),
         }
     }
@@ -139,6 +149,11 @@ impl From<InventionError> for EngineError {
 impl From<ResourceError> for EngineError {
     fn from(e: ResourceError) -> Self {
         EngineError::Resource(e)
+    }
+}
+impl From<Nonconforming> for EngineError {
+    fn from(e: Nonconforming) -> Self {
+        EngineError::Nonconforming(e)
     }
 }
 

@@ -20,9 +20,11 @@
 //!   the new elements only, which is sound because both the rules and the
 //!   positive-existential guards are monotone under insertion.  A deletion
 //!   that touches the view's support or changes the active domain, a guard
-//!   that fails, a delta refresh that trips, and an inserted value that is
-//!   ill-typed for the query's schema all re-execute the handle, through the
-//!   route;
+//!   that fails and a delta refresh that trips all re-execute the handle,
+//!   through the route.  So does an inserted value of another type than the
+//!   query's schema declares (a database keeps the schema it was declared
+//!   against): the delta never reads it, and the re-execution stores the
+//!   refusal a from-scratch execution gives;
 //! * everything else re-executes its `Prepared` handle, guarded so that views
 //!   whose input relations (and active domain) did not change are skipped.
 //!   A conjunctive view's limited interpretation re-executes through the
@@ -37,13 +39,15 @@
 //! are exactly as before the call.  Every refresh runs under the view's own
 //! resource governor (see [`crate::engine::GovernorConfig`]): a delta refresh
 //! polls it once per semi-naive round and through the guard check, exactly as
-//! the route does from scratch.  A refresh stopped by the governor (or any
-//! other execution error) keeps the view's last-good answer, marked
-//! [`WatchedView::is_stale`], instead of discarding it.
+//! the route does from scratch.  A refresh stopped by the governor (or a
+//! contained panic) keeps the view's last-good answer, marked
+//! [`WatchedView::is_stale`], instead of discarding it; a query error, a
+//! refusal of a relation of another type among them, is stored, as a
+//! from-scratch execution reports it.
 
 use crate::engine::{EngineError, Semantics};
 use crate::pipeline::{ExecStats, Prepared};
-use itq_object::{Database, Instance, Schema, Type, Value};
+use itq_object::{conform, Database, Instance, Nonconforming, Schema, Value};
 use itq_trace::Span;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -58,26 +62,16 @@ pub enum IncrementalError {
         /// The missing predicate name.
         pred: String,
     },
-    /// A mutated value does not conform to the relation's declared type.
-    TypeMismatch {
-        /// The mutated predicate.
-        pred: String,
-        /// The declared type.
-        expected: Type,
-        /// The offending value.
-        value: Value,
-    },
+    /// A mutated value, or a seed relation's, does not conform to the
+    /// relation's declared type.
+    Nonconforming(Nonconforming),
 }
 
 impl fmt::Display for IncrementalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IncrementalError::UnknownRelation { pred } => write!(f, "unknown relation {pred}"),
-            IncrementalError::TypeMismatch {
-                pred,
-                expected,
-                value,
-            } => write!(f, "value {value:?} does not conform to {pred} : {expected}"),
+            IncrementalError::Nonconforming(e) => write!(f, "{e}"),
         }
     }
 }
@@ -511,8 +505,9 @@ impl WatchedView {
     /// Extend a warm least-fixpoint view's answer by the values just
     /// inserted into `pred`, under the view's own governor.  Returns the
     /// rounds run, or `None` when the view must re-execute: a guard fails on
-    /// a new element, a value is ill-typed for the query, or the refresh
-    /// trips.  A panic (an injected [`itq_object::TripKind::Panic`]) is
+    /// a new element, the delta holds a value of another type than the
+    /// query's schema declares (which the re-execution refuses), or the
+    /// refresh trips.  A panic (an injected [`itq_object::TripKind::Panic`]) is
     /// contained here as [`Prepared::execute`] contains it.
     fn extend(&mut self, db: &Database, pred: &str, added: &[Value]) -> Option<u64> {
         let fixpoint = self.prepared.fixpoint_route()?;
@@ -534,7 +529,7 @@ impl WatchedView {
 
 /// Validate a mutation batch (or a seed relation) before anything is
 /// touched: `pred` must be declared, and every value must conform to its
-/// type.  The first offending value is reported.
+/// type ([`conform`], which reports the first value of another type).
 fn check_batch<'a>(
     schema: &Schema,
     pred: &str,
@@ -545,14 +540,7 @@ fn check_batch<'a>(
         .ok_or_else(|| IncrementalError::UnknownRelation {
             pred: pred.to_string(),
         })?;
-    match values.into_iter().find(|value| !value.has_type(ty)) {
-        Some(value) => Err(IncrementalError::TypeMismatch {
-            pred: pred.to_string(),
-            expected: ty.clone(),
-            value: value.clone(),
-        }),
-        None => Ok(()),
-    }
+    conform(pred, ty, values).map_err(IncrementalError::Nonconforming)
 }
 
 #[cfg(test)]
@@ -561,7 +549,7 @@ mod tests {
     use crate::engine::{Engine, GovernorConfig};
     use crate::queries;
     use itq_calculus::{Formula, Query, Term};
-    use itq_object::{Atom, CancelFlag};
+    use itq_object::{Atom, CancelFlag, Type};
 
     fn a(n: u32) -> Atom {
         Atom(n)
@@ -612,7 +600,7 @@ mod tests {
         );
         assert!(err.to_string().contains("NOPE"));
         let err = inc.insert("PAR", vec![Value::atom(a(0))]).unwrap_err();
-        assert!(matches!(err, IncrementalError::TypeMismatch { .. }));
+        assert!(matches!(err, IncrementalError::Nonconforming(_)));
         assert!(err.to_string().contains("PAR"));
         // Failed mutations do not bump the version.
         assert_eq!(inc.version(), 1);
@@ -903,14 +891,14 @@ mod tests {
         let err = inc
             .insert("PAR", vec![Value::pair(a(1), a(2)), Value::atom(a(3))])
             .unwrap_err();
-        assert!(matches!(err, IncrementalError::TypeMismatch { .. }));
+        assert!(matches!(err, IncrementalError::Nonconforming(_)));
         assert_eq!(inc.version(), before_version);
         assert_eq!(inc.snapshot(), before_snapshot);
         // Same transactional guarantee for deletions.
         let err = inc
             .delete("PAR", vec![Value::pair(a(0), a(1)), Value::atom(a(0))])
             .unwrap_err();
-        assert!(matches!(err, IncrementalError::TypeMismatch { .. }));
+        assert!(matches!(err, IncrementalError::Nonconforming(_)));
         assert_eq!(inc.version(), before_version);
         assert_eq!(inc.snapshot(), before_snapshot);
     }

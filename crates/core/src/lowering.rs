@@ -68,7 +68,7 @@ use crate::engine::EngineError;
 use itq_algebra::{AlgExpr, PhysicalPlan, SelFormula};
 use itq_calculus::eval::{holds_for_each, EvalConfig};
 use itq_calculus::{CalcError, Formula, Query, Term};
-use itq_object::{Atom, Database, ExecStats, Instance, Interrupt, Schema, Type, Value};
+use itq_object::{conform, Atom, Database, ExecStats, Instance, Interrupt, Schema, Type, Value};
 use itq_relational::{DatalogAtom, Program, Relation, RelationStore, Rule, TermPattern};
 use std::collections::BTreeMap;
 
@@ -535,9 +535,12 @@ impl LeastFixpoint {
     /// the warm model, then check the guards on the new elements only, all
     /// under `interrupt`.  Sound because the rules and the guards are
     /// monotone under insertion.  Returns the new elements and the rounds
-    /// run, or `Ok(None)` when a re-execution must answer: a guard fails, or
-    /// a value is ill-typed for the query's schema (which the database's may
-    /// differ from), as the route reads relations positionally.
+    /// run, or `Ok(None)` when a re-execution must answer: a guard fails,
+    /// `db` lacks a relation the rules read, or [`conform`] refuses the
+    /// delta.  The model was computed on relations of the query's schema, so
+    /// only `added` can hold a value of another type (a database keeps the
+    /// schema it was declared against, which may differ from the query's);
+    /// the rules never read such a value, and the re-execution refuses it.
     pub(crate) fn extend(
         &self,
         query: &Query,
@@ -548,7 +551,7 @@ impl LeastFixpoint {
         interrupt: &Interrupt,
     ) -> Result<Option<(Instance, u64)>, EngineError> {
         let ty = query.schema().type_of(pred);
-        if !added.iter().all(|v| ty.is_some_and(|ty| v.has_type(ty))) {
+        if !ty.is_some_and(|ty| conform(pred, ty, added).is_ok()) {
             return Ok(None);
         }
         let Some(mut store) = self.edb(db) else {
@@ -870,7 +873,7 @@ mod tests {
         assert_eq!(fresh, edges(&[(0, 2), (1, 2)]));
         assert!(rounds >= 1);
         // A database may keep `PAR : U` while the query reads pairs: the
-        // atom is never read positionally, and a re-execution answers.
+        // atom is never read positionally, and a re-execution refuses it.
         let db = Database::single("PAR", Instance::from_atoms(vec![Atom(2)]));
         let added = [Value::atom(Atom(2))];
         let extended = lfp.extend(

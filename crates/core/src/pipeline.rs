@@ -46,6 +46,11 @@
 //! (`planned-algebra`), or of the tuple-at-a-time evaluator (`tuple-algebra`),
 //! answers all three semantics, under the algebra budget.
 //!
+//! A handle is defined on the instances of its schema.  An execution on a
+//! database where a relation the handle reads holds a value of another type
+//! fails with [`EngineError::Nonconforming`] before it computes anything from
+//! that relation, on every backend and under every semantics.
+//!
 //! ```
 //! use itq_core::prelude::*;
 //! use itq_core::queries;
@@ -68,7 +73,9 @@ use itq_algebra::{to_calculus_typing, AlgExpr, EvalConfig as AlgConfig, Physical
 use itq_calculus::eval::{EvalConfig, Evaluable};
 use itq_calculus::{CompiledQuery, Query, QueryClassification};
 use itq_invention::{finite_invention_ctx, level_span, terminal_invention_ctx, TerminalOutcome};
-use itq_object::{CancelFlag, Database, ExecCtx, Instance, Interrupt, Schema, Universe};
+use itq_object::{
+    conform, CancelFlag, Database, ExecCtx, Instance, Interrupt, PredName, Schema, Type, Universe,
+};
 use itq_relational::Program;
 use itq_trace::{Span, TraceSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -545,6 +552,13 @@ struct StaticHalf {
     diagnostics: itq_analyze::Report,
     /// The engine's plan settings when it prepared this handle.
     settings: PlanSettings,
+    /// The relations each execution checks before its first step, with
+    /// their declared types: every relation the handle reads, or none on a
+    /// planned algebra handle, whose plan checks each one at its scan as it
+    /// copies it.  A planned calculus handle checks them all: its plan stops
+    /// at a relation missing from the database, and the enumeration then
+    /// reads the others.
+    reads: Vec<(PredName, Type)>,
 }
 
 impl Engine {
@@ -657,6 +671,17 @@ impl Engine {
                 (PreparedSource::Calculus { route, compiled }, compile_micros)
             }
         };
+        // An algebra handle's query is its Theorem 3.8 translation, which
+        // reads the relations its expression reads.
+        let reads = match &source {
+            PreparedSource::Algebra { .. } if self.settings.use_algebra_planner => Vec::new(),
+            _ => (query.body().predicates().into_iter())
+                .filter_map(|name| {
+                    let ty = query.schema().type_of(&name)?.clone();
+                    Some((name, ty))
+                })
+                .collect(),
+        };
         let phase = Instant::now();
         let budgets = self.settings.budgets();
         let diagnostics = match (&source, typing) {
@@ -681,6 +706,7 @@ impl Engine {
             classification,
             diagnostics,
             settings: self.settings,
+            reads,
         };
         Prepared {
             shared: Arc::new(shared),
@@ -1155,22 +1181,32 @@ impl Prepared {
         }
     }
 
-    /// Run the handle's route once, if it has one.  An algebra handle always
-    /// has one: its plan, or its tuple-at-a-time evaluator under
-    /// `use_algebra_planner(false)`, and every error of that run is final.
-    /// A calculus handle's route runs only when every relation of `db`
-    /// conforms to the query's schema: both calculus routes read relations
-    /// positionally, so a database holding ill-typed values takes the
-    /// enumeration, which never matches them.  A governor trip is final;
-    /// any other calculus route error (a product over its budget, a relation
-    /// missing from the database, a guard over its quantifier budget) is the
-    /// route's own limit, and the enumeration then reproduces the handle's
-    /// outcome — as it does when a guard fails on the least model.
-    /// Calculus routes exist only under default budgets, so budget errors
-    /// keep their enumeration text.
+    /// Run the handle's route once, if it has one, after refusing a
+    /// relation of `db` that the handle reads and that holds a value of
+    /// another type than its schema declares: a query is defined only on
+    /// the instances of its schema.  The refusal
+    /// ([`EngineError::Nonconforming`]) is final, under every semantics.  A
+    /// planned algebra handle's plan checks each relation at its scan, as it
+    /// copies it; every other handle checks the relations it reads here,
+    /// once per execution, skipping any that `db` lacks.
+    ///
+    /// An algebra handle always has a route: its plan, or its
+    /// tuple-at-a-time evaluator under `use_algebra_planner(false)`, and
+    /// every error of that run is final.  For a calculus route, a governor
+    /// trip is final too; any other calculus route error (a product over its
+    /// budget, a relation missing from the database, a guard over its
+    /// quantifier budget) is the route's own limit, and the enumeration then
+    /// reproduces the handle's outcome — as it does when a guard fails on
+    /// the least model.  Calculus routes exist only under default budgets,
+    /// so budget errors keep their enumeration text.
     fn route(&self, db: &Database, ctx: &ExecCtx) -> Result<Run<'_>, EngineError> {
         let shared = &*self.shared;
         let settings = &shared.settings;
+        for (name, ty) in &shared.reads {
+            if let Some(relation) = db.relation(name) {
+                conform(name, ty, relation.iter())?;
+            }
+        }
         let start = ctx.traced.then(Instant::now);
         let (answer, stats, mut span) = match &shared.source {
             PreparedSource::Algebra { plan, .. } if settings.use_algebra_planner => {
@@ -1184,7 +1220,7 @@ impl Prepared {
             PreparedSource::Calculus {
                 route: Some(route),
                 compiled,
-            } if conforms(db, shared.query.schema()) => {
+            } => {
                 let routed = match route {
                     CalculusRoute::Planned(plan) => {
                         run_plan("planned-calculus", plan, db, settings, ctx)
@@ -1328,14 +1364,6 @@ fn run_plan(
         span
     });
     Ok((result, stats, span))
-}
-
-/// True when every relation `db` stores under a schema predicate holds only
-/// values of the declared type.
-fn conforms(db: &Database, schema: &Schema) -> bool {
-    schema
-        .iter()
-        .all(|(name, ty)| db.relation(name).map_or(true, |r| r.conforms_to(ty)))
 }
 
 /// The root span of an invention-semantics execution: one child per
@@ -2101,10 +2129,6 @@ mod tests {
                 "missing relation",
                 Database::single("OTHER", Instance::empty()),
             ),
-            // The plan would read the triple's coordinates as a pair's and
-            // join it into the answer [a0, a1]; the enumeration never
-            // matches it, and there is no grandparent pair.
-            ("ill-typed relation", ill_typed),
         ] {
             let (fast, slow) = (
                 routed.execute(&db, Semantics::Limited),
@@ -2120,6 +2144,19 @@ mod tests {
                 }
                 (fast, slow) => panic!("{label}: {fast:?} vs {slow:?}"),
             }
+        }
+        // A relation of another type is no limit of the route: the plan
+        // would read the triple's coordinates as a pair's, and the walker
+        // never matches it, but the query is not defined on this database.
+        // The handle refuses it, under every semantics, and enumerates
+        // nothing.
+        for semantics in Semantics::ALL {
+            let (refused, stats) = routed.try_execute(&ill_typed, semantics);
+            assert_eq!(
+                refused.unwrap_err().to_string(),
+                "value [a0, a1, a2] does not conform to PAR : [U, U]"
+            );
+            assert_eq!(stats.interrupt_polls, 0, "refused before the first poll");
         }
         // Nor can the least-fixpoint route read a missing relation: the
         // enumeration reports it.

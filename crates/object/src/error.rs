@@ -1,5 +1,9 @@
 //! Error types shared across the object model.
 
+use crate::atom::Universe;
+use crate::instance::PredName;
+use crate::types::Type;
+use crate::value::Value;
 use std::fmt;
 
 /// Errors produced while constructing or inspecting complex objects and types.
@@ -14,13 +18,8 @@ pub enum ObjectError {
         /// Rendered offending type.
         ty: String,
     },
-    /// A value does not conform to the type it was used at.
-    TypeMismatch {
-        /// Rendered expected type.
-        expected: String,
-        /// Rendered offending value.
-        value: String,
-    },
+    /// A relation holds a value of another type than its declared one.
+    Nonconforming(Nonconforming),
     /// A constructive domain enumeration or cardinality computation exceeded the
     /// configured budget (the hyper-exponential blow-up the paper analyses).
     BudgetExceeded {
@@ -54,9 +53,7 @@ impl fmt::Display for ObjectError {
                     "tuple type {ty} has a direct tuple child; apply collapse()"
                 )
             }
-            ObjectError::TypeMismatch { expected, value } => {
-                write!(f, "value {value} does not conform to type {expected}")
-            }
+            ObjectError::Nonconforming(e) => write!(f, "{e}"),
             ObjectError::BudgetExceeded { what, limit } => {
                 write!(f, "{what} exceeded the configured budget of {limit}")
             }
@@ -71,6 +68,72 @@ impl fmt::Display for ObjectError {
 }
 
 impl std::error::Error for ObjectError {}
+
+impl From<Nonconforming> for ObjectError {
+    fn from(e: Nonconforming) -> Self {
+        ObjectError::Nonconforming(e)
+    }
+}
+
+/// A relation holds a value that is not of its declared type.  A query is
+/// defined only on the instances of its schema, so every execution refuses
+/// such a relation when it reads it, and a mutation or a declaration that
+/// would store one is refused too.  [`crate::conform`] is the one check
+/// that decides it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Nonconforming {
+    /// The relation.
+    pub relation: PredName,
+    /// Its declared type.
+    pub ty: Type,
+    /// The first value it holds that is not of that type.
+    pub value: Value,
+}
+
+impl Nonconforming {
+    /// The refusal of `value`, held by `relation` of the declared type `ty`.
+    pub fn new(relation: &str, ty: &Type, value: &Value) -> Self {
+        Nonconforming {
+            relation: relation.to_string(),
+            ty: ty.clone(),
+            value: value.clone(),
+        }
+    }
+
+    /// The error as a client reads it: the value's atoms named through
+    /// `universe` (see [`Value::named`]), as the client wrote them.
+    ///
+    /// ```
+    /// use itq_object::{conform, Type, Universe, Value};
+    ///
+    /// let mut universe = Universe::new();
+    /// let triple = Value::atom_tuple(["a", "b", "c"].map(|name| universe.atom(name)));
+    /// let refusal = conform("PAR", &Type::flat_tuple(2), [&triple]).unwrap_err();
+    /// assert_eq!(refusal.to_string(), "value [a0, a1, a2] does not conform to PAR : [U, U]");
+    /// assert_eq!(
+    ///     refusal.display_with(&universe),
+    ///     "value [a, b, c] does not conform to PAR : [U, U]"
+    /// );
+    /// ```
+    pub fn display_with(&self, universe: &Universe) -> String {
+        self.text(self.value.named(universe))
+    }
+
+    fn text(&self, value: impl fmt::Display) -> String {
+        format!(
+            "value {value} does not conform to {} : {}",
+            self.relation, self.ty
+        )
+    }
+}
+
+impl fmt::Display for Nonconforming {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text(&self.value))
+    }
+}
+
+impl std::error::Error for Nonconforming {}
 
 #[cfg(test)]
 mod tests {
@@ -87,11 +150,12 @@ mod tests {
                 "collapse",
             ),
             (
-                ObjectError::TypeMismatch {
-                    expected: "{U}".into(),
-                    value: "a0".into(),
-                },
-                "does not conform",
+                ObjectError::Nonconforming(Nonconforming {
+                    relation: "PAR".into(),
+                    ty: Type::flat_tuple(2),
+                    value: Value::Atom(crate::Atom(0)),
+                }),
+                "value a0 does not conform to PAR : [U, U]",
             ),
             (
                 ObjectError::BudgetExceeded {

@@ -5,7 +5,7 @@
 //! a *database instance* assigns an instance of the right type to each predicate.
 
 use crate::atom::Atom;
-use crate::error::ObjectError;
+use crate::error::{Nonconforming, ObjectError};
 use crate::types::Type;
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -13,6 +13,32 @@ use std::fmt;
 
 /// A predicate name (`P` in the paper's countably infinite set **P**).
 pub type PredName = String;
+
+/// Check that every value a relation holds, or a batch would store in it, is
+/// of the relation's declared type `ty`: the first value of another type is
+/// refused as the [`Nonconforming`] error that names `relation`.  Every site
+/// that decides conformance calls it: declarations, mutations, and each
+/// execution of a handle that does not run a plan (a plan checks the values
+/// it copies at its scan, with the same error).
+///
+/// ```
+/// use itq_object::{conform, Atom, Instance, Type, Value};
+///
+/// let pairs = Instance::from_pairs(vec![(Atom(0), Atom(1))]);
+/// assert!(conform("PAR", &Type::flat_tuple(2), pairs.iter()).is_ok());
+/// let err = conform("PAR", &Type::flat_tuple(2), [&Value::Atom(Atom(3))]).unwrap_err();
+/// assert_eq!(err.to_string(), "value a3 does not conform to PAR : [U, U]");
+/// ```
+pub fn conform<'a>(
+    relation: &str,
+    ty: &Type,
+    values: impl IntoIterator<Item = &'a Value>,
+) -> Result<(), Nonconforming> {
+    match values.into_iter().find(|value| !value.has_type(ty)) {
+        Some(value) => Err(Nonconforming::new(relation, ty, value)),
+        None => Ok(()),
+    }
+}
 
 /// An instance of a type: a finite set of objects, kept canonical.
 #[derive(Clone, PartialEq, Eq, Default)]
@@ -286,15 +312,11 @@ impl Database {
     }
 
     /// Check that this instance conforms to a schema: same predicate set, and each
-    /// relation's objects have the declared type.
+    /// relation's objects have the declared type ([`conform`], which refuses
+    /// the first value of another type as [`ObjectError::Nonconforming`]).
     pub fn validate_against(&self, schema: &Schema) -> Result<(), ObjectError> {
         for (name, ty) in schema.iter() {
-            let inst = self.relation_or_err(name)?;
-            if !inst.conforms_to(ty) {
-                return Err(ObjectError::SchemaMismatch {
-                    detail: format!("relation {name} has objects not of type {ty}"),
-                });
-            }
+            conform(name, ty, self.relation_or_err(name)?.iter())?;
         }
         for (name, _) in self.iter() {
             if !schema.contains(name) {
@@ -379,8 +401,25 @@ mod tests {
         let good = Database::single("PAR", Instance::from_pairs(vec![(a[0], a[1])]));
         assert!(good.validate_against(&schema).is_ok());
 
-        let wrong_type = Database::single("PAR", Instance::from_atoms(vec![a[0]]));
-        assert!(wrong_type.validate_against(&schema).is_err());
+        // The first value of another type is refused, by the one check.
+        let wrong_type = Database::single(
+            "PAR",
+            Instance::from_values(vec![
+                Value::pair(a[0], a[1]),
+                Value::Atom(a[2]),
+                Value::Atom(a[1]),
+            ]),
+        );
+        let err = wrong_type.validate_against(&schema).unwrap_err();
+        assert_eq!(
+            err,
+            ObjectError::Nonconforming(Nonconforming {
+                relation: "PAR".to_string(),
+                ty: Type::flat_tuple(2),
+                value: Value::Atom(a[1]),
+            })
+        );
+        assert_eq!(err.to_string(), "value a1 does not conform to PAR : [U, U]");
 
         let missing = Database::empty();
         assert!(missing.validate_against(&schema).is_err());

@@ -66,9 +66,9 @@ pub mod value;
 pub use atom::{Atom, Universe};
 pub use card::{hyp, Cardinality};
 pub use cons::{cons_cardinality, enumerate_cons, ConsIter};
-pub use error::ObjectError;
+pub use error::{Nonconforming, ObjectError};
 pub use govern::{CancelFlag, ExecCtx, ExecStats, Interrupt, ResourceError, TripKind};
-pub use instance::{Database, Instance, PredName, Schema};
+pub use instance::{conform, Database, Instance, PredName, Schema};
 pub use store::{DomainCache, DomainHandle, ValueId, ValueStore};
 pub use types::Type;
 pub use value::Value;

@@ -40,7 +40,7 @@ use crate::error::{ParseError, Pos, Result};
 use crate::token::{lex, Tok, Token};
 use itq_algebra::{AlgExpr, SelFormula, SelTerm};
 use itq_calculus::{Formula, Query, Term};
-use itq_object::{Atom, Database, Instance, Schema, Type, Universe, Value};
+use itq_object::{Atom, Database, Instance, ObjectError, Schema, Type, Universe, Value};
 
 /// True if `s` is the reserved raw-atom spelling `a<digits>`.
 pub fn is_atom_shape(s: &str) -> bool {
@@ -838,7 +838,8 @@ impl<'u> Parser<'u> {
     }
 
     /// Parse a database literal `{P = {v, …}, …}` and validate it against a
-    /// schema.
+    /// schema.  A value of another type than its relation's is refused with
+    /// its atoms named as written, when the parser has a universe.
     pub fn database_literal(&mut self, schema: &Schema) -> Result<Database> {
         let start = self.pos();
         self.expect(Tok::LBrace)?;
@@ -861,8 +862,15 @@ impl<'u> Parser<'u> {
             }
         }
         self.expect(Tok::RBrace)?;
-        db.validate_against(schema)
-            .map_err(|e| ParseError::new(format!("invalid database: {e}"), start))?;
+        db.validate_against(schema).map_err(|e| {
+            let detail = match (&e, self.universe.as_deref()) {
+                (ObjectError::Nonconforming(refusal), Some(universe)) => {
+                    refusal.display_with(universe)
+                }
+                _ => e.to_string(),
+            };
+            ParseError::new(format!("invalid database: {detail}"), start)
+        })?;
         Ok(db)
     }
 }

@@ -17,10 +17,10 @@ use crate::spans::SpanTable;
 use itq_algebra::{classify_expr, infer_type, to_calculus_query, AlgExpr};
 use itq_analyze::{analyze_algebra, analyze_query, render_snippet, Severity};
 use itq_calculus::Query;
-use itq_core::engine::{Engine, PlanSettings, Semantics};
+use itq_core::engine::{Engine, EngineError, PlanSettings, Semantics};
 use itq_core::incremental::{IncrementalDb, IncrementalError, ViewRefresh};
 use itq_core::pipeline::Prepared;
-use itq_object::{Instance, Schema, Value};
+use itq_object::{Instance, Nonconforming, Schema, Value};
 use itq_trace::{NoopSink, TraceSink};
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -422,7 +422,9 @@ impl Session {
                     database.active_domain().len(),
                 ));
                 let inc = IncrementalDb::new(self.schema_or_err(&schema)?.clone(), &database)
-                    .map_err(|e| SessionError::Exec(format!("database `{name}`: {e}")))?;
+                    .map_err(|e| {
+                        SessionError::Exec(format!("database `{name}`: {}", self.describe(&e)))
+                    })?;
                 // A redefined database starts over from its new contents;
                 // views watched on the old contents re-register against them.
                 if let Some((_, old)) = self.databases.insert(name.clone(), (schema, inc)) {
@@ -810,7 +812,7 @@ impl Session {
         };
         let outcome = prepared
             .execute_with_sink(db, semantics, self.sink.as_ref())
-            .map_err(|e| SessionError::Exec(format!("{header}: {e}")))?;
+            .map_err(|e| SessionError::Exec(format!("{header}: {}", self.describe(&e))))?;
         // Terminal invention deserves its level report, not just the answer.
         if semantics == Semantics::TerminalInvention {
             match outcome.defined_at {
@@ -851,7 +853,25 @@ impl Session {
         self.databases
             .get(name)
             .map(|(_, inc)| inc)
-            .ok_or_else(|| SessionError::Exec(format!("unknown database `{name}`")))
+            .ok_or_else(|| unknown_database(name))
+    }
+
+    /// A declared database, to mutate or watch.
+    fn database_mut_or_err(&mut self, name: &str) -> Result<&mut IncrementalDb, SessionError> {
+        self.databases
+            .get_mut(name)
+            .map(|(_, inc)| inc)
+            .ok_or_else(|| unknown_database(name))
+    }
+
+    /// How the session prints an execution or mutation error: a refusal of
+    /// a relation of another type names its value's atoms as the client
+    /// wrote them, as answers do; any other error prints as it is.
+    fn describe(&self, error: &impl Refusal) -> String {
+        match error.refusal() {
+            Some(refusal) => refusal.display_with(self.engine.universe()),
+            None => error.to_string(),
+        }
     }
 
     /// `insert into DB.P {…};` / `delete from DB.P {…};` — mutate the
@@ -869,27 +889,14 @@ impl Session {
         } else {
             "delete from"
         };
-        let (_, inc) = self
-            .databases
-            .get_mut(database)
-            .ok_or_else(|| SessionError::Exec(format!("unknown database `{database}`")))?;
+        let inc = self.database_mut_or_err(database)?;
         let outcome = if inserting {
             inc.insert(pred, values)
         } else {
             inc.delete(pred, values)
         }
         .map_err(|e| {
-            let detail = match e {
-                IncrementalError::TypeMismatch {
-                    pred,
-                    expected,
-                    value,
-                } => format!(
-                    "value {} does not conform to {pred} : {expected}",
-                    value.named(self.engine.universe())
-                ),
-                other => other.to_string(),
-            };
+            let detail = self.describe(&e);
             SessionError::Exec(format!("{verb} {database}.{pred}: {detail}"))
         })?;
         let changed = if inserting {
@@ -926,7 +933,7 @@ impl Session {
         let header = format!("explain analyze {name} on {database} with {semantics}");
         let (outcome, span) = prepared
             .execute_traced(db, semantics)
-            .map_err(|e| SessionError::Exec(format!("{header}: {e}")))?;
+            .map_err(|e| SessionError::Exec(format!("{header}: {}", self.describe(&e))))?;
         let qualifier = if outcome.bounded_approximation {
             " (bounded approximation)"
         } else {
@@ -953,13 +960,13 @@ impl Session {
         database: &str,
         semantics: Semantics,
     ) -> Result<Vec<String>, SessionError> {
+        // An unknown database is reported before anything is prepared.
+        self.database_or_err(database)?;
         let (mut lines, prepared) = self.ensure_prepared(name)?;
-        let (_, inc) = self
-            .databases
-            .get_mut(database)
-            .ok_or_else(|| SessionError::Exec(format!("unknown database `{database}`")))?;
-        inc.watch(name, prepared, semantics);
-        let view = inc.view(name).expect("watch registers the view");
+        self.database_mut_or_err(database)?
+            .watch(name, prepared, semantics);
+        let view = self.database_or_err(database)?.view(name);
+        let view = view.expect("watch registers the view");
         let header = format!("watch {name} on {database} with {semantics}");
         lines.push(match view.outcome() {
             Ok(answer) => format!(
@@ -968,7 +975,10 @@ impl Session {
                 plural(answer.len()),
                 view.strategy_name()
             ),
-            Err(e) => format!("{header}: error stored ({e}), strategy re-execute"),
+            Err(e) => format!(
+                "{header}: error stored ({}), strategy re-execute",
+                self.describe(e)
+            ),
         });
         Ok(lines)
     }
@@ -1115,6 +1125,34 @@ impl Session {
         }
         out.push('}');
         out
+    }
+}
+
+fn unknown_database(name: &str) -> SessionError {
+    SessionError::Exec(format!("unknown database `{name}`"))
+}
+
+/// An error that may be the refusal of a relation that holds a value of
+/// another type ([`Session::describe`] names its atoms).
+trait Refusal: fmt::Display {
+    fn refusal(&self) -> Option<&Nonconforming>;
+}
+
+impl Refusal for EngineError {
+    fn refusal(&self) -> Option<&Nonconforming> {
+        match self {
+            EngineError::Nonconforming(refusal) => Some(refusal),
+            _ => None,
+        }
+    }
+}
+
+impl Refusal for IncrementalError {
+    fn refusal(&self) -> Option<&Nonconforming> {
+        match self {
+            IncrementalError::Nonconforming(refusal) => Some(refusal),
+            IncrementalError::UnknownRelation { .. } => None,
+        }
     }
 }
 
@@ -1526,9 +1564,10 @@ mod tests {
     fn a_least_fixpoint_view_reexecutes_inserts_ill_typed_for_its_query() {
         // `d` keeps `Q : U` while the closure reads `Q` as pairs.  Watched
         // while `Q` is empty, the view holds the route's least model; an atom
-        // inserted into `d.Q` is ill-typed for the query, so the refresh
-        // re-executes (the enumeration never matches it) instead of reading
-        // it positionally into the model.
+        // inserted into `d.Q` is ill-typed for the query, so the delta
+        // refuses it instead of reading it positionally into the model, and
+        // the refresh re-executes and stores the refusal, as an `eval`
+        // from scratch reports it.
         let mut s = Session::new();
         run(
             &mut s,
@@ -1542,9 +1581,20 @@ mod tests {
             "watch c on d with limited: 0 answers, strategy least-fixpoint"
         );
         let out = run(&mut s, "insert into d.Q {c};");
-        assert_eq!(out[1], "  watch c: 0 answers via re-executed");
-        let out = run(&mut s, "eval c on d;");
-        assert_eq!(out[0], "eval c on d with limited: 0 objects");
+        assert_eq!(out[1], "  watch c: error via re-executed");
+        let refusal = "value c does not conform to Q : [U, U]";
+        let stored = s.databases["d"].1.view("c").unwrap().outcome().clone();
+        assert_eq!(stored.map_err(|e| s.describe(&e)), Err(refusal.to_string()));
+        let err = s.run_source("eval c on d;").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("error: eval c on d with limited: {refusal}")
+        );
+        let out = run(&mut s, "watch c on d;");
+        assert_eq!(
+            out[0],
+            format!("watch c on d with limited: error stored ({refusal}), strategy re-execute")
+        );
     }
 
     #[test]
@@ -1904,6 +1954,7 @@ mod tests {
     fn algebra_plans_refuse_a_relation_of_another_type() {
         let mut s = Session::new();
         genealogy(&mut s);
+        strict_grandparent(&mut s);
         run(
             &mut s,
             "schema Tri {PAR : [U, U, U]};\n\
@@ -1914,30 +1965,61 @@ mod tests {
              algebra p : Gen powerset(PAR);\n\
              algebra ga : Gen pi_{1,4}(sigma_{$2 = $3}(PAR * PAR));",
         );
-        // `a`, `b` and `c` were read after `Tom`, `Mary` and `Sue`.
-        let refusal = |value: &str| {
-            format!(
-                "type error in scan: relation PAR holds {value}, not of its declared type [U, U]"
-            )
-        };
-        for (semantics, calculus) in [
-            ("limited", "with limited: 0 objects"),
-            ("fi", "with finite-invention: 0 objects"),
-            ("ti", "with terminal-invention: undefined within bound"),
-        ] {
+        // The refusal names atoms as they were written, like answers do.
+        let refusal = |value: &str| format!("value {value} does not conform to PAR : [U, U]");
+        for semantics in ["limited", "fi", "ti"] {
+            // `gp` and `strict` are calculus: the grandparent takes its
+            // planned route, `strict` enumerates.  Each refuses `t` too.
             for (name, db, value) in [
-                ("u", "t", "[a3, a4, a5]"),
-                ("p", "t", "[a3, a4, a5]"),
-                ("ga", "o", "a3"),
+                ("u", "t", "[a, b, c]"),
+                ("p", "t", "[a, b, c]"),
+                ("ga", "o", "a"),
+                ("gp", "t", "[a, b, c]"),
+                ("strict", "t", "[a, b, c]"),
             ] {
                 let statement = format!("eval {name} on {db} with {semantics};");
                 let err = s.run_source(&statement).unwrap_err().to_string();
                 assert!(err.ends_with(&refusal(value)), "{statement} {err}");
+                let statement = format!("explain analyze {name} on {db} with {semantics};");
+                let err = s.run_source(&statement).unwrap_err().to_string();
+                assert!(err.ends_with(&refusal(value)), "{statement} {err}");
             }
-            // A calculus route runs only on a database that conforms, so the
-            // grandparent enumerates over `t` and finds no pair.
-            let out = run(&mut s, &format!("eval gp on t with {semantics};"));
-            assert!(out[0].contains(calculus), "{out:?}");
         }
+        // An empty relation is an instance of every type, so a database of
+        // another schema whose `PAR` is empty is answered.
+        run(&mut s, "database e : Tri {PAR = {}};");
+        for (name, answer) in [
+            ("u", "eval u on e: 0 objects"),
+            ("p", "eval p on e: 1 object"),
+            ("gp", "eval gp on e with limited: 0 objects"),
+            ("strict", "eval strict on e with limited: 0 objects"),
+        ] {
+            assert_eq!(run(&mut s, &format!("eval {name} on e;"))[0], answer);
+        }
+    }
+
+    #[test]
+    fn declarations_refuse_a_value_of_another_type_by_name() {
+        let mut s = Session::new();
+        run(&mut s, "schema Gen {PAR : [U, U]};");
+        let err = s
+            .run_source("database d : Gen {PAR = {[Tom, Mary], [x, y, z]}};")
+            .unwrap_err();
+        let SessionError::Parse(err) = err else {
+            panic!("a declaration is refused as it parses: {err}");
+        };
+        assert_eq!(
+            err.message,
+            "invalid database: value [x, y, z] does not conform to PAR : [U, U]"
+        );
+    }
+
+    #[test]
+    fn watch_reports_an_unknown_database_before_preparing() {
+        let mut s = Session::new();
+        genealogy(&mut s);
+        let err = s.run_source("watch gp on nosuch;").unwrap_err();
+        assert_eq!(err.to_string(), "error: unknown database `nosuch`");
+        assert!(s.prepared("gp").is_none(), "nothing was prepared");
     }
 }

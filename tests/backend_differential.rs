@@ -37,6 +37,10 @@
 //! tree walker's.  A fifth is checked on recipe-generated *least-fixpoint*
 //! queries of `CALC_{0,1}`, which the default engine answers semi-naively
 //! when their guards hold on the least model.
+//!
+//! On recipe-generated databases of *another schema*, every path refuses a
+//! relation its handle reads that holds a value of another type, under
+//! every semantics, with one error and one text.
 
 use itq::fault::FaultRng;
 use itq::walker::{assert_matches_walker, walker_outcome};
@@ -47,6 +51,7 @@ use itq_calculus::CalcError;
 use itq_core::prelude::*;
 use itq_invention::InventionError;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn schema() -> Schema {
     Schema::single("PAR", Type::flat_tuple(2)).with("PERSON", Type::Atomic)
@@ -1514,4 +1519,146 @@ fn set_recipes_agree_and_keep_their_counters() {
         measured.push((name, counters(&small), counters(&medium)));
     }
     assert_eq!(measured, SET_COUNTERS);
+}
+
+/// A database of another schema than [`schema`], drawn like
+/// [`conjunctive_db`] except that one relation, `PAR` or `PERSON`, holds up
+/// to four values drawn from atoms, pairs, triples and sets of atoms over
+/// the same three atoms.  Most draws put a value of another type than the
+/// relation's declared one there; some hold only values of that type, and
+/// one in five leaves the relation empty, which is an instance of every
+/// type.  Returns the database and that relation's name.
+fn other_schema_db(rng: &mut FaultRng) -> (Database, &'static str) {
+    let pick = |rng: &mut FaultRng, n: u64| rng.next_u64() % n;
+    let atom = |rng: &mut FaultRng| Atom(pick(rng, 3) as u32);
+    let pred = ["PAR", "PERSON"][pick(rng, 2) as usize];
+    let values: Vec<Value> = (0..pick(rng, 5))
+        .map(|_| match pick(rng, 4) {
+            0 => Value::atom(atom(rng)),
+            1 => Value::pair(atom(rng), atom(rng)),
+            2 => Value::atom_tuple([atom(rng), atom(rng), atom(rng)]),
+            _ => Value::set([atom(rng), atom(rng)].map(Value::atom)),
+        })
+        .collect();
+    let db = conjunctive_db(rng).with(pred, Instance::from_values(values));
+    (db, pred)
+}
+
+/// A handle is defined on the instances of its schema.  On recipe-generated
+/// databases of another schema ([`other_schema_db`]), every backend refuses
+/// a relation it reads that holds a value of another type, with one error
+/// kind and one text, naming the first such value in the relation's
+/// canonical order, under `limited`, `fi` and `ti` with default governors:
+/// planned algebra and tuple-at-a-time on recipe-generated expressions, the
+/// planned-calculus and least-fixpoint routes on recipe-generated calculus
+/// queries, and the compiled enumeration on the queries no route takes and
+/// under tiny budgets.  The near misses answer as their reference does under
+/// `limited` (the tuple-at-a-time evaluator called directly for algebra, the
+/// tree walker for calculus): an ill-typed relation the handle does not
+/// read, an empty relation, and a relation that holds only values of its
+/// declared type.  Every share is asserted, so the generators cannot drift
+/// away from any of them.
+#[test]
+fn every_backend_refuses_a_relation_of_another_type() {
+    const CASES: usize = 80;
+    let mut rng = FaultRng::new(31);
+    let [planner, tuple] = engine_pair();
+    let default = Engine::new();
+    let tiny = Engine::builder().calc_config(EvalConfig::tiny()).build();
+    let mut refused: BTreeMap<&str, usize> = BTreeMap::new();
+    let (mut unread, mut empty, mut conforming) = (0, 0, 0);
+    for case in 0..CASES {
+        let (db, pred) = other_schema_db(&mut rng);
+        let declared = schema().type_of(pred).unwrap().clone();
+        let relation = db.relation(pred).unwrap();
+        let refusal = (relation.iter().find(|v| !v.has_type(&declared)))
+            .map(|v| format!("value {v} does not conform to {pred} : {declared}"));
+        let recipe: Vec<(usize, usize)> = (0..rng.next_u64() % 8)
+            .map(|_| {
+                (
+                    (rng.next_u64() % 12) as usize,
+                    (rng.next_u64() % 24) as usize,
+                )
+            })
+            .collect();
+        let expr = expr_from_recipe(&recipe);
+        let conjunctive = conjunctive_query(&mut rng);
+        let (fixpoint, _) = least_fixpoint_query(&mut rng);
+        for (algebra, engine, query) in [
+            (Some("planned-algebra"), &planner, None),
+            (Some("tuple-algebra"), &tuple, None),
+            (None, &default, Some(&conjunctive)),
+            (None, &default, Some(&fixpoint)),
+            (None, &tiny, Some(&conjunctive)),
+        ] {
+            let (prepared, reads) = match query {
+                Some(query) => (
+                    engine.prepare(query).unwrap(),
+                    query.body().predicates().contains(pred),
+                ),
+                None => (
+                    engine.prepare_algebra(&expr, &schema()).unwrap(),
+                    expr.predicates().contains(pred),
+                ),
+            };
+            let backend = match algebra {
+                Some(backend) => backend,
+                None if prepared.physical_plan().is_some() => "planned-calculus",
+                None if prepared.least_fixpoint().is_some() => "least-fixpoint",
+                None => "enumeration",
+            };
+            let handle = query.map_or_else(|| expr.to_string(), Query::to_string);
+            let here = format!("case {case}: {backend} {handle} on {db:?}");
+            match refusal.as_ref().filter(|_| reads) {
+                Some(refusal) => {
+                    for semantics in Semantics::ALL {
+                        match prepared.execute(&db, semantics) {
+                            Err(err @ EngineError::Nonconforming(_)) => {
+                                assert_eq!(&err.to_string(), refusal, "{here}/{semantics}")
+                            }
+                            other => panic!("{here}/{semantics}: {other:?}, not {refusal}"),
+                        }
+                    }
+                    *refused.entry(backend).or_default() += 1;
+                    continue;
+                }
+                None if refusal.is_some() => unread += 1,
+                None if relation.is_empty() => empty += 1,
+                None => conforming += 1,
+            }
+            let outcome = prepared.execute(&db, Semantics::Limited);
+            match query {
+                Some(query) => {
+                    let walker = walker_outcome(engine, query, &db, Semantics::Limited);
+                    assert_matches_walker(&outcome, &walker, &here);
+                }
+                None => {
+                    let reference = expr.eval(&db, &schema(), &AlgConfig::default());
+                    let answer = outcome.map(|outcome| outcome.result);
+                    assert_eq!(answer, reference.map_err(EngineError::from), "{here}");
+                }
+            }
+        }
+    }
+    println!(
+        "refusals by backend: {refused:?}; near misses answered: {unread} unread, \
+         {empty} empty, {conforming} conforming"
+    );
+    let backends = [
+        "planned-algebra",
+        "tuple-algebra",
+        "planned-calculus",
+        "least-fixpoint",
+        "enumeration",
+    ];
+    assert!(
+        backends
+            .iter()
+            .all(|backend| refused.get(backend) >= Some(&5))
+            && unread >= 20
+            && empty >= 5
+            && conforming >= 5,
+        "refusals by backend: {refused:?}; near misses: {unread} unread, {empty} empty, \
+         {conforming} conforming"
+    );
 }
