@@ -3,36 +3,39 @@
 //!
 //! Two shapes are recognised:
 //!
-//! * [`lower_to_datalog`] — the conjunctive fragment of `CALC_{0,0}`: a flat
+//! * [`lower_to_algebra`] — the conjunctive fragment of `CALC_{0,0}`: a flat
 //!   target and an ∃-prefix of flat variables over a conjunction of
-//!   predicate, `≈` and `¬≈` atoms, lowered to one range-restricted Datalog
-//!   rule.  These are the conjunctive queries with disequalities, the target
-//!   class of the semijoin-query analysis of Leinders, Tyszkiewicz and Van
-//!   den Bussche.
+//!   predicate, `≈` and `¬≈` atoms, lowered straight to a σ/π/× expression
+//!   over the schema's relations.  These are the conjunctive queries with
+//!   disequalities, the target class of the semijoin-query analysis of
+//!   Leinders, Tyszkiewicz and Van den Bussche.
 //! * [`lower_least_fixpoint`] — the least-fixpoint fragment of `CALC_{0,1}`:
 //!   `{t/T | ∀X/{T} (φ → t ∈ X)}` for a flat `T`, where each conjunct of `φ`
-//!   is a Horn closure condition on `X` (lowered to one rule deriving `X`,
-//!   through the same class machinery) or an element-wise guard
+//!   is a Horn closure condition on `X` (lowered to one Datalog rule deriving
+//!   `X`, through the same class machinery) or an element-wise guard
 //!   `∀y/T (y ∈ X → ψ(y))` with `ψ` positive existential.  Example 3.1's
 //!   closure is two rules and one guard.
 //!
-//! [`Engine::prepare`](crate::engine::Engine::prepare) turns a conjunctive
-//! rule into a σ/π/× expression and plans it once ([`plan_rule`]), so the
-//! limited interpretation of a conjunctive query runs as set-at-a-time hash
-//! joins instead of enumerating its quantifier domains; a least-fixpoint
-//! query runs its rules semi-naively and checks its guards on the least
-//! model ([`LeastFixpoint::run`]).
+//! [`Engine::prepare`](crate::engine::Engine::prepare) plans a conjunctive
+//! query's expression once, so its limited interpretation runs as
+//! set-at-a-time hash joins instead of enumerating its quantifier domains; a
+//! least-fixpoint query runs its rules semi-naively and checks its guards on
+//! the least model ([`LeastFixpoint::run`]).
 //! [`IncrementalDb`](crate::incremental::IncrementalDb) re-executes a
 //! watched conjunctive view through that plan, and keeps a least-fixpoint
 //! view's least model warm, extending it on insertions
 //! ([`LeastFixpoint::extend`]).
 //!
-//! Why the rule's answer is the limited interpretation's: range restriction
-//! puts every answer coordinate and every disequality variable in a body
-//! literal, so their values are read from the database; any other class of
-//! equated coordinates is witnessed by its constant (in `adom(Q)`) or, having
-//! none, by any atom of the range `adom(d) ∪ adom(Q)`, which a matched
-//! literal makes non-empty.
+//! Why the expression's answer is the limited interpretation's: the `≈`
+//! atoms merge coordinates and constants into classes, and the product has
+//! one column per literal coordinate.  Its selections keep a row exactly
+//! when the columns of each class agree with each other and with the
+//! class's constant, and the classes of each `¬≈` differ.  Every answer
+//! coordinate lies in a class with a column or a constant, and every `¬≈`
+//! side in one with a column, so their values are read from the database or
+//! from `Q`; any other class is witnessed by its constant (in `adom(Q)`) or,
+//! having none, by any atom of the range `adom(d) ∪ adom(Q)`, which a
+//! matched literal makes non-empty.
 //!
 //! Why a least-fixpoint query's answer is the least model `LM` of its rules
 //! `H` when its guards `G` hold on `LM`: `X` ranges over subsets of
@@ -48,8 +51,8 @@
 //!
 //! Why one run of either route answers every invention level: at level `n`
 //! the range gains `n` invented atoms, and neither answer changes.  A
-//! conjunctive rule reads every answer coordinate from the database, and the
-//! class witnesses above need only a non-empty range.  A least-fixpoint
+//! conjunctive expression reads every answer coordinate from the database or
+//! `Q`, and the witnesses above need only a non-empty range.  A least-fixpoint
 //! query's rules are range-restricted, so `LM` is built from the same atoms
 //! at every level, and the intersection argument holds over the wider
 //! `cons_X(T)`.  Its guards are positive existential with `y` as their only
@@ -65,15 +68,15 @@
 //! `LM` fails at every level, and the enumeration answers all of them.
 
 use crate::engine::EngineError;
-use itq_algebra::{AlgExpr, PhysicalPlan, SelFormula};
+use itq_algebra::{AlgExpr, SelFormula};
 use itq_calculus::eval::{holds_for_each, EvalConfig};
 use itq_calculus::{CalcError, Formula, Query, Term};
 use itq_object::{conform, Atom, Database, ExecStats, Instance, Interrupt, Schema, Type, Value};
 use itq_relational::{DatalogAtom, Program, Relation, RelationStore, Rule, TermPattern};
 use std::collections::BTreeMap;
 
-/// The reserved head predicate of lowered rules (for a least-fixpoint query,
-/// the set variable `X`).
+/// The reserved predicate that names a least-fixpoint query's set variable
+/// `X` in its rules.
 pub(crate) const VIEW_PRED: &str = "__view__";
 
 /// The width of a flat type: 1 for `U`, `n` for `[U,…,U]`, `None` otherwise.
@@ -87,8 +90,10 @@ fn flat_width(ty: &Type) -> Option<usize> {
     }
 }
 
-/// The width of a flat answer type: width-1 tuples are excluded, as they
-/// cannot round-trip through [`Relation::to_instance`].
+/// The width of a flat answer type: width-1 tuples are excluded.  The
+/// least-fixpoint route builds its answer with [`Relation::to_instance`],
+/// through which they cannot round-trip; the conjunctive route declines them
+/// too, keeping its fragment.
 fn answer_width(ty: &Type) -> Option<usize> {
     match ty {
         Type::Tuple(c) if c.len() == 1 => None,
@@ -153,9 +158,9 @@ impl Classes {
     }
 }
 
-/// One conjunction being lowered to one rule: the flat variables in scope,
-/// their coordinates and the constants merged into classes by `≈` atoms,
-/// the body literals over class nodes, and the `¬≈` pairs.
+/// One conjunction being lowered: the flat variables in scope, their
+/// coordinates and the constants merged into classes by `≈` atoms, the body
+/// literals over class nodes, and the `¬≈` pairs.
 struct Lowering<'q> {
     schema: &'q Schema,
     /// The set variable of a least-fixpoint body and its element width: a
@@ -287,27 +292,34 @@ impl<'q> Lowering<'q> {
         })
     }
 
-    /// The rule `VIEW_PRED(head) :- literals, ¬≈ pairs`, or `None` when it
-    /// has no body literal, equates two distinct constants, or is not range
-    /// restricted.  Each class becomes its constant or a variable `v<root>`.
-    fn finish(mut self, head: Vec<ClassKey>) -> Option<Rule> {
+    /// The head's nodes and the constant of each class that holds one, by
+    /// root, or `None` when the body has no literal or a class equates two
+    /// distinct constants.
+    fn resolve(&mut self, head: Vec<ClassKey>) -> Option<(Vec<usize>, BTreeMap<usize, Atom>)> {
         if self.literals.is_empty() {
             return None;
         }
-        let head: Vec<usize> = head.into_iter().map(|k| self.classes.node(k)).collect();
-        let classes = &self.classes;
-        let mut class_const: BTreeMap<usize, Atom> = BTreeMap::new();
-        for (key, &node) in &classes.index {
+        let head = head.into_iter().map(|k| self.classes.node(k)).collect();
+        let mut constants = BTreeMap::new();
+        for (key, &node) in &self.classes.index {
             if let ClassKey::Const(a) = key {
-                let root = classes.find(node);
-                if *class_const.entry(root).or_insert(*a) != *a {
+                if *constants.entry(self.classes.find(node)).or_insert(*a) != *a {
                     return None;
                 }
             }
         }
+        Some((head, constants))
+    }
+
+    /// The rule `VIEW_PRED(head) :- literals` of a Horn condition, or `None`
+    /// when it has no body literal, equates two distinct constants, or is not
+    /// range restricted.  Each class becomes its constant or a variable
+    /// `v<root>`.  [`horn_rule`] refuses `¬`, so the body has no `¬≈` pair.
+    fn rule(mut self, head: Vec<ClassKey>) -> Option<Rule> {
+        let (head, constants) = self.resolve(head)?;
         let term_for = |node: usize| -> TermPattern {
-            let root = classes.find(node);
-            match class_const.get(&root) {
+            let root = self.classes.find(node);
+            match constants.get(&root) {
                 Some(a) => TermPattern::Const(*a),
                 None => TermPattern::Var(format!("v{root}")),
             }
@@ -320,31 +332,113 @@ impl<'q> Lowering<'q> {
                 DatalogAtom::new(name, nodes.iter().map(|&n| term_for(n)).collect())
             })
             .collect();
-        let mut rule = Rule::new(DatalogAtom::new(VIEW_PRED, head_terms), body_atoms);
-        for &(a, b) in &self.neqs {
-            match (term_for(a), term_for(b)) {
-                (TermPattern::Var(va), TermPattern::Var(vb)) if va != vb => {
-                    rule = rule.with_neq(&va, &vb);
+        let rule = Rule::new(DatalogAtom::new(VIEW_PRED, head_terms), body_atoms);
+        rule.is_range_restricted().then_some(rule)
+    }
+
+    /// The σ/π/× expression of a conjunctive body whose answer is `head`, of
+    /// type `target`: the literals' left-deep product (then one singleton
+    /// per head constant), each `≈` and `¬≈` selected at the first product
+    /// that binds both of its sides, a `$i = a` for every coordinate whose
+    /// class holds the constant `a`, and the head projected out (untupled
+    /// for a `U` target).  The planner turns each selected product into a
+    /// hash join.  `None` when the body has no literal, equates two distinct
+    /// constants, or leaves a head class unbound by every literal, or when a
+    /// `¬≈` has both sides in one class, a side that holds a constant, or a
+    /// side no literal binds.
+    fn algebra(mut self, head: Vec<ClassKey>, target: &Type) -> Option<AlgExpr> {
+        let (head, constants) = self.resolve(head)?;
+        let classes = &self.classes;
+        let mut factors = Vec::new();
+        // The conjuncts each factor makes testable, in factor order.
+        let mut stages: Vec<Vec<SelFormula>> = Vec::new();
+        // The first coordinate of each class without a constant, by root,
+        // and the factor of each coordinate.
+        let mut first: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut factor_of = Vec::new();
+        for (k, (name, nodes)) in self.literals.iter().enumerate() {
+            factors.push(AlgExpr::pred(name));
+            let mut conjuncts = Vec::new();
+            for &node in nodes {
+                factor_of.push(k);
+                let coord = factor_of.len();
+                let root = classes.find(node);
+                if let Some(&a) = constants.get(&root) {
+                    conjuncts.push(SelFormula::coord_is(coord, a));
+                } else if let Some(&seen) = first.get(&root) {
+                    conjuncts.push(SelFormula::coords_eq(seen, coord));
+                } else {
+                    first.insert(root, coord);
                 }
-                // ¬(x ≈ x) is never satisfiable, and a disequality against a
-                // constant falls outside the Rule::neq fragment.
-                _ => return None,
+            }
+            stages.push(conjuncts);
+        }
+        for &(a, b) in &self.neqs {
+            let (ra, rb) = (classes.find(a), classes.find(b));
+            // ¬(x ≈ x) is never satisfiable, and a disequality against a
+            // constant stays outside the fragment.
+            if ra == rb || constants.contains_key(&ra) || constants.contains_key(&rb) {
+                return None;
+            }
+            let (ca, cb) = (*first.get(&ra)?, *first.get(&rb)?);
+            stages[factor_of[ca.max(cb) - 1]]
+                .push(SelFormula::negate(SelFormula::coords_eq(ca, cb)));
+        }
+        let mut columns = Vec::with_capacity(head.len());
+        for node in head {
+            let root = classes.find(node);
+            columns.push(match constants.get(&root) {
+                Some(&a) => {
+                    factors.push(AlgExpr::singleton(a));
+                    stages.push(Vec::new());
+                    factor_of.push(factors.len() - 1);
+                    factor_of.len()
+                }
+                None => *first.get(&root)?,
+            });
+        }
+        // A head that lists the product's coordinates in order needs no
+        // projection when the product has the target type: two or more
+        // factors multiply to `[U, …, U]` as wide as the head, and a lone
+        // relation has its declared type.
+        let project = !columns.iter().copied().eq(1..=factor_of.len())
+            || factors.len() == 1 && self.schema.type_of(&self.literals[0].0) != Some(target);
+        // The first factor's own conjuncts wait for the first product: a
+        // selection needs tuples, and a lone `U` relation has none.
+        let mut factors = factors.into_iter();
+        let mut stages = stages.into_iter();
+        let mut expr = factors.next()?;
+        let mut pending = stages.next()?;
+        for (factor, conjuncts) in factors.zip(stages) {
+            pending.extend(conjuncts);
+            expr = expr.product(factor);
+            if !pending.is_empty() {
+                expr = expr.select(SelFormula::all(std::mem::take(&mut pending)));
             }
         }
-        rule.is_range_restricted().then_some(rule)
+        if !pending.is_empty() {
+            expr = expr.select(SelFormula::all(pending));
+        }
+        if project {
+            expr = expr.project(columns);
+            if *target == Type::Atomic {
+                expr = expr.untuple();
+            }
+        }
+        Some(expr)
     }
 }
 
-/// Lower a conjunctive calculus query to a single safe Datalog rule with head
-/// [`VIEW_PRED`], or `None` when the query falls outside the fragment:
+/// Lower a conjunctive calculus query to its σ/π/× expression over the
+/// schema's relations, or `None` when the query falls outside the fragment:
 ///
-/// * the target type is `U` or `[U,…,U]` with width ≥ 2 (width-1 tuples
-///   cannot round-trip through [`itq_relational::Relation::to_instance`]);
+/// * the target type is `U` or `[U,…,U]` with width ≥ 2;
 /// * the body is an ∃-prefix of flat-typed variables over a conjunction of
 ///   `P(x)`, `s ≈ t`, and `¬(s ≈ t)` conjuncts;
-/// * the resulting rule has at least one body literal and is range
-///   restricted (so the Datalog answer matches the limited interpretation).
-pub(crate) fn lower_to_datalog(query: &Query) -> Option<Rule> {
+/// * some conjunct is a predicate, every answer coordinate and every side of
+///   a `¬≈` is bound by one, no two distinct constants are equated, and no
+///   `¬≈` side holds a constant or shares its class with the other side.
+pub(crate) fn lower_to_algebra(query: &Query) -> Option<AlgExpr> {
     let target = query.target();
     let width = answer_width(query.target_type())?;
     let mut lowering = Lowering::new(query.schema(), None);
@@ -358,7 +452,7 @@ pub(crate) fn lower_to_datalog(query: &Query) -> Option<Rule> {
         lowering.conjunct(conjunct)?;
     }
     let head = lowering.coords(&Term::var(target), width)?;
-    lowering.finish(head)
+    lowering.algebra(head, query.target_type())
 }
 
 /// A least-fixpoint query lowered to Datalog: its Horn conditions as rules
@@ -488,7 +582,7 @@ fn horn_rule(conjunct: &Formula, set: &str, width: usize, schema: &Schema) -> Op
         }
         _ => return None,
     };
-    lowering.finish(head)
+    lowering.rule(head)
 }
 
 /// One from-scratch run of the least-fixpoint route that answered.
@@ -623,105 +717,171 @@ fn flat_relation<'v>(values: impl IntoIterator<Item = &'v Value>, width: usize) 
     Relation::from_tuples(width, values.into_iter().filter_map(flat_tuple_of))
 }
 
-/// The σ/π/× form of a lowered rule, planned once: the body literals'
-/// left-deep product (then one singleton per head constant), each equality
-/// and disequality selected at the first product that binds both of its
-/// sides, and the head projected out (untupled for a `U` target).  The
-/// planner turns each selected product into a hash join.  `None` if the plan
-/// does not produce the query's target type, which no rule from
-/// [`lower_to_datalog`] does.
-pub(crate) fn plan_rule(rule: &Rule, query: &Query) -> Option<PhysicalPlan> {
-    let mut factors = Vec::new();
-    // The conjuncts each factor makes testable, in factor order.
-    let mut stages: Vec<Vec<SelFormula>> = Vec::new();
-    let mut first: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut factor_of = Vec::new();
-    for (k, literal) in rule.body.iter().enumerate() {
-        factors.push(AlgExpr::pred(&literal.pred));
-        let mut conjuncts = Vec::new();
-        for term in &literal.terms {
-            factor_of.push(k);
-            let coord = factor_of.len();
-            match term {
-                TermPattern::Var(v) => match first.get(v.as_str()) {
-                    Some(&seen) => conjuncts.push(SelFormula::coords_eq(seen, coord)),
-                    None => {
-                        first.insert(v, coord);
-                    }
-                },
-                TermPattern::Const(a) => conjuncts.push(SelFormula::coord_is(coord, *a)),
-            }
-        }
-        stages.push(conjuncts);
-    }
-    for (a, b) in &rule.neq {
-        let (ca, cb) = (*first.get(a.as_str())?, *first.get(b.as_str())?);
-        stages[factor_of[ca.max(cb) - 1]].push(SelFormula::negate(SelFormula::coords_eq(ca, cb)));
-    }
-    let mut head = Vec::with_capacity(rule.head.terms.len());
-    for term in &rule.head.terms {
-        head.push(match term {
-            TermPattern::Var(v) => *first.get(v.as_str())?,
-            TermPattern::Const(a) => {
-                factors.push(AlgExpr::singleton(*a));
-                stages.push(Vec::new());
-                factor_of.push(factors.len() - 1);
-                factor_of.len()
-            }
-        });
-    }
-
-    // The first factor's own conjuncts wait for the first product: a
-    // selection needs tuples, and a lone `U` relation has none.
-    let mut factors = factors.into_iter();
-    let mut stages = stages.into_iter();
-    let mut expr = factors.next()?;
-    let mut pending = stages.next()?;
-    for (factor, conjuncts) in factors.zip(stages) {
-        pending.extend(conjuncts);
-        expr = expr.product(factor);
-        if !pending.is_empty() {
-            expr = expr.select(SelFormula::all(std::mem::take(&mut pending)));
-        }
-    }
-    if !pending.is_empty() {
-        expr = expr.select(SelFormula::all(pending));
-    }
-    let target = query.target_type();
-    if head.iter().copied().eq(1..=factor_of.len()) {
-        // The head lists the product's coordinates in order: no projection
-        // is needed when the product already has the target type.
-        let plan = itq_algebra::plan(&expr, query.schema()).ok()?;
-        if plan.output_type() == target {
-            return Some(plan);
-        }
-    }
-    expr = expr.project(head);
-    if *target == Type::Atomic {
-        expr = expr.untuple();
-    }
-    let plan = itq_algebra::plan(&expr, query.schema()).ok()?;
-    (plan.output_type() == target).then_some(plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::queries;
-    use itq_algebra::{JoinStrategy, PhysNode};
+    use itq_algebra::{JoinStrategy, PhysNode, PhysicalPlan};
+
+    /// The plan of a query's conjunctive route, or `None` off the fragment.
+    fn route(query: &Query) -> Option<PhysicalPlan> {
+        itq_algebra::plan(&lower_to_algebra(query)?, query.schema()).ok()
+    }
 
     #[test]
     fn lowering_covers_the_genealogy_shapes_and_rejects_the_rest() {
-        let gp = lower_to_datalog(&queries::grandparent_query()).unwrap();
-        assert!(itq_relational::Program::new(vec![gp.clone()]).is_safe());
-        assert_eq!(gp.head.pred, VIEW_PRED);
-        assert_eq!(gp.body.len(), 2);
+        let schema = queries::parent_schema().with("PERSON", Type::Atomic);
+        let query = |target: Type, body: Formula| Query::new("t", target, body, schema.clone());
+        let pair = Type::flat_tuple(2);
+        let on_x =
+            |conjuncts: Vec<Formula>| Formula::exists("x", pair.clone(), Formula::and(conjuncts));
+        let par_x = || Formula::pred("PAR", Term::var("x"));
+        let t_is_x = || Formula::eq(Term::var("t"), Term::var("x"));
+        let a0 = || Term::Const(Atom(0));
+        let shapes = [
+            (
+                "grandparent",
+                queries::grandparent_query(),
+                Some("hash-join [$2 = $1'] project π_{1,4}\n├─ scan PAR\n└─ scan PAR"),
+            ),
+            // The disequality is a residual of the join on the shared parent.
+            (
+                "sibling",
+                queries::sibling_query(),
+                Some("hash-join [$1 = $1'] residual{¬($2 = $4)} project π_{2,4}\n├─ scan PAR\n└─ scan PAR"),
+            ),
+            // Two whole variables are equated coordinate by coordinate.
+            (
+                "x ≈ y",
+                query(
+                    pair.clone(),
+                    Formula::exists(
+                        "y",
+                        pair.clone(),
+                        on_x(vec![
+                            par_x(),
+                            Formula::pred("PAR", Term::var("y")),
+                            Formula::eq(Term::var("x"), Term::var("y")),
+                            t_is_x(),
+                        ]),
+                    ),
+                )
+                .unwrap(),
+                Some("hash-join [$1 = $1', $2 = $2'] project π_{1,2}\n├─ scan PAR\n└─ scan PAR"),
+            ),
+            (
+                "a disequality against a constant",
+                query(
+                    pair.clone(),
+                    on_x(vec![
+                        par_x(),
+                        Formula::not(Formula::eq(Term::proj("x", 1), a0())),
+                        t_is_x(),
+                    ]),
+                )
+                .unwrap(),
+                None,
+            ),
+            (
+                "a disequality within one class",
+                query(
+                    pair.clone(),
+                    on_x(vec![
+                        par_x(),
+                        Formula::not(Formula::eq(Term::proj("x", 1), Term::proj("x", 1))),
+                        t_is_x(),
+                    ]),
+                )
+                .unwrap(),
+                None,
+            ),
+            (
+                "a [U] target",
+                query(Type::flat_tuple(1), Formula::pred("PERSON", Term::proj("t", 1))).unwrap(),
+                None,
+            ),
+            (
+                "a body with no literal",
+                query(Type::Atomic, Formula::eq(Term::var("t"), a0())).unwrap(),
+                None,
+            ),
+            (
+                "two distinct constants equated",
+                query(
+                    Type::Atomic,
+                    Formula::and(vec![
+                        Formula::pred("PERSON", Term::var("t")),
+                        Formula::eq(a0(), Term::Const(Atom(1))),
+                    ]),
+                )
+                .unwrap(),
+                None,
+            ),
+            (
+                "an unbound answer coordinate",
+                query(pair.clone(), Formula::pred("PERSON", Term::proj("t", 1))).unwrap(),
+                None,
+            ),
+            // The TC query quantifies over a set type.
+            ("Example 3.1", queries::transitive_closure_query(), None),
+        ];
+        for (shape, query, render) in shapes {
+            let plan = route(&query);
+            assert_eq!(
+                plan.as_ref().map(PhysicalPlan::render).as_deref(),
+                render,
+                "{shape}"
+            );
+            if let Some(plan) = plan {
+                assert_eq!(plan.output_type(), query.target_type(), "{shape}");
+            }
+        }
+    }
 
-        let sib = lower_to_datalog(&queries::sibling_query()).unwrap();
-        assert_eq!(sib.neq.len(), 1);
-
-        // The TC query quantifies over a set type — out of the fragment.
-        assert!(lower_to_datalog(&queries::transitive_closure_query()).is_none());
+    #[test]
+    fn constants_and_unary_targets_plan_to_their_target_type() {
+        let schema = queries::parent_schema().with("PERSON", Type::Atomic);
+        let query = |target: Type, body: Formula| Query::new("t", target, body, schema.clone());
+        let shapes = [
+            // {t/U | PERSON(t)} is the relation itself.
+            (
+                query(Type::Atomic, Formula::pred("PERSON", Term::var("t"))).unwrap(),
+                "scan PERSON",
+            ),
+            // A head constant joins as a singleton: {t/[U,U] | PERSON(t.1) ∧ t.2 ≈ a0}.
+            (
+                query(
+                    Type::flat_tuple(2),
+                    Formula::and(vec![
+                        Formula::pred("PERSON", Term::proj("t", 1)),
+                        Formula::eq(Term::proj("t", 2), Term::Const(Atom(0))),
+                    ]),
+                )
+                .unwrap(),
+                "product ×\n├─ scan PERSON\n└─ const {a0}",
+            ),
+            // A `U` target over a pair relation is projected, then untupled.
+            (
+                query(
+                    Type::Atomic,
+                    Formula::exists(
+                        "x",
+                        Type::flat_tuple(2),
+                        Formula::and(vec![
+                            Formula::pred("PAR", Term::var("x")),
+                            Formula::eq(Term::var("t"), Term::proj("x", 1)),
+                        ]),
+                    ),
+                )
+                .unwrap(),
+                "untuple μ\n└─ project π_{1}\n   └─ scan PAR",
+            ),
+        ];
+        for (query, render) in shapes {
+            let plan = route(&query).unwrap();
+            assert_eq!(plan.render(), render);
+            assert_eq!(plan.output_type(), query.target_type());
+        }
     }
 
     #[test]
@@ -742,7 +902,7 @@ mod tests {
         // Neither the conjunctive lowering nor the least-fixpoint one takes
         // the other's shape.
         assert!(lower_least_fixpoint(&queries::grandparent_query()).is_none());
-        assert!(lower_to_datalog(&queries::transitive_closure_query()).is_none());
+        assert!(lower_to_algebra(&queries::transitive_closure_query()).is_none());
     }
 
     #[test]
@@ -887,59 +1047,22 @@ mod tests {
         assert!(extended.unwrap().is_none());
     }
 
-    fn planned(query: &Query) -> PhysicalPlan {
-        plan_rule(&lower_to_datalog(query).unwrap(), query).unwrap()
-    }
-
     #[test]
     fn genealogy_rules_plan_to_the_algebra_exemplar_joins() {
-        // Grandparent is π_{1,4}(σ_{$2=$3}(PAR × PAR)), the algebra `ga`.
-        let gp = planned(&queries::grandparent_query());
-        assert_eq!(
-            gp.render(),
-            "hash-join [$2 = $1'] project π_{1,4}\n├─ scan PAR\n└─ scan PAR"
-        );
+        // Grandparent plans as π_{1,4}(σ_{$2=$3}(PAR × PAR)), the algebra `ga`.
+        let ga = AlgExpr::pred("PAR")
+            .product(AlgExpr::pred("PAR"))
+            .select(SelFormula::coords_eq(2, 3))
+            .project(vec![1, 4]);
+        let ga = itq_algebra::plan(&ga, &queries::parent_schema()).unwrap();
+        let gp = route(&queries::grandparent_query()).unwrap();
+        assert_eq!(gp.render(), ga.render());
         // Sibling keys on the shared parent; the disequality is a residual.
-        let sib = planned(&queries::sibling_query());
+        let sib = route(&queries::sibling_query()).unwrap();
         assert!(matches!(
             sib.root(),
             PhysNode::Join { strategy: JoinStrategy::Hash { keys }, residual, .. }
                 if keys == &[(1, 1)] && residual.len() == 1
         ));
-    }
-
-    #[test]
-    fn constants_and_unary_targets_plan_to_their_target_type() {
-        let schema = queries::parent_schema().with("PERSON", Type::Atomic);
-        let query = |target: Type, body: Formula| Query::new("t", target, body, schema.clone());
-        // {t/U | PERSON(t)} is the relation itself.
-        let people = query(Type::Atomic, Formula::pred("PERSON", Term::var("t"))).unwrap();
-        assert_eq!(planned(&people).render(), "scan PERSON");
-        // A head constant joins as a singleton: {t/[U,U] | PERSON(t.1) ∧ t.2 ≈ a0}.
-        let tagged = query(
-            Type::flat_tuple(2),
-            Formula::and(vec![
-                Formula::pred("PERSON", Term::proj("t", 1)),
-                Formula::eq(Term::proj("t", 2), Term::Const(Atom(0))),
-            ]),
-        )
-        .unwrap();
-        assert_eq!(planned(&tagged).output_type(), &Type::flat_tuple(2));
-        assert!(planned(&tagged).render().contains("const {a0}"));
-        // A `U` target over a pair relation is projected, then untupled.
-        let parents = query(
-            Type::Atomic,
-            Formula::exists(
-                "x",
-                Type::flat_tuple(2),
-                Formula::and(vec![
-                    Formula::pred("PAR", Term::var("x")),
-                    Formula::eq(Term::var("t"), Term::proj("x", 1)),
-                ]),
-            ),
-        )
-        .unwrap();
-        assert_eq!(planned(&parents).output_type(), &Type::Atomic);
-        assert!(planned(&parents).render().starts_with("untuple μ"));
     }
 }

@@ -24,9 +24,9 @@
 //! fresh atoms irrelevant), so executing never mutates shared state.
 //!
 //! A calculus query in the conjunctive fragment of `CALC_{0,0}` needs no
-//! quantifier enumeration at all: prepare lowers it to one Datalog rule,
-//! turns the rule into a σ/π/× expression and plans that once, and the
-//! limited interpretation then runs as hash joins (root span
+//! quantifier enumeration at all: prepare lowers it straight to a σ/π/×
+//! expression over its relations, plans that once, and the limited
+//! interpretation then runs as hash joins (root span
 //! `planned-calculus`).  A least-fixpoint query of `CALC_{0,1}` — such as the
 //! Example 3.1 closure, `{t | ∀X/{T} (φ(X) → t ∈ X)}` with `φ` Horn
 //! conditions and element-wise guards — needs no enumeration of its `2^n`
@@ -337,14 +337,14 @@ pub struct PrepareStats {
     pub typecheck_micros: u64,
     /// Building the set-at-a-time physical plan (join extraction, selection
     /// pushdown, projection fusion): for every algebra handle, and for a
-    /// calculus handle whose query lowered to a conjunctive rule.  0 for
-    /// every other calculus handle.
+    /// calculus handle whose query lowered to a conjunctive expression.  0
+    /// for every other calculus handle.
     pub plan_micros: u64,
     /// The `CALC_{k,i}` classification (Section 3).
     pub classify_micros: u64,
     /// For a calculus handle under default budgets, the attempts to lower it
-    /// to a least-fixpoint program or to a conjunctive rule (normal forms of
-    /// the route); 0 for every other handle.
+    /// to a least-fixpoint program or to a conjunctive σ/π/× expression
+    /// (normal forms of the route); 0 for every other handle.
     pub normalize_micros: u64,
     /// Lowering into the slot-based compiled evaluator: 0 for algebra
     /// handles, which never compile.
@@ -497,7 +497,7 @@ enum PreparedSource {
 /// level shares.
 #[derive(Debug)]
 enum CalculusRoute {
-    /// A conjunctive query's rule, planned into hash joins.
+    /// A conjunctive query's σ/π/× expression, planned into hash joins.
     Planned(Box<PhysicalPlan>),
     /// A least-fixpoint query's program and guards.
     LeastFixpoint(Box<LeastFixpoint>),
@@ -632,9 +632,9 @@ impl Engine {
     /// an algebra handle's when `algebra` holds its expression, plan and
     /// typing, a calculus handle's otherwise.  A calculus query is compiled
     /// to slots; under default budgets, one in the conjunctive fragment is
-    /// also lowered to its Datalog rule (a normal form) and, from that,
-    /// planned set-at-a-time, and a least-fixpoint query is lowered to its
-    /// Datalog program and guards.
+    /// also lowered to its σ/π/× expression (a normal form), which is planned
+    /// set-at-a-time, and a least-fixpoint query is lowered to its Datalog
+    /// program and guards.
     fn prepared_from(
         &self,
         algebra: Option<(AlgExpr, Box<PhysicalPlan>, &Typing)>,
@@ -646,17 +646,18 @@ impl Engine {
         let classification = query.classification();
         let classify_micros = phase.elapsed().as_micros() as u64;
         let phase = Instant::now();
-        let (mut route, mut rule) = (None, None);
+        let (mut route, mut conjunctive) = (None, None);
         if algebra.is_none() && self.settings.default_budgets() {
             match lowering::lower_least_fixpoint(&query) {
                 Some(fixpoint) => route = Some(CalculusRoute::LeastFixpoint(Box::new(fixpoint))),
-                None => rule = lowering::lower_to_datalog(&query),
+                None => conjunctive = lowering::lower_to_algebra(&query),
             }
         }
         let normalize_micros = phase.elapsed().as_micros() as u64;
-        if let Some(rule) = rule {
+        if let Some(expr) = conjunctive {
             let phase = Instant::now();
-            route = lowering::plan_rule(&rule, &query)
+            route = itq_algebra::plan(&expr, query.schema())
+                .ok()
                 .map(|plan| CalculusRoute::Planned(Box::new(plan)));
             plan_micros = phase.elapsed().as_micros() as u64;
         }
@@ -880,11 +881,12 @@ impl Prepared {
     }
 
     /// The set-at-a-time physical plan this handle runs, planned once at
-    /// prepare time: always for an algebra expression, and for a calculus
-    /// query in the conjunctive fragment (an ∃-prefix of flat variables over
-    /// predicate, `≈` and `¬≈` atoms) under default budgets.  One run of the
-    /// plan answers every semantics.  The surface language's `plan <name>;`
-    /// statement pretty-prints it.
+    /// prepare time: always for an algebra expression, and under default
+    /// budgets for a calculus query in the conjunctive fragment (an ∃-prefix
+    /// of flat variables over predicate, `≈` and `¬≈` atoms), from the σ/π/×
+    /// expression it lowers to.  One run of the plan answers every
+    /// semantics.  The surface language's `plan <name>;` statement
+    /// pretty-prints it.
     ///
     /// ```
     /// use itq_core::prelude::*;

@@ -106,11 +106,6 @@ impl Instance {
         &self.values
     }
 
-    /// True if every object of the instance has the given type.
-    pub fn conforms_to(&self, ty: &Type) -> bool {
-        self.values.iter().all(|v| v.has_type(ty))
-    }
-
     /// The active domain of the instance: the union of the active domains of its
     /// objects.
     pub fn active_domain(&self) -> BTreeSet<Atom> {
@@ -352,8 +347,8 @@ mod tests {
         assert!(!inst.remove(&Value::pair(a[1], a[2])));
         assert!(inst.insert(Value::pair(a[1], a[2])));
         assert_eq!(inst.active_domain().len(), 3);
-        assert!(inst.conforms_to(&Type::flat_tuple(2)));
-        assert!(!inst.conforms_to(&Type::Atomic));
+        assert!(conform("R", &Type::flat_tuple(2), inst.iter()).is_ok());
+        assert!(conform("R", &Type::Atomic, inst.iter()).is_err());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! ## Quick tour
 //!
 //! ```
-//! use itq_object::{Type, Value, Universe, Instance};
+//! use itq_object::{conform, Type, Value, Universe, Instance};
 //!
 //! // The three types of the paper's Figure 1.
 //! let t1 = Type::tuple(vec![Type::Atomic, Type::Atomic]);      // [U, U]
@@ -47,7 +47,7 @@
 //! assert!(pair.has_type(&t1));
 //!
 //! let relation = Instance::from_values(vec![pair.clone()]);
-//! assert!(relation.conforms_to(&t1));
+//! assert!(conform("PAR", &t1, relation.iter()).is_ok());
 //! // Every instance of T is also an object of {T}.
 //! assert!(relation.as_set_value().has_type(&t2));
 //! ```

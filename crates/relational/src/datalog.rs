@@ -72,36 +72,23 @@ impl fmt::Display for Atom {
     }
 }
 
-/// A Datalog rule `head :- body1, …, bodyn[, x != y, …]`.
+/// A Datalog rule `head :- body1, …, bodyn`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rule {
     /// The head literal (an IDB predicate).
     pub head: Atom,
     /// The body literals.
     pub body: Vec<Atom>,
-    /// Disequality constraints `x != y` between body-bound variables — the
-    /// fragment needed to lower calculus conjuncts like `¬(x ≈ y)` into a rule.
-    pub neq: Vec<(String, String)>,
 }
 
 impl Rule {
-    /// Build a rule without disequality constraints.
+    /// Build a rule.
     pub fn new(head: Atom, body: Vec<Atom>) -> Rule {
-        Rule {
-            head,
-            body,
-            neq: Vec::new(),
-        }
+        Rule { head, body }
     }
 
-    /// Add a disequality constraint `left != right` to the rule.
-    pub fn with_neq(mut self, left: &str, right: &str) -> Rule {
-        self.neq.push((left.to_string(), right.to_string()));
-        self
-    }
-
-    /// True if every head and disequality variable occurs in the body (range
-    /// restriction — needed for the bottom-up evaluation to be safe).
+    /// True if every head variable occurs in the body (range restriction —
+    /// needed for the bottom-up evaluation to be safe).
     pub fn is_range_restricted(&self) -> bool {
         let body_binds = |v: &str| {
             self.body.iter().any(|b| {
@@ -113,10 +100,7 @@ impl Rule {
         self.head.terms.iter().all(|t| match t {
             TermPattern::Const(_) => true,
             TermPattern::Var(v) => body_binds(v),
-        }) && self
-            .neq
-            .iter()
-            .all(|(left, right)| body_binds(left) && body_binds(right))
+        })
     }
 }
 
@@ -128,9 +112,6 @@ impl fmt::Display for Rule {
                 write!(f, ", ")?;
             }
             write!(f, "{b}")?;
-        }
-        for (left, right) in &self.neq {
-            write!(f, ", {left} != {right}")?;
         }
         Ok(())
     }
@@ -248,15 +229,6 @@ fn fire_rec(
     out: &mut Relation,
 ) {
     if body_index == rule.body.len() {
-        // Disequality constraints apply once all body variables are bound; a
-        // side no body literal binds (a rule that is not range-restricted)
-        // simply never derives.
-        for (left, right) in &rule.neq {
-            match (sub.get(left), sub.get(right)) {
-                (Some(l), Some(r)) if l != r => {}
-                _ => return,
-            }
-        }
         if let Some(tuple) = instantiate(&rule.head, sub) {
             out.insert(tuple);
         }
@@ -452,35 +424,6 @@ mod tests {
         empty.insert("E".to_string(), Relation::empty(2));
         let result = program.evaluate(&empty, Interrupt::disarmed()).unwrap();
         assert!(result["NonEmpty"].is_empty());
-    }
-
-    #[test]
-    fn disequality_constraints_filter_derivations() {
-        // P(x, y) :- E(x, y), x != y.
-        let rule = Rule::new(
-            Atom::vars("P", &["x", "y"]),
-            vec![Atom::vars("E", &["x", "y"])],
-        )
-        .with_neq("x", "y");
-        assert!(rule.is_range_restricted());
-        assert_eq!(rule.to_string(), "P(x, y) :- E(x, y), x != y");
-        let program = Program::new(vec![rule]);
-        let mut edb = BTreeMap::new();
-        edb.insert(
-            "E".to_string(),
-            Relation::from_pairs(vec![(a(0), a(0)), (a(0), a(1))]),
-        );
-        let result = program.evaluate(&edb, Interrupt::disarmed()).unwrap();
-        assert_eq!(result["P"].len(), 1);
-        assert!(result["P"].contains(&[a(0), a(1)]));
-
-        // A disequality over a variable the body never binds is unsafe.
-        let dangling = Rule::new(
-            Atom::vars("P", &["x", "y"]),
-            vec![Atom::vars("E", &["x", "y"])],
-        )
-        .with_neq("x", "z");
-        assert!(!dangling.is_range_restricted());
     }
 
     #[test]

@@ -240,7 +240,7 @@ mod tests {
     fn instance_round_trip_binary() {
         let r = Relation::from_pairs(vec![(a(0), a(1)), (a(1), a(2))]);
         let inst = r.to_instance();
-        assert!(inst.conforms_to(&r.flat_type()));
+        assert!(itq_object::conform("R", &r.flat_type(), inst.iter()).is_ok());
         let back = Relation::from_instance(&inst).unwrap();
         assert_eq!(back, r);
     }

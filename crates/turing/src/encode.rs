@@ -286,6 +286,7 @@ mod tests {
     use super::*;
     use crate::machines::parity_machine;
     use crate::run::run;
+    use itq_object::conform;
 
     fn accepted_encoding(ones: usize) -> (EncodedComputation, TuringMachine) {
         let machine = parity_machine();
@@ -300,7 +301,7 @@ mod tests {
     fn encoding_has_rectangular_shape() {
         let (enc, _machine) = accepted_encoding(4);
         assert_eq!(enc.len(), enc.step_atoms.len() * enc.cell_atoms.len());
-        assert!(enc.relation.conforms_to(&comp_tuple_type()));
+        assert!(conform("COMP", &comp_tuple_type(), enc.relation.iter()).is_ok());
         assert!(!enc.is_empty());
         assert!(enc.atom_budget() > enc.step_atoms.len());
     }

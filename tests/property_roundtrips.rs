@@ -8,7 +8,7 @@ use itq_calculus::{Formula, Query, Term};
 use itq_core::engine::{Engine, EngineError, Semantics};
 use itq_core::queries;
 use itq_object::cons::{cons_cardinality, rank_of_value, value_at_rank};
-use itq_object::{Atom, Database, Instance, Type, Value};
+use itq_object::{conform, Atom, Database, Instance, Type, Value};
 use itq_relational::{transitive_closure_seminaive, transitive_closure_warshall, Relation};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -105,7 +105,7 @@ proptest! {
             tuples.iter().map(|t| t.iter().map(|&x| Atom(x)).collect::<Vec<_>>()),
         );
         let instance = relation.to_instance();
-        prop_assert!(instance.conforms_to(&relation.flat_type()));
+        prop_assert!(conform("R", &relation.flat_type(), instance.iter()).is_ok());
         prop_assert_eq!(Relation::from_instance(&instance).unwrap(), relation);
     }
 

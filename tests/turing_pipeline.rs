@@ -5,7 +5,7 @@
 
 use itq_core::complexity::{growth_table, quantifier_domain_bounds};
 use itq_object::cons::cons_cardinality;
-use itq_object::{hyp, Type, Universe};
+use itq_object::{conform, hyp, Type, Universe};
 use itq_turing::machines::{palindrome_machine, parity_machine, stepper_machine, ONE, TWO};
 use itq_turing::{comp_tuple_type, encode_run, run, verify_encoding, RunOutcome};
 
@@ -41,7 +41,7 @@ fn encodings_of_varied_machines_all_verify() {
             encoding.len(),
             encoding.step_atoms.len() * encoding.cell_atoms.len()
         );
-        assert!(encoding.relation.conforms_to(&comp_tuple_type()));
+        assert!(conform("COMP", &comp_tuple_type(), encoding.relation.iter()).is_ok());
     }
 }
 
